@@ -12,7 +12,7 @@ BENCH_BASELINE   = BENCH_PR9.json
 # deterministic and gate tightly inside seneca-benchjson.
 BENCH_GATE_PCT   = 50
 
-.PHONY: ci build vet test race fmt-check bench bench-compare bench-all fuzz chaos mpq-smoke
+.PHONY: ci build vet test race fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
 
 # ci is the gate GitHub Actions runs: formatting, build, vet, race tests.
 ci: fmt-check build vet race
@@ -45,6 +45,17 @@ bench-compare:
 # bench-all additionally runs the heavy table/figure reproduction benches.
 bench-all:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json, benchmark/):
+# every workload at seed 1, untraced then traced, one JSON line each. It
+# builds into the gitignored .bench_build/. bench-e2e-test runs that nested
+# module's own tests, which the root `go test ./...` cannot see (≈5 s; they
+# start the real binaries). CI runs the latter as a blocking step.
+bench-e2e:
+	bash benchmark/run.sh --seed 1
+
+bench-e2e-test:
+	$(GO) -C benchmark test ./...
 
 # mpq-smoke runs the seeded mixed-precision search end to end (train →
 # sensitivity → greedy → frontier) at tiny geometry; it finishes well under

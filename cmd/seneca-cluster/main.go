@@ -62,7 +62,7 @@ func main() {
 	runners := flag.Int("runners", 1, "runner pool size per node")
 	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap per node")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch coalescing window")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
 	queue := flag.Int("queue", 64, "admission queue depth per node")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")

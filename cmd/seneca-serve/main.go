@@ -52,7 +52,7 @@ func main() {
 	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
 	pipeline := flag.Int("pipeline", 1, "in-flight batches per runner")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch coalescing window")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
 	queue := flag.Int("queue", 64, "admission queue depth")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")

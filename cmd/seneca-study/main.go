@@ -51,7 +51,7 @@ func main() {
 	runners := flag.Int("runners", 1, "runner pool size")
 	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch coalescing window")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
 	queue := flag.Int("queue", 64, "slice admission queue depth")
 	workers := flag.Int("workers", 2, "concurrent volume jobs")
 	sliceParallel := flag.Int("slice-parallel", 4, "in-flight slices per volume job")

@@ -287,3 +287,32 @@ func nodeGens(c *Cluster) map[int]int {
 	}
 	return gens
 }
+
+// untouchedBody is a request body that fails the test the moment anyone
+// reads it.
+type untouchedBody struct{ t *testing.T }
+
+func (b untouchedBody) Read([]byte) (int, error) {
+	b.t.Error("request body was read before the headers were rejected")
+	return 0, io.EOF
+}
+
+// TestBadHeadersRejectedBeforeBodyRead: the fleet front door refuses a bad
+// tier or a malformed deadline from the headers alone, without reading a
+// body that may be MaxBodyBytes long.
+func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
+	c, _, _ := newTestCluster(t, Config{MinNodes: 1, MaxNodes: 1}, serve.Config{})
+	for header, value := range map[string]string{
+		"X-Seneca-Tier":      "bogus",
+		serve.DeadlineHeader: "soon",
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		r.Header.Set("Content-Type", "application/octet-stream")
+		r.Header.Set(header, value)
+		w := httptest.NewRecorder()
+		c.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: %s → HTTP %d, want 400", header, value, w.Code)
+		}
+	}
+}

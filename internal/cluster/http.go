@@ -52,17 +52,19 @@ func (c *Cluster) handleSegment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: X-Seneca-Tier must be \"interactive\" or \"batch\"", http.StatusBadRequest)
 		return
 	}
-	img, status, err := serve.DecodeSegmentRequest(w, r, c.inC, c.inH, c.inW, c.cfg.MaxBodyBytes)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
+	// Headers first: a request they condemn must not cost a body read of up
+	// to MaxBodyBytes before its 400.
 	ctx, cancel, ok := serve.ContextWithDeadlineHeader(r)
 	if !ok {
 		http.Error(w, fmt.Sprintf("cluster: bad %s header", serve.DeadlineHeader), http.StatusBadRequest)
 		return
 	}
 	defer cancel()
+	img, status, err := serve.DecodeSegmentRequest(w, r, c.inC, c.inH, c.inW, c.cfg.MaxBodyBytes)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	res, err := c.Do(ctx, img, r.Header.Get("X-Seneca-Key"), tier)
 	switch {
 	case err == nil:

@@ -295,7 +295,7 @@ func readVoxels(r io.Reader, datatype int16, total int64, slope, inter float32) 
 		first = readChunk
 	}
 	data := make([]float32, 0, first)
-	buf := make([]byte, readChunk*elem)
+	buf := make([]byte, int(first)*elem) // no chunk is larger than the first
 	for done := int64(0); done < total; {
 		n := total - done
 		if n > readChunk {

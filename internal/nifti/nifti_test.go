@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -236,5 +237,35 @@ func TestSclSlopeApplied(t *testing.T) {
 	}
 	if got.Data[0] != 20 { // 5*2 + 10
 		t.Fatalf("scaled voxel %v, want 20", got.Data[0])
+	}
+}
+
+// TestReadScratchScalesWithVolume pins Read's allocation to the volume's
+// own size: a 16×16×1 slice (1 KiB of voxels) must not pay for the 1 MiB
+// chunk buffer a whole CT volume streams through.
+func TestReadScratchScalesWithVolume(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, NewVolume(16, 16, 1, DTFloat32)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	read := func() {
+		if _, err := Read(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, read)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call on top of the measured runs.
+	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("Read(16×16×1 float32): %.0f allocs, %d bytes per call", allocs, perCall)
+	if perCall > 16<<10 {
+		t.Fatalf("Read allocates %d bytes for a 1 KiB slice, want under 16 KiB", perCall)
+	}
+	if allocs > 16 {
+		t.Fatalf("Read makes %.0f allocations for a 1 KiB slice, want at most 16", allocs)
 	}
 }

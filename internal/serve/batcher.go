@@ -13,9 +13,15 @@ import (
 // to a claimed worker (cost-model routed across the heterogeneous backend
 // pool, or a half-open probe when a breaker is recovering — see
 // claimWorker). Dispatch capacity is bounded by the slot semaphore (pool
-// size × Pipeline tokens): when every backend is saturated the loop blocks
-// here, the queue fills behind it, and Submit starts rejecting — that is
-// the explicit backpressure path.
+// size × Pipeline tokens): when every backend is saturated the loop keeps
+// collecting up to MaxBatch, then the queue fills behind it and Submit
+// starts rejecting — that is the explicit backpressure path.
+//
+// A batch forms in two phases. While every dispatch slot is busy the batch
+// cannot run, so it stays open and takes whatever arrives: batching is
+// free. Once a slot is held, waiting costs the head job latency, so the
+// batch lingers only until batchWindow past the head's admission, takes
+// what is already queued, and goes.
 func (s *Server) batchLoop() {
 	defer s.batcher.Done()
 	for {
@@ -23,46 +29,120 @@ func (s *Server) batchLoop() {
 		if !ok {
 			return // queue closed and fully drained: Shutdown may finish
 		}
-		s.stats.depth.Add(-1)
-		// Formation-time liveness check: a job whose context died while it
-		// waited in the queue is dropped here, before it can anchor a batch
-		// or wait on a dispatch slot.
-		if err := j.ctx.Err(); err != nil {
-			s.expireJob(j, expireStageQueue, err)
-			continue
+		batch := s.join(make([]*job, 0, s.cfg.MaxBatch), j)
+		if len(batch) == 0 {
+			continue // dead on arrival: never anchors a batch or waits on a slot
 		}
-		batch := []*job{j}
-		if s.cfg.MaxBatch > 1 {
-			timer := time.NewTimer(s.cfg.MaxDelay)
-		collect:
-			for len(batch) < s.cfg.MaxBatch {
+		// open returns the queue while the batch may still grow, and nil —
+		// never ready in a select — once it is full or the queue has closed.
+		in := s.queue
+		open := func() <-chan *job {
+			if len(batch) < s.cfg.MaxBatch {
+				return in
+			}
+			return nil
+		}
+		take := func(j *job, ok bool) {
+			if !ok {
+				in = nil
+				return
+			}
+			batch = s.join(batch, j)
+		}
+
+		for held := false; !held; { // backpressure point: wait for backend capacity
+			select {
+			case <-s.slots:
+				held = true
+			case j, ok := <-open():
+				take(j, ok)
+			}
+		}
+		if wait := time.Until(batch[0].accepted.Add(s.batchWindow())); wait > 0 && open() != nil {
+			timer := time.NewTimer(wait)
+			for lingering := true; lingering && open() != nil; {
 				select {
-				case j2, ok := <-s.queue:
-					if !ok {
-						break collect
-					}
-					s.stats.depth.Add(-1)
-					if err := j2.ctx.Err(); err != nil {
-						s.expireJob(j2, expireStageQueue, err)
-						continue
-					}
-					batch = append(batch, j2)
+				case j, ok := <-open():
+					take(j, ok)
 				case <-timer.C:
-					break collect
+					lingering = false
 				}
 			}
 			timer.Stop()
 		}
+		for queued := true; queued && open() != nil; {
+			select {
+			case j, ok := <-open():
+				take(j, ok)
+			default:
+				queued = false
+			}
+		}
 
-		<-s.slots // backpressure point: wait for backend capacity
-		w := s.claimWorker(len(batch))
+		// A context that died while its job sat in the open batch still died
+		// before execution was committed: same stage as one found dead on
+		// the queue.
+		live := batch[:0]
+		for _, j := range batch {
+			if err := j.ctx.Err(); err != nil {
+				s.expireJob(j, expireStageQueue, err)
+				continue
+			}
+			live = append(live, j)
+		}
+		if len(live) == 0 {
+			s.slots <- struct{}{}
+			continue
+		}
+		w := s.claimWorker(len(live))
 		w.inflight.Add(1)
-		w.staged.Add(int64(len(batch)))
+		w.staged.Add(int64(len(live)))
 		s.inflight.Add(1)
 		go func(batch []*job, w *worker) {
 			defer s.inflight.Done()
 			s.dispatch(w, batch)
-		}(batch, w)
+		}(live, w)
+	}
+}
+
+// join moves one job from the queue into the forming batch. Formation-time
+// liveness check: a job whose context died while it waited in the queue is
+// dropped here instead.
+func (s *Server) join(batch []*job, j *job) []*job {
+	s.stats.depth.Add(-1)
+	if err := j.ctx.Err(); err != nil {
+		s.expireJob(j, expireStageQueue, err)
+		return batch
+	}
+	return append(batch, j)
+}
+
+// batchWindow is how long past its admission a head job may be held back,
+// with a dispatch slot in hand, for company: an eighth of the smoothed slot-
+// hold time, never more than MaxDelay. A wait is only worth a bounded
+// fraction of the service it is trying to amortise — a sub-millisecond
+// model must not sit out a 2 ms timer, while a 10 ms one can afford the
+// ≈1 ms that catches a lock-step client pair. Before the first batch
+// completes there is no estimate and the window is MaxDelay.
+func (s *Server) batchWindow() time.Duration {
+	if w := time.Duration(s.serviceEWMA.Load()) / 8; w > 0 && w < s.cfg.MaxDelay {
+		return w
+	}
+	return s.cfg.MaxDelay
+}
+
+// observeService folds one successful batch's slot-hold time (execute plus
+// the SimPace sleep) into the service-time EWMA (α = 1/8) batchWindow reads.
+func (s *Server) observeService(d time.Duration) {
+	for {
+		old := s.serviceEWMA.Load()
+		est := int64(d)
+		if old > 0 {
+			est = old + (est-old)/8
+		}
+		if s.serviceEWMA.CompareAndSwap(old, est) {
+			return
+		}
 	}
 }
 
@@ -146,6 +226,7 @@ func (s *Server) dispatch(w *worker, batch []*job) {
 			time.Sleep(target - elapsed)
 		}
 	}
+	s.observeService(time.Since(execStart))
 	s.stats.recordBatch(len(live), out.res)
 	w.recordSim(out.res)
 	w.framesDone.Add(int64(len(live)))

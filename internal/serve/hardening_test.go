@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,5 +45,43 @@ func TestBodyCap413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-cap JSON body: got %d, want 413", resp.StatusCode)
+	}
+}
+
+// untouchedBody is a request body that fails the test the moment anyone
+// reads it.
+type untouchedBody struct{ t *testing.T }
+
+func (b untouchedBody) Read([]byte) (int, error) {
+	b.t.Error("request body was read before the headers were rejected")
+	return 0, io.EOF
+}
+
+// TestBadHeadersRejectedBeforeBodyRead pins the order of the front door's
+// checks on both serve-tier handlers: a malformed deadline (or an unknown
+// tier) is refused from the headers alone, without reading a body that may
+// be MaxBodyBytes long.
+func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
+	s, _, _, _ := newTestServer(t, Config{Threads: 1})
+	f, _, _ := newTestFront(t)
+	for _, tc := range []struct {
+		name          string
+		h             http.Handler
+		header, value string
+		want          int
+	}{
+		{"server/malformed deadline", s.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
+		{"server/non-positive deadline", s.Handler(), DeadlineHeader, "0", http.StatusBadRequest},
+		{"front/malformed deadline", f.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
+		{"front/unknown tier", f.Handler(), "X-Seneca-Tier", "platinum", http.StatusNotFound},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		r.Header.Set("Content-Type", "application/octet-stream")
+		r.Header.Set(tc.header, tc.value)
+		w := httptest.NewRecorder()
+		tc.h.ServeHTTP(w, r)
+		if w.Code != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, w.Code, tc.want)
+		}
 	}
 }

@@ -86,17 +86,19 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	img, status, err := s.decodeInput(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
+	// Headers first: a request they condemn must not cost a body read of up
+	// to MaxBodyBytes before its 400.
 	ctx, cancel, ok := ContextWithDeadlineHeader(r)
 	if !ok {
 		http.Error(w, fmt.Sprintf("serve: bad %s header", DeadlineHeader), http.StatusBadRequest)
 		return
 	}
 	defer cancel()
+	img, status, err := s.decodeInput(w, r)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	mask, occupancy, err := s.submit(ctx, img)
 	switch {
 	case err == nil:

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,7 +16,7 @@ import (
 // acceptance-critical series — queue depth, the latency histogram, batch
 // occupancy and the simulated FPS/W estimate — in Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _, data, _ := startHTTP(t, Config{Threads: 2, MaxBatch: 4})
+	ts, s, data, _ := startHTTP(t, Config{Threads: 2, MaxBatch: 4})
 
 	// Serve a few requests so every series has data.
 	for i := 0; i < 3; i++ {
@@ -53,6 +55,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE seneca_serve_request_latency_seconds histogram",
 		"seneca_serve_request_latency_seconds_count 3",
 		"# TYPE seneca_serve_batch_occupancy histogram",
+		"# TYPE seneca_serve_batch_window_seconds gauge",
 		"seneca_serve_sim_fps ",
 		"seneca_serve_sim_watts ",
 		"seneca_serve_sim_fps_per_watt ",
@@ -61,6 +64,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// /statz and /metrics read the formation window from one source, and it
+	// follows the service estimate the three served batches left behind.
+	st := s.Stats()
+	var windowSec float64
+	if _, line, ok := strings.Cut(body, "\nseneca_serve_batch_window_seconds "); ok {
+		fmt.Sscan(line, &windowSec)
+	}
+	if math.Abs(windowSec*1e3-st.BatchWindowMS) > 1e-9 {
+		t.Errorf("/metrics window %v s, /statz batch_window_ms %v: one source, two answers", windowSec, st.BatchWindowMS)
+	}
+	if want := math.Min(st.MaxDelayMS, st.ServiceEWMAMS/8); st.ServiceEWMAMS <= 0 || math.Abs(st.BatchWindowMS-want) > 1e-6 {
+		t.Errorf("batch_window_ms = %v with service_ewma_ms = %v, want min(max_delay_ms, ewma/8) = %v",
+			st.BatchWindowMS, st.ServiceEWMAMS, want)
 	}
 	if t.Failed() {
 		t.Logf("full exposition:\n%s", body)

@@ -33,6 +33,10 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 			return float64(n)
 		})
 
+	reg.GaugeFunc("seneca_serve_batch_window_seconds",
+		"How long a request is held back for its batch to fill once a dispatch slot is free: min(MaxDelay, batch service time / 8).",
+		func() float64 { return s.batchWindow().Seconds() })
+
 	outcomes := map[string]func() uint64{
 		"accepted":  s.stats.accepted.Load,
 		"rejected":  s.stats.rejected.Load,

@@ -8,8 +8,9 @@
 //	HTTP front end      POST /v1/segment, GET /healthz, GET /statz
 //	admission queue     bounded; overflow is rejected immediately with
 //	                    explicit backpressure (HTTP 429 + Retry-After)
-//	micro-batcher       coalesces queued requests up to MaxBatch or
-//	                    MaxDelay, whichever comes first
+//	micro-batcher       coalesces queued requests up to MaxBatch: for as
+//	                    long as every dispatch slot is busy, then for at
+//	                    most min(MaxDelay, batch service time / 8)
 //	backend pool        batches route to a heterogeneous pool of
 //	                    internal/backend executors (dpu-sim, cpu-int8,
 //	                    gpu-sim — see Config.Backends) by a cost model:
@@ -77,8 +78,11 @@ type Config struct {
 	Pipeline int
 	// MaxBatch caps the micro-batch size. Default 8.
 	MaxBatch int
-	// MaxDelay is the longest the batcher waits for a batch to fill once
-	// it holds at least one request. Default 2ms.
+	// MaxDelay is the ceiling on how long the batcher holds a request back,
+	// with a dispatch slot free, for the batch to fill. The wait actually
+	// used is an eighth of the measured batch service time, capped here
+	// (see batchWindow); while every slot is busy the batch fills for free.
+	// Default 2ms.
 	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are
 	// rejected with ErrQueueFull (HTTP 429). Default 64.
@@ -209,6 +213,10 @@ type Server struct {
 
 	stats stats
 	seq   atomic.Int64 // batch sequence number, perturbs the sim seed
+	// serviceEWMA smooths how long a successful batch holds its dispatch
+	// slot, in nanoseconds; 0 until the first one completes. batchWindow
+	// derives the formation linger from it.
+	serviceEWMA atomic.Int64
 
 	reg        *obs.Registry
 	mLatency   *obs.Histogram

@@ -159,6 +159,11 @@ type Stats struct {
 	Threads    int     `json:"threads"`
 	MaxBatch   int     `json:"max_batch"`
 	MaxDelayMS float64 `json:"max_delay_ms"`
+	// BatchWindowMS is the formation linger in force right now (see
+	// batchWindow): min(MaxDelay, ServiceEWMAMS/8), MaxDelay until the first
+	// batch completes. ServiceEWMAMS is the smoothed batch slot-hold time.
+	BatchWindowMS float64 `json:"batch_window_ms"`
+	ServiceEWMAMS float64 `json:"service_ewma_ms"`
 
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
@@ -223,6 +228,9 @@ func (s *Server) Stats() Stats {
 		Expired:    s.stats.expired.Load(),
 		Failed:     s.stats.failed.Load(),
 		Batches:    s.stats.batches.Load(),
+
+		BatchWindowMS: float64(s.batchWindow()) / float64(time.Millisecond),
+		ServiceEWMAMS: float64(s.serviceEWMA.Load()) / float64(time.Millisecond),
 
 		ExpiredAdmission: s.stats.expiredAdmission.Load(),
 		ExpiredQueue:     s.stats.expiredQueue.Load(),

@@ -245,17 +245,19 @@ func (f *VariantFront) handleSegment(w http.ResponseWriter, r *http.Request) {
 	served := f.served(name, pin != "")
 	s := f.servers[served]
 	g := s.prog.Graph
-	img, status, err := DecodeSegmentRequest(w, r, g.InC, g.InH, g.InW, s.cfg.MaxBodyBytes)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
+	// Headers first: a request they condemn must not cost a body read of up
+	// to MaxBodyBytes before its 400.
 	ctx, cancel, ok := ContextWithDeadlineHeader(r)
 	if !ok {
 		http.Error(w, fmt.Sprintf("serve: bad %s header", DeadlineHeader), http.StatusBadRequest)
 		return
 	}
 	defer cancel()
+	img, status, err := DecodeSegmentRequest(w, r, g.InC, g.InH, g.InW, s.cfg.MaxBodyBytes)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
 	mask, occupancy, err := s.submit(ctx, img)
 	switch {
 	case err == nil:
