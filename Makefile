@@ -4,24 +4,31 @@ GO ?= go
 # per PR (BENCH_PR<N>.json) and diffed against the previous PR's committed
 # snapshot (see `make bench` / `make bench-compare`).
 TIER1_BENCH = ^Benchmark(INT8Inference|GPUSimInference|DPUSimInference|FP32Forward|TrainingStep|DPUFrameModel|VARTSimulation|XmodelSerialize)$$
-BENCH_SNAPSHOT   = BENCH_PR10.json
-BENCH_BASELINE   = BENCH_PR9.json
+BENCH_SNAPSHOT   = BENCH_PR15.json
+BENCH_BASELINE   = BENCH_PR15.json
 # Gating tolerance for bench-compare, in percent ns/op growth. Repeated runs
 # on one machine scatter by ±10-15% and hosted CI runners more, so the gate
 # only trips on regressions far outside the noise floor; alloc counts are
 # deterministic and gate tightly inside seneca-benchjson.
 BENCH_GATE_PCT   = 50
 
-.PHONY: ci build vet test race fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
+.PHONY: ci build vet portable test race fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
 
 # ci is the gate GitHub Actions runs: formatting, build, vet, race tests.
-ci: fmt-check build vet race
+ci: fmt-check build vet portable race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# portable cross-builds for a host without the amd64 assembly and vets the
+# package that carries it, so the plain-Go INT8 kernel body — the only one
+# such a host runs — cannot stop compiling unnoticed.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/quant/
 
 test:
 	$(GO) test ./...
@@ -71,10 +78,13 @@ mpq-smoke:
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
-# fuzz exercises the binary-format parsers beyond their committed corpora.
+# fuzz exercises the binary-format parsers, and the INT8 kernels against
+# their scalar oracle, beyond the committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
+	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzConvVsReference -fuzztime 30s
+	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

@@ -171,7 +171,8 @@ func main() {
 		"max_nodes", *maxNodes,
 		"placement", *placement,
 		"queue_per_node", *queue,
-		"batch_water", *batchWater)
+		"batch_water", *batchWater,
+		"kernel_isa", quant.KernelISA())
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

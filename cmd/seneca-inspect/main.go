@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"seneca/internal/dpu"
+	"seneca/internal/quant"
 	"seneca/internal/vart"
 	"seneca/internal/xmodel"
 )
@@ -38,8 +39,9 @@ func main() {
 	fmt.Printf("  input: %d×%d×%d, scale 2^%d\n", g.InC, g.InH, g.InW, g.InputFP)
 	fmt.Printf("  classes: %d, nodes: %d\n", g.NumClasses, len(g.Nodes))
 	s := prog.Stats()
-	fmt.Printf("  workload: %.1f MMACs, %.2f MiB weights, %.2f MiB feature maps\n\n",
+	fmt.Printf("  workload: %.1f MMACs, %.2f MiB weights, %.2f MiB feature maps\n",
 		float64(s.MACs)/1e6, float64(s.WeightBytes)/(1<<20), float64(s.FeatureMapBytes)/(1<<20))
+	fmt.Printf("  host INT8 kernels: %s body\n\n", quant.KernelISA())
 
 	dev := dpu.New(dpu.ZCU104B4096())
 	fmt.Printf("%-4s %-7s %-22s %10s %9s %9s %9s %7s %6s\n",

@@ -168,7 +168,8 @@ func main() {
 		"threads", *threads,
 		"max_batch", *maxBatch,
 		"max_delay", *maxDelay,
-		"queue", *queue)
+		"queue", *queue,
+		"kernel_isa", quant.KernelISA())
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

@@ -160,7 +160,8 @@ func main() {
 		"addr", *addr,
 		"store", *store,
 		"workers", *workers,
-		"slice_parallel", *sliceParallel)
+		"slice_parallel", *sliceParallel,
+		"kernel_isa", quant.KernelISA())
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

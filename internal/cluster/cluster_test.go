@@ -293,3 +293,28 @@ func TestFleetSaturationSheds(t *testing.T) {
 		t.Fatal("shed counter did not move")
 	}
 }
+
+// TestIdleFleetProbesEjectedNode pins how a quiet fleet heals: once an
+// ejected node's cooldown has passed, the very next request is its probe,
+// even though the active node is idle too and would win the least-loaded
+// tie on slot. (It used to: a fleet whose burst ended before the cooldown
+// stayed degraded until concurrent load happened to push a request over.)
+func TestIdleFleetProbesEjectedNode(t *testing.T) {
+	c, _, imgs := newTestCluster(t,
+		Config{MinNodes: 2, MaxNodes: 2, FailThreshold: 1, EjectCooldown: 10 * time.Millisecond},
+		serve.Config{})
+	c.mu.RLock()
+	last := c.slots[1]
+	c.mu.RUnlock()
+	c.nodeFailure(last)
+	if h := c.Health(); h.Active != 1 {
+		t.Fatalf("after one failure at threshold 1: %+v", h)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if _, err := c.Submit(context.Background(), imgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if h := c.Health(); h.Active != 2 {
+		t.Fatalf("one request after the cooldown did not probe the ejected node back in: %+v", h)
+	}
+}

@@ -99,6 +99,14 @@ func (n *node) probeEta(now time.Time) (time.Duration, bool) {
 	return 0, true
 }
 
+// probeDue reports whether the node is ejected, past its cooldown and not
+// already being probed — i.e. whether the next request should be its probe.
+func (n *node) probeDue(now time.Time) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.state == NodeEjected && !n.probing && !now.Before(n.openUntil)
+}
+
 // releaseProbe undoes a probe claim whose request never completed against
 // the replica (context expired first), so an ejected node cannot leak its
 // single probe slot.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"seneca/internal/obs"
+	"seneca/internal/quant"
 )
 
 // routeDepthBuckets bound the routing-decision histogram: the load of the
@@ -104,6 +105,9 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 	reg.Gauge("seneca_cluster_info",
 		"Cluster configuration (constant 1; dimensions carry the config).",
 		obs.L("model", c.model), obs.L("placement", string(c.cfg.Placement))).Set(1)
+	// The replicas report into registries of their own, so the fleet's
+	// scrape names the kernel body itself.
+	quant.ExportKernelISA(reg)
 }
 
 // Metrics returns the registry this cluster reports into.

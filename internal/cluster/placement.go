@@ -137,6 +137,14 @@ func (c *Cluster) pick(key string, tier Tier, skip map[*node]bool, avoid int) (n
 	}
 
 	now := time.Now()
+	// An ejected node whose cooldown has passed goes first: its probe is the
+	// only way the fleet regains that capacity, and under light sequential
+	// traffic neither order would otherwise reach it — the active node ties
+	// at load 0 and wins on slot (or owns the key), so a fleet that finished
+	// its burst before the cooldown ran out stayed degraded for good.
+	sort.SliceStable(order, func(i, j int) bool {
+		return order[i].probeDue(now) && !order[j].probeDue(now)
+	})
 	for _, nd := range order {
 		if skip[nd] || nd.slot == avoid {
 			continue

@@ -8,9 +8,9 @@ import (
 )
 
 // Executor runs a quantized graph with a pre-sized scratch arena: one int8
-// activation buffer per node output, a per-worker im2col tile arena for the
-// blocked convolution path, one int32 transpose-convolution column buffer
-// and one int32 accumulator region, all sized once from the compiled graph
+// activation buffer per node output, one plane the current layer's
+// input is widened into, one int32 transpose-convolution column buffer and
+// one int32 accumulator region, all sized once from the compiled graph
 // and reused across layers and frames. This removes every steady-state
 // allocation from the INT8 execute path — the per-layer
 // make([]int8/int32, …) churn that made the functional executor slower than
@@ -23,16 +23,10 @@ type Executor struct {
 	g    *QGraph
 	acts map[string]*activation
 
-	sc     convScratch // per-chunk im2col tile bands for the blocked conv path
-	cols   []uint8     // biased HWC transpose scratch, max over transpose convolutions
-	rowSum []int32     // per-pixel zero-point sums, max transpose conv H·W
-	cols32 []int32     // Wᵀ·x column scratch, max over transpose convolutions
-	acc    []int32     // scatter accumulators, max over transpose convolutions
+	plane  []int32 // widened channel-pair input plane, max over (transpose) convolutions
+	cols32 []int32 // Wᵀ·x column scratch, max over transpose convolutions
+	acc    []int32 // scatter accumulators, max over transpose convolutions
 }
-
-// roundUp4 pads a channel count to the 4-wide register tile of the blocked
-// GEMM kernels.
-func roundUp4(n int) int { return (n + 3) / 4 * 4 }
 
 // NewExecutor sizes a scratch arena for the graph and returns a reusable
 // executor. It fails on graphs with unsupported node kinds or dangling
@@ -40,8 +34,7 @@ func roundUp4(n int) int { return (n + 3) / 4 * 4 }
 // panicking inside a kernel.
 func NewExecutor(q *QGraph) (*Executor, error) {
 	e := &Executor{g: q, acts: make(map[string]*activation, len(q.Nodes))}
-	var maxCols, maxRowSum, maxCols32, maxAcc int
-	var maxTileCols, maxTileRow int
+	var maxPlane, maxCols32, maxAcc int
 	for _, n := range q.Nodes {
 		var out *activation
 		in := func(i int) (*activation, error) {
@@ -74,43 +67,25 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 		switch n.Kind {
 		case graph.KindInput:
 			out = &activation{data: make([]int8, q.InC*q.InH*q.InW), c: q.InC, h: q.InH, w: q.InW}
-		case graph.KindConv:
+		case graph.KindConv, graph.KindConvTranspose:
 			a, err := in(0)
 			if err != nil {
 				return nil, err
 			}
-			oh, ow := n.OutShape[1], n.OutShape[2]
-			out = &activation{data: make([]int8, n.OutC*oh*ow), c: n.OutC, h: oh, w: ow}
-			ckk := a.c * n.Kernel * n.Kernel
-			rowsPer := convTileRows(ow, ckk, oh)
-			if c := rowsPer * ow * ckk; c > maxTileCols {
-				maxTileCols = c
-			}
-			if c := rowsPer * ow; c > maxTileRow {
-				maxTileRow = c
-			}
-			// Pre-size the shared padded-plane/prefix-sum buffers too.
-			e.sc.ensureInput(a.c, a.h, a.w, n.Pad)
-		case graph.KindConvTranspose:
-			a, err := in(0)
-			if err != nil {
-				return nil, err
+			if a.c != n.InC {
+				return nil, fmt.Errorf("quant: node %q reads %d channels, its weights expect %d", n.Name, a.c, n.InC)
 			}
 			oh, ow := n.OutShape[1], n.OutShape[2]
 			out = &activation{data: make([]int8, n.OutC*oh*ow), c: n.OutC, h: oh, w: ow}
-			if c := n.OutC * n.Kernel * n.Kernel * a.h * a.w; c > maxCols32 {
-				maxCols32 = c
+			if n.Kind == graph.KindConv {
+				maxPlane = max(maxPlane, planeLen(a.c, a.h, a.w, n.Kernel, n.Pad))
+				break
 			}
-			if c := n.OutC * oh * ow; c > maxAcc {
-				maxAcc = c
-			}
-			// Biased HWC transpose of the input for the packed GEMM.
-			if c := a.c * a.h * a.w; c > maxCols {
-				maxCols = c
-			}
-			if c := a.h * a.w; c > maxRowSum {
-				maxRowSum = c
-			}
+			// A transpose convolution widens its input as one row of H·W
+			// pixels and needs the column matrix and scatter accumulators.
+			maxPlane = max(maxPlane, planeLen(a.c, 1, a.h*a.w, 1, 0))
+			maxCols32 = max(maxCols32, n.OutC*n.Kernel*n.Kernel*a.h*a.w)
+			maxAcc = max(maxAcc, n.OutC*oh*ow)
 		case graph.KindMaxPool:
 			a, err := in(0)
 			if err != nil {
@@ -173,13 +148,9 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 		}
 		a.data = tgt.data[lo:hi:hi]
 	}
-	e.cols = make([]uint8, maxCols)
-	e.rowSum = make([]int32, maxRowSum)
+	e.plane = make([]int32, maxPlane)
 	e.cols32 = make([]int32, maxCols32)
 	e.acc = make([]int32, maxAcc)
-	// Pre-size one tile band (the serial case) so single-worker steady-state
-	// execution never allocates; more workers grow the arena on first use.
-	e.sc.ensure(1, maxTileCols, maxTileRow)
 	return e, nil
 }
 
@@ -204,8 +175,7 @@ func (e *Executor) run(img *tensor.Tensor, tap func(*QNode, *activation)) error 
 			switch effBits(n) {
 			case Bits8:
 				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				packed, wCorr := n.convPacked()
-				convInt8(in.data, in.c, in.h, in.w, n.Weight, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, &e.sc)
+				convInt8(in.data, in.c, in.h, in.w, n.tileWeights(), n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.plane)
 			case Bits4:
 				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
 				convIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)
@@ -218,8 +188,7 @@ func (e *Executor) run(img *tensor.Tensor, tap func(*QNode, *activation)) error 
 			switch effBits(n) {
 			case Bits8:
 				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				packed, wCorr := n.dconvPacked()
-				convTransposeInt8(in.data, in.c, in.h, in.w, n.Weight, packed, wCorr, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.cols, e.rowSum, e.cols32, e.acc)
+				convTransposeInt8(in.data, in.c, in.h, in.w, n.tileWeights(), n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.plane, e.cols32, e.acc)
 			case Bits4:
 				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
 				convTransposeIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)

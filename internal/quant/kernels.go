@@ -1,8 +1,6 @@
 package quant
 
 import (
-	"encoding/binary"
-
 	"seneca/internal/par"
 	"seneca/internal/tensor"
 )
@@ -29,235 +27,6 @@ func floorDivInt(a, b int) int {
 func clearInt32(s []int32) {
 	for i := range s {
 		s[i] = 0
-	}
-}
-
-// maxPackedCKK bounds C·K² for the tri-lane packed convolution kernel: the
-// per-channel biased sum Σ(w+128)(x+128) must stay an exact int32, and
-// 32768·255² < 2³¹ guarantees it (lane carries within a packed accumulator
-// are prevented separately by the triChunk spill, see convTri4Block).
-// Larger reductions use the generic kernel.
-const maxPackedCKK = 1 << 15
-
-// Tri-lane packing geometry: three output channels share one uint64 in
-// 21-bit lanes at bit offsets 0, 21 and 42. A lane holds at most triChunk
-// products of biased bytes (≤ 255·255), and 32·255² < 2²¹ means a lane can
-// never carry into its neighbour within a chunk; chunks are spilled into
-// int32 accumulators, which maxPackedCKK keeps exact.
-const (
-	triLaneMask = (1 << 21) - 1
-	triChunk    = 32
-)
-
-// packConvWeights lowers a convolution weight matrix [OutC, C·K²] into the
-// biased-unsigned tri-lane form used by convInt8: channel triple r stores
-// uint64(w[3r][p]+128) | uint64(w[3r+1][p]+128)<<21 | uint64(w[3r+2][p]+128)<<42,
-// so one 64-bit multiply by a biased activation byte yields three channels'
-// products (the scalar integer multiplier retires one op per cycle
-// regardless of width — packing triples its throughput). wCorr[oc] carries
-// the zero-point correction 128²·C·K² − 128·Σ_p(w[oc][p]+128): the exact
-// signed accumulator is recovered (mod 2³², matching int32 wraparound) as
-//
-//	acc = laneSum − rowSum[j] + wCorr[oc]
-//
-// where rowSum[j] = 128·Σ of pixel j's biased taps (see im2colInt8).
-// Tri rows are padded to a multiple of four with all-zero ghost rows so the
-// kernel always runs its fully-unrolled four-row form; ghost channels
-// multiply to zero and their lanes are never written back.
-func packConvWeights(weight []int8, outC, ckk int) ([]uint64, []int32) {
-	rows := ((outC+2)/3 + 3) / 4 * 4
-	packed := make([]uint64, rows*ckk)
-	wCorr := make([]int32, outC)
-	for oc := 0; oc < outC; oc++ {
-		row := weight[oc*ckk : (oc+1)*ckk]
-		prow := packed[(oc/3)*ckk : (oc/3+1)*ckk]
-		shiftBits := uint(21 * (oc % 3))
-		var sum int32
-		for p, wv := range row {
-			b := int32(wv) + 128
-			prow[p] |= uint64(uint32(b)) << shiftBits
-			sum += b
-		}
-		wCorr[oc] = 16384*int32(ckk) - 128*sum
-	}
-	return packed, wCorr
-}
-
-// im2colInt8 lowers an int8 CHW image into the TAP-MAJOR, biased-unsigned
-// column matrix colT[C·K², OH·OW] (see im2colTaps, which does the work one
-// output-row band at a time for the tiled convolution path).
-func im2colInt8(src []int8, c, h, w, k, stride, pad int, dst []uint8, rowSum []int32, oh, ow int) {
-	padded := make([]uint8, c*(h+2*pad)*(w+2*pad))
-	prefix := make([]int32, c*h*(w+1))
-	biasPrefixPadded(src, c, h, w, pad, padded, prefix)
-	im2colTaps(padded, c, h, w, k, stride, pad, 0, oh, ow, dst)
-	rowSumBand(prefix, c, h, w, k, stride, pad, 0, oh, ow, rowSum)
-}
-
-// biasPrefixPadded converts an int8 CHW image to its biased-unsigned form
-// (tap+128, a sign-bit flip) written into a zero-padded plane of
-// (h+2·pad)×(w+2·pad) per channel — padding cells hold 128, the biased
-// zero — and builds per-row prefix sums of the unpadded biased bytes:
-// prefix[(ci·h+iy)·(w+1)+x] = Σ of the first x biased samples of row
-// (ci, iy). The padded plane lets both the band lowering and the direct
-// GEMM kernels read any kernel tap with an unconditional shifted load; the
-// prefix sums price every pixel's zero-point correction with two lookups
-// instead of summing its C·K² taps byte by byte.
-func biasPrefixPadded(src []int8, c, h, w, pad int, padded []uint8, prefix []int32) {
-	ph, pw := h+2*pad, w+2*pad
-	if pad > 0 {
-		for i := range padded {
-			padded[i] = 128
-		}
-	}
-	for ci := 0; ci < c; ci++ {
-		for iy := 0; iy < h; iy++ {
-			srow := src[(ci*h+iy)*w : (ci*h+iy+1)*w]
-			prow := padded[(ci*ph+iy+pad)*pw+pad:]
-			prow = prow[:w]
-			pref := prefix[(ci*h+iy)*(w+1) : (ci*h+iy+1)*(w+1)]
-			var s int32
-			pref[0] = 0
-			for x, v := range srow {
-				b := uint8(v) ^ 0x80
-				prow[x] = b
-				s += int32(b)
-				pref[x+1] = s
-			}
-		}
-	}
-}
-
-// im2colTaps lowers the output-row band [oyLo, oyHi) of a biased image (see
-// biasPrefix) into the TAP-MAJOR, biased-unsigned column matrix
-// colT[C·K², npix]: row p holds kernel tap p of every output pixel in the
-// band, contiguously, stored as tap+128 (so padding taps are 128 — a zero
-// sample on the biased grid). Tap-major layout makes the stride-1 fill a
-// handful of copy() calls per tap row, and lets the GEMM kernels load four
-// neighbouring pixels with one 32-bit read. rowSum[j] receives 128·Σ(taps
-// of pixel j), the per-pixel half of the zero-point correction that
-// recovers exact signed accumulators from the packed GEMM; it comes from
-// the prefix sums, not from re-summing the copied bytes. A reused (dirty)
-// dst buffer is fully overwritten. Runs serially: the tiled convolution
-// dispatch already parallelizes across bands.
-func im2colTaps(padded []uint8, c, h, w, k, stride, pad, oyLo, oyHi, ow int, dst []uint8) {
-	npix := (oyHi - oyLo) * ow
-	ph, pw := h+2*pad, w+2*pad
-	for ci := 0; ci < c; ci++ {
-		plane := padded[ci*ph*pw : (ci+1)*ph*pw]
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				p := (ci*k+ky)*k + kx
-				drow := dst[p*npix : (p+1)*npix]
-				for oy := oyLo; oy < oyHi; oy++ {
-					// Padded-plane coordinates: tap (ky,kx) of output pixel
-					// (oy,ox) lives at (oy·stride+ky, ox·stride+kx) — always
-					// in bounds, padding cells already hold 128.
-					seg := drow[(oy-oyLo)*ow : (oy-oyLo)*ow+ow]
-					prow := plane[(oy*stride+ky)*pw+kx:]
-					if stride == 1 {
-						copy(seg, prow[:ow])
-						continue
-					}
-					for ox := range seg {
-						seg[ox] = prow[ox*stride]
-					}
-				}
-			}
-		}
-	}
-}
-
-// rowSumBand fills rowSum[j] = 128·Σ(biased taps of band pixel j) for the
-// output-row band [oyLo, oyHi) — the per-pixel half of the packed GEMM's
-// zero-point correction — from per-row prefix sums (see biasPrefixPadded).
-func rowSumBand(prefix []int32, c, h, w, k, stride, pad, oyLo, oyHi, ow int, rowSum []int32) {
-	// Zero-point sums from the per-row prefix sums. Horizontally interior
-	// pixels (full k-wide window) are swept per (channel, tap-row) so the
-	// inner loop is two loads and an add with no clamping; only the ≤k/stride
-	// boundary pixels per side run the generic clamped path.
-	oxL := ceilDivInt(pad, stride)
-	if oxL > ow {
-		oxL = ow
-	}
-	oxR := floorDivInt(w-k+pad, stride) + 1
-	if oxR > ow {
-		oxR = ow
-	}
-	if oxR < oxL {
-		oxR = oxL
-	}
-	for oy := oyLo; oy < oyHi; oy++ {
-		iy0 := oy*stride - pad
-		kyLo := 0
-		if iy0 < 0 {
-			kyLo = -iy0
-		}
-		kyHi := k
-		if iy0+k > h {
-			kyHi = h - iy0
-		}
-		if kyHi < kyLo {
-			kyHi = kyLo
-		}
-		row := rowSum[(oy-oyLo)*ow : (oy-oyLo)*ow+ow]
-		for _, r := range [2][2]int{{0, oxL}, {oxR, ow}} {
-			for ox := r[0]; ox < r[1]; ox++ {
-				ix0 := ox*stride - pad
-				kxLo := 0
-				if ix0 < 0 {
-					kxLo = -ix0
-				}
-				kxHi := k
-				if ix0+k > w {
-					kxHi = w - ix0
-				}
-				if kxLo >= kxHi || kyLo >= kyHi {
-					row[ox] = int32(c*k*k) * 128 * 128
-					continue
-				}
-				sum := int32(0)
-				for ci := 0; ci < c; ci++ {
-					pref := prefix[ci*h*(w+1) : (ci+1)*h*(w+1)]
-					for ky := kyLo; ky < kyHi; ky++ {
-						pb := (iy0+ky)*(w+1) + ix0
-						sum += pref[pb+kxHi] - pref[pb+kxLo]
-					}
-				}
-				padTaps := c * (k*k - (kyHi-kyLo)*(kxHi-kxLo))
-				row[ox] = (sum + 128*int32(padTaps)) * 128
-			}
-		}
-		if oxL >= oxR {
-			continue
-		}
-		in := row[oxL:oxR]
-		for i := range in {
-			in[i] = 0
-		}
-		for ci := 0; ci < c; ci++ {
-			pref := prefix[ci*h*(w+1) : (ci+1)*h*(w+1)]
-			for ky := kyLo; ky < kyHi; ky++ {
-				pb := (iy0+ky)*(w+1) + oxL*stride - pad
-				if stride == 1 {
-					pa := pref[pb : pb+len(in)]
-					pc := pref[pb+k : pb+k+len(in)]
-					pc = pc[:len(in)]
-					for i := range pa {
-						in[i] += pc[i] - pa[i]
-					}
-				} else {
-					for i := range in {
-						in[i] += pref[pb+k] - pref[pb]
-						pb += stride
-					}
-				}
-			}
-		}
-		padBand := 128 * int32(c*(k*k-(kyHi-kyLo)*k))
-		for i := range in {
-			in[i] = (in[i] + padBand) * 128
-		}
 	}
 }
 
@@ -337,1022 +106,156 @@ func finalizeInt8(acc []int32, bias int32, relu bool, shift, shift2 int, out []i
 	}
 }
 
-// colTile is one worker's im2col scratch band for the tiled convolution
-// path: a few output rows' worth of biased column matrix plus the matching
-// per-pixel zero-point sums.
-type colTile struct {
-	cols   []uint8
-	rowSum []int32
-}
-
-// convScratch owns the per-chunk tile arena. Tile id == par chunk id, so
-// concurrent tile bands never share scratch. ensure grows the arena (count
-// and per-tile capacity) lazily; once the largest conv in a graph has run at
-// the current worker count the steady-state path performs no allocations.
-// biased/prefix hold the layer-wide biased input and its per-row prefix sums
-// (see biasPrefix) — written serially before the tile fan-out, read-only
-// inside it.
-type convScratch struct {
-	tiles  []colTile
-	biased []uint8
-	prefix []int32
-}
-
-// ensureInput sizes the shared padded-plane/prefix buffers for a c×h×w
-// input convolved with padding pad.
-func (s *convScratch) ensureInput(c, h, w, pad int) ([]uint8, []int32) {
-	nb, np := c*(h+2*pad)*(w+2*pad), c*h*(w+1)
-	if cap(s.biased) < nb {
-		s.biased = make([]uint8, nb)
+// finalizeTile applies the fused write-back to groups of eight accumulators,
+// the shape both producers hand it: group g is acc[8g:8g+8] with bias
+// bias[g·biasStride], and its first n ≤ 8 results land at dst[g·dstStride:].
+// A convolution tile is one group per lane (bias stride 1, a channel plane
+// apart in dst); a scattered transpose-convolution plane is one long run of
+// groups under one bias. Whole groups at the common shifts take the AVX2
+// body where there is one; everything else runs finalizeInt8, which is also
+// what that body is held to.
+func finalizeTile(acc []int32, bias []int32, biasStride int, relu bool, shift, shift2 int, dst []int8, dstStride, groups, n int) {
+	if groups == 0 {
+		return
 	}
-	if cap(s.prefix) < np {
-		s.prefix = make([]int32, np)
-	}
-	return s.biased[:nb], s.prefix[:np]
-}
-
-// ensure returns the arena resized to n tiles of at least colBytes/rowInts
-// capacity each.
-func (s *convScratch) ensure(n, colBytes, rowInts int) []colTile {
-	for len(s.tiles) < n {
-		s.tiles = append(s.tiles, colTile{})
-	}
-	for i := 0; i < n; i++ {
-		t := &s.tiles[i]
-		if cap(t.cols) < colBytes {
-			t.cols = make([]uint8, colBytes)
+	if useAVX2 && n == tilePixels && shift >= 1 && shift <= 62 && shift2 >= 0 && shift2 <= 31 {
+		// The assembly works from base pointers; probe what it will touch.
+		_ = acc[groups*tilePixels-1]
+		_ = bias[(groups-1)*biasStride]
+		_ = dst[(groups-1)*dstStride+tilePixels-1]
+		floor := -128
+		if relu {
+			floor = 0
 		}
-		if cap(t.rowSum) < rowInts {
-			t.rowSum = make([]int32, rowInts)
-		}
+		finalize8AVX2(acc, dst, bias, groups, dstStride, biasStride, shift, shift2, floor)
+		return
 	}
-	return s.tiles[:n]
+	for g := 0; g < groups; g++ {
+		finalizeInt8(acc[g*tilePixels:g*tilePixels+n], bias[g*biasStride], relu, shift, shift2, dst[g*dstStride:g*dstStride+n])
+	}
 }
 
-// convTileTargetBytes sizes the im2col band of one GEMM tile to stay
-// L1-resident: the kernel streams every packed weight row over the band, so
-// a hot band is what turns the blocking into a bandwidth win.
-const convTileTargetBytes = 24 << 10
+// minChunkWork is the least work worth handing to another core, in units of
+// about a nanosecond of one core: an int8 element read, compared or
+// requantized by an element-wise pass counts one, a micro-kernel step (one
+// tap of one channel pair across a tile, 128 MACs) counts stepWork. 2¹⁶ is
+// ≈65 µs, a few times what starting a goroutine on a parked core and waiting
+// for it costs on the 2-vCPU hosts this runs on. Without the floor a 1M
+// U-Net frame at 64×64 — forty-odd loops of 5–100 µs — ran a third slower on
+// two idle cores than on one (par.speedup 0.67); with it such a frame stays
+// on its caller and a 256×256 frame, sixteen times the work per loop, still
+// fans out.
+const (
+	minChunkWork = 1 << 16
+	stepWork     = 2
+)
 
-// convTileRows returns how many output rows one tile band covers.
-func convTileRows(ow, ckk, oh int) int {
-	r := convTileTargetBytes / (ow * ckk)
-	if r < 1 {
-		r = 1
-	}
-	if r > oh {
-		r = oh
-	}
-	return r
-}
+// chunksFor bounds the chunks a loop worth the given work fans out into
+// (the maxChunks argument of par.ForChunkedID).
+func chunksFor(work int) int { return max(1, work/minChunkWork) }
 
 // convInt8 computes an INT8 convolution with int32 accumulation and DPU
-// round-shift requantization. bias is at fix position inFP+weightFP; shift
-// converts the accumulator to the output fix position; shift2 is the
-// store-target fusion's second requantization (0 when unfused). relu
-// applies the fused activation before saturation.
+// round-shift requantization. packed is the node's weights in the
+// micro-kernel's layout (packTileWeights); bias is at fix position
+// inFP+weightFP; shift converts the accumulator to the output fix position;
+// shift2 is the store-target fusion's second requantization (0 when
+// unfused); relu applies the fused activation before saturation. plane is
+// scratch of at least planeLen(c, h, w, k, pad) cells.
 //
-// The output plane is processed in cache-blocked tiles — bands of a few
-// output rows, sized by convTileRows — dispatched through par.ForChunkedID
-// with per-chunk scratch from sc, so the im2col band a GEMM tile consumes
-// stays L1-resident and the steady-state path allocates nothing. Within a
-// band the packed weights from packConvWeights run three output channels
-// per 64-bit multiply in 21-bit lanes, four weight rows (12 channels) at a
-// time, two pixels wide (nil packed selects the generic kernel, used when
-// C·K² > maxPackedCKK). Lanes spill into int32 accumulators every triChunk
-// taps so they can never carry; the zero-point correction, bias, optional
-// ReLU and round-shift requantization are fused into the register
-// write-back. The result is bit-identical to the per-weight signed loop it
-// replaces (exact integer identity, including int32 wraparound), and
-// identical at every worker count: tile geometry depends only on the node,
-// and each pixel's accumulation order is fixed.
-func convInt8(src []int8, c, h, w int, weight []int8, packed []uint64, wCorr []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, sc *convScratch) {
-	ckk := c * k * k
+// The input is widened once into the zero-padded channel-pair plane, then
+// every (lane block, output row) unit runs independently through
+// par.ForChunkedID — lane-block-major, so a worker's weights stay in L1 while
+// it sweeps rows, and in no more chunks than chunksFor allows — one macTile
+// per eight pixels, followed by the fused
+// bias → ReLU → round-shift write-back of the tile's valid lanes and pixels.
+// The result equals the per-weight signed loop with int32 wraparound bit for
+// bit, at every worker count: each output's sum is a wrapping sum of the
+// same products whatever the order.
+func convInt8(src []int8, c, h, w int, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, plane []int32) {
+	rows, cols := h+2*pad, planeCols(w, k, pad)
+	plane = plane[:planeLen(c, h, w, k, pad)]
+	widenPlane(src, c, h, w, pad, cols, plane)
+	if stride != 1 {
+		convInt8Generic(plane, packed, bias, c, rows, cols, outC, k, stride, shift, shift2, relu, dst, oh, ow)
+		return
+	}
+	cpairs := (c + 1) / 2
+	rowStride, planeStride := cols, cols*rows
+	blockLen := cpairs * k * k * tileLanes
 	hw := oh * ow
-	rowsPer := convTileRows(ow, ckk, oh)
-	nTiles := (oh + rowsPer - 1) / rowsPer
-	want := par.MaxWorkers()
-	if want > nTiles {
-		want = nTiles
-	}
-	// Stride-1 layers with K² ≤ triChunk taps per channel plane skip the
-	// column matrix entirely: the GEMM kernels read tap quads straight off
-	// the padded biased plane (see convTri2x4Direct). Only the per-pixel
-	// zero-point sums are materialized per band.
-	direct := packed != nil && stride == 1 && k*k <= triChunk
-	colBytes := rowsPer * ow * ckk
-	if direct {
-		colBytes = 0
-	}
-	tiles := sc.ensure(want, colBytes, rowsPer*ow)
-	padded, prefix := sc.ensureInput(c, h, w, pad)
-	biasPrefixPadded(src, c, h, w, pad, padded, prefix)
-	par.ForChunkedID(nTiles, len(tiles), func(id, lo, hi int) {
-		tile := &tiles[id]
-		for t := lo; t < hi; t++ {
-			oyLo := t * rowsPer
-			oyHi := oyLo + rowsPer
-			if oyHi > oh {
-				oyHi = oh
-			}
-			npix := (oyHi - oyLo) * ow
-			rowSum := tile.rowSum[:npix]
-			rowSumBand(prefix, c, h, w, k, stride, pad, oyLo, oyHi, ow, rowSum)
-			j0 := oyLo * ow
-			// Greedy 2/1-row dispatch: pairs of tri-lane rows run the
-			// 2-row×4-pixel kernel at full multiplier density, a trailing
-			// odd row runs the full-density 1-row×8-pixel kernel. No padded
-			// ghost rows, so narrow layers pay only for the channels they
-			// have.
-			if direct {
-				cg := triChunk / (k * k)
-				rows := (outC + 2) / 3
-				for r0 := 0; r0 < rows; {
-					nch := outC - 3*r0
-					if rows-r0 >= 2 {
-						if nch > 6 {
-							nch = 6
-						}
-						convTri2x4Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
-						r0 += 2
-					} else {
-						convTri1x8Direct(padded, rowSum, packed, wCorr, bias, r0, nch, c, k, cg, ckk, h, w, pad, shift, shift2, relu, dst, oyLo, oyHi, ow, hw)
-						r0++
-					}
-				}
-				continue
-			}
-			colT := tile.cols[:npix*ckk]
-			im2colTaps(padded, c, h, w, k, stride, pad, oyLo, oyHi, ow, colT)
-			if packed == nil {
-				convInt8Generic(colT, rowSum, weight, bias, outC, ckk, npix, shift, shift2, relu, dst, j0, hw)
-				continue
-			}
-			rows := (outC + 2) / 3
-			for r0 := 0; r0 < rows; {
-				nch := outC - 3*r0
-				if rows-r0 >= 2 {
-					if nch > 6 {
-						nch = 6
-					}
-					convTri2x4(colT, rowSum, packed, wCorr, bias, r0, nch, ckk, npix, shift, shift2, relu, dst, j0, hw)
-					r0 += 2
-				} else {
-					convTri1x8(colT, rowSum, packed, wCorr, bias, r0, nch, ckk, npix, shift, shift2, relu, dst, j0, hw)
-					r0++
-				}
+	units := (outC + tileLanes - 1) / tileLanes * oh
+	par.ForChunkedID(units, chunksFor(units*(ow+tilePixels-1)/tilePixels*cpairs*k*k*stepWork), func(_, lo, hi int) {
+		var acc [tileSize]int32
+		for u := lo; u < hi; u++ {
+			ob, oy := u/oh, u%oh
+			wb := packed[ob*blockLen : (ob+1)*blockLen]
+			lanes := min(tileLanes, outC-ob*tileLanes)
+			for ox := 0; ox < ow; ox += tilePixels {
+				n := min(tilePixels, ow-ox)
+				macTile(&acc, plane[oy*rowStride+ox:], wb, cpairs, k, rowStride, planeStride)
+				finalizeTile(acc[:], bias[ob*tileLanes:], 1, relu, shift, shift2, dst[ob*tileLanes*hw+oy*ow+ox:], hw, lanes, n)
 			}
 		}
 	})
 }
 
-// convTriTailDirect accumulates one packed weight row's three 21-bit lanes
-// for a single output pixel straight off the padded plane, spilling lanes
-// every cg channel planes (cg·K² ≤ triChunk taps, so lanes cannot carry).
-func convTriTailDirect(pl []uint8, ph, pw, c, k, cg int, pk []uint64, oy, ox int) (int32, int32, int32) {
-	var l0, l1, l2 int32
-	wp := 0
-	for cb := 0; cb < c; cb += cg {
-		ce := cb + cg
-		if ce > c {
-			ce = c
-		}
-		var a uint64
-		for ci := cb; ci < ce; ci++ {
-			rbase := (ci*ph+oy)*pw + ox
-			for ky := 0; ky < k; ky++ {
-				for _, bv := range pl[rbase : rbase+k] {
-					a += pk[wp] * uint64(bv)
-					wp++
-				}
-				rbase += pw
-			}
-		}
-		l0 += int32(a & triLaneMask)
-		l1 += int32((a >> 21) & triLaneMask)
-		l2 += int32(a >> 42)
-	}
-	return l0, l1, l2
-}
-
-// convTri2x4Direct is the stride-1 GEMM workhorse: two tri-lane weight rows
-// (up to six output channels) against four neighbouring pixels whose bytes
-// come from one 32-bit load on the padded biased input plane — no column
-// matrix is materialized at all. Lane spills happen once per cg channel
-// planes (cg·K² ≤ triChunk taps), a partition at least as fine as the
-// column path's triChunk, so accumulation stays exact and bit-identical.
-// Accumulator s[ch·4+q] holds channel 3·r0+ch at pixel (oy, ox+q).
-func convTri2x4Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, c, k, cg, ckk, h, w, pad int, shift, shift2 int, relu bool, dst []int8, oyLo, oyHi, ow, hw int) {
-	ph, pw := h+2*pad, w+2*pad
-	pkA := packed[(r0+0)*ckk : (r0+1)*ckk]
-	pkB := packed[(r0+1)*ckk : (r0+2)*ckk]
-	pkB = pkB[:len(pkA)]
-	oc0 := 3 * r0
-	fast := shift > 0 && shift2 >= 0
-	var us, us2 uint
-	var half, half2 int64
-	if fast {
-		us, half = uint(shift), int64(1)<<uint(shift-1)
-		if shift2 > 0 {
-			us2, half2 = uint(shift2), int64(1)<<uint(shift2-1)
-		}
-	}
-	var s [24]int32
-	for oy := oyLo; oy < oyHi; oy++ {
-		jrow := (oy - oyLo) * ow
-		ox := 0
-		for ; ox+3 < ow; ox += 4 {
-			for i := range s {
-				s[i] = 0
-			}
-			wp := 0
-			for cb := 0; cb < c; cb += cg {
-				ce := cb + cg
-				if ce > c {
-					ce = c
-				}
-				var a0, a1, a2, a3, b0, b1, b2, b3 uint64
-				if k == 3 {
-					// Fully unrolled 3×3 body: three shifted 32-bit loads per
-					// kernel row, no inner-tap loop overhead.
-					for ci := cb; ci < ce; ci++ {
-						rbase := (ci*ph+oy)*pw + ox
-						for ky := 0; ky < 3; ky++ {
-							row := pl[rbase : rbase+6 : rbase+6]
-							pa := pkA[wp : wp+3 : wp+3]
-							pb := pkB[wp : wp+3 : wp+3]
-							quad := binary.LittleEndian.Uint32(row)
-							v0 := uint64(quad & 0xff)
-							v1 := uint64((quad >> 8) & 0xff)
-							v2 := uint64((quad >> 16) & 0xff)
-							v3 := uint64(quad >> 24)
-							u0, u1 := pa[0], pb[0]
-							a0 += u0 * v0
-							a1 += u0 * v1
-							a2 += u0 * v2
-							a3 += u0 * v3
-							b0 += u1 * v0
-							b1 += u1 * v1
-							b2 += u1 * v2
-							b3 += u1 * v3
-							quad = binary.LittleEndian.Uint32(row[1:])
-							v0 = uint64(quad & 0xff)
-							v1 = uint64((quad >> 8) & 0xff)
-							v2 = uint64((quad >> 16) & 0xff)
-							v3 = uint64(quad >> 24)
-							u0, u1 = pa[1], pb[1]
-							a0 += u0 * v0
-							a1 += u0 * v1
-							a2 += u0 * v2
-							a3 += u0 * v3
-							b0 += u1 * v0
-							b1 += u1 * v1
-							b2 += u1 * v2
-							b3 += u1 * v3
-							quad = binary.LittleEndian.Uint32(row[2:])
-							v0 = uint64(quad & 0xff)
-							v1 = uint64((quad >> 8) & 0xff)
-							v2 = uint64((quad >> 16) & 0xff)
-							v3 = uint64(quad >> 24)
-							u0, u1 = pa[2], pb[2]
-							a0 += u0 * v0
-							a1 += u0 * v1
-							a2 += u0 * v2
-							a3 += u0 * v3
-							b0 += u1 * v0
-							b1 += u1 * v1
-							b2 += u1 * v2
-							b3 += u1 * v3
-							wp += 3
-							rbase += pw
-						}
-					}
-				} else {
-					for ci := cb; ci < ce; ci++ {
-						rbase := (ci*ph+oy)*pw + ox
-						for ky := 0; ky < k; ky++ {
-							row := pl[rbase : rbase+k+3]
-							for kx := 0; kx < k; kx++ {
-								quad := binary.LittleEndian.Uint32(row[kx:])
-								v0 := uint64(quad & 0xff)
-								v1 := uint64((quad >> 8) & 0xff)
-								v2 := uint64((quad >> 16) & 0xff)
-								v3 := uint64(quad >> 24)
-								u0, u1 := pkA[wp], pkB[wp]
-								wp++
-								a0 += u0 * v0
-								a1 += u0 * v1
-								a2 += u0 * v2
-								a3 += u0 * v3
-								b0 += u1 * v0
-								b1 += u1 * v1
-								b2 += u1 * v2
-								b3 += u1 * v3
-							}
-							rbase += pw
+// convInt8Generic is the stride ≠ 1 convolution, which no shipped model
+// has: one scalar gather per output over the same plane and packed weights
+// the micro-kernel reads, accumulating in wrapping int32 like it.
+func convInt8Generic(plane, packed []int32, bias []int32, c, rows, cols, outC, k, stride int, shift, shift2 int, relu bool, dst []int8, oh, ow int) {
+	cpairs := (c + 1) / 2
+	par.For(outC, func(oc int) {
+		wb := packed[(oc/tileLanes)*cpairs*k*k*tileLanes+oc%tileLanes:]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var s int32
+				for cp := 0; cp < cpairs; cp++ {
+					for ky := 0; ky < k; ky++ {
+						xr := plane[(cp*rows+oy*stride+ky)*cols+ox*stride:]
+						wr := wb[(cp*k+ky)*k*tileLanes:]
+						for kx := 0; kx < k; kx++ {
+							wc, xc := wr[kx*tileLanes], xr[kx]
+							s += int32(int16(wc))*int32(int16(xc)) + (wc>>16)*(xc>>16)
 						}
 					}
 				}
-				s[0] += int32(a0 & triLaneMask)
-				s[4] += int32((a0 >> 21) & triLaneMask)
-				s[8] += int32(a0 >> 42)
-				s[1] += int32(a1 & triLaneMask)
-				s[5] += int32((a1 >> 21) & triLaneMask)
-				s[9] += int32(a1 >> 42)
-				s[2] += int32(a2 & triLaneMask)
-				s[6] += int32((a2 >> 21) & triLaneMask)
-				s[10] += int32(a2 >> 42)
-				s[3] += int32(a3 & triLaneMask)
-				s[7] += int32((a3 >> 21) & triLaneMask)
-				s[11] += int32(a3 >> 42)
-				s[12] += int32(b0 & triLaneMask)
-				s[16] += int32((b0 >> 21) & triLaneMask)
-				s[20] += int32(b0 >> 42)
-				s[13] += int32(b1 & triLaneMask)
-				s[17] += int32((b1 >> 21) & triLaneMask)
-				s[21] += int32(b1 >> 42)
-				s[14] += int32(b2 & triLaneMask)
-				s[18] += int32((b2 >> 21) & triLaneMask)
-				s[22] += int32(b2 >> 42)
-				s[15] += int32(b3 & triLaneMask)
-				s[19] += int32((b3 >> 21) & triLaneMask)
-				s[23] += int32(b3 >> 42)
+				dst[(oc*oh+oy)*ow+ox] = finalizeFused(s, bias[oc], relu, shift, shift2)
 			}
-			j := jrow + ox
-			if fast {
-				for ch := 0; ch < nch; ch++ {
-					oc := oc0 + ch
-					lanes, bi := s[ch*4:ch*4+4], int64(bias[oc])
-					d := dst[oc*hw+oy*ow+ox:]
-					d = d[:4]
-					corr := wCorr[oc]
-					for q := 0; q < 4; q++ {
-						v := int64(lanes[q]-rowSum[j+q]+corr) + bi
-						if relu {
-							v &^= v >> 63
-						}
-						r := roundSat8(v, us, half)
-						if us2 != 0 {
-							r = roundSat8(int64(r), us2, half2)
-						}
-						d[q] = r
-					}
-				}
-			} else {
-				for ch := 0; ch < nch; ch++ {
-					oc := oc0 + ch
-					d := dst[oc*hw+oy*ow+ox:]
-					for q := 0; q < 4; q++ {
-						d[q] = finalizeFused(s[ch*4+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-					}
-				}
-			}
-		}
-		for ; ox < ow; ox++ {
-			rs := rowSum[jrow+ox]
-			l0, l1, l2 := convTriTailDirect(pl, ph, pw, c, k, cg, pkA, oy, ox)
-			m0, m1, m2 := convTriTailDirect(pl, ph, pw, c, k, cg, pkB, oy, ox)
-			lane := [6]int32{l0, l1, l2, m0, m1, m2}
-			for ch := 0; ch < nch; ch++ {
-				oc := oc0 + ch
-				dst[oc*hw+oy*ow+ox] = finalizeFused(lane[ch]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-			}
-		}
-	}
-}
-
-// convTri1x8Direct handles the last odd tri-lane row against eight pixels
-// per pass with a single 64-bit plane load — the direct-path counterpart of
-// convTri1x8, at the same multiplier density as the paired kernel.
-func convTri1x8Direct(pl []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, c, k, cg, ckk, h, w, pad int, shift, shift2 int, relu bool, dst []int8, oyLo, oyHi, ow, hw int) {
-	ph, pw := h+2*pad, w+2*pad
-	pk := packed[r0*ckk : (r0+1)*ckk]
-	oc0 := 3 * r0
-	var s [24]int32
-	for oy := oyLo; oy < oyHi; oy++ {
-		jrow := (oy - oyLo) * ow
-		ox := 0
-		for ; ox+7 < ow; ox += 8 {
-			for i := range s {
-				s[i] = 0
-			}
-			wp := 0
-			for cb := 0; cb < c; cb += cg {
-				ce := cb + cg
-				if ce > c {
-					ce = c
-				}
-				var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-				if k == 3 {
-					// Fully unrolled 3×3 body: three shifted 64-bit loads per
-					// kernel row, no inner-tap loop overhead.
-					for ci := cb; ci < ce; ci++ {
-						rbase := (ci*ph+oy)*pw + ox
-						for ky := 0; ky < 3; ky++ {
-							row := pl[rbase : rbase+10 : rbase+10]
-							pa := pk[wp : wp+3 : wp+3]
-							oct := binary.LittleEndian.Uint64(row)
-							u := pa[0]
-							a0 += u * (oct & 0xff)
-							a1 += u * ((oct >> 8) & 0xff)
-							a2 += u * ((oct >> 16) & 0xff)
-							a3 += u * ((oct >> 24) & 0xff)
-							a4 += u * ((oct >> 32) & 0xff)
-							a5 += u * ((oct >> 40) & 0xff)
-							a6 += u * ((oct >> 48) & 0xff)
-							a7 += u * (oct >> 56)
-							oct = binary.LittleEndian.Uint64(row[1:])
-							u = pa[1]
-							a0 += u * (oct & 0xff)
-							a1 += u * ((oct >> 8) & 0xff)
-							a2 += u * ((oct >> 16) & 0xff)
-							a3 += u * ((oct >> 24) & 0xff)
-							a4 += u * ((oct >> 32) & 0xff)
-							a5 += u * ((oct >> 40) & 0xff)
-							a6 += u * ((oct >> 48) & 0xff)
-							a7 += u * (oct >> 56)
-							oct = binary.LittleEndian.Uint64(row[2:])
-							u = pa[2]
-							a0 += u * (oct & 0xff)
-							a1 += u * ((oct >> 8) & 0xff)
-							a2 += u * ((oct >> 16) & 0xff)
-							a3 += u * ((oct >> 24) & 0xff)
-							a4 += u * ((oct >> 32) & 0xff)
-							a5 += u * ((oct >> 40) & 0xff)
-							a6 += u * ((oct >> 48) & 0xff)
-							a7 += u * (oct >> 56)
-							wp += 3
-							rbase += pw
-						}
-					}
-				} else {
-					for ci := cb; ci < ce; ci++ {
-						rbase := (ci*ph+oy)*pw + ox
-						for ky := 0; ky < k; ky++ {
-							row := pl[rbase : rbase+k+7]
-							for kx := 0; kx < k; kx++ {
-								oct := binary.LittleEndian.Uint64(row[kx:])
-								u := pk[wp]
-								wp++
-								a0 += u * (oct & 0xff)
-								a1 += u * ((oct >> 8) & 0xff)
-								a2 += u * ((oct >> 16) & 0xff)
-								a3 += u * ((oct >> 24) & 0xff)
-								a4 += u * ((oct >> 32) & 0xff)
-								a5 += u * ((oct >> 40) & 0xff)
-								a6 += u * ((oct >> 48) & 0xff)
-								a7 += u * (oct >> 56)
-							}
-							rbase += pw
-						}
-					}
-				}
-				s[0] += int32(a0 & triLaneMask)
-				s[8] += int32((a0 >> 21) & triLaneMask)
-				s[16] += int32(a0 >> 42)
-				s[1] += int32(a1 & triLaneMask)
-				s[9] += int32((a1 >> 21) & triLaneMask)
-				s[17] += int32(a1 >> 42)
-				s[2] += int32(a2 & triLaneMask)
-				s[10] += int32((a2 >> 21) & triLaneMask)
-				s[18] += int32(a2 >> 42)
-				s[3] += int32(a3 & triLaneMask)
-				s[11] += int32((a3 >> 21) & triLaneMask)
-				s[19] += int32(a3 >> 42)
-				s[4] += int32(a4 & triLaneMask)
-				s[12] += int32((a4 >> 21) & triLaneMask)
-				s[20] += int32(a4 >> 42)
-				s[5] += int32(a5 & triLaneMask)
-				s[13] += int32((a5 >> 21) & triLaneMask)
-				s[21] += int32(a5 >> 42)
-				s[6] += int32(a6 & triLaneMask)
-				s[14] += int32((a6 >> 21) & triLaneMask)
-				s[22] += int32(a6 >> 42)
-				s[7] += int32(a7 & triLaneMask)
-				s[15] += int32((a7 >> 21) & triLaneMask)
-				s[23] += int32(a7 >> 42)
-			}
-			j := jrow + ox
-			for ch := 0; ch < nch; ch++ {
-				oc := oc0 + ch
-				d := dst[oc*hw+oy*ow+ox:]
-				for q := 0; q < 8; q++ {
-					d[q] = finalizeFused(s[ch*8+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-				}
-			}
-		}
-		for ; ox < ow; ox++ {
-			rs := rowSum[jrow+ox]
-			l0, l1, l2 := convTriTailDirect(pl, ph, pw, c, k, cg, pk, oy, ox)
-			lane := [3]int32{l0, l1, l2}
-			for ch := 0; ch < nch; ch++ {
-				oc := oc0 + ch
-				dst[oc*hw+oy*ow+ox] = finalizeFused(lane[ch]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-			}
-		}
-	}
-}
-
-// convTriTailPixel accumulates the three 21-bit lanes of one packed weight
-// row against a single pixel's tap column in the tap-major band (stride
-// npix between taps), spilling lanes every triChunk taps.
-func convTriTailPixel(colT []uint8, npix, j int, pk []uint64, ckk int) (int32, int32, int32) {
-	var l0, l1, l2 int32
-	for base := 0; base < ckk; base += triChunk {
-		end := base + triChunk
-		if end > ckk {
-			end = ckk
-		}
-		off := base*npix + j
-		var a uint64
-		for _, u := range pk[base:end] {
-			a += u * uint64(colT[off])
-			off += npix
-		}
-		l0 += int32(a & triLaneMask)
-		l1 += int32((a >> 21) & triLaneMask)
-		l2 += int32(a >> 42)
-	}
-	return l0, l1, l2
-}
-
-// convTri2x4 is the workhorse GEMM tile: two tri-lane weight rows (up to six
-// output channels) against four neighbouring pixels whose bytes arrive in a
-// single 32-bit load from the tap-major column band. Eight independent
-// accumulator chains keep the scalar multiplier saturated at full tri-lane
-// density even on narrow layers, where wider row blocking would burn ghost
-// rows. Accumulator s[c*4+q] holds channel 3·r0+c at pixel j+q.
-func convTri2x4(colT []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	pkA := packed[(r0+0)*ckk : (r0+1)*ckk]
-	pkB := packed[(r0+1)*ckk : (r0+2)*ckk]
-	oc0 := 3 * r0
-	fast := shift > 0 && shift2 >= 0
-	var us, us2 uint
-	var half, half2 int64
-	if fast {
-		us, half = uint(shift), int64(1)<<uint(shift-1)
-		if shift2 > 0 {
-			us2, half2 = uint(shift2), int64(1)<<uint(shift2-1)
-		}
-	}
-	var s [24]int32
-	j := 0
-	for ; j+3 < npix; j += 4 {
-		for i := range s {
-			s[i] = 0
-		}
-		for base := 0; base < ckk; base += triChunk {
-			end := base + triChunk
-			if end > ckk {
-				end = ckk
-			}
-			q0 := pkA[base:end]
-			q1 := pkB[base:end]
-			q1 = q1[:len(q0)]
-			off := base*npix + j
-			var a0, a1, a2, a3, b0, b1, b2, b3 uint64
-			for p := range q0 {
-				quad := binary.LittleEndian.Uint32(colT[off:])
-				v0 := uint64(quad & 0xff)
-				v1 := uint64((quad >> 8) & 0xff)
-				v2 := uint64((quad >> 16) & 0xff)
-				v3 := uint64(quad >> 24)
-				u0, u1 := q0[p], q1[p]
-				a0 += u0 * v0
-				a1 += u0 * v1
-				a2 += u0 * v2
-				a3 += u0 * v3
-				b0 += u1 * v0
-				b1 += u1 * v1
-				b2 += u1 * v2
-				b3 += u1 * v3
-				off += npix
-			}
-			s[0] += int32(a0 & triLaneMask)
-			s[4] += int32((a0 >> 21) & triLaneMask)
-			s[8] += int32(a0 >> 42)
-			s[1] += int32(a1 & triLaneMask)
-			s[5] += int32((a1 >> 21) & triLaneMask)
-			s[9] += int32(a1 >> 42)
-			s[2] += int32(a2 & triLaneMask)
-			s[6] += int32((a2 >> 21) & triLaneMask)
-			s[10] += int32(a2 >> 42)
-			s[3] += int32(a3 & triLaneMask)
-			s[7] += int32((a3 >> 21) & triLaneMask)
-			s[11] += int32(a3 >> 42)
-			s[12] += int32(b0 & triLaneMask)
-			s[16] += int32((b0 >> 21) & triLaneMask)
-			s[20] += int32(b0 >> 42)
-			s[13] += int32(b1 & triLaneMask)
-			s[17] += int32((b1 >> 21) & triLaneMask)
-			s[21] += int32(b1 >> 42)
-			s[14] += int32(b2 & triLaneMask)
-			s[18] += int32((b2 >> 21) & triLaneMask)
-			s[22] += int32(b2 >> 42)
-			s[15] += int32(b3 & triLaneMask)
-			s[19] += int32((b3 >> 21) & triLaneMask)
-			s[23] += int32(b3 >> 42)
-		}
-		if fast {
-			for c := 0; c < nch; c++ {
-				oc := oc0 + c
-				wc, bi := s[c*4:c*4+4], int64(bias[oc])
-				d := dst[oc*hw+j0+j:]
-				d = d[:4]
-				corr := wCorr[oc]
-				for q := 0; q < 4; q++ {
-					v := int64(wc[q]-rowSum[j+q]+corr) + bi
-					if relu {
-						v &^= v >> 63
-					}
-					r := roundSat8(v, us, half)
-					if us2 != 0 {
-						r = roundSat8(int64(r), us2, half2)
-					}
-					d[q] = r
-				}
-			}
-		} else {
-			for c := 0; c < nch; c++ {
-				oc := oc0 + c
-				d := dst[oc*hw+j0+j:]
-				for q := 0; q < 4; q++ {
-					d[q] = finalizeFused(s[c*4+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-				}
-			}
-		}
-	}
-	// Tail pixels (band width not a multiple of four) run strided.
-	for ; j < npix; j++ {
-		rs := rowSum[j]
-		l0, l1, l2 := convTriTailPixel(colT, npix, j, pkA, ckk)
-		m0, m1, m2 := convTriTailPixel(colT, npix, j, pkB, ckk)
-		lane := [6]int32{l0, l1, l2, m0, m1, m2}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			dst[oc*hw+j0+j] = finalizeFused(lane[c]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-		}
-	}
-}
-
-// convTri1x8 handles the last odd tri-lane row (up to three channels):
-// one weight row against eight pixels per pass, whose bytes arrive in a
-// single 64-bit load. Eight accumulator chains keep this remainder row at
-// the same multiplier density as the paired kernel above.
-func convTri1x8(colT []uint8, rowSum []int32, packed []uint64, wCorr, bias []int32, r0, nch, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	pk := packed[r0*ckk : (r0+1)*ckk]
-	oc0 := 3 * r0
-	var s [24]int32
-	j := 0
-	for ; j+7 < npix; j += 8 {
-		for i := range s {
-			s[i] = 0
-		}
-		for base := 0; base < ckk; base += triChunk {
-			end := base + triChunk
-			if end > ckk {
-				end = ckk
-			}
-			q0 := pk[base:end]
-			off := base*npix + j
-			var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-			for _, u := range q0 {
-				oct := binary.LittleEndian.Uint64(colT[off:])
-				a0 += u * (oct & 0xff)
-				a1 += u * ((oct >> 8) & 0xff)
-				a2 += u * ((oct >> 16) & 0xff)
-				a3 += u * ((oct >> 24) & 0xff)
-				a4 += u * ((oct >> 32) & 0xff)
-				a5 += u * ((oct >> 40) & 0xff)
-				a6 += u * ((oct >> 48) & 0xff)
-				a7 += u * (oct >> 56)
-				off += npix
-			}
-			s[0] += int32(a0 & triLaneMask)
-			s[8] += int32((a0 >> 21) & triLaneMask)
-			s[16] += int32(a0 >> 42)
-			s[1] += int32(a1 & triLaneMask)
-			s[9] += int32((a1 >> 21) & triLaneMask)
-			s[17] += int32(a1 >> 42)
-			s[2] += int32(a2 & triLaneMask)
-			s[10] += int32((a2 >> 21) & triLaneMask)
-			s[18] += int32(a2 >> 42)
-			s[3] += int32(a3 & triLaneMask)
-			s[11] += int32((a3 >> 21) & triLaneMask)
-			s[19] += int32(a3 >> 42)
-			s[4] += int32(a4 & triLaneMask)
-			s[12] += int32((a4 >> 21) & triLaneMask)
-			s[20] += int32(a4 >> 42)
-			s[5] += int32(a5 & triLaneMask)
-			s[13] += int32((a5 >> 21) & triLaneMask)
-			s[21] += int32(a5 >> 42)
-			s[6] += int32(a6 & triLaneMask)
-			s[14] += int32((a6 >> 21) & triLaneMask)
-			s[22] += int32(a6 >> 42)
-			s[7] += int32(a7 & triLaneMask)
-			s[15] += int32((a7 >> 21) & triLaneMask)
-			s[23] += int32(a7 >> 42)
-		}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			d := dst[oc*hw+j0+j:]
-			for q := 0; q < 8; q++ {
-				d[q] = finalizeFused(s[c*8+q]-rowSum[j+q]+wCorr[oc], bias[oc], relu, shift, shift2)
-			}
-		}
-	}
-	for ; j < npix; j++ {
-		rs := rowSum[j]
-		l0, l1, l2 := convTriTailPixel(colT, npix, j, pk, ckk)
-		lane := [3]int32{l0, l1, l2}
-		for c := 0; c < nch; c++ {
-			oc := oc0 + c
-			dst[oc*hw+j0+j] = finalizeFused(lane[c]-rs+wCorr[oc], bias[oc], relu, shift, shift2)
-		}
-	}
-}
-
-// convInt8Generic is the unpacked fallback for reductions too deep for
-// lane-safe packing. It walks the tap-major column band with stride npix,
-// unbiasing inline; accumulation order matches the packed kernels tap for
-// tap. Runs serially — the tile dispatch above it carries the parallelism.
-func convInt8Generic(colT []uint8, rowSum []int32, weight []int8, bias []int32, outC, ckk, npix, shift, shift2 int, relu bool, dst []int8, j0, hw int) {
-	_ = rowSum
-	for oc := 0; oc < outC; oc++ {
-		wr := weight[oc*ckk : (oc+1)*ckk]
-		d := dst[oc*hw+j0:]
-		b := bias[oc]
-		for j := 0; j < npix; j++ {
-			var s int32
-			off := j
-			for _, wv := range wr {
-				s += int32(wv) * (int32(colT[off]) - 128)
-				off += npix
-			}
-			d[j] = finalizeFused(s, b, relu, shift, shift2)
-		}
-	}
-}
-
-// packDconvWeights lowers a transpose-convolution weight tensor (layout
-// [InC, OutC, K, K], so column row r reduces over InC with stride OutC·K²)
-// into the same biased tri-lane form as packConvWeights: row triple r
-// stores uint64(W[ic][3r]+128) | uint64(W[ic][3r+1]+128)<<21 |
-// uint64(W[ic][3r+2]+128)<<42 indexed by ic, and
-// wCorr[r] = 128²·InC − 128·Σ_ic(W[ic][r]+128).
-func packDconvWeights(weight []int8, c, ckk int) ([]uint64, []int32) {
-	rows := ((ckk+2)/3 + 3) / 4 * 4
-	packed := make([]uint64, rows*c)
-	wCorr := make([]int32, ckk)
-	for r := 0; r < ckk; r++ {
-		prow := packed[(r/3)*c : (r/3+1)*c]
-		shiftBits := uint(21 * (r % 3))
-		var sum int32
-		for ic := 0; ic < c; ic++ {
-			b := int32(weight[ic*ckk+r]) + 128
-			prow[ic] |= uint64(uint32(b)) << shiftBits
-			sum += b
-		}
-		wCorr[r] = 16384*int32(c) - 128*sum
-	}
-	return packed, wCorr
-}
-
-// transposeBiased lowers an int8 CHW image into biased HWC pixel rows
-// (xT[j, c] = x[c, j]+128) with colSum[j] = 128·Σ(row j) — the per-pixel
-// zero-point correction for the packed transpose-convolution GEMM.
-func transposeBiased(src []int8, c, hw int, xT []uint8, colSum []int32) {
-	par.ForChunked(hw, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			row := xT[j*c : (j+1)*c]
-			sum := 0
-			for ic := range row {
-				v := int(src[ic*hw+j]) + 128
-				row[ic] = uint8(v)
-				sum += v
-			}
-			colSum[j] = int32(sum) * 128
 		}
 	})
-}
-
-// dconvTri4 computes four tri-lane weight rows (up to twelve column rows,
-// nrow valid) of the transpose-convolution GEMM against every input pixel's
-// biased channel row, two pixels per pass, writing exact int32 columns.
-// Lanes spill into int32 accumulators every triChunk channels exactly like
-// the convolution kernels.
-func dconvTri4(xT []uint8, colSum []int32, packed []uint64, wCorr []int32, r0, nrow, c int, cols []int32, hw int) {
-	pkA := packed[(r0+0)*c : (r0+1)*c]
-	pkB := packed[(r0+1)*c : (r0+2)*c]
-	pkC := packed[(r0+2)*c : (r0+3)*c]
-	pkD := packed[(r0+3)*c : (r0+4)*c]
-	row0 := 3 * r0
-	var s, t [12]int32
-	j := 0
-	for ; j+1 < hw; j += 2 {
-		xa := xT[j*c : (j+1)*c]
-		xb := xT[(j+1)*c : (j+2)*c]
-		for r := range s {
-			s[r] = 0
-			t[r] = 0
-		}
-		for base := 0; base < c; base += triChunk {
-			end := base + triChunk
-			if end > c {
-				end = c
-			}
-			ca, cb := xa[base:end], xb[base:end]
-			q0, q1, q2, q3 := pkA[base:end], pkB[base:end], pkC[base:end], pkD[base:end]
-			cb = cb[:len(ca)]
-			q0 = q0[:len(ca)]
-			q1 = q1[:len(ca)]
-			q2 = q2[:len(ca)]
-			q3 = q3[:len(ca)]
-			var a0, a1, a2, a3, e0, e1, e2, e3 uint64
-			for p, xv := range ca {
-				va, vb := uint64(xv), uint64(cb[p])
-				u0, u1, u2, u3 := q0[p], q1[p], q2[p], q3[p]
-				a0 += u0 * va
-				a1 += u1 * va
-				a2 += u2 * va
-				a3 += u3 * va
-				e0 += u0 * vb
-				e1 += u1 * vb
-				e2 += u2 * vb
-				e3 += u3 * vb
-			}
-			s[0] += int32(a0 & triLaneMask)
-			s[1] += int32((a0 >> 21) & triLaneMask)
-			s[2] += int32(a0 >> 42)
-			s[3] += int32(a1 & triLaneMask)
-			s[4] += int32((a1 >> 21) & triLaneMask)
-			s[5] += int32(a1 >> 42)
-			s[6] += int32(a2 & triLaneMask)
-			s[7] += int32((a2 >> 21) & triLaneMask)
-			s[8] += int32(a2 >> 42)
-			s[9] += int32(a3 & triLaneMask)
-			s[10] += int32((a3 >> 21) & triLaneMask)
-			s[11] += int32(a3 >> 42)
-			t[0] += int32(e0 & triLaneMask)
-			t[1] += int32((e0 >> 21) & triLaneMask)
-			t[2] += int32(e0 >> 42)
-			t[3] += int32(e1 & triLaneMask)
-			t[4] += int32((e1 >> 21) & triLaneMask)
-			t[5] += int32(e1 >> 42)
-			t[6] += int32(e2 & triLaneMask)
-			t[7] += int32((e2 >> 21) & triLaneMask)
-			t[8] += int32(e2 >> 42)
-			t[9] += int32(e3 & triLaneMask)
-			t[10] += int32((e3 >> 21) & triLaneMask)
-			t[11] += int32(e3 >> 42)
-		}
-		csA, csB := colSum[j], colSum[j+1]
-		for r := 0; r < nrow; r++ {
-			crow := cols[(row0+r)*hw:]
-			wc := wCorr[row0+r]
-			crow[j] = s[r] - csA + wc
-			crow[j+1] = t[r] - csB + wc
-		}
-	}
-	if j < hw {
-		dconvTriPixel(xT[j*c:(j+1)*c], packed, r0, (nrow+2)/3, c, &s)
-		cs := colSum[j]
-		for r := 0; r < nrow; r++ {
-			cols[(row0+r)*hw+j] = s[r] - cs + wCorr[row0+r]
-		}
-	}
-}
-
-// dconvTriPixel accumulates one input pixel's biased channel row against nr
-// tri-lane weight rows starting at r0.
-func dconvTriPixel(xr []uint8, packed []uint64, r0, nr, c int, s *[12]int32) {
-	for r := 0; r < nr; r++ {
-		pk := packed[(r0+r)*c : (r0+r+1)*c]
-		var l0, l1, l2 int32
-		for base := 0; base < c; base += triChunk {
-			end := base + triChunk
-			if end > c {
-				end = c
-			}
-			pp := pk[base:end]
-			var a uint64
-			for p, xv := range xr[base:end] {
-				a += pp[p] * uint64(xv)
-			}
-			l0 += int32(a & triLaneMask)
-			l1 += int32((a >> 21) & triLaneMask)
-			l2 += int32(a >> 42)
-		}
-		s[3*r], s[3*r+1], s[3*r+2] = l0, l1, l2
-	}
 }
 
 // convTransposeInt8 computes an INT8 transpose convolution: cols = Wᵀ·x in
 // int32, then a col2im scatter, and a fused bias+ReLU+requantization
 // finalization (shift2 is the store-target fusion's second requantization,
-// 0 when unfused). weight layout is [InC, OutC, K, K] as in the FP32 graph.
+// 0 when unfused). packed is the node's [InC, OutC, K, K] weights lowered
+// by packTileWeights with the OutC·K² column rows as lanes.
 //
-// The caller provides cols32 (≥ OutC·K²·H·W int32) for the column matrix,
-// acc (≥ OutC·OH·OW int32) for the scatter accumulators, and — for the
-// packed fast path — xT (≥ C·H·W bytes) and colSum (≥ H·W int32) for the
-// biased HWC transpose of the input. With packed weights from
-// packDconvWeights the column GEMM runs up to twelve rows per biased-byte
-// stream in 21-bit tri lanes exactly like convInt8; nil packed selects the
-// tiled generic GEMM (used when InC > maxPackedCKK). The scatter hoists the
-// boundary clipping out of the pixel loops. Both GEMMs produce identical
-// int32 columns.
-func convTransposeInt8(src []int8, c, h, w int, weight []int8, packed []uint64, wCorrT []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, xT []uint8, colSum []int32, cols32 []int32, acc []int32) {
-	ckk := outC * k * k
+// The column GEMM cols[r, j] = Σ_ic W[ic, r]·x[ic, j] is the convolution's
+// micro-kernel at k = 1: the input is widened as one unpadded row of H·W
+// pixels, and every (lane block, eight-pixel block) unit is one macTile
+// whose valid rows are copied into cols. The caller provides plane
+// (≥ planeLen(c, 1, H·W, 1, 0) cells), cols32 (≥ OutC·K²·H·W int32) and acc
+// (≥ OutC·OH·OW int32) for the scatter accumulators.
+func convTransposeInt8(src []int8, c, h, w int, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, plane []int32, cols32 []int32, acc []int32) {
+	crows := outC * k * k
 	hw := h * w
-	cols := cols32[:ckk*hw]
-	// cols[r, j] = Σ_ic W[ic, r] · x[ic, j]
-	if packed != nil {
-		xT = xT[:hw*c]
-		colSum = colSum[:hw]
-		transposeBiased(src, c, hw, xT, colSum)
-		// Weight rows are padded to a multiple of four (ghost rows all-zero),
-		// so every block runs the fully-unrolled kernel; nrow bounds the
-		// column rows written back.
-		rows := (ckk + 2) / 3
-		par.For((rows+3)/4, func(b int) {
-			r0 := 4 * b
-			nrow := ckk - 3*r0
-			if nrow > 12 {
-				nrow = 12
-			}
-			dconvTri4(xT, colSum, packed, wCorrT, r0, nrow, c, cols, hw)
-		})
-		scatterFinalize(cols, bias, outC, k, stride, pad, shift, shift2, relu, dst, h, w, oh, ow, acc)
-		return
-	}
-	blocks := (ckk + 3) / 4
-	par.For(blocks, func(b int) {
-		r0 := 4 * b
-		nb := ckk - r0
-		if nb > 4 {
-			nb = 4
-		}
-		tile := cols[r0*hw : (r0+nb)*hw]
-		clearInt32(tile)
-		a0 := tile[0*hw : 1*hw]
-		a1, a2, a3 := a0, a0, a0
-		if nb > 1 {
-			a1 = tile[1*hw : 2*hw]
-		}
-		if nb > 2 {
-			a2 = tile[2*hw : 3*hw]
-		}
-		if nb > 3 {
-			a3 = tile[3*hw : 4*hw]
-		}
-		var w0, w1, w2, w3 int32
-		for ic := 0; ic < c; ic++ {
-			wrow := weight[ic*ckk:]
-			w0 = int32(wrow[r0])
-			w1, w2, w3 = 0, 0, 0
-			if nb > 1 {
-				w1 = int32(wrow[r0+1])
-			}
-			if nb > 2 {
-				w2 = int32(wrow[r0+2])
-			}
-			if nb > 3 {
-				w3 = int32(wrow[r0+3])
-			}
-			if w0|w1|w2|w3 == 0 {
-				continue
-			}
-			xrow := src[ic*hw : (ic+1)*hw]
-			switch nb {
-			case 4:
-				b0, b1, b2, b3 := a0[:len(xrow)], a1[:len(xrow)], a2[:len(xrow)], a3[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-					b2[j] += w2 * v
-					b3[j] += w3 * v
-				}
-			case 3:
-				b0, b1, b2 := a0[:len(xrow)], a1[:len(xrow)], a2[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-					b2[j] += w2 * v
-				}
-			case 2:
-				b0, b1 := a0[:len(xrow)], a1[:len(xrow)]
-				for j, xv := range xrow {
-					v := int32(xv)
-					b0[j] += w0 * v
-					b1[j] += w1 * v
-				}
-			default:
-				b0 := a0[:len(xrow)]
-				for j, xv := range xrow {
-					b0[j] += w0 * int32(xv)
-				}
+	cols := cols32[:crows*hw]
+	pcols := planeCols(hw, 1, 0)
+	plane = plane[:planeLen(c, 1, hw, 1, 0)]
+	widenPlane(src, c, 1, hw, 0, pcols, plane)
+	cpairs := (c + 1) / 2
+	blockLen := cpairs * tileLanes
+	pblocks := pcols / tilePixels
+	units := (crows + tileLanes - 1) / tileLanes * pblocks
+	par.ForChunkedID(units, chunksFor(units*cpairs*stepWork), func(_, lo, hi int) {
+		var tile [tileSize]int32
+		for u := lo; u < hi; u++ {
+			rb, j := u/pblocks, u%pblocks*tilePixels
+			macTile(&tile, plane[j:], packed[rb*blockLen:(rb+1)*blockLen], cpairs, 1, 0, pcols)
+			n := min(tilePixels, hw-j)
+			for l := 0; l < min(tileLanes, crows-rb*tileLanes); l++ {
+				copy(cols[(rb*tileLanes+l)*hw+j:][:n], tile[l*tilePixels:])
 			}
 		}
 	})
@@ -1365,74 +268,95 @@ func convTransposeInt8(src []int8, c, h, w int, weight []int8, packed []uint64, 
 func scatterFinalize(cols []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, h, w, oh, ow int, acc []int32) {
 	hw := h * w
 	ohw := oh * ow
-	par.For(outC, func(oc int) {
-		tile := acc[oc*ohw : (oc+1)*ohw]
-		clearInt32(tile)
-		for ky := 0; ky < k; ky++ {
-			// iy values whose target row py = iy*stride - pad + ky lands
-			// inside [0, oh).
-			iyLo := ceilDivInt(pad-ky, stride)
-			if iyLo < 0 {
-				iyLo = 0
-			}
-			iyHi := floorDivInt(oh-1+pad-ky, stride) + 1
-			if iyHi > h {
-				iyHi = h
-			}
-			for kx := 0; kx < k; kx++ {
-				r := (oc*k+ky)*k + kx
-				crow := cols[r*hw : (r+1)*hw]
-				ixLo := ceilDivInt(pad-kx, stride)
-				if ixLo < 0 {
-					ixLo = 0
+	par.ForChunkedID(outC, chunksFor(outC*(k*k*hw+ohw)), func(_, lo, hi int) {
+		for oc := lo; oc < hi; oc++ {
+			tile := acc[oc*ohw : (oc+1)*ohw]
+			clearInt32(tile)
+			for ky := 0; ky < k; ky++ {
+				// iy values whose target row py = iy*stride - pad + ky lands
+				// inside [0, oh).
+				iyLo := ceilDivInt(pad-ky, stride)
+				if iyLo < 0 {
+					iyLo = 0
 				}
-				ixHi := floorDivInt(ow-1+pad-kx, stride) + 1
-				if ixHi > w {
-					ixHi = w
+				iyHi := floorDivInt(oh-1+pad-ky, stride) + 1
+				if iyHi > h {
+					iyHi = h
 				}
-				for iy := iyLo; iy < iyHi; iy++ {
-					py := iy*stride - pad + ky
-					srow := crow[iy*w : (iy+1)*w]
-					drow := tile[py*ow : (py+1)*ow]
-					px := ixLo*stride - pad + kx
-					for ix := ixLo; ix < ixHi; ix++ {
-						drow[px] += srow[ix]
-						px += stride
+				for kx := 0; kx < k; kx++ {
+					r := (oc*k+ky)*k + kx
+					crow := cols[r*hw : (r+1)*hw]
+					ixLo := ceilDivInt(pad-kx, stride)
+					if ixLo < 0 {
+						ixLo = 0
+					}
+					ixHi := floorDivInt(ow-1+pad-kx, stride) + 1
+					if ixHi > w {
+						ixHi = w
+					}
+					for iy := iyLo; iy < iyHi; iy++ {
+						py := iy*stride - pad + ky
+						srow := crow[iy*w : (iy+1)*w]
+						drow := tile[py*ow : (py+1)*ow]
+						px := ixLo*stride - pad + kx
+						for ix := ixLo; ix < ixHi; ix++ {
+							drow[px] += srow[ix]
+							px += stride
+						}
 					}
 				}
 			}
+			whole := ohw / tilePixels
+			finalizeTile(tile, bias[oc:], 0, relu, shift, shift2, dst[oc*ohw:], tilePixels, whole, tilePixels)
+			finalizeInt8(tile[whole*tilePixels:], bias[oc], relu, shift, shift2, dst[oc*ohw+whole*tilePixels:(oc+1)*ohw])
 		}
-		finalizeInt8(tile, bias[oc], relu, shift, shift2, dst[oc*ohw:(oc+1)*ohw])
 	})
+}
+
+// requantRow writes RoundShift(src[i], shift) to dst[i] for a non-zero
+// shift, with the shift's sign tested once a row: the common right shift
+// runs roundSat8, which inlines where RoundShift's switch is a call per
+// element. dst may be src.
+func requantRow(src []int8, shift int, dst []int8) {
+	dst = dst[:len(src)]
+	if shift > 0 {
+		us, half := uint(shift), int64(1)<<uint(shift-1)
+		for i, v := range src {
+			dst[i] = roundSat8(int64(v), us, half)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = RoundShift(int64(v), shift)
+	}
+}
+
+// max32 is a branch-free max: activations' order is data, and a compare and
+// jump per pooled sample mispredicts about half the time.
+func max32(a, b int32) int32 {
+	d := a - b
+	return a - d&(d>>31)
 }
 
 // maxPoolInt8 is 2×2/stride-2 max pooling on an int8 CHW image with a fused
 // requantization: shift moves the pooled value to the output fix position
-// in the same write-back pass (0 keeps the input scale). Folding the shift
-// is bit-identical to pooling then requantizing the whole plane — the same
-// RoundShift is applied to the same maxima, one memory pass earlier.
+// while the pooled row is still in cache (0 keeps the input scale). Folding
+// the shift is bit-identical to pooling then requantizing the whole plane —
+// the same RoundShift is applied to the same maxima, one memory pass
+// earlier.
 func maxPoolInt8(src []int8, c, h, w, shift int, dst []int8) {
 	oh, ow := h/2, w/2
-	par.For(c, func(ci int) {
-		plane := src[ci*h*w : (ci+1)*h*w]
-		out := dst[ci*oh*ow : (ci+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				iy, ix := oy*2, ox*2
-				best := plane[iy*w+ix]
-				if v := plane[iy*w+ix+1]; v > best {
-					best = v
-				}
-				if v := plane[(iy+1)*w+ix]; v > best {
-					best = v
-				}
-				if v := plane[(iy+1)*w+ix+1]; v > best {
-					best = v
-				}
-				if shift != 0 {
-					best = RoundShift(int64(best), shift)
-				}
-				out[oy*ow+ox] = best
+	par.ForChunkedID(c*oh, chunksFor(c*h*w), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			ci, oy := r/oh, r%oh
+			top := src[(ci*h+2*oy)*w : (ci*h+2*oy+1)*w]
+			bot := src[(ci*h+2*oy+1)*w : (ci*h+2*oy+2)*w]
+			row := dst[r*ow : (r+1)*ow]
+			for ox := range row {
+				row[ox] = int8(max32(max32(int32(top[2*ox]), int32(top[2*ox+1])), max32(int32(bot[2*ox]), int32(bot[2*ox+1]))))
+			}
+			if shift != 0 {
+				requantRow(row, shift, row)
 			}
 		}
 	})
@@ -1441,17 +365,13 @@ func maxPoolInt8(src []int8, c, h, w, shift int, dst []int8) {
 // reluInt8 applies max(0, x) with a fix-position change (shift) if the
 // calibrated output scale differs from the input scale.
 func reluInt8(src []int8, shift int, dst []int8) {
-	par.ForChunked(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := src[i]
-			if v < 0 {
-				v = 0
-			}
-			if shift == 0 {
-				dst[i] = v
-			} else {
-				dst[i] = RoundShift(int64(v), shift)
-			}
+	par.ForChunkedID(len(src), chunksFor(len(src)), func(_, lo, hi int) {
+		d := dst[lo:hi]
+		for i, v := range src[lo:hi] {
+			d[i] = max(v, 0)
+		}
+		if shift != 0 {
+			requantRow(d, shift, d)
 		}
 	})
 }
@@ -1462,28 +382,36 @@ func requantInt8(src []int8, shift int, dst []int8) {
 		copy(dst, src)
 		return
 	}
-	par.ForChunked(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = RoundShift(int64(src[i]), shift)
-		}
+	par.ForChunkedID(len(src), chunksFor(len(src)), func(_, lo, hi int) {
+		requantRow(src[lo:hi], shift, dst[lo:hi])
 	})
 }
 
+// argmaxBlock is how many pixels argmaxChannelsInt8 carries a running best
+// for at a time: small enough to live on the stack and in L1, long enough
+// that each channel is read in whole cache lines.
+const argmaxBlock = 256
+
 // argmaxChannelsInt8 returns the per-pixel argmax class over an int8 CHW
 // logit map — the "INT8 masks" the deployed model returns (Section III-E).
+// Ties go to the lowest channel. Channels are the outer loop over a block's
+// running best and index, so every read is sequential; pixel-outer would
+// stride H·W bytes between reads, a cache line per logit at 256×256.
 func argmaxChannelsInt8(src []int8, c, hw int) []uint8 {
 	out := make([]uint8, hw)
-	par.ForChunked(hw, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			best := src[j]
-			bi := 0
+	par.ForChunkedID(hw, chunksFor(c*hw), func(_, lo, hi int) {
+		var best [argmaxBlock]int8
+		for j := lo; j < hi; j += argmaxBlock {
+			n := min(argmaxBlock, hi-j)
+			copy(best[:n], src[j:j+n])
+			idx := out[j : j+n]
 			for ch := 1; ch < c; ch++ {
-				if v := src[ch*hw+j]; v > best {
-					best = v
-					bi = ch
+				for i, v := range src[ch*hw+j : ch*hw+j+n] {
+					if v > best[i] {
+						best[i], idx[i] = v, uint8(ch)
+					}
 				}
 			}
-			out[j] = uint8(bi)
 		}
 	})
 	return out

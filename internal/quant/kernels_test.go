@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// refConvInt8 is a direct (unoptimized) int8 convolution used to validate
-// the im2col-based kernel.
-func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift int, relu bool, oh, ow int) []int8 {
+// refConvInt8 is the deliberately naive INT8 convolution every fast path is
+// held to: one gather per output over the unpadded image, accumulating in
+// wrapping int32, then bias (in int64), ReLU and the two round-shifts.
+func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
 	out := make([]int8, outC*oh*ow)
 	for oc := 0; oc < outC; oc++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				var acc int64
+				var acc int32
 				for ic := 0; ic < c; ic++ {
 					for ky := 0; ky < k; ky++ {
 						for kx := 0; kx < k; kx++ {
@@ -22,82 +23,144 @@ func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, 
 							if iy < 0 || iy >= h || ix < 0 || ix >= w {
 								continue
 							}
-							wv := weight[((oc*c+ic)*k+ky)*k+kx]
-							acc += int64(wv) * int64(src[(ic*h+iy)*w+ix])
+							acc += int32(weight[((oc*c+ic)*k+ky)*k+kx]) * int32(src[(ic*h+iy)*w+ix])
 						}
 					}
 				}
-				acc += int64(bias[oc])
-				if relu && acc < 0 {
-					acc = 0
-				}
-				out[(oc*oh+oy)*ow+ox] = RoundShift(acc, shift)
+				out[(oc*oh+oy)*ow+ox] = refFinalize(acc, bias[oc], relu, shift, shift2)
 			}
 		}
 	}
 	return out
 }
 
-func TestConvInt8MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	c, h, w := 3, 7, 9
-	outC, k, stride, pad := 4, 3, 1, 1
-	src := make([]int8, c*h*w)
-	for i := range src {
-		src[i] = int8(rng.Intn(256) - 128)
-	}
-	weight := make([]int8, outC*c*k*k)
-	for i := range weight {
-		weight[i] = int8(rng.Intn(256) - 128)
-	}
-	bias := []int32{100, -50, 0, 7}
-	oh, ow := h, w
-	packed, wCorr := packConvWeights(weight, outC, c*k*k)
-	for _, relu := range []bool{false, true} {
-		for _, shift := range []int{0, 3, 7} {
-			want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, relu, oh, ow)
-			// Packed tri-lane kernel and the generic fallback must both
-			// reproduce the reference bit for bit.
-			for _, pk := range [][]uint64{packed, nil} {
-				got := make([]int8, outC*oh*ow)
-				convInt8(src, c, h, w, weight, pk, wCorr, bias, outC, k, stride, pad, shift, 0, relu, got, oh, ow, new(convScratch))
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("relu=%v shift=%d packed=%v: pixel %d: %d vs %d", relu, shift, pk != nil, i, got[i], want[i])
+// refConvTransposeInt8 is refConvInt8's transpose counterpart: every input
+// pixel scatters its k×k products into a wrapping int32 output plane.
+// Weight layout is [InC, OutC, K, K].
+func refConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+	acc := make([]int32, outC*oh*ow)
+	for ic := 0; ic < c; ic++ {
+		for oc := 0; oc < outC; oc++ {
+			for iy := 0; iy < h; iy++ {
+				for ix := 0; ix < w; ix++ {
+					for ky := 0; ky < k; ky++ {
+						for kx := 0; kx < k; kx++ {
+							py := iy*stride - pad + ky
+							px := ix*stride - pad + kx
+							if py < 0 || py >= oh || px < 0 || px >= ow {
+								continue
+							}
+							acc[(oc*oh+py)*ow+px] += int32(src[(ic*h+iy)*w+ix]) * int32(weight[((ic*outC+oc)*k+ky)*k+kx])
+						}
 					}
 				}
 			}
 		}
 	}
+	out := make([]int8, len(acc))
+	for i, a := range acc {
+		out[i] = refFinalize(a, bias[i/(oh*ow)], relu, shift, shift2)
+	}
+	return out
 }
 
-// TestConvInt8OddChannels exercises the trailing-pair path where the high
-// lane of the last packed pair is a phantom channel.
+func refFinalize(acc, bias int32, relu bool, shift, shift2 int) int8 {
+	v := int64(acc) + int64(bias)
+	if relu && v < 0 {
+		v = 0
+	}
+	r := RoundShift(v, shift)
+	if shift2 != 0 {
+		r = RoundShift(int64(r), shift2)
+	}
+	return r
+}
+
+// dirtyPlane returns scratch of n cells pre-filled with junk, as a reused
+// arena buffer would be.
+func dirtyPlane(n int) []int32 {
+	p := make([]int32, n)
+	for i := range p {
+		p[i] = 0x5a5a5a5a
+	}
+	return p
+}
+
+// runConvInt8 packs the weights and runs the production convolution.
+func runConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+	packed := packTileWeights(weight, outC, c, k*k, c*k*k, k*k)
+	dst := make([]int8, outC*oh*ow)
+	convInt8(src, c, h, w, packed, bias, outC, k, stride, pad, shift, shift2, relu, dst, oh, ow, dirtyPlane(planeLen(c, h, w, k, pad)))
+	return dst
+}
+
+// runConvTransposeInt8 packs the weights and runs the production transpose
+// convolution.
+func runConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+	packed := packTileWeights(weight, outC*k*k, c, 1, 1, outC*k*k)
+	dst := make([]int8, outC*oh*ow)
+	convTransposeInt8(src, c, h, w, packed, bias, outC, k, stride, pad, shift, shift2, relu, dst, oh, ow,
+		dirtyPlane(planeLen(c, 1, h*w, 1, 0)), make([]int32, outC*k*k*h*w), make([]int32, outC*oh*ow))
+	return dst
+}
+
+func randInt8s(rng *rand.Rand, n int) []int8 {
+	s := make([]int8, n)
+	for i := range s {
+		s[i] = int8(rng.Intn(256) - 128)
+	}
+	return s
+}
+
+func sameInt8s(t *testing.T, what string, got, want []int8) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: output %d: %d, want %d", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestConvInt8MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c, h, w := 3, 7, 9
+	outC, k, pad := 4, 3, 1
+	src := randInt8s(rng, c*h*w)
+	weight := randInt8s(rng, outC*c*k*k)
+	bias := []int32{100, -50, 0, 7}
+	for _, relu := range []bool{false, true} {
+		for _, shift := range []int{0, 3, 7} {
+			// The tiled stride-1 path and the strided gather must both
+			// reproduce the reference bit for bit.
+			for _, stride := range []int{1, 2} {
+				oh, ow := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
+				want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
+				got := runConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
+				sameInt8s(t, "conv", got, want)
+			}
+		}
+	}
+}
+
+// TestConvInt8OddChannels exercises lane blocks with ghost lanes and a
+// channel pair whose second half is a ghost channel.
 func TestConvInt8OddChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, outC := range []int{1, 2, 3, 5, 7, 9} {
-		c, h, w, k, stride, pad := 2, 5, 5, 3, 1, 1
-		src := make([]int8, c*h*w)
-		for i := range src {
-			src[i] = int8(rng.Intn(256) - 128)
-		}
-		weight := make([]int8, outC*c*k*k)
-		for i := range weight {
-			weight[i] = int8(rng.Intn(256) - 128)
-		}
-		bias := make([]int32, outC)
-		for i := range bias {
-			bias[i] = int32(rng.Intn(201) - 100)
-		}
-		oh, ow := h, w
-		want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, 5, true, oh, ow)
-		packed, wCorr := packConvWeights(weight, outC, c*k*k)
-		got := make([]int8, outC*oh*ow)
-		convInt8(src, c, h, w, weight, packed, wCorr, bias, outC, k, stride, pad, 5, 0, true, got, oh, ow, new(convScratch))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("outC=%d: pixel %d: %d vs %d", outC, i, got[i], want[i])
+	for _, outC := range []int{1, 2, 3, 5, 7, 9, 17} {
+		for _, c := range []int{1, 2, 3} {
+			h, w, k, pad := 5, 5, 3, 1
+			src := randInt8s(rng, c*h*w)
+			weight := randInt8s(rng, outC*c*k*k)
+			bias := make([]int32, outC)
+			for i := range bias {
+				bias[i] = int32(rng.Intn(201) - 100)
 			}
+			want := refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
+			got := runConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
+			sameInt8s(t, "conv", got, want)
 		}
 	}
 }
@@ -115,11 +178,7 @@ func TestConvTransposeInt8IsAdjointShape(t *testing.T) {
 	for i := range weight {
 		weight[i] = int8(rng.Intn(101) - 50)
 	}
-	bias := make([]int32, outC)
-	dst := make([]int8, outC*oh*ow)
-	packed, wCorr := packDconvWeights(weight, c, outC*k*k)
-	convTransposeInt8(src, c, h, w, weight, packed, wCorr, bias, outC, k, stride, pad, 4, 0, false, dst, oh, ow,
-		make([]uint8, c*h*w), make([]int32, h*w), make([]int32, outC*k*k*h*w), make([]int32, roundUp4(outC)*oh*ow))
+	dst := runConvTransposeInt8(src, c, h, w, weight, make([]int32, outC), outC, k, stride, pad, 4, 0, false, oh, ow)
 	var nonzero int
 	for _, v := range dst {
 		if v != 0 {
@@ -166,19 +225,7 @@ func TestConvTransposeInt8MatchesFloat(t *testing.T) {
 			}
 		}
 	}
-	packed, wCorr := packDconvWeights(weight, c, outC*k*k)
-	// Packed dual-lane GEMM and the generic tiled GEMM must agree with the
-	// exact reference.
-	for _, pk := range [][]uint64{packed, nil} {
-		dst := make([]int8, outC*oh*ow)
-		convTransposeInt8(src, c, h, w, weight, pk, wCorr, bias, outC, k, stride, pad, 0, 0, false, dst, oh, ow,
-			make([]uint8, c*h*w), make([]int32, h*w), make([]int32, outC*k*k*h*w), make([]int32, roundUp4(outC)*oh*ow))
-		checkTransposeAgainstRef(t, dst, ref, bias, outC, oh, ow, pk != nil)
-	}
-}
-
-func checkTransposeAgainstRef(t *testing.T, dst []int8, ref []float64, bias []int32, outC, oh, ow int, packed bool) {
-	t.Helper()
+	dst := runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, stride, pad, 0, 0, false, oh, ow)
 	for i := range dst {
 		want := ref[i] + float64(bias[i/(oh*ow)])
 		if want > 127 {
@@ -188,7 +235,7 @@ func checkTransposeAgainstRef(t *testing.T, dst []int8, ref []float64, bias []in
 			want = -128
 		}
 		if math.Abs(float64(dst[i])-want) > 0.5 {
-			t.Fatalf("packed=%v: pixel %d: %d vs %v", packed, i, dst[i], want)
+			t.Fatalf("pixel %d: %d vs %v", i, dst[i], want)
 		}
 	}
 }
@@ -213,6 +260,26 @@ func TestMaxPoolInt8(t *testing.T) {
 	for i, w := range []int8{3, 4, -1, -2} {
 		if dst[i] != w {
 			t.Fatalf("pool-shift[%d] = %d, want %d", i, dst[i], w)
+		}
+	}
+	// Odd planes drop their last row and column; every shift sign must
+	// match RoundShift applied to the plain maxima.
+	rng := rand.New(rand.NewSource(6))
+	c, h, w := 3, 7, 5
+	img := randInt8s(rng, c*h*w)
+	for _, shift := range []int{-2, -1, 0, 1, 3} {
+		got := make([]int8, c*(h/2)*(w/2))
+		maxPoolInt8(img, c, h, w, shift, got)
+		for ci := 0; ci < c; ci++ {
+			for oy := 0; oy < h/2; oy++ {
+				for ox := 0; ox < w/2; ox++ {
+					at := func(dy, dx int) int8 { return img[(ci*h+2*oy+dy)*w+2*ox+dx] }
+					want := RoundShift(int64(max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))), shift)
+					if g := got[(ci*(h/2)+oy)*(w/2)+ox]; g != want {
+						t.Fatalf("shift %d: pool[%d,%d,%d] = %d, want %d", shift, ci, oy, ox, g, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -244,6 +311,27 @@ func TestReluInt8AndRequant(t *testing.T) {
 			t.Fatal("requant shift 0 must copy")
 		}
 	}
+	// Every int8 value at every shift sign, on an odd length: a left shift
+	// saturates, a right shift rounds half away from zero.
+	all := make([]int8, 255)
+	for i := range all {
+		all[i] = int8(i - 127)
+	}
+	got := make([]int8, len(all))
+	for _, shift := range []int{-3, -1, 1, 2, 7, 9} {
+		reluInt8(all, shift, got)
+		for i, v := range all {
+			if want := RoundShift(int64(max(v, 0)), shift); got[i] != want {
+				t.Fatalf("relu(%d) at shift %d = %d, want %d", v, shift, got[i], want)
+			}
+		}
+		requantInt8(all, shift, got)
+		for i, v := range all {
+			if want := RoundShift(int64(v), shift); got[i] != want {
+				t.Fatalf("requant(%d) at shift %d = %d, want %d", v, shift, got[i], want)
+			}
+		}
+	}
 }
 
 func TestArgmaxChannelsInt8(t *testing.T) {
@@ -256,33 +344,25 @@ func TestArgmaxChannelsInt8(t *testing.T) {
 			t.Fatalf("argmax[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-}
-
-func TestIm2ColInt8ZeroPadding(t *testing.T) {
-	src := []int8{1, 2, 3, 4} // 1×2×2
-	// Tap-major biased layout: one row of npix pixels per C·K² tap,
-	// each stored as tap+128 (padding = 128).
-	const npix = 4
-	dst := make([]uint8, 9*npix)
-	rowSum := make([]int32, npix)
-	im2colInt8(src, 1, 2, 2, 3, 1, 1, dst, rowSum, 2, 2)
-	// Each pixel's center tap (tap index 4) is the pixel itself.
-	for j, want := range []uint8{129, 130, 131, 132} {
-		if dst[4*npix+j] != want {
-			t.Fatalf("pixel %d center tap = %d, want %d (tap row %v)", j, dst[4*npix+j], want, dst[4*npix:5*npix])
-		}
+	// A plane that is not a whole number of blocks, few distinct values so
+	// ties are common: the lowest channel wins, as a per-pixel scan would
+	// have it.
+	rng := rand.New(rand.NewSource(7))
+	c, hw := 6, 2*argmaxBlock+37
+	logits := make([]int8, c*hw)
+	for i := range logits {
+		logits[i] = int8(rng.Intn(5) - 2)
 	}
-	// Pixel 0's tap column (stride npix): taps outside the 2×2 image are
-	// the biased zero 128, the in-bounds 2×2 window lands at taps 4,5,7,8.
-	wantCol := []uint8{128, 128, 128, 128, 129, 130, 128, 131, 132}
-	sum := int32(0)
-	for p, want := range wantCol {
-		if dst[p*npix] != want {
-			t.Fatalf("pixel 0 tap %d = %d, want col %v", p, dst[p*npix], wantCol)
+	got = argmaxChannelsInt8(logits, c, hw)
+	for j := 0; j < hw; j++ {
+		best := 0
+		for ch := 1; ch < c; ch++ {
+			if logits[ch*hw+j] > logits[best*hw+j] {
+				best = ch
+			}
 		}
-		sum += int32(want)
-	}
-	if rowSum[0] != 128*sum {
-		t.Fatalf("rowSum[0] = %d, want %d", rowSum[0], 128*sum)
+		if got[j] != uint8(best) {
+			t.Fatalf("argmax[%d] = %d, want %d", j, got[j], best)
+		}
 	}
 }

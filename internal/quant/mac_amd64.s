@@ -1,0 +1,197 @@
+#include "textflag.h"
+
+// func hasAVX2() bool
+//
+// AVX2 is usable when CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28),
+// XCR0 says the OS saves XMM and YMM state (bits 1 and 2), and
+// CPUID.(7,0):EBX reports AVX2 (bit 5).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// One lane's step at one tap: broadcast the lane's weight cell (channels 2c
+// and 2c+1 as two int16), multiply-add it against eight pixels' cells in Y8,
+// and accumulate. Operands are int8 values in int16, so VPMADDWD's pair sum
+// is exact; VPADDD wraps mod 2³² like Go's int32.
+#define LANE(off, tmp, acc) \
+	VPBROADCASTD off(DX), tmp \
+	VPMADDWD     Y8, tmp, tmp \
+	VPADDD       tmp, acc, acc
+
+// func macTileAVX2(acc *[64]int32, x, w []int32, cpairs, k, rowStride, planeStride int)
+//
+// Y0–Y7 hold lanes 0–7, eight pixels each; see macTile for the layouts. The
+// caller has bounds-checked x and w.
+TEXT ·macTileAVX2(SB), NOSPLIT, $0-88
+	MOVQ acc+0(FP), DI
+	MOVQ x_base+8(FP), SI
+	MOVQ w_base+32(FP), DX
+	MOVQ cpairs+56(FP), CX
+	MOVQ k+64(FP), R8
+	MOVQ rowStride+72(FP), R9
+	MOVQ planeStride+80(FP), R10
+	SHLQ $2, R9                  // cell strides to bytes
+	SHLQ $2, R10
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+
+plane:
+	MOVQ SI, R11                 // R11: tap row
+	MOVQ R8, R12                 // R12: rows left
+
+row:
+	MOVQ R11, R13                // R13: tap cell
+	MOVQ R8, R14                 // R14: taps left in the row
+
+tap:
+	VMOVDQU (R13), Y8
+	LANE(0, Y9, Y0)
+	LANE(4, Y10, Y1)
+	LANE(8, Y11, Y2)
+	LANE(12, Y12, Y3)
+	LANE(16, Y13, Y4)
+	LANE(20, Y14, Y5)
+	LANE(24, Y15, Y6)
+	LANE(28, Y9, Y7)
+	ADDQ $32, DX
+	ADDQ $4, R13
+	DECQ R14
+	JNZ  tap
+	ADDQ R9, R11
+	DECQ R12
+	JNZ  row
+	ADDQ R10, SI
+	DECQ CX
+	JNZ  plane
+
+	VMOVDQU Y0, 0(DI)
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	VMOVDQU Y4, 128(DI)
+	VMOVDQU Y5, 160(DI)
+	VMOVDQU Y6, 192(DI)
+	VMOVDQU Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func finalize8AVX2(acc []int32, dst []int8, bias []int32, groups, dstStride, biasStride, shift, shift2, floor int)
+//
+// finalizeTile's assembly body: per group of eight accumulators, the int64
+// bias add and first round-half-away shift run in 64-bit lanes (|acc+bias|
+// ≤ 2³², so the rounded magnitude fits an unsigned dword and VPMINUD can
+// saturate it at 127, or 128 below zero); the second shift and the ReLU
+// floor run on the int8-range result in 32-bit lanes. The caller guarantees
+// 1 ≤ shift ≤ 62, 0 ≤ shift2 ≤ 31 and in-bounds slices. Moves to and from
+// vector registers are the VEX forms: a legacy-SSE MOVQ while the upper
+// halves are dirty costs a state transition on every group.
+TEXT ·finalize8AVX2(SB), NOSPLIT, $0-120
+	MOVQ acc_base+0(FP), DI
+	MOVQ dst_base+24(FP), SI
+	MOVQ bias_base+48(FP), DX
+	MOVQ dstStride+80(FP), R8
+	MOVQ biasStride+88(FP), R9
+	SHLQ $2, R9
+	MOVQ shift+96(FP), CX
+	VMOVQ CX, X13                 // X13: shift count
+	DECQ CX
+	MOVL $1, AX
+	SHLQ CX, AX
+	VMOVQ AX, X14
+	VPBROADCASTQ X14, Y14        // Y14: half, 1<<(shift-1)
+	MOVQ shift2+104(FP), CX
+	VMOVQ CX, X10                 // X10: shift2 count
+	XORL AX, AX
+	TESTQ CX, CX
+	JZ   unfused
+	DECQ CX
+	MOVL $1, AX
+	SHLQ CX, AX
+
+unfused:
+	VMOVQ AX, X11
+	VPBROADCASTD X11, Y11        // Y11: half2, or 0 when shift2 is 0
+	MOVQ $127, AX
+	VMOVQ AX, X12
+	VPBROADCASTQ X12, Y12        // Y12: 127
+	MOVQ floor+112(FP), AX
+	VMOVQ AX, X9
+	VPBROADCASTD X9, Y9          // Y9: 0 under ReLU, else -128
+	VPXOR Y15, Y15, Y15
+	MOVQ groups+72(FP), CX
+
+group:
+	MOVLQSX (DX), AX
+	VMOVQ AX, X8
+	VPBROADCASTQ X8, Y8
+	VPMOVSXDQ (DI), Y0           // pixels 0-3
+	VPMOVSXDQ 16(DI), Y1         // pixels 4-7
+	VPADDQ Y8, Y0, Y0
+	VPADDQ Y8, Y1, Y1
+	VPCMPGTQ Y0, Y15, Y2         // Y2, Y3: -1 where v < 0
+	VPCMPGTQ Y1, Y15, Y3
+	VPXOR  Y2, Y0, Y0
+	VPXOR  Y3, Y1, Y1
+	VPSUBQ Y2, Y0, Y0            // |v|
+	VPSUBQ Y3, Y1, Y1
+	VPADDQ Y14, Y0, Y0
+	VPADDQ Y14, Y1, Y1
+	VPSRLQ X13, Y0, Y0
+	VPSRLQ X13, Y1, Y1
+	VPSUBQ Y2, Y12, Y4           // 127, or 128 where v < 0
+	VPSUBQ Y3, Y12, Y5
+	VPMINUD Y4, Y0, Y0
+	VPMINUD Y5, Y1, Y1
+	VSHUFPS $0x88, Y1, Y0, Y0    // low dwords of both halves, pixel order 0 1 4 5 | 2 3 6 7
+	VSHUFPS $0x88, Y3, Y2, Y2
+	VPERMQ $0xD8, Y0, Y0
+	VPERMQ $0xD8, Y2, Y2
+	VPXOR  Y2, Y0, Y0
+	VPSUBD Y2, Y0, Y0            // first requantization, signed
+	VPABSD Y0, Y1
+	VPADDD Y11, Y1, Y1
+	VPSRLD X10, Y1, Y1
+	VPSIGND Y0, Y1, Y0           // second requantization (identity at shift2 0)
+	VPMAXSD Y9, Y0, Y0
+	VPACKSSDW Y0, Y0, Y0
+	VPACKSSWB Y0, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPUNPCKLDQ X1, X0, X0
+	VMOVQ X0, (SI)
+	ADDQ $32, DI
+	ADDQ R8, SI
+	ADDQ R9, DX
+	DECQ CX
+	JNZ  group
+	VZEROUPPER
+	RET

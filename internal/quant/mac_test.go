@@ -1,0 +1,224 @@
+package quant
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"regexp"
+	"runtime"
+	"testing"
+
+	"seneca/internal/graph"
+	"seneca/internal/unet"
+)
+
+// withPortable runs f with the dispatch pinned to the portable bodies, which
+// is how the tests reach them on a host that would otherwise take the
+// assembly. No test in this package runs in parallel.
+func withPortable(f func()) {
+	prev := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = prev }()
+	f()
+}
+
+// TestKernelISAMatchesCPU names the body that ran: where the kernel lists
+// avx2 among the CPU's flags the dispatch must have picked the assembly, so
+// a detection bug cannot fall back to the portable loop and still pass.
+func TestKernelISAMatchesCPU(t *testing.T) {
+	want := "portable"
+	if runtime.GOARCH == "amd64" {
+		info, err := os.ReadFile("/proc/cpuinfo")
+		if err != nil {
+			t.Skipf("no independent source for the CPU's features: %v", err)
+		}
+		if regexp.MustCompile(`(?m)^flags\s*:.*\bavx2\b`).Match(info) {
+			want = "avx2"
+		}
+	}
+	if got := KernelISA(); got != want {
+		t.Fatalf("KernelISA() = %q on a host where /proc/cpuinfo implies %q", got, want)
+	}
+	t.Logf("INT8 kernels ran the %s body", KernelISA())
+}
+
+// TestBodiesAgreeOnUNetShapes runs every convolution and transpose
+// convolution of every Table II configuration at 64×64, with the layer's own
+// weights, biases and shifts and a random input, through both bodies.
+func TestBodiesAgreeOnUNetShapes(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("one body on this host")
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, cfg := range unet.TableII() {
+		q, err := QuantizeShapeOnly(unet.New(cfg).Export(64, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range q.Nodes {
+			if n.Kind != graph.KindConv && n.Kind != graph.KindConvTranspose {
+				continue
+			}
+			in := q.Node(n.Inputs[0])
+			h, w := in.OutShape[1], in.OutShape[2]
+			oh, ow := n.OutShape[1], n.OutShape[2]
+			src := randInt8s(rng, n.InC*h*w)
+			shift := RequantShift(in.OutFP+n.WeightFP, n.OutFP)
+			run := func() []int8 {
+				if n.Kind == graph.KindConv {
+					return runConvInt8(src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow)
+				}
+				return runConvTransposeInt8(src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow)
+			}
+			got := run()
+			var want []int8
+			withPortable(func() { want = run() })
+			sameInt8s(t, cfg.Name+"/"+n.Name, got, want)
+		}
+	}
+}
+
+// TestAccumulatorsWrapLikeInt32 reduces deep enough over all-(−128)
+// operands that the true sum leaves int32: the kernels must wrap exactly as
+// the reference's int32 does, in the micro-kernel and in the scatter.
+func TestAccumulatorsWrapLikeInt32(t *testing.T) {
+	fill := func(n int) []int8 {
+		s := make([]int8, n)
+		for i := range s {
+			s[i] = -128
+		}
+		return s
+	}
+	bias := []int32{math.MaxInt32, math.MinInt32}
+	check := func(name string, c, taps int, got, want []int8) {
+		t.Helper()
+		if int64(c)*int64(taps)*128*128 <= math.MaxInt32 {
+			t.Fatalf("%s: reduction too shallow to wrap", name)
+		}
+		sameInt8s(t, name, got, want)
+	}
+	for _, portable := range []bool{false, true} {
+		run := func(f func()) { f() }
+		if portable {
+			run = withPortable
+		}
+		run(func() {
+			// 5×5 over 5300 channels: 132 500 taps at the centre pixel.
+			c, h, w, outC, k, pad, shift := 5300, 3, 3, 2, 5, 2, 24
+			src, weight := fill(c*h*w), fill(outC*c*k*k)
+			check("conv", c, k*k,
+				runConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
+				refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+			// 1×1 transpose convolution over 131 100 channels wraps inside
+			// one tile; 5×5 at stride 1 over 5300 wraps in the scatter sum.
+			c, h, w, k, pad = 131100, 1, 1, 1, 0
+			src, weight = fill(c), fill(c*outC)
+			check("dconv tile", c, 1,
+				runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1),
+				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1))
+			c, h, w, k, pad = 5300, 5, 5, 5, 2
+			src, weight = fill(c*h*w), fill(c*outC*k*k)
+			check("dconv scatter", c, k*k,
+				runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
+				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+		})
+	}
+}
+
+// fuzzCase is one decoded fuzz input: a geometry no U-Net produces, the
+// operands and the write-back parameters.
+type fuzzCase struct {
+	c, h, w, outC, k, stride, pad int
+	shift, shift2                 int
+	relu                          bool
+	src                           []int8
+	bias                          []int32
+	rng                           *rand.Rand
+}
+
+// decodeFuzz maps raw fuzz arguments onto a case: odd sizes, rows narrower
+// than a tile, channel and lane counts off the multiples of 2 and 8,
+// k ∈ {1,3,5}, any pad in [0,3], shifts of every sign, both operand extremes
+// and biases at the edges of int32. fill selects the input's values (bits
+// 0-1; the weights take bits 3-4), edge biases (bit 2) and, with bit 7, a
+// reduction long enough to wrap int32 at a small spatial size.
+func decodeFuzz(seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) fuzzCase {
+	fc := fuzzCase{
+		c: 1 + int(c)%13, h: 1 + int(h)%11, w: 1 + int(w)%21, outC: 1 + int(outC)%19,
+		k: []int{1, 3, 5}[kSel%3], stride: 1 + int(stride)%2, pad: int(pad) % 4,
+		shift: int(shift)%45 - 4, shift2: int(shift2)%7 - 2,
+		relu: relu, rng: rand.New(rand.NewSource(seed)),
+	}
+	if fill&0x80 != 0 {
+		fc.c, fc.h, fc.w, fc.outC = 5200+int(c)%1200, 1+int(h)%3, 1+int(w)%3, 1+int(outC)%3
+	}
+	fc.src = fc.operand(fc.c*fc.h*fc.w, fill&3)
+	fc.bias = make([]int32, fc.outC)
+	edges := []int32{math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, math.MinInt32 + 1, 0}
+	for i := range fc.bias {
+		if fill&4 != 0 {
+			fc.bias[i] = edges[fc.rng.Intn(len(edges))]
+		} else {
+			fc.bias[i] = int32(fc.rng.Intn(1<<16) - 1<<15)
+		}
+	}
+	return fc
+}
+
+// operand draws n int8 values: random, all −128, or all 127.
+func (fc *fuzzCase) operand(n int, mode uint8) []int8 {
+	s := randInt8s(fc.rng, n)
+	for i := range s {
+		switch mode {
+		case 1, 3:
+			s[i] = -128
+		case 2:
+			s[i] = 127
+		}
+	}
+	return s
+}
+
+// threeWay holds the production kernel to the reference under both bodies.
+func threeWay(t *testing.T, want []int8, run func() []int8) {
+	t.Helper()
+	sameInt8s(t, KernelISA()+" body", run(), want)
+	if useAVX2 {
+		withPortable(func() { sameInt8s(t, "portable body", run(), want) })
+	}
+}
+
+func FuzzConvVsReference(f *testing.F) {
+	f.Add(int64(1), uint16(2), uint16(6), uint16(8), uint16(3), uint8(1), uint8(1), uint8(0), uint8(11), uint8(2), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) {
+		fc := decodeFuzz(seed, c, h, w, outC, kSel, pad, stride, shift, shift2, fill, relu)
+		if fc.h+2*fc.pad < fc.k || fc.w+2*fc.pad < fc.k {
+			t.Skip("kernel larger than the padded input")
+		}
+		oh, ow := (fc.h+2*fc.pad-fc.k)/fc.stride+1, (fc.w+2*fc.pad-fc.k)/fc.stride+1
+		weight := fc.operand(fc.outC*fc.c*fc.k*fc.k, fill>>3&3)
+		want := refConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		threeWay(t, want, func() []int8 {
+			return runConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		})
+	})
+}
+
+func FuzzDconvVsReference(f *testing.F) {
+	f.Add(int64(2), uint16(3), uint16(4), uint16(4), uint16(2), uint8(1), uint8(1), uint8(1), uint8(9), uint8(2), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) {
+		fc := decodeFuzz(seed, c, h, w, outC, kSel, pad, stride, shift, shift2, fill, relu)
+		// The stride's low bit doubles as the output padding a stride-2
+		// upsampling layer carries.
+		outPad := (fc.stride - 1) * int(stride>>1&1)
+		oh, ow := (fc.h-1)*fc.stride-2*fc.pad+fc.k+outPad, (fc.w-1)*fc.stride-2*fc.pad+fc.k+outPad
+		if oh < 1 || ow < 1 {
+			t.Skip("padding swallows the output")
+		}
+		weight := fc.operand(fc.c*fc.outC*fc.k*fc.k, fill>>3&3)
+		want := refConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		threeWay(t, want, func() []int8 {
+			return runConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		})
+	})
+}

@@ -62,14 +62,13 @@ type QNode struct {
 	StoreOffset int
 	StoreShift  int
 
-	// packOnce guards the lazy biased-weight packing used by the fast INT8
-	// convolution kernel (packConvWeights). Weight is immutable once the
-	// graph is quantized (FFQ bias correction touches Bias only), so the
-	// packed form is computed once and shared read-only by every pooled
-	// executor running this graph, including vart's concurrent threads.
+	// packOnce guards the lazy lowering of Weight into the micro-kernel's
+	// layout (packTileWeights). Weight is immutable once the graph is
+	// quantized (FFQ bias correction touches Bias only), so the packed form
+	// is computed once and shared read-only by every pooled executor running
+	// this graph, including vart's concurrent threads.
 	packOnce sync.Once
-	packedW  []uint64
-	wCorr    []int32
+	packedW  []int32
 }
 
 // Clone returns a copy of the node with a fresh (unstarted) packed-weight
@@ -105,31 +104,19 @@ func (n *QNode) Clone() *QNode {
 	}
 }
 
-// convPacked returns the tri-lane packed weight matrix and per-channel
-// zero-point corrections for a convolution node, packing them on first use.
-// It returns nil slices when C·K² exceeds maxPackedCKK (per-lane sums could
-// carry into the neighbouring lane); callers then use the generic kernel.
-func (n *QNode) convPacked() ([]uint64, []int32) {
+// tileWeights returns the node's INT8 weights in the micro-kernel's layout,
+// packing them on first use: output channels are the lanes of a convolution,
+// the OutC·K² column rows those of a transpose convolution.
+func (n *QNode) tileWeights() []int32 {
 	n.packOnce.Do(func() {
-		ckk := n.InC * n.Kernel * n.Kernel
-		if ckk <= maxPackedCKK {
-			n.packedW, n.wCorr = packConvWeights(n.Weight, n.OutC, ckk)
+		kk := n.Kernel * n.Kernel
+		if n.Kind == graph.KindConvTranspose {
+			n.packedW = packTileWeights(n.Weight, n.OutC*kk, n.InC, 1, 1, n.OutC*kk)
+		} else {
+			n.packedW = packTileWeights(n.Weight, n.OutC, n.InC, kk, n.InC*kk, kk)
 		}
 	})
-	return n.packedW, n.wCorr
-}
-
-// dconvPacked is convPacked's transpose-convolution counterpart: triples of
-// column rows (OutC·K² of them) packed over the InC reduction axis. A node
-// is either Conv or ConvTranspose, so the two packings share the guard and
-// cache fields without conflict.
-func (n *QNode) dconvPacked() ([]uint64, []int32) {
-	n.packOnce.Do(func() {
-		if n.InC <= maxPackedCKK {
-			n.packedW, n.wCorr = packDconvWeights(n.Weight, n.InC, n.OutC*n.Kernel*n.Kernel)
-		}
-	})
-	return n.packedW, n.wCorr
+	return n.packedW
 }
 
 // QGraph is a fully-quantized inference graph — the in-memory form of the

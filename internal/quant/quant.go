@@ -70,6 +70,10 @@ func DequantizeValue(q int8, fp FixPos) float32 {
 }
 
 // QuantizeSlice quantizes a float slice into dst at the given fix position.
+// ±Inf saturate like any out-of-range value; NaN becomes 0. This is the
+// conversion every request body goes through, and Go leaves int8(NaN) to the
+// implementation, so without the explicit case a NaN pixel would have no
+// pinned mask across architectures.
 func QuantizeSlice(src []float32, fp FixPos, dst []int8) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("quant: QuantizeSlice length mismatch %d vs %d", len(dst), len(src)))
@@ -77,11 +81,13 @@ func QuantizeSlice(src []float32, fp FixPos, dst []int8) {
 	scale := math.Pow(2, float64(fp))
 	for i, x := range src {
 		v := math.Round(float64(x) * scale)
-		if v > 127 {
+		switch {
+		case v > 127:
 			v = 127
-		}
-		if v < -128 {
+		case v < -128:
 			v = -128
+		case v != v:
+			v = 0
 		}
 		dst[i] = int8(v)
 	}

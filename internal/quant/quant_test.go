@@ -94,6 +94,20 @@ func TestQuantizeValueSaturates(t *testing.T) {
 	}
 }
 
+// TestQuantizeSliceNonFinite pins the conversion of values no grid holds:
+// infinities saturate, NaN is 0, at any fix position.
+func TestQuantizeSliceNonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	src := []float32{nan, float32(math.Inf(1)), float32(math.Inf(-1)), -nan, 0.5}
+	for _, fp := range []FixPos{-3, 0, 6} {
+		dst := []int8{99, 99, 99, 99, 99}
+		QuantizeSlice(src, fp, dst)
+		if dst[0] != 0 || dst[1] != 127 || dst[2] != -128 || dst[3] != 0 {
+			t.Fatalf("fix position %d: NaN, +Inf, -Inf, -NaN quantized to %v, want [0 127 -128 0]", fp, dst[:4])
+		}
+	}
+}
+
 func TestRoundShift(t *testing.T) {
 	cases := []struct {
 		acc   int64

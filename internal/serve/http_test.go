@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"seneca/internal/nifti"
+	"seneca/internal/tensor"
 )
 
 func startHTTP(t *testing.T, cfg Config) (*httptest.Server, *Server, []float32, []uint8) {
@@ -47,6 +49,35 @@ func TestHTTPOctetStreamRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(mask, want) {
 		t.Fatal("HTTP mask differs from direct execution")
+	}
+}
+
+// TestHTTPNonFiniteInputIsPinned follows a body with NaN and infinite
+// pixels from DecodeSegmentRequest through Submit: NaN must segment exactly
+// like 0 and ±Inf like values far off the grid, on every architecture.
+func TestHTTPNonFiniteInputIsPinned(t *testing.T) {
+	ts, s, data, _ := startHTTP(t, Config{Threads: 2})
+	odd := append([]float32(nil), data...)
+	pinned := append([]float32(nil), data...)
+	nan := float32(math.NaN())
+	for i, v := range map[int][2]float32{5: {nan, 0}, 100: {float32(math.Inf(1)), 3e38}, 517: {float32(math.Inf(-1)), -3e38}, 1023: {-nan, 0}} {
+		odd[i], pinned[i] = v[0], v[1]
+	}
+	want, err := s.Submit(context.Background(), tensor.FromSlice(pinned, 1, 32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/segment", "application/octet-stream", bytes.NewReader(EncodeInput(odd)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	mask, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d, read error %v: %s", resp.StatusCode, err, mask)
+	}
+	if !bytes.Equal(mask, want) {
+		t.Fatal("a body with NaN and ±Inf pixels did not segment like 0 and ±3e38")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"seneca/internal/obs"
+	"seneca/internal/quant"
 )
 
 // TestMetricsEndpoint serves traffic and checks GET /metrics exposes the
@@ -60,6 +61,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"seneca_serve_sim_watts ",
 		"seneca_serve_sim_fps_per_watt ",
 		`seneca_serve_info{device="DPUCZDX8G-B4096 ×2 @ ZCU104",model="tiny"} 1`,
+		"# TYPE seneca_quant_kernel gauge",
+		`seneca_quant_kernel{isa="` + quant.KernelISA() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"seneca/internal/obs"
+	"seneca/internal/quant"
 )
 
 // initMetrics re-exports the server's internal counter block through an
@@ -209,6 +210,7 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 	reg.Gauge("seneca_serve_info",
 		"Serving configuration (constant 1; dimensions carry the config).",
 		obs.L("model", s.prog.Name), obs.L("device", s.dev.Cfg.Name)).Set(1)
+	quant.ExportKernelISA(reg)
 }
 
 // Metrics returns the registry this server reports into. It is the
