@@ -213,35 +213,17 @@ func checkFaults(kind string) error {
 	return fault.Check("backend.execute." + kind)
 }
 
-// executeINT8 runs one batch bit-accurately through the quantized graph's
-// pooled executors, fanning frames across the given number of host worker
-// threads exactly as the VART runtime does. Masks come back in input order.
+// executeINT8 runs one batch bit-accurately through the quantized graph,
+// fanning frames across host workers exactly as the VART runtime does
+// (quant.ForFrames). Masks come back in input order.
 func executeINT8(g *quant.QGraph, imgs []*tensor.Tensor, threads int) ([][]uint8, error) {
-	if threads < 1 {
-		threads = 1
-	}
 	masks := make([][]uint8, len(imgs))
-	errs := make([]error, len(imgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				masks[idx], errs[idx] = g.ExecuteLabels(imgs[idx])
-			}
-		}()
-	}
-	for i := range imgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("backend: frame %d: %w", i, err)
-		}
+	err := quant.ForFrames(len(imgs), threads, func(i int) (err error) {
+		masks[i], err = g.ExecuteLabels(imgs[i])
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
 	}
 	return masks, nil
 }

@@ -20,7 +20,6 @@
 package dpu
 
 import (
-	"sync"
 	"time"
 
 	"seneca/internal/fault"
@@ -120,13 +119,6 @@ func Family() []Config {
 // Device is a simulated DPU.
 type Device struct {
 	Cfg Config
-
-	// scratch maps a program's *quant.QGraph to a pool of executors (scratch
-	// arenas). The VART runtime submits frames from N concurrent threads per
-	// device; each submission takes its own executor from the pool, so
-	// concurrent Execute calls never share activation buffers and the
-	// steady-state path performs no per-layer allocation.
-	scratch sync.Map // *quant.QGraph → *sync.Pool of *quant.Executor
 }
 
 // New constructs a device.
@@ -395,24 +387,13 @@ func (d *Device) Power(busyCores int, util float64, threads int) float64 {
 
 // Execute runs the program functionally (bit-accurate INT8) on one image,
 // returning the segmentation mask. Timing is *not* simulated here; the
-// runtime (internal/vart) owns the clock. Scratch memory comes from this
-// device's per-graph executor pool: safe for concurrent calls, and the only
-// steady-state allocation is the returned mask.
+// runtime (internal/vart) owns the clock. Scratch memory comes from the
+// program graph's executor free list: safe for concurrent calls, and the
+// only steady-state allocation is the returned mask.
 func (d *Device) Execute(p *xmodel.Program, img *tensor.Tensor) ([]uint8, error) {
 	// Chaos seam: a per-frame hardware fault (ECC error, DMA timeout).
 	if err := fault.Check("dpu.execute"); err != nil {
 		return nil, err
 	}
-	poolAny, _ := d.scratch.LoadOrStore(p.Graph, &sync.Pool{})
-	pool := poolAny.(*sync.Pool)
-	ex, _ := pool.Get().(*quant.Executor)
-	if ex == nil {
-		var err error
-		ex, err = quant.NewExecutor(p.Graph)
-		if err != nil {
-			return nil, err
-		}
-	}
-	defer pool.Put(ex)
-	return ex.ExecuteLabels(img)
+	return p.Graph.ExecuteLabels(img)
 }

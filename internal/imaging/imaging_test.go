@@ -275,3 +275,146 @@ func TestIdentityResizeIsCopy(t *testing.T) {
 		t.Fatal("nearest identity resize aliases the source")
 	}
 }
+
+// --- non-finite pixels (the rule in the package comment) ------------------
+
+var (
+	nan    = float32(math.NaN())
+	posInf = float32(math.Inf(1))
+	negInf = float32(math.Inf(-1))
+)
+
+// ramp returns 0, 1, …, n-1.
+func ramp(n int) []float32 {
+	img := make([]float32, n)
+	for i := range img {
+		img[i] = float32(i)
+	}
+	return img
+}
+
+// TestRescaleIgnoresNonFinitePixels pins what used to go wrong: the range
+// was seeded from pixel 0, so a NaN there turned every output into NaN, and
+// an Inf anywhere collapsed the scale. Now the range is the finite pixels',
+// whichever pixel the bad one is.
+func TestRescaleIgnoresNonFinitePixels(t *testing.T) {
+	// The minimum and the maximum both occur twice, so no single pixel
+	// carries the range.
+	base := func() []float32 {
+		img := ramp(64)
+		img[1], img[62] = 0, 63
+		return img
+	}
+	clean := base()
+	RescaleToUnit(clean)
+	for _, tc := range []struct {
+		name string
+		bad  float32
+		want float32
+	}{{"NaN", nan, -1}, {"+Inf", posInf, 1}, {"-Inf", negInf, -1}} {
+		for _, at := range []int{0, 17, 63} {
+			img := base()
+			img[at] = tc.bad
+			RescaleToUnit(img)
+			for i, v := range img {
+				want := clean[i]
+				if i == at {
+					want = tc.want
+				}
+				if v != want {
+					t.Fatalf("%s at pixel %d: output %d = %v, want %v", tc.name, at, i, v, want)
+				}
+			}
+		}
+	}
+
+	for _, img := range [][]float32{{nan, nan, nan}, {posInf, negInf}, {nan, 7, posInf}} {
+		RescaleToUnit(img)
+		for _, v := range img {
+			if v != 0 {
+				t.Fatalf("no finite range to scale: got %v, want all zeros", img)
+			}
+		}
+	}
+}
+
+// TestSaturateEstimatesOverFinitePixels: the clip bounds are the finite
+// pixels' percentiles however many non-finite ones surround them — past the
+// 1% tails included, where ±Inf used to become a bound — and the non-finite
+// pixels are clipped onto those bounds.
+func TestSaturateEstimatesOverFinitePixels(t *testing.T) {
+	finite := ramp(1000)
+	wantLo, wantHi := SaturatePercentiles(append([]float32(nil), finite...), 0.01, 0.99)
+
+	img := append([]float32{nan}, finite...) // NaN at pixel 0
+	for i := 0; i < 50; i++ {                // 5% of each, well past the tails
+		img = append(img, posInf, negInf, nan)
+	}
+	lo, hi := SaturatePercentiles(img, 0.01, 0.99)
+	if lo != wantLo || hi != wantHi {
+		t.Fatalf("bounds %v, %v with non-finite pixels present; the finite pixels alone give %v, %v", lo, hi, wantLo, wantHi)
+	}
+	for i, v := range img {
+		if !(v >= lo && v <= hi) {
+			t.Fatalf("pixel %d = %v after clipping to [%v, %v]", i, v, lo, hi)
+		}
+	}
+	if img[0] != lo || img[1001] != hi || img[1002] != lo || img[1003] != lo {
+		t.Fatalf("NaN, +Inf, −Inf, NaN clipped to %v, %v, %v, %v; want lo, hi, lo, lo", img[0], img[1001], img[1002], img[1003])
+	}
+
+	none := []float32{nan, posInf, negInf}
+	if lo, hi := SaturatePercentiles(none, 0.01, 0.99); lo != 0 || hi != 0 || none[0] != 0 || none[1] != 0 || none[2] != 0 {
+		t.Fatalf("no finite pixel: bounds %v, %v, image %v; want zeros", lo, hi, none)
+	}
+}
+
+// TestPreprocessNeverEmitsNonFinite: whatever bits a slice holds, the
+// network's input is inside [-1, 1], and one bad voxel costs one pixel, not
+// the slice.
+func TestPreprocessNeverEmitsNonFinite(t *testing.T) {
+	f := func(bits []uint32) bool {
+		if len(bits) < 4 {
+			return true
+		}
+		side := int(math.Sqrt(float64(len(bits))))
+		src := make([]float32, side*side)
+		for i := range src {
+			src[i] = math.Float32frombits(bits[i])
+		}
+		for _, v := range Preprocess(src, side, side, side) {
+			if !(v >= -1 && v <= 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(4))
+	src := make([]float32, 8*8)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 100)
+	}
+	want := Preprocess(src, 8, 8, 8)
+	// A NaN where an interior value was: every other pixel keeps its output.
+	at := 0
+	for i, v := range want {
+		if v > -0.5 && v < 0.5 {
+			at = i
+		}
+	}
+	src[at] = nan
+	got := Preprocess(src, 8, 8, 8)
+	moved := 0
+	for i := range got {
+		if i != at && math.Abs(float64(got[i]-want[i])) > 0.05 {
+			moved++
+		}
+	}
+	if got[at] != -1 || moved != 0 {
+		t.Fatalf("one NaN voxel: its pixel → %v (want −1), %d of 63 other pixels moved", got[at], moved)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"seneca/internal/fault"
@@ -141,17 +142,41 @@ func bitpix(datatype int16) (int16, error) {
 
 // Write serializes the volume as a single-file NIfTI-1 image.
 func Write(w io.Writer, v *Volume) error {
-	bp, err := bitpix(v.Datatype)
+	if err := writeHeader(w, v.Nx, v.Ny, v.Nz, v.Datatype, v.PixDim); err != nil {
+		return err
+	}
+	return writeVoxels(w, v)
+}
+
+// WriteLabels serializes a uint8 label volume (labels[(z*ny+y)*nx+x], one
+// class index per voxel) straight from its bytes. The output is what Write
+// produces for a DTUint8 Volume holding the same labels, without widening
+// them to float32 and back.
+func WriteLabels(w io.Writer, nx, ny, nz int, pixDim [3]float32, labels []uint8) error {
+	if len(labels) != nx*ny*nz {
+		return fmt.Errorf("nifti: %d labels for a %d×%d×%d volume", len(labels), nx, ny, nz)
+	}
+	if err := writeHeader(w, nx, ny, nz, DTUint8, pixDim); err != nil {
+		return err
+	}
+	_, err := w.Write(labels)
+	return err
+}
+
+// writeHeader emits the 348-byte header and the empty extension flag, which
+// leaves w at vox_offset.
+func writeHeader(w io.Writer, nx, ny, nz int, datatype int16, pixDim [3]float32) error {
+	bp, err := bitpix(datatype)
 	if err != nil {
 		return err
 	}
 	var h header
 	h.SizeofHdr = headerSize
 	h.Regular = 'r'
-	h.Dim = [8]int16{3, int16(v.Nx), int16(v.Ny), int16(v.Nz), 1, 1, 1, 1}
-	h.Datatype = v.Datatype
+	h.Dim = [8]int16{3, int16(nx), int16(ny), int16(nz), 1, 1, 1, 1}
+	h.Datatype = datatype
 	h.Bitpix = bp
-	h.Pixdim = [8]float32{1, v.PixDim[0], v.PixDim[1], v.PixDim[2], 1, 1, 1, 1}
+	h.Pixdim = [8]float32{1, pixDim[0], pixDim[1], pixDim[2], 1, 1, 1, 1}
 	h.VoxOffset = voxOffset
 	h.SclSlope = 1
 	h.XyztUnits = 2 // millimeters
@@ -164,34 +189,48 @@ func Write(w io.Writer, v *Volume) error {
 	if _, err := w.Write(make([]byte, voxOffset-headerSize)); err != nil {
 		return fmt.Errorf("nifti: writing extension flag: %w", err)
 	}
-	return writeVoxels(w, v)
+	return nil
 }
 
+// writeVoxels encodes the voxels through one readChunk-sized buffer, so
+// writing a volume costs a fixed scratch rather than a second copy of it.
 func writeVoxels(w io.Writer, v *Volume) error {
-	switch v.Datatype {
-	case DTUint8:
-		buf := make([]byte, len(v.Data))
-		for i, f := range v.Data {
-			buf[i] = uint8(clamp(f, 0, 255))
+	elem := elemSize(v.Datatype)
+	buf := make([]byte, min(len(v.Data), readChunk)*elem)
+	for data := v.Data; len(data) > 0; {
+		chunk := data[:min(len(data), readChunk)]
+		data = data[len(chunk):]
+		b := buf[:len(chunk)*elem]
+		switch v.Datatype {
+		case DTUint8:
+			for i, f := range chunk {
+				b[i] = uint8(clamp(f, 0, 255))
+			}
+		case DTInt16:
+			for i, f := range chunk {
+				binary.LittleEndian.PutUint16(b[2*i:], uint16(int16(clamp(f, -32768, 32767))))
+			}
+		case DTFloat32:
+			for i, f := range chunk {
+				binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(f))
+			}
 		}
-		_, err := w.Write(buf)
-		return err
-	case DTInt16:
-		buf := make([]byte, 2*len(v.Data))
-		for i, f := range v.Data {
-			binary.LittleEndian.PutUint16(buf[2*i:], uint16(int16(clamp(f, -32768, 32767))))
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
-		_, err := w.Write(buf)
-		return err
-	case DTFloat32:
-		buf := make([]byte, 4*len(v.Data))
-		for i, f := range v.Data {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-		}
-		_, err := w.Write(buf)
-		return err
 	}
-	return fmt.Errorf("nifti: unsupported datatype %d", v.Datatype)
+	return nil
+}
+
+// elemSize is the on-disk size of one voxel of a supported datatype.
+func elemSize(datatype int16) int {
+	switch datatype {
+	case DTInt16:
+		return 2
+	case DTFloat32:
+		return 4
+	}
+	return 1
 }
 
 func clamp(f, lo, hi float32) float32 {
@@ -281,45 +320,35 @@ func readRaw(r io.Reader) (*Volume, error) {
 
 // readVoxels streams total voxels of the given datatype in readChunk-sized
 // steps, so truncated input fails with an error after consuming only the
-// bytes present.
+// bytes present: the result grows a chunk at a time (amortized doubling), and
+// each chunk is decoded into its place by index.
 func readVoxels(r io.Reader, datatype int16, total int64, slope, inter float32) ([]float32, error) {
-	elem := 1
-	switch datatype {
-	case DTInt16:
-		elem = 2
-	case DTFloat32:
-		elem = 4
-	}
-	first := total
-	if first > readChunk {
-		first = readChunk
-	}
+	elem := elemSize(datatype)
+	first := int(min(total, readChunk))
 	data := make([]float32, 0, first)
-	buf := make([]byte, int(first)*elem) // no chunk is larger than the first
-	for done := int64(0); done < total; {
-		n := total - done
-		if n > readChunk {
-			n = readChunk
-		}
-		b := buf[:int(n)*elem]
+	buf := make([]byte, first*elem) // no chunk is larger than the first
+	for int64(len(data)) < total {
+		n := int(min(total-int64(len(data)), readChunk))
+		b := buf[:n*elem]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("nifti: reading voxels: %w", err)
 		}
+		data = slices.Grow(data, n)[:len(data)+n]
+		dst := data[len(data)-n:]
 		switch datatype {
 		case DTUint8:
-			for _, v := range b {
-				data = append(data, float32(v)*slope+inter)
+			for i, v := range b {
+				dst[i] = float32(v)*slope + inter
 			}
 		case DTInt16:
-			for i := 0; i < int(n); i++ {
-				data = append(data, float32(int16(binary.LittleEndian.Uint16(b[2*i:])))*slope+inter)
+			for i := range dst {
+				dst[i] = float32(int16(binary.LittleEndian.Uint16(b[2*i:])))*slope + inter
 			}
 		case DTFloat32:
-			for i := 0; i < int(n); i++ {
-				data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))*slope+inter)
+			for i := range dst {
+				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))*slope + inter
 			}
 		}
-		done += n
 	}
 	return data, nil
 }

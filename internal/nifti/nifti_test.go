@@ -2,6 +2,7 @@ package nifti
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -267,5 +268,65 @@ func TestReadScratchScalesWithVolume(t *testing.T) {
 	}
 	if allocs > 16 {
 		t.Fatalf("Read makes %.0f allocations for a 1 KiB slice, want at most 16", allocs)
+	}
+}
+
+// TestWriteLabelsMatchesWrite pins the label writer to the bytes Write emits
+// for the same labels held as a float32 DTUint8 volume — the study tier
+// serves and resumes from those files, and its clients compare them byte
+// for byte.
+func TestWriteLabelsMatchesWrite(t *testing.T) {
+	const nx, ny, nz = 7, 5, 3
+	labels := make([]uint8, nx*ny*nz)
+	v := NewVolume(nx, ny, nz, DTUint8)
+	v.PixDim = [3]float32{0.8, 0.9, 2.5}
+	for i := range labels {
+		labels[i] = uint8(i * 37)
+		v.Data[i] = float32(labels[i])
+	}
+	var want, got bytes.Buffer
+	if err := Write(&want, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteLabels(&got, nx, ny, nz, v.PixDim, labels); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteLabels and Write disagree on the same label volume")
+	}
+	if err := WriteLabels(io.Discard, nx, ny, nz, v.PixDim, labels[1:]); err == nil {
+		t.Fatal("a label slice of the wrong length must be refused")
+	}
+}
+
+// TestRoundTripSpansChunks round-trips volumes longer than two streaming
+// chunks with a ragged tail, so both the chunked encode and the
+// grow-then-index decode cross chunk boundaries for every datatype.
+func TestRoundTripSpansChunks(t *testing.T) {
+	nx, ny, nz := 1031, 127, 5 // 654 685 voxels = 2 chunks + 130 397
+	if nx*ny*nz <= 2*readChunk || nx*ny*nz%readChunk == 0 {
+		t.Fatalf("volume of %d voxels does not straddle chunks of %d", nx*ny*nz, readChunk)
+	}
+	for _, dt := range []int16{DTUint8, DTInt16, DTFloat32} {
+		v := NewVolume(nx, ny, nz, dt)
+		for i := range v.Data {
+			v.Data[i] = float32(i % 251)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("datatype %d: %v", dt, err)
+		}
+		if len(got.Data) != len(v.Data) {
+			t.Fatalf("datatype %d: %d voxels back, wrote %d", dt, len(got.Data), len(v.Data))
+		}
+		for i := range v.Data {
+			if got.Data[i] != v.Data[i] {
+				t.Fatalf("datatype %d: voxel %d = %v, wrote %v", dt, i, got.Data[i], v.Data[i])
+			}
+		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // the FP32 forward pass.
 //
 // An Executor is NOT safe for concurrent use; concurrent callers each take
-// their own from a pool (QGraph keeps one internally, dpu.Device keeps one
-// per device) or construct one with NewExecutor.
+// their own from the graph's free list (QGraph.Execute, ExecuteLabels) or
+// construct one with NewExecutor.
 type Executor struct {
 	g    *QGraph
 	acts map[string]*activation

@@ -1,6 +1,10 @@
 package quant
 
 import (
+	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"seneca/internal/graph"
@@ -88,5 +92,89 @@ func TestNewExecutorRejectsMalformedGraph(t *testing.T) {
 	q.RebuildIndex()
 	if _, err := NewExecutor(q); err == nil {
 		t.Fatal("NewExecutor accepted a graph with a dangling input")
+	}
+}
+
+// TestFreeListIsBoundedAndSurvivesGC pins the two properties the free list
+// has and a sync.Pool lacks: however many callers run at once it retains at
+// most GOMAXPROCS executors, and the ones it retains are still there after
+// garbage collections (a pool is emptied every second cycle, which cost a
+// volume job one ≈20 MiB arena rebuild per job).
+func TestFreeListIsBoundedAndSurvivesGC(t *testing.T) {
+	_, g, calib := buildTestModel(t)
+	q, err := PTQ(g, calib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := runtime.GOMAXPROCS(0)
+	held := make([]*Executor, 2*limit+1)
+	for i := range held { // as many executors out at once as that many concurrent frames
+		if held[i], err = q.executor(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range held {
+		q.recycle(e)
+	}
+	if len(q.free) != limit {
+		t.Fatalf("free list holds %d executors after %d came back, want GOMAXPROCS = %d", len(q.free), len(held), limit)
+	}
+	kept := append([]*Executor(nil), q.free...)
+	runtime.GC()
+	runtime.GC()
+	runtime.GC()
+	for i := len(kept) - 1; i >= 0; i-- {
+		e, err := q.executor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e != kept[i] {
+			t.Fatal("an idle executor did not survive garbage collection")
+		}
+	}
+	if len(q.free) != 0 {
+		t.Fatalf("free list holds %d executors with all of them out", len(q.free))
+	}
+}
+
+// TestForFrames checks the frame fan-out's contract: every index runs exactly
+// once, never on more goroutines than min(threads, GOMAXPROCS, frames), and
+// the error reported is the lowest failing frame's.
+func TestForFrames(t *testing.T) {
+	for _, tc := range []struct{ n, threads int }{{0, 4}, {1, 4}, {3, 1}, {7, 2}, {64, 4}, {64, 64}, {5, 0}} {
+		ran := make([]atomic.Int32, tc.n)
+		var running, peak atomic.Int32
+		err := ForFrames(tc.n, tc.threads, func(i int) error {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			runtime.Gosched() // let the other workers overlap
+			ran[i].Add(1)
+			running.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d threads=%d: %v", tc.n, tc.threads, err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("n=%d threads=%d: frame %d ran %d times", tc.n, tc.threads, i, got)
+			}
+		}
+		limit := max(min(tc.threads, runtime.GOMAXPROCS(0), tc.n), 1)
+		if got := int(peak.Load()); tc.n > 0 && got > limit {
+			t.Fatalf("n=%d threads=%d: %d frames ran at once, want ≤ %d", tc.n, tc.threads, got, limit)
+		}
+	}
+
+	boom := errors.New("boom")
+	err := ForFrames(16, 4, func(i int) error {
+		if i == 5 || i == 11 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "frame 5:") {
+		t.Fatalf("error = %v, want frame 5's", err)
 	}
 }

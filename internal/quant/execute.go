@@ -1,6 +1,11 @@
 package quant
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"seneca/internal/tensor"
 )
 
@@ -12,22 +17,71 @@ type activation struct {
 	h, w int
 }
 
-// executor takes a pooled Executor for this graph, constructing one on
-// first use (and whenever concurrent callers drain the pool).
+// executor takes an idle Executor off the graph's free list, constructing
+// one when the list is empty (first use, or more concurrent callers than it
+// holds).
 func (q *QGraph) executor() (*Executor, error) {
-	if v := q.execPool.Get(); v != nil {
-		return v.(*Executor), nil
+	q.freeMu.Lock()
+	if n := len(q.free); n > 0 {
+		e := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		q.freeMu.Unlock()
+		return e, nil
 	}
+	q.freeMu.Unlock()
 	return NewExecutor(q)
 }
 
-// recycle returns an executor to the pool for the next frame.
-func (q *QGraph) recycle(e *Executor) { q.execPool.Put(e) }
+// recycle returns an executor for the next frame. The list keeps at most
+// GOMAXPROCS of them — as many frames as can make progress at once — and an
+// executor beyond that is left to the collector.
+func (q *QGraph) recycle(e *Executor) {
+	q.freeMu.Lock()
+	if len(q.free) < runtime.GOMAXPROCS(0) {
+		q.free = append(q.free, e)
+	}
+	q.freeMu.Unlock()
+}
+
+// ForFrames runs frame(i) for every i in [0, n) on min(threads, GOMAXPROCS,
+// n) goroutines, the caller's among them, and returns the error of the
+// lowest failing index. It is the one frame fan-out under every batch
+// executor (vart.Runner.Run, the cpu-int8 and gpu-sim backends): frames are
+// CPU-bound, so workers beyond the core count finish no batch sooner and only
+// hold an arena each, and the cap is the free list's bound, so a batch's
+// executors all return to the list.
+func ForFrames(n, threads int, frame func(i int) error) error {
+	workers := min(threads, runtime.GOMAXPROCS(0), n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = frame(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("frame %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // Execute runs the quantized graph functionally on one FP32 CHW image and
 // returns the dequantized output tensor (probabilities if the graph ends in
 // softmax, logits otherwise). This is the bit-accurate reference for the DPU
-// simulator. Scratch memory comes from a per-graph executor pool, so
+// simulator. Scratch memory comes from the graph's executor free list, so
 // repeated calls (evaluation loops, serving) allocate only the result.
 func (q *QGraph) Execute(img *tensor.Tensor) (*tensor.Tensor, error) {
 	ex, err := q.executor()
@@ -52,7 +106,7 @@ func (q *QGraph) ExecuteLabels(img *tensor.Tensor) ([]uint8, error) {
 
 // runTap executes the graph, invoking tap with every node's output
 // activation (used by FFQ's layer-wise output matching). The activations
-// passed to tap alias pooled scratch buffers: they are valid only for the
+// passed to tap alias a recycled executor's buffers: they are valid only for the
 // duration of the callback.
 func (q *QGraph) runTap(img *tensor.Tensor, tap func(*QNode, *activation)) error {
 	ex, err := q.executor()

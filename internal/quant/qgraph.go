@@ -136,11 +136,18 @@ type QGraph struct {
 	// NumClasses is the channel count of the logit output.
 	NumClasses int
 
-	// execPool recycles scratch arenas (Executor) across Execute /
-	// ExecuteLabels calls; concurrent callers each get their own without
-	// locking. Weights and biases are read at execution time, so later
-	// mutation (e.g. FFQ bias correction) is picked up by pooled executors.
-	execPool sync.Pool
+	// free is the one list of idle scratch arenas (Executor) for this graph:
+	// every Execute / ExecuteLabels call, from whichever tier, takes one and
+	// puts it back, and concurrent callers each hold their own. It is a plain
+	// bounded list rather than a sync.Pool because an arena is megabytes
+	// (≈20 MiB for the 1M U-Net at 256², ≈1.2 MiB at 64²) and a pool drops its
+	// contents every other GC cycle, so a server rebuilt its arenas about
+	// once per volume job; the price is that up to GOMAXPROCS idle arenas per
+	// graph stay resident for as long as the graph does. Weights and biases
+	// are read at execution time, so later mutation (e.g. FFQ bias
+	// correction) is picked up by recycled executors.
+	freeMu sync.Mutex
+	free   []*Executor
 }
 
 // Node returns the named node, or nil.

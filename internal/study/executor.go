@@ -40,6 +40,9 @@ type Service struct {
 
 	mu     sync.Mutex
 	closed bool
+	// work holds the working set of every job a worker is running right now
+	// (see workingSet); an entry lives exactly as long as its runJob call.
+	work map[string]*workingSet
 
 	// rng drives retry-backoff jitter; seeded so chaos runs replay.
 	rngMu sync.Mutex
@@ -77,6 +80,7 @@ func New(seg Segmenter, cfg Config) (*Service, error) {
 		queue:  make(chan string, cfg.QueueDepth+len(resume)),
 		ctx:    ctx,
 		cancel: cancel,
+		work:   make(map[string]*workingSet),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		start:  time.Now(),
 	}
@@ -188,9 +192,18 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	s.st.Update(id, func(j *Job) { j.State = StateRunning })
+	ws := new(workingSet)
+	s.mu.Lock()
+	s.work[id] = ws
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.work, id)
+		s.mu.Unlock()
+	}()
 	for idx := stageIndex(j.Stage); idx < len(stageOrder); idx++ {
 		stage := stageOrder[idx]
-		if err := s.runStage(id, stage); err != nil {
+		if err := s.runStage(id, stage, ws); err != nil {
 			if s.ctx.Err() != nil {
 				// Shutdown, not failure: the job resumes at this stage.
 				return
@@ -228,8 +241,10 @@ func (s *Service) backoff(attempt int) time.Duration {
 
 // runStage executes one stage with retry and jittered exponential backoff.
 // Backoff waits select on the service context, so Close never waits out a
-// sleeping retry.
-func (s *Service) runStage(id string, stage Stage) error {
+// sleeping retry. A failed attempt empties the working set: the stage may
+// have failed after changing it in place, so the next attempt starts from the
+// durable artifacts, as a resumed job does.
+func (s *Service) runStage(id string, stage Stage, ws *workingSet) error {
 	fn := s.stageFunc(stage)
 	var lastErr error
 	for attempt := 0; attempt < s.cfg.MaxAttempts; attempt++ {
@@ -254,12 +269,13 @@ func (s *Service) runStage(id string, stage Stage) error {
 		// exercises the retry/backoff path without faulting a deeper layer.
 		err := fault.CheckCtx(s.ctx, "study.stage."+string(stage))
 		if err == nil {
-			err = fn(s.ctx, id)
+			err = fn(s.ctx, id, ws)
 		}
 		s.mStageDur[stage].Observe(time.Since(begin).Seconds())
 		if err == nil {
 			return nil
 		}
+		*ws = workingSet{}
 		if s.ctx.Err() != nil {
 			return err
 		}
@@ -268,7 +284,7 @@ func (s *Service) runStage(id string, stage Stage) error {
 	return fmt.Errorf("study: stage %s failed after %d attempts: %w", stage, s.cfg.MaxAttempts, lastErr)
 }
 
-func (s *Service) stageFunc(stage Stage) func(context.Context, string) error {
+func (s *Service) stageFunc(stage Stage) func(context.Context, string, *workingSet) error {
 	switch stage {
 	case StageIngest:
 		return s.stageIngest
@@ -283,7 +299,7 @@ func (s *Service) stageFunc(stage Stage) func(context.Context, string) error {
 	case StageReport:
 		return s.stageReport
 	}
-	return func(context.Context, string) error {
+	return func(context.Context, string, *workingSet) error {
 		return fmt.Errorf("study: unknown stage %q", stage)
 	}
 }

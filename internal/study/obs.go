@@ -15,6 +15,7 @@ type obsHandles struct {
 	mJobsFailed *obs.Counter
 	mStageDur   map[Stage]*obs.Histogram
 	mRetries    map[Stage]*obs.Counter
+	mLoads      map[string]map[string]*obs.Counter // artifact → source
 }
 
 // initMetrics wires the service into reg (nil → a private registry):
@@ -25,6 +26,11 @@ type obsHandles struct {
 //	seneca_study_stage_retries_total{stage=...}      retried stage attempts
 //	seneca_study_slices_total                        slices segmented
 //	seneca_study_slices_per_second                   mean slice throughput
+//	seneca_study_artifact_loads_total{artifact=input|slices|mask,source=memory|disk}
+//	                                                 where a stage found the durable artifact it
+//	                                                 consumes: handed over in memory by the stage
+//	                                                 before it, or loaded from the blob (a resumed
+//	                                                 job, the attempt after a failed one)
 func (s *Service) initMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -60,6 +66,15 @@ func (s *Service) initMetrics(reg *obs.Registry) {
 			"Volume pipeline stage run duration.", obs.StageBuckets, l)
 		s.mRetries[stage] = reg.Counter("seneca_study_stage_retries_total",
 			"Volume pipeline stage attempts beyond the first.", l)
+	}
+	s.mLoads = make(map[string]map[string]*obs.Counter)
+	for _, artifact := range []string{"input", "slices", "mask"} {
+		s.mLoads[artifact] = make(map[string]*obs.Counter)
+		for _, source := range []string{fromMemory, fromDisk} {
+			s.mLoads[artifact][source] = reg.Counter("seneca_study_artifact_loads_total",
+				"Durable stage artifacts consumed by the next stage, by where it found them.",
+				obs.L("artifact", artifact), obs.L("source", source))
+		}
 	}
 }
 

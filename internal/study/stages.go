@@ -2,9 +2,7 @@ package study
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 	"seneca/internal/imaging"
 	"seneca/internal/metrics"
 	"seneca/internal/nifti"
+	"seneca/internal/par"
 	"seneca/internal/phantom"
 	"seneca/internal/tensor"
 )
@@ -55,10 +54,85 @@ func readBlob(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
+// workingSet is what one run of a job hands from stage to stage in memory.
+// The rule it serves: the disk is for crashes, not for hand-off. A stage
+// takes its input from here when the stage before it, in this same run, left
+// it; otherwise — a job resumed by a reopened store, or the attempt after a
+// failed one, which drops the whole set because a stage may fail after
+// changing it in place — it loads the durable artifact an earlier run or
+// attempt wrote, exactly as every stage used to do every time. A field is cleared as soon as
+// its last consumer has succeeded, so a run never holds more than the stage
+// at hand needs.
+type workingSet struct {
+	input  *nifti.Volume // decoded CT: ingest → preprocess
+	pre    [][]float32   // model-geometry slices: preprocess → infer; never on disk
+	slices []uint8       // model-resolution masks: infer → reassemble
+	labels []uint8       // native-resolution classes: reassemble → postprocess → report
+}
+
+// Where a stage found the artifact it consumes (the source label of
+// seneca_study_artifact_loads_total).
+const (
+	fromMemory = "memory"
+	fromDisk   = "disk"
+)
+
+// inputVolume is the decoded CT: the working set's, else the input blob's.
+func (s *Service) inputVolume(id string, ws *workingSet) (*nifti.Volume, error) {
+	if ws.input != nil {
+		s.mLoads["input"][fromMemory].Inc()
+		return ws.input, nil
+	}
+	vol, err := nifti.ReadFile(s.st.InputPath(id))
+	if err != nil {
+		return nil, fmt.Errorf("reading input volume: %w", err)
+	}
+	s.mLoads["input"][fromDisk].Inc()
+	return vol, nil
+}
+
+// sliceMasks is the model-resolution mask stack: the working set's, else the
+// slice-mask blob's.
+func (s *Service) sliceMasks(id string, ws *workingSet) ([]uint8, error) {
+	if ws.slices != nil {
+		s.mLoads["slices"][fromMemory].Inc()
+		return ws.slices, nil
+	}
+	masks, err := readBlob(s.st.SliceMaskPath(id))
+	if err != nil {
+		return nil, fmt.Errorf("reading slice masks: %w", err)
+	}
+	s.mLoads["slices"][fromDisk].Inc()
+	return masks, nil
+}
+
+// maskLabels is the native-resolution label volume: the working set's, else
+// the mask blob's.
+func (s *Service) maskLabels(id string, ws *workingSet) ([]uint8, error) {
+	if ws.labels != nil {
+		s.mLoads["mask"][fromMemory].Inc()
+		return ws.labels, nil
+	}
+	vol, err := nifti.ReadFile(s.st.MaskPath(id))
+	if err != nil {
+		return nil, fmt.Errorf("reading mask volume: %w", err)
+	}
+	s.mLoads["mask"][fromDisk].Inc()
+	return volumeLabels(vol), nil
+}
+
+// writeMask persists the label volume as the job's NIfTI mask, carrying the
+// input's voxel spacing.
+func (s *Service) writeMask(j Job, labels []uint8) error {
+	return writeBlobAtomic(s.st.MaskPath(j.ID), func(f *os.File) error {
+		return nifti.WriteLabels(f, j.Nx, j.Ny, j.Nz, j.PixDim, labels)
+	})
+}
+
 // preprocessSlice applies the SENECA input pipeline (Section III-A) to one
 // native-resolution slice: bilinear resample to the model geometry,
 // 1%/99% contrast saturation, [-1, 1] rescale. Identical to
-// imaging.Preprocess for square models, generalized to h×w.
+// imaging.Preprocess for square models, generalized to h×w. raw is only read.
 func preprocessSlice(raw []float32, ny, nx, h, w int) []float32 {
 	img := imaging.ResizeBilinear(raw, ny, nx, h, w)
 	imaging.SaturatePercentiles(img, 0.01, 0.99)
@@ -66,9 +140,27 @@ func preprocessSlice(raw []float32, ny, nx, h, w int) []float32 {
 	return img
 }
 
-// stageIngest validates the uploaded volume (and ground truth, if any) and
-// records its geometry on the job.
-func (s *Service) stageIngest(ctx context.Context, id string) error {
+// preprocessVolume runs preprocessSlice over every axial slice, slices in
+// parallel. It is the one producer of the infer stage's input: the
+// preprocess stage calls it, and so does an infer stage that finds no stack
+// in memory.
+func (s *Service) preprocessVolume(ctx context.Context, vol *nifti.Volume) ([][]float32, error) {
+	plane := vol.Nx * vol.Ny
+	pre := make([][]float32, vol.Nz)
+	par.For(vol.Nz, func(z int) {
+		if ctx.Err() == nil {
+			pre[z] = preprocessSlice(vol.Data[plane*z:plane*(z+1)], vol.Ny, vol.Nx, s.inH, s.inW)
+		}
+	})
+	return pre, ctx.Err()
+}
+
+// stageIngest validates the uploaded volume (and ground truth, if any),
+// records its geometry on the job and leaves the decoded CT for preprocess.
+// The decode is from the input blob even right after an upload: what later
+// stages and a resumed run see is the volume after its trip through the
+// on-disk datatype, not the request body's.
+func (s *Service) stageIngest(ctx context.Context, id string, ws *workingSet) error {
 	vol, err := nifti.ReadFile(s.st.InputPath(id))
 	if err != nil {
 		return fmt.Errorf("reading input volume: %w", err)
@@ -84,54 +176,55 @@ func (s *Service) stageIngest(ctx context.Context, id string) error {
 				truth.Nx, truth.Ny, truth.Nz, vol.Nx, vol.Ny, vol.Nz)
 		}
 	}
-	return s.st.Update(id, func(j *Job) {
+	if err := s.st.Update(id, func(j *Job) {
 		j.Nx, j.Ny, j.Nz = vol.Nx, vol.Ny, vol.Nz
 		j.PixDim = vol.PixDim
-	})
+	}); err != nil {
+		return err
+	}
+	ws.input = vol
+	return nil
 }
 
-// stagePreprocess resamples every axial slice to the model geometry and
-// persists the stack as raw float32, the durable input of the infer stage.
-func (s *Service) stagePreprocess(ctx context.Context, id string) error {
-	vol, err := nifti.ReadFile(s.st.InputPath(id))
+// stagePreprocess resamples every axial slice to the model geometry. Its
+// output lives only in the working set: the stack costs more to write and
+// read back than to recompute from the durable input, so a job resumed at
+// infer recomputes it (preprocessVolume) instead.
+func (s *Service) stagePreprocess(ctx context.Context, id string, ws *workingSet) error {
+	vol, err := s.inputVolume(id, ws)
 	if err != nil {
-		return fmt.Errorf("reading input volume: %w", err)
+		return err
 	}
-	h, w := s.inH, s.inW
-	buf := make([]byte, 4*h*w)
-	return writeBlobAtomic(s.st.PrePath(id), func(f *os.File) error {
-		for z := 0; z < vol.Nz; z++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			img := preprocessSlice(vol.Slice(z), vol.Ny, vol.Nx, h, w)
-			for i, v := range img {
-				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-			}
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	pre, err := s.preprocessVolume(ctx, vol)
+	if err != nil {
+		return err
+	}
+	ws.input, ws.pre = nil, pre
+	return nil
 }
 
 // stageInfer fans the preprocessed slices across the Segmenter, up to
 // SliceParallel in flight at once, and persists the model-resolution mask
 // stack. Slice order in the output is the volume's axial order regardless
 // of completion order.
-func (s *Service) stageInfer(ctx context.Context, id string) error {
+func (s *Service) stageInfer(ctx context.Context, id string, ws *workingSet) error {
 	j, ok := s.st.Get(id)
 	if !ok {
 		return fmt.Errorf("job disappeared")
 	}
 	h, w := s.inH, s.inW
-	raw, err := readBlob(s.st.PrePath(id))
-	if err != nil {
-		return fmt.Errorf("reading preprocessed slices: %w", err)
+	pre := ws.pre
+	if pre == nil {
+		vol, err := s.inputVolume(id, ws)
+		if err != nil {
+			return err
+		}
+		if pre, err = s.preprocessVolume(ctx, vol); err != nil {
+			return err
+		}
 	}
-	if len(raw) != 4*h*w*j.Nz {
-		return fmt.Errorf("preprocessed stack is %d bytes, want %d", len(raw), 4*h*w*j.Nz)
+	if len(pre) != j.Nz {
+		return fmt.Errorf("preprocessed stack has %d slices, want %d", len(pre), j.Nz)
 	}
 
 	masks := make([]byte, h*w*j.Nz)
@@ -156,16 +249,12 @@ func (s *Service) stageInfer(ctx context.Context, id string) error {
 		go func(z int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			data := make([]float32, h*w)
-			off := 4 * h * w * z
-			for i := range data {
-				data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off+4*i:]))
-			}
-			mask, err := s.seg.Submit(ictx, tensor.FromSlice(data, 1, h, w))
+			mask, err := s.seg.Submit(ictx, tensor.FromSlice(pre[z], 1, h, w))
 			if err != nil {
 				errOnce.Do(func() { firstErr = err; cancel() })
 				return
 			}
+			pre[z] = nil // segmented: the slice's only consumer is done with it
 			copy(masks[h*w*z:], mask)
 			n := done.Add(1)
 			s.mSlices.Inc()
@@ -186,48 +275,52 @@ func (s *Service) stageInfer(ctx context.Context, id string) error {
 	if err := s.st.Update(id, func(j *Job) { j.SlicesDone = j.Nz }); err != nil {
 		return err
 	}
-	return writeBlobAtomic(s.st.SliceMaskPath(id), func(f *os.File) error {
+	if err := writeBlobAtomic(s.st.SliceMaskPath(id), func(f *os.File) error {
 		_, err := f.Write(masks)
 		return err
-	})
+	}); err != nil {
+		return err
+	}
+	ws.pre, ws.slices = nil, masks
+	return nil
 }
 
 // stageReassemble resamples each model-resolution mask back to the native
-// slice geometry and stacks them into a NIfTI label volume carrying the
-// input's voxel spacing.
-func (s *Service) stageReassemble(ctx context.Context, id string) error {
+// slice geometry, slices in parallel, and persists the stack as a NIfTI
+// label volume carrying the input's voxel spacing.
+func (s *Service) stageReassemble(ctx context.Context, id string, ws *workingSet) error {
 	j, ok := s.st.Get(id)
 	if !ok {
 		return fmt.Errorf("job disappeared")
 	}
 	h, w := s.inH, s.inW
-	masks, err := readBlob(s.st.SliceMaskPath(id))
+	masks, err := s.sliceMasks(id, ws)
 	if err != nil {
-		return fmt.Errorf("reading slice masks: %w", err)
+		return err
 	}
 	if len(masks) != h*w*j.Nz {
 		return fmt.Errorf("slice mask stack is %d bytes, want %d", len(masks), h*w*j.Nz)
 	}
-	out := nifti.NewVolume(j.Nx, j.Ny, j.Nz, nifti.DTUint8)
-	out.PixDim = j.PixDim
 	plane := j.Nx * j.Ny
-	for z := 0; z < j.Nz; z++ {
-		if err := ctx.Err(); err != nil {
-			return err
+	labels := make([]uint8, plane*j.Nz)
+	par.For(j.Nz, func(z int) {
+		if ctx.Err() == nil {
+			copy(labels[plane*z:], imaging.ResizeNearestLabels(masks[h*w*z:h*w*(z+1)], h, w, j.Ny, j.Nx))
 		}
-		native := imaging.ResizeNearestLabels(masks[h*w*z:h*w*(z+1)], h, w, j.Ny, j.Nx)
-		for i, v := range native {
-			out.Data[plane*z+i] = float32(v)
-		}
-	}
-	return writeBlobAtomic(s.st.MaskPath(id), func(f *os.File) error {
-		return nifti.Write(f, out)
 	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := s.writeMask(j, labels); err != nil {
+		return err
+	}
+	ws.slices, ws.labels = nil, labels
+	return nil
 }
 
 // stagePostprocess applies the per-organ largest-connected-component filter
 // to the reassembled volume (skipped when the job opted out).
-func (s *Service) stagePostprocess(ctx context.Context, id string) error {
+func (s *Service) stagePostprocess(ctx context.Context, id string, ws *workingSet) error {
 	j, ok := s.st.Get(id)
 	if !ok {
 		return fmt.Errorf("job disappeared")
@@ -235,35 +328,32 @@ func (s *Service) stagePostprocess(ctx context.Context, id string) error {
 	if !j.Postprocess {
 		return nil
 	}
-	vol, err := nifti.ReadFile(s.st.MaskPath(id))
+	labels, err := s.maskLabels(id, ws)
 	if err != nil {
-		return fmt.Errorf("reading reassembled mask: %w", err)
-	}
-	labels := volumeLabels(vol)
-	removed := LargestComponents(labels, vol.Nx, vol.Ny, vol.Nz, s.seg.NumClasses())
-	for i, v := range labels {
-		vol.Data[i] = float32(v)
-	}
-	if err := writeBlobAtomic(s.st.MaskPath(id), func(f *os.File) error {
-		return nifti.Write(f, vol)
-	}); err != nil {
 		return err
 	}
-	return s.st.Update(id, func(j *Job) { j.Removed = removed })
+	removed := LargestComponents(labels, j.Nx, j.Ny, j.Nz, s.seg.NumClasses())
+	if err := s.writeMask(j, labels); err != nil {
+		return err
+	}
+	if err := s.st.Update(id, func(j *Job) { j.Removed = removed }); err != nil {
+		return err
+	}
+	ws.labels = labels
+	return nil
 }
 
 // stageReport computes per-organ volumetrics (and Dice, with ground truth)
 // from the final mask volume and stores the report on the job.
-func (s *Service) stageReport(ctx context.Context, id string) error {
+func (s *Service) stageReport(ctx context.Context, id string, ws *workingSet) error {
 	j, ok := s.st.Get(id)
 	if !ok {
 		return fmt.Errorf("job disappeared")
 	}
-	vol, err := nifti.ReadFile(s.st.MaskPath(id))
+	pred, err := s.maskLabels(id, ws)
 	if err != nil {
-		return fmt.Errorf("reading mask volume: %w", err)
+		return err
 	}
-	pred := volumeLabels(vol)
 
 	nc := s.seg.NumClasses()
 	var truth []uint8
@@ -314,7 +404,11 @@ func (s *Service) stageReport(ctx context.Context, id string) error {
 	if conf != nil {
 		rep.GlobalDice = conf.GlobalDice()
 	}
-	return s.st.Update(id, func(j *Job) { j.Report = rep })
+	if err := s.st.Update(id, func(j *Job) { j.Report = rep }); err != nil {
+		return err
+	}
+	ws.labels = nil
+	return nil
 }
 
 // volumeLabels converts a label volume's float voxels to uint8 classes.

@@ -84,9 +84,6 @@ func (st *Store) InputPath(id string) string { return st.blob(id, ".input.nii") 
 // TruthPath is the optional ground-truth label volume (NIfTI).
 func (st *Store) TruthPath(id string) string { return st.blob(id, ".truth.nii") }
 
-// PrePath is the preprocessed slice stack (raw little-endian float32).
-func (st *Store) PrePath(id string) string { return st.blob(id, ".pre.f32") }
-
 // SliceMaskPath is the model-resolution mask stack (raw uint8).
 func (st *Store) SliceMaskPath(id string) string { return st.blob(id, ".masks.u8") }
 
@@ -176,16 +173,17 @@ func (st *Store) Get(id string) (Job, bool) {
 	return j.clone(), true
 }
 
-// Delete removes a job record and its blobs.
+// Delete removes a job record and every blob filed under its id: the
+// artifacts above, a half-written .tmp a crash left behind, and what an
+// earlier layout of the store wrote (the .pre.f32 stack preprocess used to
+// persist).
 func (st *Store) Delete(id string) {
 	st.mu.Lock()
 	delete(st.jobs, id)
 	st.mu.Unlock()
 	os.Remove(st.jobPath(id))
-	for _, p := range []string{
-		st.InputPath(id), st.TruthPath(id), st.PrePath(id),
-		st.SliceMaskPath(id), st.MaskPath(id),
-	} {
+	blobs, _ := filepath.Glob(st.blob(id, ".*")) // the pattern is well-formed: ids are hex
+	for _, p := range blobs {
 		os.Remove(p)
 	}
 }

@@ -87,16 +87,33 @@ func TestStoreDeleteRemovesRecordAndBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.InputPath(id), []byte("blob"), 0o644); err != nil {
+	other, err := st.Create(Job{State: StateQueued})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Every artifact, a torn write, and the stack an older layout kept.
+	blobs := []string{
+		st.InputPath(id), st.TruthPath(id), st.SliceMaskPath(id), st.MaskPath(id),
+		st.MaskPath(id) + ".tmp", st.blob(id, ".pre.f32"),
+	}
+	for _, p := range append(blobs, st.InputPath(other)) {
+		if err := os.WriteFile(p, []byte("blob"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st.Delete(id)
 	if _, ok := st.Get(id); ok {
 		t.Fatal("deleted job still present")
 	}
-	if _, err := os.Stat(st.InputPath(id)); !os.IsNotExist(err) {
-		t.Fatal("blob not deleted")
+	for _, p := range blobs {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("blob %s not deleted", filepath.Base(p))
+		}
 	}
+	if _, err := os.Stat(st.InputPath(other)); err != nil {
+		t.Fatal("deleting one job removed another job's blob")
+	}
+	st.Delete(other)
 	if st2, _ := OpenStore(dir); len(st2.List()) != 0 {
 		t.Fatal("deleted job resurrected on reopen")
 	}

@@ -12,11 +12,22 @@
 //	durable job store   one JSON record per job, written with atomic
 //	                    rename; reopening a store resumes incomplete jobs
 //	staged executor     ingest → preprocess → infer → reassemble →
-//	                    postprocess → report, with per-stage retry/backoff;
-//	                    every stage reads its inputs from and writes its
-//	                    outputs to the store's blob directory, so a job
+//	                    postprocess → report, with per-stage retry/backoff.
+//	                    The disk is for crashes, not for hand-off: within
+//	                    one run a stage takes its input from the job's
+//	                    in-memory working set (decoded CT, preprocessed
+//	                    stack, slice masks, label volume), left there by
+//	                    the stage before it and dropped once consumed. The
+//	                    input, the slice masks and the label volume are
+//	                    still written to the blob directory, atomically,
+//	                    before their stage is marked complete, so a job
 //	                    interrupted by a crash restarts at the last
-//	                    completed stage, not from scratch
+//	                    completed stage, not from scratch — loading that
+//	                    stage's input from its blob, or, for the
+//	                    preprocessed stack (never written: cheaper to
+//	                    recompute than to read back), recomputing it from
+//	                    the input. The attempt after a failed one starts
+//	                    from the blobs too
 //	slice fan-out       the infer stage submits slices concurrently to a
 //	                    Segmenter (the serve.Server micro-batching pool),
 //	                    so whole-volume jobs ride the same admission queue
@@ -29,7 +40,8 @@
 //	                    ground-truth volume
 //
 // Everything is instrumented through internal/obs: jobs by state, per-stage
-// duration histograms, slices/sec.
+// duration histograms, slices/sec, and where each stage found its input
+// (memory or disk).
 package study
 
 import (

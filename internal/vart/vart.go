@@ -15,13 +15,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"seneca/internal/dpu"
 	"seneca/internal/energy"
 	"seneca/internal/fault"
 	"seneca/internal/obs"
+	"seneca/internal/quant"
 	"seneca/internal/tensor"
 	"seneca/internal/xmodel"
 )
@@ -172,13 +172,15 @@ func (r *Runner) simulate(frames int, seed int64, record func(jobTiming)) (Resul
 	}, nil
 }
 
-// Run executes the images functionally with real asynchronous worker
-// threads (bit-accurate INT8 masks, order-preserving) and returns the masks
-// together with the simulated timing for the same workload. Each worker
-// takes its own scratch arena from the device's executor pool, and the INT8
-// kernels' inner parallel loops degrade to serial under this outer
-// parallelism via internal/par's worker budget, so N submission threads
-// never oversubscribe the host cores.
+// Run executes the images functionally (bit-accurate INT8 masks,
+// order-preserving) and returns the masks together with the simulated timing
+// for the same workload. Frames fan out over quant.ForFrames: up to Threads
+// workers, never more than the host has cores, each frame on an executor of
+// its own from the program graph's free list. The INT8 kernels' inner
+// parallel loops degrade to serial under this outer parallelism via
+// internal/par's worker budget, so the submission threads never oversubscribe
+// the host cores. (Threads above the core count still shape the simulated
+// timing; they just do not buy host goroutines.)
 func (r *Runner) Run(images []*tensor.Tensor, seed int64) ([][]uint8, Result, error) {
 	if r.Threads < 1 {
 		return nil, Result{}, ErrNoThreads
@@ -194,27 +196,12 @@ func (r *Runner) Run(images []*tensor.Tensor, seed int64) ([][]uint8, Result, er
 		return nil, Result{}, err
 	}
 	masks := make([][]uint8, len(images))
-	errs := make([]error, len(images))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for t := 0; t < r.Threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				masks[idx], errs[idx] = r.Device.Execute(r.Program, images[idx])
-			}
-		}()
-	}
-	for i := range images {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, Result{}, fmt.Errorf("vart: frame %d: %w", i, err)
-		}
+	err := quant.ForFrames(len(images), r.Threads, func(i int) (err error) {
+		masks[i], err = r.Device.Execute(r.Program, images[i])
+		return err
+	})
+	if err != nil {
+		return nil, Result{}, fmt.Errorf("vart: %w", err)
 	}
 	res, err := r.SimulateThroughput(len(images), seed)
 	if err != nil {
