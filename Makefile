@@ -12,10 +12,11 @@ BENCH_BASELINE   = BENCH_PR15.json
 # deterministic and gate tightly inside seneca-benchjson.
 BENCH_GATE_PCT   = 50
 
-.PHONY: ci build vet portable test race fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
+.PHONY: ci build vet portable test race stress fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
 
-# ci is the gate GitHub Actions runs: formatting, build, vet, race tests.
-ci: fmt-check build vet portable race
+# ci is the gate GitHub Actions runs: formatting, build, vet, race tests and
+# the repeated concurrency tests.
+ci: fmt-check build vet portable race stress
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress repeats the tests whose subject is an interleaving — batch formation
+# and the dispatch lanes in internal/serve, the working-set and goroutine
+# settle test in internal/study — under the race detector, many times in one
+# process, where a once-in-fifty ordering shows up. (The lane tests inject
+# faults, which adds to the process-wide fault counters; the chaos tests
+# assert deltas of those, so neither repetition nor test order can break
+# them.) CI runs this as a blocking step after race.
+STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner)
+stress:
+	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
+	$(GO) test -race -count=50 -run '^TestWorkingSetReleasedAndGoroutinesSettle$$' ./internal/study/
 
 # bench runs the tier-1 benchmarks and snapshots them to $(BENCH_SNAPSHOT)
 # ({name, ns_per_op, allocs_per_op}); compare against the committed previous

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -60,9 +61,9 @@ func main() {
 	retryBudgetWindow := flag.Duration("retry-budget-window", 10*time.Second, "retry-budget accounting window")
 
 	runners := flag.Int("runners", 1, "runner pool size per node")
-	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
+	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap per node")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
 	queue := flag.Int("queue", 64, "admission queue depth per node")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
@@ -101,8 +102,10 @@ func main() {
 
 	// Every replica gets its own simulated board — the factory is the unit
 	// the autoscaler and rolling restarts call to provision capacity.
+	var widths []int // of the first replica's runners; every replica is built alike
+	var first sync.Once
 	factory := func() (*serve.Server, error) {
-		return serve.New(dpu.New(dpu.ZCU104B4096()), prog, serve.Config{
+		srv, err := serve.New(dpu.New(dpu.ZCU104B4096()), prog, serve.Config{
 			Runners:    *runners,
 			Threads:    *threads,
 			MaxBatch:   *maxBatch,
@@ -112,6 +115,10 @@ func main() {
 			Seed:       *seed,
 			SimPace:    *simPace,
 		})
+		if err == nil {
+			first.Do(func() { widths = srv.Health().Widths })
+		}
+		return srv, err
 	}
 	c, err := cluster.New(factory, cluster.Config{
 		MinNodes:       *minNodes,
@@ -172,7 +179,8 @@ func main() {
 		"placement", *placement,
 		"queue_per_node", *queue,
 		"batch_water", *batchWater,
-		"kernel_isa", quant.KernelISA())
+		"kernel_isa", quant.KernelISA(),
+		"runner_widths", widths)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

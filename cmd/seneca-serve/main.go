@@ -49,10 +49,10 @@ func main() {
 	backends := flag.String("backends", "", `heterogeneous pool spec, e.g. "dpu-sim:2,cpu-int8,gpu-sim" (empty: dpu-sim × -runners)`)
 	slo := flag.Duration("slo", 0, "router latency SLO per micro-batch (0 = off)")
 	energyBudget := flag.Float64("energy-budget", 0, "router energy budget in joules per frame (0 = off)")
-	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
-	pipeline := flag.Int("pipeline", 1, "in-flight batches per runner")
+	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
+	pipeline := flag.Int("pipeline", 1, "lane sets per runner: a runner dispatches pipeline × width frame lanes, a batch holds one lane per frame and at most one width (1: lone frames run side by side, a larger batch owns the runner; 2 lets two full batches overlap)")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
 	queue := flag.Int("queue", 64, "admission queue depth")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
 	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
@@ -169,7 +169,8 @@ func main() {
 		"max_batch", *maxBatch,
 		"max_delay", *maxDelay,
 		"queue", *queue,
-		"kernel_isa", quant.KernelISA())
+		"kernel_isa", quant.KernelISA(),
+		"runner_widths", srv.Health().Widths)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

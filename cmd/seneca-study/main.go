@@ -49,9 +49,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	size := flag.Int("size", 64, "demo network input size (only without -xmodel)")
 	runners := flag.Int("runners", 1, "runner pool size")
-	threads := flag.Int("threads", 4, "host threads per runner (paper deploys 4)")
+	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
 	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here)")
+	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
 	queue := flag.Int("queue", 64, "slice admission queue depth")
 	workers := flag.Int("workers", 2, "concurrent volume jobs")
 	sliceParallel := flag.Int("slice-parallel", 4, "in-flight slices per volume job")
@@ -161,7 +161,8 @@ func main() {
 		"store", *store,
 		"workers", *workers,
 		"slice_parallel", *sliceParallel,
-		"kernel_isa", quant.KernelISA())
+		"kernel_isa", quant.KernelISA(),
+		"runner_widths", srv.Health().Widths)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		lg.Error("listen", "err", err)
 		os.Exit(1)

@@ -84,7 +84,7 @@ func main() {
 // FPS and watts summed across the pool's kinds.
 func runMix(prog *xmodel.Program, mix string, imgs []*tensor.Tensor) (fps, watts float64) {
 	// SimPace 1 replays each backend's simulated board time in real time,
-	// so a saturated kind actually holds its dispatch slots and the router
+	// so a saturated kind actually holds its dispatch lanes and the router
 	// spills overflow onto the other kinds — without it the host CPU burns
 	// through batches faster than any modelled device and the pool never
 	// fills.

@@ -4,11 +4,17 @@ import "time"
 
 // Candidate is one pool slot as the router sees it at placement time: the
 // backend's predicted cost for this batch, whether it may take traffic
-// (its breaker is closed and its self-check passes), and how many batches
-// it already holds.
+// (its breaker is closed and its self-check passes), whether it has room
+// for this batch right now, and how many batches it already holds.
 type Candidate struct {
-	Cost     Cost
-	Healthy  bool
+	Cost    Cost
+	Healthy bool
+	// Full marks a healthy candidate with no room for this batch at the
+	// moment. It is never chosen, but it still counts when the router asks
+	// whether the energy budget and the latency SLO can be met: a batch
+	// waits for a busy backend that fits them rather than spill onto an
+	// idle one that does not.
+	Full     bool
 	InFlight int
 }
 
@@ -36,10 +42,10 @@ func completion(c Candidate) time.Duration {
 }
 
 // Route picks the pool slot for one micro-batch of the given frame count.
-// It returns -1 when no candidate is healthy (the pool is cooling; the
-// caller polls). The invariants, pinned by the property suite:
+// It returns -1 when no candidate can take it (the pool is cooling or busy;
+// the caller waits). The invariants, pinned by the property suite:
 //
-//  1. an unhealthy candidate is never chosen;
+//  1. an unhealthy or full candidate is never chosen;
 //  2. a candidate over the energy budget is never chosen while a healthy
 //     within-budget alternative exists;
 //  3. among eligible candidates meeting the latency SLO, the router picks
@@ -84,7 +90,7 @@ func Route(cfg RouterConfig, frames int, cands []Candidate) int {
 	// one it is predicted completion. Ties fall to load, then index.
 	best := -1
 	for i, c := range cands {
-		if !eligible(c) {
+		if !eligible(c) || c.Full {
 			continue
 		}
 		if sloFeasible && completion(c) > cfg.LatencySLO {

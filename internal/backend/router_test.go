@@ -53,6 +53,16 @@ func TestRouteSLOPrefersEfficiency(t *testing.T) {
 	if got := Route(RouterConfig{}, 1, cands); got != 0 {
 		t.Fatalf("Route = %d, want 0 (fastest) without an SLO", got)
 	}
+	// Candidates that would meet the SLO but are full right now still hold
+	// it: the batch waits for one of them rather than go to the idle
+	// candidate that would miss it.
+	cands[0].Full, cands[1].Full = true, true
+	if got := Route(cfg, 1, cands); got != -1 {
+		t.Fatalf("Route = %d, want -1 (wait for a candidate inside the SLO)", got)
+	}
+	if got := Route(RouterConfig{}, 1, cands); got != 2 {
+		t.Fatalf("Route = %d, want 2 (the one with room) without an SLO", got)
+	}
 }
 
 func TestRouteEnergyBudget(t *testing.T) {
@@ -66,6 +76,18 @@ func TestRouteEnergyBudget(t *testing.T) {
 	if got := Route(cfg, 1, cands); got != 1 {
 		t.Fatalf("Route = %d, want 1 (fastest within budget)", got)
 	}
+	// A within-budget candidate that is merely full still holds the budget:
+	// the next one within budget takes the batch, and when every one of them
+	// is full the batch waits rather than spill onto the candidate over it.
+	cands[1].Full = true
+	if got := Route(cfg, 1, cands); got != 3 {
+		t.Fatalf("Route = %d, want 3 (the within-budget candidate with room)", got)
+	}
+	cands[3].Full = true
+	if got := Route(cfg, 1, cands); got != -1 {
+		t.Fatalf("Route = %d, want -1 (within-budget candidates are busy, not gone)", got)
+	}
+	cands[1].Full, cands[3].Full = false, false
 	// When nothing healthy fits the budget, the budget yields rather than
 	// starving the pool.
 	cands[1].Healthy = false

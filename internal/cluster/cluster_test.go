@@ -139,10 +139,12 @@ func TestConsistentHashAffinity(t *testing.T) {
 // node's queue held above the batch water mark, batch submissions shed
 // while interactive submissions still complete.
 func TestBatchShedsBeforeInteractive(t *testing.T) {
-	// One node, tiny queue, slow coalescing so depth is controllable.
+	// One node, tiny queue, and SimPace holding each frame's lane for its
+	// simulated board time, so six closed-loop clients keep the depth past
+	// the water mark however fast the host kernels are.
 	c, _, imgs := newTestCluster(t,
 		Config{MinNodes: 1, MaxNodes: 1, BatchWaterFrac: 0.5, MaxAttempts: 1},
-		serve.Config{QueueDepth: 8, MaxBatch: 1, MaxDelay: time.Millisecond})
+		serve.Config{QueueDepth: 8, MaxBatch: 1, MaxDelay: time.Millisecond, SimPace: 1})
 
 	// Saturate past the batch water mark (4 of 8) with interactive work.
 	var wg sync.WaitGroup
@@ -269,9 +271,12 @@ func TestAutoscalerSpawnsAndRetires(t *testing.T) {
 // node full and MaxAttempts exhausted, Do returns ErrSaturated rather than
 // blocking, and the shed counter moves.
 func TestFleetSaturationSheds(t *testing.T) {
+	// SimPace holds each frame's lane for its simulated board time, so the
+	// 2-deep queue cannot drain between submissions however fast the host
+	// kernels are; without it the overflow depends on scheduler timing.
 	c, _, imgs := newTestCluster(t,
 		Config{MinNodes: 1, MaxNodes: 1, MaxAttempts: 2},
-		serve.Config{QueueDepth: 2, MaxBatch: 1, MaxDelay: 50 * time.Millisecond})
+		serve.Config{QueueDepth: 2, MaxBatch: 1, MaxDelay: 50 * time.Millisecond, SimPace: 1})
 
 	// Flood far past capacity from many goroutines; at least one must shed.
 	var shed atomic.Int32

@@ -104,7 +104,13 @@ func hashKey(key string) uint64 {
 // so batch always sheds first. The probe return marks an eject probe claim
 // (see node.routable).
 func (c *Cluster) pick(key string, tier Tier, skip map[*node]bool, avoid int) (n *node, probe bool) {
+	// The topology lock is held for the whole pick, not just the snapshot: a
+	// rolling restart swaps one node back in and marks the next draining
+	// under the write lock, and a pick that read the slots before the swap
+	// and the states after it would find every node it knows draining and
+	// shed a request while a fresh node sat idle.
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	nodes := make([]*node, 0, len(c.slots))
 	for _, nd := range c.slots {
 		if nd != nil {
@@ -112,7 +118,6 @@ func (c *Cluster) pick(key string, tier Tier, skip map[*node]bool, avoid int) (n
 		}
 	}
 	rg := c.ring
-	c.mu.RUnlock()
 
 	var order []*node
 	if c.cfg.Placement == PolicyHash && key != "" {

@@ -44,6 +44,10 @@ type NodeStats struct {
 	Rejected       uint64 `json:"rejected"`
 	Runners        int    `json:"runners"`
 	HealthyRunners int    `json:"healthy_runners"`
+	// Lanes is the replica's dispatch capacity in frame lanes, LanesBusy how
+	// much of it staged and executing batches hold (serve.Stats).
+	Lanes     int `json:"lanes"`
+	LanesBusy int `json:"lanes_busy"`
 }
 
 // Stats is a point-in-time snapshot of the fleet, as exported by
@@ -122,6 +126,8 @@ func (c *Cluster) Stats() Stats {
 			Rejected:       s.Rejected,
 			Runners:        s.Runners,
 			HealthyRunners: s.HealthyRunners,
+			Lanes:          s.Lanes,
+			LanesBusy:      s.LanesBusy,
 		})
 	}
 	return st

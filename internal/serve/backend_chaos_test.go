@@ -142,22 +142,31 @@ func TestStatzPerBackendOccupancy(t *testing.T) {
 		if len(st.Backends) != 4 {
 			t.Fatalf("%d backend rows, want 4 (dpu-sim:2,cpu-int8,gpu-sim)", len(st.Backends))
 		}
-		var inflight, staged, frames int
+		var inflight, staged, frames, lanes, busy int
 		for _, bs := range st.Backends {
 			inflight += bs.InFlightBatches
 			staged += bs.QueueDepth
 			frames += bs.InFlightFrames
+			lanes += bs.Lanes
+			busy += bs.LanesBusy
+			if bs.LanesBusy < 0 || bs.LanesBusy > bs.Lanes {
+				t.Fatalf("worker %d (%s) holds %d of %d lanes", bs.Worker, bs.Backend, bs.LanesBusy, bs.Lanes)
+			}
 		}
 		if st.InFlight != inflight || st.StagedFrames != staged || st.InFlightFrames != frames {
 			t.Fatalf("pool totals (inflight=%d staged=%d frames=%d) != row sums (%d, %d, %d)",
 				st.InFlight, st.StagedFrames, st.InFlightFrames, inflight, staged, frames)
 		}
+		if st.Lanes != lanes || st.LanesBusy != busy {
+			t.Fatalf("pool lanes (%d, %d busy) != row sums (%d, %d)", st.Lanes, st.LanesBusy, lanes, busy)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	wg.Wait()
 
-	// At rest: occupancy drains to zero and completed work is accounted
-	// per backend.
+	// At rest: occupancy drains to zero (a batch's lanes come back just
+	// after its answers go out) and completed work is accounted per backend.
+	waitFor(t, 5*time.Second, "lanes still held at rest", func() bool { return s.Stats().LanesBusy == 0 })
 	st := s.Stats()
 	var frames uint64
 	kinds := map[string]int{}
@@ -198,7 +207,7 @@ func TestStatzPerBackendOccupancy(t *testing.T) {
 	}
 	var sumBatches, sumStaged, sumFrames int
 	for _, row := range doc.Backends {
-		for _, field := range []string{"backend", "breaker", "queue_depth", "in_flight_batches", "in_flight_frames", "dispatched_batches", "frames"} {
+		for _, field := range []string{"backend", "breaker", "lanes", "lanes_busy", "queue_depth", "in_flight_batches", "in_flight_frames", "dispatched_batches", "frames"} {
 			if _, ok := row[field]; !ok {
 				t.Fatalf("/statz backend row missing %q: %v", field, row)
 			}

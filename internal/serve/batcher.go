@@ -4,26 +4,36 @@ import (
 	"fmt"
 	"time"
 
+	"seneca/internal/backend"
 	"seneca/internal/energy"
 	"seneca/internal/tensor"
 )
 
 // batchLoop is the heart of the serving tier: it pulls admitted jobs off
 // the queue, coalesces them into micro-batches, and dispatches each batch
-// to a claimed worker (cost-model routed across the heterogeneous backend
-// pool, or a half-open probe when a breaker is recovering — see
-// claimWorker). Dispatch capacity is bounded by the slot semaphore (pool
-// size × Pipeline tokens): when every backend is saturated the loop keeps
-// collecting up to MaxBatch, then the queue fills behind it and Submit
-// starts rejecting — that is the explicit backpressure path.
+// to a worker with the lanes for it (cost-model routed across the
+// heterogeneous backend pool, or a half-open probe when a breaker is
+// recovering — see place). Dispatch capacity is counted in frame lanes: a
+// worker has Pipeline × width of them, width being how many frames its device
+// model runs in the time of one (widthOf), and a batch holds one lane per
+// frame, or the worker's whole width once it is larger than that. So a lone
+// request runs beside another lone frame on a dual-core runner instead of
+// queueing behind it, while a backlog still collects into batches that own
+// the runner: when every lane is taken the loop keeps collecting up to
+// MaxBatch, then the queue fills behind it and Submit starts rejecting — that
+// is the explicit backpressure path.
 //
-// A batch forms in two phases. While every dispatch slot is busy the batch
-// cannot run, so it stays open and takes whatever arrives: batching is
-// free. Once a slot is held, waiting costs the head job latency, so the
-// batch lingers only until batchWindow past the head's admission, takes
-// what is already queued, and goes.
+// A batch leaves once two things hold, and stays open — taking whatever
+// arrives — until they do. Its window has passed: batchWindow past the head's
+// admission, which costs the head latency and is therefore short or nothing.
+// And some worker can take it: while none can the batch could not run anyway,
+// so batching is free. A batch that has outgrown the free lanes waits for its
+// lanes; it is never split, because a backlog has to find its way back to
+// whole-runner batches (a full batch is far cheaper per frame than lone ones)
+// and the barrier inside Execute would serialise a split-off tail anyway.
 func (s *Server) batchLoop() {
 	defer s.batcher.Done()
+	cands := make([]backend.Candidate, len(s.pool))
 	for {
 		j, ok := <-s.queue
 		if !ok {
@@ -31,7 +41,7 @@ func (s *Server) batchLoop() {
 		}
 		batch := s.join(make([]*job, 0, s.cfg.MaxBatch), j)
 		if len(batch) == 0 {
-			continue // dead on arrival: never anchors a batch or waits on a slot
+			continue // dead on arrival: never anchors a batch or waits on a lane
 		}
 		// open returns the queue while the batch may still grow, and nil —
 		// never ready in a select — once it is full or the queue has closed.
@@ -50,14 +60,6 @@ func (s *Server) batchLoop() {
 			batch = s.join(batch, j)
 		}
 
-		for held := false; !held; { // backpressure point: wait for backend capacity
-			select {
-			case <-s.slots:
-				held = true
-			case j, ok := <-open():
-				take(j, ok)
-			}
-		}
 		if wait := time.Until(batch[0].accepted.Add(s.batchWindow())); wait > 0 && open() != nil {
 			timer := time.NewTimer(wait)
 			for lingering := true; lingering && open() != nil; {
@@ -70,38 +72,52 @@ func (s *Server) batchLoop() {
 			}
 			timer.Stop()
 		}
-		for queued := true; queued && open() != nil; {
+		var w *worker
+		var lanes int
+		for { // backpressure point: wait for backend capacity
+			for queued := true; queued && open() != nil; {
+				select {
+				case j, ok := <-open():
+					take(j, ok)
+				default:
+					queued = false
+				}
+			}
+			// A context that died while its job sat in the open batch still
+			// died before execution was committed: same stage as one found
+			// dead on the queue.
+			live := batch[:0]
+			for _, j := range batch {
+				if err := j.ctx.Err(); err != nil {
+					s.expireJob(j, expireStageQueue, err)
+					continue
+				}
+				live = append(live, j)
+			}
+			batch = live
+			if len(batch) == 0 {
+				break
+			}
+			if w, lanes = s.place(len(batch), cands); w != nil {
+				break
+			}
 			select {
+			case <-s.freed:
+			case <-s.probePoll():
 			case j, ok := <-open():
 				take(j, ok)
-			default:
-				queued = false
 			}
 		}
-
-		// A context that died while its job sat in the open batch still died
-		// before execution was committed: same stage as one found dead on
-		// the queue.
-		live := batch[:0]
-		for _, j := range batch {
-			if err := j.ctx.Err(); err != nil {
-				s.expireJob(j, expireStageQueue, err)
-				continue
-			}
-			live = append(live, j)
+		if w == nil {
+			continue // every rider gave up; no lanes were taken
 		}
-		if len(live) == 0 {
-			s.slots <- struct{}{}
-			continue
-		}
-		w := s.claimWorker(len(live))
 		w.inflight.Add(1)
-		w.staged.Add(int64(len(live)))
+		w.staged.Add(int64(len(batch)))
 		s.inflight.Add(1)
-		go func(batch []*job, w *worker) {
+		go func() {
 			defer s.inflight.Done()
-			s.dispatch(w, batch)
-		}(live, w)
+			s.dispatch(w, batch, lanes)
+		}()
 	}
 }
 
@@ -117,21 +133,33 @@ func (s *Server) join(batch []*job, j *job) []*job {
 	return append(batch, j)
 }
 
-// batchWindow is how long past its admission a head job may be held back,
-// with a dispatch slot in hand, for company: an eighth of the smoothed slot-
-// hold time, never more than MaxDelay. A wait is only worth a bounded
-// fraction of the service it is trying to amortise — a sub-millisecond
-// model must not sit out a 2 ms timer, while a 10 ms one can afford the
-// ≈1 ms that catches a lock-step client pair. Before the first batch
-// completes there is no estimate and the window is MaxDelay.
+// timerFloor is the shortest wait the runtime can keep: in a process with
+// nothing else to run a timer is an epoll_wait timeout, and
+// runtime/netpoll_epoll.go rounds anything under a millisecond up to one.
+const timerFloor = time.Millisecond
+
+// batchWindow is how long past its admission a head job may be held back for
+// company: an eighth of the smoothed lane-hold time, never more than MaxDelay,
+// and nothing at all when that comes to less than timerFloor — the batch takes
+// what is already queued and goes. A wait is only worth a bounded fraction of
+// the service it is trying to amortise: a 10 ms model can afford the ≈1 ms
+// that catches a lock-step client pair, but a 2 ms one asking for 0.25 ms
+// would sleep a full millisecond for it, and since lone frames run side by
+// side on a runner's lanes company no longer has to share a batch to share
+// the board. Before the first batch completes there is no estimate and the
+// window is MaxDelay.
 func (s *Server) batchWindow() time.Duration {
-	if w := time.Duration(s.serviceEWMA.Load()) / 8; w > 0 && w < s.cfg.MaxDelay {
-		return w
+	w := s.cfg.MaxDelay
+	if est := time.Duration(s.serviceEWMA.Load()) / 8; est > 0 && est < w {
+		w = est
 	}
-	return s.cfg.MaxDelay
+	if w < timerFloor {
+		return 0
+	}
+	return w
 }
 
-// observeService folds one successful batch's slot-hold time (execute plus
+// observeService folds one successful batch's lane-hold time (execute plus
 // the SimPace sleep) into the service-time EWMA (α = 1/8) batchWindow reads.
 func (s *Server) observeService(d time.Duration) {
 	for {
@@ -153,8 +181,8 @@ func (s *Server) observeService(d time.Duration) {
 // against the worker's breaker and its jobs go back through the queue for
 // another backend (failOrRedispatch), so clients only observe an error once
 // a job's redispatch budget is spent.
-func (s *Server) dispatch(w *worker, batch []*job) {
-	defer func() { s.slots <- struct{}{} }()
+func (s *Server) dispatch(w *worker, batch []*job, lanes int) {
+	defer s.release(w, lanes)
 	defer w.inflight.Add(-1)
 
 	live := make([]*job, 0, len(batch))
@@ -219,7 +247,7 @@ func (s *Server) dispatch(w *worker, batch []*job) {
 	}
 	w.recordSuccess()
 	if s.cfg.SimPace > 0 {
-		// Hold the slot until the batch's paced wall time has elapsed: the
+		// Hold the lanes until the batch's paced wall time has elapsed: the
 		// modelled device would still be busy, so the replica must be too.
 		target := time.Duration(s.cfg.SimPace * float64(out.res.Duration))
 		if elapsed := time.Since(execStart); elapsed < target {
@@ -234,6 +262,9 @@ func (s *Server) dispatch(w *worker, batch []*job) {
 		w.mBatchLat.Observe(out.res.Duration.Seconds())
 	}
 	s.mOccupancy.Observe(float64(len(live)))
+	// Counted before it is answered, like every other outcome: a client that
+	// has its mask is already on the books.
+	s.stats.completed.Add(uint64(len(live)))
 	now := time.Now()
 	for i, j := range live {
 		lat := now.Sub(j.accepted)
@@ -241,7 +272,6 @@ func (s *Server) dispatch(w *worker, batch []*job) {
 		s.mLatency.Observe(lat.Seconds())
 		j.done <- outcome{mask: out.masks[i], batch: len(live)}
 	}
-	s.stats.completed.Add(uint64(len(live)))
 }
 
 // Pipeline stages at which an admitted request's context can be found dead

@@ -11,12 +11,12 @@ import (
 )
 
 // Batch-formation tests. They steer the batcher white-box instead of racing
-// it: holdSlot takes the only dispatch token so phase 1 (every slot busy)
-// lasts exactly as long as the test wants, and observeService plants the
-// service estimate the linger window derives from.
+// it: holdLanes takes every lane of a runner so "no runner can take the
+// batch" lasts exactly as long as the test wants, and observeService plants
+// the service estimate the linger window derives from.
 
-// oneSlot is a server with a single dispatch slot and a MaxDelay ceiling no
-// test should ever be seen waiting out.
+// oneSlot is a server whose only runner has a single lane (Threads 1) and a
+// MaxDelay ceiling no test should ever be seen waiting out.
 func oneSlot(t *testing.T, maxBatch int) *Server {
 	t.Helper()
 	s, _, _, _ := newTestServer(t, Config{
@@ -25,16 +25,21 @@ func oneSlot(t *testing.T, maxBatch int) *Server {
 	return s
 }
 
-// holdSlot takes the idle server's only dispatch token, as an executing
-// batch would, and returns the function that gives it back.
-func holdSlot(s *Server) (release func()) {
-	<-s.slots
-	return func() { s.slots <- struct{}{} }
+// holdLanes takes n lanes of an idle server's first runner, as an executing
+// batch would, and returns the function that gives them back.
+func holdLanes(s *Server, n int) (release func()) {
+	w := s.pool[0]
+	w.busy.Add(int32(n))
+	return func() { s.release(w, n) }
 }
+
+// holdSlot takes the only lane of a oneSlot server.
+func holdSlot(s *Server) (release func()) { return holdLanes(s, 1) }
 
 type segmented struct {
 	occupancy int // what HTTP reports as X-Seneca-Batch
 	err       error
+	at        time.Time // when the answer came back
 }
 
 // segment submits one request in the background.
@@ -44,7 +49,7 @@ func segment(ctx context.Context, s *Server) <-chan segmented {
 	out := make(chan segmented, 1)
 	go func() {
 		_, n, err := s.Segment(ctx, img)
-		out <- segmented{n, err}
+		out <- segmented{n, err, time.Now()}
 	}()
 	return out
 }
@@ -58,6 +63,20 @@ func waitFormed(t *testing.T, s *Server, n uint64) {
 	})
 }
 
+// shutdown starts Shutdown in the background, returns once the queue is closed
+// to new work, and delivers Shutdown's result on the channel.
+func shutdown(t *testing.T, s *Server) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- s.Shutdown(ctx)
+	}()
+	waitFor(t, 5*time.Second, "Shutdown never closed the queue", s.Draining)
+	return done
+}
+
 func checkBooks(t *testing.T, s *Server) {
 	t.Helper()
 	if st := s.Stats(); st.Accepted != st.Completed+st.Expired+st.Failed {
@@ -66,7 +85,8 @@ func checkBooks(t *testing.T, s *Server) {
 }
 
 // An idle server with a warmed estimate dispatches a lone request after
-// service/8, not after MaxDelay; with no estimate yet MaxDelay is the window.
+// service/8, not after MaxDelay — at once when that is less than a timer can
+// keep; with no estimate yet MaxDelay is the window.
 func TestLoneRequestWaitsOnlyTheWindow(t *testing.T) {
 	s := oneSlot(t, 8)
 	if got := s.batchWindow(); got != s.cfg.MaxDelay {
@@ -87,6 +107,15 @@ func TestLoneRequestWaitsOnlyTheWindow(t *testing.T) {
 	s.serviceEWMA.Store(int64(time.Hour))
 	if got := s.batchWindow(); got != s.cfg.MaxDelay {
 		t.Fatalf("window at an absurd estimate = %v, want the MaxDelay ceiling", got)
+	}
+	// A 2 ms service asks for 250 µs, which an idle runtime would round up to
+	// a whole millisecond: no timer is armed at all.
+	s.serviceEWMA.Store(int64(2 * time.Millisecond))
+	if got := s.batchWindow(); got != 0 {
+		t.Fatalf("window at a 2ms service estimate = %v, want 0", got)
+	}
+	if got := s.Stats().BatchWindowMS; got != 0 {
+		t.Fatalf("batch_window_ms at a 2ms service estimate = %v, want 0", got)
 	}
 }
 
@@ -137,16 +166,6 @@ func TestWindowCatchesThePair(t *testing.T) {
 // Shutdown during either phase drains every admitted job, and the batcher
 // goroutine (with everything it started) is gone afterwards.
 func TestShutdownDuringFormationDrains(t *testing.T) {
-	shutdown := func(t *testing.T, s *Server) <-chan error {
-		done := make(chan error, 1)
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			done <- s.Shutdown(ctx)
-		}()
-		waitFor(t, 5*time.Second, "Shutdown never closed the queue", s.Draining)
-		return done
-	}
 	finish := func(t *testing.T, s *Server, base int, done <-chan error, riders []<-chan segmented) {
 		for i, ch := range riders {
 			if r := <-ch; r.err != nil || r.occupancy != len(riders) {

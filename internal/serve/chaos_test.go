@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +54,7 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 	// Count-capped faults keep the injection totals deterministic under
 	// concurrent dispatch: exactly 6 batch errors and 2 stalls, then the
 	// fabric heals.
+	errorsBefore, stallsBefore := faultInjectedTotal(t, "vart.run.error"), faultInjectedTotal(t, "vart.run.stall")
 	fault.Seed(42)
 	fault.Enable("vart.run.error", fault.Fault{Prob: 1, Count: 6})
 	fault.Enable("vart.run.stall", fault.Fault{Prob: 1, Count: 2, Delay: 8 * time.Second})
@@ -139,21 +142,11 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 
 	// The injected-fault counter reports into obs.Default (the registry the
 	// cmd binaries merge everything into), labelled per point.
-	fs := httptest.NewServer(obs.Default.Handler())
-	defer fs.Close()
-	resp, err = http.Get(fs.URL)
-	if err != nil {
-		t.Fatal(err)
+	if got := faultInjectedTotal(t, "vart.run.error") - errorsBefore; got != 6 {
+		t.Errorf("obs.Default counted %d injected vart.run.error faults, programmed 6", got)
 	}
-	fb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, series := range []string{
-		`seneca_fault_injected_total{point="vart.run.error"} 6`,
-		`seneca_fault_injected_total{point="vart.run.stall"} 2`,
-	} {
-		if !bytes.Contains(fb, []byte(series)) {
-			t.Errorf("obs.Default metrics missing %q", series)
-		}
+	if got := faultInjectedTotal(t, "vart.run.stall") - stallsBefore; got != 2 {
+		t.Errorf("obs.Default counted %d injected vart.run.stall faults, programmed 2", got)
 	}
 
 	// And on /healthz, which must report full (non-degraded) health again.
@@ -166,6 +159,25 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(hb, []byte(`"status":"ok"`)) {
 		t.Errorf("healthz after recovery: %d %s", resp.StatusCode, hb)
 	}
+}
+
+// faultInjectedTotal scrapes one point's seneca_fault_injected_total from
+// obs.Default. That registry is the process's: every test that injects a fault
+// and every -count repetition adds to it, so callers compare a scrape before
+// with a scrape after.
+func faultInjectedTotal(t *testing.T, point string) int {
+	t.Helper()
+	series := `seneca_fault_injected_total{point="` + point + `"} `
+	for _, line := range strings.Split(obs.Default.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s%s: %v", series, v, err)
+			}
+			return n
+		}
+	}
+	return 0 // the series appears with the point's first injection
 }
 
 // TestChaosDegradedHealthz drives one runner's breaker open and checks the

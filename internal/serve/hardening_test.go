@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -58,8 +59,9 @@ func (b untouchedBody) Read([]byte) (int, error) {
 }
 
 // TestBadHeadersRejectedBeforeBodyRead pins the order of the front door's
-// checks on both serve-tier handlers: a malformed deadline (or an unknown
-// tier) is refused from the headers alone, without reading a body that may
+// checks on both serve-tier handlers: a malformed deadline, an unknown tier
+// or an octet-stream body whose declared length is not the model's input
+// size is refused from the headers alone, without reading a body that may
 // be MaxBodyBytes long.
 func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
 	s, _, _, _ := newTestServer(t, Config{Threads: 1})
@@ -72,12 +74,17 @@ func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
 	}{
 		{"server/malformed deadline", s.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
 		{"server/non-positive deadline", s.Handler(), DeadlineHeader, "0", http.StatusBadRequest},
+		{"server/wrong declared length", s.Handler(), "Content-Length", "4095", http.StatusBadRequest},
 		{"front/malformed deadline", f.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
 		{"front/unknown tier", f.Handler(), "X-Seneca-Tier", "platinum", http.StatusNotFound},
+		{"front/wrong declared length", f.Handler(), "Content-Length", "4097", http.StatusBadRequest},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
 		r.Header.Set("Content-Type", "application/octet-stream")
 		r.Header.Set(tc.header, tc.value)
+		if tc.header == "Content-Length" { // what net/http parses the header into
+			r.ContentLength, _ = strconv.ParseInt(tc.value, 10, 64)
+		}
 		w := httptest.NewRecorder()
 		tc.h.ServeHTTP(w, r)
 		if w.Code != tc.want {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,10 @@ type worker struct {
 	id   int
 	kind string // backend kind this slot runs, e.g. "dpu-sim"
 
+	// busy counts the frame lanes held by staged or executing batches, out of
+	// Pipeline × width. Only batchLoop takes lanes (place), so its check-then-
+	// add cannot overshoot; dispatch gives them back (release).
+	busy           atomic.Int32
 	inflight       atomic.Int32 // batches executing or staged on this worker
 	inflightFrames atomic.Int64 // frames currently executing
 	staged         atomic.Int64 // frames routed here but not yet executing
@@ -58,6 +63,7 @@ type worker struct {
 
 	mu        sync.Mutex
 	be        backend.Backend
+	width     int                    // frames be runs in the time of one (widthOf)
 	mk        func() backend.Backend // eviction factory: builds a fresh backend
 	state     BreakerState
 	fails     int       // consecutive failures since the last success
@@ -68,6 +74,47 @@ type worker struct {
 	simBusy   time.Duration // accumulated simulated device-busy time
 	simJoules float64
 	simFrames int
+}
+
+// widthOf is how many frames a backend runs side by side in the time of one,
+// by its own cost model: the largest n ≤ threads with Cost(n).Latency ≤
+// Cost(1).Latency, and never more than the host has cores to run them on. The
+// dual-core dpu-sim prices two frames like one (2, given two threads);
+// cpu-int8 and gpu-sim price frames back to back (1). It is the one place a
+// runner's capacity comes from: a Width method on backend.Backend would have
+// every executor restate what its Cost already says.
+func widthOf(be backend.Backend, threads int) int {
+	limit := min(threads, runtime.GOMAXPROCS(0))
+	one := be.Cost(1).Latency
+	n := 1
+	for n < limit && be.Cost(n+1).Latency <= one {
+		n++
+	}
+	return n
+}
+
+// adopt installs a backend and sizes the worker's lanes from it. The caller
+// holds w.mu, or has not shared w yet.
+func (w *worker) adopt(be backend.Backend, threads int) {
+	w.be = be
+	w.width = widthOf(be, threads)
+}
+
+// lanesFor returns how many lanes a batch of the given frame count holds on
+// this worker — one per frame while they fit side by side, the whole width
+// once the batch is larger and owns the runner — out of its pipeline × width,
+// and whether that many are free now.
+func (w *worker) lanesFor(frames, pipeline int) (need int, free bool) {
+	width := w.laneWidth()
+	need = min(frames, width)
+	return need, int(w.busy.Load())+need <= pipeline*width
+}
+
+// laneWidth returns the width of the worker's current backend.
+func (w *worker) laneWidth() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.width
 }
 
 // getBackend returns the worker's current backend (replaced on eviction, so
@@ -163,7 +210,7 @@ func (w *worker) recordFailure(s *Server) (tripped bool) {
 	w.openUntil = time.Now().Add(s.cfg.BreakerCooldown)
 	if w.mk != nil {
 		if nb := w.mk(); nb != nil {
-			w.be = nb
+			w.adopt(nb, s.cfg.Threads)
 		}
 	}
 	s.stats.evictions.Add(1)
@@ -180,49 +227,78 @@ func (w *worker) recordSim(res energy.Report) {
 	w.simMu.Unlock()
 }
 
-// claimWorker blocks until some worker admits a batch of the given frame
-// count. An open worker whose cooldown has expired takes priority — its
-// half-open probe is the only way the pool regains capacity, and the broken
-// backend behind it has already been replaced — otherwise the cost-model
-// router places the batch: each healthy worker is priced by its backend's
-// Cost prediction and current load, and backend.Route picks under the
-// configured latency SLO and energy budget (a homogeneous pool degenerates
-// to plain least-loaded dispatch). With every breaker open and cooling, it
-// polls: capacity is gone, the queue backs up behind the slot semaphore,
-// and Submit's backpressure path takes over.
-func (s *Server) claimWorker(frames int) *worker {
-	wait := s.cfg.BreakerCooldown / 16
-	if wait <= 0 || wait > 5*time.Millisecond {
-		wait = 5 * time.Millisecond
-	}
-	cands := make([]backend.Candidate, len(s.pool))
-	for {
-		now := time.Now()
-		for _, w := range s.pool {
-			if w.breaker() == BreakerClosed {
-				continue
-			}
+// place routes a batch of the given frame count to a worker that can take it
+// right now, claims the worker and takes the batch's lanes there; it returns
+// nil when no worker can (every eligible one is busy, or the breakers are
+// cooling) and batchLoop keeps the batch open. An open worker whose cooldown
+// has expired takes priority — its half-open probe is the only way the pool
+// regains capacity, and the broken backend behind it has already been
+// replaced — otherwise the cost-model router places the batch: each healthy
+// worker is priced by its backend's Cost prediction and current load, and
+// backend.Route picks, among those with the lanes free, under the configured
+// latency SLO and energy budget (a homogeneous pool degenerates to plain
+// least-loaded dispatch). cands is batchLoop's scratch, one entry per worker.
+func (s *Server) place(frames int, cands []backend.Candidate) (w *worker, lanes int) {
+	now := time.Now()
+	room := false
+	for i, w := range s.pool {
+		need, free := w.lanesFor(frames, s.cfg.Pipeline)
+		if free && w.breaker() != BreakerClosed {
 			if ok, probe := w.tryClaim(now); ok {
 				if probe {
 					s.stats.probes.Add(1)
 				}
-				return w
+				w.busy.Add(int32(need))
+				return w, need
 			}
 		}
-		for i, w := range s.pool {
-			cands[i] = backend.Candidate{
-				Cost:     w.getBackend().Cost(frames),
-				Healthy:  w.healthy(),
-				InFlight: int(w.inflight.Load()),
-			}
-		}
-		if i := backend.Route(s.router, frames, cands); i >= 0 {
-			if ok, _ := s.pool[i].tryClaim(now); ok {
-				return s.pool[i]
-			}
-		}
-		time.Sleep(wait)
+		cands[i] = backend.Candidate{Healthy: w.healthy(), Full: !free, InFlight: int(w.inflight.Load())}
+		room = room || cands[i].Healthy && free
 	}
+	if !room {
+		return nil, 0 // not worth pricing: Cost runs the device model
+	}
+	for i, w := range s.pool {
+		if cands[i].Healthy {
+			cands[i].Cost = w.getBackend().Cost(frames)
+		}
+	}
+	if i := backend.Route(s.router, frames, cands); i >= 0 {
+		w := s.pool[i]
+		if ok, _ := w.tryClaim(now); ok {
+			need, _ := w.lanesFor(frames, s.cfg.Pipeline)
+			w.busy.Add(int32(need))
+			return w, need
+		}
+	}
+	return nil, 0
+}
+
+// release gives a batch's lanes back to its worker and wakes batchLoop, which
+// may be holding a batch open for them.
+func (s *Server) release(w *worker, lanes int) {
+	w.busy.Add(int32(-lanes))
+	select {
+	case s.freed <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// probePoll is how batchLoop learns that a cooldown has run out, which no
+// release announces: while some worker is out of regular service it returns a
+// channel that fires after a fraction of the cooldown, otherwise nil — never
+// ready in a select.
+func (s *Server) probePoll() <-chan time.Time {
+	for _, w := range s.pool {
+		if !w.healthy() {
+			wait := s.cfg.BreakerCooldown / 16
+			if wait <= 0 || wait > 5*time.Millisecond {
+				wait = 5 * time.Millisecond
+			}
+			return time.After(wait)
+		}
+	}
+	return nil
 }
 
 // Health is a point-in-time snapshot of the pool's self-healing state, as
@@ -235,9 +311,12 @@ type Health struct {
 	Healthy  int  `json:"healthy_runners"`
 	Degraded bool `json:"degraded"`
 	// Breakers holds each worker's breaker state, by worker id; Backends
-	// holds the backend kind each worker runs, in the same order.
+	// holds the backend kind each worker runs and Widths how many frames its
+	// device model runs in the time of one (a worker has Pipeline × that many
+	// dispatch lanes), in the same order.
 	Breakers []string `json:"breakers"`
 	Backends []string `json:"backends"`
+	Widths   []int    `json:"widths"`
 	// Evictions counts backends replaced after tripping a breaker; Probes
 	// counts half-open probe batches; Redispatches counts jobs re-queued
 	// out of failed or stalled batches; WatchdogTimeouts counts batches
@@ -254,6 +333,7 @@ func (s *Server) Health() Health {
 		Runners:          len(s.pool),
 		Breakers:         make([]string, len(s.pool)),
 		Backends:         make([]string, len(s.pool)),
+		Widths:           make([]int, len(s.pool)),
 		Evictions:        s.stats.evictions.Load(),
 		Probes:           s.stats.probes.Load(),
 		Redispatches:     s.stats.redispatched.Load(),
@@ -263,6 +343,7 @@ func (s *Server) Health() Health {
 		st := w.breaker()
 		h.Breakers[i] = st.String()
 		h.Backends[i] = w.kind
+		h.Widths[i] = w.laneWidth()
 		if st == BreakerClosed {
 			h.Healthy++
 		}

@@ -196,13 +196,26 @@ func DecodeSegmentRequest(w http.ResponseWriter, r *http.Request, c, h, wd int, 
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	switch ct {
 	case "", "application/octet-stream":
-		buf, err := io.ReadAll(body)
-		if err != nil {
-			return nil, statusFor(err, http.StatusBadRequest), err
+		// The body's size is known before its first byte: a declared length
+		// that is not it is refused from the header alone, and anything else
+		// — a chunked body included — is read once, into a buffer one byte
+		// longer than that, so exactly 4n bytes end it early and 4n+1 is as
+		// far as an oversized one gets.
+		wrongSize := func(got int64) error {
+			return fmt.Errorf("serve: body is %d bytes, want %d (float32 %d×%d×%d)", got, 4*n, c, h, wd)
 		}
-		if len(buf) != 4*n {
+		if r.ContentLength >= 0 && r.ContentLength != int64(4*n) {
+			return nil, http.StatusBadRequest, wrongSize(r.ContentLength)
+		}
+		buf := make([]byte, 4*n+1)
+		switch got, err := io.ReadFull(body, buf); {
+		case err == nil:
 			return nil, http.StatusBadRequest,
-				fmt.Errorf("serve: body is %d bytes, want %d (float32 %d×%d×%d)", len(buf), 4*n, c, h, wd)
+				fmt.Errorf("serve: body is longer than %d bytes (float32 %d×%d×%d)", 4*n, c, h, wd)
+		case err != io.ErrUnexpectedEOF && err != io.EOF:
+			return nil, statusFor(err, http.StatusBadRequest), err
+		case got != 4*n:
+			return nil, http.StatusBadRequest, wrongSize(int64(got))
 		}
 		data := make([]float32, n)
 		for i := range data {

@@ -162,6 +162,49 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes handed out from a body of undeclared length.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestOctetBodyReadAtItsSize drives DecodeSegmentRequest with octet-stream
+// bodies that declare no length (what a chunked upload looks like): only a
+// body of exactly 4·C·H·W bytes decodes, and no body is read further than one
+// byte past that, however long it is.
+func TestOctetBodyReadAtItsSize(t *testing.T) {
+	const c, h, w = 1, 32, 32
+	exact := EncodeInput(make([]float32, c*h*w))
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"exact", exact, 0},
+		{"empty", nil, http.StatusBadRequest},
+		{"one byte short", exact[:len(exact)-1], http.StatusBadRequest},
+		{"one byte over", append(exact[:len(exact):len(exact)], 0), http.StatusBadRequest},
+		{"three inputs long", bytes.Repeat(exact, 3), http.StatusBadRequest},
+	} {
+		body := &countingReader{r: bytes.NewReader(tc.body)}
+		r := httptest.NewRequest(http.MethodPost, "/v1/segment", body)
+		r.Header.Set("Content-Type", "application/octet-stream")
+		img, status, err := DecodeSegmentRequest(httptest.NewRecorder(), r, c, h, w, 0)
+		if status != tc.want || (err == nil) != (tc.want == 0) || (img == nil) != (tc.want != 0) {
+			t.Errorf("%s: status %d, err %v; want status %d", tc.name, status, err, tc.want)
+		}
+		if body.n > len(exact)+1 {
+			t.Errorf("%s: read %d bytes of a body that is wrong from byte %d on", tc.name, body.n, len(exact)+1)
+		}
+	}
+}
+
 func niftiBody(t *testing.T, data []float32) []byte {
 	t.Helper()
 	vol := nifti.NewVolume(32, 32, 1, nifti.DTFloat32)

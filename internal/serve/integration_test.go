@@ -30,6 +30,10 @@ func TestServeIntegration(t *testing.T) {
 		MaxBatch:   8,
 		MaxDelay:   5 * time.Millisecond,
 		QueueDepth: 4, // tight on purpose: overload must surface as 429s
+		// Paced to a few times its simulated board time, so 64 clients
+		// overflow that queue however slowly a busy host lets them trickle in
+		// and however fast its kernels answer.
+		SimPace: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

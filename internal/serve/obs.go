@@ -35,7 +35,7 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		})
 
 	reg.GaugeFunc("seneca_serve_batch_window_seconds",
-		"How long a request is held back for its batch to fill once a dispatch slot is free: min(MaxDelay, batch service time / 8).",
+		"How long a request is held back for its batch to fill: min(MaxDelay, batch service time / 8), 0 when that is below the runtime's 1 ms timer resolution.",
 		func() float64 { return s.batchWindow().Seconds() })
 
 	outcomes := map[string]func() uint64{
@@ -143,6 +143,24 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 				var n int32
 				for _, w := range ws {
 					n += w.inflight.Load()
+				}
+				return float64(n)
+			}, lbl)
+		reg.GaugeFunc("seneca_serve_lanes",
+			"Dispatch capacity in frame lanes (Pipeline × frames the device model runs in the time of one), by backend kind.",
+			func() float64 {
+				n := 0
+				for _, w := range ws {
+					n += s.cfg.Pipeline * w.laneWidth()
+				}
+				return float64(n)
+			}, lbl)
+		reg.GaugeFunc("seneca_serve_lanes_busy",
+			"Frame lanes held by staged or executing batches, by backend kind.",
+			func() float64 {
+				var n int32
+				for _, w := range ws {
+					n += w.busy.Load()
 				}
 				return float64(n)
 			}, lbl)

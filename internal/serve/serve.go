@@ -9,8 +9,16 @@
 //	admission queue     bounded; overflow is rejected immediately with
 //	                    explicit backpressure (HTTP 429 + Retry-After)
 //	micro-batcher       coalesces queued requests up to MaxBatch: for as
-//	                    long as every dispatch slot is busy, then for at
-//	                    most min(MaxDelay, batch service time / 8)
+//	                    long as no runner has the frame lanes for the batch,
+//	                    and for at most min(MaxDelay, batch service time / 8)
+//	                    past the head's admission — not at all when that is
+//	                    under the millisecond a timer can keep. A runner has
+//	                    as many lanes as its device model runs frames in the
+//	                    time of one (2 on the dual-core dpu-sim); a batch
+//	                    holds one lane per frame or, when larger, the whole
+//	                    runner — so lone requests run side by side instead
+//	                    of queueing behind each other, and a backlog still
+//	                    goes through in full batches
 //	backend pool        batches route to a heterogeneous pool of
 //	                    internal/backend executors (dpu-sim, cpu-int8,
 //	                    gpu-sim — see Config.Backends) by a cost model:
@@ -70,19 +78,27 @@ type Config struct {
 	// healthy. 0 (default) disables the budget.
 	EnergyBudget float64
 	// Threads is the host submission thread count per runner (the paper
-	// deploys 4). Default 4.
+	// deploys 4). It also bounds a runner's width — the frame lanes it
+	// dispatches on: as many frames as its device model runs in the time of
+	// one, at most Threads and at most GOMAXPROCS. dpu-sim, with two DPU
+	// cores, is 2 wide from Threads 2 up and 1 wide at Threads 1; cpu-int8
+	// and gpu-sim price frames back to back and are 1 wide. Default 4.
 	Threads int
-	// Pipeline is how many batches one runner may have in flight at once;
-	// 2 overlaps host pre/post-processing with accelerator execution.
-	// Default 1.
+	// Pipeline multiplies a runner's lanes: it dispatches Pipeline × width
+	// of them. A batch holds one lane per frame, or one whole width when it
+	// has more frames than that, so at 1 lone requests run side by side and
+	// a larger batch owns the runner; 2 also lets two full batches overlap
+	// (host pre/post-processing against accelerator execution). Default 1.
 	Pipeline int
 	// MaxBatch caps the micro-batch size. Default 8.
 	MaxBatch int
 	// MaxDelay is the ceiling on how long the batcher holds a request back,
-	// with a dispatch slot free, for the batch to fill. The wait actually
-	// used is an eighth of the measured batch service time, capped here
-	// (see batchWindow); while every slot is busy the batch fills for free.
-	// Default 2ms.
+	// with lanes free to run it, for the batch to fill. The wait actually
+	// used is an eighth of the measured batch service time, capped here and
+	// dropped altogether under 1 ms, the shortest wait the runtime's timers
+	// keep (see batchWindow); a server that has not completed a batch yet
+	// waits MaxDelay. While no runner has the lanes the batch fills for
+	// free. Default 2ms.
 	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are
 	// rejected with ErrQueueFull (HTTP 429). Default 64.
@@ -94,7 +110,7 @@ type Config struct {
 	Seed int64
 	// SimPace, when positive, paces every dispatched batch to SimPace ×
 	// its simulated duration on the modelled board: the dispatch holds its
-	// slot (sleeping, not computing) until that much wall time has passed,
+	// lanes (sleeping, not computing) until that much wall time has passed,
 	// so the server's real-time throughput tracks the discrete-event
 	// deployment estimate instead of host CPU speed. 1 replays the
 	// simulated board in real time; larger values model a proportionally
@@ -200,8 +216,11 @@ type Server struct {
 	dev  *dpu.Device
 	prog *xmodel.Program
 
-	queue  chan *job
-	slots  chan struct{} // dispatch tokens: pool size × Pipeline
+	queue chan *job
+	// freed wakes batchLoop when a dispatch returns its lanes (release).
+	// Capacity lives on the workers; this only carries the news, and one
+	// pending wake-up is enough because the loop looks at every worker.
+	freed  chan struct{}
 	pool   []*worker
 	router backend.RouterConfig
 
@@ -213,9 +232,9 @@ type Server struct {
 
 	stats stats
 	seq   atomic.Int64 // batch sequence number, perturbs the sim seed
-	// serviceEWMA smooths how long a successful batch holds its dispatch
-	// slot, in nanoseconds; 0 until the first one completes. batchWindow
-	// derives the formation linger from it.
+	// serviceEWMA smooths how long a successful batch holds its lanes, in
+	// nanoseconds; 0 until the first one completes. batchWindow derives the
+	// formation linger from it.
 	serviceEWMA atomic.Int64
 
 	reg        *obs.Registry
@@ -271,7 +290,7 @@ func New(dev *dpu.Device, prog *xmodel.Program, cfg Config) (*Server, error) {
 		prog:         prog,
 		router:       backend.RouterConfig{LatencySLO: cfg.LatencySLO, EnergyBudget: cfg.EnergyBudget},
 		queue:        make(chan *job, cfg.QueueDepth),
-		slots:        make(chan struct{}, len(kinds)*cfg.Pipeline),
+		freed:        make(chan struct{}, 1),
 		frameLatency: dev.TimeFrame(prog).Latency,
 	}
 	opt := backend.Options{Threads: cfg.Threads}
@@ -288,10 +307,9 @@ func New(dev *dpu.Device, prog *xmodel.Program, cfg Config) (*Server, error) {
 			}
 			return nb
 		}
-		s.pool = append(s.pool, &worker{id: i, kind: kind, be: be, mk: mk})
-	}
-	for i := 0; i < cap(s.slots); i++ {
-		s.slots <- struct{}{}
+		w := &worker{id: i, kind: kind, mk: mk}
+		w.adopt(be, cfg.Threads)
+		s.pool = append(s.pool, w)
 	}
 	s.stats.lat.init(latencyWindow)
 	reg := cfg.Metrics

@@ -97,15 +97,20 @@ func (l *latWindow) quantile(q float64) time.Duration {
 }
 
 // BackendStats is one pool slot's occupancy and deployment estimate, as
-// exported in Stats.Backends. QueueDepth counts frames the router has
-// placed on the worker that have not started executing; InFlightFrames
-// counts frames executing right now. Sim* fields price the traffic this
-// slot served on its own device model.
+// exported in Stats.Backends. Lanes is the slot's dispatch capacity —
+// Pipeline × the frames its device model runs in the time of one — and
+// LanesBusy how much of it staged and executing batches hold (one lane per
+// frame, the whole width for a batch larger than that). QueueDepth counts
+// frames the router has placed on the worker that have not started
+// executing; InFlightFrames counts frames executing right now. Sim* fields
+// price the traffic this slot served on its own device model.
 type BackendStats struct {
 	Worker  int    `json:"worker"`
 	Backend string `json:"backend"`
 	Breaker string `json:"breaker"`
 
+	Lanes           int `json:"lanes"`
+	LanesBusy       int `json:"lanes_busy"`
 	QueueDepth      int `json:"queue_depth"`
 	InFlightBatches int `json:"in_flight_batches"`
 	InFlightFrames  int `json:"in_flight_frames"`
@@ -122,11 +127,13 @@ type BackendStats struct {
 // snapshotStats captures one worker's occupancy and accumulators. The pool
 // totals in Stats are sums over these same snapshots, so the per-backend
 // rows always add up to the pool-wide figures.
-func (w *worker) snapshotStats() BackendStats {
+func (w *worker) snapshotStats(pipeline int) BackendStats {
 	bs := BackendStats{
 		Worker:          w.id,
 		Backend:         w.kind,
 		Breaker:         w.breaker().String(),
+		Lanes:           pipeline * w.laneWidth(),
+		LanesBusy:       int(w.busy.Load()),
 		QueueDepth:      int(w.staged.Load()),
 		InFlightBatches: int(w.inflight.Load()),
 		InFlightFrames:  int(w.inflightFrames.Load()),
@@ -160,17 +167,21 @@ type Stats struct {
 	MaxBatch   int     `json:"max_batch"`
 	MaxDelayMS float64 `json:"max_delay_ms"`
 	// BatchWindowMS is the formation linger in force right now (see
-	// batchWindow): min(MaxDelay, ServiceEWMAMS/8), MaxDelay until the first
-	// batch completes. ServiceEWMAMS is the smoothed batch slot-hold time.
+	// batchWindow): min(MaxDelay, ServiceEWMAMS/8), 0 when that is under a
+	// millisecond — no timer is armed — and MaxDelay until the first batch
+	// completes. ServiceEWMAMS is the smoothed batch lane-hold time.
 	BatchWindowMS float64 `json:"batch_window_ms"`
 	ServiceEWMAMS float64 `json:"service_ewma_ms"`
 
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
 	InFlight   int `json:"in_flight_batches"`
-	// StagedFrames and InFlightFrames are pool-wide sums of the per-backend
-	// occupancy rows in Backends (routed-but-not-executing frames, and
-	// frames executing right now).
+	// Lanes, LanesBusy, StagedFrames and InFlightFrames are pool-wide sums
+	// of the per-backend occupancy rows in Backends (dispatch capacity and
+	// how much of it is held, routed-but-not-executing frames, and frames
+	// executing right now).
+	Lanes          int `json:"lanes"`
+	LanesBusy      int `json:"lanes_busy"`
 	StagedFrames   int `json:"staged_frames"`
 	InFlightFrames int `json:"in_flight_frames"`
 
@@ -204,8 +215,8 @@ type Stats struct {
 	SimFPSPerWatt float64 `json:"sim_fps_per_watt"`
 
 	// Backends holds one occupancy row per pool slot; the pool totals
-	// above (InFlight, StagedFrames, InFlightFrames) are sums over these
-	// rows, so the per-backend figures always add up.
+	// above (InFlight, Lanes, LanesBusy, StagedFrames, InFlightFrames) are
+	// sums over these rows, so the per-backend figures always add up.
 	Backends []BackendStats `json:"backends"`
 }
 
@@ -243,9 +254,11 @@ func (s *Server) Stats() Stats {
 	}
 	st.Backends = make([]BackendStats, len(s.pool))
 	for i, w := range s.pool {
-		bs := w.snapshotStats()
+		bs := w.snapshotStats(s.cfg.Pipeline)
 		st.Backends[i] = bs
 		st.InFlight += bs.InFlightBatches
+		st.Lanes += bs.Lanes
+		st.LanesBusy += bs.LanesBusy
 		st.StagedFrames += bs.QueueDepth
 		st.InFlightFrames += bs.InFlightFrames
 		if bs.Breaker == BreakerClosed.String() {

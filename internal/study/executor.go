@@ -41,7 +41,8 @@ type Service struct {
 	mu     sync.Mutex
 	closed bool
 	// work holds the working set of every job a worker is running right now
-	// (see workingSet); an entry lives exactly as long as its runJob call.
+	// (see workingSet); an entry is gone before its job's terminal state is
+	// recorded, and at the latest when its runJob call returns.
 	work map[string]*workingSet
 
 	// rng drives retry-backoff jitter; seeded so chaos runs replay.
@@ -196,11 +197,15 @@ func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	s.work[id] = ws
 	s.mu.Unlock()
-	defer func() {
+	// The working set goes before a terminal state is recorded, so a client
+	// that has seen "done" or "failed" never finds the job's memory still
+	// registered; the deferred call covers a shutdown mid-stage.
+	release := func() {
 		s.mu.Lock()
 		delete(s.work, id)
 		s.mu.Unlock()
-	}()
+	}
+	defer release()
 	for idx := stageIndex(j.Stage); idx < len(stageOrder); idx++ {
 		stage := stageOrder[idx]
 		if err := s.runStage(id, stage, ws); err != nil {
@@ -208,6 +213,7 @@ func (s *Service) runJob(id string) {
 				// Shutdown, not failure: the job resumes at this stage.
 				return
 			}
+			release()
 			s.st.Update(id, func(j *Job) {
 				j.State = StateFailed
 				j.Stage = ""
@@ -220,6 +226,7 @@ func (s *Service) runJob(id string) {
 			s.st.Update(id, func(j *Job) { j.Stage = stageOrder[idx+1] })
 		}
 	}
+	release()
 	s.st.Update(id, func(j *Job) {
 		j.State = StateDone
 		j.Stage = ""
