@@ -91,9 +91,10 @@ mpq-smoke:
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
-# fuzz exercises the binary-format parsers, the INT8 kernels against their
-# scalar oracle and the percentile selection against the sort it replaced,
-# beyond the committed corpora.
+# fuzz exercises the binary-format parsers, the INT8 drivers (through cell
+# planes of widened geometry, under both kernel bodies) against their scalar
+# oracle and the percentile selection against the sort it replaced, beyond the
+# committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s

@@ -483,3 +483,16 @@ func BenchmarkPreprocessSlice(b *testing.B) {
 
 // benchSink keeps a measured call's result alive.
 var benchSink []float32
+
+// BenchmarkINT8Inference256 is BenchmarkINT8Inference at the paper's
+// 256×256, where a frame's working set leaves L2 (the volume_study frame).
+func BenchmarkINT8Inference256(b *testing.B) {
+	prog := benchProgram(b, "1M", 256)
+	img := randomImage(256, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prog.Run(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,15 +7,21 @@
 //
 //	seneca-inspect -xmodel 1m.xmodel
 //	seneca-inspect -xmodel 1m.xmodel -trace run.trace.json -frames 64
+//	seneca-inspect -xmodel 1m.xmodel -profile 200
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math/rand"
+	"slices"
+	"time"
 
 	"seneca/internal/dpu"
+	"seneca/internal/par"
 	"seneca/internal/quant"
+	"seneca/internal/tensor"
 	"seneca/internal/vart"
 	"seneca/internal/xmodel"
 )
@@ -28,6 +34,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-tracing JSON of the runtime schedule")
 	frames := flag.Int("frames", 32, "frames for the trace")
 	threads := flag.Int("threads", 4, "runtime threads for the trace")
+	profileFrames := flag.Int("profile", 0, "time the host INT8 executor node by node over this many frames on one core")
 	flag.Parse()
 
 	prog, err := xmodel.ReadFile(*path)
@@ -66,6 +73,12 @@ func main() {
 	fmt.Printf("\nframe: %d cycles = %v/core (%.1f FPS dual-core), mean utilization %.1f%%\n",
 		totalCycles, ft.Latency, 2/ft.Latency.Seconds(), ft.Utilization*100)
 
+	if *profileFrames > 0 {
+		if err := profile(prog, *profileFrames); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	if *tracePath != "" {
 		runner := vart.New(dev, prog, *threads)
 		tr, err := runner.Trace(*frames, 1)
@@ -78,4 +91,73 @@ func main() {
 		fmt.Printf("schedule trace (%d frames, %d threads): %s — %s\n",
 			*frames, *threads, *tracePath, tr.Result.Report)
 	}
+}
+
+// profile runs the host executor on one core over seeded noise, timing every
+// node of every frame from outside (quant.Executor.Steps — the serving path
+// carries no timer), and prints per node the median time, its multiply-adds
+// and the rate they ran at, the bytes it stored into the arena and its share
+// of the frame (the sum of the medians).
+func profile(prog *xmodel.Program, frames int) error {
+	g := prog.Graph
+	ex, err := quant.NewExecutor(g)
+	if err != nil {
+		return err
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	rng := rand.New(rand.NewSource(1))
+	img := tensor.New(g.InC, g.InH, g.InW)
+	for i := range img.Data {
+		img.Data[i] = float32(rng.NormFloat64() * 0.3)
+	}
+	macs := make(map[string]int64, len(prog.Instructions))
+	for _, in := range prog.Instructions {
+		macs[in.Node] += in.MACs
+	}
+	var steps []quant.Step
+	samples := make([][]time.Duration, len(g.Nodes))
+	for f := -1; f < frames; f++ { // frame −1 warms the caches and packs the weights
+		i := 0
+		err := ex.Steps(img, func(s quant.Step, run func()) {
+			start := time.Now()
+			run()
+			if d := time.Since(start); f >= 0 {
+				samples[i] = append(samples[i], d)
+			} else {
+				steps = append(steps, s)
+			}
+			i++
+		})
+		if err != nil {
+			return err
+		}
+	}
+	medians := make([]time.Duration, len(steps))
+	var frame time.Duration
+	for i, s := range samples[:len(steps)] {
+		slices.Sort(s)
+		medians[i] = s[len(s)/2]
+		frame += medians[i]
+	}
+	fmt.Printf("\nhost executor, one core, median of %d frames (%s body)\n", frames, quant.KernelISA())
+	fmt.Printf("%-22s %-14s %10s %11s %8s %10s %6s\n", "node", "kind", "ns", "MACs", "GMAC/s", "stored B", "share")
+	var totalMACs int64
+	var totalStored int
+	for i, s := range steps {
+		name := s.Node.Name
+		if len(name) > 22 {
+			name = name[:22]
+		}
+		rate := "-"
+		if m := macs[s.Node.Name]; m > 0 && medians[i] > 0 {
+			rate = fmt.Sprintf("%.1f", float64(m)/float64(medians[i].Nanoseconds()))
+		}
+		totalMACs += macs[s.Node.Name]
+		totalStored += s.StoredBytes
+		fmt.Printf("%-22s %-14s %10d %11d %8s %10d %5.1f%%\n", name, s.Node.Kind, medians[i].Nanoseconds(),
+			macs[s.Node.Name], rate, s.StoredBytes, 100*float64(medians[i])/float64(frame))
+	}
+	fmt.Printf("%-22s %-14s %10d %11d %8.1f %10d\n", "frame", "", frame.Nanoseconds(), totalMACs,
+		float64(totalMACs)/float64(frame.Nanoseconds()), totalStored)
+	return nil
 }

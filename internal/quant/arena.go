@@ -7,41 +7,98 @@ import (
 	"seneca/internal/tensor"
 )
 
-// Executor runs a quantized graph with a pre-sized scratch arena: one int8
-// activation buffer per node output, one plane the current layer's
-// input is widened into, one int32 transpose-convolution column buffer and
-// one int32 accumulator region, all sized once from the compiled graph
-// and reused across layers and frames. This removes every steady-state
-// allocation from the INT8 execute path — the per-layer
-// make([]int8/int32, …) churn that made the functional executor slower than
-// the FP32 forward pass.
+// Executor runs a quantized graph out of a pre-sized arena: one buffer per
+// node output, stored once, in the layout its readers multiply from — the
+// zero-bordered channel-pair cell plane of mac.go — and nothing else. A
+// layer's write-back puts its result there and the next layer's micro-kernel
+// reads it where it lies, so between two INT8 layers there is one store and
+// one load and no pass that only moves data. Everything a frame needs —
+// buffers, shifts, kernel arguments — is resolved into a flat step list
+// here, once; a frame is a walk down that list with no allocation and no
+// lookup by name.
+//
+// Borders and ghost columns are zeroed when the arena is made and never
+// written again: every kernel writes interior cells only.
 //
 // An Executor is NOT safe for concurrent use; concurrent callers each take
 // their own from the graph's free list (QGraph.Execute, ExecuteLabels) or
 // construct one with NewExecutor.
 type Executor struct {
-	g    *QGraph
-	acts map[string]*activation
+	g       *QGraph
+	steps   []step
+	output  *activation // the logits (a softmax aliases its input)
+	softmax bool        // the graph ends in one
 
-	plane  []int32 // widened channel-pair input plane, max over (transpose) convolutions
-	cols32 []int32 // Wᵀ·x column scratch, max over transpose convolutions
-	acc    []int32 // scatter accumulators, max over transpose convolutions
+	refIn, refOut []int8 // int8 CHW scratch around the reference kernels; nil for an all-INT8 graph
+	bytes         int    // arena size
 }
 
-// NewExecutor sizes a scratch arena for the graph and returns a reusable
-// executor. It fails on graphs with unsupported node kinds or dangling
-// inputs, so a malformed graph is rejected before execution rather than
-// panicking inside a kernel.
+// step is one node of the graph with everything its kernel takes resolved.
+type step struct {
+	n       *QNode
+	in, in2 *activation // in2: a concat's second input
+	out     *activation
+
+	// Requantization: the node's own and a fused store's second, or a
+	// concat's first and second input's.
+	shift, shift2 int
+	phases        []phase // INT8 convolution and transpose convolution
+}
+
+// activation is a feature map in the arena: [⌈c/2⌉][h+2·border][cols] cells
+// (see mac.go) with the image at (border, border), at fix position fp.
+type activation struct {
+	cells        []int32
+	fp           FixPos
+	c, h, w      int
+	border, cols int
+
+	// A store-target producer is a run of its concat's planes.
+	target      *activation
+	targetPlane int
+}
+
+func (a *activation) cpairs() int      { return (a.c + 1) / 2 }
+func (a *activation) planeStride() int { return (a.h + 2*a.border) * a.cols }
+
+// origin is the index of plane 0's pixel (0, 0).
+func (a *activation) origin() int { return a.border*a.cols + a.border }
+
+// row is the w interior cells of row y of channel-pair plane cp.
+func (a *activation) row(cp, y int) []int32 {
+	at := cp*a.planeStride() + (a.border+y)*a.cols + a.border
+	return a.cells[at : at+a.w]
+}
+
+// livesIn reports whether a is t's planes from channel off on.
+func (a *activation) livesIn(t *activation, off int) bool {
+	return a.target == t && 2*a.targetPlane == off
+}
+
+// root is the activation whose buffer a's cells are part of.
+func (a *activation) root() *activation {
+	for a.target != nil {
+		a = a.target
+	}
+	return a
+}
+
+// NewExecutor sizes the arena for the graph and returns a reusable executor.
+// It fails on graphs with unsupported node kinds or dangling inputs, so a
+// malformed graph is rejected before execution rather than panicking inside
+// a kernel.
 func NewExecutor(q *QGraph) (*Executor, error) {
-	e := &Executor{g: q, acts: make(map[string]*activation, len(q.Nodes))}
-	var maxPlane, maxCols32, maxAcc int
+	e := &Executor{g: q, steps: make([]step, 0, len(q.Nodes))}
+	acts := make(map[string]*activation, len(q.Nodes))
+	var maxRef int
 	for _, n := range q.Nodes {
 		var out *activation
+		s := step{n: n}
 		in := func(i int) (*activation, error) {
 			if i >= len(n.Inputs) {
 				return nil, fmt.Errorf("quant: node %q is missing input %d", n.Name, i)
 			}
-			a := e.acts[n.Inputs[i]]
+			a := acts[n.Inputs[i]]
 			if a == nil {
 				return nil, fmt.Errorf("quant: node %q input %q has no producer", n.Name, n.Inputs[i])
 			}
@@ -52,9 +109,12 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 		}
 		if n.Kind == graph.KindConv || n.Kind == graph.KindConvTranspose {
 			// Mixed-precision nodes carry their parameters in different
-			// fields; reject length mismatches here so a malformed graph
-			// (e.g. hostile xmodel bytes) errors instead of panicking in a
-			// kernel.
+			// fields; reject length mismatches and degenerate geometry here
+			// so a malformed graph (e.g. hostile xmodel bytes) errors
+			// instead of panicking in a kernel.
+			if n.Kernel < 1 || n.Stride < 1 || n.Pad < 0 || n.InC < 1 || n.OutC < 1 {
+				return nil, fmt.Errorf("quant: node %q: kernel %d, stride %d, pad %d, %d→%d channels", n.Name, n.Kernel, n.Stride, n.Pad, n.InC, n.OutC)
+			}
 			want := n.InC * n.OutC * n.Kernel * n.Kernel
 			if effBits(n) == BitsFP32 {
 				if len(n.WeightF) != want {
@@ -62,189 +122,291 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 				}
 			} else if len(n.Weight) != want {
 				return nil, fmt.Errorf("quant: node %q: weights %d, want %d", n.Name, len(n.Weight), want)
+			} else if effBits(n) == Bits8 && len(n.Bias) < n.OutC {
+				return nil, fmt.Errorf("quant: node %q: %d biases for %d output channels", n.Name, len(n.Bias), n.OutC)
 			}
 		}
+		var err error
 		switch n.Kind {
 		case graph.KindInput:
-			out = &activation{data: make([]int8, q.InC*q.InH*q.InW), c: q.InC, h: q.InH, w: q.InW}
+			out = &activation{c: q.InC, h: q.InH, w: q.InW, fp: q.InputFP}
 		case graph.KindConv, graph.KindConvTranspose:
-			a, err := in(0)
-			if err != nil {
+			if s.in, err = in(0); err != nil {
 				return nil, err
 			}
-			if a.c != n.InC {
-				return nil, fmt.Errorf("quant: node %q reads %d channels, its weights expect %d", n.Name, a.c, n.InC)
+			if s.in.c != n.InC {
+				return nil, fmt.Errorf("quant: node %q reads %d channels, its weights expect %d", n.Name, s.in.c, n.InC)
 			}
-			oh, ow := n.OutShape[1], n.OutShape[2]
-			out = &activation{data: make([]int8, n.OutC*oh*ow), c: n.OutC, h: oh, w: ow}
-			if n.Kind == graph.KindConv {
-				maxPlane = max(maxPlane, planeLen(a.c, a.h, a.w, n.Kernel, n.Pad))
-				break
+			out = &activation{c: n.OutC, h: n.OutShape[1], w: n.OutShape[2], fp: n.OutFP}
+			if effBits(n) != BitsFP32 {
+				s.shift = RequantShift(s.in.fp+n.WeightFP, n.OutFP)
 			}
-			// A transpose convolution widens its input as one row of H·W
-			// pixels and needs the column matrix and scatter accumulators.
-			maxPlane = max(maxPlane, planeLen(a.c, 1, a.h*a.w, 1, 0))
-			maxCols32 = max(maxCols32, n.OutC*n.Kernel*n.Kernel*a.h*a.w)
-			maxAcc = max(maxAcc, n.OutC*oh*ow)
+			if effBits(n) == Bits8 {
+				s.phases = n.tilePhases()
+			} else {
+				maxRef = max(maxRef, s.in.c*s.in.h*s.in.w, out.c*out.h*out.w)
+			}
 		case graph.KindMaxPool:
-			a, err := in(0)
-			if err != nil {
+			if s.in, err = in(0); err != nil {
 				return nil, err
 			}
-			oh, ow := a.h/2, a.w/2
-			out = &activation{data: make([]int8, a.c*oh*ow), c: a.c, h: oh, w: ow}
+			out = &activation{c: s.in.c, h: s.in.h / 2, w: s.in.w / 2, fp: n.OutFP}
+			s.shift = RequantShift(s.in.fp, n.OutFP)
 		case graph.KindReLU:
-			a, err := in(0)
-			if err != nil {
+			if s.in, err = in(0); err != nil {
 				return nil, err
 			}
-			out = &activation{data: make([]int8, len(a.data)), c: a.c, h: a.h, w: a.w}
+			out = &activation{c: s.in.c, h: s.in.h, w: s.in.w, fp: n.OutFP}
+			s.shift = RequantShift(s.in.fp, n.OutFP)
 		case graph.KindConcat:
-			a, err := in(0)
-			if err != nil {
+			if s.in, err = in(0); err != nil {
 				return nil, err
 			}
-			b, err := in(1)
-			if err != nil {
+			if s.in2, err = in(1); err != nil {
 				return nil, err
 			}
-			if a.h != b.h || a.w != b.w {
-				return nil, fmt.Errorf("quant: node %q concatenates mismatched planes %dx%d vs %dx%d", n.Name, a.h, a.w, b.h, b.w)
+			if s.in.h != s.in2.h || s.in.w != s.in2.w {
+				return nil, fmt.Errorf("quant: node %q concatenates mismatched planes %dx%d vs %dx%d", n.Name, s.in.h, s.in.w, s.in2.h, s.in2.w)
 			}
-			out = &activation{data: make([]int8, (a.c+b.c)*a.h*a.w), c: a.c + b.c, h: a.h, w: a.w}
+			out = &activation{c: s.in.c + s.in2.c, h: s.in.h, w: s.in.w, fp: n.OutFP}
+			s.shift, s.shift2 = RequantShift(s.in.fp, n.OutFP), RequantShift(s.in2.fp, n.OutFP)
 		case graph.KindSoftmax:
-			a, err := in(0)
-			if err != nil {
+			if s.in, err = in(0); err != nil {
 				return nil, err
 			}
-			out = a // host-side op: aliases its input activation
+			out = s.in // host-side op: aliases its input activation
 		default:
 			return nil, fmt.Errorf("quant: unsupported node kind %s at %q", n.Kind, n.Name)
 		}
-		e.acts[n.Name] = out
+		s.out = out
+		acts[n.Name] = out
+		if n.Name == q.OutputName {
+			e.softmax = n.Kind == graph.KindSoftmax
+		}
+		e.steps = append(e.steps, s)
 	}
-	if _, ok := e.acts[q.OutputName]; !ok {
+	if e.output = acts[q.OutputName]; e.output == nil {
 		return nil, fmt.Errorf("quant: graph output %q has no producer", q.OutputName)
 	}
-	// Store-target fusion: alias each annotated producer's activation to its
-	// slice of the consuming concat's buffer, so the producer's write-back
-	// lands in place and the concat copy disappears. Concats appear after
-	// their producers in topological order, so every target buffer exists by
-	// now.
-	for _, n := range q.Nodes {
+	// Store-target fusion: each annotated producer's activation becomes a run
+	// of planes of the consuming concat's buffer, so the producer's write-back
+	// lands in place and the concat copy disappears. Planes hold channel
+	// pairs, so only an even channel offset can be a plane offset; a producer
+	// at an odd one keeps its own buffer and the concat copies it. Concats
+	// appear after their producers in topological order, so every target
+	// exists by now.
+	shared := make(map[*activation]bool) // activations that are, or hold, another's planes
+	for i := range e.steps {
+		s := &e.steps[i]
+		n := s.n
 		if n.StoreTarget == "" {
 			continue
 		}
-		a := e.acts[n.Name]
-		tgt := e.acts[n.StoreTarget]
+		a, tgt := s.out, acts[n.StoreTarget]
 		if tgt == nil {
 			return nil, fmt.Errorf("quant: node %q store-target %q has no buffer", n.Name, n.StoreTarget)
 		}
-		hw := a.h * a.w
-		lo := n.StoreOffset * hw
-		hi := lo + len(a.data)
-		if tgt.h != a.h || tgt.w != a.w || hi > len(tgt.data) {
+		if tgt.h != a.h || tgt.w != a.w || n.StoreOffset < 0 || n.StoreOffset+a.c > tgt.c {
 			return nil, fmt.Errorf("quant: node %q store-target %q geometry mismatch", n.Name, n.StoreTarget)
 		}
-		a.data = tgt.data[lo:hi:hi]
+		if n.StoreOffset%2 != 0 || s.phases == nil {
+			continue
+		}
+		a.target, a.targetPlane = tgt, n.StoreOffset/2
+		s.shift2 = n.StoreShift
+		shared[a], shared[tgt] = true, true
 	}
-	e.plane = make([]int32, maxPlane)
-	e.cols32 = make([]int32, maxCols32)
-	e.acc = make([]int32, maxAcc)
+	// The same for a concat input nobody annotated that needs no
+	// requantization on the way in — a skip connection whose other reader is
+	// a pool, typically: stored once in the concat's planes, it is read there
+	// by everyone. Whole channel pairs only, so no reader sees a neighbour in
+	// its last cell.
+	for i := range e.steps {
+		s := &e.steps[i]
+		if s.n.Kind != graph.KindConcat {
+			continue
+		}
+		for _, side := range []struct {
+			a          *activation
+			shift, off int
+		}{{s.in, s.shift, 0}, {s.in2, s.shift2, s.in.c}} {
+			if a := side.a; side.shift == 0 && side.off%2 == 0 && a.c%2 == 0 && !shared[a] {
+				a.target, a.targetPlane = s.out, side.off/2
+				shared[a], shared[s.out] = true, true
+			}
+		}
+	}
+	// A buffer's border is the widest reach any reader has into it, and its
+	// row length the longest any reader's tiles run: borders first, because
+	// the row length depends on the border the buffer ends up with.
+	for _, pass := range []string{"border", "cols"} {
+		for i := range e.steps {
+			s := &e.steps[i]
+			if s.phases == nil {
+				continue
+			}
+			in := s.in.root()
+			border, span := s.n.reach(in.h, in.w, s.out.h, s.out.w)
+			if pass == "border" {
+				in.border = max(in.border, border)
+			} else {
+				in.cols = max(in.cols, in.border+span)
+			}
+		}
+	}
+	for i := range e.steps {
+		if a := e.steps[i].out; a.target == nil && a.cells == nil {
+			a.cols = max(a.cols, a.w+2*a.border)
+			a.cells = make([]int32, a.cpairs()*a.planeStride())
+			e.bytes += 4 * len(a.cells)
+		}
+	}
+	for i := range e.steps {
+		if a := e.steps[i].out; a.target != nil {
+			t := a.target
+			a.border, a.cols = t.border, t.cols
+			a.cells = t.cells[a.targetPlane*t.planeStride():][:a.cpairs()*t.planeStride()]
+		}
+	}
+	e.refIn, e.refOut = make([]int8, maxRef), make([]int8, maxRef)
+	e.bytes += 2 * maxRef
 	return e, nil
 }
 
-// run executes the graph into the arena, invoking tap (when non-nil) with
-// every node's output activation. Activation buffers stay valid until the
-// next run call.
-func (e *Executor) run(img *tensor.Tensor, tap func(*QNode, *activation)) error {
+// ArenaBytes is the size of the executor's arena: every activation's cells
+// plus, for a mixed-precision graph, the reference kernels' scratch.
+func (e *Executor) ArenaBytes() int { return e.bytes }
+
+// Step describes one node of a frame to Steps' visitor.
+type Step struct {
+	Node *QNode
+	// StoredBytes is what the node writes into the arena per frame.
+	StoredBytes int
+}
+
+// Steps runs one frame a node at a time: visit is called for every node in
+// execution order with a function that executes it, which it must call
+// exactly once. This is what a tool times a frame's layers with
+// (seneca-inspect -profile); the serving path (run) carries no timer.
+func (e *Executor) Steps(img *tensor.Tensor, visit func(s Step, run func())) error {
+	if err := e.checkInput(img); err != nil {
+		return err
+	}
+	for i := range e.steps {
+		s := &e.steps[i]
+		visit(Step{Node: s.n, StoredBytes: s.storedBytes()}, func() { e.exec(s, img) })
+	}
+	return nil
+}
+
+func (s *step) storedBytes() int {
+	cells := func(a *activation) int { return 4 * a.cpairs() * a.h * a.w }
+	switch s.n.Kind {
+	case graph.KindSoftmax:
+		return 0
+	case graph.KindConcat:
+		var b int
+		if !s.in.livesIn(s.out, 0) {
+			b += cells(s.in)
+		}
+		if !s.in2.livesIn(s.out, s.in.c) {
+			b += cells(s.in2)
+		}
+		return b
+	}
+	return cells(s.out)
+}
+
+func (e *Executor) checkInput(img *tensor.Tensor) error {
 	q := e.g
 	if img.Rank() != 3 || img.Shape[0] != q.InC || img.Shape[1] != q.InH || img.Shape[2] != q.InW {
 		return fmt.Errorf("quant: input shape %v, want [%d %d %d]", img.Shape, q.InC, q.InH, q.InW)
 	}
-	for _, n := range q.Nodes {
-		out := e.acts[n.Name]
-		switch n.Kind {
-		case graph.KindInput:
-			// Scale input slices by the factor stored in the xmodel
-			// (Section III-E).
-			QuantizeSlice(img.Data, q.InputFP, out.data)
-			out.fp = q.InputFP
-		case graph.KindConv:
-			in := e.acts[n.Inputs[0]]
-			switch effBits(n) {
-			case Bits8:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convInt8(in.data, in.c, in.h, in.w, n.tileWeights(), n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.plane)
-			case Bits4:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)
-			case BitsFP32:
-				convFP32Ref(in.data, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, out.data, out.h, out.w)
-			}
-			out.fp = n.OutFP
-		case graph.KindConvTranspose:
-			in := e.acts[n.Inputs[0]]
-			switch effBits(n) {
-			case Bits8:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convTransposeInt8(in.data, in.c, in.h, in.w, n.tileWeights(), n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.StoreShift, n.FusedReLU, out.data, out.h, out.w, e.plane, e.cols32, e.acc)
-			case Bits4:
-				shift := RequantShift(in.fp+n.WeightFP, n.OutFP)
-				convTransposeIntRef(in.data, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, n.FusedReLU, Bits4, out.data, out.h, out.w)
-			case BitsFP32:
-				convTransposeFP32Ref(in.data, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, out.data, out.h, out.w)
-			}
-			out.fp = n.OutFP
-		case graph.KindMaxPool:
-			in := e.acts[n.Inputs[0]]
-			maxPoolInt8(in.data, in.c, in.h, in.w, RequantShift(in.fp, n.OutFP), out.data)
-			out.fp = n.OutFP
-		case graph.KindReLU:
-			in := e.acts[n.Inputs[0]]
-			reluInt8(in.data, RequantShift(in.fp, n.OutFP), out.data)
-			out.fp = n.OutFP
-		case graph.KindConcat:
-			// Inputs whose producer carries a store-target annotation already
-			// wrote themselves (requantized) into this buffer; only the rest
-			// are copied.
-			a := e.acts[n.Inputs[0]]
-			b := e.acts[n.Inputs[1]]
-			if p := q.byName[n.Inputs[0]]; p == nil || p.StoreTarget != n.Name {
-				requantInt8(a.data, RequantShift(a.fp, n.OutFP), out.data[:len(a.data)])
-			}
-			if p := q.byName[n.Inputs[1]]; p == nil || p.StoreTarget != n.Name {
-				requantInt8(b.data, RequantShift(b.fp, n.OutFP), out.data[len(a.data):])
-			}
-			out.fp = n.OutFP
-		case graph.KindSoftmax:
-			// Host-side op; out aliases the int8 logits (Execute handles the
-			// float conversion at the boundary).
-		}
-		if tap != nil {
-			tap(n, out)
-		}
+	return nil
+}
+
+// run executes the graph into the arena. Activations stay valid until the
+// next run.
+func (e *Executor) run(img *tensor.Tensor) error {
+	if err := e.checkInput(img); err != nil {
+		return err
+	}
+	for i := range e.steps {
+		e.exec(&e.steps[i], img)
 	}
 	return nil
+}
+
+// exec runs one step.
+func (e *Executor) exec(s *step, img *tensor.Tensor) {
+	n, in, out := s.n, s.in, s.out
+	switch n.Kind {
+	case graph.KindInput:
+		// Scale input slices by the factor stored in the xmodel
+		// (Section III-E).
+		quantizeCells(img.Data, out.fp, out)
+	case graph.KindConv, graph.KindConvTranspose:
+		if s.phases == nil {
+			e.execRef(s)
+		} else if n.Kind == graph.KindConv && n.Stride != 1 {
+			convInt8Generic(in, s.phases[0].w, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, s.shift2, n.FusedReLU, out)
+		} else {
+			convPhases(in, s.phases, n.outStep(), n.accBound, n.Bias, n.OutC, s.shift, s.shift2, n.FusedReLU, out)
+		}
+	case graph.KindMaxPool:
+		maxPoolInt8(in, s.shift, out)
+	case graph.KindReLU:
+		reluInt8(in, s.shift, out)
+	case graph.KindConcat:
+		// Inputs that live in this buffer were written here by their
+		// producers (requantized, if store targets); only the rest are
+		// copied.
+		if !in.livesIn(out, 0) {
+			requantInt8(in, s.shift, out, 0)
+		}
+		if !s.in2.livesIn(out, in.c) {
+			requantInt8(s.in2, s.shift2, out, in.c)
+		}
+	case graph.KindSoftmax:
+		// Host-side op; out aliases the int8 logits (Execute handles the
+		// float conversion at the boundary).
+	}
+}
+
+// execRef runs a non-INT8 convolution or transpose convolution through its
+// reference kernel, which reads and writes plain int8 CHW images: the one
+// place a frame leaves the cell layout and comes back.
+func (e *Executor) execRef(s *step) {
+	n, in, out := s.n, s.in, s.out
+	src, dst := e.refIn[:in.c*in.h*in.w], e.refOut[:out.c*out.h*out.w]
+	narrowPlane(in, src)
+	switch {
+	case effBits(n) == Bits4 && n.Kind == graph.KindConv:
+		convIntRef(src, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, n.FusedReLU, Bits4, dst, out.h, out.w)
+	case effBits(n) == Bits4:
+		convTransposeIntRef(src, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, n.FusedReLU, Bits4, dst, out.h, out.w)
+	case n.Kind == graph.KindConv:
+		convFP32Ref(src, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, dst, out.h, out.w)
+	default:
+		convTransposeFP32Ref(src, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, dst, out.h, out.w)
+	}
+	widenPlane(dst, out)
 }
 
 // Execute runs the graph on one FP32 CHW image and returns the dequantized
 // output tensor (probabilities if the graph ends in softmax, logits
 // otherwise), exactly like QGraph.Execute but against this executor's arena.
 func (e *Executor) Execute(img *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := e.run(img, nil); err != nil {
+	if err := e.run(img); err != nil {
 		return nil, err
 	}
-	q := e.g
-	outNode := q.byName[q.OutputName]
-	if outNode.Kind == graph.KindSoftmax {
-		in := e.acts[outNode.Inputs[0]]
-		logits := dequantizeToTensor(in.data, in.fp, [3]int{in.c, in.h, in.w})
-		s := tensor.SoftmaxChannels(logits.Reshape(1, in.c, in.h, in.w))
-		return s.Reshape(in.c, in.h, in.w), nil
+	a := e.output
+	logits := dequantizeToTensor(a)
+	if e.softmax {
+		s := tensor.SoftmaxChannels(logits.Reshape(1, a.c, a.h, a.w))
+		return s.Reshape(a.c, a.h, a.w), nil
 	}
-	out := e.acts[q.OutputName]
-	return dequantizeToTensor(out.data, out.fp, [3]int{out.c, out.h, out.w}), nil
+	return logits, nil
 }
 
 // ExecuteLabels runs the graph and returns the per-pixel argmax class map
@@ -253,15 +415,8 @@ func (e *Executor) Execute(img *tensor.Tensor) (*tensor.Tensor, error) {
 // allocated — the only allocation on the steady-state INT8 path — because
 // callers retain masks beyond the next frame.
 func (e *Executor) ExecuteLabels(img *tensor.Tensor) ([]uint8, error) {
-	if err := e.run(img, nil); err != nil {
+	if err := e.run(img); err != nil {
 		return nil, err
 	}
-	q := e.g
-	outNode := q.byName[q.OutputName]
-	src := outNode.Name
-	if outNode.Kind == graph.KindSoftmax {
-		src = outNode.Inputs[0]
-	}
-	a := e.acts[src]
-	return argmaxChannelsInt8(a.data, a.c, a.h*a.w), nil
+	return argmaxChannelsInt8(e.output), nil
 }

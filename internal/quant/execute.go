@@ -9,14 +9,6 @@ import (
 	"seneca/internal/tensor"
 )
 
-// activation is an int8 feature map with its fix position.
-type activation struct {
-	data []int8
-	fp   FixPos
-	c    int
-	h, w int
-}
-
 // executor takes an idle Executor off the graph's free list, constructing
 // one when the list is empty (first use, or more concurrent callers than it
 // holds).
@@ -104,15 +96,32 @@ func (q *QGraph) ExecuteLabels(img *tensor.Tensor) ([]uint8, error) {
 	return ex.ExecuteLabels(img)
 }
 
-// runTap executes the graph, invoking tap with every node's output
-// activation (used by FFQ's layer-wise output matching). The activations
-// passed to tap alias a recycled executor's buffers: they are valid only for the
+// runTap executes the graph, invoking tap with the output of every node want
+// accepts as a plain int8 CHW image at fix position fp (used by FFQ's
+// layer-wise output matching). data is scratch: it is valid only for the
 // duration of the callback.
-func (q *QGraph) runTap(img *tensor.Tensor, tap func(*QNode, *activation)) error {
+func (q *QGraph) runTap(img *tensor.Tensor, want func(*QNode) bool, tap func(n *QNode, data []int8, fp FixPos)) error {
 	ex, err := q.executor()
 	if err != nil {
 		return err
 	}
 	defer q.recycle(ex)
-	return ex.run(img, tap)
+	if err := ex.checkInput(img); err != nil {
+		return err
+	}
+	var data []int8
+	for i := range ex.steps {
+		s := &ex.steps[i]
+		ex.exec(s, img)
+		if !want(s.n) {
+			continue
+		}
+		n := s.out.c * s.out.h * s.out.w
+		if n > len(data) {
+			data = make([]int8, n)
+		}
+		narrowPlane(s.out, data)
+		tap(s.n, data[:n], s.out.fp)
+	}
+	return nil
 }

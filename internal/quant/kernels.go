@@ -1,34 +1,11 @@
 package quant
 
 import (
+	"math"
+
 	"seneca/internal/par"
 	"seneca/internal/tensor"
 )
-
-// ceilDivInt returns ⌈a/b⌉ for b > 0 and any sign of a.
-func ceilDivInt(a, b int) int {
-	q := a / b
-	if a%b > 0 {
-		q++
-	}
-	return q
-}
-
-// floorDivInt returns ⌊a/b⌋ for b > 0 and any sign of a.
-func floorDivInt(a, b int) int {
-	q := a / b
-	if a%b < 0 {
-		q--
-	}
-	return q
-}
-
-// clearInt32 zeroes an accumulator tile (compiled to a memclr).
-func clearInt32(s []int32) {
-	for i := range s {
-		s[i] = 0
-	}
-}
 
 // finalizeOne converts one int32 accumulator into int8, fusing the bias
 // add, the optional ReLU and the round-shift requantization — the DPU's
@@ -76,62 +53,112 @@ func roundSat8(v int64, shift uint, half int64) int8 {
 	return int8(r)
 }
 
-// finalizeInt8 applies finalizeFused across one channel's accumulator row,
-// with the common shift ≥ 1 case inlined and its branches hoisted.
-func finalizeInt8(acc []int32, bias int32, relu bool, shift, shift2 int, out []int8) {
-	out = out[:len(acc)]
-	if shift > 0 && shift2 >= 0 {
-		us, half := uint(shift), int64(1)<<uint(shift-1)
-		var us2 uint
-		var half2 int64
+// rounding is finalizeFused at shift ≥ 1 and shift2 ≥ 0 with its constants
+// worked out once per row, so the per-value work inlines.
+type rounding struct {
+	us, us2     uint
+	half, half2 int64
+	relu        bool
+}
+
+func (r *rounding) one(acc, bias int32) int8 {
+	v := int64(acc) + int64(bias)
+	if r.relu {
+		v &^= v >> 63
+	}
+	q := roundSat8(v, r.us, r.half)
+	if r.us2 != 0 {
+		q = roundSat8(int64(q), r.us2, r.half2)
+	}
+	return q
+}
+
+// finalizeInt8 applies finalizeFused across a lane pair's accumulator rows
+// and stores the results as cells step apart — lo's lane in the low half,
+// hi's in the high half, which stays zero for the ghost partner of an odd
+// last lane (hi nil) — with the common shift ≥ 1 case inlined and its
+// branches hoisted. It is the write-back the portable body runs, the one an
+// accumulator too wide for the AVX2 body takes, and what that body is held
+// to.
+func finalizeInt8(lo, hi []int32, biasLo, biasHi int32, relu bool, shift, shift2 int, dst []int32, step int) {
+	if shift > 0 && shift2 >= 0 && hi != nil {
+		r := rounding{us: uint(shift), half: int64(1) << uint(shift-1), relu: relu}
 		if shift2 > 0 {
-			us2, half2 = uint(shift2), int64(1)<<uint(shift2-1)
+			r.us2, r.half2 = uint(shift2), int64(1)<<uint(shift2-1)
 		}
-		b := int64(bias)
-		for j, a := range acc {
-			v := int64(a) + b
-			if relu {
-				v &^= v >> 63
-			}
-			r := roundSat8(v, us, half)
-			if us2 != 0 {
-				r = roundSat8(int64(r), us2, half2)
-			}
-			out[j] = r
+		hi = hi[:len(lo)]
+		for j, a := range lo {
+			dst[j*step] = pairCell(r.one(a, biasLo), r.one(hi[j], biasHi))
 		}
 		return
 	}
-	for j, a := range acc {
-		out[j] = finalizeFused(a, bias, relu, shift, shift2)
+	for j, a := range lo {
+		var h int8
+		if hi != nil {
+			h = finalizeFused(hi[j], biasHi, relu, shift, shift2)
+		}
+		dst[j*step] = pairCell(finalizeFused(a, biasLo, relu, shift, shift2), h)
 	}
 }
 
-// finalizeTile applies the fused write-back to groups of eight accumulators,
-// the shape both producers hand it: group g is acc[8g:8g+8] with bias
-// bias[g·biasStride], and its first n ≤ 8 results land at dst[g·dstStride:].
-// A convolution tile is one group per lane (bias stride 1, a channel plane
-// apart in dst); a scattered transpose-convolution plane is one long run of
-// groups under one bias. Whole groups at the common shifts take the AVX2
-// body where there is one; everything else runs finalizeInt8, which is also
-// what that body is held to.
-func finalizeTile(acc []int32, bias []int32, biasStride int, relu bool, shift, shift2 int, dst []int8, dstStride, groups, n int) {
-	if groups == 0 {
-		return
+// exact32 reports whether the write-back of accumulators no larger than
+// accBound under these biases and shifts is exact in 32-bit lanes, which is
+// what the AVX2 body works in: the shifts in its range, and |acc+bias| plus
+// the rounding half short of 2³¹. Every layer of every shipped model is; an
+// accumulator that can wrap int32, or a bias at its edge, is not, and takes
+// the scalar write-back.
+func exact32(accBound int64, bias []int32, shift, shift2 int) bool {
+	if shift < 1 || shift > 31 || shift2 < 0 || shift2 > 31 {
+		return false
 	}
-	if useAVX2 && n == tilePixels && shift >= 1 && shift <= 62 && shift2 >= 0 && shift2 <= 31 {
-		// The assembly works from base pointers; probe what it will touch.
-		_ = acc[groups*tilePixels-1]
-		_ = bias[(groups-1)*biasStride]
-		_ = dst[(groups-1)*dstStride+tilePixels-1]
+	var b int64
+	for _, v := range bias {
+		b = max(b, int64(v), -int64(v))
+	}
+	return accBound+b+int64(1)<<uint(shift-1) <= math.MaxInt32
+}
+
+// finalizeTile is the fused write-back of one register tile: the first n
+// pixels of its first lanes lanes go through bias → ReLU → round-shift(s) and
+// are stored as cells, lane pair p at dst[p·planeStride + q·step] for pixel
+// q. step is 1 for a convolution and the stride for a phase of a transpose
+// convolution, whose outputs interleave with the other phases'. With simd
+// (the AVX2 body is there and exact32 holds) whole pairs take the assembly —
+// straight into dst when the eight cells are contiguous, through eight cells
+// of stack otherwise — and everything else runs finalizeInt8, which is also
+// what that body is held to. Nothing outside the n cells of each pair is
+// written, so borders and ghost columns keep their zeros.
+func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shift, shift2 int, simd bool, dst []int32, planeStride, step, n int) {
+	pairs := lanes / 2
+	done := 0
+	if simd && pairs > 0 {
 		floor := -128
 		if relu {
 			floor = 0
 		}
-		finalize8AVX2(acc, dst, bias, groups, dstStride, biasStride, shift, shift2, floor)
-		return
+		// The assembly works from base pointers; probe what it will touch.
+		_ = bias[2*pairs-1]
+		if step == 1 && n == tilePixels {
+			_ = dst[(pairs-1)*planeStride+tilePixels-1]
+			finalize8AVX2(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor)
+		} else {
+			var cells [tileSize / 2]int32
+			finalize8AVX2(acc[:], cells[:], bias, pairs, tilePixels, shift, shift2, floor)
+			for p := 0; p < pairs; p++ {
+				d := dst[p*planeStride:]
+				for q, c := range cells[p*tilePixels : p*tilePixels+n] {
+					d[q*step] = c
+				}
+			}
+		}
+		done = pairs
 	}
-	for g := 0; g < groups; g++ {
-		finalizeInt8(acc[g*tilePixels:g*tilePixels+n], bias[g*biasStride], relu, shift, shift2, dst[g*dstStride:g*dstStride+n])
+	for p := done; p < pairs; p++ {
+		lo := acc[2*p*tilePixels:]
+		finalizeInt8(lo[:n], lo[tilePixels:], bias[2*p], bias[2*p+1], relu, shift, shift2, dst[p*planeStride:], step)
+	}
+	if lanes%2 != 0 {
+		finalizeInt8(acc[(lanes-1)*tilePixels:][:n], nil, bias[lanes-1], 0, relu, shift, shift2, dst[pairs*planeStride:], step)
 	}
 }
 
@@ -154,180 +181,154 @@ const (
 // (the maxChunks argument of par.ForChunkedID).
 func chunksFor(work int) int { return max(1, work/minChunkWork) }
 
-// convInt8 computes an INT8 convolution with int32 accumulation and DPU
-// round-shift requantization. packed is the node's weights in the
-// micro-kernel's layout (packTileWeights); bias is at fix position
-// inFP+weightFP; shift converts the accumulator to the output fix position;
-// shift2 is the store-target fusion's second requantization (0 when
-// unfused); relu applies the fused activation before saturation. plane is
-// scratch of at least planeLen(c, h, w, k, pad) cells.
+// phase is one stride-1 correlation over an activation's padded plane, the
+// unit both INT8 drivers are made of: kh×kw taps whose first reads input
+// pixel (j+baseY, i+baseX) for the phase's output (j, i), which is output
+// pixel (ay + step·j, ax + step·i). A convolution is a single phase at step
+// 1 with base −pad; a transpose convolution is stride² of them at step =
+// stride (phaseTaps). w is the phase's taps in packTileWeights' layout.
+type phase struct {
+	ay, ax       int
+	kh, kw       int
+	baseY, baseX int
+	w            []int32
+}
+
+// extent is the phase's share of an oh×ow output, rows and columns; an
+// output smaller than the step leaves some phases with none of either.
+func (ph *phase) extent(oh, ow, step int) (ny, nx int) {
+	if ny, nx = phaseLen(oh, step, ph.ay), phaseLen(ow, step, ph.ax); ny == 0 || nx == 0 {
+		return 0, 0
+	}
+	return ny, nx
+}
+
+// reach is what a node made of these phases needs of its h×w input's plane
+// to produce an oh×ow output: the zero border its taps read into, and how far
+// past the border's inner edge a row must run for its tiles, whose last may
+// start up to seven pixels short of a whole one.
+func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
+	for i := range phases {
+		ph := &phases[i]
+		ny, nx := ph.extent(oh, ow, step)
+		if ph.kh == 0 || ph.kw == 0 || ny == 0 {
+			continue
+		}
+		border = max(border, -ph.baseY, -ph.baseX, ny+ph.baseY+ph.kh-1-h, nx+ph.baseX+ph.kw-1-w)
+		span = max(span, ph.baseX+(nx+tilePixels-1)/tilePixels*tilePixels+ph.kw-1)
+	}
+	return border, span
+}
+
+// convPhases runs an INT8 convolution (step 1) or transpose convolution
+// (step = stride) as its phases, with int32 accumulation and DPU round-shift
+// requantization. bias is at fix position inFP+weightFP; shift converts the
+// accumulator to the output fix position; shift2 is the store-target
+// fusion's second requantization (0 when unfused); relu applies the fused
+// activation before saturation; accBound bounds every accumulator's
+// magnitude (QNode.tilePhases). in must carry the border and row length
+// reach asks for.
 //
-// The input is widened once into the zero-padded channel-pair plane, then
-// every (lane block, output row) unit runs independently through
+// Every (phase, lane block, phase row) unit runs independently through
 // par.ForChunkedID — lane-block-major, so a worker's weights stay in L1 while
 // it sweeps rows, and in no more chunks than chunksFor allows — one macTile
-// per eight pixels, followed by the fused
-// bias → ReLU → round-shift write-back of the tile's valid lanes and pixels.
-// The result equals the per-weight signed loop with int32 wraparound bit for
-// bit, at every worker count: each output's sum is a wrapping sum of the
-// same products whatever the order.
-func convInt8(src []int8, c, h, w int, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, plane []int32) {
-	rows, cols := h+2*pad, planeCols(w, k, pad)
-	plane = plane[:planeLen(c, h, w, k, pad)]
-	widenPlane(src, c, h, w, pad, cols, plane)
-	if stride != 1 {
-		convInt8Generic(plane, packed, bias, c, rows, cols, outC, k, stride, shift, shift2, relu, dst, oh, ow)
-		return
+// per eight pixels read straight from the input's cells, followed by the
+// fused bias → ReLU → round-shift write-back of the tile's valid lanes and
+// pixels straight into the output's. The result equals the per-weight signed
+// loop with int32 wraparound bit for bit, at every worker count: each
+// output's sum is a wrapping sum of the same products whatever the order.
+func convPhases(in *activation, phases []phase, step int, accBound int64, bias []int32, outC int, shift, shift2 int, relu bool, out *activation) {
+	simd := useAVX2 && exact32(accBound, bias[:outC], shift, shift2)
+	cpairs := in.cpairs()
+	rowStride, planeStride := in.cols, in.planeStride()
+	oStride := out.planeStride()
+	blocks := (outC + tileLanes - 1) / tileLanes
+	units, work := 0, 0
+	for i := range phases {
+		ny, nx := phases[i].extent(out.h, out.w, step)
+		units += blocks * ny
+		work += blocks * ny * ((nx + tilePixels - 1) / tilePixels) * cpairs * max(1, phases[i].kh*phases[i].kw) * stepWork
 	}
-	cpairs := (c + 1) / 2
-	rowStride, planeStride := cols, cols*rows
-	blockLen := cpairs * k * k * tileLanes
-	hw := oh * ow
-	units := (outC + tileLanes - 1) / tileLanes * oh
-	par.ForChunkedID(units, chunksFor(units*(ow+tilePixels-1)/tilePixels*cpairs*k*k*stepWork), func(_, lo, hi int) {
+	par.ForChunkedID(units, chunksFor(work), func(_, lo, hi int) {
 		var acc [tileSize]int32
-		for u := lo; u < hi; u++ {
-			ob, oy := u/oh, u%oh
-			wb := packed[ob*blockLen : (ob+1)*blockLen]
-			lanes := min(tileLanes, outC-ob*tileLanes)
-			for ox := 0; ox < ow; ox += tilePixels {
-				n := min(tilePixels, ow-ox)
-				macTile(&acc, plane[oy*rowStride+ox:], wb, cpairs, k, rowStride, planeStride)
-				finalizeTile(acc[:], bias[ob*tileLanes:], 1, relu, shift, shift2, dst[ob*tileLanes*hw+oy*ow+ox:], hw, lanes, n)
+		for i := range phases {
+			ph := &phases[i]
+			ny, nx := ph.extent(out.h, out.w, step)
+			if n := blocks * ny; lo >= n {
+				lo, hi = lo-n, hi-n
+				continue
 			}
+			blockLen := cpairs * ph.kh * ph.kw * tileLanes
+			x := in.cells[in.origin()+ph.baseY*rowStride+ph.baseX:]
+			o := out.cells[out.origin()+ph.ay*out.cols+ph.ax:]
+			for u := lo; u < min(hi, blocks*ny); u++ {
+				ob, j := u/ny, u%ny
+				lanes := min(tileLanes, outC-ob*tileLanes)
+				for px := 0; px < nx; px += tilePixels {
+					if blockLen == 0 {
+						acc = [tileSize]int32{} // a phase without taps: the bias alone
+					} else {
+						macTile(&acc, x[j*rowStride+px:], ph.w[ob*blockLen:(ob+1)*blockLen], cpairs, ph.kh, ph.kw, rowStride, planeStride)
+					}
+					finalizeTile(&acc, bias[ob*tileLanes:], lanes, relu, shift, shift2, simd, o[ob*tileLanes/2*oStride+step*(j*out.cols+px):], oStride, step, min(tilePixels, nx-px))
+				}
+			}
+			if hi -= blocks * ny; hi <= 0 {
+				return
+			}
+			lo = 0
 		}
 	})
 }
 
 // convInt8Generic is the stride ≠ 1 convolution, which no shipped model
-// has: one scalar gather per output over the same plane and packed weights
+// has: one scalar gather per output over the same cells and packed weights
 // the micro-kernel reads, accumulating in wrapping int32 like it.
-func convInt8Generic(plane, packed []int32, bias []int32, c, rows, cols, outC, k, stride int, shift, shift2 int, relu bool, dst []int8, oh, ow int) {
-	cpairs := (c + 1) / 2
-	par.For(outC, func(oc int) {
-		wb := packed[(oc/tileLanes)*cpairs*k*k*tileLanes+oc%tileLanes:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var s int32
-				for cp := 0; cp < cpairs; cp++ {
-					for ky := 0; ky < k; ky++ {
-						xr := plane[(cp*rows+oy*stride+ky)*cols+ox*stride:]
-						wr := wb[(cp*k+ky)*k*tileLanes:]
-						for kx := 0; kx < k; kx++ {
-							wc, xc := wr[kx*tileLanes], xr[kx]
-							s += int32(int16(wc))*int32(int16(xc)) + (wc>>16)*(xc>>16)
+func convInt8Generic(in *activation, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, out *activation) {
+	cpairs := in.cpairs()
+	rowStride, planeStride := in.cols, in.planeStride()
+	x := in.cells[in.origin()-pad*(rowStride+1):]
+	par.For((outC+1)/2, func(op int) {
+		for oy := 0; oy < out.h; oy++ {
+			row := out.row(op, oy)
+			for ox := range row {
+				var v [2]int8
+				for oc := 2 * op; oc < min(2*op+2, outC); oc++ {
+					wb := packed[(oc/tileLanes)*cpairs*k*k*tileLanes+oc%tileLanes:]
+					var s int32
+					for cp := 0; cp < cpairs; cp++ {
+						for ky := 0; ky < k; ky++ {
+							xr := x[cp*planeStride+(oy*stride+ky)*rowStride+ox*stride:]
+							wr := wb[(cp*k+ky)*k*tileLanes:]
+							for kx := 0; kx < k; kx++ {
+								wc, xc := wr[kx*tileLanes], xr[kx]
+								s += int32(int16(wc))*int32(int16(xc)) + (wc>>16)*(xc>>16)
+							}
 						}
 					}
+					v[oc%2] = finalizeFused(s, bias[oc], relu, shift, shift2)
 				}
-				dst[(oc*oh+oy)*ow+ox] = finalizeFused(s, bias[oc], relu, shift, shift2)
+				row[ox] = pairCell(v[0], v[1])
 			}
 		}
 	})
 }
 
-// convTransposeInt8 computes an INT8 transpose convolution: cols = Wᵀ·x in
-// int32, then a col2im scatter, and a fused bias+ReLU+requantization
-// finalization (shift2 is the store-target fusion's second requantization,
-// 0 when unfused). packed is the node's [InC, OutC, K, K] weights lowered
-// by packTileWeights with the OutC·K² column rows as lanes.
-//
-// The column GEMM cols[r, j] = Σ_ic W[ic, r]·x[ic, j] is the convolution's
-// micro-kernel at k = 1: the input is widened as one unpadded row of H·W
-// pixels, and every (lane block, eight-pixel block) unit is one macTile
-// whose valid rows are copied into cols. The caller provides plane
-// (≥ planeLen(c, 1, H·W, 1, 0) cells), cols32 (≥ OutC·K²·H·W int32) and acc
-// (≥ OutC·OH·OW int32) for the scatter accumulators.
-func convTransposeInt8(src []int8, c, h, w int, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, oh, ow int, plane []int32, cols32 []int32, acc []int32) {
-	crows := outC * k * k
-	hw := h * w
-	cols := cols32[:crows*hw]
-	pcols := planeCols(hw, 1, 0)
-	plane = plane[:planeLen(c, 1, hw, 1, 0)]
-	widenPlane(src, c, 1, hw, 0, pcols, plane)
-	cpairs := (c + 1) / 2
-	blockLen := cpairs * tileLanes
-	pblocks := pcols / tilePixels
-	units := (crows + tileLanes - 1) / tileLanes * pblocks
-	par.ForChunkedID(units, chunksFor(units*cpairs*stepWork), func(_, lo, hi int) {
-		var tile [tileSize]int32
-		for u := lo; u < hi; u++ {
-			rb, j := u/pblocks, u%pblocks*tilePixels
-			macTile(&tile, plane[j:], packed[rb*blockLen:(rb+1)*blockLen], cpairs, 1, 0, pcols)
-			n := min(tilePixels, hw-j)
-			for l := 0; l < min(tileLanes, crows-rb*tileLanes); l++ {
-				copy(cols[(rb*tileLanes+l)*hw+j:][:n], tile[l*tilePixels:])
-			}
-		}
-	})
-	scatterFinalize(cols, bias, outC, k, stride, pad, shift, shift2, relu, dst, h, w, oh, ow, acc)
-}
-
-// scatterFinalize distributes the transpose-convolution column matrix into
-// the (larger) output image and applies the fused bias+ReLU+requantization
-// write-back.
-func scatterFinalize(cols []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, dst []int8, h, w, oh, ow int, acc []int32) {
-	hw := h * w
-	ohw := oh * ow
-	par.ForChunkedID(outC, chunksFor(outC*(k*k*hw+ohw)), func(_, lo, hi int) {
-		for oc := lo; oc < hi; oc++ {
-			tile := acc[oc*ohw : (oc+1)*ohw]
-			clearInt32(tile)
-			for ky := 0; ky < k; ky++ {
-				// iy values whose target row py = iy*stride - pad + ky lands
-				// inside [0, oh).
-				iyLo := ceilDivInt(pad-ky, stride)
-				if iyLo < 0 {
-					iyLo = 0
-				}
-				iyHi := floorDivInt(oh-1+pad-ky, stride) + 1
-				if iyHi > h {
-					iyHi = h
-				}
-				for kx := 0; kx < k; kx++ {
-					r := (oc*k+ky)*k + kx
-					crow := cols[r*hw : (r+1)*hw]
-					ixLo := ceilDivInt(pad-kx, stride)
-					if ixLo < 0 {
-						ixLo = 0
-					}
-					ixHi := floorDivInt(ow-1+pad-kx, stride) + 1
-					if ixHi > w {
-						ixHi = w
-					}
-					for iy := iyLo; iy < iyHi; iy++ {
-						py := iy*stride - pad + ky
-						srow := crow[iy*w : (iy+1)*w]
-						drow := tile[py*ow : (py+1)*ow]
-						px := ixLo*stride - pad + kx
-						for ix := ixLo; ix < ixHi; ix++ {
-							drow[px] += srow[ix]
-							px += stride
-						}
-					}
-				}
-			}
-			whole := ohw / tilePixels
-			finalizeTile(tile, bias[oc:], 0, relu, shift, shift2, dst[oc*ohw:], tilePixels, whole, tilePixels)
-			finalizeInt8(tile[whole*tilePixels:], bias[oc], relu, shift, shift2, dst[oc*ohw+whole*tilePixels:(oc+1)*ohw])
-		}
-	})
-}
-
-// requantRow writes RoundShift(src[i], shift) to dst[i] for a non-zero
-// shift, with the shift's sign tested once a row: the common right shift
-// runs roundSat8, which inlines where RoundShift's switch is a call per
+// requantCells writes RoundShift of both halves of src[i] to dst[i] for a
+// non-zero shift, with the shift's sign tested once a row: the common right
+// shift runs roundSat8, which inlines where RoundShift's switch is a call per
 // element. dst may be src.
-func requantRow(src []int8, shift int, dst []int8) {
+func requantCells(src []int32, shift int, dst []int32) {
 	dst = dst[:len(src)]
 	if shift > 0 {
 		us, half := uint(shift), int64(1)<<uint(shift-1)
-		for i, v := range src {
-			dst[i] = roundSat8(int64(v), us, half)
+		for i, c := range src {
+			dst[i] = pairCell(roundSat8(int64(int16(c)), us, half), roundSat8(int64(c>>16), us, half))
 		}
 		return
 	}
-	for i, v := range src {
-		dst[i] = RoundShift(int64(v), shift)
+	for i, c := range src {
+		dst[i] = pairCell(RoundShift(int64(int16(c)), shift), RoundShift(int64(c>>16), shift))
 	}
 }
 
@@ -338,52 +339,84 @@ func max32(a, b int32) int32 {
 	return a - d&(d>>31)
 }
 
-// maxPoolInt8 is 2×2/stride-2 max pooling on an int8 CHW image with a fused
-// requantization: shift moves the pooled value to the output fix position
-// while the pooled row is still in cache (0 keeps the input scale). Folding
-// the shift is bit-identical to pooling then requantizing the whole plane —
-// the same RoundShift is applied to the same maxima, one memory pass
-// earlier.
-func maxPoolInt8(src []int8, c, h, w, shift int, dst []int8) {
-	oh, ow := h/2, w/2
-	par.ForChunkedID(c*oh, chunksFor(c*h*w), func(_, lo, hi int) {
+// maxPoolInt8 is 2×2/stride-2 max pooling, each half of a cell against the
+// same half of its three neighbours, with a fused requantization: shift
+// moves the pooled value to the output fix position while the pooled row is
+// still in cache (0 keeps the input scale). Folding the shift is
+// bit-identical to pooling then requantizing the whole plane — the same
+// RoundShift is applied to the same maxima, one memory pass earlier.
+func maxPoolInt8(in *activation, shift int, out *activation) {
+	oh := out.h
+	par.ForChunkedID(in.cpairs()*oh, chunksFor(in.c*in.h*in.w), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
-			ci, oy := r/oh, r%oh
-			top := src[(ci*h+2*oy)*w : (ci*h+2*oy+1)*w]
-			bot := src[(ci*h+2*oy+1)*w : (ci*h+2*oy+2)*w]
-			row := dst[r*ow : (r+1)*ow]
+			cp, oy := r/oh, r%oh
+			top, bot := in.row(cp, 2*oy), in.row(cp, 2*oy+1)
+			row := out.row(cp, oy)
 			for ox := range row {
-				row[ox] = int8(max32(max32(int32(top[2*ox]), int32(top[2*ox+1])), max32(int32(bot[2*ox]), int32(bot[2*ox+1]))))
+				a, b, c, d := top[2*ox], top[2*ox+1], bot[2*ox], bot[2*ox+1]
+				l := max32(max32(int32(int16(a)), int32(int16(b))), max32(int32(int16(c)), int32(int16(d))))
+				h := max32(max32(a>>16, b>>16), max32(c>>16, d>>16))
+				row[ox] = l&0xffff | h<<16
 			}
 			if shift != 0 {
-				requantRow(row, shift, row)
+				requantCells(row, shift, row)
 			}
 		}
 	})
 }
 
-// reluInt8 applies max(0, x) with a fix-position change (shift) if the
-// calibrated output scale differs from the input scale.
-func reluInt8(src []int8, shift int, dst []int8) {
-	par.ForChunkedID(len(src), chunksFor(len(src)), func(_, lo, hi int) {
-		d := dst[lo:hi]
-		for i, v := range src[lo:hi] {
-			d[i] = max(v, 0)
-		}
-		if shift != 0 {
-			requantRow(d, shift, d)
+// reluInt8 applies max(0, x) to both halves of every cell, with a
+// fix-position change (shift) if the calibrated output scale differs from
+// the input scale.
+func reluInt8(in *activation, shift int, out *activation) {
+	par.ForChunkedID(in.cpairs()*in.h, chunksFor(in.c*in.h*in.w), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := out.row(r/in.h, r%in.h)
+			for x, c := range in.row(r/in.h, r%in.h) {
+				l, h := int32(int16(c)), c>>16
+				row[x] = (l&^(l>>31))&0xffff | (h&^(h>>31))<<16
+			}
+			if shift != 0 {
+				requantCells(row, shift, row)
+			}
 		}
 	})
 }
 
-// requantInt8 shifts a whole int8 buffer from one fix position to another.
-func requantInt8(src []int8, shift int, dst []int8) {
-	if shift == 0 {
-		copy(dst, src)
-		return
-	}
-	par.ForChunkedID(len(src), chunksFor(len(src)), func(_, lo, hi int) {
-		requantRow(src[lo:hi], shift, dst[lo:hi])
+// requantInt8 is the concat copy: src's channels, moved from one fix
+// position to another, become dst's channels from chanOff on. Work is split
+// by destination row, so no two workers share a cell. Where both halves of a
+// destination cell come from one source cell — an even offset, and not the
+// lone last channel of an odd count — whole cells move; otherwise each half
+// is fetched from its own source channel, and a half that belongs to a
+// neighbour of src is left as it is.
+func requantInt8(src *activation, shift int, dst *activation, chanOff int) {
+	first := chanOff / 2
+	planes := (chanOff+src.c+1)/2 - first
+	par.ForChunkedID(planes*src.h, chunksFor(src.c*src.h*src.w), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			dp, y := first+r/src.h, r%src.h
+			to := dst.row(dp, y)
+			if sc := 2*dp - chanOff; chanOff%2 == 0 && sc+1 < src.c {
+				if from := src.row(sc/2, y); shift == 0 {
+					copy(to, from)
+				} else {
+					requantCells(from, shift, to)
+				}
+				continue
+			}
+			for half := 0; half < 2; half++ {
+				sc := 2*dp + half - chanOff
+				if sc < 0 || sc >= src.c {
+					continue
+				}
+				fromShift, toShift := uint(sc%2*16), uint(half*16)
+				for x, c := range src.row(sc/2, y) {
+					v := RoundShift(int64(int16(c>>fromShift)), shift)
+					to[x] = to[x]&^(0xffff<<toShift) | int32(uint16(int16(v)))<<toShift
+				}
+			}
+		}
 	})
 }
 
@@ -392,24 +425,34 @@ func requantInt8(src []int8, shift int, dst []int8) {
 // that each channel is read in whole cache lines.
 const argmaxBlock = 256
 
-// argmaxChannelsInt8 returns the per-pixel argmax class over an int8 CHW
-// logit map — the "INT8 masks" the deployed model returns (Section III-E).
-// Ties go to the lowest channel. Channels are the outer loop over a block's
+// argmaxChannelsInt8 returns the per-pixel argmax class over a logit map —
+// the "INT8 masks" the deployed model returns (Section III-E). Ties go to
+// the lowest channel. Channel pairs are the outer loop over a row block's
 // running best and index, so every read is sequential; pixel-outer would
-// stride H·W bytes between reads, a cache line per logit at 256×256.
-func argmaxChannelsInt8(src []int8, c, hw int) []uint8 {
-	out := make([]uint8, hw)
-	par.ForChunkedID(hw, chunksFor(c*hw), func(_, lo, hi int) {
-		var best [argmaxBlock]int8
-		for j := lo; j < hi; j += argmaxBlock {
-			n := min(argmaxBlock, hi-j)
-			copy(best[:n], src[j:j+n])
-			idx := out[j : j+n]
-			for ch := 1; ch < c; ch++ {
-				for i, v := range src[ch*hw+j : ch*hw+j+n] {
-					if v > best[i] {
-						best[i], idx[i] = v, uint8(ch)
+// stride a whole plane between reads, a cache line per logit at 256×256. The
+// running best is kept by mask, not by branch: which class wins a pixel is
+// data, and a jump on it mispredicts wherever classes meet.
+func argmaxChannelsInt8(a *activation) []uint8 {
+	out := make([]uint8, a.h*a.w)
+	par.ForChunkedID(a.h, chunksFor(a.c*a.h*a.w), func(_, lo, hi int) {
+		var best, idx [argmaxBlock]int32
+		for y := lo; y < hi; y++ {
+			for x := 0; x < a.w; x += argmaxBlock {
+				n := min(argmaxBlock, a.w-x)
+				for i, c := range a.row(0, y)[x : x+n] {
+					best[i], idx[i] = int32(int16(c)), 0
+				}
+				for ch := 1; ch < a.c; ch++ {
+					half := uint(ch % 2 * 16)
+					for i, c := range a.row(ch/2, y)[x : x+n] {
+						v := int32(int16(c >> half))
+						m := (best[i] - v) >> 31 // all ones where v > best
+						best[i] += (v - best[i]) & m
+						idx[i] += (int32(ch) - idx[i]) & m
 					}
+				}
+				for i, v := range idx[:n] {
+					out[y*a.w+x+i] = uint8(v)
 				}
 			}
 		}
@@ -417,9 +460,77 @@ func argmaxChannelsInt8(src []int8, c, hw int) []uint8 {
 	return out
 }
 
-// dequantizeToTensor expands an int8 CHW activation into a float tensor.
-func dequantizeToTensor(src []int8, fp FixPos, shape [3]int) *tensor.Tensor {
-	t := tensor.New(shape[0], shape[1], shape[2])
-	DequantizeSlice(src, fp, t.Data)
+// widenPlane and narrowPlane are the one adaptor pair between the arena's
+// cells and a plain int8 CHW image: the reference kernels of the non-INT8
+// precisions, FFQ's tap and the dequantized output read and write the
+// latter. widenPlane writes a's interior cells from src (an odd last
+// channel's partner half zero); narrowPlane reads them into dst. Neither
+// touches the border.
+func widenPlane(src []int8, a *activation) {
+	hw := a.h * a.w
+	for cp := 0; cp < a.cpairs(); cp++ {
+		even := src[2*cp*hw : (2*cp+1)*hw]
+		var odd []int8
+		if 2*cp+1 < a.c {
+			odd = src[(2*cp+1)*hw : (2*cp+2)*hw]
+		}
+		for y := 0; y < a.h; y++ {
+			d := a.row(cp, y)
+			e := even[y*a.w : (y+1)*a.w]
+			if odd == nil {
+				for x, v := range e {
+					d[x] = pairCell(v, 0)
+				}
+				continue
+			}
+			o := odd[y*a.w : (y+1)*a.w]
+			for x, v := range e {
+				d[x] = pairCell(v, o[x])
+			}
+		}
+	}
+}
+
+func narrowPlane(a *activation, dst []int8) {
+	hw := a.h * a.w
+	for ci := 0; ci < a.c; ci++ {
+		half := uint(ci % 2 * 16)
+		for y := 0; y < a.h; y++ {
+			d := dst[ci*hw+y*a.w:][:a.w]
+			for x, c := range a.row(ci/2, y) {
+				d[x] = int8(c >> half)
+			}
+		}
+	}
+}
+
+// quantizeCells is QuantizeSlice into the input node's cells.
+func quantizeCells(src []float32, fp FixPos, a *activation) {
+	scale := math.Pow(2, float64(fp))
+	hw := a.h * a.w
+	for cp := 0; cp < a.cpairs(); cp++ {
+		for y := 0; y < a.h; y++ {
+			d := a.row(cp, y)
+			even := src[2*cp*hw+y*a.w:][:a.w]
+			if 2*cp+1 == a.c {
+				for x, v := range even {
+					d[x] = pairCell(quantizeOne(v, scale), 0)
+				}
+				continue
+			}
+			odd := src[(2*cp+1)*hw+y*a.w:][:a.w]
+			for x, v := range even {
+				d[x] = pairCell(quantizeOne(v, scale), quantizeOne(odd[x], scale))
+			}
+		}
+	}
+}
+
+// dequantizeToTensor expands an activation into a float CHW tensor.
+func dequantizeToTensor(a *activation) *tensor.Tensor {
+	t := tensor.New(a.c, a.h, a.w)
+	narrow := make([]int8, len(t.Data))
+	narrowPlane(a, narrow)
+	DequantizeSlice(narrow, a.fp, t.Data)
 	return t
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"seneca/internal/graph"
 )
 
 // refConvInt8 is the deliberately naive INT8 convolution every fast path is
@@ -76,32 +78,134 @@ func refFinalize(acc, bias int32, relu bool, shift, shift2 int) int8 {
 	return r
 }
 
-// dirtyPlane returns scratch of n cells pre-filled with junk, as a reused
-// arena buffer would be.
-func dirtyPlane(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = 0x5a5a5a5a
+// testGeom widens the planes a kernel test runs through beyond what the
+// U-Net gives them: a border wider than the reader's reach, and an output
+// that is a run of planes inside a larger buffer, as a store target is.
+type testGeom struct {
+	extraBorder int // added to the input border the node asks for
+	outBorder   int // the output plane's border
+	planeOff    int // planes of someone else's data before the output's
+}
+
+// newPlane returns a zeroed c×h×w activation with the given border whose
+// rows run at least span cells past the border's inner edge.
+func newPlane(c, h, w, border, span int) *activation {
+	a := &activation{c: c, h: h, w: w, border: border, cols: max(w+2*border, border+span)}
+	a.cells = make([]int32, a.cpairs()*a.planeStride())
+	return a
+}
+
+// bordersZero fails the test if any border or ghost cell of a is not zero.
+func bordersZero(t *testing.T, what string, a *activation) {
+	t.Helper()
+	rows := a.h + 2*a.border
+	for cp := 0; cp < a.cpairs(); cp++ {
+		for y := 0; y < rows; y++ {
+			for x := 0; x < a.cols; x++ {
+				inside := y >= a.border && y < a.border+a.h && x >= a.border && x < a.border+a.w
+				if v := a.cells[cp*a.planeStride()+y*a.cols+x]; !inside && v != 0 {
+					t.Fatalf("%s: border cell (plane %d, row %d, col %d) = %#x, want 0", what, cp, y, x, v)
+				}
+			}
+		}
 	}
-	return p
 }
 
-// runConvInt8 packs the weights and runs the production convolution.
-func runConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
-	packed := packTileWeights(weight, outC, c, k*k, c*k*k, k*k)
+// runInt8 runs the production INT8 convolution or transpose convolution the
+// way the executor does — the node's phases over cell planes — and returns
+// the output as a plain CHW image, after checking that the write-back left
+// every border cell and every plane that is not its own alone.
+func runInt8(t *testing.T, kind graph.Kind, src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int, g testGeom) []int8 {
+	t.Helper()
+	n := &QNode{Kind: kind, Kernel: k, Stride: stride, Pad: pad, InC: c, OutC: outC, Weight: weight, Bias: bias}
+	phases := n.tilePhases()
+	border, span := n.reach(h, w, oh, ow)
+	in := newPlane(c, h, w, border+g.extraBorder, span)
+	widenPlane(src, in)
+	const sentinel = 0x5a5a5a5a
+	buf := newPlane(2*(g.planeOff+(outC+1)/2+1), oh, ow, g.outBorder, 0)
+	for i := range buf.cells {
+		buf.cells[i] = sentinel
+	}
+	out := &activation{c: outC, h: oh, w: ow, border: buf.border, cols: buf.cols}
+	out.cells = buf.cells[g.planeOff*buf.planeStride():][:out.cpairs()*buf.planeStride()]
+	clear(out.cells)
+	if kind == graph.KindConv && stride != 1 {
+		convInt8Generic(in, phases[0].w, bias, outC, k, stride, pad, shift, shift2, relu, out)
+	} else {
+		convPhases(in, phases, n.outStep(), n.accBound, bias, outC, shift, shift2, relu, out)
+	}
+	bordersZero(t, "output", out)
+	for i, v := range buf.cells {
+		if own := i >= g.planeOff*buf.planeStride() && i < g.planeOff*buf.planeStride()+len(out.cells); !own && v != sentinel {
+			t.Fatalf("write-back reached cell %d outside its planes", i)
+		}
+	}
 	dst := make([]int8, outC*oh*ow)
-	convInt8(src, c, h, w, packed, bias, outC, k, stride, pad, shift, shift2, relu, dst, oh, ow, dirtyPlane(planeLen(c, h, w, k, pad)))
+	narrowPlane(out, dst)
 	return dst
 }
 
-// runConvTransposeInt8 packs the weights and runs the production transpose
-// convolution.
-func runConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
-	packed := packTileWeights(weight, outC*k*k, c, 1, 1, outC*k*k)
-	dst := make([]int8, outC*oh*ow)
-	convTransposeInt8(src, c, h, w, packed, bias, outC, k, stride, pad, shift, shift2, relu, dst, oh, ow,
-		dirtyPlane(planeLen(c, 1, h*w, 1, 0)), make([]int32, outC*k*k*h*w), make([]int32, outC*oh*ow))
+func runConvInt8(t *testing.T, src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+	t.Helper()
+	return runInt8(t, graph.KindConv, src, c, h, w, weight, bias, outC, k, stride, pad, shift, shift2, relu, oh, ow, testGeom{outBorder: 1})
+}
+
+func runConvTransposeInt8(t *testing.T, src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+	t.Helper()
+	return runInt8(t, graph.KindConvTranspose, src, c, h, w, weight, bias, outC, k, stride, pad, shift, shift2, relu, oh, ow, testGeom{outBorder: 1})
+}
+
+// planeOf widens a CHW image into a border-1 plane.
+func planeOf(src []int8, c, h, w int) *activation {
+	a := newPlane(c, h, w, 1, 0)
+	widenPlane(src, a)
+	return a
+}
+
+// narrowed checks a's borders and returns it as a CHW image.
+func narrowed(t *testing.T, what string, a *activation) []int8 {
+	t.Helper()
+	bordersZero(t, what, a)
+	dst := make([]int8, a.c*a.h*a.w)
+	narrowPlane(a, dst)
 	return dst
+}
+
+// poolInt8, reluCHW and requantCHW run the element-wise kernels on CHW
+// images through cell planes.
+func poolInt8(t *testing.T, src []int8, c, h, w, shift int) []int8 {
+	t.Helper()
+	out := newPlane(c, h/2, w/2, 1, 0)
+	maxPoolInt8(planeOf(src, c, h, w), shift, out)
+	return narrowed(t, "pool", out)
+}
+
+func reluCHW(t *testing.T, src []int8, c, h, w, shift int) []int8 {
+	t.Helper()
+	out := newPlane(c, h, w, 2, 0)
+	reluInt8(planeOf(src, c, h, w), shift, out)
+	return narrowed(t, "relu", out)
+}
+
+// requantCHW copies src into a concat buffer after before channels of junk
+// and returns the copied channels, having checked the junk is still there.
+func requantCHW(t *testing.T, src []int8, c, h, w, shift, before int) []int8 {
+	t.Helper()
+	hw := h * w
+	junk := make([]int8, (before+c+1)*hw)
+	for i := range junk {
+		junk[i] = int8(i%251 - 125)
+	}
+	dst := planeOf(junk, before+c+1, h, w)
+	requantInt8(planeOf(src, c, h, w), shift, dst, before)
+	got := narrowed(t, "concat", dst)
+	for i := range got {
+		if inside := i >= before*hw && i < (before+c)*hw; !inside && got[i] != junk[i] {
+			t.Fatalf("concat copy at offset %d changed value %d of a neighbouring channel", before, i)
+		}
+	}
+	return got[before*hw : (before+c)*hw]
 }
 
 func randInt8s(rng *rand.Rand, n int) []int8 {
@@ -138,7 +242,7 @@ func TestConvInt8MatchesReference(t *testing.T) {
 			for _, stride := range []int{1, 2} {
 				oh, ow := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
 				want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
-				got := runConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
+				got := runConvInt8(t, src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
 				sameInt8s(t, "conv", got, want)
 			}
 		}
@@ -159,7 +263,7 @@ func TestConvInt8OddChannels(t *testing.T) {
 				bias[i] = int32(rng.Intn(201) - 100)
 			}
 			want := refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
-			got := runConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
+			got := runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
 			sameInt8s(t, "conv", got, want)
 		}
 	}
@@ -178,7 +282,7 @@ func TestConvTransposeInt8IsAdjointShape(t *testing.T) {
 	for i := range weight {
 		weight[i] = int8(rng.Intn(101) - 50)
 	}
-	dst := runConvTransposeInt8(src, c, h, w, weight, make([]int32, outC), outC, k, stride, pad, 4, 0, false, oh, ow)
+	dst := runConvTransposeInt8(t, src, c, h, w, weight, make([]int32, outC), outC, k, stride, pad, 4, 0, false, oh, ow)
 	var nonzero int
 	for _, v := range dst {
 		if v != 0 {
@@ -225,7 +329,7 @@ func TestConvTransposeInt8MatchesFloat(t *testing.T) {
 			}
 		}
 	}
-	dst := runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, stride, pad, 0, 0, false, oh, ow)
+	dst := runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, stride, pad, 0, 0, false, oh, ow)
 	for i := range dst {
 		want := ref[i] + float64(bias[i/(oh*ow)])
 		if want > 127 {
@@ -247,29 +351,17 @@ func TestMaxPoolInt8(t *testing.T) {
 		-1, -2, -3, -4,
 		-5, -6, -7, -8,
 	}
-	dst := make([]int8, 4)
-	maxPoolInt8(src, 1, 4, 4, 0, dst)
-	want := []int8{6, 8, -1, -3}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("pool[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
+	sameInt8s(t, "pool", poolInt8(t, src, 1, 4, 4, 0), []int8{6, 8, -1, -3})
 	// Fused requantization: shift 1 halves (round half away) in the same pass.
-	maxPoolInt8(src, 1, 4, 4, 1, dst)
-	for i, w := range []int8{3, 4, -1, -2} {
-		if dst[i] != w {
-			t.Fatalf("pool-shift[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-	// Odd planes drop their last row and column; every shift sign must
-	// match RoundShift applied to the plain maxima.
+	sameInt8s(t, "pool-shift", poolInt8(t, src, 1, 4, 4, 1), []int8{3, 4, -1, -2})
+	// Odd planes drop their last row and column, an odd channel count leaves
+	// a cell half empty; every shift sign must match RoundShift applied to
+	// the plain maxima.
 	rng := rand.New(rand.NewSource(6))
 	c, h, w := 3, 7, 5
 	img := randInt8s(rng, c*h*w)
 	for _, shift := range []int{-2, -1, 0, 1, 3} {
-		got := make([]int8, c*(h/2)*(w/2))
-		maxPoolInt8(img, c, h, w, shift, got)
+		got := poolInt8(t, img, c, h, w, shift)
 		for ci := 0; ci < c; ci++ {
 			for oy := 0; oy < h/2; oy++ {
 				for ox := 0; ox < w/2; ox++ {
@@ -286,49 +378,31 @@ func TestMaxPoolInt8(t *testing.T) {
 
 func TestReluInt8AndRequant(t *testing.T) {
 	src := []int8{-5, 0, 5, 127}
-	dst := make([]int8, 4)
-	reluInt8(src, 0, dst)
-	for i, w := range []int8{0, 0, 5, 127} {
-		if dst[i] != w {
-			t.Fatalf("relu[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-	reluInt8(src, 1, dst) // shift right by 1 after relu
-	for i, w := range []int8{0, 0, 3, 64} {
-		if dst[i] != w {
-			t.Fatalf("relu-shift[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-	requantInt8(src, 1, dst)
-	for i, w := range []int8{-3, 0, 3, 64} {
-		if dst[i] != w {
-			t.Fatalf("requant[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-	requantInt8(src, 0, dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatal("requant shift 0 must copy")
-		}
-	}
-	// Every int8 value at every shift sign, on an odd length: a left shift
-	// saturates, a right shift rounds half away from zero.
-	all := make([]int8, 255)
+	sameInt8s(t, "relu", reluCHW(t, src, 1, 2, 2, 0), []int8{0, 0, 5, 127})
+	sameInt8s(t, "relu-shift", reluCHW(t, src, 1, 2, 2, 1), []int8{0, 0, 3, 64}) // shift right by 1 after relu
+	sameInt8s(t, "requant", requantCHW(t, src, 1, 2, 2, 1, 0), []int8{-3, 0, 3, 64})
+	sameInt8s(t, "requant shift 0 must copy", requantCHW(t, src, 1, 2, 2, 0, 0), src)
+	// Every int8 value at every shift sign, over three channels of odd
+	// width — so a cell half is empty — landing at an even and at an odd
+	// channel offset of the concat buffer: a left shift saturates, a right
+	// shift rounds half away from zero.
+	all := make([]int8, 3*85)
 	for i := range all {
 		all[i] = int8(i - 127)
 	}
-	got := make([]int8, len(all))
-	for _, shift := range []int{-3, -1, 1, 2, 7, 9} {
-		reluInt8(all, shift, got)
+	for _, shift := range []int{-3, -1, 0, 1, 2, 7, 9} {
+		got := reluCHW(t, all, 3, 5, 17, shift)
 		for i, v := range all {
 			if want := RoundShift(int64(max(v, 0)), shift); got[i] != want {
 				t.Fatalf("relu(%d) at shift %d = %d, want %d", v, shift, got[i], want)
 			}
 		}
-		requantInt8(all, shift, got)
-		for i, v := range all {
-			if want := RoundShift(int64(v), shift); got[i] != want {
-				t.Fatalf("requant(%d) at shift %d = %d, want %d", v, shift, got[i], want)
+		for _, before := range []int{0, 2, 1, 3} {
+			got = requantCHW(t, all, 3, 5, 17, shift, before)
+			for i, v := range all {
+				if want := RoundShift(int64(v), shift); got[i] != want {
+					t.Fatalf("requant(%d) at shift %d, offset %d = %d, want %d", v, shift, before, got[i], want)
+				}
 			}
 		}
 	}
@@ -337,23 +411,24 @@ func TestReluInt8AndRequant(t *testing.T) {
 func TestArgmaxChannelsInt8(t *testing.T) {
 	// 2 channels, 3 pixels: [ch0: 1, 5, -1], [ch1: 2, 4, -3].
 	src := []int8{1, 5, -1, 2, 4, -3}
-	got := argmaxChannelsInt8(src, 2, 3)
+	got := argmaxChannelsInt8(planeOf(src, 2, 1, 3))
 	want := []uint8{1, 0, 0}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("argmax[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	// A plane that is not a whole number of blocks, few distinct values so
-	// ties are common: the lowest channel wins, as a per-pixel scan would
-	// have it.
+	// Rows that are not a whole number of blocks, an odd channel count, few
+	// distinct values so ties are common: the lowest channel wins, as a
+	// per-pixel scan would have it.
 	rng := rand.New(rand.NewSource(7))
-	c, hw := 6, 2*argmaxBlock+37
+	c, h, w := 5, 3, 2*argmaxBlock+37
+	hw := h * w
 	logits := make([]int8, c*hw)
 	for i := range logits {
 		logits[i] = int8(rng.Intn(5) - 2)
 	}
-	got = argmaxChannelsInt8(logits, c, hw)
+	got = argmaxChannelsInt8(planeOf(logits, c, h, w))
 	for j := 0; j < hw; j++ {
 		best := 0
 		for ch := 1; ch < c; ch++ {

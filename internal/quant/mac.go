@@ -4,15 +4,16 @@ import "seneca/internal/obs"
 
 // The one multiply-add micro-kernel under every INT8 convolution and
 // transpose convolution: an 8-lane × 8-pixel register tile of int32
-// accumulators reduced over channel pairs × k×k taps. Lanes are output
-// channels (convolution) or column rows (transpose convolution); pixels are
-// eight neighbours of one output row.
+// accumulators reduced over channel pairs × kh×kw taps. Lanes are output
+// channels; pixels are eight neighbours of one output row (convolution) or
+// of one row of one output phase (transpose convolution).
 //
 // Operand layouts, shared by both bodies:
 //
-//	x  [⌈C/2⌉][rows][cols]   widenPlane: one cell per pixel and channel pair;
-//	                          padding cells are literal zeros
-//	w  [⌈C/2⌉][k][k][8]      packTileWeights, one lane block: the same channel
+//	x  [⌈C/2⌉][rows][cols]   an activation as the arena stores it: one cell
+//	                          per pixel and channel pair; border and ghost
+//	                          cells are literal zeros
+//	w  [⌈C/2⌉][kh][kw][8]    packTileWeights, one lane block: the same channel
 //	                          pair for each of eight lanes
 //
 // A cell is two sign-extended int16 halves in an int32 (pairCell): channel 2c
@@ -62,30 +63,30 @@ func ExportKernelISA(reg *obs.Registry) {
 //	acc[l·8+q] = Σ_cp Σ_ky Σ_kx  lo(w[cp][ky][kx][l])·lo(x[cp][ky][q+kx])
 //	                            + hi(w[cp][ky][kx][l])·hi(x[cp][ky][q+kx])
 //
-// where x starts at the tile's top-left cell (plane 0, its first tap row,
-// its first pixel), rowStride and planeStride are the distances in cells
-// between plane rows and between channel-pair planes, and w starts at the
-// lane block. acc is overwritten.
-func macTile(acc *[tileSize]int32, x, w []int32, cpairs, k, rowStride, planeStride int) {
+// over kh tap rows of kw taps, where x starts at the tile's top-left cell
+// (plane 0, its first tap row, its first pixel), rowStride and planeStride
+// are the distances in cells between plane rows and between channel-pair
+// planes, and w starts at the lane block. acc is overwritten.
+func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
 	// The assembly body works from base pointers; these two probes are the
 	// bounds checks it cannot do.
-	_ = x[(cpairs-1)*planeStride+(k-1)*rowStride+k-1+tilePixels-1]
-	_ = w[cpairs*k*k*tileLanes-1]
+	_ = x[(cpairs-1)*planeStride+(kh-1)*rowStride+kw-1+tilePixels-1]
+	_ = w[cpairs*kh*kw*tileLanes-1]
 	if useAVX2 {
-		macTileAVX2(acc, x, w, cpairs, k, rowStride, planeStride)
+		macTileAVX2(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
 		return
 	}
-	macTilePortable(acc, x, w, cpairs, k, rowStride, planeStride)
+	macTilePortable(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
 }
 
 // macTilePortable is macTile as a plain loop over the same layouts: the
 // body every non-AVX2 host runs, and the in-package oracle for the assembly.
-func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, k, rowStride, planeStride int) {
+func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
 	*acc = [tileSize]int32{}
 	for cp := 0; cp < cpairs; cp++ {
-		for ky := 0; ky < k; ky++ {
+		for ky := 0; ky < kh; ky++ {
 			row := x[cp*planeStride+ky*rowStride:]
-			for kx := 0; kx < k; kx++ {
+			for kx := 0; kx < kw; kx++ {
 				var x0, x1 [tilePixels]int32
 				for q, xc := range row[kx : kx+tilePixels] {
 					x0[q], x1[q] = int32(int16(xc)), xc>>16
@@ -111,21 +112,22 @@ func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, k, rowStride, p
 }
 
 // packTileWeights lowers an int8 weight tensor into lane blocks of the
-// micro-kernel's layout, [⌈lanes/8⌉][⌈c/2⌉][taps][8] cells. Lane l,
-// channel ci, tap t is weight[l·laneStride + ci·chanStride + t], which
-// covers both users: a convolution ([OutC][C][K·K]: lanes = OutC,
-// laneStride = C·K², chanStride = K²) and a transpose convolution's column
-// GEMM ([InC][OutC·K²]: lanes = OutC·K², taps = 1, laneStride = 1,
-// chanStride = OutC·K²). Ghost lanes and the odd channel's partner stay
-// zero, so they add nothing whatever the plane holds there.
-func packTileWeights(weight []int8, lanes, c, taps, laneStride, chanStride int) []int32 {
+// micro-kernel's layout, [⌈lanes/8⌉][⌈c/2⌉][len(taps)][8] cells. Lane l,
+// channel ci, tap t is weight[l·laneStride + ci·chanStride + taps[t]], which
+// covers both users: a convolution ([OutC][C][K·K]: laneStride = C·K²,
+// chanStride = K², every tap in order) and one phase of a transpose
+// convolution ([InC][OutC][K·K]: laneStride = K², chanStride = OutC·K², the
+// phase's taps in the order its input rows and columns are read). Ghost
+// lanes and the odd channel's partner stay zero, so they add nothing whatever
+// the plane holds there.
+func packTileWeights(weight []int8, lanes, c int, taps []int, laneStride, chanStride int) []int32 {
 	cpairs := (c + 1) / 2
-	out := make([]int32, (lanes+tileLanes-1)/tileLanes*cpairs*taps*tileLanes)
+	out := make([]int32, (lanes+tileLanes-1)/tileLanes*cpairs*len(taps)*tileLanes)
 	for l := 0; l < lanes; l++ {
 		for ci := 0; ci < c; ci++ {
-			for t := 0; t < taps; t++ {
-				at := (((l/tileLanes)*cpairs+ci/2)*taps+t)*tileLanes + l%tileLanes
-				v := weight[l*laneStride+ci*chanStride+t]
+			for t, tap := range taps {
+				at := (((l/tileLanes)*cpairs+ci/2)*len(taps)+t)*tileLanes + l%tileLanes
+				v := weight[l*laneStride+ci*chanStride+tap]
 				if ci%2 == 0 {
 					out[at] |= pairCell(v, 0)
 				} else {
@@ -137,58 +139,28 @@ func packTileWeights(weight []int8, lanes, c, taps, laneStride, chanStride int) 
 	return out
 }
 
-// planeCols is the row length (in cells) of the widened plane for a w-wide
-// input convolved k×k with padding pad: the stride-1 output width rounded up
-// to whole tiles, plus the k−1 cells the last tile's taps reach past it.
-// Never less than w+2·pad.
-func planeCols(w, k, pad int) int {
-	ow := w + 2*pad - k + 1
-	return (ow+tilePixels-1)/tilePixels*tilePixels + k - 1
-}
-
-// planeLen is the widened plane's size in cells for a c×h×w input convolved
-// k×k with padding pad.
-func planeLen(c, h, w, k, pad int) int {
-	return (c + 1) / 2 * (h + 2*pad) * planeCols(w, k, pad)
-}
-
-// widenPlane lowers an int8 CHW image into the micro-kernel's channel-pair
-// plane: [⌈c/2⌉][h+2·pad][cols] cells with the image at offset (pad, pad)
-// and zeros everywhere else. Every cell is written, so a reused (dirty) dst
-// needs no clearing.
-func widenPlane(src []int8, c, h, w, pad, cols int, dst []int32) {
-	rows := h + 2*pad
-	for cp := 0; cp < (c+1)/2; cp++ {
-		plane := dst[cp*rows*cols : (cp+1)*rows*cols]
-		clear(plane[:pad*cols])
-		clear(plane[(pad+h)*cols:])
-		even := src[2*cp*h*w : (2*cp+1)*h*w]
-		var odd []int8
-		if 2*cp+1 < c {
-			odd = src[(2*cp+1)*h*w : (2*cp+2)*h*w]
-		}
-		for y := 0; y < h; y++ {
-			row := plane[(pad+y)*cols : (pad+y+1)*cols]
-			// A few cells a side: plain loops, which clear() would turn
-			// into two calls a row.
-			for i := 0; i < pad; i++ {
-				row[i] = 0
-			}
-			for i := pad + w; i < cols; i++ {
-				row[i] = 0
-			}
-			d := row[pad : pad+w]
-			a := even[y*w : (y+1)*w]
-			if odd == nil {
-				for x, v := range a {
-					d[x] = pairCell(v, 0)
-				}
-				continue
-			}
-			b := odd[y*w : (y+1)*w]
-			for x, v := range a {
-				d[x] = pairCell(v, b[x])
-			}
-		}
+// phaseTaps is one axis of the rule that turns a transpose convolution into
+// stride² small convolutions. Output index o = i·stride − pad + t for input
+// index i and kernel tap t, so the outputs o ≡ a (mod stride) — phase a,
+// o = a + stride·j — collect only taps t ≡ a+pad (mod stride), and tap t
+// reads input j + (a+pad−t)/stride: consecutive inputs for consecutive taps
+// of the phase. taps lists them in the order of the inputs they read and
+// base is the first of those inputs' offset from j, which makes phase a the
+// correlation out[j] = Σ_m w[taps[m]]·in[j+base+m]. Every tap of the kernel
+// is in exactly one phase, so the phases together do the transpose
+// convolution's multiply-adds and no others. A phase of a kernel narrower
+// than the stride can have no taps: its outputs are the bias alone.
+func phaseTaps(k, stride, pad, a int) (taps []int, base int) {
+	first := (a + pad) % stride
+	if first >= k {
+		return nil, 0
 	}
+	last := first + (k-1-first)/stride*stride
+	for t := last; t >= first; t -= stride {
+		taps = append(taps, t)
+	}
+	return taps, (a + pad - last) / stride
 }
+
+// phaseLen is how many outputs of an n-long axis fall in phase a.
+func phaseLen(n, stride, a int) int { return max(0, (n-a+stride-1)/stride) }

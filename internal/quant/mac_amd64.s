@@ -42,18 +42,19 @@ no:
 	VPMADDWD     Y8, tmp, tmp \
 	VPADDD       tmp, acc, acc
 
-// func macTileAVX2(acc *[64]int32, x, w []int32, cpairs, k, rowStride, planeStride int)
+// func macTileAVX2(acc *[64]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
 //
 // Y0–Y7 hold lanes 0–7, eight pixels each; see macTile for the layouts. The
 // caller has bounds-checked x and w.
-TEXT ·macTileAVX2(SB), NOSPLIT, $0-88
+TEXT ·macTileAVX2(SB), NOSPLIT, $0-96
 	MOVQ acc+0(FP), DI
 	MOVQ x_base+8(FP), SI
 	MOVQ w_base+32(FP), DX
 	MOVQ cpairs+56(FP), CX
-	MOVQ k+64(FP), R8
-	MOVQ rowStride+72(FP), R9
-	MOVQ planeStride+80(FP), R10
+	MOVQ kh+64(FP), R8
+	MOVQ kw+72(FP), BX
+	MOVQ rowStride+80(FP), R9
+	MOVQ planeStride+88(FP), R10
 	SHLQ $2, R9                  // cell strides to bytes
 	SHLQ $2, R10
 	VPXOR Y0, Y0, Y0
@@ -71,7 +72,7 @@ plane:
 
 row:
 	MOVQ R11, R13                // R13: tap cell
-	MOVQ R8, R14                 // R14: taps left in the row
+	MOVQ BX, R14                 // R14: taps left in the row
 
 tap:
 	VMOVDQU (R13), Y8
@@ -105,31 +106,51 @@ tap:
 	VZEROUPPER
 	RET
 
-// func finalize8AVX2(acc []int32, dst []int8, bias []int32, groups, dstStride, biasStride, shift, shift2, floor int)
+// One lane's write-back: eight accumulators at off(DI) and the bias at
+// boff(DX) become eight int8-range dwords in Y0, in pixel order, all in
+// 32-bit lanes: bias add, round-half-away first shift on the magnitude
+// (VPMINUD saturates it at 127, or 128 below zero), the sign back, the same
+// for the second shift, and the ReLU floor last — rounding is odd and
+// monotone, so flooring the result is flooring the accumulator. Exact only
+// because the caller has bounded |acc+bias|+half below 2³¹. Clobbers Y1, Y2.
+#define FINAL8(off, boff) \
+	VPBROADCASTD boff(DX), Y0 \
+	VPADDD  off(DI), Y0, Y0 \
+	VPABSD  Y0, Y1 \
+	VPADDD  Y14, Y1, Y1 \
+	VPSRLD  X13, Y1, Y1 \
+	VPSRAD  $31, Y0, Y2 \
+	VPSUBD  Y2, Y12, Y2 \
+	VPMINUD Y2, Y1, Y1 \
+	VPSIGND Y0, Y1, Y0 \
+	VPABSD  Y0, Y1 \
+	VPADDD  Y11, Y1, Y1 \
+	VPSRLD  X10, Y1, Y1 \
+	VPSIGND Y0, Y1, Y0 \
+	VPMAXSD Y9, Y0, Y0
+
+// func finalize8AVX2(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor int)
 //
-// finalizeTile's assembly body: per group of eight accumulators, the int64
-// bias add and first round-half-away shift run in 64-bit lanes (|acc+bias|
-// ≤ 2³², so the rounded magnitude fits an unsigned dword and VPMINUD can
-// saturate it at 127, or 128 below zero); the second shift and the ReLU
-// floor run on the int8-range result in 32-bit lanes. The caller guarantees
-// 1 ≤ shift ≤ 62, 0 ≤ shift2 ≤ 31 and in-bounds slices. Moves to and from
-// vector registers are the VEX forms: a legacy-SSE MOVQ while the upper
-// halves are dirty costs a state transition on every group.
-TEXT ·finalize8AVX2(SB), NOSPLIT, $0-120
+// finalizeTile's assembly body: lane pair p is acc[16p:16p+16] under
+// bias[2p] and bias[2p+1], and its eight cells — the even lane's result in
+// the low half, the odd lane's shifted into the high half, blended — leave
+// in one 32-byte store at dst[p·dstStride]. The caller guarantees
+// 1 ≤ shift ≤ 31, 0 ≤ shift2 ≤ 31, |acc+bias| + 2^(shift−1) < 2³¹ for every
+// accumulator, and in-bounds slices.
+TEXT ·finalize8AVX2(SB), NOSPLIT, $0-112
 	MOVQ acc_base+0(FP), DI
 	MOVQ dst_base+24(FP), SI
 	MOVQ bias_base+48(FP), DX
 	MOVQ dstStride+80(FP), R8
-	MOVQ biasStride+88(FP), R9
-	SHLQ $2, R9
-	MOVQ shift+96(FP), CX
+	SHLQ $2, R8
+	MOVQ shift+88(FP), CX
 	VMOVQ CX, X13                 // X13: shift count
 	DECQ CX
 	MOVL $1, AX
 	SHLQ CX, AX
 	VMOVQ AX, X14
-	VPBROADCASTQ X14, Y14        // Y14: half, 1<<(shift-1)
-	MOVQ shift2+104(FP), CX
+	VPBROADCASTD X14, Y14        // Y14: half, 1<<(shift-1)
+	MOVQ shift2+96(FP), CX
 	VMOVQ CX, X10                 // X10: shift2 count
 	XORL AX, AX
 	TESTQ CX, CX
@@ -143,55 +164,23 @@ unfused:
 	VPBROADCASTD X11, Y11        // Y11: half2, or 0 when shift2 is 0
 	MOVQ $127, AX
 	VMOVQ AX, X12
-	VPBROADCASTQ X12, Y12        // Y12: 127
-	MOVQ floor+112(FP), AX
+	VPBROADCASTD X12, Y12        // Y12: 127
+	MOVQ floor+104(FP), AX
 	VMOVQ AX, X9
 	VPBROADCASTD X9, Y9          // Y9: 0 under ReLU, else -128
-	VPXOR Y15, Y15, Y15
-	MOVQ groups+72(FP), CX
+	MOVQ pairs+72(FP), CX
 
-group:
-	MOVLQSX (DX), AX
-	VMOVQ AX, X8
-	VPBROADCASTQ X8, Y8
-	VPMOVSXDQ (DI), Y0           // pixels 0-3
-	VPMOVSXDQ 16(DI), Y1         // pixels 4-7
-	VPADDQ Y8, Y0, Y0
-	VPADDQ Y8, Y1, Y1
-	VPCMPGTQ Y0, Y15, Y2         // Y2, Y3: -1 where v < 0
-	VPCMPGTQ Y1, Y15, Y3
-	VPXOR  Y2, Y0, Y0
-	VPXOR  Y3, Y1, Y1
-	VPSUBQ Y2, Y0, Y0            // |v|
-	VPSUBQ Y3, Y1, Y1
-	VPADDQ Y14, Y0, Y0
-	VPADDQ Y14, Y1, Y1
-	VPSRLQ X13, Y0, Y0
-	VPSRLQ X13, Y1, Y1
-	VPSUBQ Y2, Y12, Y4           // 127, or 128 where v < 0
-	VPSUBQ Y3, Y12, Y5
-	VPMINUD Y4, Y0, Y0
-	VPMINUD Y5, Y1, Y1
-	VSHUFPS $0x88, Y1, Y0, Y0    // low dwords of both halves, pixel order 0 1 4 5 | 2 3 6 7
-	VSHUFPS $0x88, Y3, Y2, Y2
-	VPERMQ $0xD8, Y0, Y0
-	VPERMQ $0xD8, Y2, Y2
-	VPXOR  Y2, Y0, Y0
-	VPSUBD Y2, Y0, Y0            // first requantization, signed
-	VPABSD Y0, Y1
-	VPADDD Y11, Y1, Y1
-	VPSRLD X10, Y1, Y1
-	VPSIGND Y0, Y1, Y0           // second requantization (identity at shift2 0)
-	VPMAXSD Y9, Y0, Y0
-	VPACKSSDW Y0, Y0, Y0
-	VPACKSSWB Y0, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPUNPCKLDQ X1, X0, X0
-	VMOVQ X0, (SI)
-	ADDQ $32, DI
+pair:
+	FINAL8(0, 0)
+	VMOVDQA Y0, Y3
+	FINAL8(32, 4)
+	VPSLLD $16, Y0, Y0
+	VPBLENDW $0xAA, Y0, Y3, Y0   // low halves from the even lane
+	VMOVDQU Y0, (SI)
+	ADDQ $64, DI
 	ADDQ R8, SI
-	ADDQ R9, DX
+	ADDQ $8, DX
 	DECQ CX
-	JNZ  group
+	JNZ  pair
 	VZEROUPPER
 	RET

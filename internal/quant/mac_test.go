@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -43,15 +44,28 @@ func TestKernelISAMatchesCPU(t *testing.T) {
 }
 
 // TestBodiesAgreeOnUNetShapes runs every convolution and transpose
-// convolution of every Table II configuration at 64×64, with the layer's own
-// weights, biases and shifts and a random input, through both bodies.
+// convolution of every Table II configuration at 64×64, of the 1M U-Net at
+// the paper's 256×256 and of the 16×16 tiny net the front-door benchmark
+// serves, with the layer's own weights, biases and shifts and a random
+// input, through both bodies.
 func TestBodiesAgreeOnUNetShapes(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("one body on this host")
 	}
-	rng := rand.New(rand.NewSource(15))
+	type net struct {
+		cfg  unet.Config
+		size int
+	}
+	nets := []net{
+		{unet.TableII()[0], 256},
+		{unet.Config{Name: "tiny", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}, 16},
+	}
 	for _, cfg := range unet.TableII() {
-		q, err := QuantizeShapeOnly(unet.New(cfg).Export(64, 64))
+		nets = append(nets, net{cfg, 64})
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, nt := range nets {
+		q, err := QuantizeShapeOnly(unet.New(nt.cfg).Export(nt.size, nt.size))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,22 +79,56 @@ func TestBodiesAgreeOnUNetShapes(t *testing.T) {
 			src := randInt8s(rng, n.InC*h*w)
 			shift := RequantShift(in.OutFP+n.WeightFP, n.OutFP)
 			run := func() []int8 {
-				if n.Kind == graph.KindConv {
-					return runConvInt8(src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow)
-				}
-				return runConvTransposeInt8(src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow)
+				return runInt8(t, n.Kind, src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow, testGeom{outBorder: 1})
 			}
 			got := run()
 			var want []int8
 			withPortable(func() { want = run() })
-			sameInt8s(t, cfg.Name+"/"+n.Name, got, want)
+			sameInt8s(t, fmt.Sprintf("%s@%d/%s", nt.cfg.Name, nt.size, n.Name), got, want)
+		}
+	}
+}
+
+// TestPhaseTapsPartitionKernel pins the rule that lets stride² small
+// convolutions stand in for a transpose convolution: over every kernel size,
+// stride and padding, each kernel tap is in exactly one phase — no
+// multiply-add added or lost — and the tap a phase lists m-th reads the input
+// base+m places from the phase's own index, which is where the transpose
+// convolution's definition o = i·stride − pad + t puts it.
+func TestPhaseTapsPartitionKernel(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		for stride := 1; stride <= 4; stride++ {
+			for pad := 0; pad <= 4; pad++ {
+				seen := make([]int, k)
+				for a := 0; a < stride; a++ {
+					taps, base := phaseTaps(k, stride, pad, a)
+					for m, tap := range taps {
+						if tap < 0 || tap >= k {
+							t.Fatalf("k%d s%d p%d phase %d: tap %d outside the kernel", k, stride, pad, a, tap)
+						}
+						seen[tap]++
+						// Output o = a + stride·j reads input i = j + base + m.
+						for j := 0; j < 3; j++ {
+							if o, i := a+stride*j, j+base+m; o != i*stride-pad+tap {
+								t.Fatalf("k%d s%d p%d phase %d: tap %d at offset %d does not land on output %d", k, stride, pad, a, tap, base+m, o)
+							}
+						}
+					}
+				}
+				for tap, n := range seen {
+					if n != 1 {
+						t.Fatalf("k%d s%d p%d: tap %d is in %d phases, want exactly 1", k, stride, pad, tap, n)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestAccumulatorsWrapLikeInt32 reduces deep enough over all-(−128)
 // operands that the true sum leaves int32: the kernels must wrap exactly as
-// the reference's int32 does, in the micro-kernel and in the scatter.
+// the reference's int32 does, within one phase's tile and across the taps of
+// a many-tap phase.
 func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 	fill := func(n int) []int8 {
 		s := make([]int8, n)
@@ -107,19 +155,19 @@ func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 			c, h, w, outC, k, pad, shift := 5300, 3, 3, 2, 5, 2, 24
 			src, weight := fill(c*h*w), fill(outC*c*k*k)
 			check("conv", c, k*k,
-				runConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
+				runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
 				refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
-			// 1×1 transpose convolution over 131 100 channels wraps inside
-			// one tile; 5×5 at stride 1 over 5300 wraps in the scatter sum.
+			// 1×1 transpose convolution over 131 100 channels wraps on a
+			// single tap; 5×5 at stride 1 over 5300 wraps across the taps.
 			c, h, w, k, pad = 131100, 1, 1, 1, 0
 			src, weight = fill(c), fill(c*outC)
 			check("dconv tile", c, 1,
-				runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1),
+				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1),
 				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1))
 			c, h, w, k, pad = 5300, 5, 5, 5, 2
 			src, weight = fill(c*h*w), fill(c*outC*k*k)
-			check("dconv scatter", c, k*k,
-				runConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
+			check("dconv taps", c, k*k,
+				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
 				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
 		})
 	}
@@ -129,26 +177,33 @@ func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 // operands and the write-back parameters.
 type fuzzCase struct {
 	c, h, w, outC, k, stride, pad int
+	outPad                        int // transpose convolution only, < stride
 	shift, shift2                 int
 	relu                          bool
+	geom                          testGeom
 	src                           []int8
 	bias                          []int32
 	rng                           *rand.Rand
 }
 
 // decodeFuzz maps raw fuzz arguments onto a case: odd sizes, rows narrower
-// than a tile, channel and lane counts off the multiples of 2 and 8,
-// k ∈ {1,3,5}, any pad in [0,3], shifts of every sign, both operand extremes
-// and biases at the edges of int32. fill selects the input's values (bits
-// 0-1; the weights take bits 3-4), edge biases (bit 2) and, with bit 7, a
-// reduction long enough to wrap int32 at a small spatial size.
-func decodeFuzz(seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) fuzzCase {
+// than a tile, channel and lane counts off the multiples of 2 and 8, k in
+// [1,5], stride in [1,3], any pad in [0,3] and output padding below the
+// stride, shifts of every sign, both operand extremes and biases at the
+// edges of int32. geom widens the planes (bits 0-1: input border beyond the
+// reach; 2-3: output border; 4-5: planes ahead of the output in its buffer,
+// as a store target has). fill selects the input's values (bits 0-1; the
+// weights take bits 3-4), edge biases (bit 2) and, with bit 7, a reduction
+// long enough to wrap int32 at a small spatial size.
+func decodeFuzz(seed int64, c, h, w, outC uint16, k, pad, stride, outPad, shift, shift2, fill, geom uint8, relu bool) fuzzCase {
 	fc := fuzzCase{
 		c: 1 + int(c)%13, h: 1 + int(h)%11, w: 1 + int(w)%21, outC: 1 + int(outC)%19,
-		k: []int{1, 3, 5}[kSel%3], stride: 1 + int(stride)%2, pad: int(pad) % 4,
+		k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 4,
 		shift: int(shift)%45 - 4, shift2: int(shift2)%7 - 2,
 		relu: relu, rng: rand.New(rand.NewSource(seed)),
+		geom: testGeom{extraBorder: int(geom & 3), outBorder: int(geom >> 2 & 3), planeOff: int(geom >> 4 & 3)},
 	}
+	fc.outPad = int(outPad) % fc.stride
 	if fill&0x80 != 0 {
 		fc.c, fc.h, fc.w, fc.outC = 5200+int(c)%1200, 1+int(h)%3, 1+int(w)%3, 1+int(outC)%3
 	}
@@ -189,9 +244,9 @@ func threeWay(t *testing.T, want []int8, run func() []int8) {
 }
 
 func FuzzConvVsReference(f *testing.F) {
-	f.Add(int64(1), uint16(2), uint16(6), uint16(8), uint16(3), uint8(1), uint8(1), uint8(0), uint8(11), uint8(2), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) {
-		fc := decodeFuzz(seed, c, h, w, outC, kSel, pad, stride, shift, shift2, fill, relu)
+	f.Add(int64(1), uint16(2), uint16(6), uint16(8), uint16(3), uint8(2), uint8(1), uint8(0), uint8(0), uint8(11), uint8(2), uint8(0), uint8(0x14), true)
+	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, k, pad, stride, outPad, shift, shift2, fill, geom uint8, relu bool) {
+		fc := decodeFuzz(seed, c, h, w, outC, k, pad, stride, outPad, shift, shift2, fill, geom, relu)
 		if fc.h+2*fc.pad < fc.k || fc.w+2*fc.pad < fc.k {
 			t.Skip("kernel larger than the padded input")
 		}
@@ -199,26 +254,23 @@ func FuzzConvVsReference(f *testing.F) {
 		weight := fc.operand(fc.outC*fc.c*fc.k*fc.k, fill>>3&3)
 		want := refConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
 		threeWay(t, want, func() []int8 {
-			return runConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+			return runInt8(t, graph.KindConv, fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, fc.geom)
 		})
 	})
 }
 
 func FuzzDconvVsReference(f *testing.F) {
-	f.Add(int64(2), uint16(3), uint16(4), uint16(4), uint16(2), uint8(1), uint8(1), uint8(1), uint8(9), uint8(2), uint8(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, kSel, pad, stride, shift, shift2, fill uint8, relu bool) {
-		fc := decodeFuzz(seed, c, h, w, outC, kSel, pad, stride, shift, shift2, fill, relu)
-		// The stride's low bit doubles as the output padding a stride-2
-		// upsampling layer carries.
-		outPad := (fc.stride - 1) * int(stride>>1&1)
-		oh, ow := (fc.h-1)*fc.stride-2*fc.pad+fc.k+outPad, (fc.w-1)*fc.stride-2*fc.pad+fc.k+outPad
+	f.Add(int64(2), uint16(3), uint16(4), uint16(4), uint16(2), uint8(2), uint8(1), uint8(1), uint8(1), uint8(9), uint8(2), uint8(0), uint8(0x14), false)
+	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, k, pad, stride, outPad, shift, shift2, fill, geom uint8, relu bool) {
+		fc := decodeFuzz(seed, c, h, w, outC, k, pad, stride, outPad, shift, shift2, fill, geom, relu)
+		oh, ow := (fc.h-1)*fc.stride-2*fc.pad+fc.k+fc.outPad, (fc.w-1)*fc.stride-2*fc.pad+fc.k+fc.outPad
 		if oh < 1 || ow < 1 {
 			t.Skip("padding swallows the output")
 		}
 		weight := fc.operand(fc.c*fc.outC*fc.k*fc.k, fill>>3&3)
 		want := refConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
 		threeWay(t, want, func() []int8 {
-			return runConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+			return runInt8(t, graph.KindConvTranspose, fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, fc.geom)
 		})
 	})
 }

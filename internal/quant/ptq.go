@@ -89,14 +89,14 @@ func biasCorrect(q *QGraph, folded *graph.Graph, images []*tensor.Tensor) error 
 	fpMeans := make(map[string]*channelMeans)
 	qMeans := make(map[string]*channelMeans)
 
-	wantNode := func(name string) bool {
-		n := q.Node(name)
+	wantQNode := func(n *QNode) bool {
 		// FP32-fallback layers keep float parameters and have no int32 bias
 		// to correct; integer layers (8- or 4-bit) both accumulate on the
 		// InFP+WeightFP grid the correction is expressed in.
 		return n != nil && (n.Kind == graph.KindConv || n.Kind == graph.KindConvTranspose) &&
 			effBits(n) != BitsFP32
 	}
+	wantNode := func(name string) bool { return wantQNode(q.Node(name)) }
 
 	for _, img := range images {
 		_, err := folded.Forward(img, func(n *graph.Node, out *tensor.Tensor) {
@@ -121,20 +121,17 @@ func biasCorrect(q *QGraph, folded *graph.Graph, images []*tensor.Tensor) error 
 		if err != nil {
 			return err
 		}
-		err = q.runTap(img, func(n *QNode, a *activation) {
-			if !wantNode(n.Name) {
-				return
-			}
+		err = q.runTap(img, wantQNode, func(n *QNode, data []int8, fp FixPos) {
 			m := qMeans[n.Name]
 			if m == nil {
-				m = &channelMeans{sum: make([]float64, a.c)}
+				m = &channelMeans{sum: make([]float64, n.OutShape[0])}
 				qMeans[n.Name] = m
 			}
-			hw := a.h * a.w
-			inv := float64(a.fp.InvScale())
-			for c := 0; c < a.c; c++ {
+			hw := n.OutShape[1] * n.OutShape[2]
+			inv := float64(fp.InvScale())
+			for c := range m.sum {
 				var s float64
-				for _, v := range a.data[c*hw : (c+1)*hw] {
+				for _, v := range data[c*hw : (c+1)*hw] {
 					s += float64(v)
 				}
 				m.sum[c] += s * inv

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"seneca/internal/graph"
@@ -68,7 +69,8 @@ type QNode struct {
 	// is computed once and shared read-only by every pooled executor running
 	// this graph, including vart's concurrent threads.
 	packOnce sync.Once
-	packedW  []int32
+	phases   []phase
+	accBound int64 // no accumulator's magnitude exceeds it: 128·max over lanes of Σ|w|
 }
 
 // Clone returns a copy of the node with a fresh (unstarted) packed-weight
@@ -104,19 +106,72 @@ func (n *QNode) Clone() *QNode {
 	}
 }
 
-// tileWeights returns the node's INT8 weights in the micro-kernel's layout,
-// packing them on first use: output channels are the lanes of a convolution,
-// the OutC·K² column rows those of a transpose convolution.
-func (n *QNode) tileWeights() []int32 {
+// tilePhases returns the node's INT8 weights as the phases the micro-kernel
+// runs (see phase), packing them on first use: one phase of every tap for a
+// convolution, stride² tap subsets for a transpose convolution.
+func (n *QNode) tilePhases() []phase {
 	n.packOnce.Do(func() {
-		kk := n.Kernel * n.Kernel
-		if n.Kind == graph.KindConvTranspose {
-			n.packedW = packTileWeights(n.Weight, n.OutC*kk, n.InC, 1, 1, n.OutC*kk)
-		} else {
-			n.packedW = packTileWeights(n.Weight, n.OutC, n.InC, kk, n.InC*kk, kk)
+		k, kk := n.Kernel, n.Kernel*n.Kernel
+		// Weights are [OutC][InC·K²] for a convolution and [InC][OutC][K²] for
+		// a transpose convolution: either way runs of run weights belong to
+		// one output channel, and the channel advances every run.
+		run := kk
+		if n.Kind != graph.KindConvTranspose {
+			run *= n.InC
+		}
+		sums := make([]int64, n.OutC)
+		for i := 0; i < len(n.Weight); i += run {
+			var sum int64
+			for _, w := range n.Weight[i : i+run] {
+				sum += max(int64(w), -int64(w))
+			}
+			sums[i/run%n.OutC] += sum
+		}
+		n.accBound = 128 * slices.Max(sums)
+		if n.Kind != graph.KindConvTranspose {
+			taps := make([]int, kk)
+			for t := range taps {
+				taps[t] = t
+			}
+			n.phases = []phase{{kh: k, kw: k, baseY: -n.Pad, baseX: -n.Pad,
+				w: packTileWeights(n.Weight, n.OutC, n.InC, taps, n.InC*kk, kk)}}
+			return
+		}
+		for ay := 0; ay < n.Stride; ay++ {
+			rows, baseY := phaseTaps(k, n.Stride, n.Pad, ay)
+			for ax := 0; ax < n.Stride; ax++ {
+				cols, baseX := phaseTaps(k, n.Stride, n.Pad, ax)
+				var taps []int
+				for _, ty := range rows {
+					for _, tx := range cols {
+						taps = append(taps, ty*k+tx)
+					}
+				}
+				n.phases = append(n.phases, phase{ay: ay, ax: ax, kh: len(rows), kw: len(cols), baseY: baseY, baseX: baseX,
+					w: packTileWeights(n.Weight, n.OutC, n.InC, taps, kk, n.OutC*kk)})
+			}
 		}
 	})
-	return n.packedW
+	return n.phases
+}
+
+// outStep is the distance between neighbouring outputs of one of the node's
+// phases: the stride of a transpose convolution, 1 otherwise.
+func (n *QNode) outStep() int {
+	if n.Kind == graph.KindConvTranspose {
+		return n.Stride
+	}
+	return 1
+}
+
+// reach is what the INT8 node needs of its h×w input's plane to produce an
+// oh×ow output (see reach in kernels.go). A strided convolution gathers
+// inside the padded image and reads no tile past it.
+func (n *QNode) reach(h, w, oh, ow int) (border, span int) {
+	if n.Kind == graph.KindConv && n.Stride != 1 {
+		return n.Pad, 0
+	}
+	return reach(n.tilePhases(), n.outStep(), h, w, oh, ow)
 }
 
 // QGraph is a fully-quantized inference graph — the in-memory form of the

@@ -164,3 +164,39 @@ func TestFixPosScale(t *testing.T) {
 		t.Fatal("InvScale wrong")
 	}
 }
+
+// TestQuantizeOneMatchesRound holds the call-free rounding to the definition
+// it replaced — math.Round, saturate, NaN to 0 — over a stride through every
+// float32 bit pattern (non-finite and subnormal ones included), at scales on
+// both sides of 1, and on both neighbours of every half-way point.
+func TestQuantizeOneMatchesRound(t *testing.T) {
+	want := func(x float32, scale float64) int8 {
+		v := math.Round(float64(x) * scale)
+		switch {
+		case v > 127:
+			v = 127
+		case v < -128:
+			v = -128
+		case v != v:
+			v = 0
+		}
+		return int8(v)
+	}
+	for fp := -6; fp <= 14; fp++ {
+		scale := math.Pow(2, float64(fp))
+		check := func(x float32) {
+			if got := quantizeOne(x, scale); got != want(x, scale) {
+				t.Fatalf("quantizeOne(%v [%#x], 2^%d) = %d, want %d", x, math.Float32bits(x), fp, got, want(x, scale))
+			}
+		}
+		for b := uint64(0); b < 1<<32; b += 40009 {
+			check(math.Float32frombits(uint32(b)))
+		}
+		for k := -130; k <= 130; k++ {
+			half := float32((float64(k) + 0.5) / scale)
+			check(half)
+			check(math.Nextafter32(half, float32(math.Inf(1))))
+			check(math.Nextafter32(half, float32(math.Inf(-1))))
+		}
+	}
+}

@@ -78,11 +78,13 @@ func TestLanesConservedOnEveryExitPath(t *testing.T) {
 			t.Fatalf("%s: %v", what, r.err)
 		}
 	}
-	// The redispatch is counted after the job is back on the queue, so the
-	// request can be answered a moment before the counter moves.
+	// The redispatch is counted before the job is back on the queue, so by
+	// the time the request is answered the counter has moved.
 	redispatched := func(t *testing.T, s *Server) {
 		t.Helper()
-		waitFor(t, 5*time.Second, "the failed batch's job was never redispatched", func() bool { return s.Stats().Redispatches == 1 })
+		if n := s.Stats().Redispatches; n != 1 {
+			t.Fatalf("%d redispatches by the time the request behind the failed batch was answered, want 1", n)
+		}
 	}
 	for _, tc := range []struct {
 		name string

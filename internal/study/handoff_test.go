@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
@@ -90,8 +91,8 @@ func stopAt(t *testing.T, seg Segmenter, dir string, ct *nifti.Volume, stage Sta
 
 // TestChaosResumeAtEveryStageBoundary enumerates the crash points of the
 // stage sequence instead of sampling one: the service is stopped after each
-// of the six stages in turn, and once in the middle of infer, the store is
-// reopened, and the job must finish with the mask file of an undisturbed run,
+// of the six stages in turn, once in the middle of infer and once between
+// postprocess's two writes and its completion, the store is reopened, and the job must finish with the mask file of an undisturbed run,
 // byte for byte, without re-running a completed stage. Since stages hand
 // their outputs over in memory, it also pins where each side of that rule
 // gets its input: a straight-through job loads nothing from disk, and a
@@ -127,6 +128,8 @@ func TestChaosResumeAtEveryStageBoundary(t *testing.T) {
 		}
 	}
 	straight.Close()
+
+	goldenJob, _ := straight.st.Get(id)
 
 	// resume reopens dir, lets the job finish and checks it against the
 	// undisturbed run. wantDisk is the one artifact the resumed stage must
@@ -166,6 +169,9 @@ func TestChaosResumeAtEveryStageBoundary(t *testing.T) {
 		if !bytes.Equal(got, golden) {
 			t.Error("resumed job's mask file differs from the undisturbed run's")
 		}
+		if !reflect.DeepEqual(after.Report, goldenJob.Report) {
+			t.Errorf("resumed at %s: report differs from the undisturbed run's:\n got %+v\nwant %+v", at, after.Report, goldenJob.Report)
+		}
 		for _, artifact := range []string{"input", "slices", "mask"} {
 			want := uint64(0)
 			if artifact == wantDisk {
@@ -190,6 +196,41 @@ func TestChaosResumeAtEveryStageBoundary(t *testing.T) {
 			resume(t, dir, id, next, durableInput[next])
 		})
 	}
+
+	t.Run("inside postprocess, mask replaced", func(t *testing.T) {
+		// Stopped after the filtered mask has replaced the reassembled one but
+		// before the stage's completion is durable: the record a finished job
+		// leaves, wound back to where that stop would have left it. The
+		// re-run filters an already filtered mask, finds nothing to remove,
+		// and must still report what the interrupted run removed.
+		var removed int64
+		for _, o := range goldenJob.Report.Organs {
+			removed += o.RemovedVoxels
+		}
+		if removed == 0 {
+			t.Fatal("the filter removes nothing from the test volume: this stop would prove nothing")
+		}
+		dir := t.TempDir()
+		svc, err := New(srv, Config{Dir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := svc.SubmitVolume(ct, nil, Options{Postprocess: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, svc.st, id, 60*time.Second)
+		svc.Close()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = st.Update(id, func(j *Job) { j.State, j.Stage, j.Report = StateRunning, StagePostprocess, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume(t, dir, id, StagePostprocess, "mask")
+	})
 
 	t.Run("after report", func(t *testing.T) {
 		// Nothing is left to resume: the reopened store serves the finished

@@ -319,7 +319,11 @@ func (s *Service) stageReassemble(ctx context.Context, id string, ws *workingSet
 }
 
 // stagePostprocess applies the per-organ largest-connected-component filter
-// to the reassembled volume (skipped when the job opted out).
+// to the reassembled volume (skipped when the job opted out). The removed
+// counts are persisted before the filtered mask replaces the reassembled
+// one, and a persisted count is never lowered: the filter is idempotent, so a
+// run that resumes after the mask was replaced finds nothing left to remove,
+// and what the interrupted run removed is what the job removed.
 func (s *Service) stagePostprocess(ctx context.Context, id string, ws *workingSet) error {
 	j, ok := s.st.Get(id)
 	if !ok {
@@ -333,10 +337,18 @@ func (s *Service) stagePostprocess(ctx context.Context, id string, ws *workingSe
 		return err
 	}
 	removed := LargestComponents(labels, j.Nx, j.Ny, j.Nz, s.seg.NumClasses())
-	if err := s.writeMask(j, labels); err != nil {
+	err = s.st.Update(id, func(j *Job) {
+		for class, n := range j.Removed {
+			if class < len(removed) {
+				removed[class] = max(removed[class], n)
+			}
+		}
+		j.Removed = removed
+	})
+	if err != nil {
 		return err
 	}
-	if err := s.st.Update(id, func(j *Job) { j.Removed = removed }); err != nil {
+	if err := s.writeMask(j, labels); err != nil {
 		return err
 	}
 	ws.labels = labels

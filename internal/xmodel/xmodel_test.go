@@ -13,6 +13,17 @@ import (
 
 func compiledTestProgram(t *testing.T) (*Program, *quant.QGraph, []*tensor.Tensor) {
 	t.Helper()
+	q, calib := quantizedTestGraph(t, quant.Options{})
+	prog, err := Compile(q, "tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, q, calib
+}
+
+// quantizedTestGraph is the tiny test network after PTQ under opt.
+func quantizedTestGraph(t *testing.T, opt quant.Options) (*quant.QGraph, []*tensor.Tensor) {
+	t.Helper()
 	cfg := unet.Config{Name: "tiny", Depth: 2, BaseFilters: 4, InChannels: 1, NumClasses: 6, DropoutRate: 0.1, Seed: 11}
 	m := unet.New(cfg)
 	rng := rand.New(rand.NewSource(3))
@@ -30,15 +41,11 @@ func compiledTestProgram(t *testing.T) (*Program, *quant.QGraph, []*tensor.Tenso
 		}
 		calib = append(calib, img)
 	}
-	q, err := quant.PTQ(g, calib, quant.Options{})
+	q, err := quant.PTQ(g, calib, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(q, "tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, q, calib
+	return q, calib
 }
 
 func TestCompileFusesReLU(t *testing.T) {
@@ -96,54 +103,78 @@ func TestCompiledProgramMatchesQuantizedGraph(t *testing.T) {
 // pass to its contract: the fused graph — convolutions writing straight into
 // the consuming concat's buffer with two-step rounding — must be bit-for-bit
 // identical to the unfused graph that materializes each side and copies it,
-// on both the dequantized outputs and the argmax masks.
+// on both the dequantized outputs and the argmax masks. The mixed-precision
+// cases put a reference-kernel node on each side of a concat that still has
+// a store target: a skip producer whose plain int8 output is widened and
+// then copied in beside the fused planes, and a consumer that narrows the
+// concat's planes back out.
 func TestStoreTargetFusionBitIdentical(t *testing.T) {
-	_, q, calib := compiledTestProgram(t)
-	unfused, err := fuseActivations(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := fuseActivations(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fuseStoreTargets(fused)
-	var annotated int
-	for _, n := range fused.Nodes {
-		if n.StoreTarget != "" {
-			annotated++
-		}
-	}
-	if annotated == 0 {
-		t.Fatal("store-target fusion annotated no producers; the comparison is vacuous")
-	}
-	for fi, img := range calib {
-		wantOut, err := unfused.Execute(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOut, err := fused.Execute(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantOut.Data {
-			if gotOut.Data[i] != wantOut.Data[i] {
-				t.Fatalf("frame %d: fused output diverges at %d: %v vs %v", fi, i, gotOut.Data[i], wantOut.Data[i])
+	for _, tc := range []struct {
+		name   string
+		layers map[string]int
+	}{
+		{"int8", nil},
+		{"int4 producer, fp32 consumer", map[string]int{"enc1.b.conv": quant.Bits4, "dec1.a.conv": quant.BitsFP32}},
+		{"fp32 producer, int4 consumer", map[string]int{"enc0.b.conv": quant.BitsFP32, "dec0.a.conv": quant.Bits4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := quant.Options{}
+			if tc.layers != nil {
+				opt.Config = &quant.QConfig{Layers: tc.layers}
 			}
-		}
-		wantMask, err := unfused.ExecuteLabels(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotMask, err := fused.ExecuteLabels(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantMask {
-			if gotMask[i] != wantMask[i] {
-				t.Fatalf("frame %d: fused mask diverges at pixel %d: %d vs %d", fi, i, gotMask[i], wantMask[i])
+			q, calib := quantizedTestGraph(t, opt)
+			for name := range tc.layers {
+				if q.Node(name) == nil {
+					t.Fatalf("the test network has no layer %q", name)
+				}
 			}
-		}
+			unfused, err := fuseActivations(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fused, err := fuseActivations(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fuseStoreTargets(fused)
+			var annotated int
+			for _, n := range fused.Nodes {
+				if n.StoreTarget != "" {
+					annotated++
+				}
+			}
+			if annotated == 0 {
+				t.Fatal("store-target fusion annotated no producers; the comparison is vacuous")
+			}
+			for fi, img := range calib {
+				wantOut, err := unfused.Execute(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotOut, err := fused.Execute(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantOut.Data {
+					if gotOut.Data[i] != wantOut.Data[i] {
+						t.Fatalf("frame %d: fused output diverges at %d: %v vs %v", fi, i, gotOut.Data[i], wantOut.Data[i])
+					}
+				}
+				wantMask, err := unfused.ExecuteLabels(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotMask, err := fused.ExecuteLabels(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantMask {
+					if gotMask[i] != wantMask[i] {
+						t.Fatalf("frame %d: fused mask diverges at pixel %d: %d vs %d", fi, i, gotMask[i], wantMask[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -250,5 +281,34 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if loaded.Stats() != prog.Stats() {
 		t.Fatal("stats differ after file round trip")
+	}
+}
+
+// TestArenaBytes pins what one executor of the benchmark's volume model — the
+// 1M U-Net at the paper's 256×256, compiled — keeps resident: every
+// activation once, as cells, a concat's inputs inside the concat, and nothing
+// beside them. (Before the arena held cells it was 14.9 MiB: 6.36 of int8
+// activations, a 2.03 widened plane and 6.50 of transpose-convolution columns
+// and accumulators.)
+func TestArenaBytes(t *testing.T) {
+	cfg, err := unet.ConfigByName("1M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := quant.QuantizeShapeOnly(unet.New(cfg).Export(256, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(q, "1M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := quant.NewExecutor(prog.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 11906704 // 11.36 MiB
+	if got := ex.ArenaBytes(); got != want {
+		t.Fatalf("arena is %d bytes (%.2f MiB), want %d", got, float64(got)/(1<<20), want)
 	}
 }
