@@ -37,16 +37,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress repeats the tests whose subject is an interleaving — batch formation
-# and the dispatch lanes in internal/serve, the working-set and goroutine
-# settle test in internal/study — under the race detector, many times in one
+# stress repeats the tests whose subject is an interleaving — batch formation,
+# the dispatch lanes and the breaker claim an expired batch hands back in
+# internal/serve, the probe claim a dead request hands back in
+# internal/cluster, the working-set and goroutine settle test in
+# internal/study — under the race detector, many times in one
 # process, where a once-in-fifty ordering shows up. (The lane tests inject
 # faults, which adds to the process-wide fault counters; the chaos tests
 # assert deltas of those, so neither repetition nor test order can break
 # them.) CI runs this as a blocking step after race.
-STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner)
+STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim)
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
+	$(GO) test -race -count=20 -run '^TestDeadLegReleasesOnlyItsOwnProbe$$' ./internal/cluster/
 	$(GO) test -race -count=50 -run '^TestWorkingSetReleasedAndGoroutinesSettle$$' ./internal/study/
 
 # bench runs the tier-1 benchmarks and snapshots them to $(BENCH_SNAPSHOT)
@@ -91,16 +94,18 @@ mpq-smoke:
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
-# fuzz exercises the binary-format parsers, the INT8 drivers (through cell
-# planes of widened geometry, under both kernel bodies) against their scalar
-# oracle and the percentile selection against the sort it replaced, beyond the
-# committed corpora.
+# fuzz exercises the binary-format parsers, the /v1/segment front door's
+# header checks and body decoding, the INT8 drivers (through cell planes of
+# widened geometry, under both kernel bodies) against their scalar oracle and
+# the percentile selection against the sort it replaced, beyond the committed
+# corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzConvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 	$(GO) test ./internal/imaging/ -run '^$$' -fuzz FuzzSaturateVsSort -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

@@ -19,23 +19,16 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"net/http"
-	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"seneca/internal/cluster"
 	"seneca/internal/dpu"
-	"seneca/internal/fault"
+	"seneca/internal/hostmain"
 	"seneca/internal/obs"
 	"seneca/internal/quant"
 	"seneca/internal/serve"
-	"seneca/internal/unet"
-	"seneca/internal/xmodel"
 )
 
 func main() {
@@ -74,31 +67,8 @@ func main() {
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-cluster", obs.ParseLevel(*logLevel))
-	if *faults != "" {
-		if err := fault.Apply(*faults); err != nil {
-			lg.Error("bad -faults spec", "err", err)
-			os.Exit(1)
-		}
-		fault.Seed(*seed)
-		lg.Warn("fault injection armed", "points", fault.Active())
-	}
-
-	var prog *xmodel.Program
-	var err error
-	if *xmodelPath != "" {
-		prog, err = xmodel.ReadFile(*xmodelPath)
-		if err != nil {
-			lg.Error("loading xmodel", "path", *xmodelPath, "err", err)
-			os.Exit(1)
-		}
-	} else {
-		prog, err = demoProgram(*size)
-		if err != nil {
-			lg.Error("building demo network", "err", err)
-			os.Exit(1)
-		}
-		lg.Info("no -xmodel given: serving built-in demo network (untrained weights)", "model", prog.Name)
-	}
+	hostmain.ArmFaults(lg, *faults, *seed)
+	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	// Every replica gets its own simulated board — the factory is the unit
 	// the autoscaler and rolling restarts call to provision capacity.
@@ -143,31 +113,8 @@ func main() {
 		Metrics: obs.Default,
 	})
 	if err != nil {
-		lg.Error("starting cluster", "err", err)
-		os.Exit(1)
+		hostmain.Fatal(lg, "starting cluster", "err", err)
 	}
-
-	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: c.Handler(),
-		// Slowloris/credit hygiene, as in seneca-serve; bodies are further
-		// capped by MaxBodyBytes inside the handlers.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		lg.Info("draining fleet")
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		if err := c.Shutdown(ctx); err != nil {
-			lg.Warn("drain incomplete", "err", err)
-		}
-		httpSrv.Shutdown(ctx)
-	}()
 
 	g := prog.Graph
 	lg.Info("serving fleet",
@@ -181,10 +128,7 @@ func main() {
 		"batch_water", *batchWater,
 		"kernel_isa", quant.KernelISA(),
 		"runner_widths", widths)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		lg.Error("listen", "err", err)
-		os.Exit(1)
-	}
+	hostmain.Serve(lg, *addr, c.Handler(), 60*time.Second, c.Shutdown)
 
 	st := c.Stats()
 	lg.Info("served",
@@ -195,16 +139,4 @@ func main() {
 		"scale_ups", st.ScaleUps,
 		"scale_downs", st.ScaleDowns,
 		"ejections", st.Ejections)
-}
-
-// demoProgram compiles a compact untrained U-Net so the cluster tier can
-// be exercised without a trained checkpoint.
-func demoProgram(size int) (*xmodel.Program, error) {
-	cfg := unet.Config{Name: "demo", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}
-	g := unet.New(cfg).Export(size, size)
-	q, err := quant.QuantizeShapeOnly(g)
-	if err != nil {
-		return nil, err
-	}
-	return xmodel.Compile(q, cfg.Name)
 }

@@ -22,23 +22,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"seneca/internal/dpu"
-	"seneca/internal/fault"
+	"seneca/internal/hostmain"
 	"seneca/internal/obs"
 	"seneca/internal/quant"
 	"seneca/internal/serve"
-	"seneca/internal/unet"
-	"seneca/internal/xmodel"
 )
 
 func main() {
@@ -68,31 +62,8 @@ func main() {
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-serve", obs.ParseLevel(*logLevel))
-	if *faults != "" {
-		if err := fault.Apply(*faults); err != nil {
-			lg.Error("bad -faults spec", "err", err)
-			os.Exit(1)
-		}
-		fault.Seed(*seed)
-		lg.Warn("fault injection armed", "points", fault.Active())
-	}
-
-	var prog *xmodel.Program
-	var err error
-	if *xmodelPath != "" {
-		prog, err = xmodel.ReadFile(*xmodelPath)
-		if err != nil {
-			lg.Error("loading xmodel", "path", *xmodelPath, "err", err)
-			os.Exit(1)
-		}
-	} else {
-		prog, err = demoProgram(*size)
-		if err != nil {
-			lg.Error("building demo network", "err", err)
-			os.Exit(1)
-		}
-		lg.Info("no -xmodel given: serving built-in demo network (untrained weights)", "model", prog.Name)
-	}
+	hostmain.ArmFaults(lg, *faults, *seed)
+	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	dev := dpu.New(dpu.ZCU104B4096())
 	srv, err := serve.New(dev, prog, serve.Config{
@@ -120,8 +91,7 @@ func main() {
 		Metrics: obs.Default,
 	})
 	if err != nil {
-		lg.Error("starting server", "err", err)
-		os.Exit(1)
+		hostmain.Fatal(lg, "starting server", "err", err)
 	}
 
 	mux := http.NewServeMux()
@@ -134,29 +104,6 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		lg.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: mux,
-		// Slowloris/credit hygiene: bound how long a connection may dribble
-		// headers or a body, and reap idle keep-alives. Bodies are further
-		// capped by MaxBodyBytes inside the handlers.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		lg.Info("draining")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			lg.Warn("drain incomplete", "err", err)
-		}
-		httpSrv.Shutdown(ctx)
-	}()
-
 	g := prog.Graph
 	lg.Info("serving",
 		"model", prog.Name,
@@ -171,10 +118,7 @@ func main() {
 		"queue", *queue,
 		"kernel_isa", quant.KernelISA(),
 		"runner_widths", srv.Health().Widths)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		lg.Error("listen", "err", err)
-		os.Exit(1)
-	}
+	hostmain.Serve(lg, *addr, mux, 30*time.Second, srv.Shutdown)
 
 	st := srv.Stats()
 	lg.Info("served",
@@ -188,16 +132,4 @@ func main() {
 			slog.Float64("watts", st.SimWatts),
 			slog.Float64("fps_per_watt", st.SimFPSPerWatt))
 	}
-}
-
-// demoProgram compiles a compact untrained U-Net so the serving tier can
-// be exercised without a trained checkpoint.
-func demoProgram(size int) (*xmodel.Program, error) {
-	cfg := unet.Config{Name: "demo", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}
-	g := unet.New(cfg).Export(size, size)
-	q, err := quant.QuantizeShapeOnly(g)
-	if err != nil {
-		return nil, err
-	}
-	return xmodel.Compile(q, cfg.Name)
 }

@@ -28,19 +28,14 @@ import (
 	"context"
 	"flag"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"seneca/internal/dpu"
-	"seneca/internal/fault"
+	"seneca/internal/hostmain"
 	"seneca/internal/obs"
 	"seneca/internal/quant"
 	"seneca/internal/serve"
 	"seneca/internal/study"
-	"seneca/internal/unet"
-	"seneca/internal/xmodel"
 )
 
 func main() {
@@ -64,31 +59,8 @@ func main() {
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-study", obs.ParseLevel(*logLevel))
-	if *faults != "" {
-		if err := fault.Apply(*faults); err != nil {
-			lg.Error("bad -faults spec", "err", err)
-			os.Exit(1)
-		}
-		fault.Seed(*seed)
-		lg.Warn("fault injection armed", "points", fault.Active())
-	}
-
-	var prog *xmodel.Program
-	var err error
-	if *xmodelPath != "" {
-		prog, err = xmodel.ReadFile(*xmodelPath)
-		if err != nil {
-			lg.Error("loading xmodel", "path", *xmodelPath, "err", err)
-			os.Exit(1)
-		}
-	} else {
-		prog, err = demoProgram(*size)
-		if err != nil {
-			lg.Error("building demo network", "err", err)
-			os.Exit(1)
-		}
-		lg.Info("no -xmodel given: serving built-in demo network (untrained weights)", "model", prog.Name)
-	}
+	hostmain.ArmFaults(lg, *faults, *seed)
+	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	dev := dpu.New(dpu.ZCU104B4096())
 	srv, err := serve.New(dev, prog, serve.Config{
@@ -102,8 +74,7 @@ func main() {
 		Metrics:      obs.Default,
 	})
 	if err != nil {
-		lg.Error("starting inference server", "err", err)
-		os.Exit(1)
+		hostmain.Fatal(lg, "starting inference server", "err", err)
 	}
 
 	svc, err := study.New(srv, study.Config{
@@ -117,8 +88,7 @@ func main() {
 		Metrics:       obs.Default,
 	})
 	if err != nil {
-		lg.Error("starting study service", "err", err)
-		os.Exit(1)
+		hostmain.Fatal(lg, "starting study service", "err", err)
 	}
 	if n := svc.Store().CountState(study.StateQueued); n > 0 {
 		lg.Info("resuming incomplete volume jobs", "jobs", n)
@@ -127,32 +97,6 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	svc.Routes(mux)
-	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: mux,
-		// Slowloris hygiene: bound header and body read time, reap idle
-		// keep-alives. Whole-volume uploads get the generous ReadTimeout;
-		// bodies are further capped by -max-body inside the handlers.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		lg.Info("draining")
-		// Stop taking volume work first (in-flight jobs stay resumable),
-		// then drain the slice tier.
-		svc.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			lg.Warn("drain incomplete", "err", err)
-		}
-		httpSrv.Shutdown(ctx)
-	}()
-
 	g := prog.Graph
 	lg.Info("serving",
 		"model", prog.Name,
@@ -163,23 +107,13 @@ func main() {
 		"slice_parallel", *sliceParallel,
 		"kernel_isa", quant.KernelISA(),
 		"runner_widths", srv.Health().Widths)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		lg.Error("listen", "err", err)
-		os.Exit(1)
-	}
+	hostmain.Serve(lg, *addr, mux, 30*time.Second, func(ctx context.Context) error {
+		// Stop taking volume work first (in-flight jobs stay resumable),
+		// then drain the slice tier.
+		svc.Close()
+		return srv.Shutdown(ctx)
+	})
 	lg.Info("stopped",
 		"done", svc.Store().CountState(study.StateDone),
 		"failed", svc.Store().CountState(study.StateFailed))
-}
-
-// demoProgram compiles a compact untrained U-Net so the volume pipeline can
-// be exercised without a trained checkpoint.
-func demoProgram(size int) (*xmodel.Program, error) {
-	cfg := unet.Config{Name: "demo", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}
-	g := unet.New(cfg).Export(size, size)
-	q, err := quant.QuantizeShapeOnly(g)
-	if err != nil {
-		return nil, err
-	}
-	return xmodel.Compile(q, cfg.Name)
 }

@@ -95,7 +95,7 @@ func (c *Cluster) retireOne() bool {
 		c.mu.Unlock()
 		return false
 	}
-	victim.setDraining()
+	victim.draining.Store(true)
 	c.ring = buildRing(c.slots)
 	c.mu.Unlock()
 

@@ -45,10 +45,12 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
+	"seneca/internal/breaker"
 	"seneca/internal/fault"
 	"seneca/internal/obs"
 	"seneca/internal/serve"
@@ -75,14 +77,15 @@ func (t Tier) String() string {
 	return "interactive"
 }
 
-// Admission errors.
+// Admission errors. Each wraps the serve-tier sentinel it stands for, so the
+// one /v1/segment error ladder (serve.Door) answers for the fleet too.
 var (
 	// ErrSaturated reports that no node in the fleet can admit the request
-	// at its tier; the HTTP layer maps it to 429 with a Retry-After hint.
-	ErrSaturated = errors.New("cluster: fleet saturated")
+	// at its tier; it is a serve.ErrQueueFull (429 with a Retry-After hint).
+	ErrSaturated = fmt.Errorf("cluster: fleet saturated: %w", serve.ErrQueueFull)
 	// ErrDraining reports that Shutdown has begun and the cluster admits
-	// no new work; the HTTP layer maps it to 503.
-	ErrDraining = errors.New("cluster: cluster is draining")
+	// no new work; it is a serve.ErrDraining (503).
+	ErrDraining = fmt.Errorf("cluster: cluster is draining: %w", serve.ErrDraining)
 )
 
 // Config tunes the cluster. The zero value is usable: every field defaults
@@ -325,9 +328,7 @@ func (c *Cluster) spawn() error {
 	defer c.mu.Unlock()
 	for i, n := range c.slots {
 		if n == nil {
-			c.slots[i] = &node{slot: i, gen: c.nextGen, srv: srv}
-			c.nextGen++
-			c.ring = buildRing(c.slots)
+			c.install(i, srv)
 			return nil
 		}
 	}
@@ -413,7 +414,7 @@ func (c *Cluster) dispatchOnce(ctx context.Context, img *tensor.Tensor, key stri
 	}
 	// With every node ejected and cooling, the only way the fleet regains
 	// capacity is a probe — the same reasoning as the serve tier's
-	// claimWorker polling. Waiting for one is bounded by maxWait and the
+	// probePoll. Waiting for one is bounded by maxWait and the
 	// context; past that, load shedding takes over.
 	maxWait := time.Duration(c.cfg.MaxAttempts) * c.cfg.EjectCooldown
 	var waited time.Duration
@@ -422,9 +423,6 @@ func (c *Cluster) dispatchOnce(ctx context.Context, img *tensor.Tensor, key stri
 		n, probe := pickNode()
 		if n == nil {
 			if eta, anyEjected := c.probeEta(time.Now()); anyEjected && waited < maxWait {
-				if eta < time.Millisecond {
-					eta = time.Millisecond
-				}
 				if rem := maxWait - waited; eta > rem {
 					eta = rem
 				}
@@ -441,82 +439,35 @@ func (c *Cluster) dispatchOnce(ctx context.Context, img *tensor.Tensor, key stri
 			}
 			// Nothing admits this tier right now: shed. (For batch that can
 			// happen while interactive still flows — by design.)
-			if lastErr != nil && !errors.Is(lastErr, serve.ErrQueueFull) && !errors.Is(lastErr, serve.ErrDraining) {
-				return Result{}, lastErr
-			}
-			return Result{}, ErrSaturated
+			break
 		}
 		c.mRouteDepth.Observe(float64(n.load()))
-
-		if err := c.faults.CheckCtx(ctx, "cluster.node.dispatch"); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				n.releaseProbe()
-				return Result{}, ctxErr
-			}
-			c.nodeFailure(n)
-			if !c.budget.allow() {
-				c.stats.retryDenied.Add(1)
-				return Result{}, err
-			}
-			c.stats.redispatched.Add(1)
-			skip[n] = true
-			lastErr = err
-			continue
-		}
-
-		if self != nil {
-			self.current.Store(int32(n.slot))
-		}
-		// Per-slot chaos seam: slow-node programs stall exactly one
-		// replica's dispatches here, the condition hedging exists for.
-		if err := c.faults.CheckCtx(ctx, c.nodePoints[n.slot]); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				n.releaseProbe()
-				return Result{}, ctxErr
-			}
-			c.nodeFailure(n)
-			if !c.budget.allow() {
-				c.stats.retryDenied.Add(1)
-				return Result{}, err
-			}
-			c.stats.redispatched.Add(1)
-			skip[n] = true
-			lastErr = err
-			continue
-		}
-
-		mask, occ, err := n.srv.Segment(ctx, img)
+		mask, occ, err := c.tryNode(ctx, n, img, self)
 		switch {
 		case err == nil:
-			n.recordSuccess()
+			n.br.Success()
 			return Result{Mask: mask, Occupancy: occ, Node: n.slot}, nil
+		case ctx.Err() != nil:
+			// The client's deadline, not the node's fault.
+			n.br.Release(probe)
+			return Result{}, ctx.Err()
 		case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrDraining):
 			// Saturated or mid-restart, not sick: route around it without
 			// charging its health.
-			if probe {
-				n.releaseProbe()
-			}
-			skip[n] = true
-			lastErr = err
-		case ctx.Err() != nil:
-			// The client's deadline, not the node's fault.
-			if probe {
-				n.releaseProbe()
-			}
-			return Result{}, ctx.Err()
+			n.br.Release(probe)
 		default:
-			// The replica's own self-healing budget is spent — that is a
-			// node-level failure. Eject it if the streak says so and retry
-			// elsewhere.
+			// An injected fault, or the replica's own self-healing budget is
+			// spent — a node-level failure. Eject it if the streak says so and
+			// retry elsewhere, budget permitting.
 			c.nodeFailure(n)
 			if !c.budget.allow() {
 				c.stats.retryDenied.Add(1)
 				return Result{}, err
 			}
 			c.stats.redispatched.Add(1)
-			skip[n] = true
-			lastErr = err
 		}
+		skip[n] = true
+		lastErr = err
 	}
 	if lastErr != nil && !errors.Is(lastErr, serve.ErrQueueFull) && !errors.Is(lastErr, serve.ErrDraining) {
 		return Result{}, lastErr
@@ -524,23 +475,38 @@ func (c *Cluster) dispatchOnce(ctx context.Context, img *tensor.Tensor, key stri
 	return Result{}, ErrSaturated
 }
 
+// tryNode sends one leg's request to n through both fault seams. self, when
+// non-nil, learns the slot once the leg is committed to it.
+func (c *Cluster) tryNode(ctx context.Context, n *node, img *tensor.Tensor, self *leg) ([]uint8, int, error) {
+	if err := c.faults.CheckCtx(ctx, "cluster.node.dispatch"); err != nil {
+		return nil, 0, err
+	}
+	if self != nil {
+		self.current.Store(int32(n.slot))
+	}
+	// Per-slot chaos seam: slow-node programs stall exactly one replica's
+	// dispatches here, the condition hedging exists for.
+	if err := c.faults.CheckCtx(ctx, c.nodePoints[n.slot]); err != nil {
+		return nil, 0, err
+	}
+	return n.srv.Segment(ctx, img)
+}
+
 // probeEta scans the fleet for ejected nodes and returns the soonest wait
-// until one admits its probe, plus whether any ejected node exists at all.
-// Dispatch uses it to decide between waiting out a fleet-wide ejection and
-// shedding outright.
+// until one admits its probe — never under a millisecond, which is also the
+// wait when one is due or its probe is out — plus whether any ejected node
+// exists at all. Dispatch uses it to decide between waiting out a fleet-wide
+// ejection and shedding outright.
 func (c *Cluster) probeEta(now time.Time) (time.Duration, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var soonest time.Duration
 	any := false
 	for _, n := range c.slots {
-		if n == nil {
+		if n == nil || n.stateNow() != NodeEjected {
 			continue
 		}
-		eta, ejected := n.probeEta(now)
-		if !ejected {
-			continue
-		}
+		eta := max(n.br.NextProbe().Sub(now), time.Millisecond)
 		if !any || eta < soonest {
 			soonest = eta
 		}
@@ -549,9 +515,10 @@ func (c *Cluster) probeEta(now time.Time) (time.Duration, bool) {
 	return soonest, any
 }
 
-// nodeFailure charges one dispatch failure against a node's health view.
+// nodeFailure charges one dispatch failure against a node's breaker. A
+// draining node is on its way out and is not charged.
 func (c *Cluster) nodeFailure(n *node) {
-	if n.recordFailure(c.cfg.FailThreshold, c.cfg.EjectCooldown) {
+	if !n.draining.Load() && n.br.Failure(time.Now()) {
 		c.stats.ejections.Add(1)
 	}
 }
@@ -595,27 +562,6 @@ func (c *Cluster) Draining() bool {
 	defer c.mu.RUnlock()
 	return c.closing
 }
-
-// BatchTier returns a Segmenter-shaped view of the cluster whose Submit
-// routes on the batch tier — hand it to study.New so whole-volume slice
-// traffic rides the preemptable admission class while POST /v1/segment
-// stays interactive.
-func (c *Cluster) BatchTier() *BatchView { return &BatchView{c: c} }
-
-// BatchView adapts a Cluster to the study.Segmenter interface on the batch
-// tier.
-type BatchView struct{ c *Cluster }
-
-// Submit segments one CHW slice on the batch tier.
-func (b *BatchView) Submit(ctx context.Context, img *tensor.Tensor) ([]uint8, error) {
-	return b.c.SubmitBatch(ctx, img)
-}
-
-// InputShape returns the model's CHW input geometry.
-func (b *BatchView) InputShape() (ch, h, w int) { return b.c.InputShape() }
-
-// NumClasses returns the class count of output masks.
-func (b *BatchView) NumClasses() int { return b.c.NumClasses() }
 
 // Shutdown stops the autoscaler and new admissions, waits for dispatches
 // already through the front door, then drains every node (each node drains
@@ -680,7 +626,7 @@ func (c *Cluster) RollingRestart(ctx context.Context) error {
 			c.mu.Unlock()
 			continue
 		}
-		n.setDraining()
+		n.draining.Store(true)
 		c.ring = buildRing(c.slots) // ring keeps the slot; pick() skips draining nodes
 		c.mu.Unlock()
 
@@ -708,13 +654,19 @@ func (c *Cluster) RollingRestart(ctx context.Context) error {
 			return err
 		}
 		c.mu.Lock()
-		c.slots[i] = &node{slot: i, gen: c.nextGen, srv: srv}
-		c.nextGen++
-		c.ring = buildRing(c.slots)
+		c.install(i, srv)
 		c.mu.Unlock()
 		c.stats.restarts.Add(1)
 	}
 	return nil
+}
+
+// install puts a fresh node for srv, with a closed breaker, into slot i and
+// rebuilds the ring. Callers hold c.mu for writing.
+func (c *Cluster) install(i int, srv *serve.Server) {
+	c.slots[i] = &node{slot: i, gen: c.nextGen, srv: srv, br: breaker.New(c.cfg.FailThreshold, c.cfg.EjectCooldown)}
+	c.nextGen++
+	c.ring = buildRing(c.slots)
 }
 
 // clearSlot empties a slot after a failed replace, leaving the fleet one

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seneca/internal/dpu"
+	"seneca/internal/fault"
 	"seneca/internal/quant"
 	"seneca/internal/serve"
 	"seneca/internal/tensor"
@@ -321,5 +322,48 @@ func TestIdleFleetProbesEjectedNode(t *testing.T) {
 	}
 	if h := c.Health(); h.Active != 2 {
 		t.Fatalf("one request after the cooldown did not probe the ejected node back in: %+v", h)
+	}
+}
+
+// TestDeadLegReleasesOnlyItsOwnProbe: a request picks a node while it is
+// active and stalls at the dispatch fault seam; meanwhile the node is ejected,
+// cools down and a probe claims it. When the stalled request's context dies it
+// must hand back only what its own claim holds — nothing — so a second probe
+// is still refused while the first is out. (Both fault seams used to release
+// the probe on context death whether or not the claim was the probe.)
+func TestDeadLegReleasesOnlyItsOwnProbe(t *testing.T) {
+	faults := fault.NewRegistry(1, nil)
+	faults.Enable("cluster.node.dispatch", fault.Fault{Count: 1, Delay: time.Hour})
+	c, _, imgs := newTestCluster(t,
+		Config{MinNodes: 1, MaxNodes: 1, FailThreshold: 1, EjectCooldown: time.Millisecond, Faults: faults},
+		serve.Config{})
+	c.mu.RLock()
+	n := c.slots[0]
+	c.mu.RUnlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Submit(ctx, imgs[0])
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for faults.Injected("cluster.node.dispatch") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never reached the dispatch seam")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.nodeFailure(n) // threshold 1: the node is ejected
+	time.Sleep(2 * time.Millisecond)
+	if ok, probe := n.br.Claim(time.Now()); !ok || !probe {
+		t.Fatalf("claim past the cooldown: ok %t, probe %t; want the probe", ok, probe)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("stalled request: %v, want context.Canceled", err)
+	}
+	if ok, _ := n.br.Claim(time.Now()); ok {
+		t.Fatal("a second probe got in while the first is out")
 	}
 }

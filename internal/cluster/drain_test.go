@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,20 +301,71 @@ func (b untouchedBody) Read([]byte) (int, error) {
 
 // TestBadHeadersRejectedBeforeBodyRead: the fleet front door refuses a bad
 // tier or a malformed deadline from the headers alone, without reading a
-// body that may be MaxBodyBytes long.
+// body that may be MaxBodyBytes long, and answers a request that reaches the
+// fleet through serve's error ladder — saturated 429 with Retry-After,
+// draining 503, lapsed deadline 504, a node error past its redispatch budget
+// 500 — or with the mask and the fleet's headers.
 func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
-	c, _, _ := newTestCluster(t, Config{MinNodes: 1, MaxNodes: 1}, serve.Config{})
-	for header, value := range map[string]string{
-		"X-Seneca-Tier":      "bogus",
-		serve.DeadlineHeader: "soon",
+	c, _, imgs := newTestCluster(t, Config{MinNodes: 1, MaxNodes: 1, MaxAttempts: 1}, serve.Config{MaxBatch: 1, MaxRedispatch: 1})
+	t.Cleanup(fault.Reset)
+	c.mu.RLock()
+	n := c.slots[0]
+	c.mu.RUnlock()
+	body := serve.EncodeInput(imgs[0].Data)
+	lapsed, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	h := c.Handler()
+	for _, tc := range []struct {
+		name          string
+		header, value string
+		body          []byte // nil: a body nobody may read
+		ctx           context.Context
+		prep          func()
+		want          int
+		headers       map[string]string
+	}{
+		{name: "bad tier", header: "X-Seneca-Tier", value: "bogus", want: http.StatusBadRequest},
+		{name: "malformed deadline", header: serve.DeadlineHeader, value: "soon", want: http.StatusBadRequest},
+		{name: "success", body: body, want: http.StatusOK, headers: map[string]string{
+			"Content-Type": "application/octet-stream", "X-Seneca-Mask-Shape": "32x32", "X-Seneca-Batch": "1",
+			"X-Seneca-Node": "0", serve.HedgedHeader: "",
+		}},
+		{name: "batch tier", header: "X-Seneca-Tier", value: "batch", body: body, want: http.StatusOK},
+		{name: "lapsed deadline", body: body, ctx: lapsed, want: http.StatusGatewayTimeout},
+		{name: "node error", body: body, want: http.StatusInternalServerError,
+			prep: func() { fault.Enable("vart.run.error", fault.Fault{Count: 2}) }},
+		// The only node leaving routing leaves nothing to admit the request.
+		{name: "fleet saturated", body: body, prep: func() { n.draining.Store(true) }, want: http.StatusTooManyRequests},
+		{name: "draining", body: body, prep: func() { c.Shutdown(context.Background()) }, want: http.StatusServiceUnavailable},
 	} {
-		r := httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		if tc.prep != nil {
+			tc.prep()
+		}
+		var r *http.Request
+		if tc.body == nil {
+			r = httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		} else {
+			r = httptest.NewRequest(http.MethodPost, "/v1/segment", bytes.NewReader(tc.body))
+		}
 		r.Header.Set("Content-Type", "application/octet-stream")
-		r.Header.Set(header, value)
+		if tc.header != "" {
+			r.Header.Set(tc.header, tc.value)
+		}
+		if tc.ctx != nil {
+			r = r.WithContext(tc.ctx)
+		}
 		w := httptest.NewRecorder()
-		c.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: %s → HTTP %d, want 400", header, value, w.Code)
+		h.ServeHTTP(w, r)
+		if w.Code != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, w.Code, strings.TrimSpace(w.Body.String()), tc.want)
+		}
+		for k, v := range tc.headers {
+			if got := w.Header().Get(k); got != v {
+				t.Errorf("%s: %s = %q, want %q", tc.name, k, got, v)
+			}
+		}
+		if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); (tc.want == http.StatusTooManyRequests) != (err == nil && secs >= 1) {
+			t.Errorf("%s: Retry-After %q on HTTP %d", tc.name, w.Header().Get("Retry-After"), w.Code)
 		}
 	}
 }

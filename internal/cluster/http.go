@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seneca/internal/serve"
+	"seneca/internal/tensor"
 )
 
 // Handler returns the HTTP front door of the fleet:
@@ -28,73 +29,47 @@ import (
 // (octet-stream, JSON, NIfTI). Responses carry X-Seneca-Mask-Shape,
 // X-Seneca-Batch and X-Seneca-Node (the slot that served the request).
 func (c *Cluster) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/segment", c.handleSegment)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/statz", c.handleStatz)
-	mux.Handle("/metrics", c.reg.Handler())
+	d := &serve.Door[fleetRoute]{
+		C: c.inC, H: c.inH, W: c.inW, MaxBody: c.cfg.MaxBodyBytes,
+		Route:      routeFleet,
+		Segment:    c.segment,
+		RetryAfter: func(fleetRoute) time.Duration { return c.RetryAfter() },
+	}
+	mux := d.Mux(c.handleHealthz, func() any { return c.Stats() }, c.reg.Handler())
 	mux.HandleFunc("/v1/admin/rolling-restart", c.handleRollingRestart)
 	return mux
 }
 
-func (c *Cluster) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	tier := TierInteractive
+// fleetRoute is a request's admission tier and consistent-hash key.
+type fleetRoute struct {
+	tier Tier
+	key  string
+}
+
+var errBadTier = errors.New(`cluster: X-Seneca-Tier must be "interactive" or "batch"`)
+
+func routeFleet(r *http.Request) (fleetRoute, int, error) {
+	rt := fleetRoute{key: r.Header.Get("X-Seneca-Key")}
 	switch r.Header.Get("X-Seneca-Tier") {
 	case "", "interactive":
 	case "batch":
-		tier = TierBatch
+		rt.tier = TierBatch
 	default:
-		http.Error(w, "cluster: X-Seneca-Tier must be \"interactive\" or \"batch\"", http.StatusBadRequest)
-		return
+		return rt, http.StatusBadRequest, errBadTier
 	}
-	// Headers first: a request they condemn must not cost a body read of up
-	// to MaxBodyBytes before its 400.
-	ctx, cancel, ok := serve.ContextWithDeadlineHeader(r)
-	if !ok {
-		http.Error(w, fmt.Sprintf("cluster: bad %s header", serve.DeadlineHeader), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	img, status, err := serve.DecodeSegmentRequest(w, r, c.inC, c.inH, c.inW, c.cfg.MaxBodyBytes)
+	return rt, 0, nil
+}
+
+func (c *Cluster) segment(ctx context.Context, rt fleetRoute, img *tensor.Tensor, h http.Header) ([]uint8, int, error) {
+	res, err := c.Do(ctx, img, rt.key, rt.tier)
 	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
+		return nil, 0, err
 	}
-	res, err := c.Do(ctx, img, r.Header.Get("X-Seneca-Key"), tier)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrSaturated), errors.Is(err, serve.ErrQueueFull):
-		secs := int(c.RetryAfter().Seconds() + 0.999)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrDraining), errors.Is(err, serve.ErrDraining):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Seneca-Mask-Shape", fmt.Sprintf("%dx%d", c.inH, c.inW))
-	h.Set("X-Seneca-Batch", strconv.Itoa(res.Occupancy))
 	h.Set("X-Seneca-Node", strconv.Itoa(res.Node))
 	if res.Hedged {
 		h.Set(serve.HedgedHeader, "1")
 	}
-	w.Write(res.Mask)
+	return res.Mask, res.Occupancy, nil
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -106,13 +81,6 @@ func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(h)
-}
-
-func (c *Cluster) handleStatz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(c.Stats())
 }
 
 func (c *Cluster) handleRollingRestart(w http.ResponseWriter, r *http.Request) {

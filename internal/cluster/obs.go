@@ -36,7 +36,7 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 				}
 				return float64(n)
 			},
-			obs.L("state", state.String()))
+			obs.L("state", string(state)))
 	}
 	reg.GaugeFunc("seneca_cluster_node_capacity",
 		"Configured fleet ceiling (MaxNodes).",
@@ -109,6 +109,3 @@ func (c *Cluster) initMetrics(reg *obs.Registry) {
 	// scrape names the kernel body itself.
 	quant.ExportKernelISA(reg)
 }
-
-// Metrics returns the registry this cluster reports into.
-func (c *Cluster) Metrics() *obs.Registry { return c.reg }

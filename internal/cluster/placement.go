@@ -101,8 +101,9 @@ func hashKey(key string) uint64 {
 // node. Batch-tier requests are only eligible for nodes below the batch
 // admission water mark — that is the preemption mechanism: the top
 // (1−BatchWaterFrac) of every queue is reserved for interactive traffic,
-// so batch always sheds first. The probe return marks an eject probe claim
-// (see node.routable).
+// so batch always sheds first. The probe return marks the claim as the node
+// breaker's probe, which the caller releases if the request never reaches
+// the replica.
 func (c *Cluster) pick(key string, tier Tier, skip map[*node]bool, avoid int) (n *node, probe bool) {
 	// The topology lock is held for the whole pick, not just the snapshot: a
 	// rolling restart swaps one node back in and marks the next draining
@@ -147,18 +148,22 @@ func (c *Cluster) pick(key string, tier Tier, skip map[*node]bool, avoid int) (n
 	// traffic neither order would otherwise reach it — the active node ties
 	// at load 0 and wins on slot (or owns the key), so a fleet that finished
 	// its burst before the cooldown ran out stayed degraded for good.
+	probeDue := func(nd *node) bool {
+		at := nd.br.NextProbe()
+		return !nd.draining.Load() && !at.IsZero() && !now.Before(at)
+	}
 	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].probeDue(now) && !order[j].probeDue(now)
+		return probeDue(order[i]) && !probeDue(order[j])
 	})
 	for _, nd := range order {
-		if skip[nd] || nd.slot == avoid {
+		if skip[nd] || nd.slot == avoid || nd.draining.Load() {
 			continue
 		}
 		if tier == TierBatch && nd.load() >= c.batchWater {
 			continue
 		}
-		if ok, pr := nd.routable(now); ok {
-			return nd, pr
+		if ok, probe := nd.br.Claim(now); ok {
+			return nd, probe
 		}
 	}
 	return nil, false

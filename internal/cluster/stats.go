@@ -119,7 +119,7 @@ func (c *Cluster) Stats() Stats {
 		st.Nodes = append(st.Nodes, NodeStats{
 			Slot:           n.slot,
 			Gen:            n.gen,
-			State:          state.String(),
+			State:          string(state),
 			Depth:          n.srv.QueueDepth(),
 			InFlight:       n.srv.InFlightBatches(),
 			Completed:      s.Completed,
@@ -159,7 +159,7 @@ func (c *Cluster) Health() Health {
 		}
 		h.Nodes++
 		state := n.stateNow()
-		h.States = append(h.States, state.String())
+		h.States = append(h.States, string(state))
 		if state == NodeActive {
 			h.Active++
 		}

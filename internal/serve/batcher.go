@@ -74,6 +74,7 @@ func (s *Server) batchLoop() {
 		}
 		var w *worker
 		var lanes int
+		var probe bool
 		for { // backpressure point: wait for backend capacity
 			for queued := true; queued && open() != nil; {
 				select {
@@ -98,7 +99,7 @@ func (s *Server) batchLoop() {
 			if len(batch) == 0 {
 				break
 			}
-			if w, lanes = s.place(len(batch), cands); w != nil {
+			if w, lanes, probe = s.place(len(batch), cands); w != nil {
 				break
 			}
 			select {
@@ -116,7 +117,7 @@ func (s *Server) batchLoop() {
 		s.inflight.Add(1)
 		go func() {
 			defer s.inflight.Done()
-			s.dispatch(w, batch, lanes)
+			s.dispatch(w, batch, lanes, probe)
 		}()
 	}
 }
@@ -180,8 +181,9 @@ func (s *Server) observeService(d time.Duration) {
 // the batch. A batch that errors or outlives WatchdogTimeout counts
 // against the worker's breaker and its jobs go back through the queue for
 // another backend (failOrRedispatch), so clients only observe an error once
-// a job's redispatch budget is spent.
-func (s *Server) dispatch(w *worker, batch []*job, lanes int) {
+// a job's redispatch budget is spent. probe says whether the claim on w is its
+// breaker's half-open probe.
+func (s *Server) dispatch(w *worker, batch []*job, lanes int, probe bool) {
 	defer s.release(w, lanes)
 	defer w.inflight.Add(-1)
 
@@ -195,7 +197,7 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int) {
 	}
 	w.staged.Add(-int64(len(batch)))
 	if len(live) == 0 {
-		w.releaseClaim() // a half-open probe that never ran stays claimable
+		w.br.Release(probe) // a half-open probe that never ran stays claimable
 		return
 	}
 	w.inflightFrames.Add(int64(len(live)))
@@ -213,7 +215,7 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int) {
 	// channel; this goroutine keeps sole ownership of the jobs and decides
 	// between the result and the watchdog deadline. A stalled backend's late
 	// result is simply never read — the backend itself has already been
-	// evicted by recordFailure, so nothing dispatches to it again.
+	// evicted by fail, so nothing dispatches to it again.
 	type runOut struct {
 		masks [][]uint8
 		res   energy.Report
@@ -241,11 +243,11 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int) {
 	}
 	w.batches.Add(1)
 	if out.err != nil {
-		w.recordFailure(s)
+		w.fail(s)
 		s.failOrRedispatch(live, out.err)
 		return
 	}
-	w.recordSuccess()
+	w.br.Success()
 	if s.cfg.SimPace > 0 {
 		// Hold the lanes until the batch's paced wall time has elapsed: the
 		// modelled device would still be busy, so the replica must be too.

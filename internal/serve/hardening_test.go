@@ -2,11 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"seneca/internal/fault"
 )
 
 // TestBodyCap413 pins the upload-size guardrail: a body over
@@ -58,37 +63,123 @@ func (b untouchedBody) Read([]byte) (int, error) {
 	return 0, io.EOF
 }
 
-// TestBadHeadersRejectedBeforeBodyRead pins the order of the front door's
-// checks on both serve-tier handlers: a malformed deadline, an unknown tier
-// or an octet-stream body whose declared length is not the model's input
-// size is refused from the headers alone, without reading a body that may
-// be MaxBodyBytes long.
+// TestBadHeadersRejectedBeforeBodyRead pins the one /v1/segment exchange on
+// both serve-tier doors. A malformed deadline, an unknown tier or an
+// octet-stream body whose declared length is not the model's input size is
+// refused from the headers alone, without reading a body that may be
+// MaxBodyBytes long. A request that reaches its server is answered by the
+// error ladder — queue full 429 with Retry-After, draining 503, lapsed
+// deadline 504, a backend error past the redispatch budget 500 — or with the
+// mask and the door's headers.
 func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
-	s, _, _, _ := newTestServer(t, Config{Threads: 1})
-	f, _, _ := newTestFront(t)
+	// One lane, a one-deep queue and one redispatch put every rung of the
+	// ladder a request or two away.
+	cfg := Config{Threads: 1, MaxBatch: 1, QueueDepth: 1, MaxRedispatch: 1}
+	s, _, _, imgs := newTestServer(t, cfg)
+	dev, prov, _ := variantPrograms(t, 32)
+	f, err := NewVariantFront(dev, prov, defaultTiers(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	t.Cleanup(fault.Reset)
+	body := rawBody(imgs[0])
+	lapsed, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+
+	// fill holds the only lane of srv's runner, parks one request in a formed
+	// batch and one in the queue, and returns what lets them finish.
+	var release func()
+	fill := func(srv *Server) func() {
+		return func() {
+			free := holdLanes(srv, 1)
+			base := srv.stats.accepted.Load()
+			parked := []<-chan segmented{segment(context.Background(), srv)}
+			waitFormed(t, srv, base+1)
+			parked = append(parked, segment(context.Background(), srv))
+			waitFor(t, 5*time.Second, "the queue never filled", func() bool { return srv.QueueDepth() == 1 })
+			release = func() {
+				free()
+				for _, c := range parked {
+					if r := <-c; r.err != nil {
+						t.Errorf("request parked behind the held lane: %v", r.err)
+					}
+				}
+			}
+		}
+	}
+	drain := func(shutdown func(context.Context) error) func() {
+		return func() {
+			release()
+			shutdown(context.Background())
+		}
+	}
+	failTwice := func() { fault.Enable("vart.run.error", fault.Fault{Count: 2}) }
+	mask := map[string]string{"Content-Type": "application/octet-stream", "X-Seneca-Mask-Shape": "32x32", "X-Seneca-Batch": "1"}
+	variant := map[string]string{"X-Seneca-Variant": "int8-uniform", ServedVariantHeader: "int8-uniform"}
+	for k, v := range mask {
+		variant[k] = v
+	}
+	sh, fh := s.Handler(), f.Handler()
 	for _, tc := range []struct {
 		name          string
 		h             http.Handler
 		header, value string
+		body          []byte // nil: a body nobody may read
+		ctx           context.Context
+		prep          func()
 		want          int
+		headers       map[string]string
 	}{
-		{"server/malformed deadline", s.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
-		{"server/non-positive deadline", s.Handler(), DeadlineHeader, "0", http.StatusBadRequest},
-		{"server/wrong declared length", s.Handler(), "Content-Length", "4095", http.StatusBadRequest},
-		{"front/malformed deadline", f.Handler(), DeadlineHeader, "soon", http.StatusBadRequest},
-		{"front/unknown tier", f.Handler(), "X-Seneca-Tier", "platinum", http.StatusNotFound},
-		{"front/wrong declared length", f.Handler(), "Content-Length", "4097", http.StatusBadRequest},
+		{name: "server/malformed deadline", h: sh, header: DeadlineHeader, value: "soon", want: http.StatusBadRequest},
+		{name: "server/non-positive deadline", h: sh, header: DeadlineHeader, value: "0", want: http.StatusBadRequest},
+		{name: "server/wrong declared length", h: sh, header: "Content-Length", value: "4095", want: http.StatusBadRequest},
+		{name: "front/malformed deadline", h: fh, header: DeadlineHeader, value: "soon", want: http.StatusBadRequest},
+		{name: "front/unknown tier", h: fh, header: "X-Seneca-Tier", value: "platinum", want: http.StatusNotFound},
+		{name: "front/wrong declared length", h: fh, header: "Content-Length", value: "4097", want: http.StatusBadRequest},
+
+		{name: "server/success", h: sh, body: body, want: http.StatusOK, headers: mask},
+		{name: "server/lapsed deadline", h: sh, body: body, ctx: lapsed, want: http.StatusGatewayTimeout},
+		{name: "server/backend error", h: sh, body: body, prep: failTwice, want: http.StatusInternalServerError},
+		{name: "server/queue full", h: sh, body: body, prep: fill(s), want: http.StatusTooManyRequests},
+		{name: "server/draining", h: sh, body: body, prep: drain(s.Shutdown), want: http.StatusServiceUnavailable},
+		{name: "front/success", h: fh, body: body, want: http.StatusOK, headers: variant},
+		{name: "front/lapsed deadline", h: fh, body: body, ctx: lapsed, want: http.StatusGatewayTimeout},
+		{name: "front/backend error", h: fh, body: body, prep: failTwice, want: http.StatusInternalServerError},
+		{name: "front/queue full", h: fh, body: body, prep: fill(f.Server("int8-uniform")), want: http.StatusTooManyRequests},
+		{name: "front/draining", h: fh, body: body, prep: drain(f.Shutdown), want: http.StatusServiceUnavailable},
 	} {
-		r := httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		if tc.prep != nil {
+			tc.prep()
+		}
+		var r *http.Request
+		if tc.body == nil {
+			r = httptest.NewRequest(http.MethodPost, "/v1/segment", untouchedBody{t})
+		} else {
+			r = httptest.NewRequest(http.MethodPost, "/v1/segment", bytes.NewReader(tc.body))
+		}
 		r.Header.Set("Content-Type", "application/octet-stream")
-		r.Header.Set(tc.header, tc.value)
+		if tc.header != "" {
+			r.Header.Set(tc.header, tc.value)
+		}
 		if tc.header == "Content-Length" { // what net/http parses the header into
 			r.ContentLength, _ = strconv.ParseInt(tc.value, 10, 64)
+		}
+		if tc.ctx != nil {
+			r = r.WithContext(tc.ctx)
 		}
 		w := httptest.NewRecorder()
 		tc.h.ServeHTTP(w, r)
 		if w.Code != tc.want {
-			t.Errorf("%s: HTTP %d, want %d", tc.name, w.Code, tc.want)
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, w.Code, strings.TrimSpace(w.Body.String()), tc.want)
+		}
+		for k, v := range tc.headers {
+			if got := w.Header().Get(k); got != v {
+				t.Errorf("%s: %s = %q, want %q", tc.name, k, got, v)
+			}
+		}
+		if secs, err := strconv.Atoi(w.Header().Get("Retry-After")); (tc.want == http.StatusTooManyRequests) != (err == nil && secs >= 1) {
+			t.Errorf("%s: Retry-After %q on HTTP %d", tc.name, w.Header().Get("Retry-After"), w.Code)
 		}
 	}
 }

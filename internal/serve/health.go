@@ -7,39 +7,16 @@ import (
 	"time"
 
 	"seneca/internal/backend"
+	"seneca/internal/breaker"
 	"seneca/internal/energy"
 	"seneca/internal/obs"
 )
 
-// BreakerState is one worker's circuit-breaker position.
-type BreakerState int32
-
-// Breaker states. A worker starts Closed; BreakerThreshold consecutive
-// failures trip it Open (its backend is evicted and replaced); after
-// BreakerCooldown it admits a single HalfOpen probe batch whose outcome
-// either closes the breaker or re-opens it (evicting again).
-const (
-	BreakerClosed BreakerState = iota
-	BreakerOpen
-	BreakerHalfOpen
-)
-
-// String returns the conventional lowercase breaker-state name.
-func (b BreakerState) String() string {
-	switch b {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
-// worker wraps one pooled backend with its load counters and health state.
-// The breaker fields are guarded by mu; the load counters stay atomics so
-// router scans and the stats snapshot never contend with dispatch.
+// worker wraps one pooled backend with its load counters and its circuit
+// breaker: BreakerThreshold consecutive failures trip it open and evict the
+// backend for a fresh one; after BreakerCooldown a single half-open probe
+// batch closes it or re-opens it (evicting again). The load counters are
+// atomics so router scans and the stats snapshot never contend with dispatch.
 type worker struct {
 	id   int
 	kind string // backend kind this slot runs, e.g. "dpu-sim"
@@ -61,14 +38,12 @@ type worker struct {
 	mDispatch *obs.Counter
 	mBatchLat *obs.Histogram
 
-	mu        sync.Mutex
-	be        backend.Backend
-	width     int                    // frames be runs in the time of one (widthOf)
-	mk        func() backend.Backend // eviction factory: builds a fresh backend
-	state     BreakerState
-	fails     int       // consecutive failures since the last success
-	openUntil time.Time // when an Open breaker admits its probe
-	probing   bool      // a HalfOpen probe batch is in flight
+	br *breaker.Breaker
+
+	mu    sync.Mutex
+	be    backend.Backend
+	width int                    // frames be runs in the time of one (widthOf)
+	mk    func() backend.Backend // eviction factory: builds a fresh backend
 
 	simMu     sync.Mutex
 	simBusy   time.Duration // accumulated simulated device-busy time
@@ -125,96 +100,29 @@ func (w *worker) getBackend() backend.Backend {
 	return w.be
 }
 
-// breaker returns the current breaker state.
-func (w *worker) breaker() BreakerState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state
-}
-
 // healthy reports whether the worker serves regular traffic (breaker
 // closed and the backend's own self-check passes). Open and half-open
 // workers count as degraded capacity.
 func (w *worker) healthy() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state == BreakerClosed && w.be.Health() == nil
+	return w.br.State() == breaker.Closed && w.getBackend().Health() == nil
 }
 
-// tryClaim attempts to reserve the worker for one batch. A Closed worker
-// always admits (Pipeline may put several batches in flight); an Open
-// worker past its cooldown transitions to HalfOpen and admits exactly one
-// probe at a time. The bool probe return marks the claim as that probe.
-func (w *worker) tryClaim(now time.Time) (ok, probe bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch w.state {
-	case BreakerClosed:
-		return true, false
-	case BreakerOpen:
-		if now.Before(w.openUntil) {
-			return false, false
-		}
-		w.state = BreakerHalfOpen
-		w.probing = true
-		return true, true
-	case BreakerHalfOpen:
-		if w.probing {
-			return false, false
-		}
-		w.probing = true
-		return true, true
-	}
-	return false, false
-}
-
-// releaseClaim undoes a tryClaim that never executed a batch (every job in
-// it had already expired), so a half-open worker does not leak its probe.
-func (w *worker) releaseClaim() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.probing = false
-}
-
-// recordSuccess resets the failure streak and closes a half-open breaker
-// whose probe just came back healthy.
-func (w *worker) recordSuccess() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.fails = 0
-	w.probing = false
-	w.state = BreakerClosed
-}
-
-// recordFailure counts one batch failure (error or watchdog stall) and
-// returns true when it tripped the breaker open — at BreakerThreshold
-// consecutive failures from Closed, or immediately on a failed HalfOpen
-// probe. Tripping evicts the broken backend and installs a fresh one built
+// fail charges one batch failure (error or watchdog stall) to the worker's
+// breaker. A trip evicts the broken backend and installs a fresh one built
 // from the retained device and program, so the cooldown-then-probe cycle
 // exercises a clean runtime rather than the wedged one.
-func (w *worker) recordFailure(s *Server) (tripped bool) {
+func (w *worker) fail(s *Server) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.fails++
-	w.probing = false
-	switch w.state {
-	case BreakerClosed:
-		if w.fails < s.cfg.BreakerThreshold {
-			return false
-		}
-	case BreakerOpen:
-		// A straggler batch dispatched before the trip; stay open.
-		return false
+	if !w.br.Failure(time.Now()) {
+		return
 	}
-	w.state = BreakerOpen
-	w.openUntil = time.Now().Add(s.cfg.BreakerCooldown)
 	if w.mk != nil {
 		if nb := w.mk(); nb != nil {
 			w.adopt(nb, s.cfg.Threads)
 		}
 	}
 	s.stats.evictions.Add(1)
-	return true
 }
 
 // recordSim folds one executed batch's simulated report into the worker's
@@ -238,25 +146,35 @@ func (w *worker) recordSim(res energy.Report) {
 // backend.Route picks, among those with the lanes free, under the configured
 // latency SLO and energy budget (a homogeneous pool degenerates to plain
 // least-loaded dispatch). cands is batchLoop's scratch, one entry per worker.
-func (s *Server) place(frames int, cands []backend.Candidate) (w *worker, lanes int) {
+// probe marks the claim as its worker's half-open probe, which dispatch must
+// hand back if the batch never runs.
+func (s *Server) place(frames int, cands []backend.Candidate) (w *worker, lanes int, probe bool) {
 	now := time.Now()
+	claim := func(w *worker) (*worker, int, bool) {
+		ok, probe := w.br.Claim(now)
+		if !ok {
+			return nil, 0, false
+		}
+		if probe {
+			s.stats.probes.Add(1)
+		}
+		need, _ := w.lanesFor(frames, s.cfg.Pipeline)
+		w.busy.Add(int32(need))
+		return w, need, probe
+	}
 	room := false
 	for i, w := range s.pool {
-		need, free := w.lanesFor(frames, s.cfg.Pipeline)
-		if free && w.breaker() != BreakerClosed {
-			if ok, probe := w.tryClaim(now); ok {
-				if probe {
-					s.stats.probes.Add(1)
-				}
-				w.busy.Add(int32(need))
-				return w, need
+		_, free := w.lanesFor(frames, s.cfg.Pipeline)
+		if free && w.br.State() != breaker.Closed {
+			if got, lanes, probe := claim(w); got != nil {
+				return got, lanes, probe
 			}
 		}
 		cands[i] = backend.Candidate{Healthy: w.healthy(), Full: !free, InFlight: int(w.inflight.Load())}
 		room = room || cands[i].Healthy && free
 	}
 	if !room {
-		return nil, 0 // not worth pricing: Cost runs the device model
+		return nil, 0, false // not worth pricing: Cost runs the device model
 	}
 	for i, w := range s.pool {
 		if cands[i].Healthy {
@@ -264,14 +182,9 @@ func (s *Server) place(frames int, cands []backend.Candidate) (w *worker, lanes 
 		}
 	}
 	if i := backend.Route(s.router, frames, cands); i >= 0 {
-		w := s.pool[i]
-		if ok, _ := w.tryClaim(now); ok {
-			need, _ := w.lanesFor(frames, s.cfg.Pipeline)
-			w.busy.Add(int32(need))
-			return w, need
-		}
+		return claim(s.pool[i])
 	}
-	return nil, 0
+	return nil, 0, false
 }
 
 // release gives a batch's lanes back to its worker and wakes batchLoop, which
@@ -285,20 +198,22 @@ func (s *Server) release(w *worker, lanes int) {
 }
 
 // probePoll is how batchLoop learns that a cooldown has run out, which no
-// release announces: while some worker is out of regular service it returns a
-// channel that fires after a fraction of the cooldown, otherwise nil — never
-// ready in a select.
+// release announces: it returns a channel that fires at the soonest time some
+// worker's breaker admits its next probe (never sooner than timerFloor, so a
+// probe held up only by busy lanes waits for their release instead of
+// spinning), or nil — never ready in a select — when no worker is waiting
+// for one.
 func (s *Server) probePoll() <-chan time.Time {
+	var soonest time.Time
 	for _, w := range s.pool {
-		if !w.healthy() {
-			wait := s.cfg.BreakerCooldown / 16
-			if wait <= 0 || wait > 5*time.Millisecond {
-				wait = 5 * time.Millisecond
-			}
-			return time.After(wait)
+		if at := w.br.NextProbe(); !at.IsZero() && (soonest.IsZero() || at.Before(soonest)) {
+			soonest = at
 		}
 	}
-	return nil
+	if soonest.IsZero() {
+		return nil
+	}
+	return time.After(max(time.Until(soonest), timerFloor))
 }
 
 // Health is a point-in-time snapshot of the pool's self-healing state, as
@@ -340,11 +255,11 @@ func (s *Server) Health() Health {
 		WatchdogTimeouts: s.stats.watchdog.Load(),
 	}
 	for i, w := range s.pool {
-		st := w.breaker()
+		st := w.br.State()
 		h.Breakers[i] = st.String()
 		h.Backends[i] = w.kind
 		h.Widths[i] = w.laneWidth()
-		if st == BreakerClosed {
+		if st == breaker.Closed {
 			h.Healthy++
 		}
 	}

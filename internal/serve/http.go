@@ -36,22 +36,96 @@ const ServedVariantHeader = "X-Seneca-Served-Variant"
 // cross-node hedge leg before completing.
 const HedgedHeader = "X-Seneca-Hedged"
 
-// ContextWithDeadlineHeader derives the request-handling context from the
-// X-Seneca-Deadline-Ms header: absent means r.Context() unchanged, a
-// positive integer arms a deadline that many milliseconds out. The returned
-// cancel must always be called. A malformed or non-positive value is a
-// client error (ok=false → respond 400).
-func ContextWithDeadlineHeader(r *http.Request) (ctx context.Context, cancel context.CancelFunc, ok bool) {
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
-		return r.Context(), func() {}, true
+// Door is one front door's share of the /v1/segment exchange; ServeHTTP owns
+// the rest, for every door: POST only; the door's routing headers, then
+// X-Seneca-Deadline-Ms, all checked before any body byte is read; the body
+// decoded by DecodeSegmentRequest; one error→status ladder (ErrQueueFull →
+// 429 with Retry-After, ErrDraining → 503, a context error → 504, anything
+// else → 500 — other tiers' sentinels match these through errors.Is); and the
+// Content-Type, X-Seneca-Mask-Shape and X-Seneca-Batch response headers. R
+// carries what the routing step decided to the call that answers.
+type Door[R any] struct {
+	// C, H, W is the model geometry a body decodes to; MaxBody caps the body.
+	C, H, W int
+	MaxBody int64
+	// Route reads the door's routing headers. An error is answered with the
+	// status returned beside it.
+	Route func(r *http.Request) (R, int, error)
+	// Segment answers one decoded request: the mask and the occupancy of the
+	// micro-batch it rode in. On success it may set the door's own response
+	// headers on h.
+	Segment func(ctx context.Context, route R, img *tensor.Tensor, h http.Header) ([]uint8, int, error)
+	// RetryAfter is the door's backoff estimate for a 429.
+	RetryAfter func(route R) time.Duration
+}
+
+// ServeHTTP answers POST /v1/segment.
+func (d *Door[R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return nil, nil, false
+	// Headers first: a request they condemn must not cost a body read of up
+	// to MaxBodyBytes before its 4xx.
+	route, status, err := d.Route(r)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
 	}
-	ctx, cancel = context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
-	return ctx, cancel, true
+	ctx := r.Context()
+	if v := r.Header.Get(DeadlineHeader); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms <= 0 {
+			http.Error(w, fmt.Sprintf("serve: bad %s header", DeadlineHeader), http.StatusBadRequest)
+			return
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		defer cancel()
+	}
+	img, status, err := DecodeSegmentRequest(w, r, d.C, d.H, d.W, d.MaxBody)
+	if err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
+	h := w.Header()
+	mask, occupancy, err := d.Segment(ctx, route, img, h)
+	if err != nil {
+		status = http.StatusInternalServerError
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			status = http.StatusTooManyRequests
+			h.Set("Retry-After", strconv.Itoa(max(int(d.RetryAfter(route).Seconds()+0.999), 1)))
+		case errors.Is(err, ErrDraining):
+			status = http.StatusServiceUnavailable
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			status = http.StatusGatewayTimeout
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-Seneca-Mask-Shape", fmt.Sprintf("%dx%d", d.H, d.W))
+	h.Set("X-Seneca-Batch", strconv.Itoa(occupancy))
+	w.Write(mask)
+}
+
+// Mux serves the door at /v1/segment beside the routes every front door
+// has: healthz at /healthz, stats() as indented JSON at /statz, and metrics
+// at /metrics.
+func (d *Door[R]) Mux(healthz http.HandlerFunc, stats func() any, metrics http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/segment", d)
+	mux.HandleFunc("/healthz", healthz)
+	mux.HandleFunc("/statz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(stats())
+	})
+	mux.Handle("/metrics", metrics)
+	return mux
 }
 
 // Handler returns the HTTP surface of the server:
@@ -72,60 +146,16 @@ func ContextWithDeadlineHeader(r *http.Request) (ctx context.Context, cancel con
 // The response body is the raw uint8 mask (H·W bytes, class per pixel)
 // with X-Seneca-Mask-Shape and X-Seneca-Batch headers.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/segment", s.handleSegment)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/statz", s.handleStatz)
-	mux.Handle("/metrics", s.reg.Handler())
-	return mux
-}
-
-func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	// Headers first: a request they condemn must not cost a body read of up
-	// to MaxBodyBytes before its 400.
-	ctx, cancel, ok := ContextWithDeadlineHeader(r)
-	if !ok {
-		http.Error(w, fmt.Sprintf("serve: bad %s header", DeadlineHeader), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	img, status, err := s.decodeInput(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	mask, occupancy, err := s.submit(ctx, img)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrQueueFull):
-		secs := int(s.RetryAfter().Seconds() + 0.999)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrDraining):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	g := s.prog.Graph
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Seneca-Mask-Shape", fmt.Sprintf("%dx%d", g.InH, g.InW))
-	h.Set("X-Seneca-Batch", strconv.Itoa(occupancy))
-	w.Write(mask)
+	d := &Door[struct{}]{
+		C: g.InC, H: g.InH, W: g.InW, MaxBody: s.cfg.MaxBodyBytes,
+		Route: func(*http.Request) (struct{}, int, error) { return struct{}{}, 0, nil },
+		Segment: func(ctx context.Context, _ struct{}, img *tensor.Tensor, _ http.Header) ([]uint8, int, error) {
+			return s.submit(ctx, img)
+		},
+		RetryAfter: func(struct{}) time.Duration { return s.RetryAfter() },
+	}
+	return d.Mux(s.handleHealthz, func() any { return s.Stats() }, s.reg.Handler())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -151,13 +181,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, s.prog.Name, h.Runners, h.Healthy, h.Degraded, kinds)
 }
 
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
-}
-
 // statusFor maps a body-read error to its HTTP status: 413 when the
 // MaxBodyBytes cap tripped (http.MaxBytesReader), else the fallback.
 func statusFor(err error, fallback int) int {
@@ -168,20 +191,13 @@ func statusFor(err error, fallback int) int {
 	return fallback
 }
 
-// decodeInput parses one request body into the model's CHW input tensor.
-// The int return is the HTTP status for the error case.
-func (s *Server) decodeInput(w http.ResponseWriter, r *http.Request) (*tensor.Tensor, int, error) {
-	g := s.prog.Graph
-	return DecodeSegmentRequest(w, r, g.InC, g.InH, g.InW, s.cfg.MaxBodyBytes)
-}
-
 // DecodeSegmentRequest parses one /v1/segment request body into a CHW
 // input tensor for a model with geometry c×h×wd, honoring the same three
 // Content-Type encodings the Server accepts (octet-stream, JSON, NIfTI)
 // and capping the body at maxBody bytes (413 beyond it). The int return is
-// the HTTP status for the error case. It is exported so front doors that
-// route to many Servers (the cluster router) can decode once without
-// binding to any one replica.
+// the HTTP status for the error case. Every Door decodes through it; it is
+// exported for callers that decode a request without binding to any one
+// Server.
 func DecodeSegmentRequest(w http.ResponseWriter, r *http.Request, c, h, wd int, maxBody int64) (*tensor.Tensor, int, error) {
 	n := c * h * wd
 	if maxBody <= 0 {

@@ -364,3 +364,35 @@ func TestPacedCapacityMatchesBoardModel(t *testing.T) {
 		}
 	})
 }
+
+// TestExpiredBatchReleasesOnlyItsOwnClaim: a batch claims a closed runner, and
+// every rider has expired by the time it is dispatched; meanwhile the runner
+// tripped, cooled down and a second batch holds its half-open probe. Dropping
+// the dead batch must hand back only what its own claim holds — nothing — so
+// a second probe is still refused while the first is out. (Dispatch used to
+// clear the probe flag for any all-expired batch.)
+func TestExpiredBatchReleasesOnlyItsOwnClaim(t *testing.T) {
+	s, _, _, imgs := newTestServer(t, Config{Runners: 1, Threads: 1, BreakerThreshold: 1, BreakerCooldown: time.Millisecond})
+	w, lanes, probe := s.place(1, make([]backend.Candidate, 1))
+	if w == nil || probe {
+		t.Fatalf("placing on a closed runner: worker %v, probe %t", w, probe)
+	}
+	w.fail(s)                        // threshold 1: the runner trips
+	time.Sleep(2 * time.Millisecond) // past the cooldown
+	if ok, probe := w.br.Claim(time.Now()); !ok || !probe {
+		t.Fatalf("claim past the cooldown: ok %t, probe %t; want the probe", ok, probe)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	j := &job{ctx: ctx, img: imgs[0], accepted: time.Now(), done: make(chan outcome, 1)}
+	w.inflight.Add(1) // what batchLoop does before it hands a batch over
+	w.staged.Add(1)
+	s.dispatch(w, []*job{j}, lanes, probe)
+	if out := <-j.done; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("dead rider: %v, want context.Canceled", out.err)
+	}
+	if ok, _ := w.br.Claim(time.Now()); ok {
+		t.Fatal("a second claim got in while the first probe is out")
+	}
+}

@@ -88,7 +88,7 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		w := w
 		reg.GaugeFunc("seneca_serve_breaker_state",
 			"Per-worker breaker state: 0 closed, 1 open, 2 half-open.",
-			func() float64 { return float64(w.breaker()) },
+			func() float64 { return float64(w.br.State()) },
 			obs.L("worker", strconv.Itoa(w.id)))
 	}
 	reg.CounterFunc("seneca_serve_runner_evictions_total",

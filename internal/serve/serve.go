@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"seneca/internal/backend"
+	"seneca/internal/breaker"
 	"seneca/internal/dpu"
 	"seneca/internal/obs"
 	"seneca/internal/tensor"
@@ -193,9 +194,6 @@ var (
 	// ErrDraining reports that Shutdown has begun and the server admits no
 	// new work; the HTTP layer maps it to 503.
 	ErrDraining = errors.New("serve: server is draining")
-	// ErrClosing is the original name of ErrDraining, kept as an alias so
-	// errors.Is checks written against either name keep passing.
-	ErrClosing = ErrDraining
 	// ErrStalled reports that a runner held a batch past WatchdogTimeout.
 	// The batch is reclaimed and its jobs re-dispatched; clients only see
 	// this error once a job's redispatch budget is spent.
@@ -307,7 +305,7 @@ func New(dev *dpu.Device, prog *xmodel.Program, cfg Config) (*Server, error) {
 			}
 			return nb
 		}
-		w := &worker{id: i, kind: kind, mk: mk}
+		w := &worker{id: i, kind: kind, mk: mk, br: breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown)}
 		w.adopt(be, cfg.Threads)
 		s.pool = append(s.pool, w)
 	}

@@ -200,13 +200,10 @@ func TestShutdownDrainsAcceptedWork(t *testing.T) {
 	if got := s.Stats().Completed; got != n {
 		t.Fatalf("completed %d of %d after drain", got, n)
 	}
-	// Post-drain admission must refuse with the typed draining error (and
-	// its legacy alias), not hang.
+	// Post-drain admission must refuse with the typed draining error, not
+	// hang.
 	if _, err := s.Submit(context.Background(), imgs[0]); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-shutdown Submit error = %v, want ErrDraining", err)
-	}
-	if _, err := s.Submit(context.Background(), imgs[0]); !errors.Is(err, ErrClosing) {
-		t.Fatalf("ErrClosing alias broken: %v", err)
 	}
 	// Idempotent.
 	if err := s.Shutdown(ctx); err != nil {

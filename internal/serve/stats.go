@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seneca/internal/breaker"
 	"seneca/internal/energy"
 )
 
@@ -131,7 +132,7 @@ func (w *worker) snapshotStats(pipeline int) BackendStats {
 	bs := BackendStats{
 		Worker:          w.id,
 		Backend:         w.kind,
-		Breaker:         w.breaker().String(),
+		Breaker:         w.br.State().String(),
 		Lanes:           pipeline * w.laneWidth(),
 		LanesBusy:       int(w.busy.Load()),
 		QueueDepth:      int(w.staged.Load()),
@@ -261,7 +262,7 @@ func (s *Server) Stats() Stats {
 		st.LanesBusy += bs.LanesBusy
 		st.StagedFrames += bs.QueueDepth
 		st.InFlightFrames += bs.InFlightFrames
-		if bs.Breaker == BreakerClosed.String() {
+		if bs.Breaker == breaker.Closed.String() {
 			st.HealthyRunners++
 		}
 	}

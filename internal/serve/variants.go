@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
+	"time"
 
 	"seneca/internal/dpu"
 	"seneca/internal/obs"
@@ -222,74 +222,42 @@ func (f *VariantFront) Shutdown(ctx context.Context) error {
 //	GET  /statz        map of variant name → Stats
 //	GET  /metrics      the front registry (variant request counters)
 func (f *VariantFront) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/segment", f.handleSegment)
-	mux.HandleFunc("/healthz", f.handleHealthz)
-	mux.HandleFunc("/statz", f.handleStatz)
-	mux.Handle("/metrics", f.reg.Handler())
-	return mux
+	first := f.servers[f.order[0]] // every variant has its geometry and body cap
+	c, h, w := first.InputShape()
+	d := &Door[variantRoute]{
+		C: c, H: h, W: w, MaxBody: first.cfg.MaxBodyBytes,
+		Route:      f.route,
+		Segment:    f.segment,
+		RetryAfter: func(rt variantRoute) time.Duration { return f.servers[rt.served].RetryAfter() },
+	}
+	return d.Mux(f.handleHealthz, f.stats, f.reg.Handler())
 }
 
-func (f *VariantFront) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
+// variantRoute is a request's variant: the one its headers resolve to and the
+// one serving it, a cheaper brownout rung unless the client pinned a variant.
+type variantRoute struct{ nominal, served string }
+
+func (f *VariantFront) route(r *http.Request) (variantRoute, int, error) {
 	pin := r.Header.Get("X-Seneca-Variant")
 	name, err := f.resolve(pin, r.Header.Get("X-Seneca-Tier"))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
+		return variantRoute{}, http.StatusNotFound, err
 	}
-	served := f.served(name, pin != "")
-	s := f.servers[served]
-	g := s.prog.Graph
-	// Headers first: a request they condemn must not cost a body read of up
-	// to MaxBodyBytes before its 400.
-	ctx, cancel, ok := ContextWithDeadlineHeader(r)
-	if !ok {
-		http.Error(w, fmt.Sprintf("serve: bad %s header", DeadlineHeader), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	img, status, err := DecodeSegmentRequest(w, r, g.InC, g.InH, g.InW, s.cfg.MaxBodyBytes)
+	return variantRoute{name, f.served(name, pin != "")}, 0, nil
+}
+
+func (f *VariantFront) segment(ctx context.Context, rt variantRoute, img *tensor.Tensor, h http.Header) ([]uint8, int, error) {
+	mask, occupancy, err := f.servers[rt.served].submit(ctx, img)
 	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
+		return nil, 0, err
 	}
-	mask, occupancy, err := s.submit(ctx, img)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrQueueFull):
-		secs := int(s.RetryAfter().Seconds() + 0.999)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrDraining):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	f.mRequests[served].Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Seneca-Mask-Shape", fmt.Sprintf("%dx%d", g.InH, g.InW))
-	h.Set("X-Seneca-Batch", strconv.Itoa(occupancy))
+	f.mRequests[rt.served].Inc()
 	// X-Seneca-Variant is the nominally resolved variant; under brownout
 	// X-Seneca-Served-Variant names the (possibly cheaper) rung that
 	// actually computed the mask, so degradation is observable per request.
-	h.Set("X-Seneca-Variant", name)
-	h.Set(ServedVariantHeader, served)
-	w.Write(mask)
+	h.Set("X-Seneca-Variant", rt.nominal)
+	h.Set(ServedVariantHeader, rt.served)
+	return mask, occupancy, nil
 }
 
 func (f *VariantFront) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -325,14 +293,11 @@ func (f *VariantFront) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(out)
 }
 
-// handleStatz renders one Stats row per variant, keyed by variant name.
-func (f *VariantFront) handleStatz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+// stats is one Stats row per variant, keyed by variant name.
+func (f *VariantFront) stats() any {
 	out := make(map[string]Stats, len(f.order))
 	for _, name := range f.order {
 		out[name] = f.servers[name].Stats()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	return out
 }
