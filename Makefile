@@ -38,7 +38,8 @@ race:
 	$(GO) test -race ./...
 
 # stress repeats the tests whose subject is an interleaving — batch formation,
-# the dispatch lanes and the breaker claim an expired batch hands back in
+# the dispatch lanes, the breaker claim an expired batch hands back and
+# /statz, /metrics and /healthz scraped under a faulted burst in
 # internal/serve, the probe claim a dead request hands back in
 # internal/cluster, the working-set and goroutine settle test in
 # internal/study — under the race detector, many times in one
@@ -46,7 +47,7 @@ race:
 # faults, which adds to the process-wide fault counters; the chaos tests
 # assert deltas of those, so neither repetition nor test order can break
 # them.) CI runs this as a blocking step after race.
-STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim)
+STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim|ScrapeUnderFaultedLoad)
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
 	$(GO) test -race -count=20 -run '^TestDeadLegReleasesOnlyItsOwnProbe$$' ./internal/cluster/

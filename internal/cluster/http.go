@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,7 +34,7 @@ func (c *Cluster) Handler() http.Handler {
 		Segment:    c.segment,
 		RetryAfter: func(fleetRoute) time.Duration { return c.RetryAfter() },
 	}
-	mux := d.Mux(c.handleHealthz, func() any { return c.Stats() }, c.reg.Handler())
+	mux := d.Mux(c.healthz, func() any { return c.Stats() }, c.reg.Handler())
 	mux.HandleFunc("/v1/admin/rolling-restart", c.handleRollingRestart)
 	return mux
 }
@@ -72,15 +71,15 @@ func (c *Cluster) segment(ctx context.Context, rt fleetRoute, img *tensor.Tensor
 	return res.Mask, res.Occupancy, nil
 }
 
-func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+// healthz is the Health snapshot. Degraded still answers 200 — the fleet
+// serves on its remaining nodes. Draining or zero routable nodes is the 503
+// case.
+func (c *Cluster) healthz() (int, any) {
 	h := c.Health()
-	// Degraded still answers 200 — the fleet serves on its remaining
-	// nodes. Draining or zero routable nodes is the 503 case.
 	if h.Status == "draining" || h.Status == "unavailable" {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable, h
 	}
-	json.NewEncoder(w).Encode(h)
+	return http.StatusOK, h
 }
 
 func (c *Cluster) handleRollingRestart(w http.ResponseWriter, r *http.Request) {

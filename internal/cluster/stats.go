@@ -120,8 +120,8 @@ func (c *Cluster) Stats() Stats {
 			Slot:           n.slot,
 			Gen:            n.gen,
 			State:          string(state),
-			Depth:          n.srv.QueueDepth(),
-			InFlight:       n.srv.InFlightBatches(),
+			Depth:          s.QueueDepth,
+			InFlight:       s.InFlight,
 			Completed:      s.Completed,
 			Rejected:       s.Rejected,
 			Runners:        s.Runners,

@@ -76,6 +76,12 @@ func (r Report) EnergyEfficiency() float64 {
 	return float64(r.Frames) / r.Joules
 }
 
+// Add returns the report of both workloads together: frames, simulated time
+// and energy summed.
+func (r Report) Add(o Report) Report {
+	return Report{Frames: r.Frames + o.Frames, Duration: r.Duration + o.Duration, Joules: r.Joules + o.Joules}
+}
+
 // String renders the triple.
 func (r Report) String() string {
 	return fmt.Sprintf("%.1f FPS, %.2f W, %.2f FPS/W", r.FPS(), r.Watts(), r.EnergyEfficiency())

@@ -61,6 +61,17 @@ func TestReportZeroSafety(t *testing.T) {
 	}
 }
 
+func TestReportAdd(t *testing.T) {
+	a := Report{Frames: 3, Duration: time.Second, Joules: 20}
+	b := Report{Frames: 5, Duration: 3 * time.Second, Joules: 60}
+	if got := a.Add(b); got != (Report{Frames: 8, Duration: 4 * time.Second, Joules: 80}) || got.EnergyEfficiency() != 0.1 {
+		t.Fatalf("Add = %+v", got)
+	}
+	if got := (Report{}).Add(a); got != a {
+		t.Fatalf("zero + a = %+v, want %+v", got, a)
+	}
+}
+
 func TestReportString(t *testing.T) {
 	r := Report{Frames: 100, Duration: time.Second, Joules: 50}
 	if got := r.String(); got != "100.0 FPS, 50.00 W, 2.00 FPS/W" {

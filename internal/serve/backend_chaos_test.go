@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"seneca/internal/energy"
 	"seneca/internal/fault"
 )
 
@@ -115,7 +116,8 @@ func TestChaosBackendKilledMidBurstFailsOver(t *testing.T) {
 // reports a per-backend occupancy row (queue depth, in-flight batches and
 // frames), the rows carry the pool's backend kinds, and the pool-wide
 // totals equal the sums over the rows — both on the in-process snapshot
-// and through the HTTP endpoint's JSON.
+// and through the HTTP endpoint's JSON — as do the pool's simulated figures
+// and every per-kind series on /metrics.
 func TestStatzPerBackendOccupancy(t *testing.T) {
 	s, _, _, imgs := newTestServer(t, Config{
 		Backends:   "dpu-sim:2,cpu-int8,gpu-sim",
@@ -182,6 +184,51 @@ func TestStatzPerBackendOccupancy(t *testing.T) {
 	}
 	if kinds["dpu-sim"] != 2 || kinds["cpu-int8"] != 1 || kinds["gpu-sim"] != 1 {
 		t.Errorf("pool composition %v, want dpu-sim:2 cpu-int8:1 gpu-sim:1", kinds)
+	}
+
+	// The pool's simulated figures are the rows' served reports summed and
+	// priced once, and /metrics reads the same rows: each per-kind series is
+	// the sum of that kind's rows, the pool's frames are the completed ones.
+	var pool energy.Report
+	perKind := map[string]BackendStats{}
+	for _, bs := range st.Backends {
+		pool = pool.Add(bs.served)
+		k := perKind[bs.Backend]
+		k.Lanes += bs.Lanes
+		k.LanesBusy += bs.LanesBusy
+		k.QueueDepth += bs.QueueDepth
+		k.InFlightBatches += bs.InFlightBatches
+		k.Dispatched += bs.Dispatched
+		k.Batches += bs.Batches
+		k.Frames += bs.Frames
+		k.served = k.served.Add(bs.served)
+		perKind[bs.Backend] = k
+	}
+	if st.SimFPS != pool.FPS() || st.SimWatts != pool.Watts() || st.SimFPSPerWatt != pool.EnergyEfficiency() {
+		t.Errorf("pool sim (%v FPS, %v W, %v FPS/W) != summed rows' report (%v, %v, %v)",
+			st.SimFPS, st.SimWatts, st.SimFPSPerWatt, pool.FPS(), pool.Watts(), pool.EnergyEfficiency())
+	}
+	_, exposition := get(s, "/metrics")
+	if got := metricValue(t, exposition, "seneca_serve_frames_total"); got != float64(st.Completed) {
+		t.Errorf("seneca_serve_frames_total %v != completed %d", got, st.Completed)
+	}
+	for kind, k := range perKind {
+		for series, want := range map[string]float64{
+			"seneca_backend_dispatch_total": float64(k.Dispatched),
+			// No batch failed, so every finished batch was observed.
+			"seneca_backend_batch_latency_seconds_count": float64(k.Batches),
+			"seneca_backend_frames_total":                float64(k.Frames),
+			"seneca_backend_inflight_batches":            float64(k.InFlightBatches),
+			"seneca_backend_queued_frames":               float64(k.QueueDepth),
+			"seneca_backend_sim_fps":                     k.served.FPS(),
+			"seneca_backend_sim_fps_per_watt":            k.served.EnergyEfficiency(),
+			"seneca_serve_lanes":                         float64(k.Lanes),
+			"seneca_serve_lanes_busy":                    float64(k.LanesBusy),
+		} {
+			if got := metricValue(t, exposition, series+`{backend="`+kind+`"}`); got != want {
+				t.Errorf("%s{backend=%q} = %v, rows sum to %v", series, kind, got, want)
+			}
+		}
 	}
 
 	// The same rows must appear on GET /statz.

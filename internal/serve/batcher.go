@@ -223,9 +223,6 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int, probe bool) {
 	}
 	be := w.getBackend()
 	w.dispatched.Add(1)
-	if w.mDispatch != nil {
-		w.mDispatch.Inc()
-	}
 	ch := make(chan runOut, 1)
 	execStart := time.Now()
 	go func() {
@@ -257,12 +254,14 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int, probe bool) {
 		}
 	}
 	s.observeService(time.Since(execStart))
-	s.stats.recordBatch(len(live), out.res)
-	w.recordSim(out.res)
-	w.framesDone.Add(int64(len(live)))
-	if w.mBatchLat != nil {
-		w.mBatchLat.Observe(out.res.Duration.Seconds())
-	}
+	// The batch's report — its frames, and the simulated time and energy its
+	// device model charged — joins the worker's row, the only accumulator of
+	// what the runners did (see Server.rows).
+	s.stats.batches.Add(1)
+	w.mu.Lock()
+	w.served = w.served.Add(out.res)
+	w.mu.Unlock()
+	w.mBatchLat.Observe(out.res.Duration.Seconds())
 	s.mOccupancy.Observe(float64(len(live)))
 	// Counted before it is answered, like every other outcome: a client that
 	// has its mask is already on the books.

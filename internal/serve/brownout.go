@@ -97,7 +97,6 @@ type brownout struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	mLevel   *obs.Gauge
 	mDegrade *obs.Counter
 	mRecover *obs.Counter
 }
@@ -108,13 +107,14 @@ func newBrownout(f *VariantFront, cfg BrownoutConfig) *brownout {
 		front: f,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-		mLevel: f.reg.Gauge("seneca_serve_brownout_level",
-			"Current rung of the brownout degradation ladder (0 = full quality)."),
 		mDegrade: f.reg.Counter("seneca_serve_brownout_shifts_total",
 			"Brownout ladder shifts, by direction.", obs.L("direction", "degrade")),
 		mRecover: f.reg.Counter("seneca_serve_brownout_shifts_total",
 			"Brownout ladder shifts, by direction.", obs.L("direction", "recover")),
 	}
+	f.reg.GaugeFunc("seneca_serve_brownout_level",
+		"Current rung of the brownout degradation ladder (0 = full quality).",
+		func() float64 { return float64(b.level.Load()) })
 	go b.run()
 	return b
 }
@@ -166,12 +166,10 @@ func (b *brownout) run() {
 		switch {
 		case hot && lvl < len(b.cfg.Ladder)-1 && now.Sub(lastShift) >= b.cfg.DegradeDwell:
 			b.level.Store(int32(lvl + 1))
-			b.mLevel.Set(float64(lvl + 1))
 			b.mDegrade.Inc()
 			lastShift, calmSince = now, now
 		case calm && lvl > 0 && now.Sub(calmSince) >= b.cfg.RecoverDwell:
 			b.level.Store(int32(lvl - 1))
-			b.mLevel.Set(float64(lvl - 1))
 			b.mRecover.Inc()
 			lastShift, calmSince = now, now
 		}

@@ -30,25 +30,18 @@ type worker struct {
 	staged         atomic.Int64 // frames routed here but not yet executing
 	batches        atomic.Int64 // batches that finished (success or failure)
 	dispatched     atomic.Int64 // batches handed to the backend's Execute
-	framesDone     atomic.Int64 // frames completed successfully
 
-	// Per-backend metric handles, shared by every worker of the same kind
-	// (set by initMetrics; nil when metrics are disabled in tests that
-	// construct workers by hand).
-	mDispatch *obs.Counter
+	// The per-backend batch-latency histogram, shared by every worker of the
+	// same kind (set by initMetrics).
 	mBatchLat *obs.Histogram
 
 	br *breaker.Breaker
 
-	mu    sync.Mutex
-	be    backend.Backend
-	width int                    // frames be runs in the time of one (widthOf)
-	mk    func() backend.Backend // eviction factory: builds a fresh backend
-
-	simMu     sync.Mutex
-	simBusy   time.Duration // accumulated simulated device-busy time
-	simJoules float64
-	simFrames int
+	mu     sync.Mutex
+	be     backend.Backend
+	width  int                    // frames be runs in the time of one (widthOf)
+	mk     func() backend.Backend // eviction factory: builds a fresh backend
+	served energy.Report          // every successful batch's report, summed
 }
 
 // widthOf is how many frames a backend runs side by side in the time of one,
@@ -100,9 +93,10 @@ func (w *worker) getBackend() backend.Backend {
 	return w.be
 }
 
-// healthy reports whether the worker serves regular traffic (breaker
-// closed and the backend's own self-check passes). Open and half-open
-// workers count as degraded capacity.
+// healthy is the one meaning of a healthy runner — the router places regular
+// traffic only on these, and /statz, /healthz and /metrics count them: breaker
+// closed and the backend's own self-check passes. Open and half-open workers,
+// and a backend failing its self-check, count as degraded capacity.
 func (w *worker) healthy() bool {
 	return w.br.State() == breaker.Closed && w.getBackend().Health() == nil
 }
@@ -123,16 +117,6 @@ func (w *worker) fail(s *Server) {
 		}
 	}
 	s.stats.evictions.Add(1)
-}
-
-// recordSim folds one executed batch's simulated report into the worker's
-// per-backend deployment accumulator (the per-kind FPS and FPS/W series).
-func (w *worker) recordSim(res energy.Report) {
-	w.simMu.Lock()
-	w.simBusy += res.Duration
-	w.simJoules += res.Joules
-	w.simFrames += res.Frames
-	w.simMu.Unlock()
 }
 
 // place routes a batch of the given frame count to a worker that can take it
@@ -219,9 +203,9 @@ func (s *Server) probePoll() <-chan time.Time {
 // Health is a point-in-time snapshot of the pool's self-healing state, as
 // exported by GET /healthz and the chaos tests.
 type Health struct {
-	// Runners is the configured pool size, Healthy how many breakers are
-	// closed. Degraded is Healthy < Runners (the /healthz "degraded"
-	// status; the endpoint stays 200 as long as one runner is healthy).
+	// Runners is the configured pool size, Healthy how many runners are
+	// healthy (worker.healthy). Degraded is Healthy < Runners (the /healthz
+	// "degraded" status; 200 as long as one runner is healthy).
 	Runners  int  `json:"runners"`
 	Healthy  int  `json:"healthy_runners"`
 	Degraded bool `json:"degraded"`
@@ -242,27 +226,23 @@ type Health struct {
 	WatchdogTimeouts uint64 `json:"watchdog_timeouts"`
 }
 
-// Health snapshots the self-healing state of the backend pool.
+// Health snapshots the self-healing state of the backend pool, from the same
+// rows Stats reads.
 func (s *Server) Health() Health {
+	rows, _, healthy := s.rows(s.pool)
 	h := Health{
-		Runners:          len(s.pool),
-		Breakers:         make([]string, len(s.pool)),
-		Backends:         make([]string, len(s.pool)),
-		Widths:           make([]int, len(s.pool)),
+		Runners:          len(rows),
+		Healthy:          healthy,
+		Degraded:         healthy < len(rows),
 		Evictions:        s.stats.evictions.Load(),
 		Probes:           s.stats.probes.Load(),
 		Redispatches:     s.stats.redispatched.Load(),
 		WatchdogTimeouts: s.stats.watchdog.Load(),
 	}
-	for i, w := range s.pool {
-		st := w.br.State()
-		h.Breakers[i] = st.String()
-		h.Backends[i] = w.kind
-		h.Widths[i] = w.laneWidth()
-		if st == breaker.Closed {
-			h.Healthy++
-		}
+	for _, r := range rows {
+		h.Breakers = append(h.Breakers, r.Breaker)
+		h.Backends = append(h.Backends, r.Backend)
+		h.Widths = append(h.Widths, r.Lanes/s.cfg.Pipeline)
 	}
-	h.Degraded = h.Healthy < h.Runners
 	return h
 }

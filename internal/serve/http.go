@@ -112,18 +112,23 @@ func (d *Door[R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Mux serves the door at /v1/segment beside the routes every front door
-// has: healthz at /healthz, stats() as indented JSON at /statz, and metrics
-// at /metrics.
-func (d *Door[R]) Mux(healthz http.HandlerFunc, stats func() any, metrics http.Handler) *http.ServeMux {
+// has: healthz()'s body as JSON at /healthz, under the status code it returns
+// with it; stats() as indented JSON at /statz; and metrics at /metrics.
+func (d *Door[R]) Mux(healthz func() (status int, body any), stats func() any, metrics http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/segment", d)
-	mux.HandleFunc("/healthz", healthz)
-	mux.HandleFunc("/statz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(stats())
-	})
+	serveJSON := func(indent string, read func() (int, any)) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			status, body := read()
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", indent)
+			enc.Encode(body)
+		}
+	}
+	mux.HandleFunc("/healthz", serveJSON("", healthz))
+	mux.HandleFunc("/statz", serveJSON("  ", func() (int, any) { return http.StatusOK, stats() }))
 	mux.Handle("/metrics", metrics)
 	return mux
 }
@@ -131,7 +136,7 @@ func (d *Door[R]) Mux(healthz http.HandlerFunc, stats func() any, metrics http.H
 // Handler returns the HTTP surface of the server:
 //
 //	POST /v1/segment   one CT slice in, one INT8-argmax mask out
-//	GET  /healthz      liveness (503 while draining)
+//	GET  /healthz      pool health (503 while draining or with no healthy runner)
 //	GET  /statz        Stats snapshot as JSON
 //	GET  /metrics      the same numbers in Prometheus text format
 //
@@ -155,30 +160,36 @@ func (s *Server) Handler() http.Handler {
 		},
 		RetryAfter: func(struct{}) time.Duration { return s.RetryAfter() },
 	}
-	return d.Mux(s.handleHealthz, func() any { return s.Stats() }, s.reg.Handler())
+	return d.Mux(s.healthz, func() any { return s.Stats() }, s.reg.Handler())
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.Draining() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "{\"status\":\"draining\",\"draining\":true,\"model\":%q}\n", s.prog.Name)
-		return
+// healthz is the /healthz answer. Degraded (some runner not healthy) still
+// answers 200 — the pool serves on its remaining healthy runners. Zero
+// healthy runners is a 503: the router has nowhere to place regular traffic.
+func (s *Server) healthz() (int, any) {
+	type body struct {
+		Status   string `json:"status"`
+		Draining bool   `json:"draining"`
+		Model    string `json:"model"`
 	}
-	// Degraded (some breakers open) still answers 200 — the pool serves on
-	// its remaining healthy runners. Zero healthy runners is a 503: every
-	// breaker is open and cooling, so only probes will run until one closes.
+	if s.Draining() {
+		return http.StatusServiceUnavailable, body{"draining", true, s.prog.Name}
+	}
 	h := s.Health()
-	status := "ok"
+	out := struct {
+		body
+		Runners  int      `json:"runners"`
+		Healthy  int      `json:"healthy_runners"`
+		Degraded bool     `json:"degraded"`
+		Backends []string `json:"backends"`
+	}{body{"ok", false, s.prog.Name}, h.Runners, h.Healthy, h.Degraded, h.Backends}
 	if h.Degraded {
-		status = "degraded"
+		out.Status = "degraded"
 	}
 	if h.Healthy == 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		return http.StatusServiceUnavailable, out
 	}
-	kinds, _ := json.Marshal(h.Backends)
-	fmt.Fprintf(w, "{\"status\":%q,\"draining\":false,\"model\":%q,\"runners\":%d,\"healthy_runners\":%d,\"degraded\":%t,\"backends\":%s}\n",
-		status, s.prog.Name, h.Runners, h.Healthy, h.Degraded, kinds)
+	return http.StatusOK, out
 }
 
 // statusFor maps a body-read error to its HTTP status: 413 when the

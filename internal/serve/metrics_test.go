@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"seneca/internal/fault"
 	"seneca/internal/obs"
 	"seneca/internal/quant"
 )
@@ -103,6 +108,64 @@ func TestMetricsEndpoint(t *testing.T) {
 		if i := strings.LastIndex(line, " "); i <= 0 || i == len(line)-1 {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+}
+
+// TestScrapeUnderFaultedLoad reads /statz, /metrics and /healthz from several
+// goroutines while a burst goes through a pool whose dpu-sim runs fail at
+// random: under the race detector every reader of the rows meets every writer
+// of them — completions, breaker trips, evictions — and at rest every
+// admitted request is accounted for.
+func TestScrapeUnderFaultedLoad(t *testing.T) {
+	s, _, _, imgs := newTestServer(t, Config{
+		Backends: "dpu-sim:2,cpu-int8", Threads: 2, MaxBatch: 4, QueueDepth: 128,
+		BreakerThreshold: 2, BreakerCooldown: 5 * time.Millisecond, MaxRedispatch: 8,
+	})
+	t.Cleanup(fault.Reset)
+	fault.Seed(7)
+	fault.Enable("vart.run.error", fault.Fault{Prob: 0.3})
+
+	h := s.Handler()
+	stop := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for _, path := range []string{"/statz", "/metrics", "/healthz", "/statz", "/metrics", "/healthz"} {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				// cpu-int8 never fails, so the pool always has a healthy runner.
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET %s: HTTP %d %s", path, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	var clients sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for k := 0; k < 10; k++ {
+				s.Submit(context.Background(), imgs[(c+k)%len(imgs)]) // a spent redispatch budget is an outcome too
+			}
+		}()
+	}
+	clients.Wait()
+	close(stop)
+	scrapers.Wait()
+
+	waitFor(t, 5*time.Second, "lanes still held at rest", func() bool { return s.Stats().LanesBusy == 0 })
+	checkBooks(t, s)
+	if st := s.Stats(); st.Accepted != 80 || fault.Injected("vart.run.error") == 0 {
+		t.Errorf("accepted %d of 80 requests, %d run errors injected", st.Accepted, fault.Injected("vart.run.error"))
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"time"
 
 	"seneca/internal/obs"
 	"seneca/internal/quant"
@@ -10,13 +9,26 @@ import (
 
 // initMetrics re-exports the server's internal counter block through an
 // obs.Registry, so GET /metrics exposes the same numbers as GET /statz in
-// Prometheus text format. Counters and gauges are callback-backed — the
-// atomics in stats remain the single source of truth — while the latency
-// and batch-occupancy histograms are real obs histograms fed on the
-// completion path. When several servers share one registry (e.g.
-// obs.Default), the most recently constructed one owns the callbacks.
+// Prometheus text format. Counters and gauges are callback-backed: request
+// outcomes read the atomics in stats, and every series about the runners —
+// pool-wide or per backend kind — reads the summed rows of its workers, as
+// /statz does. The latency and batch-occupancy histograms are real obs
+// histograms fed on the completion path. When several servers share one
+// registry (e.g. obs.Default), the most recently constructed one owns the
+// callbacks.
 func (s *Server) initMetrics(reg *obs.Registry) {
 	s.reg = reg
+	sum := func(ws []*worker) BackendStats {
+		_, sum, _ := s.rows(ws)
+		return sum
+	}
+	gauge := func(ws []*worker, f func(BackendStats) float64) func() float64 {
+		return func() float64 { return f(sum(ws)) }
+	}
+	count := func(ws []*worker, f func(BackendStats) uint64) func() uint64 {
+		return func() uint64 { return f(sum(ws)) }
+	}
+	frames := func(b BackendStats) uint64 { return b.Frames }
 
 	reg.GaugeFunc("seneca_serve_queue_depth",
 		"Requests currently waiting in the admission queue.",
@@ -26,13 +38,7 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.cfg.QueueDepth) })
 	reg.GaugeFunc("seneca_serve_inflight_batches",
 		"Micro-batches currently executing on the runner pool.",
-		func() float64 {
-			var n int32
-			for _, w := range s.pool {
-				n += w.inflight.Load()
-			}
-			return float64(n)
-		})
+		gauge(s.pool, func(b BackendStats) float64 { return float64(b.InFlightBatches) }))
 
 	reg.GaugeFunc("seneca_serve_batch_window_seconds",
 		"How long a request is held back for its batch to fill: min(MaxDelay, batch service time / 8), 0 when that is below the runtime's 1 ms timer resolution.",
@@ -69,20 +75,15 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		s.stats.batches.Load)
 	reg.CounterFunc("seneca_serve_frames_total",
 		"Frames completed across all batches (summed batch occupancy).",
-		s.stats.frames.Load)
+		count(s.pool, frames))
 
 	// Self-healing series: pool health, per-worker breaker position, and
 	// the recovery counters (see health.go and the chaos tests).
 	reg.GaugeFunc("seneca_serve_healthy_runners",
-		"Runners whose circuit breaker is closed (serving regular traffic).",
+		"Runners serving regular traffic: breaker closed and backend self-check passing.",
 		func() float64 {
-			n := 0
-			for _, w := range s.pool {
-				if w.healthy() {
-					n++
-				}
-			}
-			return float64(n)
+			_, _, healthy := s.rows(s.pool)
+			return float64(healthy)
 		})
 	for _, w := range s.pool {
 		w := w
@@ -105,9 +106,8 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		s.stats.watchdog.Load)
 
 	// Per-backend series: workers of the same kind share one labelled
-	// handle (dispatch counter, batch-latency histogram) and the callback
-	// series sum over the kind's workers, so a "dpu-sim:2" pool reports
-	// one dpu-sim row, not two.
+	// batch-latency histogram and the callback series read the kind's summed
+	// rows, so a "dpu-sim:2" pool reports one dpu-sim row, not two.
 	byKind := map[string][]*worker{}
 	var kindOrder []string
 	for _, w := range s.pool {
@@ -119,90 +119,36 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 	for _, kind := range kindOrder {
 		ws := byKind[kind]
 		lbl := obs.L("backend", kind)
-		mDispatch := reg.Counter("seneca_backend_dispatch_total",
-			"Micro-batches dispatched, by backend kind.", lbl)
+		reg.CounterFunc("seneca_backend_dispatch_total",
+			"Micro-batches dispatched, by backend kind.",
+			count(ws, func(b BackendStats) uint64 { return b.Dispatched }), lbl)
 		mBatchLat := reg.Histogram("seneca_backend_batch_latency_seconds",
 			"Simulated device latency per executed micro-batch, by backend kind.",
 			obs.DefBuckets, lbl)
 		for _, w := range ws {
-			w.mDispatch = mDispatch
 			w.mBatchLat = mBatchLat
 		}
 		reg.CounterFunc("seneca_backend_frames_total",
-			"Frames completed, by backend kind.",
-			func() uint64 {
-				var n uint64
-				for _, w := range ws {
-					n += uint64(w.framesDone.Load())
-				}
-				return n
-			}, lbl)
-		reg.GaugeFunc("seneca_backend_inflight_batches",
-			"Micro-batches currently held (staged or executing), by backend kind.",
-			func() float64 {
-				var n int32
-				for _, w := range ws {
-					n += w.inflight.Load()
-				}
-				return float64(n)
-			}, lbl)
-		reg.GaugeFunc("seneca_serve_lanes",
-			"Dispatch capacity in frame lanes (Pipeline × frames the device model runs in the time of one), by backend kind.",
-			func() float64 {
-				n := 0
-				for _, w := range ws {
-					n += s.cfg.Pipeline * w.laneWidth()
-				}
-				return float64(n)
-			}, lbl)
-		reg.GaugeFunc("seneca_serve_lanes_busy",
-			"Frame lanes held by staged or executing batches, by backend kind.",
-			func() float64 {
-				var n int32
-				for _, w := range ws {
-					n += w.busy.Load()
-				}
-				return float64(n)
-			}, lbl)
-		reg.GaugeFunc("seneca_backend_queued_frames",
-			"Frames routed to the backend kind but not yet executing.",
-			func() float64 {
-				var n int64
-				for _, w := range ws {
-					n += w.staged.Load()
-				}
-				return float64(n)
-			}, lbl)
-		sumSim := func(f func(BackendStats) float64) func() float64 {
-			return func() float64 {
-				var busy time.Duration
-				var joules float64
-				var frames int
-				for _, w := range ws {
-					w.simMu.Lock()
-					busy += w.simBusy
-					joules += w.simJoules
-					frames += w.simFrames
-					w.simMu.Unlock()
-				}
-				var bs BackendStats
-				if busy > 0 {
-					sec := busy.Seconds()
-					bs.SimFPS = float64(frames) / sec
-					bs.SimWatts = joules / sec
-					if bs.SimWatts > 0 {
-						bs.SimFPSPerWatt = bs.SimFPS / bs.SimWatts
-					}
-				}
-				return f(bs)
-			}
+			"Frames completed, by backend kind.", count(ws, frames), lbl)
+		for _, g := range []struct {
+			name, help string
+			f          func(BackendStats) float64
+		}{
+			{"seneca_backend_inflight_batches", "Micro-batches currently held (staged or executing), by backend kind.",
+				func(b BackendStats) float64 { return float64(b.InFlightBatches) }},
+			{"seneca_serve_lanes", "Dispatch capacity in frame lanes (Pipeline × frames the device model runs in the time of one), by backend kind.",
+				func(b BackendStats) float64 { return float64(b.Lanes) }},
+			{"seneca_serve_lanes_busy", "Frame lanes held by staged or executing batches, by backend kind.",
+				func(b BackendStats) float64 { return float64(b.LanesBusy) }},
+			{"seneca_backend_queued_frames", "Frames routed to the backend kind but not yet executing.",
+				func(b BackendStats) float64 { return float64(b.QueueDepth) }},
+			{"seneca_backend_sim_fps", "Simulated throughput of the backend kind for its traffic so far.",
+				func(b BackendStats) float64 { return b.SimFPS }},
+			{"seneca_backend_sim_fps_per_watt", "Simulated energy efficiency of the backend kind (FPS per watt).",
+				func(b BackendStats) float64 { return b.SimFPSPerWatt }},
+		} {
+			reg.GaugeFunc(g.name, g.help, gauge(ws, g.f), lbl)
 		}
-		reg.GaugeFunc("seneca_backend_sim_fps",
-			"Simulated throughput of the backend kind for its traffic so far.",
-			sumSim(func(bs BackendStats) float64 { return bs.SimFPS }), lbl)
-		reg.GaugeFunc("seneca_backend_sim_fps_per_watt",
-			"Simulated energy efficiency of the backend kind (FPS per watt).",
-			sumSim(func(bs BackendStats) float64 { return bs.SimFPSPerWatt }), lbl)
 	}
 
 	s.mLatency = reg.Histogram("seneca_serve_request_latency_seconds",
@@ -212,18 +158,15 @@ func (s *Server) initMetrics(reg *obs.Registry) {
 		"Live requests per dispatched micro-batch.",
 		obs.BatchBuckets)
 
-	sim := func(f func(Stats) float64) func() float64 {
-		return func() float64 { return f(s.Stats()) }
-	}
 	reg.GaugeFunc("seneca_serve_sim_fps",
 		"Simulated deployment throughput for the traffic served so far (paper: 335.4 FPS).",
-		sim(func(st Stats) float64 { return st.SimFPS }))
+		gauge(s.pool, func(b BackendStats) float64 { return b.SimFPS }))
 	reg.GaugeFunc("seneca_serve_sim_watts",
 		"Simulated board power for the traffic served so far.",
-		sim(func(st Stats) float64 { return st.SimWatts }))
+		gauge(s.pool, func(b BackendStats) float64 { return b.SimWatts }))
 	reg.GaugeFunc("seneca_serve_sim_fps_per_watt",
 		"Simulated energy efficiency (paper: 11.81 FPS/W on the ZCU104).",
-		sim(func(st Stats) float64 { return st.SimFPSPerWatt }))
+		gauge(s.pool, func(b BackendStats) float64 { return b.SimFPSPerWatt }))
 
 	reg.Gauge("seneca_serve_info",
 		"Serving configuration (constant 1; dimensions carry the config).",

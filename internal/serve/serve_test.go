@@ -109,6 +109,11 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 	if st.SimFPS <= 0 || st.SimWatts <= 0 || st.SimFPSPerWatt <= 0 {
 		t.Fatalf("simulated deployment metrics missing: %+v", st)
 	}
+	// A one-runner pool is its row, bit for bit.
+	if row := st.Backends[0]; st.SimFPS != row.SimFPS || st.SimWatts != row.SimWatts || st.SimFPSPerWatt != row.SimFPSPerWatt {
+		t.Fatalf("pool sim (%v, %v, %v) != its only row's (%v, %v, %v)",
+			st.SimFPS, st.SimWatts, st.SimFPSPerWatt, row.SimFPS, row.SimWatts, row.SimFPSPerWatt)
+	}
 }
 
 func TestBackpressureRejectsWhenQueueFull(t *testing.T) {

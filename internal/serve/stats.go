@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seneca/internal/breaker"
 	"seneca/internal/energy"
 )
 
@@ -14,9 +13,9 @@ import (
 // estimator keeps.
 const latencyWindow = 4096
 
-// stats is the server's internal counter block. All hot-path fields are
-// atomics; the simulated-deployment accumulator takes a mutex because it
-// updates three fields together.
+// stats is the server's internal counter block; every field is an atomic.
+// What the runners did is not here: each worker's row holds it, and every
+// pool total is a sum of rows (Server.rows).
 type stats struct {
 	accepted  atomic.Uint64
 	rejected  atomic.Uint64
@@ -31,8 +30,7 @@ type stats struct {
 	expiredAdmission atomic.Uint64
 	expiredQueue     atomic.Uint64
 	expiredDispatch  atomic.Uint64
-	batches          atomic.Uint64
-	frames           atomic.Uint64 // completed frames, i.e. summed batch occupancy
+	batches          atomic.Uint64 // batches that completed successfully
 	depth            atomic.Int64  // current queue depth
 
 	// Self-healing counters (see health.go): runners replaced after a
@@ -44,21 +42,6 @@ type stats struct {
 	watchdog     atomic.Uint64
 
 	lat latWindow
-
-	mu        sync.Mutex
-	simBusy   time.Duration // accumulated simulated runner-busy time
-	simJoules float64
-	simFrames int
-}
-
-func (st *stats) recordBatch(n int, res energy.Report) {
-	st.batches.Add(1)
-	st.frames.Add(uint64(n))
-	st.mu.Lock()
-	st.simBusy += res.Duration
-	st.simJoules += res.Joules
-	st.simFrames += res.Frames
-	st.mu.Unlock()
 }
 
 // latWindow is a fixed-size ring of recent latencies; quantiles are
@@ -103,8 +86,9 @@ func (l *latWindow) quantile(q float64) time.Duration {
 // LanesBusy how much of it staged and executing batches hold (one lane per
 // frame, the whole width for a batch larger than that). QueueDepth counts
 // frames the router has placed on the worker that have not started
-// executing; InFlightFrames counts frames executing right now. Sim* fields
-// price the traffic this slot served on its own device model.
+// executing; InFlightFrames counts frames executing right now. Frames and the
+// Sim* fields read the slot's served report: the frames it completed, priced
+// on its own device model.
 type BackendStats struct {
 	Worker  int    `json:"worker"`
 	Backend string `json:"backend"`
@@ -123,37 +107,55 @@ type BackendStats struct {
 	SimFPS        float64 `json:"sim_fps"`
 	SimWatts      float64 `json:"sim_watts"`
 	SimFPSPerWatt float64 `json:"sim_fps_per_watt"`
+
+	served energy.Report
 }
 
-// snapshotStats captures one worker's occupancy and accumulators. The pool
-// totals in Stats are sums over these same snapshots, so the per-backend
-// rows always add up to the pool-wide figures.
-func (w *worker) snapshotStats(pipeline int) BackendStats {
-	bs := BackendStats{
-		Worker:          w.id,
-		Backend:         w.kind,
-		Breaker:         w.br.State().String(),
-		Lanes:           pipeline * w.laneWidth(),
-		LanesBusy:       int(w.busy.Load()),
-		QueueDepth:      int(w.staged.Load()),
-		InFlightBatches: int(w.inflight.Load()),
-		InFlightFrames:  int(w.inflightFrames.Load()),
-		Dispatched:      uint64(w.dispatched.Load()),
-		Batches:         uint64(w.batches.Load()),
-		Frames:          uint64(w.framesDone.Load()),
-	}
-	w.simMu.Lock()
-	busy, joules, frames := w.simBusy, w.simJoules, w.simFrames
-	w.simMu.Unlock()
-	if busy > 0 {
-		sec := busy.Seconds()
-		bs.SimFPS = float64(frames) / sec
-		bs.SimWatts = joules / sec
-		if bs.SimWatts > 0 {
-			bs.SimFPSPerWatt = bs.SimFPS / bs.SimWatts
+// priced fills the fields a row derives from its served report.
+func (b BackendStats) priced() BackendStats {
+	b.Frames = uint64(b.served.Frames)
+	b.SimFPS, b.SimWatts, b.SimFPSPerWatt = b.served.FPS(), b.served.Watts(), b.served.EnergyEfficiency()
+	return b
+}
+
+// rows snapshots the given workers, one row each, and sums the rows:
+// occupancy and counters field by field, the served reports into one report
+// priced like a row's, and the healthy runners counted. It is the only place
+// a pool or per-kind total is made, so no total can disagree with the rows
+// under it.
+func (s *Server) rows(ws []*worker) (rows []BackendStats, sum BackendStats, healthy int) {
+	rows = make([]BackendStats, len(ws))
+	for i, w := range ws {
+		w.mu.Lock()
+		width, served := w.width, w.served
+		w.mu.Unlock()
+		r := BackendStats{
+			Worker:          w.id,
+			Backend:         w.kind,
+			Breaker:         w.br.State().String(),
+			Lanes:           s.cfg.Pipeline * width,
+			LanesBusy:       int(w.busy.Load()),
+			QueueDepth:      int(w.staged.Load()),
+			InFlightBatches: int(w.inflight.Load()),
+			InFlightFrames:  int(w.inflightFrames.Load()),
+			Dispatched:      uint64(w.dispatched.Load()),
+			Batches:         uint64(w.batches.Load()),
+			served:          served,
+		}.priced()
+		rows[i] = r
+		sum.Lanes += r.Lanes
+		sum.LanesBusy += r.LanesBusy
+		sum.QueueDepth += r.QueueDepth
+		sum.InFlightBatches += r.InFlightBatches
+		sum.InFlightFrames += r.InFlightFrames
+		sum.Dispatched += r.Dispatched
+		sum.Batches += r.Batches
+		sum.served = sum.served.Add(served)
+		if w.healthy() {
+			healthy++
 		}
 	}
-	return bs
+	return rows, sum.priced(), healthy
 }
 
 // Stats is a point-in-time snapshot of the serving tier, as exported by
@@ -215,9 +217,10 @@ type Stats struct {
 	SimWatts      float64 `json:"sim_watts"`
 	SimFPSPerWatt float64 `json:"sim_fps_per_watt"`
 
-	// Backends holds one occupancy row per pool slot; the pool totals
-	// above (InFlight, Lanes, LanesBusy, StagedFrames, InFlightFrames) are
-	// sums over these rows, so the per-backend figures always add up.
+	// Backends holds one row per pool slot. Every pool total above that
+	// describes the runners — InFlight, Lanes, LanesBusy, StagedFrames,
+	// InFlightFrames, HealthyRunners, MeanBatch's frames and the Sim* figures
+	// — is a sum over these rows (Server.rows), so the rows always add up.
 	Backends []BackendStats `json:"backends"`
 }
 
@@ -225,6 +228,7 @@ type Stats struct {
 // snapshot is consistent per field, not across fields.
 func (s *Server) Stats() Stats {
 	g := s.prog.Graph
+	rows, sum, healthy := s.rows(s.pool)
 	st := Stats{
 		Model:      s.prog.Name,
 		InputShape: [3]int{g.InC, g.InH, g.InW},
@@ -244,44 +248,33 @@ func (s *Server) Stats() Stats {
 		BatchWindowMS: float64(s.batchWindow()) / float64(time.Millisecond),
 		ServiceEWMAMS: float64(s.serviceEWMA.Load()) / float64(time.Millisecond),
 
+		InFlight:       sum.InFlightBatches,
+		Lanes:          sum.Lanes,
+		LanesBusy:      sum.LanesBusy,
+		StagedFrames:   sum.QueueDepth,
+		InFlightFrames: sum.InFlightFrames,
+
 		ExpiredAdmission: s.stats.expiredAdmission.Load(),
 		ExpiredQueue:     s.stats.expiredQueue.Load(),
 		ExpiredDispatch:  s.stats.expiredDispatch.Load(),
 
+		HealthyRunners:   healthy,
 		Evictions:        s.stats.evictions.Load(),
 		Probes:           s.stats.probes.Load(),
 		Redispatches:     s.stats.redispatched.Load(),
 		WatchdogTimeouts: s.stats.watchdog.Load(),
-	}
-	st.Backends = make([]BackendStats, len(s.pool))
-	for i, w := range s.pool {
-		bs := w.snapshotStats(s.cfg.Pipeline)
-		st.Backends[i] = bs
-		st.InFlight += bs.InFlightBatches
-		st.Lanes += bs.Lanes
-		st.LanesBusy += bs.LanesBusy
-		st.StagedFrames += bs.QueueDepth
-		st.InFlightFrames += bs.InFlightFrames
-		if bs.Breaker == breaker.Closed.String() {
-			st.HealthyRunners++
-		}
+
+		P50LatencyMS: float64(s.stats.lat.quantile(0.50)) / float64(time.Millisecond),
+		P99LatencyMS: float64(s.stats.lat.quantile(0.99)) / float64(time.Millisecond),
+
+		SimFPS:        sum.SimFPS,
+		SimWatts:      sum.SimWatts,
+		SimFPSPerWatt: sum.SimFPSPerWatt,
+
+		Backends: rows,
 	}
 	if st.Batches > 0 {
-		st.MeanBatch = float64(s.stats.frames.Load()) / float64(st.Batches)
-	}
-	st.P50LatencyMS = float64(s.stats.lat.quantile(0.50)) / float64(time.Millisecond)
-	st.P99LatencyMS = float64(s.stats.lat.quantile(0.99)) / float64(time.Millisecond)
-
-	s.stats.mu.Lock()
-	busy, joules, frames := s.stats.simBusy, s.stats.simJoules, s.stats.simFrames
-	s.stats.mu.Unlock()
-	if busy > 0 {
-		sec := busy.Seconds()
-		st.SimFPS = float64(frames) / sec
-		st.SimWatts = joules / sec
-		if st.SimWatts > 0 {
-			st.SimFPSPerWatt = st.SimFPS / st.SimWatts
-		}
+		st.MeanBatch = float64(sum.Frames) / float64(st.Batches)
 	}
 	return st
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -230,7 +229,7 @@ func (f *VariantFront) Handler() http.Handler {
 		Segment:    f.segment,
 		RetryAfter: func(rt variantRoute) time.Duration { return f.servers[rt.served].RetryAfter() },
 	}
-	return d.Mux(f.handleHealthz, f.stats, f.reg.Handler())
+	return d.Mux(f.healthz, f.stats, f.reg.Handler())
 }
 
 // variantRoute is a request's variant: the one its headers resolve to and the
@@ -260,37 +259,34 @@ func (f *VariantFront) segment(ctx context.Context, rt variantRoute, img *tensor
 	return mask, occupancy, nil
 }
 
-func (f *VariantFront) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+// healthz is one status row per variant, keyed by variant name; 503 once every
+// variant drains.
+func (f *VariantFront) healthz() (int, any) {
 	type vh struct {
 		Status   string `json:"status"`
 		Draining bool   `json:"draining"`
 		Healthy  int    `json:"healthy_runners"`
 	}
 	out := make(map[string]vh, len(f.order))
-	allDraining := true
+	status := http.StatusServiceUnavailable
 	for _, name := range f.order {
 		s := f.servers[name]
 		h := s.Health()
-		status := "ok"
+		row := vh{"ok", s.Draining(), h.Healthy}
 		switch {
-		case s.Draining():
-			status = "draining"
+		case row.Draining:
+			row.Status = "draining"
 		case h.Healthy == 0:
-			status = "unhealthy"
+			row.Status = "unhealthy"
 		case h.Degraded:
-			status = "degraded"
+			row.Status = "degraded"
 		}
-		if !s.Draining() {
-			allDraining = false
+		if !row.Draining {
+			status = http.StatusOK
 		}
-		out[name] = vh{Status: status, Draining: s.Draining(), Healthy: h.Healthy}
+		out[name] = row
 	}
-	if allDraining {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	enc := json.NewEncoder(w)
-	enc.Encode(out)
+	return status, out
 }
 
 // stats is one Stats row per variant, keyed by variant name.
