@@ -1,18 +1,6 @@
 GO ?= go
 
-# Tier-1 kernel micro-benchmarks: cheap, deterministic workloads snapshotted
-# per PR (BENCH_PR<N>.json) and diffed against the previous PR's committed
-# snapshot (see `make bench` / `make bench-compare`).
-TIER1_BENCH = ^Benchmark(INT8Inference|GPUSimInference|DPUSimInference|FP32Forward|TrainingStep|DPUFrameModel|VARTSimulation|XmodelSerialize)$$
-BENCH_SNAPSHOT   = BENCH_PR15.json
-BENCH_BASELINE   = BENCH_PR15.json
-# Gating tolerance for bench-compare, in percent ns/op growth. Repeated runs
-# on one machine scatter by ±10-15% and hosted CI runners more, so the gate
-# only trips on regressions far outside the noise floor; alloc counts are
-# deterministic and gate tightly inside seneca-benchjson.
-BENCH_GATE_PCT   = 50
-
-.PHONY: ci build vet portable test race stress fmt-check bench bench-compare bench-all bench-e2e bench-e2e-test fuzz chaos mpq-smoke
+.PHONY: ci build vet portable test race stress fmt-check bench-e2e bench-e2e-test fuzz chaos mpq-smoke
 
 # ci is the gate GitHub Actions runs: formatting, build, vet, race tests and
 # the repeated concurrency tests.
@@ -40,7 +28,8 @@ race:
 # stress repeats the tests whose subject is an interleaving — batch formation,
 # the dispatch lanes, the breaker claim an expired batch hands back and
 # /statz, /metrics and /healthz scraped under a faulted burst in
-# internal/serve, the probe claim a dead request hands back in
+# internal/serve, the probe claim a dead request hands back and a rolling
+# restart under traffic (goroutines settled after Shutdown) in
 # internal/cluster, the working-set and goroutine settle test in
 # internal/study — under the race detector, many times in one
 # process, where a once-in-fifty ordering shows up. (The lane tests inject
@@ -50,25 +39,8 @@ race:
 STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim|ScrapeUnderFaultedLoad)
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
-	$(GO) test -race -count=20 -run '^TestDeadLegReleasesOnlyItsOwnProbe$$' ./internal/cluster/
+	$(GO) test -race -count=20 -run '^Test(DeadLegReleasesOnlyItsOwnProbe|RollingRestartRoutesAround)$$' ./internal/cluster/
 	$(GO) test -race -count=50 -run '^TestWorkingSetReleasedAndGoroutinesSettle$$' ./internal/study/
-
-# bench runs the tier-1 benchmarks and snapshots them to $(BENCH_SNAPSHOT)
-# ({name, ns_per_op, allocs_per_op}); compare against the committed previous
-# snapshot to spot regressions (see README "Benchmark regression tracking").
-bench:
-	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchmem . | $(GO) run ./cmd/seneca-benchjson -out $(BENCH_SNAPSHOT)
-
-# bench-compare re-runs the tier-1 benchmarks, prints the delta against the
-# committed $(BENCH_BASELINE) baseline and fails on regressions beyond
-# $(BENCH_GATE_PCT)% ns/op (or allocs/op beyond max(8, 25%) slack). CI runs
-# this as a blocking step.
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(TIER1_BENCH)' -benchmem . | $(GO) run ./cmd/seneca-benchjson -q -compare $(BENCH_BASELINE) -gate $(BENCH_GATE_PCT)
-
-# bench-all additionally runs the heavy table/figure reproduction benches.
-bench-all:
-	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, benchmark/):
 # every workload at seed 1, untraced then traced, one JSON line each. It
@@ -97,9 +69,9 @@ chaos:
 
 # fuzz exercises the binary-format parsers, the /v1/segment front door's
 # header checks and body decoding, the INT8 drivers (through cell planes of
-# widened geometry, under both kernel bodies) against their scalar oracle and
-# the percentile selection against the sort it replaced, beyond the committed
-# corpora.
+# widened geometry, under both kernel bodies) against their scalar oracle, the
+# percentile selection against the sort it replaced, and the backend pool and
+# fault spec grammars, beyond the committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
@@ -107,6 +79,8 @@ fuzz:
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 	$(GO) test ./internal/imaging/ -run '^$$' -fuzz FuzzSaturateVsSort -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
+	$(GO) test ./internal/backend/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 30s
+	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzApplySpec -fuzztime 30s
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

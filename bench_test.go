@@ -1,8 +1,10 @@
-// Benchmarks that regenerate the paper's evaluation artifacts — one bench
-// target per table and figure (see DESIGN.md §3 for the experiment index)
-// plus kernel micro-benchmarks. The table/figure benches run the experiment
-// harness at tiny scale so `go test -bench=.` finishes in minutes;
-// `go run ./cmd/seneca-bench -scale fast|paper` produces the larger runs.
+// Benchmarks for the parts of the workflow the repository's benchmark
+// (benchmark/, BENCHMARK.json) does not probe yet — the FP32 training path —
+// plus in-process harnesses to profile a volume job, one preprocessed slice
+// and one 256×256 INT8 frame under. Every other number (INT8 frames, backend
+// executes, the DPU timing model, the VART simulator, xmodel serialisation)
+// is a probe metric there; the paper's tables and figures are
+// `go run ./cmd/seneca-bench -experiments …` and internal/experiments' tests.
 package seneca_test
 
 import (
@@ -13,12 +15,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"seneca"
-	"seneca/internal/experiments"
 	"seneca/internal/imaging"
 	"seneca/internal/nifti"
 	"seneca/internal/nn"
@@ -28,198 +28,8 @@ import (
 	"seneca/internal/study"
 	"seneca/internal/tensor"
 	"seneca/internal/unet"
-	"seneca/internal/vart"
 	"seneca/internal/xmodel"
 )
-
-var (
-	benchOnce sync.Once
-	benchEnv  *experiments.Env
-)
-
-func benchEnvironment(b *testing.B) *experiments.Env {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchEnv = seneca.NewExperiments(seneca.TinyScale(), io.Discard)
-	})
-	return benchEnv
-}
-
-// BenchmarkTable1_OrganFrequencies regenerates Table I: the labeled-pixel
-// organ distribution of the dataset.
-func BenchmarkTable1_OrganFrequencies(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Table1(io.Discard)
-	}
-}
-
-// BenchmarkTable2_ModelZoo regenerates Table II: building all five model
-// configurations and counting parameters.
-func BenchmarkTable2_ModelZoo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table2(io.Discard)
-	}
-}
-
-// BenchmarkTable3_CalibrationSampling regenerates Table III: random vs
-// manual calibration-set construction.
-func BenchmarkTable3_CalibrationSampling(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Table3(io.Discard)
-	}
-}
-
-// BenchmarkTable4_FullComparison regenerates Table IV's performance half:
-// GPU-FP32 vs FPGA-INT8 (4 threads) FPS/W/EE for all five configurations
-// at full 256×256 geometry, µ±σ over repeated runs. (The accuracy half
-// trains models; run `seneca-bench -scale fast -experiments table4`.)
-func BenchmarkTable4_FullComparison(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Table4(io.Discard, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5_BestModel regenerates Table V: the 1M best-model deep
-// dive (training included on first iteration, cached afterwards).
-func BenchmarkTable5_BestModel(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Table5(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure3_EnergyEfficiency regenerates Figure 3: EE of every model
-// on the GPU and on the ZCU104 at 1/2/4 threads.
-func BenchmarkFigure3_EnergyEfficiency(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Figure3(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure4_DSCxEE regenerates Figure 4: Dice·EnergyEfficiency
-// (Eq. 7) per model at 4 threads.
-func BenchmarkFigure4_DSCxEE(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Figure4(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5_Qualitative regenerates Figure 5: the qualitative
-// input/GT/INT8/FP32 panels.
-func BenchmarkFigure5_Qualitative(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Figure5(io.Discard, "1M", "", 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6_OrganBoxplots regenerates Figure 6: per-organ Dice
-// boxplots of the deployed model.
-func BenchmarkFigure6_OrganBoxplots(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Figure6(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_ThreadScaling regenerates the Section IV-B thread sweep
-// (1..8 threads: saturation at 4, power-only cost beyond).
-func BenchmarkAblation_ThreadScaling(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.AblationThreadScaling(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_QuantModes regenerates the Section III-D comparison of
-// PTQ, FFQ and QAT (three trainings; cached env, heavy first iteration).
-func BenchmarkAblation_QuantModes(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.AblationQuantModes(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_LossFunctions regenerates the Section III-C loss study
-// (four trainings per iteration).
-func BenchmarkAblation_LossFunctions(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.AblationLosses(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_Pruning regenerates the future-work pruning sweep
-// (Section V): structured filter pruning vs throughput/EE/DSC.
-func BenchmarkAblation_Pruning(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.AblationPruning(io.Discard, "1M", []float64{0.25, 0.5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDPUFamilySweep runs the accelerator design-space exploration
-// (B512…B4096) on the best model.
-func BenchmarkDPUFamilySweep(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.DPUFamilySweep(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBaseline3D regenerates the 2D-vs-3D comparison behind Table V's
-// CT-ORG column: trains the volumetric baseline and evaluates both.
-func BenchmarkBaseline3D(b *testing.B) {
-	e := benchEnvironment(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Baseline3D(io.Discard, "1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Kernel micro-benchmarks ------------------------------------------
 
 func randomImage(size int, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
@@ -230,6 +40,9 @@ func randomImage(size int, seed int64) *tensor.Tensor {
 	return img
 }
 
+// benchProgram compiles a Table II model at size×size from untrained weights
+// and shape-only quantization, its depth clamped so the bottleneck stays at
+// least 1×1 (the benchmark's probes build their models the same way).
 func benchProgram(b *testing.B, name string, size int) *xmodel.Program {
 	b.Helper()
 	cfg, err := unet.ConfigByName(name)
@@ -252,18 +65,7 @@ func benchProgram(b *testing.B, name string, size int) *xmodel.Program {
 	return p
 }
 
-// BenchmarkINT8Inference measures the functional INT8 executor (the
-// bit-accurate path behind every accuracy number).
-func BenchmarkINT8Inference(b *testing.B) {
-	prog := benchProgram(b, "1M", 64)
-	img := randomImage(64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.Run(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// ---- FP32 training path --------------------------------------------------
 
 // BenchmarkFP32Forward measures the FP32 training-forward pass.
 func BenchmarkFP32Forward(b *testing.B) {
@@ -305,75 +107,7 @@ func BenchmarkTrainingStep(b *testing.B) {
 
 func benchLoss(weights []float32) nn.Loss { return nn.NewFocalTversky(weights) }
 
-// BenchmarkDPUFrameModel measures the analytic timing model itself.
-func BenchmarkDPUFrameModel(b *testing.B) {
-	prog := benchProgram(b, "1M", 256)
-	dev := seneca.NewZCU104()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.TimeFrame(prog)
-	}
-}
-
-// BenchmarkVARTSimulation measures the discrete-event throughput simulator
-// (2000 frames, 4 threads).
-func BenchmarkVARTSimulation(b *testing.B) {
-	prog := benchProgram(b, "1M", 256)
-	runner := vart.New(seneca.NewZCU104(), prog, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.SimulateThroughput(2000, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkXmodelSerialize measures compile artifact serialization.
-func BenchmarkXmodelSerialize(b *testing.B) {
-	prog := benchProgram(b, "1M", 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := prog.Write(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGPUSimInference measures one frame through the gpu-sim backend:
-// bit-accurate INT8 functional execution priced by the FP32 GPU roofline.
-func BenchmarkGPUSimInference(b *testing.B) {
-	prog := benchProgram(b, "1M", 64)
-	be, err := seneca.NewBackend("gpu-sim", seneca.NewZCU104(), prog, seneca.BackendOptions{Threads: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	imgs := []*tensor.Tensor{randomImage(64, 1)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := be.Execute(imgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDPUSimInference measures one frame through the dpu-sim backend:
-// the VART runtime over the discrete-event DPU model.
-func BenchmarkDPUSimInference(b *testing.B) {
-	prog := benchProgram(b, "1M", 64)
-	be, err := seneca.NewBackend("dpu-sim", seneca.NewZCU104(), prog, seneca.BackendOptions{Threads: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	imgs := []*tensor.Tensor{randomImage(64, 1)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := be.Execute(imgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Volume-job harness (outside TIER1_BENCH) ---------------------------
+// ---- Volume-job harness ------------------------------------------------
 //
 // `go test -run '^$' -bench StudyJob -cpuprofile cpu.out .` answers "where
 // does a volume job's CPU go": INT8 frames vs study.runJob's own stages vs
@@ -484,8 +218,9 @@ func BenchmarkPreprocessSlice(b *testing.B) {
 // benchSink keeps a measured call's result alive.
 var benchSink []float32
 
-// BenchmarkINT8Inference256 is BenchmarkINT8Inference at the paper's
-// 256×256, where a frame's working set leaves L2 (the volume_study frame).
+// BenchmarkINT8Inference256 runs one INT8 frame at the paper's 256×256,
+// where a frame's working set leaves L2 (the volume_study frame): the
+// harness to take a one-core CPU profile of the kernels under.
 func BenchmarkINT8Inference256(b *testing.B) {
 	prog := benchProgram(b, "1M", 256)
 	img := randomImage(256, 1)

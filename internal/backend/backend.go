@@ -153,9 +153,18 @@ func New(kind string, dev *dpu.Device, prog *xmodel.Program, opt Options) (Backe
 	return f(dev, prog, opt.withDefaults())
 }
 
+// MaxPoolSlots bounds how many slots one pool spec may expand to. Each slot
+// is a backend with its own executors and arenas plus a dispatch goroutine,
+// and a runner past a few per core only contends for them; the bound is far
+// above any pool a host could use, and it is checked before a slot is
+// expanded, so "dpu-sim:2000000000" is an error instead of two billion
+// strings.
+const MaxPoolSlots = 1024
+
 // ParseSpec expands a pool specification — a comma-separated list of
 // "kind" or "kind:count" entries, e.g. "dpu-sim:2,cpu-int8,gpu-sim" — into
-// one kind per pool slot. Kinds are validated against the registry.
+// one kind per pool slot. Kinds are validated against the registry, and the
+// whole pool may hold at most MaxPoolSlots slots.
 func ParseSpec(spec string) ([]string, error) {
 	var kinds []string
 	for _, entry := range strings.Split(spec, ",") {
@@ -179,6 +188,9 @@ func ParseSpec(spec string) ([]string, error) {
 		if !known {
 			return nil, fmt.Errorf("backend: unknown kind %q in spec (registered: %s)", kind, strings.Join(Kinds(), ", "))
 		}
+		if count > MaxPoolSlots-len(kinds) {
+			return nil, fmt.Errorf("backend: pool spec %q holds more than %d slots", spec, MaxPoolSlots)
+		}
 		for i := 0; i < count; i++ {
 			kinds = append(kinds, kind)
 		}
@@ -187,21 +199,6 @@ func ParseSpec(spec string) ([]string, error) {
 		return nil, fmt.Errorf("backend: empty pool spec %q", spec)
 	}
 	return kinds, nil
-}
-
-// Build constructs one backend per slot of a pool spec.
-func Build(spec string, dev *dpu.Device, prog *xmodel.Program, opt Options) ([]Backend, error) {
-	kinds, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	pool := make([]Backend, len(kinds))
-	for i, kind := range kinds {
-		if pool[i], err = New(kind, dev, prog, opt); err != nil {
-			return nil, err
-		}
-	}
-	return pool, nil
 }
 
 // checkFaults consults the generic and per-kind chaos seams one batch

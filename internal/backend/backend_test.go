@@ -90,10 +90,14 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{"", " , ", "npu-sim", "dpu-sim:0", "dpu-sim:x", "dpu-sim:-1"} {
+	for _, bad := range []string{"", " , ", "npu-sim", "dpu-sim:0", "dpu-sim:x", "dpu-sim:-1",
+		"dpu-sim:2000000000", "dpu-sim:1025", "dpu-sim:1000,cpu-int8:25"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted, want error", bad)
 		}
+	}
+	if got, err := ParseSpec("dpu-sim:1000,cpu-int8:24"); err != nil || len(got) != MaxPoolSlots {
+		t.Fatalf("a pool of exactly MaxPoolSlots: %d slots, err %v", len(got), err)
 	}
 }
 

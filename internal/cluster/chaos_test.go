@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 // lost requests. Redispatch must carry every faulted request to a healthy
 // node. Runs under -race in `make chaos`.
 func TestChaosNodeKilledMidBurst(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c, prog, imgs := newTestCluster(t,
 		Config{
 			MinNodes:      2,
@@ -123,12 +125,14 @@ func TestChaosNodeKilledMidBurst(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	settle(t, c, base)
 }
 
 // TestChaosDispatchStallRedispatches programs a latency fault on the
 // dispatch point: stalled dispatches must still complete correctly within
 // the client deadline via the interruptible fault sleep and redispatch.
 func TestChaosDispatchStallRedispatches(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c, prog, imgs := newTestCluster(t,
 		Config{MinNodes: 2, MaxNodes: 2, FailThreshold: 2, EjectCooldown: 50 * time.Millisecond, MaxAttempts: 6},
 		serve.Config{QueueDepth: 64})
@@ -159,6 +163,7 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 	if got := fault.Injected("cluster.node.dispatch"); got != 3 {
 		t.Fatalf("injected %d, want 3", got)
 	}
+	settle(t, c, base)
 }
 
 // TestChaosSlowNodeHedgedMidBurst is the overload-robustness satellite:
@@ -170,6 +175,7 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 // hedge counters must reconcile with the fault registry's stall census.
 // Runs under -race in `make chaos`.
 func TestChaosSlowNodeHedgedMidBurst(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c, prog, imgs := newTestCluster(t,
 		Config{
 			MinNodes: 2, MaxNodes: 2,
@@ -263,4 +269,5 @@ func TestChaosSlowNodeHedgedMidBurst(t *testing.T) {
 	if st.HedgeWins > st.Hedges {
 		t.Fatalf("hedge wins %d exceed hedges %d", st.HedgeWins, st.Hedges)
 	}
+	settle(t, c, base)
 }

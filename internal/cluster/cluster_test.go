@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,6 +73,28 @@ func newTestCluster(t testing.TB, cfg Config, nodeCfg serve.Config) (*Cluster, *
 		c.Shutdown(ctx)
 	})
 	return c, prog, imgs
+}
+
+// settle shuts the fleet down and waits for the process to come back to base
+// goroutines, counted before the fleet was built: nothing the fleet started —
+// its control loop, the nodes' batchers and dispatches, hedge legs, drains —
+// may outlive Shutdown.
+func settle(t *testing.T, c *Cluster, base int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Shutdown, %d before the fleet:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSubmitMatchesDirectExecute proves routing through the fleet changes

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ import (
 // requests are refused with ErrDraining (503 on the wire), and /healthz
 // flips to draining.
 func TestClusterDrainCompletesInFlight(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c, _, imgs := newTestCluster(t, Config{MinNodes: 2, MaxNodes: 2}, serve.Config{QueueDepth: 64})
 
 	const inflight = 12
@@ -58,13 +60,13 @@ func TestClusterDrainCompletesInFlight(t *testing.T) {
 	}
 
 	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	srv.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining /healthz: HTTP %d, want 503 (%s)", resp.StatusCode, body)
 	}
@@ -72,6 +74,7 @@ func TestClusterDrainCompletesInFlight(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil || h.Status != "draining" || !h.Draining {
 		t.Fatalf("draining /healthz body: %s (err %v)", body, err)
 	}
+	settle(t, c, base)
 }
 
 // TestRollingRestartRoutesAround covers the rolling restart: with traffic
@@ -80,6 +83,7 @@ func TestClusterDrainCompletesInFlight(t *testing.T) {
 // errors on a 2-node fleet), /healthz reports degraded — not 503 — while
 // a node is out, and every generation is replaced by the end.
 func TestRollingRestartRoutesAround(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c, _, imgs := newTestCluster(t, Config{MinNodes: 2, MaxNodes: 2}, serve.Config{QueueDepth: 64})
 
 	// Hold each node in its draining state for a beat so the health poller
@@ -157,6 +161,7 @@ func TestRollingRestartRoutesAround(t *testing.T) {
 	if h := c.Health(); h.Status != "ok" || h.Active != 2 {
 		t.Fatalf("post-restart health: %+v", h)
 	}
+	settle(t, c, base)
 }
 
 // TestRollingRestartSingleNodeSheds pins the 1-node edge: while the only

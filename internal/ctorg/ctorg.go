@@ -36,12 +36,6 @@ type Slice struct {
 	ClassPixels [NumClasses]int
 }
 
-// HasOrgan reports whether the slice contains at least minPixels pixels of
-// the given class.
-func (s *Slice) HasOrgan(class uint8, minPixels int) bool {
-	return s.ClassPixels[class] >= minPixels
-}
-
 // Dataset is a set of slices at a common resolution.
 type Dataset struct {
 	// Size is the square slice resolution after preprocessing.

@@ -234,141 +234,6 @@ func (d *Device) TimeFrame(p *xmodel.Program) FrameTiming {
 	return ft
 }
 
-// TimeFramePipelined models one inference latency with the program's
-// instruction stream list-scheduled across the device's cores instead of
-// serialized on one: an instruction becomes ready once every instruction it
-// depends on (the producers of its graph node's inputs, resolved through
-// elided host-side nodes) has finished, and ready instructions run on the
-// earliest-free core. Independent layer subgraphs — the two sides feeding a
-// skip-connection concat, parallel branches of a custom graph — therefore
-// overlap on a multi-core fabric.
-//
-// The model is opt-in and optimistic: DDR bandwidth contention between cores
-// is not simulated, so the result is a lower bound on the pipelined frame
-// latency and an upper bound on the speedup. The single-core TimeFrame
-// remains the calibrated Table IV path; nothing in the default experiment
-// flow calls this. Scheduling is deterministic: ready instructions are
-// picked in instruction-stream order, so repeated calls agree exactly.
-func (d *Device) TimeFramePipelined(p *xmodel.Program) FrameTiming {
-	cores := d.Cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	g := p.Graph
-	instrOf := make(map[string]int, len(p.Instructions))
-	for i, in := range p.Instructions {
-		if in.Node != "" {
-			instrOf[in.Node] = i
-		}
-	}
-	// resolve walks from a graph node to the instruction indices that must
-	// complete before data named `name` exists, skipping through nodes that
-	// lowered to no instruction (input, softmax, fully-fused concats).
-	var resolve func(name string, seen map[string]bool, out []int) []int
-	resolve = func(name string, seen map[string]bool, out []int) []int {
-		if seen[name] {
-			return out
-		}
-		seen[name] = true
-		if idx, ok := instrOf[name]; ok {
-			return append(out, idx)
-		}
-		n := g.Node(name)
-		if n == nil {
-			return out
-		}
-		for _, in := range n.Inputs {
-			out = resolve(in, seen, out)
-		}
-		return out
-	}
-	deps := make([][]int, len(p.Instructions))
-	for i, in := range p.Instructions {
-		seen := make(map[string]bool)
-		if in.Node == "" {
-			// SAVE: waits for the graph output.
-			deps[i] = resolve(g.OutputName, seen, nil)
-			continue
-		}
-		n := g.Node(in.Node)
-		if n == nil {
-			continue
-		}
-		for _, inp := range n.Inputs {
-			deps[i] = resolve(inp, seen, deps[i])
-		}
-		// A store-target producer writes directly into the concat's buffer,
-		// so the concat's copy instruction must also wait on it even when the
-		// fused side is not one of its resolved inputs; resolve already covers
-		// that because the producer is an input of the concat node.
-	}
-	finish := make([]int64, len(p.Instructions))
-	done := make([]bool, len(p.Instructions))
-	coreFree := make([]int64, cores)
-	var ft FrameTiming
-	var macs int64
-	for scheduled := 0; scheduled < len(p.Instructions); scheduled++ {
-		pick := -1
-		for i := range p.Instructions {
-			if done[i] {
-				continue
-			}
-			ready := true
-			for _, dp := range deps[i] {
-				if !done[dp] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
-			// Dependency cycle (malformed graph): fall back to stream order.
-			for i := range p.Instructions {
-				if !done[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		var start int64
-		for _, dp := range deps[pick] {
-			if finish[dp] > start {
-				start = finish[dp]
-			}
-		}
-		core := 0
-		for c := 1; c < cores; c++ {
-			if coreFree[c] < coreFree[core] {
-				core = c
-			}
-		}
-		if coreFree[core] > start {
-			start = coreFree[core]
-		}
-		t := d.TimeInstruction(p.Instructions[pick])
-		finish[pick] = start + t.Cycles
-		coreFree[core] = finish[pick]
-		done[pick] = true
-		if finish[pick] > ft.Cycles {
-			ft.Cycles = finish[pick]
-		}
-		macs += p.Instructions[pick].MACs
-	}
-	if ft.Cycles > 0 {
-		macsPerCycle := float64(d.Cfg.PeakOpsPerCycle()) / 2
-		ft.Utilization = float64(macs) / (float64(ft.Cycles) * macsPerCycle * float64(cores))
-		if ft.Utilization > 1 {
-			ft.Utilization = 1
-		}
-	}
-	ft.Latency = d.CyclesToDuration(ft.Cycles)
-	return ft
-}
-
 // CyclesToDuration converts DPU cycles to simulated time.
 func (d *Device) CyclesToDuration(cycles int64) time.Duration {
 	return time.Duration(float64(cycles) / d.Cfg.ClockHz * float64(time.Second))

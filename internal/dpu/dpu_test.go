@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"seneca/internal/graph"
 	"seneca/internal/quant"
 	"seneca/internal/tensor"
 	"seneca/internal/unet"
@@ -144,83 +143,6 @@ func TestExecuteMatchesProgramRun(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("Execute diverges from Program.Run")
 		}
-	}
-}
-
-// TestTimeFramePipelinedBounds checks the dual-core pipelined schedule
-// against its analytic envelope on a real U-Net program: never slower than
-// the calibrated single-core serial schedule, never faster than perfect
-// core-count scaling, and deterministic across calls.
-func TestTimeFramePipelinedBounds(t *testing.T) {
-	dev := New(ZCU104B4096())
-	prog := testProgram(t, tinyCfg(), 32)
-	serial := dev.TimeFrame(prog)
-	piped := dev.TimeFramePipelined(prog)
-	if piped.Cycles > serial.Cycles {
-		t.Fatalf("pipelined frame %d cycles exceeds serial %d", piped.Cycles, serial.Cycles)
-	}
-	if min := serial.Cycles / int64(dev.Cfg.Cores); piped.Cycles < min {
-		t.Fatalf("pipelined frame %d cycles beats perfect %d-core scaling (%d)", piped.Cycles, dev.Cfg.Cores, min)
-	}
-	if again := dev.TimeFramePipelined(prog); again != piped {
-		t.Fatalf("pipelined schedule not deterministic: %+v vs %+v", again, piped)
-	}
-	// A single-core device degenerates to the serial schedule's cycle count.
-	solo := New(ZCU104B4096())
-	solo.Cfg.Cores = 1
-	if got := solo.TimeFramePipelined(prog); got.Cycles != serial.Cycles {
-		t.Fatalf("single-core pipelined %d cycles, want serial %d", got.Cycles, serial.Cycles)
-	}
-}
-
-// TestTimeFramePipelinedOverlapsBranches hand-builds a diamond graph — two
-// equal convolutions reading the same input, joined by a concat — and checks
-// the two independent branches actually overlap on the two cores: the
-// makespan must come in well under the serial sum.
-func TestTimeFramePipelinedOverlapsBranches(t *testing.T) {
-	g := &quant.QGraph{
-		InC: 8, InH: 32, InW: 32,
-		InputName: "in", OutputName: "join",
-	}
-	mkConv := func(name, input string) *quant.QNode {
-		return &quant.QNode{
-			Name: name, Kind: graph.KindConv, Inputs: []string{input},
-			Kernel: 3, Stride: 1, Pad: 1, InC: 8, OutC: 16,
-			OutShape: [3]int{16, 32, 32},
-		}
-	}
-	g.Nodes = []*quant.QNode{
-		{Name: "in", Kind: graph.KindInput, OutShape: [3]int{8, 32, 32}},
-		mkConv("left", "in"),
-		mkConv("right", "in"),
-		{Name: "join", Kind: graph.KindConcat, Inputs: []string{"left", "right"}, InC: 32, OutC: 32, OutShape: [3]int{32, 32, 32}},
-	}
-	g.RebuildIndex()
-	conv := xmodel.Instruction{
-		Op: xmodel.OpConv, MACs: int64(32 * 32 * 8 * 16 * 9), WeightBytes: 8 * 16 * 9,
-		InBytes: 8 * 32 * 32, OutBytes: 16 * 32 * 32,
-		InC: 8, OutC: 16, OutH: 32, OutW: 32, Kernel: 3, Stride: 1,
-	}
-	left, right := conv, conv
-	left.Node, right.Node = "left", "right"
-	prog := &xmodel.Program{
-		Name:  "diamond",
-		Graph: g,
-		Instructions: []xmodel.Instruction{
-			left, right,
-			{Op: xmodel.OpConcat, Node: "join", InBytes: 2 * 16 * 32 * 32, OutBytes: 2 * 16 * 32 * 32, InC: 32, OutC: 32, OutH: 32, OutW: 32},
-			{Op: xmodel.OpSave, OutBytes: 32 * 32 * 32},
-		},
-	}
-	dev := New(ZCU104B4096())
-	serial := dev.TimeFrame(prog)
-	piped := dev.TimeFramePipelined(prog)
-	// The two branch convolutions dominate and run concurrently, so the
-	// pipelined frame must save at least 80% of one conv's cycles.
-	saved := serial.Cycles - piped.Cycles
-	branch := dev.TimeInstruction(left).Cycles
-	if saved*5 < branch*4 {
-		t.Fatalf("independent branches did not overlap: serial %d, pipelined %d, branch %d", serial.Cycles, piped.Cycles, branch)
 	}
 }
 

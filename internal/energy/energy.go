@@ -34,14 +34,6 @@ func (l *Logger) Duration() time.Duration { return l.total }
 // Joules returns the integrated energy.
 func (l *Logger) Joules() float64 { return l.joules }
 
-// AverageWatts returns the mean power over the logged interval.
-func (l *Logger) AverageWatts() float64 {
-	if l.total <= 0 {
-		return 0
-	}
-	return l.joules / l.total.Seconds()
-}
-
 // Samples returns how many segments were recorded.
 func (l *Logger) Samples() int { return l.samples }
 

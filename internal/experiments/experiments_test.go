@@ -307,6 +307,52 @@ func TestBaseline3DRuns(t *testing.T) {
 		res.Global2D.Mean, res.Global2D.Std, res.Global3D.Mean, res.Global3D.Std, res.TrainTime3D)
 }
 
+// TestTable5BestModel runs Table V's deep dive on the tiny environment: the
+// deployed FPGA beats the GPU on energy efficiency, as in the paper, and every
+// accuracy cell is a fraction.
+func TestTable5BestModel(t *testing.T) {
+	e := testEnv(t)
+	var buf bytes.Buffer
+	res, err := e.Table5(&buf, "1M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FPGAEE.Mean <= res.GPUEE.Mean {
+		t.Errorf("FPGA EE %.2f not above GPU EE %.2f", res.FPGAEE.Mean, res.GPUEE.Mean)
+	}
+	for _, v := range []float64{res.GlobalFPGA.Mean, res.GlobalGPU.Mean, res.GlobalTPR, res.GlobalTNR} {
+		if v < 0 || v > 1 || math.IsNaN(v) {
+			t.Errorf("accuracy cell %v out of range:\n%s", v, buf.String())
+		}
+	}
+	if len(res.OrganFPGA) == 0 || len(res.OrganGPU) == 0 {
+		t.Fatal("no per-organ rows")
+	}
+}
+
+// TestAblationPruningRuns runs the pruning sweep on the tiny environment: the
+// unpruned baseline plus one row per fraction, and pruning never slows the
+// simulated deployment down.
+func TestAblationPruningRuns(t *testing.T) {
+	e := testEnv(t)
+	var buf bytes.Buffer
+	pts, err := e.AblationPruning(&buf, "1M", []float64{0.25, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 3 || pts[0].Fraction != 0 {
+		t.Fatalf("pruning rows %+v", pts)
+	}
+	for _, p := range pts {
+		if p.GlobalDSC < 0 || p.GlobalDSC > 1 {
+			t.Errorf("%.0f%% pruned: DSC %v out of range", p.Fraction*100, p.GlobalDSC)
+		}
+		if p.FPS < pts[0].FPS {
+			t.Errorf("%.0f%% pruned runs at %.1f FPS, below the unpruned %.1f", p.Fraction*100, p.FPS, pts[0].FPS)
+		}
+	}
+}
+
 // TestAccuracyExperiments exercises the trained half of the harness at tiny
 // scale: Table 4 with accuracy, Figure 4, Figure 6, Figure 5 panels.
 func TestAccuracyExperiments(t *testing.T) {

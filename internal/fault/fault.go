@@ -40,8 +40,9 @@ var ErrInjected = errors.New("fault: injected failure")
 
 // Fault programs one injection point.
 type Fault struct {
-	// Prob is the per-hit injection probability. 0 means 1 (inject on
-	// every eligible hit); values outside (0, 1] are clamped.
+	// Prob is the per-hit injection probability. Any value outside (0, 1] —
+	// the zero value, a negative, NaN — means 1 (inject on every eligible
+	// hit); Apply rejects such a p instead.
 	Prob float64
 	// Count caps how many times this point injects; 0 means unlimited.
 	Count int
@@ -143,7 +144,7 @@ func (r *Registry) Seed(seed int64) {
 // Enable programs (or reprograms) the named injection point. Hit and fire
 // counts restart from zero.
 func (r *Registry) Enable(name string, f Fault) {
-	if f.Prob <= 0 || f.Prob > 1 {
+	if !(f.Prob > 0 && f.Prob <= 1) { // NaN included
 		f.Prob = 1
 	}
 	if len(f.Slow) > 0 {
@@ -297,9 +298,6 @@ func (r *Registry) Check(name string) error { return r.CheckCtx(nil, name) }
 // Enable programs a point on the Default registry.
 func Enable(name string, f Fault) { Default.Enable(name, f) }
 
-// Disable removes a point's program from the Default registry.
-func Disable(name string) { Default.Disable(name) }
-
 // Reset clears every program on the Default registry.
 func Reset() { Default.Reset() }
 
@@ -324,63 +322,104 @@ func Active() []string { return Default.Active() }
 //
 //	vart.run.error,p=0.1,count=20;vart.run.stall,p=0.05,delay=250ms
 //
-// Options: p=<float> probability, count=<n> fire budget, after=<n> skipped
-// hits, delay=<duration> stall latency, slow=<q>:<duration> one step of a
-// percentile-shaped latency tail (q is p50/p99/p999-style or a raw
-// fraction; repeat the option to stack steps:
+// Options: p=<float> probability in (0, 1], count=<n> fire budget (0:
+// unlimited), after=<n> skipped hits, delay=<duration> stall latency,
+// slow=<q>:<duration> one step of a percentile-shaped latency tail (q is
+// p50/p99/p999-style or a raw fraction; repeat the option to stack steps:
 // slow=p50:20ms,slow=p99:400ms), err[=<message>] inject an error (implied
-// when no delay or slow program is given).
+// when no delay or slow program is given). Counts and durations must not be
+// negative. The whole spec is parsed before any point is programmed, so a
+// spec that returns an error arms nothing.
 func (r *Registry) Apply(spec string) error {
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
+	type entry struct {
+		name string
+		f    Fault
+	}
+	var entries []entry
+	for _, text := range strings.Split(spec, ";") {
+		text = strings.TrimSpace(text)
+		if text == "" {
 			continue
 		}
-		fields := strings.Split(entry, ",")
+		fields := strings.Split(text, ",")
 		name := strings.TrimSpace(fields[0])
 		if name == "" {
-			return fmt.Errorf("fault: entry %q has no point name", entry)
+			return fmt.Errorf("fault: entry %q has no point name", text)
 		}
-		var f Fault
-		wantErr := false
-		for _, opt := range fields[1:] {
-			opt = strings.TrimSpace(opt)
-			key, val, _ := strings.Cut(opt, "=")
-			var err error
-			switch key {
-			case "p":
-				f.Prob, err = strconv.ParseFloat(val, 64)
-			case "count":
-				f.Count, err = strconv.Atoi(val)
-			case "after":
-				f.After, err = strconv.Atoi(val)
-			case "delay":
-				f.Delay, err = time.ParseDuration(val)
-			case "slow":
-				var qd QuantileDelay
-				qd, err = parseSlowStep(val)
-				f.Slow = append(f.Slow, qd)
-			case "err":
-				wantErr = true
-				if val != "" {
-					f.Err = errors.New(val)
-				}
-			default:
-				return fmt.Errorf("fault: point %s: unknown option %q", name, opt)
-			}
-			if err != nil {
-				return fmt.Errorf("fault: point %s: bad option %q: %v", name, opt, err)
-			}
+		f, err := parseOptions(fields[1:])
+		if err != nil {
+			return fmt.Errorf("fault: point %s: %w", name, err)
 		}
-		if wantErr && f.Err == nil {
-			f.Err = ErrInjected
-		}
-		if (f.Delay > 0 || len(f.Slow) > 0) && !wantErr {
-			f.Err = nil // pure stall unless an error was asked for
-		}
-		r.Enable(name, f)
+		entries = append(entries, entry{name, f})
+	}
+	for _, e := range entries {
+		r.Enable(e.name, e.f)
 	}
 	return nil
+}
+
+// parseOptions parses one spec entry's options into a Fault, rejecting
+// values Enable would otherwise clamp into a different program.
+func parseOptions(opts []string) (Fault, error) {
+	var f Fault
+	wantErr := false
+	for _, opt := range opts {
+		opt = strings.TrimSpace(opt)
+		key, val, _ := strings.Cut(opt, "=")
+		var err error
+		switch key {
+		case "p":
+			f.Prob, err = strconv.ParseFloat(val, 64)
+			if err == nil && !(f.Prob > 0 && f.Prob <= 1) {
+				err = errors.New("probability outside (0, 1]")
+			}
+		case "count":
+			f.Count, err = parseCount(val)
+		case "after":
+			f.After, err = parseCount(val)
+		case "delay":
+			f.Delay, err = parseDelay(val)
+		case "slow":
+			var qd QuantileDelay
+			qd, err = parseSlowStep(val)
+			f.Slow = append(f.Slow, qd)
+		case "err":
+			wantErr = true
+			if val != "" {
+				f.Err = errors.New(val)
+			}
+		default:
+			return Fault{}, fmt.Errorf("unknown option %q", opt)
+		}
+		if err != nil {
+			return Fault{}, fmt.Errorf("bad option %q: %v", opt, err)
+		}
+	}
+	if wantErr && f.Err == nil {
+		f.Err = ErrInjected
+	}
+	if (f.Delay > 0 || len(f.Slow) > 0) && !wantErr {
+		f.Err = nil // pure stall unless an error was asked for
+	}
+	return f, nil
+}
+
+// parseCount parses a non-negative hit count.
+func parseCount(val string) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err == nil && n < 0 {
+		err = errors.New("negative count")
+	}
+	return n, err
+}
+
+// parseDelay parses a non-negative duration.
+func parseDelay(val string) (time.Duration, error) {
+	d, err := time.ParseDuration(val)
+	if err == nil && d < 0 {
+		err = errors.New("negative duration")
+	}
+	return d, err
 }
 
 // parseSlowStep parses one slow= option value: "<q>:<duration>" where q is
@@ -409,12 +448,12 @@ func parseSlowStep(val string) (QuantileDelay, error) {
 			return QuantileDelay{}, fmt.Errorf("bad quantile %q", qs)
 		}
 	}
-	if q < 0 || q >= 1 {
+	if !(q >= 0 && q < 1) { // NaN included
 		return QuantileDelay{}, fmt.Errorf("quantile %q outside [0, 1)", qs)
 	}
-	d, err := time.ParseDuration(ds)
+	d, err := parseDelay(ds)
 	if err != nil {
-		return QuantileDelay{}, fmt.Errorf("bad duration %q", ds)
+		return QuantileDelay{}, fmt.Errorf("bad duration %q: %v", ds, err)
 	}
 	return QuantileDelay{Q: q, Delay: d}, nil
 }

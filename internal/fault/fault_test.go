@@ -172,10 +172,26 @@ func TestApplySpec(t *testing.T) {
 		t.Fatalf("custom error message lost: %v", err)
 	}
 
-	for _, bad := range []string{",p=1", "p,zoom=3", "p,p=abc", "p,delay=fast"} {
+	for _, bad := range []string{",p=1", "p,zoom=3", "p,p=abc", "p,delay=fast",
+		"p,p=5", "p,p=-1", "p,p=NaN", "p,p=0", "p,count=-1", "p,after=-2", "p,delay=-5ms"} {
 		if err := r.Apply(bad); err == nil {
 			t.Fatalf("bad spec %q accepted", bad)
 		}
+	}
+}
+
+// TestApplyIsAllOrNothing checks a spec whose later entry is bad programs none
+// of its earlier ones.
+func TestApplyIsAllOrNothing(t *testing.T) {
+	r := NewRegistry(1, obs.NewRegistry())
+	if err := r.Apply("a,p=0.5; b,count=2; c,p=NaN"); err == nil {
+		t.Fatal("spec with p=NaN accepted")
+	}
+	if got := r.Active(); len(got) != 0 {
+		t.Fatalf("a rejected spec armed %v", got)
+	}
+	if err := r.Check("a"); err != nil {
+		t.Fatalf("point of a rejected spec fired: %v", err)
 	}
 }
 
@@ -283,6 +299,8 @@ func TestApplySlowSpec(t *testing.T) {
 		"p,slow=-0.1:10ms", // negative quantile
 		"p,slow=pxx:10ms",  // unparseable percentile
 		"p,slow=p99:fast",  // unparseable duration
+		"p,slow=NaN:10ms",  // NaN quantile
+		"p,slow=p99:-1ms",  // negative duration
 	} {
 		if err := r.Apply(bad); err == nil {
 			t.Fatalf("bad spec %q accepted", bad)

@@ -61,19 +61,6 @@ func (c *Confusion) Add(pred, gt []uint8) {
 	}
 }
 
-// Merge adds another confusion accumulator into this one.
-func (c *Confusion) Merge(o *Confusion) {
-	if c.NumClasses != o.NumClasses {
-		panic("metrics: merging confusions with different class counts")
-	}
-	for i := 0; i < c.NumClasses; i++ {
-		c.TP[i] += o.TP[i]
-		c.FP[i] += o.FP[i]
-		c.FN[i] += o.FN[i]
-		c.TN[i] += o.TN[i]
-	}
-}
-
 // Dice returns the Dice Similarity Coefficient of one class (paper Eq. 4):
 // 2|P∩G| / (|P|+|G|) = 2TP/(2TP+FP+FN). Classes absent from both prediction
 // and ground truth score 1 (perfect vacuous agreement).
@@ -152,12 +139,7 @@ func (c *Confusion) GlobalSpecificity() float64 {
 		if w == 0 {
 			continue
 		}
-		den := c.TN[cls] + c.FP[cls]
-		spec := 1.0
-		if den > 0 {
-			spec = float64(c.TN[cls]) / float64(den)
-		}
-		acc += w * spec
+		acc += w * c.Specificity(cls)
 		wsum += w
 	}
 	if wsum == 0 {

@@ -168,22 +168,6 @@ func TestIncrementalAddMatchesOneShot(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewConfusion(2)
-	a.Add([]uint8{1, 0}, []uint8{1, 1})
-	b := NewConfusion(2)
-	b.Add([]uint8{1, 1}, []uint8{1, 1})
-	merged := NewConfusion(2)
-	merged.Add([]uint8{1, 0}, []uint8{1, 1})
-	merged.Add([]uint8{1, 1}, []uint8{1, 1})
-	a.Merge(b)
-	for cls := 0; cls < 2; cls++ {
-		if a.TP[cls] != merged.TP[cls] || a.FN[cls] != merged.FN[cls] {
-			t.Fatal("Merge != sequential Add")
-		}
-	}
-}
-
 func TestGlobalDiceWeighting(t *testing.T) {
 	// Class 1 has 90 gt pixels at Dice 1, class 2 has 10 gt pixels at
 	// Dice 0 → global = 0.9.

@@ -295,27 +295,6 @@ func TestDropoutTrainEval(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumStep(t *testing.T) {
-	p := NewParam("w", 2)
-	p.Value.Data[0] = 1
-	p.Grad.Data[0] = 0.5
-	opt := NewSGD(0.1, 0.9, 0)
-	opt.Step([]*Param{p})
-	if math.Abs(float64(p.Value.Data[0])-0.95) > 1e-6 {
-		t.Fatalf("after step w=%v, want 0.95", p.Value.Data[0])
-	}
-	if p.Grad.Data[0] != 0 {
-		t.Fatal("Step must zero gradients")
-	}
-	// Second step with same grad includes momentum.
-	p.Grad.Data[0] = 0.5
-	opt.Step([]*Param{p})
-	// v = 0.9*0.5 + 0.5 = 0.95; w = 0.95 - 0.1*0.95 = 0.855
-	if math.Abs(float64(p.Value.Data[0])-0.855) > 1e-6 {
-		t.Fatalf("after 2nd step w=%v, want 0.855", p.Value.Data[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with Adam; gradient = 2(w-3).
 	p := NewParam("w", 1)

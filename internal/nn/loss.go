@@ -240,19 +240,13 @@ func (d *DiceLoss) Forward(probs *tensor.Tensor, labels []uint8) float64 {
 // Backward implements Loss.
 func (d *DiceLoss) Backward() *tensor.Tensor { return d.ft.Backward() }
 
-// InverseFrequencyWeights derives the per-class loss weights the paper
+// InverseFrequencyWeightsPow derives the per-class loss weights the paper
 // assigns "inversely proportional to the organ dimensions" (Section III-C):
-// w_c ∝ 1/freq_c, normalized so the mean weight is 1. The background class
+// w_c ∝ freq_c^−pow, normalized so the mean weight is 1. The background class
 // (index 0) weight is damped by bgDamp (0 < bgDamp ≤ 1) because background
-// dominates every slice yet is easy.
-func InverseFrequencyWeights(freq []float64, bgDamp float64) []float32 {
-	return InverseFrequencyWeightsPow(freq, bgDamp, 1)
-}
-
-// InverseFrequencyWeightsPow is InverseFrequencyWeights with a tempering
-// exponent: w_c ∝ freq_c^−pow. pow=1 is the raw inverse; pow≈0.5 keeps the
-// ordering (small organs weigh more) while preventing the rarest class from
-// monopolizing the loss — necessary for stable training when the class
+// dominates every slice yet is easy. pow=1 is the raw inverse; pow≈0.5 keeps
+// the ordering (small organs weigh more) while preventing the rarest class
+// from monopolizing the loss — necessary for stable training when the class
 // imbalance spans two orders of magnitude.
 func InverseFrequencyWeightsPow(freq []float64, bgDamp, pow float64) []float32 {
 	w := make([]float64, len(freq))

@@ -165,7 +165,7 @@ func TestDiceLossIsTverskyHalfHalf(t *testing.T) {
 func TestInverseFrequencyWeights(t *testing.T) {
 	// Background 60%, liver 22%, bladder 2.5%: bladder weight must dominate.
 	freq := []float64{0.60, 0.2218, 0.0251}
-	w := InverseFrequencyWeights(freq, 0.1)
+	w := InverseFrequencyWeightsPow(freq, 0.1, 1) // the raw inverse
 	if !(w[2] > w[1] && w[1] > w[0]) {
 		t.Fatalf("weights not inversely ordered: %v", w)
 	}

@@ -6,59 +6,6 @@ import (
 	"seneca/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter and zeroes the gradients.
-	Step(params []*Param)
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float32)
-	// LR reports the current learning rate.
-	LR() float32
-}
-
-// SGD is stochastic gradient descent with optional Nesterov-free momentum
-// and L2 weight decay.
-type SGD struct {
-	Rate        float32
-	Momentum    float32
-	WeightDecay float32
-	velocity    map[*Param]*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float32) *SGD {
-	return &SGD{Rate: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*Param]*tensor.Tensor)}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float32) { s.Rate = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float32 { return s.Rate }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Grad
-		if s.WeightDecay > 0 {
-			g.AXPY(s.WeightDecay, p.Value)
-		}
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(p.Value.Shape...)
-				s.velocity[p] = v
-			}
-			v.Scale(s.Momentum)
-			v.AXPY(1, g)
-			p.Value.AXPY(-s.Rate, v)
-		} else {
-			p.Value.AXPY(-s.Rate, g)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba), the optimizer used to
 // train the SENECA FP32 models.
 type Adam struct {
@@ -80,13 +27,7 @@ func NewAdam(lr float32) *Adam {
 	return &Adam{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, moments: make(map[*Param]*adamState)}
 }
 
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float32) { a.Rate = lr }
-
-// LR implements Optimizer.
-func (a *Adam) LR() float32 { return a.Rate }
-
-// Step implements Optimizer.
+// Step applies one update to every parameter and zeroes the gradients.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	b1c := 1 - tensor.Powf(a.Beta1, float32(a.t))

@@ -165,21 +165,6 @@ func ForChunkedID(n, maxChunks int, body func(id, lo, hi int)) {
 	release(workers - 1)
 }
 
-// Map applies f to every index of dst in parallel, storing the result.
-func Map(dst []float32, f func(i int) float32) {
-	if MaxWorkers() == 1 {
-		for i := range dst {
-			dst[i] = f(i)
-		}
-		return
-	}
-	ForChunked(len(dst), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f(i)
-		}
-	})
-}
-
 // ReduceSum computes the sum of f(i) for i in [0, n) with a parallel
 // tree-style reduction. Partial sums are accumulated in float64 and each
 // chunk's partial is stored at its chunk index, then summed in chunk order —

@@ -87,16 +87,6 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	dst := make([]float32, 257)
-	Map(dst, func(i int) float32 { return float32(i) * 2 })
-	for i, v := range dst {
-		if v != float32(i)*2 {
-			t.Fatalf("dst[%d] = %v, want %v", i, v, float32(i)*2)
-		}
-	}
-}
-
 // TestConcurrentSetMaxWorkers exercises SetMaxWorkers racing against running
 // loops — the benchmark/test toggling pattern — under the race detector.
 func TestConcurrentSetMaxWorkers(t *testing.T) {

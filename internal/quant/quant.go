@@ -64,11 +64,6 @@ func QuantizeValue(x float32, fp FixPos) int8 {
 	return int8(r)
 }
 
-// DequantizeValue converts an int8 back to float at the given fix position.
-func DequantizeValue(q int8, fp FixPos) float32 {
-	return float32(q) * fp.InvScale()
-}
-
 // QuantizeSlice quantizes a float slice into dst at the given fix position.
 // ±Inf saturate like any out-of-range value; NaN becomes 0. This is the
 // conversion every request body goes through, and Go leaves int8(NaN) to the

@@ -305,14 +305,6 @@ func (s *Server) expireJob(j *job, stage string, cause error) {
 // job fails to its client only when its redispatch budget is spent, the
 // queue is full, or the server is draining (batchLoop is exiting, so a
 // re-queued job could be stranded).
-//
-// A re-queued job is counted (redispatched, queue depth) before it is on the
-// queue, like every other outcome: counted after, the batcher could have
-// served it and its client returned before the counters moved, and /statz
-// showed a request nowhere. Counting first must not be wrong, so the send
-// must not fail: under the write lock no Submit or other redispatch is
-// between its check and its send, only the batcher touches the queue, and it
-// only takes from it — room seen is room kept.
 func (s *Server) failOrRedispatch(jobs []*job, cause error) {
 	for _, j := range jobs {
 		j.redispatches++
@@ -321,16 +313,9 @@ func (s *Server) failOrRedispatch(jobs []*job, cause error) {
 			j.done <- outcome{err: fmt.Errorf("serve: request failed after %d attempts: %w", j.redispatches, cause)}
 			continue
 		}
-		s.mu.Lock()
-		if s.closing || len(s.queue) == cap(s.queue) {
-			s.mu.Unlock()
+		if s.enqueue(j, &s.stats.redispatched) != nil {
 			s.stats.failed.Add(1)
 			j.done <- outcome{err: cause}
-			continue
 		}
-		s.stats.redispatched.Add(1)
-		s.stats.depth.Add(1)
-		s.queue <- j
-		s.mu.Unlock()
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -114,8 +115,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestScrapeUnderFaultedLoad reads /statz, /metrics and /healthz from several
 // goroutines while a burst goes through a pool whose dpu-sim runs fail at
 // random: under the race detector every reader of the rows meets every writer
-// of them — completions, breaker trips, evictions — and at rest every
-// admitted request is accounted for.
+// of them — completions, breaker trips, evictions, redispatches — every /statz
+// sample shows a non-negative queue depth and no more outcomes than
+// admissions, and at rest every admitted request is accounted for.
 func TestScrapeUnderFaultedLoad(t *testing.T) {
 	s, _, _, imgs := newTestServer(t, Config{
 		Backends: "dpu-sim:2,cpu-int8", Threads: 2, MaxBatch: 4, QueueDepth: 128,
@@ -143,6 +145,19 @@ func TestScrapeUnderFaultedLoad(t *testing.T) {
 				// cpu-int8 never fails, so the pool always has a healthy runner.
 				if rec.Code != http.StatusOK {
 					t.Errorf("GET %s: HTTP %d %s", path, rec.Code, rec.Body)
+					return
+				}
+				if path != "/statz" {
+					continue
+				}
+				var st Stats
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Errorf("GET /statz: %v", err)
+					return
+				}
+				if st.QueueDepth < 0 || st.Completed+st.Expired+st.Failed > st.Accepted {
+					t.Errorf("/statz sample: queue_depth %d, completed %d + expired %d + failed %d > accepted %d",
+						st.QueueDepth, st.Completed, st.Expired, st.Failed, st.Accepted)
 					return
 				}
 			}

@@ -222,7 +222,7 @@ type Server struct {
 	pool   []*worker
 	router backend.RouterConfig
 
-	mu      sync.RWMutex // serializes closing against queue sends
+	mu      sync.Mutex // serializes closing against queue sends
 	closing bool
 
 	batcher  sync.WaitGroup // the batchLoop goroutine
@@ -380,21 +380,11 @@ func (s *Server) submit(ctx context.Context, img *tensor.Tensor) ([]uint8, int, 
 		return nil, 0, err
 	}
 	j := &job{ctx: ctx, img: img, accepted: time.Now(), done: make(chan outcome, 1)}
-
-	s.mu.RLock()
-	if s.closing {
-		s.mu.RUnlock()
-		return nil, 0, ErrDraining
-	}
-	select {
-	case s.queue <- j:
-		s.stats.accepted.Add(1)
-		s.stats.depth.Add(1)
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.stats.rejected.Add(1)
-		return nil, 0, ErrQueueFull
+	if err := s.enqueue(j, &s.stats.accepted); err != nil {
+		if err == ErrQueueFull {
+			s.stats.rejected.Add(1)
+		}
+		return nil, 0, err
 	}
 
 	select {
@@ -405,6 +395,30 @@ func (s *Server) submit(ctx context.Context, img *tensor.Tensor) ([]uint8, int, 
 		// buffered done channel means nobody blocks on us.
 		return nil, 0, ctx.Err()
 	}
+}
+
+// enqueue puts a job on the admission queue — a new one (counted as
+// accepted) or a redispatched one — or refuses it with ErrDraining or
+// ErrQueueFull. The job is counted (counter, queue depth) before it is on the
+// queue, like every other outcome: counted after, the batcher could dequeue it
+// (and its client return) before the counters moved, and /statz could read a
+// negative queue depth or more requests completed than accepted. Counting
+// first must not be wrong, so the send must not fail and nothing is ever
+// counted back: under s.mu no other enqueue is between its check and its
+// send, and the batcher only takes from the queue — room seen is room kept.
+func (s *Server) enqueue(j *job, counter *atomic.Uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return ErrDraining
+	}
+	if len(s.queue) == cap(s.queue) {
+		return ErrQueueFull
+	}
+	counter.Add(1)
+	s.stats.depth.Add(1)
+	s.queue <- j
+	return nil
 }
 
 // RetryAfter estimates how long a rejected client should back off: the
@@ -449,8 +463,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.closing
 }
 

@@ -225,10 +225,14 @@ type Stats struct {
 }
 
 // Stats snapshots the server counters. Concurrent mutation means the
-// snapshot is consistent per field, not across fields.
+// snapshot is consistent per field, not across fields — except that outcomes
+// are read before admissions: a completion, failure or in-queue expiry is
+// counted after its admission, so no snapshot shows more of them than
+// requests accepted.
 func (s *Server) Stats() Stats {
 	g := s.prog.Graph
 	rows, sum, healthy := s.rows(s.pool)
+	completed, expired, failed := s.stats.completed.Load(), s.stats.expired.Load(), s.stats.failed.Load()
 	st := Stats{
 		Model:      s.prog.Name,
 		InputShape: [3]int{g.InC, g.InH, g.InW},
@@ -240,9 +244,9 @@ func (s *Server) Stats() Stats {
 		QueueCap:   s.cfg.QueueDepth,
 		Accepted:   s.stats.accepted.Load(),
 		Rejected:   s.stats.rejected.Load(),
-		Completed:  s.stats.completed.Load(),
-		Expired:    s.stats.expired.Load(),
-		Failed:     s.stats.failed.Load(),
+		Completed:  completed,
+		Expired:    expired,
+		Failed:     failed,
 		Batches:    s.stats.batches.Load(),
 
 		BatchWindowMS: float64(s.batchWindow()) / float64(time.Millisecond),

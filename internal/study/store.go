@@ -65,9 +65,6 @@ func OpenStore(dir string) (*Store, error) {
 	return st, nil
 }
 
-// Dir returns the store root.
-func (st *Store) Dir() string { return st.dir }
-
 func (st *Store) jobPath(id string) string {
 	return filepath.Join(st.dir, "jobs", id+".json")
 }

@@ -6,22 +6,8 @@ import "math"
 // float64 conversions inline.
 func expf(x float32) float32 { return float32(math.Exp(float64(x))) }
 
-// Expf exposes float32 exp for sibling packages that operate on tensor data.
-func Expf(x float32) float32 { return expf(x) }
-
 // Sqrtf is float32 sqrt.
 func Sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
 // Powf is float32 pow.
 func Powf(x, y float32) float32 { return float32(math.Pow(float64(x), float64(y))) }
-
-// Clampf limits v to [lo, hi].
-func Clampf(v, lo, hi float32) float32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -62,30 +62,6 @@ func MaxPool2x2Backward(grad *Tensor, arg []int32, h, w int) *Tensor {
 	return out
 }
 
-// AvgPool2x2 applies 2×2 average pooling with stride 2; used by ablation
-// experiments comparing pooling choices.
-func AvgPool2x2(x *Tensor) *Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if h%2 != 0 || w%2 != 0 {
-		panic(fmt.Sprintf("tensor: AvgPool2x2 requires even spatial dims, got %v", x.Shape))
-	}
-	oh, ow := h/2, w/2
-	out := New(n, c, oh, ow)
-	planes := n * c
-	par.For(planes, func(p int) {
-		src := x.Data[p*h*w : (p+1)*h*w]
-		dst := out.Data[p*oh*ow : (p+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				iy, ix := oy*2, ox*2
-				s := src[iy*w+ix] + src[iy*w+ix+1] + src[(iy+1)*w+ix] + src[(iy+1)*w+ix+1]
-				dst[oy*ow+ox] = s * 0.25
-			}
-		}
-	})
-	return out
-}
-
 // ConcatChannels concatenates two NCHW tensors along the channel dimension.
 // Batch and spatial dimensions must match.
 func ConcatChannels(a, b *Tensor) *Tensor {

@@ -145,32 +145,6 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	})
 }
 
-// SubInPlace computes t -= u element-wise. Shapes must match.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: SubInPlace shape mismatch %v vs %v", t.Shape, u.Shape))
-	}
-	par.ForChunked(len(t.Data), func(lo, hi int) {
-		a, b := t.Data, u.Data
-		for i := lo; i < hi; i++ {
-			a[i] -= b[i]
-		}
-	})
-}
-
-// MulInPlace computes t *= u element-wise. Shapes must match.
-func (t *Tensor) MulInPlace(u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: MulInPlace shape mismatch %v vs %v", t.Shape, u.Shape))
-	}
-	par.ForChunked(len(t.Data), func(lo, hi int) {
-		a, b := t.Data, u.Data
-		for i := lo; i < hi; i++ {
-			a[i] *= b[i]
-		}
-	})
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) {
 	par.ForChunked(len(t.Data), func(lo, hi int) {
@@ -220,23 +194,6 @@ func (t *Tensor) MaxAbs() float32 {
 		}
 	}
 	return m
-}
-
-// MinMax returns the minimum and maximum element of t.
-func (t *Tensor) MinMax() (min, max float32) {
-	if len(t.Data) == 0 {
-		return 0, 0
-	}
-	min, max = t.Data[0], t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 // L2Norm returns the Euclidean norm of t.

@@ -64,22 +64,12 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("AddInPlace[%d] = %v, want %v", i, a.Data[i], want[i])
 		}
 	}
-	a.SubInPlace(b)
-	for i, w := range []float32{1, 2, 3, 4} {
-		if a.Data[i] != w {
-			t.Fatalf("SubInPlace[%d] = %v, want %v", i, a.Data[i], w)
-		}
-	}
 	a.Scale(2)
 	a.AXPY(0.5, b)
-	for i, w := range []float32{7, 14, 21, 28} {
+	for i, w := range []float32{27, 54, 81, 108} {
 		if a.Data[i] != w {
 			t.Fatalf("AXPY[%d] = %v, want %v", i, a.Data[i], w)
 		}
-	}
-	a.MulInPlace(b)
-	if a.Data[3] != 28*40 {
-		t.Fatalf("MulInPlace = %v", a.Data[3])
 	}
 }
 
@@ -93,10 +83,6 @@ func TestReductions(t *testing.T) {
 	}
 	if got := x.MaxAbs(); got != 3 {
 		t.Fatalf("MaxAbs = %v, want 3", got)
-	}
-	mn, mx := x.MinMax()
-	if mn != -3 || mx != 2 {
-		t.Fatalf("MinMax = %v,%v", mn, mx)
 	}
 	if got := x.L2Norm(); math.Abs(got-math.Sqrt(14)) > 1e-6 {
 		t.Fatalf("L2Norm = %v", got)
@@ -280,15 +266,6 @@ func TestMaxPool2x2(t *testing.T) {
 	}
 }
 
-func TestAvgPool2x2(t *testing.T) {
-	x := New(1, 1, 2, 2)
-	copy(x.Data, []float32{1, 2, 3, 4})
-	out := AvgPool2x2(x)
-	if out.Data[0] != 2.5 {
-		t.Fatalf("avg = %v, want 2.5", out.Data[0])
-	}
-}
-
 func TestConcatSplitRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomTensor(rng, 2, 3, 4, 4)
@@ -327,7 +304,7 @@ func TestSoftmaxChannels(t *testing.T) {
 
 func TestSoftmaxIsShiftInvariant(t *testing.T) {
 	f := func(a, b, c float32, shift float32) bool {
-		clamp := func(v float32) float32 { return Clampf(v, -20, 20) }
+		clamp := func(v float32) float32 { return min(max(v, -20), 20) }
 		x := FromSlice([]float32{clamp(a), clamp(b), clamp(c)}, 1, 3, 1, 1)
 		y := FromSlice([]float32{clamp(a) + clamp(shift), clamp(b) + clamp(shift), clamp(c) + clamp(shift)}, 1, 3, 1, 1)
 		px := SoftmaxChannels(x)

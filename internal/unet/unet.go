@@ -288,22 +288,3 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (m *Model) Predict(x *tensor.Tensor) []uint8 {
 	return tensor.ArgmaxChannels(m.Forward(x, false))
 }
-
-// Summary renders a human-readable per-stack description, in the spirit of
-// Table II.
-func (m *Model) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "U-Net %s: layers=%d baseFilters=%d params=%d\n",
-		m.Cfg.Name, m.Cfg.Layers(), m.Cfg.BaseFilters, m.ParamCount())
-	for i, e := range m.encoders {
-		fmt.Fprintf(&b, "  enc%d: conv %d->%d, conv same, pool, dropout %.2f\n",
-			i, e.blockA.conv.InC, e.blockA.conv.OutC, m.Cfg.DropoutRate)
-	}
-	fmt.Fprintf(&b, "  bottleneck: conv %d->%d ×2\n", m.bottleneck[0].conv.InC, m.bottleneck[0].conv.OutC)
-	for i, d := range m.decoders {
-		fmt.Fprintf(&b, "  dec%d: up %d->%d, concat, conv %d->%d, conv same\n",
-			len(m.decoders)-1-i, d.up.InC, d.up.OutC, d.blockA.conv.InC, d.blockA.conv.OutC)
-	}
-	fmt.Fprintf(&b, "  head: conv %d->%d + softmax\n", m.head.InC, m.head.OutC)
-	return b.String()
-}

@@ -218,25 +218,6 @@ func TestPredictReturnsValidClasses(t *testing.T) {
 	}
 }
 
-func TestSummaryMentionsStacks(t *testing.T) {
-	m := New(tinyConfig())
-	s := m.Summary()
-	for _, want := range []string{"enc0", "enc1", "bottleneck", "dec0", "dec1", "head"} {
-		if !contains(s, want) {
-			t.Errorf("summary missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestExportGraphMatchesModel checks the exported inference graph computes
 // the same function as the eval-mode model.
 func TestExportGraphMatchesModel(t *testing.T) {

@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"seneca"
+	"seneca/internal/core"
+	"seneca/internal/experiments"
+	"seneca/internal/unet"
+	"seneca/internal/xmodel"
 )
 
 func TestFacadeTableII(t *testing.T) {
@@ -74,18 +78,18 @@ func TestFacadeWorkflow(t *testing.T) {
 		t.Fatalf("implausible run result %+v", res)
 	}
 
-	// Checkpoint + xmodel round trips through the facade.
+	// Checkpoint + xmodel round trips.
 	dir := t.TempDir()
 	if err := art.Model.SaveFile(dir + "/m.model"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seneca.LoadModel(dir + "/m.model"); err != nil {
+	if _, err := unet.LoadFile(dir + "/m.model"); err != nil {
 		t.Fatal(err)
 	}
 	if err := art.Program.WriteFile(dir + "/m.xmodel"); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := seneca.LoadProgram(dir + "/m.xmodel")
+	prog, err := xmodel.ReadFile(dir + "/m.xmodel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +112,8 @@ func TestFacadeDeploySeparateFromTraining(t *testing.T) {
 	}
 	pipe := seneca.DefaultPipelineConfig(cfg)
 	pipe.CalibSize = 6
-	pipe.QuantMode = seneca.QuantFFQ
-	art, err := seneca.Deploy(model, ds, pipe)
+	pipe.QuantMode = core.QuantFFQ
+	art, err := core.Deploy(model, ds, pipe, core.TrainReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +123,14 @@ func TestFacadeDeploySeparateFromTraining(t *testing.T) {
 }
 
 func TestScalesAreDistinct(t *testing.T) {
-	f, p, tn := seneca.FastScale(), seneca.PaperScale(), seneca.TinyScale()
+	f, p, tn := experiments.FastScale(), experiments.PaperScale(), experiments.TinyScale()
 	if !(tn.Patients < f.Patients && f.Patients < p.Patients) {
 		t.Fatal("scales not ordered by cohort size")
 	}
 	if p.ImageSize != 256 || p.CalibSize != 500 || p.EvalFrames != 2000 || p.Runs != 10 {
 		t.Fatalf("paper scale does not match Section IV geometry: %+v", p)
 	}
-	for _, s := range []seneca.ExperimentScale{f, p, tn} {
+	for _, s := range []experiments.Scale{f, p, tn} {
 		if s.TimingImageSize != 256 {
 			t.Fatalf("%s scale times at %d, want 256", s.Name, s.TimingImageSize)
 		}
