@@ -28,9 +28,10 @@ race:
 # stress repeats the tests whose subject is an interleaving — batch formation,
 # the dispatch lanes, the breaker claim an expired batch hands back and
 # /statz, /metrics and /healthz scraped under a faulted burst in
-# internal/serve, the probe claim a dead request hands back and a rolling
-# restart under traffic (goroutines settled after Shutdown) in
-# internal/cluster, the working-set and goroutine settle test in
+# internal/serve, the probe claim a dead request hands back, a rolling
+# restart under traffic and one held across Shutdown (goroutines settled
+# after Shutdown) in internal/cluster, Execute racing Cost on every kind in
+# internal/backend, the working-set and goroutine settle test in
 # internal/study — under the race detector, many times in one
 # process, where a once-in-fifty ordering shows up. (The lane tests inject
 # faults, which adds to the process-wide fault counters; the chaos tests
@@ -39,7 +40,8 @@ race:
 STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim|ScrapeUnderFaultedLoad)
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
-	$(GO) test -race -count=20 -run '^Test(DeadLegReleasesOnlyItsOwnProbe|RollingRestartRoutesAround)$$' ./internal/cluster/
+	$(GO) test -race -count=20 -run '^Test(DeadLegReleasesOnlyItsOwnProbe|RollingRestartRoutesAround|ShutdownOwnsAStalledRestart)$$' ./internal/cluster/
+	$(GO) test -race -count=20 -run '^TestExecuteRacesCost$$' ./internal/backend/
 	$(GO) test -race -count=50 -run '^TestWorkingSetReleasedAndGoroutinesSettle$$' ./internal/study/
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, benchmark/):

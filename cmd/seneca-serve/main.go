@@ -56,7 +56,7 @@ func main() {
 	watchdog := flag.Duration("watchdog", 30*time.Second, "per-batch watchdog deadline on a runner")
 	redispatch := flag.Int("redispatch", 3, "times a request may ride a failed batch back into the queue")
 	maxBody := flag.Int64("max-body", 256<<20, "request body cap in bytes (413 beyond it)")
-	faults := flag.String("faults", "", `fault-injection spec, e.g. "vart.run.error,p=0.05;nifti.read,p=0.01" (chaos testing)`)
+	faults := flag.String("faults", "", `fault-injection spec, e.g. "backend.execute.dpu-sim,p=0.05;nifti.read,p=0.01" (chaos testing)`)
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()

@@ -54,7 +54,7 @@ func main() {
 	attempts := flag.Int("attempts", 3, "per-stage attempt budget")
 	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
 	maxBody := flag.Int64("max-body", 256<<20, "request body cap in bytes (413 beyond it)")
-	faults := flag.String("faults", "", `fault-injection spec, e.g. "study.blob.write,p=0.05;vart.run.error,p=0.02" (chaos testing)`)
+	faults := flag.String("faults", "", `fault-injection spec, e.g. "study.blob.write,p=0.05;backend.execute,p=0.02" (chaos testing)`)
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 

@@ -4,8 +4,8 @@
 // (seeded, via the internal/fault registry), and prints throughput, error
 // counts and the recovery trace (breaker trips, evictions, redispatches)
 // side by side. Every response in both phases is checked bit-for-bit
-// against direct device execution — injected faults must cost throughput,
-// never correctness.
+// against the program's own INT8 execution — injected faults must cost
+// throughput, never correctness.
 //
 //	go run ./examples/chaos
 //
@@ -59,7 +59,7 @@ func main() {
 			img.Data[j] = float32(rng.NormFloat64() * 0.3)
 		}
 		imgs[i] = img
-		if goldens[i], err = dev.Execute(prog, img); err != nil {
+		if goldens[i], err = prog.Run(img); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func main() {
 			name,
 			float64(total)/elapsed.Seconds(),
 			failed.Load(), total, wrong.Load(),
-			seneca.FaultsInjected("vart.run.error")+seneca.FaultsInjected("vart.run.stall"),
+			seneca.FaultsInjected("backend.execute")+seneca.FaultsInjected("backend.execute.dpu-sim"),
 			st.Evictions, st.Probes, st.Redispatches, st.WatchdogTimeouts,
 			h.Healthy, h.Runners)
 	}
@@ -120,15 +120,15 @@ func main() {
 	fmt.Printf("chaos: %d clients × %d requests per phase\n\n", clients, perClient)
 	phase("baseline")
 
-	// ~10% of batches error and a couple stall past the watchdog; seeded,
-	// so the run replays exactly.
+	// A couple of batches stall past the watchdog and ~10% of dpu-sim
+	// batches error; seeded, so the run replays exactly.
 	seneca.SeedFaults(42)
-	if err := seneca.ApplyFaults("vart.run.error,p=0.1;vart.run.stall,p=1,count=2,delay=8s"); err != nil {
+	if err := seneca.ApplyFaults("backend.execute,p=1,count=2,delay=8s;backend.execute.dpu-sim,p=0.1"); err != nil {
 		log.Fatal(err)
 	}
 	defer seneca.ResetFaults()
 	phase("10% faults")
 
-	fmt.Println("\nEvery response in both phases was bit-identical to direct device")
-	fmt.Println("execution: faults cost throughput (retries, cooldowns), not accuracy.")
+	fmt.Println("\nEvery response in both phases was bit-identical to the program's own")
+	fmt.Println("INT8 execution: faults cost throughput (retries, cooldowns), not accuracy.")
 }

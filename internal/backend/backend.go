@@ -5,23 +5,24 @@
 // interchangeable behind one interface so a single serve pool can run all
 // of them concurrently and route each micro-batch by a cost model.
 //
-// A Backend couples two halves, mirroring internal/dpu's split:
+// A built-in backend is the INT8 frame plus a price:
 //
-//   - functional: every registered backend executes the compiled program
-//     bit-accurately through the INT8 kernels of internal/quant, so a
-//     request's mask does not depend on which device the router picked
-//     (the cross-backend conformance suite pins this, with a documented
-//     per-backend tolerance table for future approximate executors);
-//   - temporal: each backend prices a batch with its own first-order
-//     device model (DPU discrete-event simulation, GPU FP32 roofline,
-//     CPU INT8 roofline), and Cost exposes that prediction — latency plus
-//     energy — to the router before any work is placed.
+//   - functional: every kind executes the compiled program bit-accurately
+//     through the INT8 kernels of internal/quant, so a request's mask does
+//     not depend on which device the router picked (the cross-backend
+//     conformance suite pins this, with a documented per-backend tolerance
+//     table for future approximate executors);
+//   - temporal: each kind prices a run of frames with its own first-order
+//     device model — the VART discrete-event simulation over the DPU for
+//     "dpu-sim", a steady run of the instruction-stream roofline frame at
+//     constant watts for "cpu-int8" (INT8 edge CPU) and "gpu-sim"
+//     (internal/gpusim's FP32 GPU). Execute charges a batch that price at its
+//     seed, and Cost is the same price at seed 0, so the router's prediction
+//     is exactly the report an unjittered batch is charged.
 //
-// Three executors register themselves at init: "cpu-int8" (host INT8 via
-// internal/quant), "gpu-sim" (internal/gpusim) and "dpu-sim"
-// (internal/vart over internal/dpu). New executors join by calling
-// Register; the conformance suite iterates Kinds and refuses executors
-// without a tolerance entry.
+// One type serves the three built-in kinds, which register themselves at
+// init. New executors join by calling Register; the conformance suite
+// iterates Kinds and refuses executors without a tolerance entry.
 //
 // Every Execute consults the chaos seams "backend.execute" and
 // "backend.execute.<kind>" (internal/fault), so resilience tests can kill
@@ -30,7 +31,6 @@ package backend
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +40,6 @@ import (
 	"seneca/internal/dpu"
 	"seneca/internal/energy"
 	"seneca/internal/fault"
-	"seneca/internal/gpusim"
 	"seneca/internal/quant"
 	"seneca/internal/tensor"
 	"seneca/internal/xmodel"
@@ -86,14 +85,10 @@ type Backend interface {
 
 // Options tunes backend construction. The zero value is usable.
 type Options struct {
-	// Threads is the host submission thread count for backends that fan
-	// frames across workers (dpu-sim, cpu-int8, gpu-sim). Default 4.
+	// Threads is the host submission thread count: a batch's frames fan
+	// across at most this many workers, and dpu-sim's runtime model
+	// schedules that many submission threads. Default 4.
 	Threads int
-	// GPU overrides the simulated GPU configuration (nil: RTX2060Mobile,
-	// the paper's baseline).
-	GPU *gpusim.Config
-	// CPU overrides the simulated CPU configuration (nil: EdgeCPUINT8).
-	CPU *CPUConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -201,43 +196,58 @@ func ParseSpec(spec string) ([]string, error) {
 	return kinds, nil
 }
 
-// checkFaults consults the generic and per-kind chaos seams one batch
-// execution passes through. Unprogrammed points cost one atomic load.
-func checkFaults(kind string) error {
-	if err := fault.Check("backend.execute"); err != nil {
-		return err
-	}
-	return fault.Check("backend.execute." + kind)
+// priced is the one Backend of every built-in kind: the program's INT8 frame,
+// fanned across host workers, plus the kind's price for a run of frames.
+// Execute charges a batch price(len(imgs), seed); Cost is price(n, 0). It
+// holds nothing a batch mutates, so Execute and Cost are safe to call
+// concurrently, on one backend or many.
+type priced struct {
+	kind    string
+	graph   *quant.QGraph
+	threads int
+	price   func(frames int, seed int64) (energy.Report, error)
 }
 
-// executeINT8 runs one batch bit-accurately through the quantized graph,
-// fanning frames across host workers exactly as the VART runtime does
-// (quant.ForFrames). Masks come back in input order.
-func executeINT8(g *quant.QGraph, imgs []*tensor.Tensor, threads int) ([][]uint8, error) {
+func (b *priced) Name() string { return b.kind }
+
+// Health always passes: a built-in kind's configuration is fixed when it is
+// built, so there is nothing left to go wrong that the breaker does not see.
+func (b *priced) Health() error { return nil }
+
+// Execute consults the generic and the per-kind chaos seam, runs every frame
+// bit-accurately through the quantized graph on up to threads host workers
+// (quant.ForFrames; masks in input order), and prices the batch. The INT8
+// kernels' inner parallel loops run serial under this outer fan-out
+// (internal/par's worker budget), so a batch never oversubscribes the host
+// cores. Unprogrammed seams cost one atomic load.
+func (b *priced) Execute(imgs []*tensor.Tensor, seed int64) ([][]uint8, energy.Report, error) {
+	if err := fault.Check("backend.execute"); err != nil {
+		return nil, energy.Report{}, err
+	}
+	if err := fault.Check("backend.execute." + b.kind); err != nil {
+		return nil, energy.Report{}, err
+	}
 	masks := make([][]uint8, len(imgs))
-	err := quant.ForFrames(len(imgs), threads, func(i int) (err error) {
-		masks[i], err = g.ExecuteLabels(imgs[i])
+	err := quant.ForFrames(len(imgs), b.threads, func(i int) (err error) {
+		masks[i], err = b.graph.ExecuteLabels(imgs[i])
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("backend: %w", err)
+		return nil, energy.Report{}, fmt.Errorf("backend: %w", err)
 	}
-	return masks, nil
+	rep, err := b.price(len(imgs), seed)
+	if err != nil {
+		return nil, energy.Report{}, err
+	}
+	return masks, rep, nil
 }
 
-// jitteredReport integrates frames × perFrame at constant watts into a
-// throughput/energy report, adding the small frame-to-frame measurement
-// noise real boards show when seed is nonzero (the µ±σ of repeated runs the
-// paper's tables report).
-func jitteredReport(frames int, perFrame time.Duration, watts, rel float64, seed int64) energy.Report {
-	var log energy.Logger
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < frames; i++ {
-		f := perFrame
-		if seed != 0 && rel > 0 {
-			f = time.Duration(float64(perFrame) * (1 + rel*(rng.Float64()*2-1)))
-		}
-		log.Record(f, watts)
+// Cost is the report Execute would charge a batch of that many frames (at
+// least one) at seed 0.
+func (b *priced) Cost(frames int) Cost {
+	rep, err := b.price(max(frames, 1), 0)
+	if err != nil {
+		return Cost{}
 	}
-	return energy.Report{Frames: frames, Duration: log.Duration(), Joules: log.Joules()}
+	return Cost{Latency: rep.Duration, Joules: rep.Joules}
 }

@@ -1,9 +1,12 @@
 package backend
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"seneca/internal/ctorg"
 	"seneca/internal/dpu"
@@ -134,6 +137,124 @@ func TestCostPositiveAndMonotonic(t *testing.T) {
 				t.Fatalf("%s: Cost(%d) = %+v regressed below Cost of fewer frames %+v", kind, frames, c, prev)
 			}
 			prev = c
+		}
+	}
+}
+
+// TestCostIsExecuteAtSeedZero pins the one price: for every kind, the
+// router's prediction for n frames is exactly the report Execute charges a
+// batch of n frames at seed 0 — same latency, bit-equal joules.
+func TestCostIsExecuteAtSeedZero(t *testing.T) {
+	const size = 16
+	dev, prog := testProgram(t, size)
+	imgs := randomImages(size, 8, 5)
+	for _, kind := range Kinds() {
+		be, err := New(kind, dev, prog, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= len(imgs); n++ {
+			_, rep, err := be.Execute(imgs[:n], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := be.Cost(n); rep.Frames != n || c.Latency != rep.Duration || c.Joules != rep.Joules {
+				t.Fatalf("%s: Cost(%d) = %+v, Execute charged %+v", kind, n, c, rep)
+			}
+		}
+	}
+}
+
+// TestExecuteRacesCost is the interface's concurrency contract under -race:
+// Cost is called while batches execute on the same backend (the serving tier
+// prices every batch this way), on every kind, and neither disturbs the
+// other — every mask matches the reference and every prediction the idle
+// one.
+func TestExecuteRacesCost(t *testing.T) {
+	const size = 16
+	dev, prog := testProgram(t, size)
+	imgs := randomImages(size, 4, 9)
+	want := make([][]uint8, len(imgs))
+	for i, img := range imgs {
+		var err error
+		if want[i], err = prog.Run(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kind := range Kinds() {
+		be, err := New(kind, dev, prog, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle := be.Cost(len(imgs))
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(2)
+			go func(seed int64) {
+				defer wg.Done()
+				masks, _, err := be.Execute(imgs, seed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range masks {
+					if !bytes.Equal(masks[i], want[i]) {
+						t.Errorf("%s: frame %d differs from Program.Run under concurrent pricing", kind, i)
+					}
+				}
+			}(int64(g))
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 50; n++ {
+					if c := be.Cost(len(imgs)); c != idle {
+						t.Errorf("%s: Cost moved under a concurrent Execute: %+v, idle %+v", kind, c, idle)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestSteadyKindsPriceUnchanged pins cpu-int8's and gpu-sim's one-frame price
+// for every Table II configuration at 64² to the values their roofline frames
+// have always had (each kind's instruction-stream roofline at its own
+// constants, at constant watts).
+func TestSteadyKindsPriceUnchanged(t *testing.T) {
+	want := []struct {
+		model, kind string
+		latency     time.Duration
+		joules      float64
+	}{
+		{"1M", KindCPUInt8, 1456321, 0.055340198},
+		{"1M", KindGPUSim, 9748476, 0.760381128},
+		{"2M", KindCPUInt8, 1262467, 0.047973746},
+		{"2M", KindGPUSim, 9833980, 0.7670504400000001},
+		{"4M", KindCPUInt8, 1604567, 0.060973546},
+		{"4M", KindGPUSim, 9946118, 0.7757972040000001},
+		{"8M", KindCPUInt8, 2305013, 0.08759049399999999},
+		{"8M", KindGPUSim, 10177500, 0.793845},
+		{"16M", KindCPUInt8, 3941458, 0.149775404},
+		{"16M", KindGPUSim, 10713890, 0.8356834200000001},
+	}
+	progs := map[string]*xmodel.Program{}
+	for _, cfg := range unet.TableII() {
+		q, err := quant.QuantizeShapeOnly(unet.New(cfg).Export(64, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if progs[cfg.Name], err = xmodel.Compile(q, cfg.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range want {
+		be, err := New(w.kind, nil, progs[w.model], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := be.Cost(1); c.Latency != w.latency || c.Joules != w.joules {
+			t.Errorf("%s on %s: Cost(1) = %d ns, %v J; want %d ns, %v J", w.model, w.kind, c.Latency, c.Joules, w.latency, w.joules)
 		}
 	}
 }

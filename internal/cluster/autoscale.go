@@ -80,10 +80,11 @@ func (c *Cluster) fleetLoad() (active, load int) {
 // retireOne drains and removes the highest-slot active node (highest slot
 // so the consistent-hash ring loses its newest vnodes — long-lived keyed
 // clients on the base fleet keep their affinity). The drain runs
-// asynchronously: the node leaves routing immediately, finishes its
-// admitted work, then its slot empties.
+// asynchronously, and Shutdown waits for it: the node leaves routing
+// immediately, finishes its admitted work, then its slot empties.
 func (c *Cluster) retireOne() bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	var victim *node
 	for i := len(c.slots) - 1; i >= 0; i-- {
 		if n := c.slots[i]; n != nil && n.stateNow() == NodeActive {
@@ -92,14 +93,11 @@ func (c *Cluster) retireOne() bool {
 		}
 	}
 	if victim == nil {
-		c.mu.Unlock()
 		return false
 	}
 	victim.draining.Store(true)
 	c.ring = buildRing(c.slots)
-	c.mu.Unlock()
-
-	go func() {
+	return c.goLocked(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		victim.srv.Shutdown(ctx)
@@ -109,6 +107,5 @@ func (c *Cluster) retireOne() bool {
 			c.ring = buildRing(c.slots)
 		}
 		c.mu.Unlock()
-	}()
-	return true
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"seneca/internal/dpu"
 	"seneca/internal/fault"
 	"seneca/internal/serve"
 )
@@ -33,10 +32,9 @@ func TestChaosNodeKilledMidBurst(t *testing.T) {
 		serve.Config{QueueDepth: 256, MaxBatch: 4})
 
 	// Fault-free goldens, computed before arming the registry.
-	ref := dpu.New(dpu.ZCU104B4096())
 	goldens := make([][]uint8, len(imgs))
 	for i, img := range imgs {
-		want, err := ref.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +135,6 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 		Config{MinNodes: 2, MaxNodes: 2, FailThreshold: 2, EjectCooldown: 50 * time.Millisecond, MaxAttempts: 6},
 		serve.Config{QueueDepth: 64})
 
-	ref := dpu.New(dpu.ZCU104B4096())
 	fault.Seed(7)
 	// A stall then an error on the same point: delay+err fires both.
 	fault.Enable("cluster.node.dispatch", fault.Fault{Prob: 1, Count: 3, Delay: 20 * time.Millisecond, Err: fault.ErrInjected})
@@ -150,7 +147,7 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		want, err := ref.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,10 +183,9 @@ func TestChaosSlowNodeHedgedMidBurst(t *testing.T) {
 		serve.Config{QueueDepth: 256, MaxBatch: 4})
 
 	// Fault-free goldens, computed before arming the registry.
-	ref := dpu.New(dpu.ZCU104B4096())
 	goldens := make([][]uint8, len(imgs))
 	for i, img := range imgs {
-		want, err := ref.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}

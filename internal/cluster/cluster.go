@@ -243,6 +243,7 @@ type Cluster struct {
 	restartMu sync.Mutex // serializes rolling restarts
 
 	submits  sync.WaitGroup // dispatches in flight through the front door
+	owned    sync.WaitGroup // goroutines started by goLocked: drains, admin restarts
 	ctlStop  chan struct{}
 	ctlDone  sync.WaitGroup
 	stopOnce sync.Once
@@ -325,20 +326,41 @@ func (c *Cluster) spawn() error {
 		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, n := range c.slots {
-		if n == nil {
-			c.install(i, srv)
-			return nil
+	err = ErrDraining
+	if !c.closing {
+		err = errors.New("cluster: fleet already at MaxNodes")
+		for i, n := range c.slots {
+			if n == nil {
+				c.install(i, srv)
+				c.mu.Unlock()
+				return nil
+			}
 		}
 	}
-	// No empty slot (racing scale-ups); discard the extra replica.
+	c.mu.Unlock()
+	// Shutdown has begun (it has already collected the nodes it drains), or
+	// racing scale-ups filled the fleet: discard the replica. It has never
+	// taken a request, so its shutdown is immediate.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+	return err
+}
+
+// goLocked runs f on a goroutine Shutdown waits for, and reports whether it
+// did. Once Shutdown has begun it starts nothing — Shutdown may already be
+// waiting — and the caller leaves the work to Shutdown. Callers hold c.mu,
+// which orders the check against Shutdown's.
+func (c *Cluster) goLocked(f func()) bool {
+	if c.closing {
+		return false
+	}
+	c.owned.Add(1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
+		defer c.owned.Done()
+		f()
 	}()
-	return errors.New("cluster: fleet already at MaxNodes")
+	return true
 }
 
 // Submit admits one CHW image on the interactive tier and blocks until its
@@ -565,8 +587,9 @@ func (c *Cluster) Draining() bool {
 
 // Shutdown stops the autoscaler and new admissions, waits for dispatches
 // already through the front door, then drains every node (each node drains
-// its own admitted queue — no admitted work is dropped). ctx bounds how
-// long the caller waits. Shutdown is idempotent.
+// its own admitted queue — no admitted work is dropped), and waits for every
+// drain and restart the fleet started off this path (goLocked). ctx bounds
+// how long the caller waits. Shutdown is idempotent.
 func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	c.closing = true
@@ -574,15 +597,8 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 	c.stopOnce.Do(func() { close(c.ctlStop) })
 	c.ctlDone.Wait()
 
-	drained := make(chan struct{})
-	go func() {
-		c.submits.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := waitCtx(ctx, &c.submits); err != nil {
+		return err
 	}
 
 	c.mu.RLock()
@@ -604,7 +620,25 @@ func (c *Cluster) Shutdown(ctx context.Context) error {
 			first = err
 		}
 	}
+	if err := waitCtx(ctx, &c.owned); err != nil && first == nil {
+		first = err
+	}
 	return first
+}
+
+// waitCtx waits for wg, or for ctx to end first.
+func waitCtx(ctx context.Context, wg *sync.WaitGroup) error {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // RollingRestart replaces every node in turn: each is removed from routing
@@ -635,13 +669,19 @@ func (c *Cluster) RollingRestart(ctx context.Context) error {
 		// error to abort the roll mid-fleet.
 		if err := c.faults.CheckCtx(ctx, "cluster.node.restart"); err != nil {
 			// Abort the roll: finish this node's drain off to the side so
-			// its admitted work still completes, then drop the slot.
-			go func() {
+			// its admitted work still completes, then drop the slot. Once
+			// Shutdown has begun, the node stays in its slot for Shutdown
+			// to drain.
+			c.mu.Lock()
+			if c.goLocked(func() {
 				dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
 				n.srv.Shutdown(dctx)
-			}()
-			c.clearSlot(i)
+			}) {
+				c.slots[i] = nil
+				c.ring = buildRing(c.slots)
+			}
+			c.mu.Unlock()
 			return err
 		}
 		if err := n.srv.Shutdown(ctx); err != nil {
@@ -654,6 +694,13 @@ func (c *Cluster) RollingRestart(ctx context.Context) error {
 			return err
 		}
 		c.mu.Lock()
+		if c.closing {
+			// Shutdown began while this node was out: it has drained the
+			// fleet without the replacement, which must not outlive it.
+			c.mu.Unlock()
+			srv.Shutdown(ctx)
+			return ErrDraining
+		}
 		c.install(i, srv)
 		c.mu.Unlock()
 		c.stats.restarts.Add(1)

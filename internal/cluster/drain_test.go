@@ -164,6 +164,58 @@ func TestRollingRestartRoutesAround(t *testing.T) {
 	settle(t, c, base)
 }
 
+// TestShutdownOwnsAStalledRestart: Shutdown runs while a rolling restart is
+// held at "cluster.node.restart", and the stall ends after the fleet has
+// drained. The restart must then not install a replacement — nothing would
+// ever stop it — so when it returns no replica the fleet built is left
+// serving, and once Shutdown is done nothing the fleet started is left
+// running.
+func TestShutdownOwnsAStalledRestart(t *testing.T) {
+	base := runtime.NumGoroutine()
+	prog, _ := testProgram(t, 32, 1)
+	factory, _ := testFactory(t, prog, serve.Config{Threads: 2})
+	var mu sync.Mutex
+	var built []*serve.Server
+	c, err := New(func() (*serve.Server, error) {
+		srv, err := factory()
+		if err == nil {
+			mu.Lock()
+			built = append(built, srv)
+			mu.Unlock()
+		}
+		return srv, err
+	}, Config{MinNodes: 2, MaxNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable("cluster.node.restart", fault.Stall(1, 200*time.Millisecond))
+	t.Cleanup(fault.Reset)
+
+	rolled := make(chan error, 1)
+	go func() { rolled <- c.RollingRestart(context.Background()) }()
+	for deadline := time.Now().Add(10 * time.Second); fault.Injected("cluster.node.restart") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the rolling restart never reached its stall")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-rolled; !errors.Is(err, ErrDraining) {
+		t.Fatalf("rolling restart across Shutdown: %v, want ErrDraining", err)
+	}
+	mu.Lock()
+	for i, srv := range built {
+		if !srv.Draining() {
+			t.Errorf("replica %d of %d still serving after Shutdown and the restart returned", i+1, len(built))
+		}
+	}
+	mu.Unlock()
+	settle(t, c, base)
+}
+
 // TestRollingRestartSingleNodeSheds pins the 1-node edge: while the only
 // node is down, requests shed (429/503 class errors, never hangs or wrong
 // results), and service resumes when the replacement lands.
@@ -338,7 +390,7 @@ func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
 		{name: "batch tier", header: "X-Seneca-Tier", value: "batch", body: body, want: http.StatusOK},
 		{name: "lapsed deadline", body: body, ctx: lapsed, want: http.StatusGatewayTimeout},
 		{name: "node error", body: body, want: http.StatusInternalServerError,
-			prep: func() { fault.Enable("vart.run.error", fault.Fault{Count: 2}) }},
+			prep: func() { fault.Enable("backend.execute.dpu-sim", fault.Fault{Count: 2}) }},
 		// The only node leaving routing leaves nothing to admit the request.
 		{name: "fleet saturated", body: body, prep: func() { n.draining.Store(true) }, want: http.StatusTooManyRequests},
 		{name: "draining", body: body, prep: func() { c.Shutdown(context.Background()) }, want: http.StatusServiceUnavailable},

@@ -61,7 +61,7 @@ func TestHealthzBodies(t *testing.T) {
 	trip := func(t *testing.T, s *serve.Server) {
 		t.Helper()
 		healthy := s.Health().Healthy
-		fault.Enable("vart.run.error", fault.Fault{Count: 1})
+		fault.Enable("backend.execute.dpu-sim", fault.Fault{Count: 1})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		done := make(chan error, 1)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"seneca/internal/dpu"
 	"seneca/internal/fault"
 	"seneca/internal/serve"
 )
@@ -86,7 +85,6 @@ func TestHedgeRescuesSlowNodeAndAvoidsPrimary(t *testing.T) {
 	c, prog, imgs := newTestCluster(t,
 		Config{MinNodes: 2, MaxNodes: 2, HedgeFraction: 0.15, RetryBudgetFrac: 1, RetryBudgetMin: 100},
 		serve.Config{QueueDepth: 64})
-	ref := dpu.New(dpu.ZCU104B4096())
 	fault.Seed(3)
 	fault.Enable("cluster.node.serve.0", fault.SlowTail(0, 1200*time.Millisecond))
 	t.Cleanup(fault.Reset)
@@ -106,7 +104,7 @@ func TestHedgeRescuesSlowNodeAndAvoidsPrimary(t *testing.T) {
 		if res.Node != 1 {
 			t.Fatalf("request %d served by node %d — the hedge must avoid its primary's node", i, res.Node)
 		}
-		want, err := ref.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +142,7 @@ func TestHedgeRescuesSlowNodeAndAvoidsPrimary(t *testing.T) {
 	if resp.Header.Get(serve.HedgedHeader) != "1" {
 		t.Fatalf("%s header = %q, want 1", serve.HedgedHeader, resp.Header.Get(serve.HedgedHeader))
 	}
-	want, err := ref.Execute(prog, imgs[0])
+	want, err := prog.Run(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,19 +88,21 @@ func (c *Cluster) handleRollingRestart(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if c.Draining() {
-		http.Error(w, ErrDraining.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	// The restart outlives the admin request: run it in the background
-	// with its own generous deadline and report 202. Progress shows up in
-	// /statz (rolling_restarts) and /healthz (degraded while a node is
-	// out).
-	go func() {
+	// with its own generous deadline (Shutdown waits for it) and report
+	// 202. Progress shows up in /statz (rolling_restarts) and /healthz
+	// (degraded while a node is out).
+	c.mu.Lock()
+	started := c.goLocked(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 		defer cancel()
 		c.RollingRestart(ctx)
-	}()
+	})
+	c.mu.Unlock()
+	if !started {
+		http.Error(w, ErrDraining.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	fmt.Fprintf(w, "{\"status\":\"restarting\",\"nodes\":%d}\n", c.Health().Nodes)

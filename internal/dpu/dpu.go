@@ -3,15 +3,14 @@
 // with pixel/input-channel/output-channel parallelism 8×16×16 = 4096
 // operations per cycle per core.
 //
-// The simulator is split in two faithful halves:
-//
-//   - functional: xmodel programs execute bit-accurately through the INT8
-//     kernels of internal/quant, so accuracy results are real measurements;
-//   - temporal: each instruction's latency comes from a first-order
-//     microarchitectural model — compute cycles from tiling occupancy of
-//     the 8×16×16 array, memory cycles from DDR traffic, overlapped as
-//     max(compute, mem), plus a fixed issue overhead — and board power
-//     follows array utilization.
+// This package is the device's temporal half: each instruction's latency
+// comes from a first-order microarchitectural model — compute cycles from
+// tiling occupancy of the 8×16×16 array, memory cycles from DDR traffic,
+// plus a fixed issue overhead — and board power follows array utilization.
+// The functional half is the program's own INT8 graph (internal/quant via
+// xmodel.Program.Run), executed bit-accurately, so accuracy results are real
+// measurements; the runtime that schedules frames onto the cores is
+// internal/vart.
 //
 // The constants below are the published device parameters (cores, clock,
 // array geometry) plus two effective-efficiency knobs (memory
@@ -22,9 +21,7 @@ package dpu
 import (
 	"time"
 
-	"seneca/internal/fault"
 	"seneca/internal/quant"
-	"seneca/internal/tensor"
 	"seneca/internal/xmodel"
 )
 
@@ -248,17 +245,4 @@ func (d *Device) Power(busyCores int, util float64, threads int) float64 {
 	p := d.Cfg.StaticWatts + float64(threads)*d.Cfg.ThreadWatts
 	p += float64(busyCores) * (d.Cfg.CoreBaseWatts + d.Cfg.CoreActiveWatts*util)
 	return p
-}
-
-// Execute runs the program functionally (bit-accurate INT8) on one image,
-// returning the segmentation mask. Timing is *not* simulated here; the
-// runtime (internal/vart) owns the clock. Scratch memory comes from the
-// program graph's executor free list: safe for concurrent calls, and the
-// only steady-state allocation is the returned mask.
-func (d *Device) Execute(p *xmodel.Program, img *tensor.Tensor) ([]uint8, error) {
-	// Chaos seam: a per-frame hardware fault (ECC error, DMA timeout).
-	if err := fault.Check("dpu.execute"); err != nil {
-		return nil, err
-	}
-	return p.Graph.ExecuteLabels(img)
 }

@@ -8,6 +8,7 @@ package energy
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 )
 
@@ -36,6 +37,28 @@ func (l *Logger) Joules() float64 { return l.joules }
 
 // Samples returns how many segments were recorded.
 func (l *Logger) Samples() int { return l.samples }
+
+// Steady integrates a steady run — frames back to back, perFrame each, at
+// constant watts — into a report. A nonzero seed perturbs every frame's time
+// uniformly within ±rel, the frame-to-frame noise (thermals, scheduler)
+// behind the µ±σ of repeated runs the paper's tables report; seed 0 is the
+// deterministic run and draws nothing. It is the one steady-run model: the
+// GPU baseline and the cpu-int8 and gpu-sim backends all price through it.
+func Steady(frames int, perFrame time.Duration, watts, rel float64, seed int64) Report {
+	var rng *rand.Rand
+	if seed != 0 && rel > 0 {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	var log Logger
+	for i := 0; i < frames; i++ {
+		f := perFrame
+		if rng != nil {
+			f = time.Duration(float64(perFrame) * (1 + rel*(rng.Float64()*2-1)))
+		}
+		log.Record(f, watts)
+	}
+	return Report{Frames: frames, Duration: log.Duration(), Joules: log.Joules()}
+}
 
 // Report is the throughput/power/efficiency triple the paper's tables use.
 type Report struct {

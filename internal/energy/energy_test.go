@@ -75,3 +75,22 @@ func TestReportString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+func TestSteady(t *testing.T) {
+	// Seed 0: exactly frames × perFrame, energy summed frame by frame.
+	r := Steady(4, 250*time.Millisecond, 20, 0.5, 0)
+	if r != (Report{Frames: 4, Duration: time.Second, Joules: 20}) {
+		t.Fatalf("Steady at seed 0 = %+v", r)
+	}
+	// A nonzero seed jitters every frame within ±rel, reproducibly.
+	a, b := Steady(100, time.Millisecond, 10, 0.01, 7), Steady(100, time.Millisecond, 10, 0.01, 7)
+	if a != b {
+		t.Fatalf("same seed, different runs: %+v vs %+v", a, b)
+	}
+	if a.Duration == 100*time.Millisecond || a.Duration < 99*time.Millisecond || a.Duration > 101*time.Millisecond {
+		t.Fatalf("jittered run %v, want within ±1%% of 100ms and not exactly it", a.Duration)
+	}
+	if got := Steady(3, time.Second, 5, 0, 7); got != (Report{Frames: 3, Duration: 3 * time.Second, Joules: 15}) {
+		t.Fatalf("rel 0 must not jitter: %+v", got)
+	}
+}

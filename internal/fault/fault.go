@@ -1,12 +1,11 @@
 // Package fault is a deterministic fault-injection registry for chaos
 // testing the SENECA stack. Production code declares named injection
-// points at its real failure seams (runner execution, device simulation,
-// store writes, NIfTI decode, cluster node dispatch and rolling-restart
-// replacement); tests and the binaries program those points
-// with a probability, a hit budget, an error and/or a latency, and the
-// instrumented code misbehaves exactly as a flaky edge deployment would —
-// reproducibly, because every probabilistic decision draws from one seeded
-// RNG.
+// points at its real failure seams (backend batch execution, store writes,
+// NIfTI decode, cluster node dispatch and rolling-restart replacement);
+// tests and the binaries program those points with a probability, a hit
+// budget, an error and/or a latency, and the instrumented code misbehaves
+// exactly as a flaky edge deployment would — reproducibly, because every
+// probabilistic decision draws from one seeded RNG.
 //
 // The registry is designed to vanish when idle: an unprogrammed Check is a
 // single atomic load, so injection points can sit on hot paths (the INT8
@@ -320,7 +319,7 @@ func Active() []string { return Default.Active() }
 // semicolon-separated list of entries; each entry is a point name followed
 // by comma-separated options:
 //
-//	vart.run.error,p=0.1,count=20;vart.run.stall,p=0.05,delay=250ms
+//	backend.execute.dpu-sim,p=0.1,count=20;backend.execute,p=0.05,delay=250ms
 //
 // Options: p=<float> probability in (0, 1], count=<n> fire budget (0:
 // unlimited), after=<n> skipped hits, delay=<duration> stall latency,

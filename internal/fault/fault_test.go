@@ -12,7 +12,7 @@ import (
 
 func TestUnprogrammedPointIsFree(t *testing.T) {
 	r := NewRegistry(1, obs.NewRegistry())
-	if err := r.Check("vart.run.error"); err != nil {
+	if err := r.Check("backend.execute.dpu-sim"); err != nil {
 		t.Fatalf("unprogrammed point injected: %v", err)
 	}
 	if got := r.Active(); len(got) != 0 {
@@ -146,12 +146,12 @@ func TestDisableAndReset(t *testing.T) {
 
 func TestApplySpec(t *testing.T) {
 	r := NewRegistry(1, obs.NewRegistry())
-	err := r.Apply("vart.run.error,p=0.5,count=3; vart.run.stall,delay=5ms ;nifti.read,err=disk glitch,after=1")
+	err := r.Apply("backend.execute.dpu-sim,p=0.5,count=3; backend.execute,delay=5ms ;nifti.read,err=disk glitch,after=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := r.Active()
-	want := []string{"nifti.read", "vart.run.error", "vart.run.stall"}
+	want := []string{"backend.execute", "backend.execute.dpu-sim", "nifti.read"}
 	if len(got) != len(want) {
 		t.Fatalf("Active() = %v, want %v", got, want)
 	}
@@ -161,7 +161,7 @@ func TestApplySpec(t *testing.T) {
 		}
 	}
 	// The stall entry must be delay-only.
-	if err := r.Check("vart.run.stall"); err != nil {
+	if err := r.Check("backend.execute"); err != nil {
 		t.Fatalf("stall entry injected an error: %v", err)
 	}
 	// The custom-message error fires from the second hit.

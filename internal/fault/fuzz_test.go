@@ -18,7 +18,7 @@ import (
 // holds p=5, p=-1, p=NaN, p=0, negative count, after and delay, a NaN slow
 // quantile, and a spec whose last entry is the bad one.
 func FuzzApplySpec(f *testing.F) {
-	f.Add("vart.run.error,p=0.1,count=20;vart.run.stall,p=0.05,delay=250ms")
+	f.Add("backend.execute.dpu-sim,p=0.1,count=20;backend.execute,p=0.05,delay=250ms")
 	f.Fuzz(func(t *testing.T, spec string) {
 		r := NewRegistry(1, obs.NewRegistry())
 		if err := r.Apply(spec); err != nil {

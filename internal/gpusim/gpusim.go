@@ -9,7 +9,6 @@
 package gpusim
 
 import (
-	"math/rand"
 	"time"
 
 	"seneca/internal/energy"
@@ -99,38 +98,19 @@ func (d *Device) FrameLatency(g *graph.Graph) time.Duration {
 
 // TimeProgram models one FP32 inference of a compiled program's instruction
 // stream — the same network the DPU runs, re-exported to the GPU's FP32
-// stack. The roofline is identical to FrameLatency but prices the xmodel
-// workload descriptors directly (FLOPs = 2·MACs; feature-map and weight
-// traffic ×4 for FP32), so the serving tier's GPU backend can cost a batch
-// from the deployed artifact without retaining the FP32 graph.
+// stack. It is FrameLatency's roofline priced from the xmodel workload
+// descriptors (xmodel.Program.Roofline with FP32's 4-byte elements) plus the
+// same launch and host overheads, so the serving tier's GPU backend can cost
+// a batch from the deployed artifact without retaining the FP32 graph.
 func (d *Device) TimeProgram(p *xmodel.Program) time.Duration {
-	var total time.Duration
-	ops := 0
-	for _, in := range p.Instructions {
-		var flops, bytes float64
-		switch in.Op {
-		case xmodel.OpConv, xmodel.OpDConv:
-			flops = 2 * float64(in.MACs)
-			bytes = 4 * float64(in.InBytes+in.OutBytes+in.WeightBytes)
-		case xmodel.OpPool, xmodel.OpConcat, xmodel.OpSave, xmodel.OpLoad:
-			// Elementwise / data movement: memory bound.
-			bytes = 4 * float64(in.InBytes+in.OutBytes)
-		default:
-			continue
-		}
-		compute := time.Duration(flops / d.Cfg.EffFLOPS * float64(time.Second))
-		mem := time.Duration(bytes / d.Cfg.EffMemBW * float64(time.Second))
-		layer := compute
-		if mem > layer {
-			layer = mem
-		}
-		total += layer
-		ops++
-	}
-	total += time.Duration(float64(ops) * d.Cfg.KernelsPerOp * float64(d.Cfg.KernelOverhead))
-	total += d.Cfg.HostPerFrame
-	return total
+	total, kernels := p.Roofline(d.Cfg.EffFLOPS, d.Cfg.EffMemBW, 4)
+	total += time.Duration(float64(kernels) * d.Cfg.KernelsPerOp * float64(d.Cfg.KernelOverhead))
+	return total + d.Cfg.HostPerFrame
 }
+
+// FrameJitter is the GPU's relative frame-to-frame time noise (thermals,
+// scheduler): ±0.7 %.
+const FrameJitter = 0.007
 
 // RunResult is a measured throughput run.
 type RunResult struct {
@@ -138,20 +118,10 @@ type RunResult struct {
 }
 
 // SimulateRun models a sequential inference run of the given frame count
-// and returns the throughput/power/efficiency report. jitterSeed adds the
-// small run-to-run variation real measurements show (the µ±σ of ten runs in
-// Table IV); pass 0 for a deterministic run.
+// and returns the throughput/power/efficiency report: a steady run of
+// FrameLatency at the load draw. jitterSeed adds the small run-to-run
+// variation real measurements show (the µ±σ of ten runs in Table IV); pass 0
+// for a deterministic run.
 func (d *Device) SimulateRun(g *graph.Graph, frames int, jitterSeed int64) RunResult {
-	base := d.FrameLatency(g)
-	var log energy.Logger
-	rng := rand.New(rand.NewSource(jitterSeed))
-	for i := 0; i < frames; i++ {
-		f := base
-		if jitterSeed != 0 {
-			// ±0.7% frame-to-frame noise (thermals, scheduler).
-			f = time.Duration(float64(base) * (1 + 0.007*(rng.Float64()*2-1)))
-		}
-		log.Record(f, d.Cfg.LoadWatts)
-	}
-	return RunResult{Report: energy.Report{Frames: frames, Duration: log.Duration(), Joules: log.Joules()}}
+	return RunResult{Report: energy.Steady(frames, d.FrameLatency(g), d.Cfg.LoadWatts, FrameJitter, jitterSeed)}
 }

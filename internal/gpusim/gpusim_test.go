@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"testing"
+	"time"
 
 	"seneca/internal/unet"
 )
@@ -68,5 +69,29 @@ func TestTableIVGPUShape(t *testing.T) {
 	}
 	if !(got["2M"] > got["1M"] && got["1M"] > got["4M"] && got["4M"] > got["8M"] && got["8M"] > got["16M"]) {
 		t.Errorf("GPU FPS ordering violated: %v", got)
+	}
+}
+
+// TestSimulateRunReportsUnchanged pins SimulateRun's report — a steady run of
+// FrameLatency through energy.Steady — at seeds 0, 1 and 2 to the values the
+// GPU baseline has always produced: the jitter draws, their order and the
+// per-frame energy sum all stay as they were.
+func TestSimulateRunReportsUnchanged(t *testing.T) {
+	dev := New(RTX2060Mobile())
+	g := unet.New(unet.Config{Name: "s", Depth: 2, BaseFilters: 4, InChannels: 1, NumClasses: 6, Seed: 1}).Export(64, 64)
+	for _, want := range []struct {
+		seed     int64
+		duration time.Duration
+		joules   float64
+	}{
+		{0, 489282650, 38.16404670000003},
+		{1, 488853647, 38.130584465999995},
+		{2, 488980080, 38.140446239999996},
+	} {
+		r := dev.SimulateRun(g, 50, want.seed)
+		if r.Frames != 50 || r.Duration != want.duration || r.Joules != want.joules {
+			t.Errorf("seed %d: %d frames, %d ns, %v J; want 50, %d ns, %v J",
+				want.seed, r.Frames, r.Duration, r.Joules, want.duration, want.joules)
+		}
 	}
 }

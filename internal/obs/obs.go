@@ -109,17 +109,17 @@ func renderLabels(labels []Label) string {
 		}
 		sb.WriteString(l.Key)
 		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(l.Value))
+		sb.WriteString(labelEscaper.Replace(l.Value))
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the Prometheus text format. It is
+// built once: a Replacer is safe for concurrent use, and building one costs
+// more than every other step of registering a known series.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // register resolves (name, labels) to an existing instance or installs the
 // one produced by mk. It panics on invalid names or a type mismatch with a

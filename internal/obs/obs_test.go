@@ -228,6 +228,18 @@ func TestTimeDefaultRegistry(t *testing.T) {
 	}
 }
 
+// TestTimeOnKnownStageIsCheap bounds what one obs.Time of an already
+// registered stage allocates. Hot paths time themselves this way (vart prices
+// every serving batch under one), so resolving the stage's three series must
+// not rebuild anything per call: a label escaper built per call made it 37
+// allocations and ~20 KB.
+func TestTimeOnKnownStageIsCheap(t *testing.T) {
+	Time("obs.test.cheap")()
+	if allocs := testing.AllocsPerRun(100, func() { Time("obs.test.cheap")() }); allocs > 20 {
+		t.Fatalf("obs.Time on a registered stage: %.0f allocations, want ≤ 20", allocs)
+	}
+}
+
 func TestNewLoggerFormat(t *testing.T) {
 	var buf bytes.Buffer
 	lg := NewLogger(&buf, slog.LevelInfo, "test-bin")

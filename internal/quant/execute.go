@@ -39,7 +39,7 @@ func (q *QGraph) recycle(e *Executor) {
 // ForFrames runs frame(i) for every i in [0, n) on min(threads, GOMAXPROCS,
 // n) goroutines, the caller's among them, and returns the error of the
 // lowest failing index. It is the one frame fan-out under every batch
-// executor (vart.Runner.Run, the cpu-int8 and gpu-sim backends): frames are
+// executor (internal/backend's Execute, for every kind): frames are
 // CPU-bound, so workers beyond the core count finish no batch sooner and only
 // hold an arena each, and the cap is the free list's bound, so a batch's
 // executors all return to the list.

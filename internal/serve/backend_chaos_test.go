@@ -21,7 +21,7 @@ import (
 // while the dpu-sim breakers trip and the surviving cpu-int8 / gpu-sim
 // backends absorb the traffic.
 func TestChaosBackendKilledMidBurstFailsOver(t *testing.T) {
-	s, dev, prog, imgs := newTestServer(t, Config{
+	s, _, prog, imgs := newTestServer(t, Config{
 		Backends: "dpu-sim:2,cpu-int8,gpu-sim",
 		Threads:  2,
 		MaxBatch: 4,
@@ -39,7 +39,7 @@ func TestChaosBackendKilledMidBurstFailsOver(t *testing.T) {
 	// so one golden per image covers every routing outcome.
 	goldens := make([][]uint8, len(imgs))
 	for i, img := range imgs {
-		want, err := dev.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}

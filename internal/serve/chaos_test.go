@@ -23,7 +23,7 @@ import (
 // breakers, evicts the broken runners, probes them half-open, and returns
 // to full health.
 func TestChaosRunnerFaultsRecover(t *testing.T) {
-	s, dev, prog, imgs := newTestServer(t, Config{
+	s, _, prog, imgs := newTestServer(t, Config{
 		Runners:  2,
 		Threads:  2,
 		MaxBatch: 4,
@@ -44,7 +44,7 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 	// Fault-free goldens, computed before arming the registry.
 	goldens := make([][]uint8, len(imgs))
 	for i, img := range imgs {
-		want, err := dev.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,10 +54,10 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 	// Count-capped faults keep the injection totals deterministic under
 	// concurrent dispatch: exactly 6 batch errors and 2 stalls, then the
 	// fabric heals.
-	errorsBefore, stallsBefore := faultInjectedTotal(t, "vart.run.error"), faultInjectedTotal(t, "vart.run.stall")
+	errorsBefore, stallsBefore := faultInjectedTotal(t, "backend.execute.dpu-sim"), faultInjectedTotal(t, "backend.execute")
 	fault.Seed(42)
-	fault.Enable("vart.run.error", fault.Fault{Prob: 1, Count: 6})
-	fault.Enable("vart.run.stall", fault.Fault{Prob: 1, Count: 2, Delay: 8 * time.Second})
+	fault.Enable("backend.execute.dpu-sim", fault.Fault{Prob: 1, Count: 6})
+	fault.Enable("backend.execute", fault.Fault{Prob: 1, Count: 2, Delay: 8 * time.Second})
 	t.Cleanup(fault.Reset)
 
 	const clients, perClient = 8, 15
@@ -86,7 +86,7 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 		t.Errorf("client-visible error despite redispatch budget: %v", err)
 	}
 
-	if got := fault.Injected("vart.run.error") + fault.Injected("vart.run.stall"); got != 8 {
+	if got := fault.Injected("backend.execute.dpu-sim") + fault.Injected("backend.execute"); got != 8 {
 		t.Errorf("injected %d faults, programmed 8", got)
 	}
 	st := s.Stats()
@@ -142,11 +142,11 @@ func TestChaosRunnerFaultsRecover(t *testing.T) {
 
 	// The injected-fault counter reports into obs.Default (the registry the
 	// cmd binaries merge everything into), labelled per point.
-	if got := faultInjectedTotal(t, "vart.run.error") - errorsBefore; got != 6 {
-		t.Errorf("obs.Default counted %d injected vart.run.error faults, programmed 6", got)
+	if got := faultInjectedTotal(t, "backend.execute.dpu-sim") - errorsBefore; got != 6 {
+		t.Errorf("obs.Default counted %d injected backend.execute.dpu-sim faults, programmed 6", got)
 	}
-	if got := faultInjectedTotal(t, "vart.run.stall") - stallsBefore; got != 2 {
-		t.Errorf("obs.Default counted %d injected vart.run.stall faults, programmed 2", got)
+	if got := faultInjectedTotal(t, "backend.execute") - stallsBefore; got != 2 {
+		t.Errorf("obs.Default counted %d injected backend.execute faults, programmed 2", got)
 	}
 
 	// And on /healthz, which must report full (non-degraded) health again.
@@ -184,7 +184,7 @@ func faultInjectedTotal(t *testing.T, point string) int {
 // health endpoint reports "degraded" with the healthy-runner count while
 // the other runner keeps serving correct responses.
 func TestChaosDegradedHealthz(t *testing.T) {
-	s, dev, prog, imgs := newTestServer(t, Config{
+	s, _, prog, imgs := newTestServer(t, Config{
 		Runners:          2,
 		Threads:          2,
 		BreakerThreshold: 1,
@@ -193,11 +193,11 @@ func TestChaosDegradedHealthz(t *testing.T) {
 		BreakerCooldown: time.Hour,
 		MaxRedispatch:   4,
 	})
-	golden, err := dev.Execute(prog, imgs[0])
+	golden, err := prog.Run(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.Enable("vart.run.error", fault.Fault{Prob: 1, Count: 1})
+	fault.Enable("backend.execute.dpu-sim", fault.Fault{Prob: 1, Count: 1})
 	t.Cleanup(fault.Reset)
 
 	mask, err := s.Submit(context.Background(), imgs[0])

@@ -114,7 +114,7 @@ func TestBadHeadersRejectedBeforeBodyRead(t *testing.T) {
 			shutdown(context.Background())
 		}
 	}
-	failTwice := func() { fault.Enable("vart.run.error", fault.Fault{Count: 2}) }
+	failTwice := func() { fault.Enable("backend.execute.dpu-sim", fault.Fault{Count: 2}) }
 	mask := map[string]string{"Content-Type": "application/octet-stream", "X-Seneca-Mask-Shape": "32x32", "X-Seneca-Batch": "1"}
 	variant := map[string]string{"X-Seneca-Variant": "int8-uniform", ServedVariantHeader: "int8-uniform"}
 	for k, v := range mask {

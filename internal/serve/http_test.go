@@ -19,10 +19,10 @@ import (
 
 func startHTTP(t *testing.T, cfg Config) (*httptest.Server, *Server, []float32, []uint8) {
 	t.Helper()
-	s, dev, prog, imgs := newTestServer(t, cfg)
+	s, _, prog, imgs := newTestServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	want, err := dev.Execute(prog, imgs[0])
+	want, err := prog.Run(imgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

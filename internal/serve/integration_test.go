@@ -17,7 +17,7 @@ import (
 // tight admission queue is hammered by 64 concurrent closed-loop clients.
 // It asserts that
 //
-//   - every served mask is bit-identical to direct dpu.Device.Execute;
+//   - every served mask is bit-identical to direct Program.Run;
 //   - micro-batching actually coalesces (mean occupancy > 1);
 //   - queue-full requests are rejected with 429 + Retry-After;
 //   - Shutdown drains every admitted request without dropping it.
@@ -41,10 +41,10 @@ func TestServeIntegration(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Reference masks straight from the device, one per distinct image.
+	// Reference masks straight from the program, one per distinct image.
 	want := make([][]byte, len(imgs))
 	for i, img := range imgs {
-		w, err := dev.Execute(prog, img)
+		w, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}

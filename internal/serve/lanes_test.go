@@ -120,7 +120,7 @@ func TestLanesConservedOnEveryExitPath(t *testing.T) {
 			}
 		}},
 		{"run error, redispatched", Config{}, func(t *testing.T, s *Server) {
-			fault.Enable("vart.run.error", fault.Fault{Count: 1})
+			fault.Enable("backend.execute.dpu-sim", fault.Fault{Count: 1})
 			served(t, "request behind a failed batch", segment(bg, s))
 			redispatched(t, s)
 			if st := s.Stats(); st.Evictions != 0 {
@@ -130,7 +130,7 @@ func TestLanesConservedOnEveryExitPath(t *testing.T) {
 		{"stall past the watchdog", Config{WatchdogTimeout: 50 * time.Millisecond}, func(t *testing.T, s *Server) {
 			// The abandoned Execute wakes up 100 ms after the watchdog gave
 			// its lanes back; the goroutine check below waits for it.
-			fault.Enable("vart.run.stall", fault.Fault{Count: 1, Delay: 150 * time.Millisecond})
+			fault.Enable("backend.execute", fault.Fault{Count: 1, Delay: 150 * time.Millisecond})
 			served(t, "request behind a stalled batch", segment(bg, s))
 			redispatched(t, s)
 			if st := s.Stats(); st.WatchdogTimeouts != 1 {
@@ -139,7 +139,7 @@ func TestLanesConservedOnEveryExitPath(t *testing.T) {
 		}},
 		{"breaker trips, evicts, probes half-open, closes", Config{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond},
 			func(t *testing.T, s *Server) {
-				fault.Enable("vart.run.error", fault.Fault{Count: 1})
+				fault.Enable("backend.execute.dpu-sim", fault.Fault{Count: 1})
 				served(t, "request that rode the trip and the probe", segment(bg, s))
 				st := s.Stats()
 				if st.Evictions != 1 || st.Probes != 1 || st.HealthyRunners != 1 {
@@ -172,7 +172,7 @@ func TestLanesConservedOnEveryExitPath(t *testing.T) {
 			}
 		}},
 		{"shutdown mid-execution", Config{}, func(t *testing.T, s *Server) {
-			fault.Enable("vart.run.stall", fault.Fault{Count: 1, Delay: 50 * time.Millisecond})
+			fault.Enable("backend.execute", fault.Fault{Count: 1, Delay: 50 * time.Millisecond})
 			rider := segment(bg, s)
 			waitFor(t, 5*time.Second, "the batch never started", func() bool { return s.Stats().InFlightFrames == 1 })
 			if st := s.Stats(); st.LanesBusy != 1 {
@@ -239,7 +239,7 @@ func TestBatchOfThreeOwnsTheRunner(t *testing.T) {
 	// Hold the batch inside Execute long enough to look at it and to send a
 	// request after it.
 	const held = 150 * time.Millisecond
-	fault.Enable("vart.run.stall", fault.Fault{Count: 1, Delay: held})
+	fault.Enable("backend.execute", fault.Fault{Count: 1, Delay: held})
 	start := time.Now()
 	second()
 	waitFor(t, 5*time.Second, "the batch never started", func() bool { return s.Stats().InFlightFrames == 4 })

@@ -125,7 +125,7 @@ func TestScrapeUnderFaultedLoad(t *testing.T) {
 	})
 	t.Cleanup(fault.Reset)
 	fault.Seed(7)
-	fault.Enable("vart.run.error", fault.Fault{Prob: 0.3})
+	fault.Enable("backend.execute.dpu-sim", fault.Fault{Prob: 0.3})
 
 	h := s.Handler()
 	stop := make(chan struct{})
@@ -179,8 +179,8 @@ func TestScrapeUnderFaultedLoad(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "lanes still held at rest", func() bool { return s.Stats().LanesBusy == 0 })
 	checkBooks(t, s)
-	if st := s.Stats(); st.Accepted != 80 || fault.Injected("vart.run.error") == 0 {
-		t.Errorf("accepted %d of 80 requests, %d run errors injected", st.Accepted, fault.Injected("vart.run.error"))
+	if st := s.Stats(); st.Accepted != 80 || fault.Injected("backend.execute.dpu-sim") == 0 {
+		t.Errorf("accepted %d of 80 requests, %d run errors injected", st.Accepted, fault.Injected("backend.execute.dpu-sim"))
 	}
 }
 

@@ -58,13 +58,13 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *dpu.Device, *xmodel.Prog
 }
 
 func TestSubmitMatchesDirectExecute(t *testing.T) {
-	s, dev, prog, imgs := newTestServer(t, Config{Threads: 2})
+	s, _, prog, imgs := newTestServer(t, Config{Threads: 2})
 	for i, img := range imgs {
 		mask, err := s.Submit(context.Background(), img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := dev.Execute(prog, img)
+		want, err := prog.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}

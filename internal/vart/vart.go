@@ -1,32 +1,28 @@
-// Package vart is the runtime layer of the SENECA deployment — the analog
-// of the Vitis AI Runtime (paper Section III-E): it submits inference jobs
-// asynchronously from N host threads to the dual-core DPU and collects the
-// results, overlapping host-side pre/post-processing with accelerator
-// execution.
+// Package vart is the timing model of the SENECA deployment's runtime — the
+// analog of the Vitis AI Runtime (paper Section III-E), which submits
+// inference jobs asynchronously from N host threads to the dual-core DPU and
+// collects the results, overlapping host-side pre/post-processing with
+// accelerator execution.
 //
-// Functional execution is genuinely concurrent (goroutines and channels,
-// bit-accurate INT8 masks); timing comes from a discrete-event simulation
-// over the DPU device model, which reproduces the paper's thread-scaling
-// behaviour: throughput grows up to 4 threads, then saturates while power
-// keeps rising (Section IV-B).
+// A discrete-event simulation over the DPU device model prices such a run,
+// and reproduces the paper's thread-scaling behaviour: throughput grows up
+// to 4 threads, then saturates while power keeps rising (Section IV-B). The
+// masks themselves come from the program's INT8 graph (xmodel.Program.Run,
+// or the dpu-sim backend for a batch); nothing here executes a frame.
 package vart
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
 	"seneca/internal/dpu"
 	"seneca/internal/energy"
-	"seneca/internal/fault"
 	"seneca/internal/obs"
-	"seneca/internal/quant"
-	"seneca/internal/tensor"
 	"seneca/internal/xmodel"
 )
 
-// Runner drives one compiled program on one device with a fixed thread
+// Runner times one compiled program on one device with a fixed thread
 // count.
 type Runner struct {
 	Device  *dpu.Device
@@ -58,7 +54,7 @@ func New(dev *dpu.Device, prog *xmodel.Program, threads int) *Runner {
 	}
 }
 
-// Result reports a simulated (or combined functional+simulated) run.
+// Result reports a simulated run.
 type Result struct {
 	energy.Report
 	// FrameLatency is the single-frame DPU latency on one core.
@@ -97,7 +93,12 @@ func (r *Runner) simulate(frames int, seed int64, record func(jobTiming)) (Resul
 	}
 	defer obs.Time("simulate")()
 	ft := r.Device.TimeFrame(r.Program)
-	rng := rand.New(rand.NewSource(seed))
+	// Seed 0 draws nothing, so it builds no source (seeding one costs more
+	// than the rest of a short run).
+	var rng *rand.Rand
+	if seed != 0 && r.HostJitter > 0 {
+		rng = rand.New(rand.NewSource(seed))
+	}
 
 	// Discrete-event state: next-free times for each host thread and core.
 	threadFree := make([]time.Duration, r.Threads)
@@ -115,7 +116,7 @@ func (r *Runner) simulate(frames int, seed int64, record func(jobTiming)) (Resul
 			}
 		}
 		host := float64(r.HostOverhead)
-		if seed != 0 && r.HostJitter > 0 {
+		if rng != nil {
 			host *= 1 + r.HostJitter*(rng.Float64()*2-1)
 		}
 		pre := time.Duration(host * hostSplit)
@@ -172,49 +173,11 @@ func (r *Runner) simulate(frames int, seed int64, record func(jobTiming)) (Resul
 	}, nil
 }
 
-// Run executes the images functionally (bit-accurate INT8 masks,
-// order-preserving) and returns the masks together with the simulated timing
-// for the same workload. Frames fan out over quant.ForFrames: up to Threads
-// workers, never more than the host has cores, each frame on an executor of
-// its own from the program graph's free list. The INT8 kernels' inner
-// parallel loops degrade to serial under this outer parallelism via
-// internal/par's worker budget, so the submission threads never oversubscribe
-// the host cores. (Threads above the core count still shape the simulated
-// timing; they just do not buy host goroutines.)
-func (r *Runner) Run(images []*tensor.Tensor, seed int64) ([][]uint8, Result, error) {
-	if r.Threads < 1 {
-		return nil, Result{}, ErrNoThreads
-	}
-	// Chaos seams: "vart.run.stall" models a hung runtime (the batch
-	// blocks here past any serving-tier watchdog), "vart.run.error" a
-	// runtime that dies mid-batch. Both are no-ops unless a fault program
-	// armed them (one atomic load).
-	if err := fault.Check("vart.run.stall"); err != nil {
-		return nil, Result{}, err
-	}
-	if err := fault.Check("vart.run.error"); err != nil {
-		return nil, Result{}, err
-	}
-	masks := make([][]uint8, len(images))
-	err := quant.ForFrames(len(images), r.Threads, func(i int) (err error) {
-		masks[i], err = r.Device.Execute(r.Program, images[i])
-		return err
-	})
-	if err != nil {
-		return nil, Result{}, fmt.Errorf("vart: %w", err)
-	}
-	res, err := r.SimulateThroughput(len(images), seed)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return masks, res, nil
-}
-
 // SweepThreads evaluates throughput and efficiency for each thread count —
 // the experiment behind Figure 3's FPGA series and the ≥8-threads
 // observation of Section IV-B. The receiver is never mutated: the sweep
-// runs on a private copy, so a Runner shared by concurrent server workers
-// can keep executing while a sweep is in progress.
+// runs on a private copy, so a Runner shared by concurrent callers keeps
+// pricing their runs while a sweep is in progress.
 func (r *Runner) SweepThreads(threadCounts []int, frames int, seed int64) ([]Result, error) {
 	out := make([]Result, len(threadCounts))
 	rc := *r // Device and Program are read-only and safely shared

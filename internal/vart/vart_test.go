@@ -112,32 +112,6 @@ func TestSimulationDeterministicWithZeroSeed(t *testing.T) {
 	}
 }
 
-func TestRunFunctionalMatchesSequential(t *testing.T) {
-	r, imgs := testRunner(t, 4)
-	masks, res, err := r.Run(imgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(masks) != len(imgs) {
-		t.Fatalf("got %d masks", len(masks))
-	}
-	if res.Frames != len(imgs) {
-		t.Fatalf("result frames %d", res.Frames)
-	}
-	// Order-preserving and identical to direct execution.
-	for i, img := range imgs {
-		want, err := r.Program.Run(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if masks[i][j] != want[j] {
-				t.Fatalf("mask %d differs from sequential execution", i)
-			}
-		}
-	}
-}
-
 func TestHostBoundSingleThread(t *testing.T) {
 	// With one thread, throughput ≈ 1/(latency+host): the DPU idles while
 	// the host prepares the next job.
@@ -207,12 +181,9 @@ func TestTraceSchedule(t *testing.T) {
 }
 
 func TestZeroThreadsReturnsError(t *testing.T) {
-	r, imgs := testRunner(t, 0)
+	r, _ := testRunner(t, 0)
 	if _, err := r.SimulateThroughput(10, 0); !errors.Is(err, ErrNoThreads) {
 		t.Fatalf("SimulateThroughput error = %v, want ErrNoThreads", err)
-	}
-	if _, _, err := r.Run(imgs[:1], 0); !errors.Is(err, ErrNoThreads) {
-		t.Fatalf("Run error = %v, want ErrNoThreads", err)
 	}
 	if _, err := r.SweepThreads([]int{0}, 10, 0); !errors.Is(err, ErrNoThreads) {
 		t.Fatalf("SweepThreads error = %v, want ErrNoThreads", err)
@@ -222,25 +193,47 @@ func TestZeroThreadsReturnsError(t *testing.T) {
 	}
 }
 
+// TestSweepThreadsDoesNotMutateRunner: a sweep on a Runner that serving
+// workers share keeps pricing their runs unchanged while it is in progress
+// (race-free under -race) and leaves the receiver untouched.
 func TestSweepThreadsDoesNotMutateRunner(t *testing.T) {
 	r, _ := testRunner(t, 4)
-	if _, err := r.SweepThreads([]int{1, 2, 8}, 50, 0); err != nil {
+	want, err := r.SimulateThroughput(50, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if got, err := r.SimulateThroughput(50, 0); err != nil || got != want {
+				t.Errorf("pricing during a sweep = %+v, %v; want %+v", got, err, want)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if res, err := r.SweepThreads([]int{1, 2, 8}, 50, 0); err != nil || len(res) != 3 {
+				t.Errorf("sweep = %d results, %v", len(res), err)
+			}
+		}()
+	}
+	wg.Wait()
 	if r.Threads != 4 {
 		t.Fatalf("SweepThreads mutated Threads to %d", r.Threads)
 	}
 }
 
-// TestConcurrentExecuteMasksIdentical hammers the device's pooled scratch
-// arenas directly: many goroutines execute different images simultaneously
-// and every mask must equal the sequential reference. A cross-contaminated
-// arena (two frames sharing activation buffers) would corrupt the masks.
+// TestConcurrentExecuteMasksIdentical hammers the program graph's pooled
+// scratch arenas directly: many goroutines run different images through
+// Program.Run simultaneously and every mask must equal the sequential
+// reference. A cross-contaminated arena (two frames sharing activation
+// buffers) would corrupt the masks.
 func TestConcurrentExecuteMasksIdentical(t *testing.T) {
 	r, imgs := testRunner(t, 8)
 	want := make([][]uint8, len(imgs))
 	for i, img := range imgs {
-		m, err := r.Device.Execute(r.Program, img)
+		m, err := r.Program.Run(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +245,7 @@ func TestConcurrentExecuteMasksIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, err := r.Device.Execute(r.Program, imgs[i])
+				got, err := r.Program.Run(imgs[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -265,34 +258,6 @@ func TestConcurrentExecuteMasksIdentical(t *testing.T) {
 				}
 			}(i)
 		}
-	}
-	wg.Wait()
-}
-
-// TestConcurrentRunAndSweep exercises a Runner shared by server workers:
-// functional Run calls racing SweepThreads must be data-race-free (run
-// under -race) and must leave the receiver untouched.
-func TestConcurrentRunAndSweep(t *testing.T) {
-	r, imgs := testRunner(t, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if _, _, err := r.Run(imgs, 0); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			res, err := r.SweepThreads([]int{1, 2, 4}, 100, 0)
-			if err != nil {
-				t.Error(err)
-			}
-			if len(res) != 3 {
-				t.Errorf("sweep returned %d results", len(res))
-			}
-		}()
 	}
 	wg.Wait()
 }

@@ -9,6 +9,7 @@ package xmodel
 
 import (
 	"fmt"
+	"time"
 
 	"seneca/internal/graph"
 	"seneca/internal/obs"
@@ -342,4 +343,35 @@ func (p *Program) Stats() Stats {
 		s.Instructions++
 	}
 	return s
+}
+
+// Roofline prices one frame of the instruction stream on a first-order
+// roofline device: every compute or data-movement instruction costs
+// max(2·MACs/opsPerSec, elemBytes·bytes/bytesPerSec), where bytes is its
+// feature-map traffic plus, for a convolution, its weights, and elemBytes
+// widens the stream's INT8 byte counts to the device's element size (1 for
+// an INT8 device, 4 for FP32). It returns the summed time and how many
+// instructions it priced, for a device that adds a launch cost per kernel.
+// It is the one instruction-stream roofline: the cpu-int8 backend and
+// gpusim.TimeProgram both call it with their own constants.
+func (p *Program) Roofline(opsPerSec, bytesPerSec, elemBytes float64) (time.Duration, int) {
+	var total time.Duration
+	priced := 0
+	for _, in := range p.Instructions {
+		var ops, bytes float64
+		switch in.Op {
+		case OpConv, OpDConv:
+			ops = 2 * float64(in.MACs)
+			bytes = elemBytes * float64(in.InBytes+in.OutBytes+in.WeightBytes)
+		case OpPool, OpConcat, OpSave, OpLoad:
+			bytes = elemBytes * float64(in.InBytes+in.OutBytes)
+		default:
+			continue
+		}
+		compute := time.Duration(ops / opsPerSec * float64(time.Second))
+		mem := time.Duration(bytes / bytesPerSec * float64(time.Second))
+		total += max(compute, mem)
+		priced++
+	}
+	return total, priced
 }
