@@ -26,8 +26,9 @@ race:
 	$(GO) test -race ./...
 
 # stress repeats the tests whose subject is an interleaving — batch formation,
-# the dispatch lanes, the breaker claim an expired batch hands back and
-# /statz, /metrics and /healthz scraped under a faulted burst in
+# the dispatch lanes, the breaker claim an expired batch hands back,
+# /statz, /metrics and /healthz scraped under a faulted burst and the
+# goroutine settle after a batch stalled past the watchdog in
 # internal/serve, the probe claim a dead request hands back, a rolling
 # restart under traffic and one held across Shutdown (goroutines settled
 # after Shutdown) in internal/cluster, Execute racing Cost on every kind in
@@ -37,7 +38,7 @@ race:
 # faults, which adds to the process-wide fault counters; the chaos tests
 # assert deltas of those, so neither repetition nor test order can break
 # them.) CI runs this as a blocking step after race.
-STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim|ScrapeUnderFaultedLoad)
+STRESS_SERVE = ^Test(LoneRequest|BusySlotKeepsBatchOpen|WindowCatchesThePair|ShutdownDuringFormationDrains|ContextDiesDuringFormation|LanesConservedOnEveryExitPath|BatchOfThreeOwnsTheRunner|ExpiredBatchReleasesOnlyItsOwnClaim|ScrapeUnderFaultedLoad|ChaosStalledExecuteSettles)
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_SERVE)' ./internal/serve/
 	$(GO) test -race -count=20 -run '^Test(DeadLegReleasesOnlyItsOwnProbe|RollingRestartRoutesAround|ShutdownOwnsAStalledRestart)$$' ./internal/cluster/
@@ -70,10 +71,12 @@ chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
 # fuzz exercises the binary-format parsers, the /v1/segment front door's
-# header checks and body decoding, the INT8 drivers (through cell planes of
-# widened geometry, under both kernel bodies) against their scalar oracle, the
-# percentile selection against the sort it replaced, and the backend pool and
-# fault spec grammars, beyond the committed corpora.
+# header checks and body decoding, its one-pass JSON decode against
+# encoding/json, the INT8 drivers (through cell planes of widened geometry,
+# under both kernel bodies) against their scalar oracle, the percentile
+# selection against the sort it replaced, the backend pool and fault spec
+# grammars, and the study store's job-record loader, beyond the committed
+# corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
@@ -81,6 +84,8 @@ fuzz:
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 	$(GO) test ./internal/imaging/ -run '^$$' -fuzz FuzzSaturateVsSort -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeJSONBody -fuzztime 30s
+	$(GO) test ./internal/study/ -run '^$$' -fuzz FuzzOpenStore -fuzztime 30s
 	$(GO) test ./internal/backend/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzApplySpec -fuzztime 30s
 

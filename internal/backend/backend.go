@@ -216,10 +216,12 @@ func (b *priced) Health() error { return nil }
 
 // Execute consults the generic and the per-kind chaos seam, runs every frame
 // bit-accurately through the quantized graph on up to threads host workers
-// (quant.ForFrames; masks in input order), and prices the batch. The INT8
-// kernels' inner parallel loops run serial under this outer fan-out
-// (internal/par's worker budget), so a batch never oversubscribes the host
-// cores. Unprogrammed seams cost one atomic load.
+// (quant.ForFrames; masks in input order), and prices the batch. The frame
+// workers are not drawn from internal/par's worker budget, so each frame's
+// layer loops may still borrow par's spare workers: a batch can run up to
+// par.MaxWorkers-1 goroutines beyond its frame workers (masks do not depend
+// on it; DESIGN.md §4.8 has what it costs). Unprogrammed seams cost one atomic
+// load.
 func (b *priced) Execute(imgs []*tensor.Tensor, seed int64) ([][]uint8, energy.Report, error) {
 	if err := fault.Check("backend.execute"); err != nil {
 		return nil, energy.Report{}, err

@@ -67,6 +67,8 @@ type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
 	ord  []string // registration order of family names
+
+	stages sync.Map // stage name → *stageSeries (StartSpan)
 }
 
 // NewRegistry constructs an empty registry.

@@ -15,11 +15,16 @@ var StageBuckets = []float64{
 // Span is one in-flight timed stage. Obtain with StartSpan, finish with
 // End; a Span must not be reused after End.
 type Span struct {
-	hist  *Histogram
-	runs  *Counter
-	busy  *Gauge
+	*stageSeries
 	start time.Time
 	done  atomic.Bool
+}
+
+// stageSeries is one stage's three series, resolved once per registry.
+type stageSeries struct {
+	hist *Histogram
+	runs *Counter
+	busy *Gauge
 }
 
 // StartSpan begins timing one run of a named pipeline stage. Each stage
@@ -30,15 +35,20 @@ type Span struct {
 //	seneca_stage_busy_seconds_total{stage="..."} accumulated busy time
 //
 // so a single scrape breaks a full pipeline run down into its
-// train/calibrate/quantize/compile/simulate stages.
+// train/calibrate/quantize/compile/simulate stages. The first span of a stage
+// registers them; every later one finds them in the registry's stage map,
+// so timing a hot path costs a map load and three atomic updates.
 func (r *Registry) StartSpan(stage string) *Span {
-	l := L("stage", stage)
-	return &Span{
-		hist:  r.Histogram("seneca_stage_duration_seconds", "Pipeline stage run duration.", StageBuckets, l),
-		runs:  r.Counter("seneca_stage_runs_total", "Completed pipeline stage runs.", l),
-		busy:  r.Gauge("seneca_stage_busy_seconds_total", "Accumulated busy time per pipeline stage.", l),
-		start: time.Now(),
+	ss, ok := r.stages.Load(stage)
+	if !ok {
+		l := L("stage", stage)
+		ss, _ = r.stages.LoadOrStore(stage, &stageSeries{
+			hist: r.Histogram("seneca_stage_duration_seconds", "Pipeline stage run duration.", StageBuckets, l),
+			runs: r.Counter("seneca_stage_runs_total", "Completed pipeline stage runs.", l),
+			busy: r.Gauge("seneca_stage_busy_seconds_total", "Accumulated busy time per pipeline stage.", l),
+		})
 	}
+	return &Span{stageSeries: ss.(*stageSeries), start: time.Now()}
 }
 
 // End finishes the span and returns its duration. End is idempotent:

@@ -42,7 +42,10 @@ func (q *QGraph) recycle(e *Executor) {
 // executor (internal/backend's Execute, for every kind): frames are
 // CPU-bound, so workers beyond the core count finish no batch sooner and only
 // hold an arena each, and the cap is the free list's bound, so a batch's
-// executors all return to the list.
+// executors all return to the list. The workers are plain goroutines, outside
+// internal/par's worker budget: a frame's layer loops still reserve from that
+// budget, so while a batch runs they can add up to par.MaxWorkers-1 workers
+// of their own.
 func ForFrames(n, threads int, frame func(i int) error) error {
 	workers := min(threads, runtime.GOMAXPROCS(0), n)
 	errs := make([]error, n)

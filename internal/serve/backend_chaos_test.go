@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +20,10 @@ import (
 // and requires the heterogeneous pool to fail over with zero wrong and zero
 // lost responses: every mask stays bit-identical to the fault-free golden
 // while the dpu-sim breakers trip and the surviving cpu-int8 / gpu-sim
-// backends absorb the traffic.
+// backends absorb the traffic. Afterwards nothing the server started
+// outlives its Shutdown.
 func TestChaosBackendKilledMidBurstFailsOver(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s, _, prog, imgs := newTestServer(t, Config{
 		Backends: "dpu-sim:2,cpu-int8,gpu-sim",
 		Threads:  2,
@@ -109,6 +112,83 @@ func TestChaosBackendKilledMidBurstFailsOver(t *testing.T) {
 	}
 	if h := s.Health(); h.Healthy == h.Runners {
 		t.Errorf("pool reports full health with a killed backend: %+v", h)
+	}
+	settle(t, s, base, 0)
+}
+
+// TestChaosStalledExecuteSettles stalls two batches in backend.execute past
+// the watchdog mid-burst. The watchdog abandons each, its jobs are answered
+// bit-identically on a redispatch, and once the stall has elapsed the process
+// is back at the goroutine count it had before the server was built: the
+// abandoned batches' execute goroutines finish and exit, and nothing else the
+// server started outlives Shutdown.
+func TestChaosStalledExecuteSettles(t *testing.T) {
+	const stall = 400 * time.Millisecond
+	base := runtime.NumGoroutine()
+	s, _, prog, imgs := newTestServer(t, Config{
+		Runners:  2,
+		Threads:  2,
+		MaxBatch: 4,
+		// Under the race detector a legitimate batch of this net takes a few
+		// milliseconds, and the stall is four times the watchdog.
+		WatchdogTimeout: 100 * time.Millisecond,
+		BreakerCooldown: 20 * time.Millisecond,
+		MaxRedispatch:   8,
+		QueueDepth:      64,
+	})
+	goldens := make([][]uint8, len(imgs))
+	for i, img := range imgs {
+		want, err := prog.Run(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldens[i] = want
+	}
+	fault.Enable("backend.execute", fault.Fault{Prob: 1, Count: 2, Delay: stall})
+	t.Cleanup(fault.Reset)
+
+	const clients, perClient = 4, 6
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				idx := (c*perClient + k) % len(imgs)
+				mask, err := s.Submit(context.Background(), imgs[idx])
+				if err != nil {
+					t.Errorf("client %d req %d: %v", c, k, err)
+				} else if !bytes.Equal(mask, goldens[idx]) {
+					t.Errorf("client %d req %d: mask diverges from fault-free golden", c, k)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.WatchdogTimeouts < 1 || st.Completed != clients*perClient {
+		t.Errorf("watchdog timeouts %d, completed %d of %d", st.WatchdogTimeouts, st.Completed, clients*perClient)
+	}
+	settle(t, s, base, stall)
+}
+
+// settle shuts the server down and waits, up to the stall plus ten seconds,
+// for the process to come back to base goroutines, counted before the server
+// was built; it fails with every goroutine's stack if it does not.
+func settle(t *testing.T, s *Server, base int, stall time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	deadline := time.Now().Add(stall + 10*time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Shutdown, %d before the server:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

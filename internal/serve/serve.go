@@ -29,10 +29,10 @@
 //	                    executes functionally (bit-accurate INT8 masks, so
 //	                    results never depend on placement) and accumulates
 //	                    simulated FPS/W per kind. Frames draw scratch
-//	                    arenas from pooled executors and the INT8 kernels
-//	                    respect internal/par's global worker budget, so
-//	                    concurrent batches neither allocate per layer nor
-//	                    oversubscribe the host cores
+//	                    arenas from pooled executors, so concurrent batches
+//	                    allocate nothing per layer; the INT8 layer loops
+//	                    draw extra workers only from internal/par's global
+//	                    budget, beside each batch's frame workers
 //
 // Every request carries a context.Context: deadlines expire work that is
 // still queued, and Shutdown drains everything already admitted without

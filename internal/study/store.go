@@ -30,8 +30,11 @@ type Store struct {
 
 // OpenStore opens (creating if needed) the store rooted at dir and loads
 // every persisted job record. Leftover .tmp files from an interrupted
-// rename are deleted; a record that fails to parse is quarantined with a
-// .corrupt suffix rather than taking the whole store down.
+// rename are deleted. A record must be a JSON object whose id names its
+// file (jobs/<id>.json); anything else — unparseable, null or another JSON
+// value, an empty id, or an id that is not the file's, which the next
+// update would write elsewhere — is quarantined with a .corrupt suffix
+// rather than loaded or taking the whole store down.
 func OpenStore(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "jobs"), filepath.Join(dir, "blobs")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -55,7 +58,7 @@ func OpenStore(dir string) (*Store, error) {
 				return nil, fmt.Errorf("study: reading job record %s: %w", name, err)
 			}
 			var j Job
-			if err := json.Unmarshal(raw, &j); err != nil || j.ID == "" {
+			if err := json.Unmarshal(raw, &j); err != nil || j.ID == "" || j.ID+".json" != name {
 				os.Rename(path, path+".corrupt")
 				continue
 			}
