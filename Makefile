@@ -11,6 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 # portable cross-builds for a host without the amd64 assembly and vets the
 # package that carries it, so the plain-Go INT8 kernel body — the only one

@@ -53,21 +53,18 @@ func main() {
 	retryBudgetMin := flag.Int("retry-budget-min", 10, "retry-budget floor per window, so a quiet fleet can still retry")
 	retryBudgetWindow := flag.Duration("retry-budget-window", 10*time.Second, "retry-budget accounting window")
 
-	runners := flag.Int("runners", 1, "runner pool size per node")
-	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
-	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap per node")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
-	queue := flag.Int("queue", 64, "admission queue depth per node")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
-	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
-	simPace := flag.Float64("sim-pace", 0, "pace batches to N× their simulated board time (0 = run at host speed)")
-	maxBody := flag.Int64("max-body", 256<<20, "request body cap in bytes (413 beyond it)")
+	node := hostmain.ServeFlags()
+	for _, name := range []string{"runners", "max-batch", "queue"} {
+		flag.Lookup(name).Usage += " per node"
+	}
+	flag.DurationVar(&node.Timeout, "timeout", 5*time.Second, "per-request deadline (0 = none)")
+	flag.Float64Var(&node.SimPace, "sim-pace", 0, "pace batches to N× their simulated board time (0 = run at host speed)")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "cluster.node.dispatch,p=0.01" (chaos testing)`)
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-cluster", obs.ParseLevel(*logLevel))
-	hostmain.ArmFaults(lg, *faults, *seed)
+	hostmain.ArmFaults(lg, *faults, node.Seed)
 	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	// Every replica gets its own simulated board — the factory is the unit
@@ -75,16 +72,7 @@ func main() {
 	var widths []int // of the first replica's runners; every replica is built alike
 	var first sync.Once
 	factory := func() (*serve.Server, error) {
-		srv, err := serve.New(dpu.New(dpu.ZCU104B4096()), prog, serve.Config{
-			Runners:    *runners,
-			Threads:    *threads,
-			MaxBatch:   *maxBatch,
-			MaxDelay:   *maxDelay,
-			QueueDepth: *queue,
-			Timeout:    *timeout,
-			Seed:       *seed,
-			SimPace:    *simPace,
-		})
+		srv, err := serve.New(dpu.New(dpu.ZCU104B4096()), prog, *node)
 		if err == nil {
 			first.Do(func() { widths = srv.Health().Widths })
 		}
@@ -102,7 +90,7 @@ func main() {
 		FailThreshold:  *failThreshold,
 		EjectCooldown:  *ejectCooldown,
 		MaxAttempts:    *attempts,
-		MaxBodyBytes:   *maxBody,
+		MaxBodyBytes:   node.MaxBodyBytes,
 
 		HedgeFraction:     *hedgeFraction,
 		HedgeAfter:        *hedgeAfter,
@@ -124,7 +112,7 @@ func main() {
 		"min_nodes", *minNodes,
 		"max_nodes", *maxNodes,
 		"placement", *placement,
-		"queue_per_node", *queue,
+		"queue_per_node", node.QueueDepth,
 		"batch_water", *batchWater,
 		"kernel_isa", quant.KernelISA(),
 		"runner_widths", widths)

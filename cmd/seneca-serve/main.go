@@ -39,57 +39,32 @@ func main() {
 	xmodelPath := flag.String("xmodel", "", "compiled xmodel (empty: built-in demo network)")
 	addr := flag.String("addr", ":8080", "listen address")
 	size := flag.Int("size", 64, "demo network input size (only without -xmodel)")
-	runners := flag.Int("runners", 1, "runner pool size (ignored when -backends is set)")
-	backends := flag.String("backends", "", `heterogeneous pool spec, e.g. "dpu-sim:2,cpu-int8,gpu-sim" (empty: dpu-sim × -runners)`)
-	slo := flag.Duration("slo", 0, "router latency SLO per micro-batch (0 = off)")
-	energyBudget := flag.Float64("energy-budget", 0, "router energy budget in joules per frame (0 = off)")
-	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
-	pipeline := flag.Int("pipeline", 1, "lane sets per runner: a runner dispatches pipeline × width frame lanes, a batch holds one lane per frame and at most one width (1: lone frames run side by side, a larger batch owns the runner; 2 lets two full batches overlap)")
-	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
-	queue := flag.Int("queue", 64, "admission queue depth")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
-	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
-	simPace := flag.Float64("sim-pace", 0, "pace batches to N× their simulated board time (0 = run at host speed)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive batch failures that trip a runner's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before a half-open probe")
-	watchdog := flag.Duration("watchdog", 30*time.Second, "per-batch watchdog deadline on a runner")
-	redispatch := flag.Int("redispatch", 3, "times a request may ride a failed batch back into the queue")
-	maxBody := flag.Int64("max-body", 256<<20, "request body cap in bytes (413 beyond it)")
+	cfg := hostmain.ServeFlags()
+	flag.Lookup("runners").Usage += " (ignored when -backends is set)"
+	flag.DurationVar(&cfg.Timeout, "timeout", 5*time.Second, "per-request deadline (0 = none)")
+	flag.Float64Var(&cfg.SimPace, "sim-pace", 0, "pace batches to N× their simulated board time (0 = run at host speed)")
+	flag.StringVar(&cfg.Backends, "backends", "", `heterogeneous pool spec, e.g. "dpu-sim:2,cpu-int8,gpu-sim" (empty: dpu-sim × -runners)`)
+	flag.DurationVar(&cfg.LatencySLO, "slo", 0, "router latency SLO per micro-batch (0 = off)")
+	flag.Float64Var(&cfg.EnergyBudget, "energy-budget", 0, "router energy budget in joules per frame (0 = off)")
+	flag.IntVar(&cfg.Pipeline, "pipeline", 1, "lane sets per runner: a runner dispatches pipeline × width frame lanes, a batch holds one lane per frame and at most one width (1: lone frames run side by side, a larger batch owns the runner; 2 lets two full batches overlap)")
+	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 3, "consecutive batch failures that trip a runner's circuit breaker")
+	flag.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 500*time.Millisecond, "open-breaker cooldown before a half-open probe")
+	flag.DurationVar(&cfg.WatchdogTimeout, "watchdog", 30*time.Second, "per-batch watchdog deadline on a runner")
+	flag.IntVar(&cfg.MaxRedispatch, "redispatch", 3, "times a request may ride a failed batch back into the queue")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "backend.execute.dpu-sim,p=0.05;nifti.read,p=0.01" (chaos testing)`)
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-serve", obs.ParseLevel(*logLevel))
-	hostmain.ArmFaults(lg, *faults, *seed)
+	hostmain.ArmFaults(lg, *faults, cfg.Seed)
 	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	dev := dpu.New(dpu.ZCU104B4096())
-	srv, err := serve.New(dev, prog, serve.Config{
-		Runners:      *runners,
-		Backends:     *backends,
-		LatencySLO:   *slo,
-		EnergyBudget: *energyBudget,
-
-		Threads:    *threads,
-		Pipeline:   *pipeline,
-		MaxBatch:   *maxBatch,
-		MaxDelay:   *maxDelay,
-		QueueDepth: *queue,
-		Timeout:    *timeout,
-		Seed:       *seed,
-		SimPace:    *simPace,
-
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		WatchdogTimeout:  *watchdog,
-		MaxRedispatch:    *redispatch,
-		MaxBodyBytes:     *maxBody,
-		// Share the process-wide registry: one scrape shows the serving
-		// series next to the pipeline stage timers (simulate spans etc).
-		Metrics: obs.Default,
-	})
+	// Share the process-wide registry: one scrape shows the serving series
+	// next to the pipeline stage timers (simulate spans etc).
+	cfg.Metrics = obs.Default
+	srv, err := serve.New(dev, prog, *cfg)
 	if err != nil {
 		hostmain.Fatal(lg, "starting server", "err", err)
 	}
@@ -112,10 +87,10 @@ func main() {
 		"device", dev.Cfg.Name,
 		"backends", srv.Health().Backends,
 		"runners", len(srv.Health().Backends),
-		"threads", *threads,
-		"max_batch", *maxBatch,
-		"max_delay", *maxDelay,
-		"queue", *queue,
+		"threads", cfg.Threads,
+		"max_batch", cfg.MaxBatch,
+		"max_delay", cfg.MaxDelay,
+		"queue", cfg.QueueDepth,
 		"kernel_isa", quant.KernelISA(),
 		"runner_widths", srv.Health().Widths)
 	hostmain.Serve(lg, *addr, mux, 30*time.Second, srv.Shutdown)

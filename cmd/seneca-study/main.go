@@ -43,36 +43,23 @@ func main() {
 	store := flag.String("store", "seneca-jobs", "durable job store directory")
 	addr := flag.String("addr", ":8080", "listen address")
 	size := flag.Int("size", 64, "demo network input size (only without -xmodel)")
-	runners := flag.Int("runners", 1, "runner pool size")
-	threads := flag.Int("threads", 4, "host submission threads per runner (paper deploys 4); a runner gets one frame lane per frame its device model runs in the time of one, at most this many and no more than the host has cores (dpu-sim: 2 from 2 threads up)")
-	maxBatch := flag.Int("max-batch", 8, "micro-batch size cap")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "ceiling on the micro-batch coalescing window (the wait used is 1/8 of the measured batch service time, capped here, and none at all below 1 ms — a shorter timer cannot be kept, so the batch takes what is queued and goes to the free lanes)")
-	queue := flag.Int("queue", 64, "slice admission queue depth")
+	cfg := hostmain.ServeFlags()
+	flag.Lookup("queue").Usage = "slice admission queue depth"
 	workers := flag.Int("workers", 2, "concurrent volume jobs")
 	sliceParallel := flag.Int("slice-parallel", 4, "in-flight slices per volume job")
 	jobQueue := flag.Int("job-queue", 64, "volume job queue depth")
 	attempts := flag.Int("attempts", 3, "per-stage attempt budget")
-	seed := flag.Int64("seed", 1, "simulation seed (0 = deterministic timing)")
-	maxBody := flag.Int64("max-body", 256<<20, "request body cap in bytes (413 beyond it)")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "study.blob.write,p=0.05;backend.execute,p=0.02" (chaos testing)`)
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 
 	lg := obs.SetupDefault("seneca-study", obs.ParseLevel(*logLevel))
-	hostmain.ArmFaults(lg, *faults, *seed)
+	hostmain.ArmFaults(lg, *faults, cfg.Seed)
 	prog := hostmain.Program(lg, *xmodelPath, *size)
 
 	dev := dpu.New(dpu.ZCU104B4096())
-	srv, err := serve.New(dev, prog, serve.Config{
-		Runners:      *runners,
-		Threads:      *threads,
-		MaxBatch:     *maxBatch,
-		MaxDelay:     *maxDelay,
-		QueueDepth:   *queue,
-		Seed:         *seed,
-		MaxBodyBytes: *maxBody,
-		Metrics:      obs.Default,
-	})
+	cfg.Metrics = obs.Default
+	srv, err := serve.New(dev, prog, *cfg)
 	if err != nil {
 		hostmain.Fatal(lg, "starting inference server", "err", err)
 	}
@@ -83,8 +70,8 @@ func main() {
 		SliceParallel: *sliceParallel,
 		QueueDepth:    *jobQueue,
 		MaxAttempts:   *attempts,
-		Seed:          *seed,
-		MaxBodyBytes:  *maxBody,
+		Seed:          cfg.Seed,
+		MaxBodyBytes:  cfg.MaxBodyBytes,
 		Metrics:       obs.Default,
 	})
 	if err != nil {

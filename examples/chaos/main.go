@@ -23,10 +23,8 @@ import (
 	"time"
 
 	"seneca"
-	"seneca/internal/quant"
+	"seneca/internal/hostmain"
 	"seneca/internal/tensor"
-	"seneca/internal/unet"
-	"seneca/internal/xmodel"
 )
 
 const (
@@ -37,13 +35,7 @@ const (
 func main() {
 	log.SetFlags(0)
 
-	cfg := unet.Config{Name: "demo", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}
-	g := unet.New(cfg).Export(64, 64)
-	q, err := quant.QuantizeShapeOnly(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := xmodel.Compile(q, cfg.Name)
+	prog, err := hostmain.DemoProgram(64)
 	if err != nil {
 		log.Fatal(err)
 	}

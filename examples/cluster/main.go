@@ -20,9 +20,7 @@ import (
 	"time"
 
 	"seneca"
-	"seneca/internal/quant"
-	"seneca/internal/unet"
-	"seneca/internal/xmodel"
+	"seneca/internal/hostmain"
 )
 
 func main() {
@@ -30,13 +28,7 @@ func main() {
 
 	// A compact shape-only-quantized U-Net; the routing, admission and
 	// autoscaling behavior is identical to a trained model's.
-	cfg := unet.Config{Name: "demo", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 2}
-	g := unet.New(cfg).Export(32, 32)
-	q, err := quant.QuantizeShapeOnly(g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := xmodel.Compile(q, cfg.Name)
+	prog, err := hostmain.DemoProgram(32)
 	if err != nil {
 		log.Fatal(err)
 	}

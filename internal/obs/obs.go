@@ -28,6 +28,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,10 +258,25 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 
 // ---- Histogram ---------------------------------------------------------
 
-// DefBuckets are the default latency buckets in seconds, spanning the
-// sub-millisecond DPU frame times up to multi-second drain tails.
-var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+// DefBuckets are the default latency buckets in seconds: the R10
+// preferred-number series (1, 1.25, 1.6, 2, 2.5, 3.15, 4, 5, 6.3, 8 × 10ᵏ)
+// from 10 µs to 100 s, 71 bounds at most 1.28× apart. Every latency quantile
+// the serving tier reports is interpolated on them, so a 0.1 ms front-door
+// request resolves as finely as a 100 ms paced batch.
+var DefBuckets = r10(-5, 2)
+
+// r10 is the R10 series from 10^from to 10^to. Each bound is parsed from its
+// decimal spelling, so it is the float64 nearest that decimal and renders
+// back as it (le="0.000315", not a product's rounding residue).
+func r10(from, to int) []float64 {
+	var out []float64
+	for k := from; k < to; k++ {
+		for _, m := range []string{"1", "1.25", "1.6", "2", "2.5", "3.15", "4", "5", "6.3", "8"} {
+			v, _ := strconv.ParseFloat(fmt.Sprintf("%se%d", m, k), 64)
+			out = append(out, v)
+		}
+	}
+	return append(out, math.Pow10(to))
 }
 
 // BatchBuckets are occupancy buckets for micro-batch size histograms.
@@ -300,36 +316,14 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the owning bucket — the same estimate PromQL's histogram_quantile
-// computes. It returns the highest finite bound when the quantile lands in
-// the +Inf bucket, and 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Quantiles(q)[0]
-}
-
-// Quantiles estimates several quantiles (each 0 ≤ q ≤ 1) from one snapshot
-// of the bucket counts, so the returned values are mutually consistent even
-// while other goroutines keep observing — this is what tail-latency
-// reporting (p50/p99/p999 in one row) should use instead of sorting raw
-// samples. Results are in qs order, interpolated like Quantile.
+// Quantiles estimates several quantiles (each 0 ≤ q ≤ 1) of everything
+// observed, from one snapshot of the bucket counts, so the returned values
+// are mutually consistent even while other goroutines keep observing.
+// Results are in qs order, interpolated within the owning bucket as PromQL's
+// histogram_quantile does: the highest finite bound when a quantile lands in
+// the +Inf bucket, 0 with no observations.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	// Observations past the last bound live only in the total count; fold
-	// them into an implicit +Inf bucket so ranks stay consistent.
-	if grand := h.count.Load(); grand > total {
-		total = grand
-	}
-	for k, q := range qs {
-		out[k] = bucketQuantile(h.bounds, counts, total, q)
-	}
-	return out
+	return h.Snapshot().DeltaQuantiles(HistogramSnapshot{}, qs...)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's bucket state.
@@ -392,7 +386,7 @@ func (s HistogramSnapshot) DeltaQuantiles(prev HistogramSnapshot, qs ...float64)
 	return out
 }
 
-// bucketQuantile is the interpolation core shared by Quantile/Quantiles:
+// bucketQuantile is the one interpolation every quantile goes through:
 // given ascending finite bucket bounds, per-bucket (non-cumulative) counts
 // and the grand total (which may exceed the finite-bucket sum when values
 // landed past the last bound), it estimates the q-quantile.

@@ -108,16 +108,17 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// The median lands in the (0.01, 0.1] bucket.
-	q := h.Quantile(0.5)
-	if q <= 0.01 || q > 0.1 {
-		t.Fatalf("median %v outside its bucket (0.01, 0.1]", q)
+	// The median lands in the (0.01, 0.1] bucket; p999 lands in +Inf and
+	// clamps to the highest finite bound.
+	qs := h.Quantiles(0.5, 0.999)
+	if qs[0] <= 0.01 || qs[0] > 0.1 {
+		t.Fatalf("median %v outside its bucket (0.01, 0.1]", qs[0])
 	}
-	if h.Quantile(0.999) != 1 {
-		t.Fatalf("overflow-bucket quantile = %v, want highest finite bound 1", h.Quantile(0.999))
+	if qs[1] != 1 {
+		t.Fatalf("overflow-bucket quantile = %v, want highest finite bound 1", qs[1])
 	}
 	empty := r.Histogram("seneca_empty_seconds", "h", nil)
-	if empty.Quantile(0.5) != 0 {
+	if empty.Quantiles(0.5)[0] != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -22,9 +24,45 @@ func TestQuantilesUniform(t *testing.T) {
 			t.Errorf("quantile %d: got %.4f, want ≈%.4f", i, qs[i], want)
 		}
 	}
-	// The multi-quantile path and the single-quantile path must agree.
-	if got, want := h.Quantile(0.99), qs[1]; got != want {
-		t.Errorf("Quantile(0.99)=%v, Quantiles(...)[1]=%v", got, want)
+}
+
+// TestDefBucketsResolveServingLatencies holds the default layout to the
+// latencies the serving tier reports: a front-door request (median 0.12 ms),
+// a kernel-bound one (1.1 ms) and a paced volume batch (140 ms), each
+// lognormal at two spreads, must read p50 within 2 % and p99 within 15 % of
+// the exact sample quantile. The layout itself is the R10 series from 10 µs
+// to 100 s, and its le labels are short decimals.
+func TestDefBucketsResolveServingLatencies(t *testing.T) {
+	if n := len(DefBuckets); n != 71 || DefBuckets[0] != 1e-5 || DefBuckets[n-1] != 100 {
+		t.Fatalf("DefBuckets: %d bounds from %v to %v, want 71 from 1e-05 to 100", n, DefBuckets[0], DefBuckets[n-1])
+	}
+	for i := 1; i < len(DefBuckets); i++ {
+		if r := DefBuckets[i] / DefBuckets[i-1]; r <= 1 || r > 1.28+1e-9 {
+			t.Errorf("bounds %v and %v are %.4f× apart", DefBuckets[i-1], DefBuckets[i], r)
+		}
+	}
+	if got := formatFloat(DefBuckets[15]); got != "0.000315" {
+		t.Errorf("the 16th bound renders as le=%q, want 0.000315", got)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, median := range []float64{0.12e-3, 1.1e-3, 140e-3} {
+		for _, sigma := range []float64{0.1, 0.3} {
+			h := NewRegistry().Histogram("lat", "", DefBuckets)
+			xs := make([]float64, 20000)
+			for i := range xs {
+				xs[i] = median * math.Exp(sigma*rng.NormFloat64())
+				h.Observe(xs[i])
+			}
+			sort.Float64s(xs)
+			got := h.Quantiles(0.5, 0.99)
+			for k, c := range []struct{ q, tol float64 }{{0.5, 0.02}, {0.99, 0.15}} {
+				exact := xs[int(c.q*float64(len(xs)-1))]
+				if rel := (got[k] - exact) / exact; math.Abs(rel) > c.tol {
+					t.Errorf("median %v s, σ %v: quantile %v reads %.4g s against %.4g s exact (%+.1f %%, limit %.0f %%)",
+						median, sigma, c.q, got[k], exact, 100*rel, 100*c.tol)
+				}
+			}
+		}
 	}
 }
 
@@ -64,7 +102,7 @@ func TestQuantilesEdgeCases(t *testing.T) {
 	}
 	h.Observe(100) // lands past the last bound
 	h.Observe(100)
-	if got := h.Quantile(0.999); got != 2 {
+	if got := h.Quantiles(0.999)[0]; got != 2 {
 		t.Errorf("overflow quantile = %v, want clamp to 2", got)
 	}
 }
@@ -107,7 +145,7 @@ func TestDeltaQuantilesWindow(t *testing.T) {
 		t.Errorf("window p50 = %v, want ≥ 100ms — history leaked into the window", qs[0])
 	}
 	// The all-time quantile still reflects the fast history.
-	if all := h.Quantile(0.5); all > 0.01 {
+	if all := h.Quantiles(0.5)[0]; all > 0.01 {
 		t.Errorf("all-time p50 = %v, want ≤ 10ms", all)
 	}
 }
@@ -135,7 +173,7 @@ func TestDeltaQuantilesZeroPrevIsAllTime(t *testing.T) {
 		h.Observe(0.002)
 	}
 	delta := h.Snapshot().DeltaQuantiles(HistogramSnapshot{}, 0.5)
-	all := h.Quantile(0.5)
+	all := h.Quantiles(0.5)[0]
 	if delta[0] != all {
 		t.Errorf("zero-prev delta p50 = %v, all-time = %v", delta[0], all)
 	}

@@ -268,9 +268,7 @@ func (s *Server) dispatch(w *worker, batch []*job, lanes int, probe bool) {
 	s.stats.completed.Add(uint64(len(live)))
 	now := time.Now()
 	for i, j := range live {
-		lat := now.Sub(j.accepted)
-		s.stats.lat.record(lat)
-		s.mLatency.Observe(lat.Seconds())
+		s.mLatency.Observe(now.Sub(j.accepted).Seconds())
 		j.done <- outcome{mask: out.masks[i], batch: len(live)}
 	}
 }

@@ -35,7 +35,8 @@ type LoadPoint struct {
 // level it keeps that many clients busy until perLevel responses have
 // completed, retrying 429s (so rejected load stays offered, as a real
 // client fleet would). body/contentType must encode one valid request for
-// the server's model; every client reuses it.
+// the server's model; every client reuses it. P50 and P99 are read from a
+// histogram on obs.DefBuckets, as RunOpenLoop's are.
 func SweepLoad(baseURL string, body []byte, contentType string, concurrencies []int, perLevel int) ([]LoadPoint, error) {
 	if perLevel < 1 {
 		perLevel = 1
@@ -57,21 +58,12 @@ func SweepLoad(baseURL string, body []byte, contentType string, concurrencies []
 
 func runLevel(client *http.Client, baseURL string, body []byte, contentType string, conc, perLevel int) (LoadPoint, error) {
 	var (
-		started   atomic.Int64
-		rejected  atomic.Int64
-		errored   atomic.Int64
-		mu        sync.Mutex
-		latencies []time.Duration
-		batchSum  int64
-		firstErr  error
+		started, rejected, errored, batchSum atomic.Int64
+		errOnce                              sync.Once
+		firstErr                             error
 	)
-	record := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
+	record := func(err error) { errOnce.Do(func() { firstErr = err }) }
+	hist := obs.NewRegistry().Histogram("loadgen_latency_seconds", "", obs.DefBuckets)
 	begin := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < conc; i++ {
@@ -98,10 +90,8 @@ func runLevel(client *http.Client, baseURL string, body []byte, contentType stri
 						record(fmt.Errorf("serve: loadgen got HTTP %d", status))
 						return
 					}
-					mu.Lock()
-					latencies = append(latencies, time.Since(t0))
-					batchSum += int64(occ)
-					mu.Unlock()
+					hist.Observe(time.Since(t0).Seconds())
+					batchSum.Add(int64(occ))
 					break
 				}
 			}
@@ -112,7 +102,7 @@ func runLevel(client *http.Client, baseURL string, body []byte, contentType stri
 
 	p := LoadPoint{
 		Concurrency: conc,
-		Requests:    len(latencies),
+		Requests:    int(hist.Count()),
 		Rejected:    int(rejected.Load()),
 		Errors:      int(errored.Load()),
 		Duration:    wall,
@@ -120,11 +110,11 @@ func runLevel(client *http.Client, baseURL string, body []byte, contentType stri
 	if wall > 0 {
 		p.Throughput = float64(p.Requests) / wall.Seconds()
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		p.P50 = latencies[len(latencies)/2]
-		p.P99 = latencies[int(0.99*float64(len(latencies)-1))]
-		p.MeanBatch = float64(batchSum) / float64(len(latencies))
+	if p.Requests > 0 {
+		qs := hist.Quantiles(0.50, 0.99)
+		p.P50 = time.Duration(qs[0] * float64(time.Second))
+		p.P99 = time.Duration(qs[1] * float64(time.Second))
+		p.MeanBatch = float64(batchSum.Load()) / float64(p.Requests)
 	}
 	return p, firstErr
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,9 +156,9 @@ func TestScrapeUnderFaultedLoad(t *testing.T) {
 					t.Errorf("GET /statz: %v", err)
 					return
 				}
-				if st.QueueDepth < 0 || st.Completed+st.Expired+st.Failed > st.Accepted {
-					t.Errorf("/statz sample: queue_depth %d, completed %d + expired %d + failed %d > accepted %d",
-						st.QueueDepth, st.Completed, st.Expired, st.Failed, st.Accepted)
+				if st.QueueDepth < 0 || st.Completed+st.Expired+st.Failed > st.Accepted || st.P50LatencyMS > st.P99LatencyMS {
+					t.Errorf("/statz sample: queue_depth %d, completed %d + expired %d + failed %d vs accepted %d, p50 %v ms vs p99 %v ms",
+						st.QueueDepth, st.Completed, st.Expired, st.Failed, st.Accepted, st.P50LatencyMS, st.P99LatencyMS)
 					return
 				}
 			}
@@ -181,6 +182,97 @@ func TestScrapeUnderFaultedLoad(t *testing.T) {
 	checkBooks(t, s)
 	if st := s.Stats(); st.Accepted != 80 || fault.Injected("backend.execute.dpu-sim") == 0 {
 		t.Errorf("accepted %d of 80 requests, %d run errors injected", st.Accepted, fault.Injected("backend.execute.dpu-sim"))
+	}
+}
+
+// TestStatzQuantilesAreTheMetricsHistogram: /statz reads p50/p99 from the
+// request-latency histogram /metrics exposes, so replaying the exposed
+// buckets into a fresh histogram gives /statz's quantiles bit for bit.
+func TestStatzQuantilesAreTheMetricsHistogram(t *testing.T) {
+	ts, _, data, _ := startHTTP(t, Config{Threads: 2, MaxBatch: 4})
+	body := EncodeInput(data)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				resp, err := http.Post(ts.URL+"/v1/segment", "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("segment: HTTP %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	fetch := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var st Stats
+	if err := json.Unmarshal(fetch("/statz"), &st); err != nil {
+		t.Fatal(err)
+	}
+	// Each bucket's own observations go in at its upper bound; the +Inf
+	// bucket's past the last one.
+	var bounds []float64
+	var cum []uint64
+	for _, line := range strings.Split(string(fetch("/metrics")), "\n") {
+		rest, ok := strings.CutPrefix(line, `seneca_serve_request_latency_seconds_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, count, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseUint(count, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		cum = append(cum, n)
+		if le != "+Inf" {
+			b, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			bounds = append(bounds, b)
+		}
+	}
+	if len(bounds) != len(obs.DefBuckets) || len(cum) != len(bounds)+1 {
+		t.Fatalf("/metrics has %d finite latency buckets of %d, want obs.DefBuckets' %d", len(bounds), len(cum), len(obs.DefBuckets))
+	}
+	h := obs.NewRegistry().Histogram("replay_seconds", "", bounds)
+	var seen uint64
+	for i, n := range cum {
+		v := math.Inf(1)
+		if i < len(bounds) {
+			v = bounds[i]
+		}
+		for ; seen < n; seen++ {
+			h.Observe(v)
+		}
+	}
+	if seen != st.Completed || seen != 32 {
+		t.Fatalf("/metrics counts %d requests, /statz %d completed, 32 sent", seen, st.Completed)
+	}
+	q := h.Quantiles(0.50, 0.99)
+	if p50, p99 := 1e3*q[0], 1e3*q[1]; st.P50LatencyMS != p50 || st.P99LatencyMS != p99 || p50 <= 0 {
+		t.Fatalf("/statz p50 %v ms, p99 %v ms; the /metrics buckets give %v and %v", st.P50LatencyMS, st.P99LatencyMS, p50, p99)
 	}
 }
 

@@ -309,7 +309,6 @@ func New(dev *dpu.Device, prog *xmodel.Program, cfg Config) (*Server, error) {
 		w.adopt(be, cfg.Threads)
 		s.pool = append(s.pool, w)
 	}
-	s.stats.lat.init(latencyWindow)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()

@@ -1,17 +1,11 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"seneca/internal/energy"
 )
-
-// latencyWindow is how many recent request latencies the quantile
-// estimator keeps.
-const latencyWindow = 4096
 
 // stats is the server's internal counter block; every field is an atomic.
 // What the runners did is not here: each worker's row holds it, and every
@@ -40,44 +34,6 @@ type stats struct {
 	probes       atomic.Uint64
 	redispatched atomic.Uint64
 	watchdog     atomic.Uint64
-
-	lat latWindow
-}
-
-// latWindow is a fixed-size ring of recent latencies; quantiles are
-// computed on demand from a snapshot copy.
-type latWindow struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	next int
-	n    int
-}
-
-func (l *latWindow) init(size int) { l.buf = make([]time.Duration, size) }
-
-func (l *latWindow) record(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the q-quantile (0 ≤ q ≤ 1) of the recorded window, or 0
-// when nothing has been recorded yet.
-func (l *latWindow) quantile(q float64) time.Duration {
-	l.mu.Lock()
-	snap := make([]time.Duration, l.n)
-	copy(snap, l.buf[:l.n])
-	l.mu.Unlock()
-	if len(snap) == 0 {
-		return 0
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	idx := int(q * float64(len(snap)-1))
-	return snap[idx]
 }
 
 // BackendStats is one pool slot's occupancy and deployment estimate, as
@@ -210,6 +166,9 @@ type Stats struct {
 	Redispatches     uint64 `json:"redispatches"`
 	WatchdogTimeouts uint64 `json:"watchdog_timeouts"`
 
+	// P50LatencyMS and P99LatencyMS cover every request since the server
+	// started: they are read from the seneca_serve_request_latency_seconds
+	// histogram that /metrics exposes.
 	P50LatencyMS float64 `json:"p50_latency_ms"`
 	P99LatencyMS float64 `json:"p99_latency_ms"`
 
@@ -233,6 +192,7 @@ func (s *Server) Stats() Stats {
 	g := s.prog.Graph
 	rows, sum, healthy := s.rows(s.pool)
 	completed, expired, failed := s.stats.completed.Load(), s.stats.expired.Load(), s.stats.failed.Load()
+	lat := s.mLatency.Quantiles(0.50, 0.99)
 	st := Stats{
 		Model:      s.prog.Name,
 		InputShape: [3]int{g.InC, g.InH, g.InW},
@@ -268,8 +228,8 @@ func (s *Server) Stats() Stats {
 		Redispatches:     s.stats.redispatched.Load(),
 		WatchdogTimeouts: s.stats.watchdog.Load(),
 
-		P50LatencyMS: float64(s.stats.lat.quantile(0.50)) / float64(time.Millisecond),
-		P99LatencyMS: float64(s.stats.lat.quantile(0.99)) / float64(time.Millisecond),
+		P50LatencyMS: 1e3 * lat[0],
+		P99LatencyMS: 1e3 * lat[1],
 
 		SimFPS:        sum.SimFPS,
 		SimWatts:      sum.SimWatts,
