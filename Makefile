@@ -74,10 +74,10 @@ chaos:
 # fuzz exercises the binary-format parsers, the /v1/segment front door's
 # header checks and body decoding, its one-pass JSON decode against
 # encoding/json, the INT8 drivers (through cell planes of widened geometry,
-# under both kernel bodies) against their scalar oracle, the percentile
-# selection against the sort it replaced, the backend pool and fault spec
-# grammars, and the study store's job-record loader, beyond the committed
-# corpora.
+# under every kernel body the host can run) against their scalar oracle, the
+# percentile selection against the sort it replaced, the backend pool and
+# fault spec grammars, and the study store's job-record loader, beyond the
+# committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s

@@ -123,7 +123,7 @@ func exact32(accBound int64, bias []int32, shift, shift2 int) bool {
 // are stored as cells, lane pair p at dst[p·planeStride + q·step] for pixel
 // q. step is 1 for a convolution and the stride for a phase of a transpose
 // convolution, whose outputs interleave with the other phases'. With simd
-// (the AVX2 body is there and exact32 holds) whole pairs take the assembly —
+// (an assembly body runs and exact32 holds) whole pairs take the assembly —
 // straight into dst when the eight cells are contiguous, through eight cells
 // of stack otherwise — and everything else runs finalizeInt8, which is also
 // what that body is held to. Nothing outside the n cells of each pair is
@@ -238,7 +238,7 @@ func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 // loop with int32 wraparound bit for bit, at every worker count: each
 // output's sum is a wrapping sum of the same products whatever the order.
 func convPhases(in *activation, phases []phase, step int, accBound int64, bias []int32, outC int, shift, shift2 int, relu bool, out *activation) {
-	simd := useAVX2 && exact32(accBound, bias[:outC], shift, shift2)
+	simd := body != portable && exact32(accBound, bias[:outC], shift, shift2)
 	cpairs := in.cpairs()
 	rowStride, planeStride := in.cols, in.planeStride()
 	oStride := out.planeStride()

@@ -8,7 +8,7 @@ import "seneca/internal/obs"
 // channels; pixels are eight neighbours of one output row (convolution) or
 // of one row of one output phase (transpose convolution).
 //
-// Operand layouts, shared by both bodies:
+// Operand layouts, shared by all three bodies:
 //
 //	x  [⌈C/2⌉][rows][cols]   an activation as the arena stores it: one cell
 //	                          per pixel and channel pair; border and ghost
@@ -22,10 +22,10 @@ import "seneca/internal/obs"
 // w₀x₀ + w₁x₁ is at most 2·128² and exact in int32; the running sum wraps
 // mod 2³² exactly like Go's int32 addition. Wrapping addition is associative
 // and commutative, so the tile is bit-identical in any accumulation order
-// and at any reduction depth — which is what lets the AVX2 body (one
-// VPMADDWD per lane and tap: sixteen exact MACs per multiply) and the plain
-// loop below stand in for each other, and why signed operands need none of
-// the zero-point bookkeeping an unsigned-byte trick would.
+// and at any reduction depth — which is what lets the assembly bodies (one
+// VPMADDWD or VPDPWSSD per lane and tap: sixteen exact MACs per multiply) and
+// the plain loop stand in for each other, and why signed operands need none
+// of the zero-point bookkeeping an unsigned-byte trick would.
 
 // tileLanes and tilePixels are the register tile's extent.
 const (
@@ -37,18 +37,18 @@ const (
 // pairCell packs two int8 operands into one cell.
 func pairCell(lo, hi int8) int32 { return int32(uint16(int16(lo))) | int32(hi)<<16 }
 
-// useAVX2 selects the assembly body; set once at init from CPUID on amd64
-// and never true elsewhere.
-var useAVX2 bool
+// The micro-kernel's bodies in the order a host gains them; body is the one
+// this process runs, set once at init on amd64 to the best the host allows.
+const (
+	portable = iota
+	avx2
+	avx512vnni
+)
 
-// KernelISA names the micro-kernel body this process runs: "avx2" for the
-// assembly body, "portable" for the Go loop.
-func KernelISA() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "portable"
-}
+var body = portable
+
+// KernelISA names the body this process runs: avx512vnni, avx2 or portable.
+func KernelISA() string { return [...]string{"portable", "avx2", "avx512vnni"}[body] }
 
 // ExportKernelISA registers the info gauge seneca_quant_kernel{isa="…"} 1 on
 // reg, so a scrape says which body produced the masks it counts.
@@ -72,11 +72,14 @@ func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, plan
 	// bounds checks it cannot do.
 	_ = x[(cpairs-1)*planeStride+(kh-1)*rowStride+kw-1+tilePixels-1]
 	_ = w[cpairs*kh*kw*tileLanes-1]
-	if useAVX2 {
+	switch body {
+	case avx512vnni:
+		macTileVNNI(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
+	case avx2:
 		macTileAVX2(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
-		return
+	default:
+		macTilePortable(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
 	}
-	macTilePortable(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
 }
 
 // macTilePortable is macTile as a plain loop over the same layouts: the

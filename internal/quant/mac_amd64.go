@@ -1,14 +1,29 @@
 package quant
 
-func init() { useAVX2 = hasAVX2() }
+func init() {
+	if hasAVX2() {
+		body = avx2
+		if hasVNNI() {
+			body = avx512vnni
+		}
+	}
+}
 
 // hasAVX2 reports whether the CPU and the OS both support AVX2 (mac_amd64.s).
 func hasAVX2() bool
 
-// macTileAVX2 is macTile's assembly body (mac_amd64.s).
+// hasVNNI reports whether they also support AVX-512 VL and VNNI (mac_amd64.s).
+func hasVNNI() bool
+
+// macTileAVX2 is macTile's AVX2 body (mac_amd64.s).
 //
 //go:noescape
 func macTileAVX2(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
+
+// macTileVNNI is macTile's AVX-512 VNNI body (mac_amd64.s).
+//
+//go:noescape
+func macTileVNNI(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
 
 // finalize8AVX2 is finalizeTile's assembly body (mac_amd64.s).
 //

@@ -106,6 +106,138 @@ tap:
 	VZEROUPPER
 	RET
 
+// func hasVNNI() bool
+//
+// The VNNI body is usable when CPUID.(7,0) reports AVX512F (EBX bit 16),
+// AVX512VL (EBX bit 31) and AVX512_VNNI (ECX bit 11), and XCR0 says the OS
+// saves XMM, YMM, opmask and ZMM state (0xE6): EVEX instructions fault
+// without the last three even at 256 bits. The caller has checked AVX2 and,
+// with it, OSXSAVE.
+TEXT ·hasVNNI(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  done
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x80010000, BX
+	CMPL BX, $0x80010000
+	JNE  done
+	SHRL $11, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+
+done:
+	RET
+
+// func macTileVNNI(acc *[64]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
+//
+// macTileAVX2's contract and layouts with two accumulator sets: of each pair
+// of planes the even one accumulates in Y0–Y7 and the odd one in Y16–Y23
+// (EVEX-only registers), so the VPDPWSSDs into one accumulator are a plane
+// apart rather than back to back. An odd last plane goes into Y0–Y7 alone;
+// the sets are summed before the store. AX is the distance in bytes from a
+// plane's weights to its partner's, kh·kw·32; CX counts planes left.
+TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
+	MOVQ acc+0(FP), DI
+	MOVQ x_base+8(FP), SI
+	MOVQ w_base+32(FP), DX
+	MOVQ cpairs+56(FP), CX
+	MOVQ kh+64(FP), R8
+	MOVQ kw+72(FP), BX
+	MOVQ rowStride+80(FP), R9
+	MOVQ planeStride+88(FP), R10
+	SHLQ $2, R9                  // cell strides to bytes
+	SHLQ $2, R10
+	MOVQ R8, AX
+	IMULQ BX, AX
+	SHLQ $5, AX
+	VPXOR  Y0, Y0, Y0
+	VPXOR  Y1, Y1, Y1
+	VPXOR  Y2, Y2, Y2
+	VPXOR  Y3, Y3, Y3
+	VPXOR  Y4, Y4, Y4
+	VPXOR  Y5, Y5, Y5
+	VPXOR  Y6, Y6, Y6
+	VPXOR  Y7, Y7, Y7
+	VPXORD Y16, Y16, Y16
+	VPXORD Y17, Y17, Y17
+	VPXORD Y18, Y18, Y18
+	VPXORD Y19, Y19, Y19
+	VPXORD Y20, Y20, Y20
+	VPXORD Y21, Y21, Y21
+	VPXORD Y22, Y22, Y22
+	VPXORD Y23, Y23, Y23
+
+vplane:
+	MOVQ SI, R11                 // R11: tap row
+	MOVQ R8, R12                 // R12: rows left
+
+vrow:
+	MOVQ R11, R13                // R13: tap cell
+	MOVQ BX, R14                 // R14: taps left in the row
+
+	// One tap: eight pixels' cells of each plane, and per lane one
+	// VPDPWSSD — the exact pair sum added with wraparound, VPMADDWD then
+	// VPADDD in one instruction — with the weight cell broadcast from
+	// memory inside it.
+vtap:
+	VMOVDQU (R13), Y8
+	VPDPWSSD.BCST 0(DX), Y8, Y0
+	VPDPWSSD.BCST 4(DX), Y8, Y1
+	VPDPWSSD.BCST 8(DX), Y8, Y2
+	VPDPWSSD.BCST 12(DX), Y8, Y3
+	VPDPWSSD.BCST 16(DX), Y8, Y4
+	VPDPWSSD.BCST 20(DX), Y8, Y5
+	VPDPWSSD.BCST 24(DX), Y8, Y6
+	VPDPWSSD.BCST 28(DX), Y8, Y7
+	CMPQ CX, $1
+	JEQ  vnext                   // a lone last plane
+	VMOVDQU (R13)(R10*1), Y9
+	VPDPWSSD.BCST 0(DX)(AX*1), Y9, Y16
+	VPDPWSSD.BCST 4(DX)(AX*1), Y9, Y17
+	VPDPWSSD.BCST 8(DX)(AX*1), Y9, Y18
+	VPDPWSSD.BCST 12(DX)(AX*1), Y9, Y19
+	VPDPWSSD.BCST 16(DX)(AX*1), Y9, Y20
+	VPDPWSSD.BCST 20(DX)(AX*1), Y9, Y21
+	VPDPWSSD.BCST 24(DX)(AX*1), Y9, Y22
+	VPDPWSSD.BCST 28(DX)(AX*1), Y9, Y23
+
+vnext:
+	ADDQ $32, DX
+	ADDQ $4, R13
+	DECQ R14
+	JNZ  vtap
+	ADDQ R9, R11
+	DECQ R12
+	JNZ  vrow
+	ADDQ AX, DX                  // past the odd plane's weights
+	LEAQ (SI)(R10*2), SI
+	SUBQ $2, CX
+	JGT  vplane
+
+	VPADDD Y16, Y0, Y0
+	VPADDD Y17, Y1, Y1
+	VPADDD Y18, Y2, Y2
+	VPADDD Y19, Y3, Y3
+	VPADDD Y20, Y4, Y4
+	VPADDD Y21, Y5, Y5
+	VPADDD Y22, Y6, Y6
+	VPADDD Y23, Y7, Y7
+	VMOVDQU Y0, 0(DI)
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	VMOVDQU Y4, 128(DI)
+	VMOVDQU Y5, 160(DI)
+	VMOVDQU Y6, 192(DI)
+	VMOVDQU Y7, 224(DI)
+	VZEROUPPER
+	RET
+
 // One lane's write-back: eight accumulators at off(DI) and the bias at
 // boff(DX) become eight int8-range dwords in Y0, in pixel order, all in
 // 32-bit lanes: bias add, round-half-away first shift on the magnitude

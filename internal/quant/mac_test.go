@@ -13,19 +13,38 @@ import (
 	"seneca/internal/unet"
 )
 
-// withPortable runs f with the dispatch pinned to the portable bodies, which
-// is how the tests reach them on a host that would otherwise take the
-// assembly. No test in this package runs in parallel.
-func withPortable(f func()) {
-	prev := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = prev }()
+// withBody runs f with the dispatch pinned to body b, which is how the tests
+// reach every body this host can run rather than only the best. No test in
+// this package runs in parallel.
+func withBody(b int, f func()) {
+	prev := body
+	body = b
+	defer func() { body = prev }()
 	f()
 }
 
+// hostBodies lists the bodies this host can run: every body up to the one
+// init picked, since each assembly body's host can run the ones before it.
+func hostBodies() []int {
+	var bodies []int
+	for b := portable; b <= body; b++ {
+		bodies = append(bodies, b)
+	}
+	return bodies
+}
+
+// hostBodyNames is hostBodies by KernelISA's names.
+func hostBodyNames() (names []string) {
+	for _, b := range hostBodies() {
+		withBody(b, func() { names = append(names, KernelISA()) })
+	}
+	return names
+}
+
 // TestKernelISAMatchesCPU names the body that ran: where the kernel lists
-// avx2 among the CPU's flags the dispatch must have picked the assembly, so
-// a detection bug cannot fall back to the portable loop and still pass.
+// avx512f, avx512vl and avx512_vnni among the CPU's flags the dispatch must
+// have picked the VNNI body, and where it lists avx2 the AVX2 body, so a
+// detection bug cannot fall back to a slower body and still pass.
 func TestKernelISAMatchesCPU(t *testing.T) {
 	want := "portable"
 	if runtime.GOARCH == "amd64" {
@@ -33,25 +52,33 @@ func TestKernelISAMatchesCPU(t *testing.T) {
 		if err != nil {
 			t.Skipf("no independent source for the CPU's features: %v", err)
 		}
-		if regexp.MustCompile(`(?m)^flags\s*:.*\bavx2\b`).Match(info) {
+		has := func(flag string) bool {
+			return regexp.MustCompile(`(?m)^flags\s*:.*\b` + flag + `\b`).Match(info)
+		}
+		switch {
+		case has("avx512f") && has("avx512vl") && has("avx512_vnni"):
+			want = "avx512vnni"
+		case has("avx2"):
 			want = "avx2"
 		}
 	}
 	if got := KernelISA(); got != want {
 		t.Fatalf("KernelISA() = %q on a host where /proc/cpuinfo implies %q", got, want)
 	}
-	t.Logf("INT8 kernels ran the %s body", KernelISA())
+	t.Logf("INT8 kernels ran the %s body; this host can run %v", KernelISA(), hostBodyNames())
 }
 
 // TestBodiesAgreeOnUNetShapes runs every convolution and transpose
 // convolution of every Table II configuration at 64×64, of the 1M U-Net at
 // the paper's 256×256 and of the 16×16 tiny net the front-door benchmark
 // serves, with the layer's own weights, biases and shifts and a random
-// input, through both bodies.
+// input, through every body this host can run, each held to the portable
+// one.
 func TestBodiesAgreeOnUNetShapes(t *testing.T) {
-	if !useAVX2 {
+	if body == portable {
 		t.Skip("one body on this host")
 	}
+	t.Logf("comparing the %v bodies", hostBodyNames())
 	type net struct {
 		cfg  unet.Config
 		size int
@@ -81,10 +108,50 @@ func TestBodiesAgreeOnUNetShapes(t *testing.T) {
 			run := func() []int8 {
 				return runInt8(t, n.Kind, src, n.InC, h, w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, shift, 1, n.FusedReLU, oh, ow, testGeom{outBorder: 1})
 			}
-			got := run()
 			var want []int8
-			withPortable(func() { want = run() })
-			sameInt8s(t, fmt.Sprintf("%s@%d/%s", nt.cfg.Name, nt.size, n.Name), got, want)
+			withBody(portable, func() { want = run() })
+			for _, b := range hostBodies()[1:] {
+				withBody(b, func() {
+					sameInt8s(t, fmt.Sprintf("%s@%d/%s %s", nt.cfg.Name, nt.size, n.Name, KernelISA()), run(), want)
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMacTile times macTile alone, per host body and U-Net step shape,
+// in GMAC/s (a cell holds two channels, so a call is cpairs·2·kh·kw·64
+// MACs): 3×3 convolutions over 1 to 64 channel pairs and the 1×1, 1×2 and
+// 2×2 tap sets of the transpose convolutions' phases. Operands sit in L1,
+// so this is the body's own ceiling, not a frame's. DESIGN §4.2 quotes it:
+//
+//	go test ./internal/quant/ -run '^$' -bench 'MacTile/(avx2|avx512vnni)/'
+func BenchmarkMacTile(b *testing.B) {
+	type shape struct{ cpairs, kh, kw int }
+	shapes := []shape{{1, 3, 3}, {4, 3, 3}, {16, 3, 3}, {32, 3, 3}, {64, 3, 3}, {32, 1, 1}, {32, 1, 2}, {32, 2, 2}}
+	rng := rand.New(rand.NewSource(1))
+	cells := func(n int) []int32 {
+		s := make([]int32, n)
+		for i := range s {
+			s[i] = pairCell(int8(rng.Intn(256)-128), int8(rng.Intn(256)-128))
+		}
+		return s
+	}
+	for _, bd := range hostBodies() {
+		for _, sh := range shapes {
+			rowStride := tilePixels + sh.kw - 1
+			planeStride := rowStride * sh.kh
+			x, w := cells(sh.cpairs*planeStride), cells(sh.cpairs*sh.kh*sh.kw*tileLanes)
+			var acc [tileSize]int32
+			withBody(bd, func() {
+				b.Run(fmt.Sprintf("%s/cp%d-%dx%d", KernelISA(), sh.cpairs, sh.kh, sh.kw), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						macTile(&acc, x, w, sh.cpairs, sh.kh, sh.kw, rowStride, planeStride)
+					}
+					macs := float64(sh.cpairs*2*sh.kh*sh.kw*tileSize) * float64(b.N)
+					b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
+				})
+			})
 		}
 	}
 }
@@ -126,9 +193,10 @@ func TestPhaseTapsPartitionKernel(t *testing.T) {
 }
 
 // TestAccumulatorsWrapLikeInt32 reduces deep enough over all-(−128)
-// operands that the true sum leaves int32: the kernels must wrap exactly as
+// operands that the true sum leaves int32: every body must wrap exactly as
 // the reference's int32 does, within one phase's tile and across the taps of
-// a many-tap phase.
+// a many-tap phase, over an even and an odd number of channel pairs (the
+// VNNI body's lone last plane and its sum of two accumulator sets).
 func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 	fill := func(n int) []int8 {
 		s := make([]int8, n)
@@ -145,28 +213,27 @@ func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 		}
 		sameInt8s(t, name, got, want)
 	}
-	for _, portable := range []bool{false, true} {
-		run := func(f func()) { f() }
-		if portable {
-			run = withPortable
-		}
-		run(func() {
-			// 5×5 over 5300 channels: 132 500 taps at the centre pixel.
-			c, h, w, outC, k, pad, shift := 5300, 3, 3, 2, 5, 2, 24
-			src, weight := fill(c*h*w), fill(outC*c*k*k)
-			check("conv", c, k*k,
-				runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
-				refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+	for _, b := range hostBodies() {
+		withBody(b, func() {
+			// 5×5 over 5300 channels (2650 pairs) and 5301 (an odd 2651):
+			// 132 500 taps at the centre pixel.
+			for _, c := range []int{5300, 5301} {
+				h, w, outC, k, pad, shift := 3, 3, 2, 5, 2, 24
+				src, weight := fill(c*h*w), fill(outC*c*k*k)
+				check(fmt.Sprintf("%s conv c%d", KernelISA(), c), c, k*k,
+					runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
+					refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+			}
 			// 1×1 transpose convolution over 131 100 channels wraps on a
 			// single tap; 5×5 at stride 1 over 5300 wraps across the taps.
-			c, h, w, k, pad = 131100, 1, 1, 1, 0
-			src, weight = fill(c), fill(c*outC)
-			check("dconv tile", c, 1,
+			c, h, w, outC, k, pad, shift := 131100, 1, 1, 2, 1, 0, 24
+			src, weight := fill(c), fill(c*outC)
+			check(KernelISA()+" dconv tile", c, 1,
 				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1),
 				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1))
 			c, h, w, k, pad = 5300, 5, 5, 5, 2
 			src, weight = fill(c*h*w), fill(c*outC*k*k)
-			check("dconv taps", c, k*k,
+			check(KernelISA()+" dconv taps", c, k*k,
 				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
 				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
 		})
@@ -234,12 +301,12 @@ func (fc *fuzzCase) operand(n int, mode uint8) []int8 {
 	return s
 }
 
-// threeWay holds the production kernel to the reference under both bodies.
+// threeWay holds the production kernel to the reference under every body
+// this host can run.
 func threeWay(t *testing.T, want []int8, run func() []int8) {
 	t.Helper()
-	sameInt8s(t, KernelISA()+" body", run(), want)
-	if useAVX2 {
-		withPortable(func() { sameInt8s(t, "portable body", run(), want) })
+	for _, b := range hostBodies() {
+		withBody(b, func() { sameInt8s(t, KernelISA()+" body", run(), want) })
 	}
 }
 
