@@ -7,29 +7,24 @@ import (
 	"seneca/internal/tensor"
 )
 
-// finalizeOne converts one int32 accumulator into int8, fusing the bias
-// add, the optional ReLU and the round-shift requantization — the DPU's
-// write-back path.
-func finalizeOne(acc, bias int32, relu bool, shift int) int8 {
+// finalizeFused converts one int32 accumulator into int8 — the DPU's
+// write-back path: bias add, optional ReLU, round-shift requantization, and
+// an optional second round-shift for a producer whose output feeds a concat
+// at a different fix position (see the store-target fusion in xmodel). The
+// two rounding steps are applied separately on purpose:
+// RoundShift(RoundShift(v,s1),s2) differs from RoundShift(v,s1+s2) in
+// general, and bit-identity with the unfused conv→concat-requant pipeline
+// requires rounding exactly as it did.
+func finalizeFused(acc, bias int32, relu bool, shift, shift2 int) int8 {
 	v := int64(acc) + int64(bias)
 	if relu {
 		v &^= v >> 63
 	}
-	return RoundShift(v, shift)
-}
-
-// finalizeFused is finalizeOne followed by an optional second round-shift —
-// the write-back of a producer whose output feeds a concat at a different
-// fix position (see the store-target fusion in xmodel). The two rounding
-// steps are applied separately on purpose: RoundShift(RoundShift(v,s1),s2)
-// differs from RoundShift(v,s1+s2) in general, and bit-identity with the
-// unfused conv→concat-requant pipeline requires rounding exactly as it did.
-func finalizeFused(acc, bias int32, relu bool, shift, shift2 int) int8 {
-	v := finalizeOne(acc, bias, relu, shift)
+	r := RoundShift(v, shift)
 	if shift2 == 0 {
-		return v
+		return r
 	}
-	return RoundShift(int64(v), shift2)
+	return RoundShift(int64(r), shift2)
 }
 
 // roundSat8 is RoundShift restricted to shift ≥ 1 with the rounding constant
@@ -118,17 +113,20 @@ func exact32(accBound int64, bias []int32, shift, shift2 int) bool {
 	return accBound+b+int64(1)<<uint(shift-1) <= math.MaxInt32
 }
 
-// finalizeTile is the fused write-back of one register tile: the first n
-// pixels of its first lanes lanes go through bias → ReLU → round-shift(s) and
-// are stored as cells, lane pair p at dst[p·planeStride + q·step] for pixel
-// q. step is 1 for a convolution and the stride for a phase of a transpose
-// convolution, whose outputs interleave with the other phases'. With simd
-// (an assembly body runs and exact32 holds) whole pairs take the assembly —
-// straight into dst when the eight cells are contiguous, through eight cells
-// of stack otherwise — and everything else runs finalizeInt8, which is also
-// what that body is held to. Nothing outside the n cells of each pair is
-// written, so borders and ghost columns keep their zeros.
+// finalizeTile is the fused write-back of one register tile, tileWidths[body]
+// pixels wide: the first n pixels of its first lanes lanes go through bias →
+// ReLU → round-shift(s) and are stored as cells, lane pair p at
+// dst[p·planeStride + q·step] for pixel q. step is 1 for a convolution and
+// the stride for a phase of a transpose convolution, whose outputs
+// interleave with the other phases'. With simd (an assembly body runs and
+// exact32 holds) whole pairs take the body's assembly — the VNNI body's under
+// store masks at steps 1 and 2, the AVX2 body's straight into a whole
+// contiguous row or through cells of stack — and everything else runs
+// finalizeInt8, which is also what the assembly is held to. Nothing outside
+// the n cells of each pair is written, so borders and ghost columns keep
+// their zeros.
 func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shift, shift2 int, simd bool, dst []int32, planeStride, step, n int) {
+	width := tileWidths[body]
 	pairs := lanes / 2
 	done := 0
 	if simd && pairs > 0 {
@@ -138,34 +136,45 @@ func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shif
 		}
 		// The assembly works from base pointers; probe what it will touch.
 		_ = bias[2*pairs-1]
-		if step == 1 && n == tilePixels {
-			_ = dst[(pairs-1)*planeStride+tilePixels-1]
+		_ = dst[(pairs-1)*planeStride+(n-1)*step]
+		done = pairs
+		switch {
+		case body == avx2 && step == 1 && n == width:
 			finalize8AVX2(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor)
-		} else {
-			var cells [tileSize / 2]int32
-			finalize8AVX2(acc[:], cells[:], bias, pairs, tilePixels, shift, shift2, floor)
+		case body == avx2:
+			var cells [tileLanes / 2 * avx2TileWidth]int32
+			finalize8AVX2(acc[:], cells[:], bias, pairs, width, shift, shift2, floor)
 			for p := 0; p < pairs; p++ {
 				d := dst[p*planeStride:]
-				for q, c := range cells[p*tilePixels : p*tilePixels+n] {
+				for q, c := range cells[p*width : p*width+n] {
 					d[q*step] = c
 				}
 			}
+		case body == avx512vnni && step <= 2:
+			// Pixel q's store-mask bit is bit q·step of lo, then of hi.
+			m, every := 1<<(n*step)-1, 0xffff
+			if step == 2 {
+				every = 0x5555
+			}
+			finalize16VNNI(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor, step, m&every, m>>16&every)
+		default:
+			done = 0 // a VNNI phase at stride 3 or more: the scalar write-back
 		}
-		done = pairs
 	}
 	for p := done; p < pairs; p++ {
-		lo := acc[2*p*tilePixels:]
-		finalizeInt8(lo[:n], lo[tilePixels:], bias[2*p], bias[2*p+1], relu, shift, shift2, dst[p*planeStride:], step)
+		lo := acc[2*p*width:]
+		finalizeInt8(lo[:n], lo[width:], bias[2*p], bias[2*p+1], relu, shift, shift2, dst[p*planeStride:], step)
 	}
 	if lanes%2 != 0 {
-		finalizeInt8(acc[(lanes-1)*tilePixels:][:n], nil, bias[lanes-1], 0, relu, shift, shift2, dst[pairs*planeStride:], step)
+		finalizeInt8(acc[(lanes-1)*width:][:n], nil, bias[lanes-1], 0, relu, shift, shift2, dst[pairs*planeStride:], step)
 	}
 }
 
 // minChunkWork is the least work worth handing to another core, in units of
 // about a nanosecond of one core: an int8 element read, compared or
 // requantized by an element-wise pass counts one, a micro-kernel step (one
-// tap of one channel pair across a tile, 128 MACs) counts stepWork. 2¹⁶ is
+// tap of one channel pair across stepPixels pixels, 128 MACs) counts
+// stepWork, whatever tile width the host's body runs. 2¹⁶ is
 // ≈65 µs, a few times what starting a goroutine on a parked core and waiting
 // for it costs on the 2-vCPU hosts this runs on. Without the floor a 1M
 // U-Net frame at 64×64 — forty-odd loops of 5–100 µs — ran a third slower on
@@ -175,6 +184,7 @@ func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shif
 const (
 	minChunkWork = 1 << 16
 	stepWork     = 2
+	stepPixels   = 8
 )
 
 // chunksFor bounds the chunks a loop worth the given work fans out into
@@ -206,7 +216,8 @@ func (ph *phase) extent(oh, ow, step int) (ny, nx int) {
 // reach is what a node made of these phases needs of its h×w input's plane
 // to produce an oh×ow output: the zero border its taps read into, and how far
 // past the border's inner edge a row must run for its tiles, whose last may
-// start up to seven pixels short of a whole one.
+// start up to fifteen pixels short of a whole one — the widest body's tile,
+// whichever body the host runs, so an arena is the same size everywhere.
 func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 	for i := range phases {
 		ph := &phases[i]
@@ -215,7 +226,7 @@ func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 			continue
 		}
 		border = max(border, -ph.baseY, -ph.baseX, ny+ph.baseY+ph.kh-1-h, nx+ph.baseX+ph.kw-1-w)
-		span = max(span, ph.baseX+(nx+tilePixels-1)/tilePixels*tilePixels+ph.kw-1)
+		span = max(span, ph.baseX+(nx+maxTileWidth-1)/maxTileWidth*maxTileWidth+ph.kw-1)
 	}
 	return border, span
 }
@@ -232,7 +243,7 @@ func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 // Every (phase, lane block, phase row) unit runs independently through
 // par.ForChunkedID — lane-block-major, so a worker's weights stay in L1 while
 // it sweeps rows, and in no more chunks than chunksFor allows — one macTile
-// per eight pixels read straight from the input's cells, followed by the
+// per tile width of pixels read straight from the input's cells, then the
 // fused bias → ReLU → round-shift write-back of the tile's valid lanes and
 // pixels straight into the output's. The result equals the per-weight signed
 // loop with int32 wraparound bit for bit, at every worker count: each
@@ -247,10 +258,11 @@ func convPhases(in *activation, phases []phase, step int, accBound int64, bias [
 	for i := range phases {
 		ny, nx := phases[i].extent(out.h, out.w, step)
 		units += blocks * ny
-		work += blocks * ny * ((nx + tilePixels - 1) / tilePixels) * cpairs * max(1, phases[i].kh*phases[i].kw) * stepWork
+		work += blocks * ny * ((nx + stepPixels - 1) / stepPixels) * cpairs * max(1, phases[i].kh*phases[i].kw) * stepWork
 	}
 	par.ForChunkedID(units, chunksFor(work), func(_, lo, hi int) {
 		var acc [tileSize]int32
+		width := tileWidths[body]
 		for i := range phases {
 			ph := &phases[i]
 			ny, nx := ph.extent(out.h, out.w, step)
@@ -264,13 +276,13 @@ func convPhases(in *activation, phases []phase, step int, accBound int64, bias [
 			for u := lo; u < min(hi, blocks*ny); u++ {
 				ob, j := u/ny, u%ny
 				lanes := min(tileLanes, outC-ob*tileLanes)
-				for px := 0; px < nx; px += tilePixels {
+				for px := 0; px < nx; px += width {
 					if blockLen == 0 {
 						acc = [tileSize]int32{} // a phase without taps: the bias alone
 					} else {
 						macTile(&acc, x[j*rowStride+px:], ph.w[ob*blockLen:(ob+1)*blockLen], cpairs, ph.kh, ph.kw, rowStride, planeStride)
 					}
-					finalizeTile(&acc, bias[ob*tileLanes:], lanes, relu, shift, shift2, simd, o[ob*tileLanes/2*oStride+step*(j*out.cols+px):], oStride, step, min(tilePixels, nx-px))
+					finalizeTile(&acc, bias[ob*tileLanes:], lanes, relu, shift, shift2, simd, o[ob*tileLanes/2*oStride+step*(j*out.cols+px):], oStride, step, min(width, nx-px))
 				}
 			}
 			if hi -= blocks * ny; hi <= 0 {

@@ -3,10 +3,10 @@ package quant
 import "seneca/internal/obs"
 
 // The one multiply-add micro-kernel under every INT8 convolution and
-// transpose convolution: an 8-lane × 8-pixel register tile of int32
-// accumulators reduced over channel pairs × kh×kw taps. Lanes are output
-// channels; pixels are eight neighbours of one output row (convolution) or
-// of one row of one output phase (transpose convolution).
+// transpose convolution: a register tile of int32 accumulators, 8 lanes ×
+// the body's tile width in pixels, reduced over channel pairs × kh×kw taps.
+// Lanes are output channels; pixels are neighbours of one output row
+// (convolution) or of one row of one output phase (transpose convolution).
 //
 // Operand layouts, shared by all three bodies:
 //
@@ -15,6 +15,7 @@ import "seneca/internal/obs"
 //	                          cells are literal zeros
 //	w  [⌈C/2⌉][kh][kw][8]    packTileWeights, one lane block: the same channel
 //	                          pair for each of eight lanes
+//	acc [8][width]            lane l's accumulator for pixel q at l·width+q
 //
 // A cell is two sign-extended int16 halves in an int32 (pairCell): channel 2c
 // low, channel 2c+1 high — in memory, on a little-endian host, [2]int16.
@@ -27,12 +28,17 @@ import "seneca/internal/obs"
 // the plain loop stand in for each other, and why signed operands need none
 // of the zero-point bookkeeping an unsigned-byte trick would.
 
-// tileLanes and tilePixels are the register tile's extent.
+// tileLanes is the register tile's lane count and tileWidths its pixel count
+// per body: 8 in the AVX2 body's 256-bit registers (and the plain loop), 16
+// in the VNNI body's 512-bit ones. The widest sizes acc and every row span.
 const (
-	tileLanes  = 8
-	tilePixels = 8
-	tileSize   = tileLanes * tilePixels
+	tileLanes     = 8
+	avx2TileWidth = 8
+	maxTileWidth  = 16
+	tileSize      = tileLanes * maxTileWidth
 )
+
+var tileWidths = [...]int{portable: avx2TileWidth, avx2: avx2TileWidth, avx512vnni: maxTileWidth}
 
 // pairCell packs two int8 operands into one cell.
 func pairCell(lo, hi int8) int32 { return int32(uint16(int16(lo))) | int32(hi)<<16 }
@@ -58,9 +64,9 @@ func ExportKernelISA(reg *obs.Registry) {
 		obs.L("isa", KernelISA())).Set(1)
 }
 
-// macTile computes one register tile:
+// macTile computes one register tile of width tileWidths[body]:
 //
-//	acc[l·8+q] = Σ_cp Σ_ky Σ_kx  lo(w[cp][ky][kx][l])·lo(x[cp][ky][q+kx])
+//	acc[l·width+q] = Σ_cp Σ_ky Σ_kx  lo(w[cp][ky][kx][l])·lo(x[cp][ky][q+kx])
 //	                            + hi(w[cp][ky][kx][l])·hi(x[cp][ky][q+kx])
 //
 // over kh tap rows of kw taps, where x starts at the tile's top-left cell
@@ -70,7 +76,7 @@ func ExportKernelISA(reg *obs.Registry) {
 func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
 	// The assembly body works from base pointers; these two probes are the
 	// bounds checks it cannot do.
-	_ = x[(cpairs-1)*planeStride+(kh-1)*rowStride+kw-1+tilePixels-1]
+	_ = x[(cpairs-1)*planeStride+(kh-1)*rowStride+kw-1+tileWidths[body]-1]
 	_ = w[cpairs*kh*kw*tileLanes-1]
 	switch body {
 	case avx512vnni:
@@ -82,9 +88,11 @@ func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, plan
 	}
 }
 
-// macTilePortable is macTile as a plain loop over the same layouts: the
-// body every non-AVX2 host runs, and the in-package oracle for the assembly.
+// macTilePortable is macTile as a plain loop over the same layouts, eight
+// pixels wide: the body every non-AVX2 host runs, and the in-package oracle
+// for the assembly.
 func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
+	const tilePixels = 8
 	*acc = [tileSize]int32{}
 	for cp := 0; cp < cpairs; cp++ {
 		for ky := 0; ky < kh; ky++ {

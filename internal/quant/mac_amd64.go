@@ -25,7 +25,14 @@ func macTileAVX2(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, 
 //go:noescape
 func macTileVNNI(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
 
-// finalize8AVX2 is finalizeTile's assembly body (mac_amd64.s).
+// finalize8AVX2 is finalizeTile's assembly body for the eight-pixel tile
+// (mac_amd64.s).
 //
 //go:noescape
 func finalize8AVX2(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor int)
+
+// finalize16VNNI is finalizeTile's assembly body for the VNNI body's
+// sixteen-pixel tile (mac_amd64.s).
+//
+//go:noescape
+func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int)

@@ -133,14 +133,18 @@ TEXT ·hasVNNI(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func macTileVNNI(acc *[64]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
+// func macTileVNNI(acc *[128]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
 //
-// macTileAVX2's contract and layouts with two accumulator sets: of each pair
-// of planes the even one accumulates in Y0–Y7 and the odd one in Y16–Y23
-// (EVEX-only registers), so the VPDPWSSDs into one accumulator are a plane
-// apart rather than back to back. An odd last plane goes into Y0–Y7 alone;
-// the sets are summed before the store. AX is the distance in bytes from a
-// plane's weights to its partner's, kh·kw·32; CX counts planes left.
+// macTileAVX2's contract and layouts at sixteen pixels: one 64-byte load
+// takes a tap's sixteen cells of a plane into Z8, and per lane one VPDPWSSD
+// — the exact pair sum added with wraparound, VPMADDWD then VPADDD in one
+// instruction — multiplies them by the lane's weight cell, broadcast from
+// memory inside it. Of each pair of planes the even one accumulates in
+// Z0–Z7 and the odd one in Z16–Z23, so the VPDPWSSDs into one accumulator
+// are a plane apart rather than back to back. An odd last plane goes into
+// Z0–Z7 alone; the sets are summed before the store. AX is the distance in
+// bytes from a plane's weights to its partner's, kh·kw·32; CX counts planes
+// left.
 TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
 	MOVQ acc+0(FP), DI
 	MOVQ x_base+8(FP), SI
@@ -155,22 +159,22 @@ TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
 	MOVQ R8, AX
 	IMULQ BX, AX
 	SHLQ $5, AX
-	VPXOR  Y0, Y0, Y0
-	VPXOR  Y1, Y1, Y1
-	VPXOR  Y2, Y2, Y2
-	VPXOR  Y3, Y3, Y3
-	VPXOR  Y4, Y4, Y4
-	VPXOR  Y5, Y5, Y5
-	VPXOR  Y6, Y6, Y6
-	VPXOR  Y7, Y7, Y7
-	VPXORD Y16, Y16, Y16
-	VPXORD Y17, Y17, Y17
-	VPXORD Y18, Y18, Y18
-	VPXORD Y19, Y19, Y19
-	VPXORD Y20, Y20, Y20
-	VPXORD Y21, Y21, Y21
-	VPXORD Y22, Y22, Y22
-	VPXORD Y23, Y23, Y23
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
 
 vplane:
 	MOVQ SI, R11                 // R11: tap row
@@ -180,31 +184,27 @@ vrow:
 	MOVQ R11, R13                // R13: tap cell
 	MOVQ BX, R14                 // R14: taps left in the row
 
-	// One tap: eight pixels' cells of each plane, and per lane one
-	// VPDPWSSD — the exact pair sum added with wraparound, VPMADDWD then
-	// VPADDD in one instruction — with the weight cell broadcast from
-	// memory inside it.
 vtap:
-	VMOVDQU (R13), Y8
-	VPDPWSSD.BCST 0(DX), Y8, Y0
-	VPDPWSSD.BCST 4(DX), Y8, Y1
-	VPDPWSSD.BCST 8(DX), Y8, Y2
-	VPDPWSSD.BCST 12(DX), Y8, Y3
-	VPDPWSSD.BCST 16(DX), Y8, Y4
-	VPDPWSSD.BCST 20(DX), Y8, Y5
-	VPDPWSSD.BCST 24(DX), Y8, Y6
-	VPDPWSSD.BCST 28(DX), Y8, Y7
+	VMOVDQU32 (R13), Z8
+	VPDPWSSD.BCST 0(DX), Z8, Z0
+	VPDPWSSD.BCST 4(DX), Z8, Z1
+	VPDPWSSD.BCST 8(DX), Z8, Z2
+	VPDPWSSD.BCST 12(DX), Z8, Z3
+	VPDPWSSD.BCST 16(DX), Z8, Z4
+	VPDPWSSD.BCST 20(DX), Z8, Z5
+	VPDPWSSD.BCST 24(DX), Z8, Z6
+	VPDPWSSD.BCST 28(DX), Z8, Z7
 	CMPQ CX, $1
 	JEQ  vnext                   // a lone last plane
-	VMOVDQU (R13)(R10*1), Y9
-	VPDPWSSD.BCST 0(DX)(AX*1), Y9, Y16
-	VPDPWSSD.BCST 4(DX)(AX*1), Y9, Y17
-	VPDPWSSD.BCST 8(DX)(AX*1), Y9, Y18
-	VPDPWSSD.BCST 12(DX)(AX*1), Y9, Y19
-	VPDPWSSD.BCST 16(DX)(AX*1), Y9, Y20
-	VPDPWSSD.BCST 20(DX)(AX*1), Y9, Y21
-	VPDPWSSD.BCST 24(DX)(AX*1), Y9, Y22
-	VPDPWSSD.BCST 28(DX)(AX*1), Y9, Y23
+	VMOVDQU32 (R13)(R10*1), Z9
+	VPDPWSSD.BCST 0(DX)(AX*1), Z9, Z16
+	VPDPWSSD.BCST 4(DX)(AX*1), Z9, Z17
+	VPDPWSSD.BCST 8(DX)(AX*1), Z9, Z18
+	VPDPWSSD.BCST 12(DX)(AX*1), Z9, Z19
+	VPDPWSSD.BCST 16(DX)(AX*1), Z9, Z20
+	VPDPWSSD.BCST 20(DX)(AX*1), Z9, Z21
+	VPDPWSSD.BCST 24(DX)(AX*1), Z9, Z22
+	VPDPWSSD.BCST 28(DX)(AX*1), Z9, Z23
 
 vnext:
 	ADDQ $32, DX
@@ -219,22 +219,22 @@ vnext:
 	SUBQ $2, CX
 	JGT  vplane
 
-	VPADDD Y16, Y0, Y0
-	VPADDD Y17, Y1, Y1
-	VPADDD Y18, Y2, Y2
-	VPADDD Y19, Y3, Y3
-	VPADDD Y20, Y4, Y4
-	VPADDD Y21, Y5, Y5
-	VPADDD Y22, Y6, Y6
-	VPADDD Y23, Y7, Y7
-	VMOVDQU Y0, 0(DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-	VMOVDQU Y4, 128(DI)
-	VMOVDQU Y5, 160(DI)
-	VMOVDQU Y6, 192(DI)
-	VMOVDQU Y7, 224(DI)
+	VPADDD Z16, Z0, Z0
+	VPADDD Z17, Z1, Z1
+	VPADDD Z18, Z2, Z2
+	VPADDD Z19, Z3, Z3
+	VPADDD Z20, Z4, Z4
+	VPADDD Z21, Z5, Z5
+	VPADDD Z22, Z6, Z6
+	VPADDD Z23, Z7, Z7
+	VMOVDQU32 Z0, 0(DI)
+	VMOVDQU32 Z1, 64(DI)
+	VMOVDQU32 Z2, 128(DI)
+	VMOVDQU32 Z3, 192(DI)
+	VMOVDQU32 Z4, 256(DI)
+	VMOVDQU32 Z5, 320(DI)
+	VMOVDQU32 Z6, 384(DI)
+	VMOVDQU32 Z7, 448(DI)
 	VZEROUPPER
 	RET
 
@@ -314,5 +314,103 @@ pair:
 	ADDQ $8, DX
 	DECQ CX
 	JNZ  pair
+	VZEROUPPER
+	RET
+
+// One lane's write-back in 512-bit lanes: sixteen accumulators at off(DI)
+// and the bias at boff(DX) become sixteen int8-range dwords in r, in pixel
+// order. k marks the negative sums; the round-half-away shift runs on the
+// magnitude and a masked subtraction from zero puts the sign back; the
+// saturation and the ReLU floor clamp to [floor, 127] — rounding is odd and
+// monotone, so flooring the result is flooring the sum. Exact only because
+// the caller has bounded |acc+bias|+half below 2³¹.
+#define FINAL16(off, boff, r, k) \
+	VMOVDQU32   off(DI), r \
+	VPADDD.BCST boff(DX), r, r \
+	VPCMPGTD    r, Z12, k \
+	VPABSD      r, r \
+	VPADDD      Z8, r, r \
+	VPSRLD      X14, r, r \
+	VPSUBD      r, Z12, k, r \
+	VPMINSD     Z10, r, r \
+	VPMAXSD     Z11, r, r
+
+// The second shift of a fused write-back, on FINAL16's r under its k: a
+// rounded value keeps its sum's sign or is 0, so k still marks the negatives.
+#define ROUND2(r, k) \
+	VPABSD r, r \
+	VPADDD Z9, r, r \
+	VPSRLD X15, r, r \
+	VPSUBD r, Z12, k, r
+
+// func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int)
+//
+// finalize8AVX2's contract for the VNNI body's sixteen-pixel tile: lane pair
+// p is acc[32p:32p+32], its cells leave at dst[p·dstStride] under store
+// masks. At step 1 lo selects the pixels of a contiguous row; at step 2,
+// where pixel q goes to dst[2q], VPEXPANDD spreads the first eight under lo
+// and the last eight, 64 bytes on, under hi. Nothing the masks leave out is
+// written; the caller has bounds-checked what they select.
+TEXT ·finalize16VNNI(SB), NOSPLIT, $0-136
+	MOVQ acc_base+0(FP), DI
+	MOVQ dst_base+24(FP), SI
+	MOVQ bias_base+48(FP), DX
+	MOVQ dstStride+80(FP), R8
+	SHLQ $2, R8
+	MOVQ shift+88(FP), CX
+	VMOVQ CX, X14                 // X14: shift count
+	DECQ CX
+	MOVL $1, AX
+	SHLQ CX, AX
+	VPBROADCASTD AX, Z8          // Z8: half, 1<<(shift-1)
+	MOVQ shift2+96(FP), R9       // R9: shift2, 0 when unfused
+	VMOVQ R9, X15
+	LEAQ -1(R9), CX
+	MOVL $1, AX
+	SHLQ CX, AX
+	VPBROADCASTD AX, Z9          // Z9: half2 (unused when unfused)
+	MOVL $127, AX
+	VPBROADCASTD AX, Z10         // Z10: 127
+	MOVQ floor+104(FP), AX
+	VPBROADCASTD AX, Z11         // Z11: 0 under ReLU, else -128
+	VPXORD Z12, Z12, Z12         // Z12: 0
+	MOVL $0xFFFF, AX
+	VPBROADCASTD AX, Z13         // Z13: the low half of a cell
+	MOVQ step+112(FP), BX
+	MOVQ lo+120(FP), AX
+	KMOVW AX, K2
+	MOVQ hi+128(FP), AX
+	KMOVW AX, K3
+	MOVQ pairs+72(FP), CX
+
+pair16:
+	FINAL16(0, 0, Z0, K1)
+	FINAL16(64, 4, Z1, K4)
+	TESTQ R9, R9
+	JZ   blend
+	ROUND2(Z0, K1)
+	ROUND2(Z1, K4)
+
+blend:
+	VPSLLD $16, Z1, Z1
+	VPTERNLOGD $0xF8, Z13, Z0, Z1 // Z1 |= Z0 & Z13
+	CMPQ BX, $1
+	JNE  spread
+	VMOVDQU32 Z1, K2, (SI)
+	JMP  next16
+
+spread:
+	VPEXPANDD Z1, K2, Z2
+	VMOVDQU32 Z2, K2, (SI)
+	VEXTRACTI64X4 $1, Z1, Y1
+	VPEXPANDD Z1, K3, Z2
+	VMOVDQU32 Z2, K3, 64(SI)
+
+next16:
+	ADDQ $128, DI
+	ADDQ R8, SI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  pair16
 	VZEROUPPER
 	RET

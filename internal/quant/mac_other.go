@@ -12,3 +12,6 @@ func macTileVNNI(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, 
 func finalize8AVX2(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor int) {
 	panic("quant: the assembly bodies exist on amd64 only")
 }
+func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int) {
+	panic("quant: the assembly bodies exist on amd64 only")
+}
