@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet portable test race stress fmt-check bench-e2e bench-e2e-test fuzz chaos mpq-smoke
+.PHONY: ci build vet portable test race stress fmt-check bench-e2e bench-e2e-test fuzz chaos mpq-smoke loc
 
 # ci is the gate GitHub Actions runs: formatting, build, vet, race tests and
 # the repeated concurrency tests.
@@ -74,15 +74,16 @@ chaos:
 # fuzz exercises the binary-format parsers, the /v1/segment front door's
 # header checks and body decoding, its one-pass JSON decode against
 # encoding/json, the INT8 drivers (through cell planes of widened geometry,
-# under every kernel body the host can run) against their scalar oracle, the
-# percentile selection against the sort it replaced, the backend pool and
-# fault spec grammars, and the study store's job-record loader, beyond the
-# committed corpora.
+# under every kernel body the host can run) and the INT4 reference kernels
+# against their scalar oracle, the percentile selection against the sort it
+# replaced, the backend pool and fault spec grammars, and the study store's
+# job-record loader, beyond the committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzConvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
+	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzIntRefVsOracle -fuzztime 30s
 	$(GO) test ./internal/imaging/ -run '^$$' -fuzz FuzzSaturateVsSort -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeJSONBody -fuzztime 30s
@@ -95,3 +96,11 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# loc prints every package directory's Go non-test line count, the figure
+# ROADMAP ground rule (iv) states simplicity targets in: a directory's own
+# tracked .go files, not its subdirectories'. Paste the before/after rows of
+# every package a change touches, counted on its final tree.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | awk '{ d = $$0; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		while ((getline line < $$0) > 0) n[d]++; close($$0) } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2

@@ -62,7 +62,7 @@ func TestChaosNodeKilledMidBurst(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				idx := (cl*perClient + i) % len(imgs)
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				mask, err := c.Submit(ctx, imgs[idx])
+				res, err := c.Do(ctx, imgs[idx], "", TierInteractive)
 				cancel()
 				if err != nil {
 					mu.Lock()
@@ -71,10 +71,10 @@ func TestChaosNodeKilledMidBurst(t *testing.T) {
 					t.Logf("client %d request %d: %v", cl, i, err)
 					continue
 				}
-				ok := len(mask) == len(goldens[idx])
+				ok := len(res.Mask) == len(goldens[idx])
 				if ok {
-					for j := range mask {
-						if mask[j] != goldens[idx][j] {
+					for j := range res.Mask {
+						if res.Mask[j] != goldens[idx][j] {
 							ok = false
 							break
 						}
@@ -116,7 +116,7 @@ func TestChaosNodeKilledMidBurst(t *testing.T) {
 			break
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		c.Submit(ctx, imgs[0])
+		c.Do(ctx, imgs[0], "", TierInteractive)
 		cancel()
 		if time.Now().After(deadline) {
 			t.Fatalf("fleet never healed: %+v", c.Health())
@@ -142,7 +142,7 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 
 	for i, img := range imgs {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		mask, err := c.Submit(ctx, img)
+		res, err := c.Do(ctx, img, "", TierInteractive)
 		cancel()
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -152,7 +152,7 @@ func TestChaosDispatchStallRedispatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range want {
-			if mask[j] != want[j] {
+			if res.Mask[j] != want[j] {
 				t.Fatalf("request %d: mask diverges at %d after stalled dispatch", i, j)
 			}
 		}

@@ -363,21 +363,6 @@ func (c *Cluster) goLocked(f func()) bool {
 	return true
 }
 
-// Submit admits one CHW image on the interactive tier and blocks until its
-// mask is ready. It is the in-process equivalent of POST /v1/segment.
-func (c *Cluster) Submit(ctx context.Context, img *tensor.Tensor) ([]uint8, error) {
-	res, err := c.Do(ctx, img, "", TierInteractive)
-	return res.Mask, err
-}
-
-// SubmitBatch is Submit on the batch tier — the admission class for study
-// slice fan-out and any other background traffic that must never crowd out
-// interactive requests.
-func (c *Cluster) SubmitBatch(ctx context.Context, img *tensor.Tensor) ([]uint8, error) {
-	res, err := c.Do(ctx, img, "", TierBatch)
-	return res.Mask, err
-}
-
 // Do dispatches one request through placement, tier admission and the
 // per-node health view. key selects the consistent-hash position under
 // PolicyHash ("" falls back to least-loaded). A node that fails mid-burst

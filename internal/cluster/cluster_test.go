@@ -103,7 +103,7 @@ func settle(t *testing.T, c *Cluster, base int) {
 func TestSubmitMatchesDirectExecute(t *testing.T) {
 	c, prog, imgs := newTestCluster(t, Config{MinNodes: 2, MaxNodes: 2}, serve.Config{})
 	for i, img := range imgs {
-		mask, err := c.Submit(context.Background(), img)
+		res, err := c.Do(context.Background(), img, "", TierInteractive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestSubmitMatchesDirectExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(mask) != len(want) {
-			t.Fatalf("img %d: mask length %d, want %d", i, len(mask), len(want))
+		if len(res.Mask) != len(want) {
+			t.Fatalf("img %d: mask length %d, want %d", i, len(res.Mask), len(want))
 		}
 		for j := range want {
-			if mask[j] != want[j] {
+			if res.Mask[j] != want[j] {
 				t.Fatalf("img %d: mask diverges from direct execution at %d", i, j)
 			}
 		}
@@ -182,7 +182,7 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 					return
 				default:
 				}
-				c.Submit(context.Background(), imgs[i%len(imgs)])
+				c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive)
 			}
 		}(i)
 	}
@@ -202,10 +202,10 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 
 	var batchShed, interactiveShed int
 	for i := 0; i < 20; i++ {
-		if _, err := c.SubmitBatch(context.Background(), imgs[i%len(imgs)]); errors.Is(err, ErrSaturated) {
+		if _, err := c.Do(context.Background(), imgs[i%len(imgs)], "", TierBatch); errors.Is(err, ErrSaturated) {
 			batchShed++
 		}
-		if _, err := c.Submit(context.Background(), imgs[i%len(imgs)]); errors.Is(err, ErrSaturated) {
+		if _, err := c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive); errors.Is(err, ErrSaturated) {
 			interactiveShed++
 		}
 	}
@@ -254,7 +254,7 @@ func TestAutoscalerSpawnsAndRetires(t *testing.T) {
 					return
 				default:
 				}
-				c.Submit(context.Background(), imgs[i%len(imgs)])
+				c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive)
 			}
 		}(i)
 	}
@@ -308,7 +308,7 @@ func TestFleetSaturationSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.Submit(context.Background(), imgs[i%len(imgs)]); errors.Is(err, ErrSaturated) {
+			if _, err := c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive); errors.Is(err, ErrSaturated) {
 				shed.Add(1)
 			}
 		}(i)
@@ -339,7 +339,7 @@ func TestIdleFleetProbesEjectedNode(t *testing.T) {
 		t.Fatalf("after one failure at threshold 1: %+v", h)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, err := c.Submit(context.Background(), imgs[0]); err != nil {
+	if _, err := c.Do(context.Background(), imgs[0], "", TierInteractive); err != nil {
 		t.Fatal(err)
 	}
 	if h := c.Health(); h.Active != 2 {
@@ -366,7 +366,7 @@ func TestDeadLegReleasesOnlyItsOwnProbe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Submit(ctx, imgs[0])
+		_, err := c.Do(ctx, imgs[0], "", TierInteractive)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)

@@ -30,12 +30,12 @@ func TestClusterDrainCompletesInFlight(t *testing.T) {
 	const inflight = 12
 	var wg sync.WaitGroup
 	errs := make([]error, inflight)
-	masks := make([][]uint8, inflight)
+	results := make([]Result, inflight)
 	for i := 0; i < inflight; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			masks[i], errs[i] = c.Submit(context.Background(), imgs[i%len(imgs)])
+			results[i], errs[i] = c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive)
 		}(i)
 	}
 	// Give the requests a moment to pass the front door, then drain.
@@ -51,12 +51,12 @@ func TestClusterDrainCompletesInFlight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("in-flight request %d failed during drain: %v", i, errs[i])
 		}
-		if len(masks[i]) == 0 {
+		if len(results[i].Mask) == 0 {
 			t.Fatalf("in-flight request %d returned an empty mask", i)
 		}
 	}
-	if _, err := c.Submit(context.Background(), imgs[0]); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain Submit: got %v, want ErrDraining", err)
+	if _, err := c.Do(context.Background(), imgs[0], "", TierInteractive); !errors.Is(err, ErrDraining) {
+		t.Fatalf("post-drain Do: got %v, want ErrDraining", err)
 	}
 
 	srv := httptest.NewServer(c.Handler())
@@ -105,7 +105,7 @@ func TestRollingRestartRoutesAround(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.Submit(context.Background(), imgs[i%len(imgs)]); err != nil {
+				if _, err := c.Do(context.Background(), imgs[i%len(imgs)], "", TierInteractive); err != nil {
 					select {
 					case clientErr <- err:
 					default:
@@ -231,9 +231,9 @@ func TestRollingRestartSingleNodeSheds(t *testing.T) {
 	// never a hang past the deadline or a malformed mask.
 	for i := 0; i < 20; i++ {
 		rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
-		mask, err := c.Submit(rctx, imgs[i%len(imgs)])
+		res, err := c.Do(rctx, imgs[i%len(imgs)], "", TierInteractive)
 		rcancel()
-		if err == nil && len(mask) == 0 {
+		if err == nil && len(res.Mask) == 0 {
 			t.Fatal("empty mask from a successful submit mid-restart")
 		}
 		if err != nil && !errors.Is(err, ErrSaturated) && !errors.Is(err, serve.ErrDraining) && !errors.Is(err, context.DeadlineExceeded) {
@@ -243,7 +243,7 @@ func TestRollingRestartSingleNodeSheds(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("rolling restart: %v", err)
 	}
-	if _, err := c.Submit(context.Background(), imgs[0]); err != nil {
+	if _, err := c.Do(context.Background(), imgs[0], "", TierInteractive); err != nil {
 		t.Fatalf("submit after restart: %v", err)
 	}
 }

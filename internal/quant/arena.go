@@ -115,6 +115,9 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 			if n.Kernel < 1 || n.Stride < 1 || n.Pad < 0 || n.InC < 1 || n.OutC < 1 {
 				return nil, fmt.Errorf("quant: node %q: kernel %d, stride %d, pad %d, %d→%d channels", n.Name, n.Kernel, n.Stride, n.Pad, n.InC, n.OutC)
 			}
+			if !ValidStride(n.Kind, n.Stride) {
+				return nil, fmt.Errorf("quant: node %q: convolution at stride %d; only stride 1 runs", n.Name, n.Stride)
+			}
 			want := n.InC * n.OutC * n.Kernel * n.Kernel
 			if effBits(n) == BitsFP32 {
 				if len(n.WeightF) != want {
@@ -246,7 +249,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 				continue
 			}
 			in := s.in.root()
-			border, span := s.n.reach(in.h, in.w, s.out.h, s.out.w)
+			border, span := reach(s.phases, s.n.outStep(), in.h, in.w, s.out.h, s.out.w)
 			if pass == "border" {
 				in.border = max(in.border, border)
 			} else {
@@ -348,8 +351,6 @@ func (e *Executor) exec(s *step, img *tensor.Tensor) {
 	case graph.KindConv, graph.KindConvTranspose:
 		if s.phases == nil {
 			e.execRef(s)
-		} else if n.Kind == graph.KindConv && n.Stride != 1 {
-			convInt8Generic(in, s.phases[0].w, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, s.shift2, n.FusedReLU, out)
 		} else {
 			convPhases(in, s.phases, n.outStep(), n.accBound, n.Bias, n.OutC, s.shift, s.shift2, n.FusedReLU, out)
 		}

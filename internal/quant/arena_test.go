@@ -181,21 +181,28 @@ func TestExecuteLabelsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNewExecutorRejectsMalformedGraph checks the constructor fails cleanly
-// instead of panicking inside a kernel.
+// TestNewExecutorRejectsMalformedGraph checks the constructor fails cleanly,
+// with an error naming the node, instead of panicking inside a kernel or
+// running a layer no kernel is for.
 func TestNewExecutorRejectsMalformedGraph(t *testing.T) {
-	q := &QGraph{
-		Nodes: []*QNode{{
-			Name: "conv", Kind: graph.KindConv,
-			Inputs: []string{"missing"},
-			Kernel: 3, Stride: 1, Pad: 1, OutC: 4,
-			OutShape: [3]int{4, 8, 8},
-		}},
-		OutputName: "conv",
-	}
-	q.RebuildIndex()
-	if _, err := NewExecutor(q); err == nil {
-		t.Fatal("NewExecutor accepted a graph with a dangling input")
+	input := &QNode{Name: "in", Kind: graph.KindInput, OutShape: [3]int{2, 8, 8}}
+	for _, tc := range []struct {
+		what, want   string
+		from         string
+		stride, bits int
+	}{
+		{"a dangling input", `node "conv" input "missing" has no producer`, "missing", 1, Bits8},
+		{"a strided convolution", `node "conv": convolution at stride 2`, "in", 2, Bits8},
+		{"a strided INT4 convolution", `node "conv": convolution at stride 2`, "in", 2, Bits4},
+	} {
+		conv := &QNode{Name: "conv", Kind: graph.KindConv, Inputs: []string{tc.from},
+			Kernel: 3, Stride: tc.stride, Pad: 1, InC: 2, OutC: 4, OutShape: [3]int{4, 8 / tc.stride, 8 / tc.stride},
+			Weight: make([]int8, 4*2*3*3), Bias: make([]int32, 4), Bits: tc.bits}
+		q := &QGraph{Nodes: []*QNode{input, conv}, InC: 2, InH: 8, InW: 8, InputName: "in", OutputName: "conv"}
+		q.RebuildIndex()
+		if _, err := NewExecutor(q); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("NewExecutor on a graph with %s: error %v, want %q", tc.what, err, tc.want)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func Calibrate(g *graph.Graph, images []*tensor.Tensor) (*Calibration, error) {
 func (c *Calibration) FixPositions() map[string]FixPos {
 	out := make(map[string]FixPos, len(c.MaxAbs))
 	for name, m := range c.MaxAbs {
-		out[name] = BestFixPos(m)
+		out[name] = BestFixPos(m, Bits8)
 	}
 	return out
 }

@@ -100,8 +100,8 @@ func TestPTQGoldenRoundTrip(t *testing.T) {
 	got.Mask = maskRows(labels)
 
 	// Mixed-precision entry: the same model with one bottleneck convolution
-	// dropped to INT4, locking BestFixPosBits, QuantizeSliceBits and the
-	// narrow-precision reference kernel in one round trip.
+	// dropped to INT4, locking BestFixPos, QuantizeSlice and RoundShift on the
+	// 4-bit grid and the narrow-precision reference kernel in one round trip.
 	got.Int4Layer = "bottleneck.a.conv"
 	q4, err := PTQ(g, calib, Options{Config: &QConfig{Layers: map[string]int{got.Int4Layer: Bits4}}})
 	if err != nil {

@@ -20,17 +20,17 @@ func finalizeFused(acc, bias int32, relu bool, shift, shift2 int) int8 {
 	if relu {
 		v &^= v >> 63
 	}
-	r := RoundShift(v, shift)
+	r := RoundShift(v, shift, Bits8)
 	if shift2 == 0 {
 		return r
 	}
-	return RoundShift(int64(r), shift2)
+	return RoundShift(int64(r), shift2, Bits8)
 }
 
 // roundSat8 is RoundShift restricted to shift ≥ 1 with the rounding constant
 // precomputed — small enough for the compiler to inline into kernel
 // write-back loops, where the full RoundShift switch costs a call per output
-// element. Bit-identical to RoundShift(v, shift) for shift ≥ 1.
+// element. Bit-identical to RoundShift(v, shift, Bits8) for shift ≥ 1.
 func roundSat8(v int64, shift uint, half int64) int8 {
 	// Branchless round-half-away-from-zero: the accumulator's sign is
 	// data-dependent, so a sign test here would mispredict about half the
@@ -293,39 +293,6 @@ func convPhases(in *activation, phases []phase, step int, accBound int64, bias [
 	})
 }
 
-// convInt8Generic is the stride ≠ 1 convolution, which no shipped model
-// has: one scalar gather per output over the same cells and packed weights
-// the micro-kernel reads, accumulating in wrapping int32 like it.
-func convInt8Generic(in *activation, packed []int32, bias []int32, outC, k, stride, pad int, shift, shift2 int, relu bool, out *activation) {
-	cpairs := in.cpairs()
-	rowStride, planeStride := in.cols, in.planeStride()
-	x := in.cells[in.origin()-pad*(rowStride+1):]
-	par.For((outC+1)/2, func(op int) {
-		for oy := 0; oy < out.h; oy++ {
-			row := out.row(op, oy)
-			for ox := range row {
-				var v [2]int8
-				for oc := 2 * op; oc < min(2*op+2, outC); oc++ {
-					wb := packed[(oc/tileLanes)*cpairs*k*k*tileLanes+oc%tileLanes:]
-					var s int32
-					for cp := 0; cp < cpairs; cp++ {
-						for ky := 0; ky < k; ky++ {
-							xr := x[cp*planeStride+(oy*stride+ky)*rowStride+ox*stride:]
-							wr := wb[(cp*k+ky)*k*tileLanes:]
-							for kx := 0; kx < k; kx++ {
-								wc, xc := wr[kx*tileLanes], xr[kx]
-								s += int32(int16(wc))*int32(int16(xc)) + (wc>>16)*(xc>>16)
-							}
-						}
-					}
-					v[oc%2] = finalizeFused(s, bias[oc], relu, shift, shift2)
-				}
-				row[ox] = pairCell(v[0], v[1])
-			}
-		}
-	})
-}
-
 // requantCells writes RoundShift of both halves of src[i] to dst[i] for a
 // non-zero shift, with the shift's sign tested once a row: the common right
 // shift runs roundSat8, which inlines where RoundShift's switch is a call per
@@ -340,7 +307,7 @@ func requantCells(src []int32, shift int, dst []int32) {
 		return
 	}
 	for i, c := range src {
-		dst[i] = pairCell(RoundShift(int64(int16(c)), shift), RoundShift(int64(c>>16), shift))
+		dst[i] = pairCell(RoundShift(int64(int16(c)), shift, Bits8), RoundShift(int64(c>>16), shift, Bits8))
 	}
 }
 
@@ -424,7 +391,7 @@ func requantInt8(src *activation, shift int, dst *activation, chanOff int) {
 				}
 				fromShift, toShift := uint(sc%2*16), uint(half*16)
 				for x, c := range src.row(sc/2, y) {
-					v := RoundShift(int64(int16(c>>fromShift)), shift)
+					v := RoundShift(int64(int16(c>>fromShift)), shift, Bits8)
 					to[x] = to[x]&^(0xffff<<toShift) | int32(uint16(int16(v)))<<toShift
 				}
 			}

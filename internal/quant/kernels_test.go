@@ -8,10 +8,11 @@ import (
 	"seneca/internal/graph"
 )
 
-// refConvInt8 is the deliberately naive INT8 convolution every fast path is
-// held to: one gather per output over the unpadded image, accumulating in
-// wrapping int32, then bias (in int64), ReLU and the two round-shifts.
-func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+// refConvInt8 is the deliberately naive integer convolution every fast path
+// and the narrow reference kernel are held to: one gather per output over the
+// unpadded image, accumulating in wrapping int32, then bias (in int64), ReLU
+// and the two round-shifts onto the bits-wide grid.
+func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow, bits int) []int8 {
 	out := make([]int8, outC*oh*ow)
 	for oc := 0; oc < outC; oc++ {
 		for oy := 0; oy < oh; oy++ {
@@ -29,7 +30,7 @@ func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, 
 						}
 					}
 				}
-				out[(oc*oh+oy)*ow+ox] = refFinalize(acc, bias[oc], relu, shift, shift2)
+				out[(oc*oh+oy)*ow+ox] = refFinalize(acc, bias[oc], relu, shift, shift2, bits)
 			}
 		}
 	}
@@ -39,7 +40,7 @@ func refConvInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, 
 // refConvTransposeInt8 is refConvInt8's transpose counterpart: every input
 // pixel scatters its k×k products into a wrapping int32 output plane.
 // Weight layout is [InC, OutC, K, K].
-func refConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow int) []int8 {
+func refConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, outC, k, stride, pad, shift, shift2 int, relu bool, oh, ow, bits int) []int8 {
 	acc := make([]int32, outC*oh*ow)
 	for ic := 0; ic < c; ic++ {
 		for oc := 0; oc < outC; oc++ {
@@ -61,19 +62,19 @@ func refConvTransposeInt8(src []int8, c, h, w int, weight []int8, bias []int32, 
 	}
 	out := make([]int8, len(acc))
 	for i, a := range acc {
-		out[i] = refFinalize(a, bias[i/(oh*ow)], relu, shift, shift2)
+		out[i] = refFinalize(a, bias[i/(oh*ow)], relu, shift, shift2, bits)
 	}
 	return out
 }
 
-func refFinalize(acc, bias int32, relu bool, shift, shift2 int) int8 {
+func refFinalize(acc, bias int32, relu bool, shift, shift2, bits int) int8 {
 	v := int64(acc) + int64(bias)
 	if relu && v < 0 {
 		v = 0
 	}
-	r := RoundShift(v, shift)
+	r := RoundShift(v, shift, bits)
 	if shift2 != 0 {
-		r = RoundShift(int64(r), shift2)
+		r = RoundShift(int64(r), shift2, bits)
 	}
 	return r
 }
@@ -119,7 +120,7 @@ func runInt8(t *testing.T, kind graph.Kind, src []int8, c, h, w int, weight []in
 	t.Helper()
 	n := &QNode{Kind: kind, Kernel: k, Stride: stride, Pad: pad, InC: c, OutC: outC, Weight: weight, Bias: bias}
 	phases := n.tilePhases()
-	border, span := n.reach(h, w, oh, ow)
+	border, span := reach(phases, n.outStep(), h, w, oh, ow)
 	in := newPlane(c, h, w, border+g.extraBorder, span)
 	widenPlane(src, in)
 	const sentinel = 0x5a5a5a5a
@@ -130,11 +131,7 @@ func runInt8(t *testing.T, kind graph.Kind, src []int8, c, h, w int, weight []in
 	out := &activation{c: outC, h: oh, w: ow, border: buf.border, cols: buf.cols}
 	out.cells = buf.cells[g.planeOff*buf.planeStride():][:out.cpairs()*buf.planeStride()]
 	clear(out.cells)
-	if kind == graph.KindConv && stride != 1 {
-		convInt8Generic(in, phases[0].w, bias, outC, k, stride, pad, shift, shift2, relu, out)
-	} else {
-		convPhases(in, phases, n.outStep(), n.accBound, bias, outC, shift, shift2, relu, out)
-	}
+	convPhases(in, phases, n.outStep(), n.accBound, bias, outC, shift, shift2, relu, out)
 	bordersZero(t, "output", out)
 	for i, v := range buf.cells {
 		if own := i >= g.planeOff*buf.planeStride() && i < g.planeOff*buf.planeStride()+len(out.cells); !own && v != sentinel {
@@ -237,14 +234,9 @@ func TestConvInt8MatchesReference(t *testing.T) {
 	bias := []int32{100, -50, 0, 7}
 	for _, relu := range []bool{false, true} {
 		for _, shift := range []int{0, 3, 7} {
-			// The tiled stride-1 path and the strided gather must both
-			// reproduce the reference bit for bit.
-			for _, stride := range []int{1, 2} {
-				oh, ow := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
-				want := refConvInt8(src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
-				got := runConvInt8(t, src, c, h, w, weight, bias, outC, k, stride, pad, shift, 0, relu, oh, ow)
-				sameInt8s(t, "conv", got, want)
-			}
+			want := refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, relu, h, w, Bits8)
+			got := runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, relu, h, w)
+			sameInt8s(t, "conv", got, want)
 		}
 	}
 }
@@ -262,7 +254,7 @@ func TestConvInt8OddChannels(t *testing.T) {
 			for i := range bias {
 				bias[i] = int32(rng.Intn(201) - 100)
 			}
-			want := refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
+			want := refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w, Bits8)
 			got := runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, 5, 0, true, h, w)
 			sameInt8s(t, "conv", got, want)
 		}
@@ -366,7 +358,7 @@ func TestMaxPoolInt8(t *testing.T) {
 			for oy := 0; oy < h/2; oy++ {
 				for ox := 0; ox < w/2; ox++ {
 					at := func(dy, dx int) int8 { return img[(ci*h+2*oy+dy)*w+2*ox+dx] }
-					want := RoundShift(int64(max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))), shift)
+					want := RoundShift(int64(max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))), shift, Bits8)
 					if g := got[(ci*(h/2)+oy)*(w/2)+ox]; g != want {
 						t.Fatalf("shift %d: pool[%d,%d,%d] = %d, want %d", shift, ci, oy, ox, g, want)
 					}
@@ -393,14 +385,14 @@ func TestReluInt8AndRequant(t *testing.T) {
 	for _, shift := range []int{-3, -1, 0, 1, 2, 7, 9} {
 		got := reluCHW(t, all, 3, 5, 17, shift)
 		for i, v := range all {
-			if want := RoundShift(int64(max(v, 0)), shift); got[i] != want {
+			if want := RoundShift(int64(max(v, 0)), shift, Bits8); got[i] != want {
 				t.Fatalf("relu(%d) at shift %d = %d, want %d", v, shift, got[i], want)
 			}
 		}
 		for _, before := range []int{0, 2, 1, 3} {
 			got = requantCHW(t, all, 3, 5, 17, shift, before)
 			for i, v := range all {
-				if want := RoundShift(int64(v), shift); got[i] != want {
+				if want := RoundShift(int64(v), shift, Bits8); got[i] != want {
 					t.Fatalf("requant(%d) at shift %d, offset %d = %d, want %d", v, shift, before, got[i], want)
 				}
 			}

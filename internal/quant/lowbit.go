@@ -1,6 +1,10 @@
 package quant
 
-import "seneca/internal/par"
+import (
+	"math"
+
+	"seneca/internal/par"
+)
 
 // Reference kernels for the non-INT8 precisions of a mixed-precision graph
 // (QConfig): plain gather loops, parallel over output channels only, so
@@ -11,7 +15,7 @@ import "seneca/internal/par"
 
 // convIntRef is the narrow-precision convolution: int8-stored codes in,
 // bits-wide saturating write-back out. Power-of-two scales keep the
-// requantization a RoundShiftBits.
+// requantization a RoundShift onto the bits-wide grid.
 func convIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, stride, pad, shift int, relu bool, bits int, dst []int8, outH, outW int) {
 	hw := outH * outW
 	par.For(outC, func(oc int) {
@@ -40,7 +44,7 @@ func convIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, outC, k, 
 						}
 					}
 				}
-				v := RoundShiftBits(acc, shift, bits)
+				v := RoundShift(acc, shift, bits)
 				if relu && v < 0 {
 					v = 0
 				}
@@ -89,7 +93,7 @@ func convTransposeIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, 
 						}
 					}
 				}
-				v := RoundShiftBits(acc, shift, bits)
+				v := RoundShift(acc, shift, bits)
 				if relu && v < 0 {
 					v = 0
 				}
@@ -105,7 +109,7 @@ func convTransposeIntRef(src []int8, inC, inH, inW int, w []int8, bias []int32, 
 // activation grid at outFP.
 func convFP32Ref(src []int8, inFP FixPos, inC, inH, inW int, wf, bf []float32, outC, k, stride, pad int, relu bool, outFP FixPos, dst []int8, outH, outW int) {
 	hw := outH * outW
-	inv := inFP.InvScale()
+	inv, scale := inFP.InvScale(), math.Pow(2, float64(outFP))
 	par.For(outC, func(oc int) {
 		var b float32
 		if oc < len(bf) {
@@ -135,7 +139,7 @@ func convFP32Ref(src []int8, inFP FixPos, inC, inH, inW int, wf, bf []float32, o
 				if relu && acc < 0 {
 					acc = 0
 				}
-				dst[oc*hw+oy*outW+ox] = QuantizeValue(acc, outFP)
+				dst[oc*hw+oy*outW+ox] = quantizeOne(acc, scale)
 			}
 		}
 	})
@@ -146,7 +150,7 @@ func convFP32Ref(src []int8, inFP FixPos, inC, inH, inW int, wf, bf []float32, o
 func convTransposeFP32Ref(src []int8, inFP FixPos, inC, inH, inW int, wf, bf []float32, outC, k, stride, pad int, relu bool, outFP FixPos, dst []int8, outH, outW int) {
 	hw := outH * outW
 	kk := k * k
-	inv := inFP.InvScale()
+	inv, scale := inFP.InvScale(), math.Pow(2, float64(outFP))
 	par.For(outC, func(oc int) {
 		var b float32
 		if oc < len(bf) {
@@ -182,7 +186,7 @@ func convTransposeFP32Ref(src []int8, inFP FixPos, inC, inH, inW int, wf, bf []f
 				if relu && acc < 0 {
 					acc = 0
 				}
-				dst[oc*hw+oy*outW+ox] = QuantizeValue(acc, outFP)
+				dst[oc*hw+oy*outW+ox] = quantizeOne(acc, scale)
 			}
 		}
 	})

@@ -172,9 +172,9 @@ func TestTileWidthsAgainstReference(t *testing.T) {
 					name := fmt.Sprintf("%v k%d pad%d w%d→%d outC%d relu=%v shift2=%d", l.kind, l.k, l.pad, l.w, ow, outC, relu, shift2)
 					var want []int8
 					if l.kind == graph.KindConv {
-						want = refConvInt8(src, c, h, l.w, weight, bias, outC, l.k, 1, l.pad, shift, shift2, relu, oh, ow)
+						want = refConvInt8(src, c, h, l.w, weight, bias, outC, l.k, 1, l.pad, shift, shift2, relu, oh, ow, Bits8)
 					} else {
-						want = refConvTransposeInt8(src, c, h, l.w, weight, bias, outC, l.k, 2, l.pad, shift, shift2, relu, oh, ow)
+						want = refConvTransposeInt8(src, c, h, l.w, weight, bias, outC, l.k, 2, l.pad, shift, shift2, relu, oh, ow, Bits8)
 					}
 					for _, b := range hostBodies() {
 						withBody(b, func() {
@@ -212,9 +212,9 @@ func TestTileWidthsAgainstReference(t *testing.T) {
 								for q := 0; q < n; q++ {
 									var hi int8
 									if 2*p+1 < lanes {
-										hi = refFinalize(acc[(2*p+1)*width+q], bias[2*p+1], relu, 9, shift2)
+										hi = refFinalize(acc[(2*p+1)*width+q], bias[2*p+1], relu, 9, shift2, Bits8)
 									}
-									want[p*planeStride+q*step] = pairCell(refFinalize(acc[2*p*width+q], bias[2*p], relu, 9, shift2), hi)
+									want[p*planeStride+q*step] = pairCell(refFinalize(acc[2*p*width+q], bias[2*p], relu, 9, shift2, Bits8), hi)
 								}
 							}
 							withBody(b, func() {
@@ -349,7 +349,7 @@ func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 				src, weight := fill(c*h*w), fill(outC*c*k*k)
 				check(fmt.Sprintf("%s conv c%d", KernelISA(), c), c, k*k,
 					runConvInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
-					refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+					refConvInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w, Bits8))
 			}
 			// 1×1 transpose convolution over 131 100 channels wraps on a
 			// single tap; 5×5 at stride 1 over 5300 wraps across the taps.
@@ -357,12 +357,12 @@ func TestAccumulatorsWrapLikeInt32(t *testing.T) {
 			src, weight := fill(c), fill(c*outC)
 			check(KernelISA()+" dconv tile", c, 1,
 				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1),
-				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1))
+				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, true, 1, 1, Bits8))
 			c, h, w, k, pad = 5300, 5, 5, 5, 2
 			src, weight = fill(c*h*w), fill(c*outC*k*k)
 			check(KernelISA()+" dconv taps", c, k*k,
 				runConvTransposeInt8(t, src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w),
-				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w))
+				refConvTransposeInt8(src, c, h, w, weight, bias, outC, k, 1, pad, shift, 0, false, h, w, Bits8))
 		})
 	}
 }
@@ -382,8 +382,8 @@ type fuzzCase struct {
 
 // decodeFuzz maps raw fuzz arguments onto a case: odd sizes, rows narrower
 // than a tile, channel and lane counts off the multiples of 2 and 8, k in
-// [1,5], stride in [1,3], any pad in [0,3] and output padding below the
-// stride, shifts of every sign, both operand extremes and biases at the
+// [1,5], stride in [1,3] (a convolution's fuzzer then runs at 1), any pad
+// in [0,3] and output padding below the stride, shifts of every sign, both operand extremes and biases at the
 // edges of int32. geom widens the planes (bits 0-1: input border beyond the
 // reach; 2-3: output border; 4-5: planes ahead of the output in its buffer,
 // as a store target has). fill selects the input's values (bits 0-1; the
@@ -441,12 +441,13 @@ func FuzzConvVsReference(f *testing.F) {
 	f.Add(int64(1), uint16(2), uint16(6), uint16(8), uint16(3), uint8(2), uint8(1), uint8(0), uint8(0), uint8(11), uint8(2), uint8(0), uint8(0x14), true)
 	f.Fuzz(func(t *testing.T, seed int64, c, h, w, outC uint16, k, pad, stride, outPad, shift, shift2, fill, geom uint8, relu bool) {
 		fc := decodeFuzz(seed, c, h, w, outC, k, pad, stride, outPad, shift, shift2, fill, geom, relu)
+		fc.stride = 1 // a convolution runs at stride 1 only (ValidStride)
 		if fc.h+2*fc.pad < fc.k || fc.w+2*fc.pad < fc.k {
 			t.Skip("kernel larger than the padded input")
 		}
 		oh, ow := (fc.h+2*fc.pad-fc.k)/fc.stride+1, (fc.w+2*fc.pad-fc.k)/fc.stride+1
 		weight := fc.operand(fc.outC*fc.c*fc.k*fc.k, fill>>3&3)
-		want := refConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		want := refConvInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, Bits8)
 		threeWay(t, want, func() []int8 {
 			return runInt8(t, graph.KindConv, fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, fc.geom)
 		})
@@ -462,7 +463,7 @@ func FuzzDconvVsReference(f *testing.F) {
 			t.Skip("padding swallows the output")
 		}
 		weight := fc.operand(fc.c*fc.outC*fc.k*fc.k, fill>>3&3)
-		want := refConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow)
+		want := refConvTransposeInt8(fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, Bits8)
 		threeWay(t, want, func() []int8 {
 			return runInt8(t, graph.KindConvTranspose, fc.src, fc.c, fc.h, fc.w, weight, fc.bias, fc.outC, fc.k, fc.stride, fc.pad, fc.shift, fc.shift2, fc.relu, oh, ow, fc.geom)
 		})

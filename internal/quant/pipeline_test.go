@@ -235,9 +235,11 @@ func TestQATProjectorRoundTrip(t *testing.T) {
 		if p.Value.Rank() <= 1 {
 			continue
 		}
-		fp := BestFixPos(p.Value.MaxAbs())
-		for _, v := range p.Value.Data {
-			q := float64(QuantizeValue(v, fp)) * float64(fp.InvScale())
+		fp := BestFixPos(p.Value.MaxAbs(), Bits8)
+		codes := make([]int8, p.Value.Len())
+		QuantizeSlice(p.Value.Data, fp, Bits8, codes)
+		for i, v := range p.Value.Data {
+			q := float64(codes[i]) * float64(fp.InvScale())
 			if math.Abs(q-float64(v)) > 1e-6 {
 				t.Fatalf("projected weight %v not on grid", v)
 			}

@@ -36,7 +36,7 @@ func NewQATProjector(params []*nn.Param) *QATProjector {
 func (qp *QATProjector) Project() {
 	for i, p := range qp.params {
 		copy(qp.saved[i], p.Value.Data)
-		fp := BestFixPos(p.Value.MaxAbs())
+		fp := BestFixPos(p.Value.MaxAbs(), Bits8)
 		QuantizeDequantize(p.Value.Data, fp)
 	}
 }

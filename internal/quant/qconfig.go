@@ -2,7 +2,6 @@ package quant
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -86,78 +85,4 @@ func (c *QConfig) Clone() *QConfig {
 		}
 	}
 	return out
-}
-
-// QMaxBits returns the largest positive code of a signed b-bit integer
-// (7 for INT4, 127 for INT8).
-func QMaxBits(bits int) int64 {
-	if bits <= 0 || bits > 8 {
-		bits = 8
-	}
-	return int64(1)<<(bits-1) - 1
-}
-
-// BestFixPosBits generalizes BestFixPos to narrow integer grids: the
-// largest fix position whose representable range ±QMaxBits(bits)·2^-fp
-// still covers ±maxAbs, clamped to [-16, 16].
-func BestFixPosBits(maxAbs float32, bits int) FixPos {
-	if maxAbs <= 0 || math.IsNaN(float64(maxAbs)) {
-		return 16
-	}
-	fp := int(math.Floor(math.Log2(float64(QMaxBits(bits)) / float64(maxAbs))))
-	if fp > 16 {
-		fp = 16
-	}
-	if fp < -16 {
-		fp = -16
-	}
-	return FixPos(fp)
-}
-
-// QuantizeSliceBits quantizes a float slice onto a signed bits-wide grid
-// (stored in int8) with round-half-away-from-zero and saturation.
-func QuantizeSliceBits(src []float32, fp FixPos, bits int, dst []int8) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("quant: QuantizeSliceBits length mismatch %d vs %d", len(dst), len(src)))
-	}
-	qmax := float64(QMaxBits(bits))
-	qmin := -qmax - 1
-	scale := math.Pow(2, float64(fp))
-	for i, x := range src {
-		v := math.Round(float64(x) * scale)
-		if v > qmax {
-			v = qmax
-		}
-		if v < qmin {
-			v = qmin
-		}
-		dst[i] = int8(v)
-	}
-}
-
-// RoundShiftBits is RoundShift with saturation to a signed bits-wide range
-// instead of int8 — the write-back clamp of a narrow-precision layer.
-func RoundShiftBits(acc int64, shift int, bits int) int8 {
-	var v int64
-	switch {
-	case shift > 0:
-		half := int64(1) << (shift - 1)
-		if acc >= 0 {
-			v = (acc + half) >> shift
-		} else {
-			v = -((-acc + half) >> shift)
-		}
-	case shift < 0:
-		v = acc << (-shift)
-	default:
-		v = acc
-	}
-	qmax := QMaxBits(bits)
-	if v > qmax {
-		v = qmax
-	}
-	if v < -qmax-1 {
-		v = -qmax - 1
-	}
-	return int8(v)
 }

@@ -7,7 +7,6 @@ import (
 
 	"seneca/internal/graph"
 	"seneca/internal/obs"
-	"seneca/internal/tensor"
 )
 
 // QNode is one operator of the quantized inference graph.
@@ -164,14 +163,12 @@ func (n *QNode) outStep() int {
 	return 1
 }
 
-// reach is what the INT8 node needs of its h×w input's plane to produce an
-// oh×ow output (see reach in kernels.go). A strided convolution gathers
-// inside the padded image and reads no tile past it.
-func (n *QNode) reach(h, w, oh, ow int) (border, span int) {
-	if n.Kind == graph.KindConv && n.Stride != 1 {
-		return n.Pad, 0
-	}
-	return reach(n.tilePhases(), n.outStep(), h, w, oh, ow)
+// ValidStride reports whether the executor runs a node of kind k at this
+// stride: a transpose convolution upsamples at any stride, and a convolution
+// runs at stride 1 only — every shipped model downsamples by max pooling.
+// NewExecutor and the xmodel reader both refuse what it rejects.
+func ValidStride(k graph.Kind, stride int) bool {
+	return k != graph.KindConv || stride == 1
 }
 
 // QGraph is a fully-quantized inference graph — the in-memory form of the
@@ -281,23 +278,16 @@ func Quantize(g *graph.Graph, cal *Calibration, opt Options) (*QGraph, error) {
 			inFP := q.byName[n.Inputs[0]].OutFP
 			qn.InFP = inFP
 			switch bits := opt.Config.BitsFor(n.Name); bits {
-			case Bits8:
-				wq, wfp := quantizeWeights(n, opt)
-				qn.Weight = wq
-				qn.WeightFP = wfp
-				qn.Bias = quantizeBias(n.Bias, inFP+wfp)
-			case Bits4:
-				// Narrow integer layer: 4-bit weight codes and a 4-bit
-				// output grid, so the write-back clamp and every
-				// downstream requantization remain plain shifts.
-				qn.Bits = Bits4
-				wfp := BestFixPosBits(n.Weight.MaxAbs(), Bits4)
-				wq := make([]int8, n.Weight.Len())
-				QuantizeSliceBits(n.Weight.Data, wfp, Bits4, wq)
-				qn.Weight = wq
-				qn.WeightFP = wfp
-				qn.Bias = quantizeBias(n.Bias, inFP+wfp)
-				qn.OutFP = BestFixPosBits(cal.MaxAbs[n.Name], Bits4)
+			case Bits8, Bits4:
+				qn.Weight, qn.WeightFP = quantizeWeights(n, opt, bits)
+				qn.Bias = quantizeBias(n.Bias, inFP+qn.WeightFP)
+				if bits == Bits4 {
+					// Narrow integer layer: a 4-bit output grid as well, so
+					// the write-back clamp and every downstream
+					// requantization remain plain shifts.
+					qn.Bits = Bits4
+					qn.OutFP = BestFixPos(cal.MaxAbs[n.Name], Bits4)
+				}
 			case BitsFP32:
 				// Accuracy fallback: keep the float parameters; the
 				// executor dequantizes the int8 input, computes in float
@@ -329,7 +319,7 @@ func Quantize(g *graph.Graph, cal *Calibration, opt Options) (*QGraph, error) {
 				// ReLU-into-conv fusion keeps the 4-bit write-back clamp
 				// consistent.
 				qn.Bits = Bits4
-				qn.OutFP = BestFixPosBits(cal.MaxAbs[n.Name], Bits4)
+				qn.OutFP = BestFixPos(cal.MaxAbs[n.Name], Bits4)
 			}
 		case graph.KindSoftmax:
 			// Executed in float on the host (argmax of logits in practice).
@@ -349,9 +339,14 @@ func Quantize(g *graph.Graph, cal *Calibration, opt Options) (*QGraph, error) {
 	return q, nil
 }
 
-func quantizeWeights(n *graph.Node, opt Options) ([]int8, FixPos) {
-	if !opt.PerChannelWeights || n.Kind != graph.KindConv {
-		return mustQuantizeTensor(n.Weight)
+// quantizeWeights puts a convolution's weights on the bits-wide grid at the
+// tensor's best fix position.
+func quantizeWeights(n *graph.Node, opt Options, bits int) ([]int8, FixPos) {
+	common := BestFixPos(n.Weight.MaxAbs(), bits)
+	out := make([]int8, n.Weight.Len())
+	if !opt.PerChannelWeights || n.Kind != graph.KindConv || bits != Bits8 {
+		QuantizeSlice(n.Weight.Data, common, bits, out)
+		return out, common
 	}
 	// Per-output-channel fix positions; the stored tensor uses the finest
 	// common representable grid per channel, tracked via one fp per channel.
@@ -359,11 +354,9 @@ func quantizeWeights(n *graph.Node, opt Options) ([]int8, FixPos) {
 	// pick the per-tensor fp as the min over channels — per-channel mode
 	// only changes *rounding*: each channel is rounded on its own grid and
 	// then re-expressed on the common grid, reducing rounding error for
-	// small-magnitude channels.
+	// small-magnitude channels. Only INT8 layers take it.
 	kk := n.Kernel * n.Kernel
 	per := n.InC * kk
-	common := BestFixPos(n.Weight.MaxAbs())
-	out := make([]int8, n.Weight.Len())
 	for oc := 0; oc < n.OutC; oc++ {
 		row := n.Weight.Data[oc*per : (oc+1)*per]
 		var m float32
@@ -375,23 +368,19 @@ func quantizeWeights(n *graph.Node, opt Options) ([]int8, FixPos) {
 				m = v
 			}
 		}
-		chFP := BestFixPos(m)
+		chFP := BestFixPos(m, Bits8)
 		if chFP < common {
 			chFP = common
 		}
 		// Round on the fine per-channel grid, then shift to the common grid.
 		shift := int(chFP - common)
-		for i, v := range row {
-			q := QuantizeValue(v, chFP)
-			out[oc*per+i] = RoundShift(int64(q), shift)
+		dst := out[oc*per : (oc+1)*per]
+		QuantizeSlice(row, chFP, Bits8, dst)
+		for i, q := range dst {
+			dst[i] = RoundShift(int64(q), shift, Bits8)
 		}
 	}
 	return out, common
-}
-
-func mustQuantizeTensor(t *tensor.Tensor) ([]int8, FixPos) {
-	q, fp := QuantizeTensor(t)
-	return q, fp
 }
 
 func quantizeBias(bias []float32, fp FixPos) []int32 {

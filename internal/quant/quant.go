@@ -18,8 +18,6 @@ package quant
 import (
 	"fmt"
 	"math"
-
-	"seneca/internal/tensor"
 )
 
 // FixPos is a power-of-two scale exponent: a real value x is stored as
@@ -32,15 +30,36 @@ func (fp FixPos) Scale() float32 { return float32(math.Pow(2, float64(fp))) }
 // InvScale returns 2^-fp.
 func (fp FixPos) InvScale() float32 { return float32(math.Pow(2, -float64(fp))) }
 
-// BestFixPos returns the largest fix position whose representable range
-// [-128, 127]·2^-fp still covers ±maxAbs — the standard Vitis AI choice.
-// The result is clamped to [-16, 16] to keep shifts well-formed even for
-// degenerate (all-zero or huge) tensors.
-func BestFixPos(maxAbs float32) FixPos {
+// QMaxBits returns the largest positive code of a signed b-bit integer
+// (7 for INT4, 127 for INT8); any other width, FP32 included, is INT8's.
+func QMaxBits(bits int) int64 {
+	if bits <= 0 || bits > 8 {
+		bits = 8
+	}
+	return int64(1)<<(bits-1) - 1
+}
+
+// saturate clamps v to the signed bits-wide range [-QMaxBits-1, QMaxBits].
+func saturate(v int64, bits int) int8 {
+	qmax := QMaxBits(bits)
+	if v > qmax {
+		v = qmax
+	}
+	if v < -qmax-1 {
+		v = -qmax - 1
+	}
+	return int8(v)
+}
+
+// BestFixPos returns the largest fix position whose signed bits-wide grid
+// [-QMaxBits-1, QMaxBits]·2^-fp still covers ±maxAbs — the standard Vitis AI
+// choice. The result is clamped to [-16, 16] to keep shifts well-formed even
+// for degenerate (all-zero or huge) tensors.
+func BestFixPos(maxAbs float32, bits int) FixPos {
 	if maxAbs <= 0 || math.IsNaN(float64(maxAbs)) {
 		return 16
 	}
-	fp := int(math.Floor(math.Log2(127 / float64(maxAbs))))
+	fp := int(math.Floor(math.Log2(float64(QMaxBits(bits)) / float64(maxAbs))))
 	if fp > 16 {
 		fp = 16
 	}
@@ -50,32 +69,18 @@ func BestFixPos(maxAbs float32) FixPos {
 	return FixPos(fp)
 }
 
-// QuantizeValue converts one float to int8 at the given fix position with
-// round-half-away-from-zero and saturation.
-func QuantizeValue(x float32, fp FixPos) int8 {
-	v := float64(x) * math.Pow(2, float64(fp))
-	r := math.Round(v)
-	if r > 127 {
-		r = 127
-	}
-	if r < -128 {
-		r = -128
-	}
-	return int8(r)
-}
-
-// QuantizeSlice quantizes a float slice into dst at the given fix position.
-// ±Inf saturate like any out-of-range value; NaN becomes 0. This is the
-// conversion every request body goes through, and Go leaves int8(NaN) to the
-// implementation, so without the explicit case a NaN pixel would have no
-// pinned mask across architectures.
-func QuantizeSlice(src []float32, fp FixPos, dst []int8) {
+// QuantizeSlice quantizes a float slice into dst on the signed bits-wide grid
+// at the given fix position, rounding half away from zero and saturating.
+// ±Inf saturate like any out-of-range value; NaN becomes 0. Go leaves
+// int8(NaN) to the implementation, so without the explicit case a NaN weight
+// or pixel would have no pinned code across architectures.
+func QuantizeSlice(src []float32, fp FixPos, bits int, dst []int8) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("quant: QuantizeSlice length mismatch %d vs %d", len(dst), len(src)))
 	}
 	scale := math.Pow(2, float64(fp))
 	for i, x := range src {
-		dst[i] = quantizeOne(x, scale)
+		dst[i] = saturate(int64(quantizeOne(x, scale)), bits)
 	}
 }
 
@@ -85,7 +90,8 @@ func QuantizeSlice(src []float32, fp FixPos, dst []int8) {
 // 128 in magnitude v ± 0.5 is exact in float64 (or v is so small that the
 // sum rounds to something that still truncates to 0) — truncating it is
 // rounding v. Checked against math.Round over every float32 bit pattern when
-// it was written; TestQuantizeOneMatchesRound keeps a sample of that.
+// it was written; TestQuantizeOneMatchesRound keeps a sample of that. Every
+// float the package puts on an int8 or narrower grid is rounded by it.
 func quantizeOne(x float32, scale float64) int8 {
 	v := float64(x) * scale
 	switch {
@@ -110,29 +116,13 @@ func DequantizeSlice(src []int8, fp FixPos, dst []float32) {
 }
 
 // QuantizeDequantize projects a float slice onto the int8 grid and back —
-// the fake-quantization operation used by QAT.
+// the fake-quantization operation used by QAT. NaN projects to 0.
 func QuantizeDequantize(x []float32, fp FixPos) {
 	scale := math.Pow(2, float64(fp))
 	inv := 1 / scale
 	for i, v := range x {
-		q := math.Round(float64(v) * scale)
-		if q > 127 {
-			q = 127
-		}
-		if q < -128 {
-			q = -128
-		}
-		x[i] = float32(q * inv)
+		x[i] = float32(float64(quantizeOne(v, scale)) * inv)
 	}
-}
-
-// QuantizeTensor quantizes a tensor at its best per-tensor fix position and
-// returns the data plus the position chosen.
-func QuantizeTensor(t *tensor.Tensor) ([]int8, FixPos) {
-	fp := BestFixPos(t.MaxAbs())
-	out := make([]int8, t.Len())
-	QuantizeSlice(t.Data, fp, out)
-	return out, fp
 }
 
 // RequantShift computes the right-shift amount that converts an int32
@@ -144,8 +134,9 @@ func RequantShift(accFP, outFP FixPos) int {
 }
 
 // RoundShift performs the DPU's round-half-away-from-zero arithmetic right
-// shift with saturation to int8.
-func RoundShift(acc int64, shift int) int8 {
+// shift (a left shift for a negative shift) with saturation to the signed
+// bits-wide range: int8 for an INT8 layer, [-8, 7] for an INT4 one.
+func RoundShift(acc int64, shift, bits int) int8 {
 	var v int64
 	switch {
 	case shift > 0:
@@ -160,11 +151,5 @@ func RoundShift(acc int64, shift int) int8 {
 	default:
 		v = acc
 	}
-	if v > 127 {
-		v = 127
-	}
-	if v < -128 {
-		v = -128
-	}
-	return int8(v)
+	return saturate(v, bits)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"seneca/internal/graph"
 	"seneca/internal/quant"
 	"seneca/internal/tensor"
 	"seneca/internal/unet"
@@ -28,6 +29,29 @@ func tinyProgramBytes(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// stridedConvBytes serializes the tiny network with its first convolution
+// set to stride 2, which Write stores and Read must refuse. It returns the
+// bytes and the node's name.
+func stridedConvBytes(t testing.TB) ([]byte, string) {
+	t.Helper()
+	prog, err := Read(bytes.NewReader(tinyProgramBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	for _, n := range prog.Graph.Nodes {
+		if n.Kind == graph.KindConv {
+			n.Stride, name = 2, n.Name
+			break
+		}
+	}
+	var buf bytes.Buffer
+	if err := prog.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), name
 }
 
 // mixedProgramBytes serializes the same network with a per-layer precision
@@ -80,6 +104,8 @@ func FuzzReadProgram(f *testing.F) {
 	f.Add(miniFile(2, 8))
 	f.Add(miniFile(2, 5))
 	f.Add(miniFile(2, 255))
+	strided, _ := stridedConvBytes(f)
+	f.Add(strided)
 
 	// A hand-built minimal file: input node only, version 1.
 	var mini bytes.Buffer

@@ -448,6 +448,8 @@ func validateLoaded(g *quant.QGraph) error {
 				return fmt.Errorf("xmodel: node %q: bad kernel %d", n.Name, n.Kernel)
 			case n.Stride < 1 || n.Stride > maxLoadedDim:
 				return fmt.Errorf("xmodel: node %q: bad stride %d", n.Name, n.Stride)
+			case !quant.ValidStride(n.Kind, n.Stride):
+				return fmt.Errorf("xmodel: node %q: convolution at stride %d; only stride 1 runs", n.Name, n.Stride)
 			case n.Pad < 0 || n.OutPad < 0:
 				return fmt.Errorf("xmodel: node %q: negative padding", n.Name)
 			case n.InC < 1 || n.InC > maxLoadedDim || n.OutC < 1 || n.OutC > maxLoadedDim:

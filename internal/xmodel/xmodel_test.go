@@ -2,7 +2,9 @@ package xmodel
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seneca/internal/graph"
@@ -266,6 +268,14 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+	// A well-formed file with a stride-2 convolution is refused when it is
+	// read, naming the node, not at the first frame of an executor built
+	// lazily after the server has started.
+	data, name := stridedConvBytes(t)
+	want := fmt.Sprintf("node %q: convolution at stride 2", name)
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("stride-2 convolution: error %v, want %q", err, want)
 	}
 }
 
