@@ -74,8 +74,9 @@ chaos:
 # fuzz exercises the binary-format parsers, the /v1/segment front door's
 # header checks and body decoding, its one-pass JSON decode against
 # encoding/json, the INT8 drivers (through cell planes of widened geometry,
-# under every kernel body the host can run) and the INT4 reference kernels
-# against their scalar oracle, the percentile selection against the sort it
+# under every kernel body the host can run), the INT4 layers (the same
+# drivers, then a 4-bit clamp) and the FP32-fallback kernels against their
+# oracles, the percentile selection against the sort it
 # replaced, the backend pool and fault spec grammars, and the study store's
 # job-record loader, beyond the committed corpora.
 fuzz:

@@ -67,12 +67,6 @@ func NewVolume(nx, ny, nz int, datatype int16) *Volume {
 	}
 }
 
-// At returns the voxel at (x, y, z).
-func (v *Volume) At(x, y, z int) float32 { return v.Data[(z*v.Ny+y)*v.Nx+x] }
-
-// Set stores a voxel at (x, y, z).
-func (v *Volume) Set(x, y, z int, val float32) { v.Data[(z*v.Ny+y)*v.Nx+x] = val }
-
 // Slice returns a copy of axial slice z as a row-major Ny×Nx image.
 func (v *Volume) Slice(z int) []float32 {
 	out := make([]float32, v.Nx*v.Ny)

@@ -29,7 +29,7 @@ type Executor struct {
 	output  *activation // the logits (a softmax aliases its input)
 	softmax bool        // the graph ends in one
 
-	refIn, refOut []int8 // int8 CHW scratch around the reference kernels; nil for an all-INT8 graph
+	refIn, refOut []int8 // int8 CHW scratch around the FP32-fallback kernels; empty without one
 	bytes         int    // arena size
 }
 
@@ -42,7 +42,7 @@ type step struct {
 	// Requantization: the node's own and a fused store's second, or a
 	// concat's first and second input's.
 	shift, shift2 int
-	phases        []phase // INT8 convolution and transpose convolution
+	phases        []phase // integer convolution and transpose convolution
 }
 
 // activation is a feature map in the arena: [⌈c/2⌉][h+2·border][cols] cells
@@ -125,7 +125,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 				}
 			} else if len(n.Weight) != want {
 				return nil, fmt.Errorf("quant: node %q: weights %d, want %d", n.Name, len(n.Weight), want)
-			} else if effBits(n) == Bits8 && len(n.Bias) < n.OutC {
+			} else if len(n.Bias) < n.OutC {
 				return nil, fmt.Errorf("quant: node %q: %d biases for %d output channels", n.Name, len(n.Bias), n.OutC)
 			}
 		}
@@ -143,8 +143,6 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 			out = &activation{c: n.OutC, h: n.OutShape[1], w: n.OutShape[2], fp: n.OutFP}
 			if effBits(n) != BitsFP32 {
 				s.shift = RequantShift(s.in.fp+n.WeightFP, n.OutFP)
-			}
-			if effBits(n) == Bits8 {
 				s.phases = n.tilePhases()
 			} else {
 				maxRef = max(maxRef, s.in.c*s.in.h*s.in.w, out.c*out.h*out.w)
@@ -212,7 +210,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 		if tgt.h != a.h || tgt.w != a.w || n.StoreOffset < 0 || n.StoreOffset+a.c > tgt.c {
 			return nil, fmt.Errorf("quant: node %q store-target %q geometry mismatch", n.Name, n.StoreTarget)
 		}
-		if n.StoreOffset%2 != 0 || s.phases == nil {
+		if n.StoreOffset%2 != 0 || effBits(n) != Bits8 {
 			continue
 		}
 		a.target, a.targetPlane = tgt, n.StoreOffset/2
@@ -277,7 +275,7 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 }
 
 // ArenaBytes is the size of the executor's arena: every activation's cells
-// plus, for a mixed-precision graph, the reference kernels' scratch.
+// plus, for a graph with FP32-fallback layers, their kernels' scratch.
 func (e *Executor) ArenaBytes() int { return e.bytes }
 
 // Step describes one node of a frame to Steps' visitor.
@@ -351,8 +349,13 @@ func (e *Executor) exec(s *step, img *tensor.Tensor) {
 	case graph.KindConv, graph.KindConvTranspose:
 		if s.phases == nil {
 			e.execRef(s)
-		} else {
-			convPhases(in, s.phases, n.outStep(), n.accBound, n.Bias, n.OutC, s.shift, s.shift2, n.FusedReLU, out)
+			return
+		}
+		convPhases(in, s.phases, n.outStep(), n.accBound, n.Bias, n.OutC, s.shift, s.shift2, n.FusedReLU, out)
+		if effBits(n) == Bits4 {
+			// The INT8 write-back then the 4-bit clamp: saturating at 8
+			// bits and then at 4 is saturating at 4.
+			saturateCells(out, Bits4)
 		}
 	case graph.KindMaxPool:
 		maxPoolInt8(in, s.shift, out)
@@ -374,19 +377,15 @@ func (e *Executor) exec(s *step, img *tensor.Tensor) {
 	}
 }
 
-// execRef runs a non-INT8 convolution or transpose convolution through its
-// reference kernel, which reads and writes plain int8 CHW images: the one
-// place a frame leaves the cell layout and comes back.
+// execRef runs an FP32-fallback convolution or transpose convolution
+// through its reference kernel, which reads and writes plain int8 CHW
+// images: the one place a frame leaves the cell layout and comes back.
 func (e *Executor) execRef(s *step) {
 	n, in, out := s.n, s.in, s.out
 	src, dst := e.refIn[:in.c*in.h*in.w], e.refOut[:out.c*out.h*out.w]
 	narrowPlane(in, src)
-	switch {
-	case effBits(n) == Bits4 && n.Kind == graph.KindConv:
-		convIntRef(src, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, n.FusedReLU, Bits4, dst, out.h, out.w)
-	case effBits(n) == Bits4:
-		convTransposeIntRef(src, in.c, in.h, in.w, n.Weight, n.Bias, n.OutC, n.Kernel, n.Stride, n.Pad, s.shift, n.FusedReLU, Bits4, dst, out.h, out.w)
-	case n.Kind == graph.KindConv:
+	switch n.Kind {
+	case graph.KindConv:
 		convFP32Ref(src, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, dst, out.h, out.w)
 	default:
 		convTransposeFP32Ref(src, in.fp, in.c, in.h, in.w, n.WeightF, n.BiasF, n.OutC, n.Kernel, n.Stride, n.Pad, n.FusedReLU, n.OutFP, dst, out.h, out.w)

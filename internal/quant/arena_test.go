@@ -187,17 +187,18 @@ func TestExecuteLabelsSteadyStateAllocs(t *testing.T) {
 func TestNewExecutorRejectsMalformedGraph(t *testing.T) {
 	input := &QNode{Name: "in", Kind: graph.KindInput, OutShape: [3]int{2, 8, 8}}
 	for _, tc := range []struct {
-		what, want   string
-		from         string
-		stride, bits int
+		what, want           string
+		from                 string
+		stride, bits, biases int
 	}{
-		{"a dangling input", `node "conv" input "missing" has no producer`, "missing", 1, Bits8},
-		{"a strided convolution", `node "conv": convolution at stride 2`, "in", 2, Bits8},
-		{"a strided INT4 convolution", `node "conv": convolution at stride 2`, "in", 2, Bits4},
+		{"a dangling input", `node "conv" input "missing" has no producer`, "missing", 1, Bits8, 4},
+		{"a strided convolution", `node "conv": convolution at stride 2`, "in", 2, Bits8, 4},
+		{"a strided INT4 convolution", `node "conv": convolution at stride 2`, "in", 2, Bits4, 4},
+		{"an INT4 convolution short of biases", `node "conv": 3 biases for 4 output channels`, "in", 1, Bits4, 3},
 	} {
 		conv := &QNode{Name: "conv", Kind: graph.KindConv, Inputs: []string{tc.from},
 			Kernel: 3, Stride: tc.stride, Pad: 1, InC: 2, OutC: 4, OutShape: [3]int{4, 8 / tc.stride, 8 / tc.stride},
-			Weight: make([]int8, 4*2*3*3), Bias: make([]int32, 4), Bits: tc.bits}
+			Weight: make([]int8, 4*2*3*3), Bias: make([]int32, tc.biases), Bits: tc.bits}
 		q := &QGraph{Nodes: []*QNode{input, conv}, InC: 2, InH: 8, InW: 8, InputName: "in", OutputName: "conv"}
 		q.RebuildIndex()
 		if _, err := NewExecutor(q); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -311,6 +311,19 @@ func requantCells(src []int32, shift int, dst []int32) {
 	}
 }
 
+// saturateCells clamps both halves of a's interior cells to the signed
+// bits-wide range.
+func saturateCells(a *activation, bits int) {
+	for cp := 0; cp < a.cpairs(); cp++ {
+		for y := 0; y < a.h; y++ {
+			row := a.row(cp, y)
+			for x, c := range row {
+				row[x] = pairCell(saturate(int64(int16(c)), bits), saturate(int64(c>>16), bits))
+			}
+		}
+	}
+}
+
 // max32 is a branch-free max: activations' order is data, and a compare and
 // jump per pooled sample mispredicts about half the time.
 func max32(a, b int32) int32 {
@@ -440,11 +453,10 @@ func argmaxChannelsInt8(a *activation) []uint8 {
 }
 
 // widenPlane and narrowPlane are the one adaptor pair between the arena's
-// cells and a plain int8 CHW image: the reference kernels of the non-INT8
-// precisions, FFQ's tap and the dequantized output read and write the
-// latter. widenPlane writes a's interior cells from src (an odd last
-// channel's partner half zero); narrowPlane reads them into dst. Neither
-// touches the border.
+// cells and a plain int8 CHW image: the FP32-fallback kernels, FFQ's tap and
+// the dequantized output read and write the latter. widenPlane writes a's
+// interior cells from src (an odd last channel's partner half zero);
+// narrowPlane reads them into dst. Neither touches the border.
 func widenPlane(src []int8, a *activation) {
 	hw := a.h * a.w
 	for cp := 0; cp < a.cpairs(); cp++ {

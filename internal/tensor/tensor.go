@@ -83,31 +83,6 @@ func (t *Tensor) SameShape(u *Tensor) bool {
 	return true
 }
 
-// At returns the element at the given multi-index. Intended for tests and
-// small accesses; hot loops index Data directly.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // Zero sets all elements of t to zero.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -155,30 +130,9 @@ func (t *Tensor) Scale(s float32) {
 	})
 }
 
-// AXPY computes t += a*u element-wise.
-func (t *Tensor) AXPY(a float32, u *Tensor) {
-	if !t.SameShape(u) {
-		panic(fmt.Sprintf("tensor: AXPY shape mismatch %v vs %v", t.Shape, u.Shape))
-	}
-	par.ForChunked(len(t.Data), func(lo, hi int) {
-		x, y := t.Data, u.Data
-		for i := lo; i < hi; i++ {
-			x[i] += a * y[i]
-		}
-	})
-}
-
 // Sum returns the sum of all elements, accumulated in float64.
 func (t *Tensor) Sum() float64 {
 	return par.ReduceSum(len(t.Data), func(i int) float64 { return float64(t.Data[i]) })
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // MaxAbs returns the maximum absolute value in t (0 for empty tensors).

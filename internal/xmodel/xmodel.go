@@ -303,9 +303,9 @@ func fuseStoreTargets(q *quant.QGraph) {
 			if p == nil {
 				return // malformed graph; leave lowering to report it
 			}
-			// Non-INT8 producers use the reference kernels, which write back
-			// with their own clamp and do not implement the fused double
-			// round-shift — those sides keep the explicit concat copy.
+			// Non-INT8 producers keep the concat copy: an INT4 layer's clamp
+			// follows its write-back, so it cannot sit between the fused
+			// double round-shift, and an FP32 layer has no such write-back.
 			fusable := (p.Kind == graph.KindConv || p.Kind == graph.KindConvTranspose) &&
 				consumers[inName] == 1 && inName != q.OutputName && p.StoreTarget == "" &&
 				effNodeBits(p) == quant.Bits8
