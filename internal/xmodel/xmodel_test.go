@@ -2,6 +2,7 @@ package xmodel
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -258,6 +259,30 @@ func TestSerializationRoundTrip(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("loaded program disagrees at pixel %d", i)
 			}
+		}
+	}
+}
+
+// TestWriteBytesGolden pins the bytes Write produces for the INT8 and the
+// mixed-precision test programs, so a change to the encoder that keeps
+// round trips working but moves a byte on disk is caught.
+func TestWriteBytesGolden(t *testing.T) {
+	int8Prog, _, _ := compiledTestProgram(t)
+	mixedProg, _ := mixedTestProgram(t)
+	for _, c := range []struct {
+		name string
+		prog *Program
+		want string
+	}{
+		{"int8", int8Prog, "ec22721d1c215ecd9927f0d5fef999f2c0b87b83d2ddfffee879467665cdc7fb"},
+		{"mixed", mixedProg, "30d35dfd2684e2bf308c27311d16a4c599822efcab1bacd4734e0b1707efb057"},
+	} {
+		var buf bytes.Buffer
+		if err := c.prog.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s: Write bytes sha256 %s, want %s", c.name, got, c.want)
 		}
 	}
 }
