@@ -71,17 +71,18 @@ mpq-smoke:
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/backend/ ./internal/serve/ ./internal/study/ ./internal/cluster/
 
-# fuzz exercises the binary-format parsers, the /v1/segment front door's
-# header checks and body decoding, its one-pass JSON decode against
-# encoding/json, the INT8 drivers (through cell planes of widened geometry,
-# under every kernel body the host can run), the INT4 layers (the same
-# drivers, then a 4-bit clamp) and the FP32-fallback kernels against their
-# oracles, the percentile selection against the sort it
-# replaced, the backend pool and fault spec grammars, and the study store's
-# job-record loader, beyond the committed corpora.
+# fuzz exercises the binary-format parsers (NIfTI, the xmodel and the
+# training checkpoint), the /v1/segment front door's header checks and body
+# decoding, its one-pass JSON decode against encoding/json, the INT8 drivers
+# (through cell planes of widened geometry, under every kernel body the host
+# can run), the INT4 layers (the same drivers, then a 4-bit clamp) and the
+# FP32-fallback kernels against their oracles, the percentile selection
+# against the sort it replaced, the backend pool and fault spec grammars, and
+# the study store's job-record loader, beyond the committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
+	$(GO) test ./internal/unet/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzConvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzIntRefVsOracle -fuzztime 30s

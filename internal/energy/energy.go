@@ -1,8 +1,8 @@
 // Package energy measures simulated power and energy — the stand-in for the
 // Voltcraft 4000 energy logger (FPGA board power) and nvidia-smi (GPU board
 // power) used in the paper's Section IV-A1. Device simulators emit a
-// piecewise-constant power trace over *simulated* time; the logger
-// integrates it into Joules and reports the Energy Efficiency of Eq. (3),
+// piecewise-constant power trace over *simulated* time; Steady integrates
+// it into Joules and Report gives the Energy Efficiency of Eq. (3),
 // EE = FPS/Watt = frames/Joule.
 package energy
 
@@ -11,32 +11,6 @@ import (
 	"math/rand"
 	"time"
 )
-
-// Logger accumulates a piecewise-constant power trace.
-type Logger struct {
-	total   time.Duration
-	joules  float64
-	samples int
-}
-
-// Record adds a segment of the given duration at constant watts.
-func (l *Logger) Record(d time.Duration, watts float64) {
-	if d < 0 {
-		panic("energy: negative duration")
-	}
-	l.total += d
-	l.joules += watts * d.Seconds()
-	l.samples++
-}
-
-// Duration returns the total logged (simulated) time.
-func (l *Logger) Duration() time.Duration { return l.total }
-
-// Joules returns the integrated energy.
-func (l *Logger) Joules() float64 { return l.joules }
-
-// Samples returns how many segments were recorded.
-func (l *Logger) Samples() int { return l.samples }
 
 // Steady integrates a steady run — frames back to back, perFrame each, at
 // constant watts — into a report. A nonzero seed perturbs every frame's time
@@ -49,15 +23,16 @@ func Steady(frames int, perFrame time.Duration, watts, rel float64, seed int64) 
 	if seed != 0 && rel > 0 {
 		rng = rand.New(rand.NewSource(seed))
 	}
-	var log Logger
+	r := Report{Frames: frames}
 	for i := 0; i < frames; i++ {
 		f := perFrame
 		if rng != nil {
 			f = time.Duration(float64(perFrame) * (1 + rel*(rng.Float64()*2-1)))
 		}
-		log.Record(f, watts)
+		r.Duration += f
+		r.Joules += watts * f.Seconds()
 	}
-	return Report{Frames: frames, Duration: log.Duration(), Joules: log.Joules()}
+	return r
 }
 
 // Report is the throughput/power/efficiency triple the paper's tables use.

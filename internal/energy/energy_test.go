@@ -6,38 +6,6 @@ import (
 	"time"
 )
 
-func TestLoggerIntegration(t *testing.T) {
-	var l Logger
-	l.Record(2*time.Second, 10)
-	l.Record(1*time.Second, 40)
-	if l.Joules() != 60 {
-		t.Fatalf("Joules = %v, want 60", l.Joules())
-	}
-	if l.Duration() != 3*time.Second {
-		t.Fatalf("Duration = %v", l.Duration())
-	}
-	if l.Samples() != 2 {
-		t.Fatalf("Samples = %d", l.Samples())
-	}
-}
-
-func TestEmptyLogger(t *testing.T) {
-	var l Logger
-	if l.Duration() != 0 || l.Joules() != 0 {
-		t.Fatal("empty logger must read zero")
-	}
-}
-
-func TestNegativeDurationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative duration accepted")
-		}
-	}()
-	var l Logger
-	l.Record(-time.Second, 1)
-}
-
 func TestReportEquivalence(t *testing.T) {
 	// EE = FPS/W must equal frames/J exactly (Eq. 3).
 	r := Report{Frames: 500, Duration: 2 * time.Second, Joules: 100}

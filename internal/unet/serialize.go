@@ -1,20 +1,23 @@
 package unet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"os"
+	"slices"
+
+	"seneca/internal/binio"
 )
 
 // Binary model checkpoint layout (little-endian):
 //
-//	magic "SENM" | version u32 | config (name, depth, baseFilters,
-//	inChannels, numClasses, dropout, seed) | paramCount u32 |
-//	per parameter: name | len u32 | float32 values |
-//	bnCount u32 | per batch-norm: name | c u32 | runningMean | runningVar
+//	magic "SENM" | version u32 | name | depth, baseFilters, inChannels,
+//	numClasses u32 | dropout f32 | seed i64 | paramCount u32 |
+//	per parameter: name | values |
+//	bnCount u32 | per batch-norm: name | runningMean | runningVar
+//
+// Strings and tensors are a u32 count, then the elements (internal/binio).
 const (
 	modelMagic   = "SENM"
 	modelVersion = 1
@@ -24,214 +27,92 @@ const (
 // training and deployment can run as separate steps (cmd/seneca-train →
 // cmd/seneca-compile).
 func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	if _, err := bw.WriteString(modelMagic); err != nil {
-		return err
+	bw := binio.NewWriter(w)
+	bw.Magic(modelMagic)
+	bw.U32(modelVersion)
+	bw.String(m.Cfg.Name)
+	for _, v := range []int{m.Cfg.Depth, m.Cfg.BaseFilters, m.Cfg.InChannels, m.Cfg.NumClasses} {
+		bw.U32(uint32(v))
 	}
-	wu32 := func(v uint32) error { return binary.Write(bw, le, v) }
-	wstr := func(s string) error {
-		if err := wu32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	wf32s := func(vals []float32) error {
-		if err := wu32(uint32(len(vals))); err != nil {
-			return err
-		}
-		buf := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			le.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		_, err := bw.Write(buf)
-		return err
-	}
-	if err := wu32(modelVersion); err != nil {
-		return err
-	}
-	if err := wstr(m.Cfg.Name); err != nil {
-		return err
-	}
-	for _, v := range []uint32{uint32(m.Cfg.Depth), uint32(m.Cfg.BaseFilters), uint32(m.Cfg.InChannels), uint32(m.Cfg.NumClasses)} {
-		if err := wu32(v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, le, m.Cfg.DropoutRate); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, m.Cfg.Seed); err != nil {
-		return err
-	}
-	if err := wu32(uint32(len(m.params))); err != nil {
-		return err
-	}
+	bw.F32(m.Cfg.DropoutRate)
+	bw.I64(m.Cfg.Seed)
+	bw.U32(uint32(len(m.params)))
 	for _, p := range m.params {
-		if err := wstr(p.Name); err != nil {
-			return err
-		}
-		if err := wf32s(p.Value.Data); err != nil {
-			return err
-		}
+		bw.String(p.Name)
+		bw.Float32s(p.Value.Data)
 	}
 	bns := m.batchNorms()
-	if err := wu32(uint32(len(bns))); err != nil {
-		return err
-	}
+	bw.U32(uint32(len(bns)))
 	for _, bn := range bns {
-		if err := wstr(bn.Name()); err != nil {
-			return err
-		}
-		if err := wf32s(bn.RunningMean); err != nil {
-			return err
-		}
-		if err := wf32s(bn.RunningVar); err != nil {
-			return err
-		}
+		bw.String(bn.Name())
+		bw.Float32s(bn.RunningMean)
+		bw.Float32s(bn.RunningVar)
 	}
 	return bw.Flush()
 }
 
-// Load reads a checkpoint written by Save, reconstructing the model.
+// Limits on a name's bytes, a tensor's values and a section's tensors.
+const maxNameLen, maxTensorLen, maxTensors = 1 << 16, 1 << 28, 1 << 12
+
+// Load reads a checkpoint written by Save. It reads the whole file before it
+// builds the model, and refuses a config that needs more parameter values than
+// the file held, so a header cannot make it build a network beyond its file.
 func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	le := binary.LittleEndian
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("unet: reading magic: %w", err)
-	}
-	if string(head) != modelMagic {
-		return nil, fmt.Errorf("unet: bad checkpoint magic %q", head)
-	}
-	ru32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	rstr := func() (string, error) {
-		n, err := ru32()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<16 {
-			return "", fmt.Errorf("unet: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	rf32s := func() ([]float32, error) {
-		n, err := ru32()
-		if err != nil {
-			return nil, err
-		}
-		if n > 1<<28 {
-			return nil, fmt.Errorf("unet: implausible tensor length %d", n)
-		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = math.Float32frombits(le.Uint32(buf[4*i:]))
-		}
-		return out, nil
-	}
-	ver, err := ru32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != modelVersion {
+	br := binio.NewReader(r)
+	br.Magic(modelMagic)
+	if ver := br.U32(); br.Err() == nil && ver != modelVersion {
 		return nil, fmt.Errorf("unet: unsupported checkpoint version %d", ver)
 	}
 	var cfg Config
-	if cfg.Name, err = rstr(); err != nil {
+	cfg.Name = br.String("config name", maxNameLen)
+	cfg.Depth, cfg.BaseFilters, cfg.InChannels, cfg.NumClasses = int(br.U32()), int(br.U32()), int(br.U32()), int(br.U32())
+	cfg.DropoutRate = br.F32()
+	cfg.Seed = br.I64()
+	tensors := make(map[string][]float32) // parameters and running statistics
+	supplied := 0                         // parameter values
+	for i, n := 0, br.Count("parameter count", maxTensors); i < n && br.Err() == nil; i++ {
+		name := br.String("parameter name", maxNameLen)
+		tensors[name] = br.Float32s("parameter values", maxTensorLen)
+		supplied += len(tensors[name])
+	}
+	for i, n := 0, br.Count("batch-norm count", maxTensors); i < n && br.Err() == nil; i++ {
+		name := br.String("batch-norm name", maxNameLen)
+		tensors[name+" running mean"] = br.Float32s("running mean", maxTensorLen)
+		tensors[name+" running variance"] = br.Float32s("running variance", maxTensorLen)
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("unet: %w", err)
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var ints [4]uint32
-	for i := range ints {
-		if ints[i], err = ru32(); err != nil {
-			return nil, err
-		}
-	}
-	cfg.Depth, cfg.BaseFilters, cfg.InChannels, cfg.NumClasses = int(ints[0]), int(ints[1]), int(ints[2]), int(ints[3])
-	if err := binary.Read(br, le, &cfg.DropoutRate); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, le, &cfg.Seed); err != nil {
-		return nil, err
+	if want := paramCount(cfg); want > supplied {
+		return nil, fmt.Errorf("unet: config %s needs %d parameter values, checkpoint supplies %d", cfg.Name, want, supplied)
 	}
 	m := New(cfg)
-
-	nParams, err := ru32()
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string][]float32, len(m.params))
+	need := make(map[string][]float32, len(tensors))
 	for _, p := range m.params {
-		byName[p.Name] = p.Value.Data
+		need[p.Name] = p.Value.Data
 	}
-	if int(nParams) != len(m.params) {
-		return nil, fmt.Errorf("unet: checkpoint has %d parameters, model has %d", nParams, len(m.params))
-	}
-	for i := uint32(0); i < nParams; i++ {
-		name, err := rstr()
-		if err != nil {
-			return nil, err
-		}
-		vals, err := rf32s()
-		if err != nil {
-			return nil, err
-		}
-		dst, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unet: checkpoint parameter %q not in model", name)
-		}
-		if len(dst) != len(vals) {
-			return nil, fmt.Errorf("unet: parameter %q has %d values, want %d", name, len(vals), len(dst))
-		}
-		copy(dst, vals)
-	}
-	nBN, err := ru32()
-	if err != nil {
-		return nil, err
-	}
-	bnByName := make(map[string]*bnRef)
 	for _, bn := range m.batchNorms() {
-		bnByName[bn.Name()] = &bnRef{mean: bn.RunningMean, variance: bn.RunningVar}
+		need[bn.Name()+" running mean"] = bn.RunningMean
+		need[bn.Name()+" running variance"] = bn.RunningVar
 	}
-	for i := uint32(0); i < nBN; i++ {
-		name, err := rstr()
-		if err != nil {
-			return nil, err
-		}
-		mean, err := rf32s()
-		if err != nil {
-			return nil, err
-		}
-		variance, err := rf32s()
-		if err != nil {
-			return nil, err
-		}
-		ref, ok := bnByName[name]
+	if len(tensors) != len(need) {
+		return nil, fmt.Errorf("unet: checkpoint has %d distinct tensors, model has %d", len(tensors), len(need))
+	}
+	for _, name := range slices.Sorted(maps.Keys(need)) {
+		got, ok := tensors[name]
 		if !ok {
-			return nil, fmt.Errorf("unet: checkpoint batch-norm %q not in model", name)
+			return nil, fmt.Errorf("unet: %q not in checkpoint", name)
 		}
-		if len(mean) != len(ref.mean) {
-			return nil, fmt.Errorf("unet: batch-norm %q has %d channels, want %d", name, len(mean), len(ref.mean))
+		if len(got) != len(need[name]) {
+			return nil, fmt.Errorf("unet: %q has %d values, want %d", name, len(got), len(need[name]))
 		}
-		copy(ref.mean, mean)
-		copy(ref.variance, variance)
+		copy(need[name], got)
 	}
 	return m, nil
 }
-
-type bnRef struct{ mean, variance []float32 }
 
 // SaveFile writes the checkpoint to path.
 func (m *Model) SaveFile(path string) error {

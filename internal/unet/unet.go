@@ -129,14 +129,47 @@ type Model struct {
 	layers     []nn.Layer
 }
 
+// maxWidth bounds a configuration's input channels and its widest layer, the
+// bottleneck's BaseFilters<<Depth channels, as xmodel bounds a loaded node's.
+const maxWidth = 1 << 16
+
+// validate names the first field of c that New cannot build from.
+func (c Config) validate() error {
+	switch {
+	case c.Depth < 1:
+		return fmt.Errorf("unet: invalid depth %d", c.Depth)
+	case c.BaseFilters < 1 || c.BaseFilters > maxWidth>>c.Depth:
+		return fmt.Errorf("unet: invalid base filters %d at depth %d (bottleneck over %d channels)", c.BaseFilters, c.Depth, maxWidth)
+	case c.InChannels < 1 || c.InChannels > maxWidth:
+		return fmt.Errorf("unet: invalid input channels %d", c.InChannels)
+	case c.NumClasses < 2 || c.NumClasses > 256:
+		return fmt.Errorf("unet: invalid class count %d (masks are uint8)", c.NumClasses)
+	}
+	return nil
+}
+
+// paramCount is New(c).ParamCount() in closed form, for a valid c.
+func paramCount(c Config) int {
+	conv := func(in, out int) int { return 9*in*out + out }         // 3×3 weights, bias
+	block := func(in, out int) int { return conv(in, out) + 2*out } // batch-norm γ, β
+	n, in := 0, c.InChannels
+	for i := 0; i <= c.Depth; i++ { // encoders, then the bottleneck
+		f := c.BaseFilters << i
+		n += block(in, f) + block(f, f)
+		in = f
+	}
+	for i := c.Depth - 1; i >= 0; i-- { // decoders: upsample from 2f, concat to 2f
+		f := c.BaseFilters << i
+		n += conv(2*f, f) + block(2*f, f) + block(f, f)
+	}
+	return n + conv(c.BaseFilters, c.NumClasses)
+}
+
 // New builds a model for the given configuration with deterministic
 // initialization.
 func New(cfg Config) *Model {
-	if cfg.Depth < 1 {
-		panic(fmt.Sprintf("unet: invalid depth %d", cfg.Depth))
-	}
-	if cfg.InChannels < 1 || cfg.NumClasses < 2 || cfg.BaseFilters < 1 {
-		panic(fmt.Sprintf("unet: invalid config %+v", cfg))
+	if err := cfg.validate(); err != nil {
+		panic(err.Error())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg}

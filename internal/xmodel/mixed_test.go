@@ -3,6 +3,8 @@ package xmodel
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"seneca/internal/quant"
@@ -185,5 +187,24 @@ func TestReadVersionCompat(t *testing.T) {
 		if _, err := Read(bytes.NewReader(miniFile(2, bad))); err == nil {
 			t.Errorf("bitwidth %d accepted", bad)
 		}
+	}
+}
+
+// TestReadDeclaredSizeHoldsNoMemory: an FP32 node whose float weights declare
+// 2^24 values over a short body costs what the body holds, not the 64 MiB it
+// declares.
+func TestReadDeclaredSizeHoldsNoMemory(t *testing.T) {
+	b := miniFile(2, quant.BitsFP32)
+	b = append(b[:len(b)-8], 0, 0, 0, 1) // weightF len 1<<24, replacing both float lengths
+	b = append(b, make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "float") {
+		t.Fatalf("truncated float payload: error %v, want one naming it", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte file", got, len(b))
 	}
 }

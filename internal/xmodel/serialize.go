@@ -1,13 +1,11 @@
 package xmodel
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
+	"seneca/internal/binio"
 	"seneca/internal/graph"
 	"seneca/internal/quant"
 )
@@ -24,8 +22,9 @@ import (
 //	outShape 3×i32 | weightLen u32 | weights (int8) | biasLen u32 | bias (i32) |
 //	weightFLen u32 | weightsF (f32) | biasFLen u32 | biasF (f32)
 //
-// Strings are u32 length + bytes. Instructions are not stored; they are
-// deterministically re-derived from the graph on load.
+// Strings and payloads are a u32 count, then the elements (internal/binio).
+// Instructions are not stored; they are deterministically re-derived from
+// the graph on load.
 //
 // Version 2 added the per-node precision byte (bits: 4, 8 or 32; 0 means 8)
 // and the trailing float payloads carried by FP32-fallback layers. Version 1
@@ -35,339 +34,100 @@ const (
 	version = 2
 )
 
-// Write serializes the program. Scalars are encoded by hand into a small
-// reused scratch buffer and weight/bias payloads stream through one chunk
-// buffer — binary.Write's per-call reflection allocation made serialization
-// cost ~1400 allocs per program; this path costs a handful.
+// Write serializes the program.
 func (p *Program) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	scratch := make([]byte, 4)
-	const chunk = 1 << 16
-	payload := make([]byte, chunk)
-	wu32 := func(v uint32) error {
-		le.PutUint32(scratch, v)
-		_, err := bw.Write(scratch)
-		return err
-	}
-	wi32 := func(v int32) error { return wu32(uint32(v)) }
-	wstr := func(s string) error {
-		if err := wu32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := wu32(version); err != nil {
-		return err
-	}
-	if err := wstr(p.Name); err != nil {
-		return err
-	}
+	bw := binio.NewWriter(w)
+	bw.Magic(magic)
+	bw.U32(version)
+	bw.String(p.Name)
 	g := p.Graph
-	for _, v := range []int32{int32(g.InC), int32(g.InH), int32(g.InW), int32(g.InputFP), int32(g.NumClasses)} {
-		if err := wi32(v); err != nil {
-			return err
-		}
+	for _, v := range []int{g.InC, g.InH, g.InW, int(g.InputFP), g.NumClasses} {
+		bw.I32(int32(v))
 	}
-	if err := wstr(g.OutputName); err != nil {
-		return err
-	}
-	if err := wu32(uint32(len(g.Nodes))); err != nil {
-		return err
-	}
+	bw.String(g.OutputName)
+	bw.U32(uint32(len(g.Nodes)))
 	for _, n := range g.Nodes {
-		if err := wstr(n.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(n.Kind)); err != nil {
-			return err
-		}
-		if err := wu32(uint32(len(n.Inputs))); err != nil {
-			return err
-		}
+		bw.String(n.Name)
+		bw.U8(byte(n.Kind))
+		bw.U32(uint32(len(n.Inputs)))
 		for _, in := range n.Inputs {
-			if err := wstr(in); err != nil {
-				return err
-			}
+			bw.String(in)
 		}
-		ints := []int32{
-			int32(n.Kernel), int32(n.Stride), int32(n.Pad), int32(n.OutPad),
-			int32(n.InC), int32(n.OutC),
-			int32(n.InFP), int32(n.OutFP), int32(n.WeightFP),
-		}
-		for _, v := range ints {
-			if err := wi32(v); err != nil {
-				return err
-			}
+		for _, v := range []int{
+			n.Kernel, n.Stride, n.Pad, n.OutPad, n.InC, n.OutC,
+			int(n.InFP), int(n.OutFP), int(n.WeightFP),
+		} {
+			bw.I32(int32(v))
 		}
 		relu := byte(0)
 		if n.FusedReLU {
 			relu = 1
 		}
-		if err := bw.WriteByte(relu); err != nil {
-			return err
-		}
+		bw.U8(relu)
 		if !quant.ValidBits(n.Bits) {
 			return fmt.Errorf("xmodel: node %q: unsupported bitwidth %d", n.Name, n.Bits)
 		}
-		if err := bw.WriteByte(byte(n.Bits)); err != nil {
-			return err
-		}
+		bw.U8(byte(n.Bits))
 		for _, v := range n.OutShape {
-			if err := wi32(int32(v)); err != nil {
-				return err
-			}
+			bw.I32(int32(v))
 		}
-		if err := wu32(uint32(len(n.Weight))); err != nil {
-			return err
-		}
-		for off := 0; off < len(n.Weight); off += chunk {
-			end := off + chunk
-			if end > len(n.Weight) {
-				end = len(n.Weight)
-			}
-			part := n.Weight[off:end]
-			buf := payload[:len(part)]
-			for i, q := range part {
-				buf[i] = byte(q)
-			}
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-		if err := wu32(uint32(len(n.Bias))); err != nil {
-			return err
-		}
-		for off := 0; off < len(n.Bias); off += chunk / 4 {
-			end := off + chunk/4
-			if end > len(n.Bias) {
-				end = len(n.Bias)
-			}
-			part := n.Bias[off:end]
-			buf := payload[:4*len(part)]
-			for i, b := range part {
-				le.PutUint32(buf[4*i:], uint32(b))
-			}
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-		for _, fs := range [][]float32{n.WeightF, n.BiasF} {
-			if err := wu32(uint32(len(fs))); err != nil {
-				return err
-			}
-			for off := 0; off < len(fs); off += chunk / 4 {
-				end := off + chunk/4
-				if end > len(fs) {
-					end = len(fs)
-				}
-				part := fs[off:end]
-				buf := payload[:4*len(part)]
-				for i, f := range part {
-					le.PutUint32(buf[4*i:], math.Float32bits(f))
-				}
-				if _, err := bw.Write(buf); err != nil {
-					return err
-				}
-			}
-		}
+		bw.Int8s(n.Weight)
+		bw.Int32s(n.Bias)
+		bw.Float32s(n.WeightF)
+		bw.Float32s(n.BiasF)
 	}
 	return bw.Flush()
 }
 
 // Read deserializes a program and re-derives its instruction schedule.
 func Read(r io.Reader) (*Program, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("xmodel: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("xmodel: bad magic %q", head)
-	}
-	le := binary.LittleEndian
-	ru32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	ri32 := func() (int32, error) {
-		var v int32
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	rstr := func() (string, error) {
-		n, err := ru32()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("xmodel: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	ver, err := ru32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 && ver != version {
+	br := binio.NewReader(r)
+	br.Magic(magic)
+	ver := br.U32()
+	if br.Err() == nil && ver != 1 && ver != version {
 		return nil, fmt.Errorf("xmodel: unsupported version %d", ver)
 	}
-	name, err := rstr()
-	if err != nil {
-		return nil, err
-	}
+	name := br.String("program name", 1<<20)
 	g := &quant.QGraph{}
-	var geo [5]int32
-	for i := range geo {
-		if geo[i], err = ri32(); err != nil {
-			return nil, err
+	g.InC, g.InH, g.InW = int(br.I32()), int(br.I32()), int(br.I32())
+	g.InputFP = quant.FixPos(br.I32())
+	g.NumClasses = int(br.I32())
+	g.OutputName = br.String("output name", 1<<20)
+	count := br.Count("node count", 1<<20)
+	for i := 0; i < count && br.Err() == nil; i++ {
+		n := &quant.QNode{Name: br.String("node name", 1<<20)}
+		n.Kind = graph.Kind(br.U8())
+		nIn := br.Count("input count", 1<<20)
+		for j := 0; j < nIn && br.Err() == nil; j++ {
+			n.Inputs = append(n.Inputs, br.String("input name", 1<<20))
 		}
-	}
-	g.InC, g.InH, g.InW = int(geo[0]), int(geo[1]), int(geo[2])
-	g.InputFP = quant.FixPos(geo[3])
-	g.NumClasses = int(geo[4])
-	if g.OutputName, err = rstr(); err != nil {
-		return nil, err
-	}
-	count, err := ru32()
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<20 {
-		return nil, fmt.Errorf("xmodel: implausible node count %d", count)
-	}
-	for i := uint32(0); i < count; i++ {
-		n := &quant.QNode{}
-		if n.Name, err = rstr(); err != nil {
-			return nil, err
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		n.Kind = graph.Kind(kind)
-		nIn, err := ru32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nIn; j++ {
-			in, err := rstr()
-			if err != nil {
-				return nil, err
-			}
-			n.Inputs = append(n.Inputs, in)
-		}
-		var ints [9]int32
-		for j := range ints {
-			if ints[j], err = ri32(); err != nil {
-				return nil, err
-			}
-		}
-		n.Kernel, n.Stride, n.Pad, n.OutPad = int(ints[0]), int(ints[1]), int(ints[2]), int(ints[3])
-		n.InC, n.OutC = int(ints[4]), int(ints[5])
-		n.InFP, n.OutFP, n.WeightFP = quant.FixPos(ints[6]), quant.FixPos(ints[7]), quant.FixPos(ints[8])
-		relu, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		n.FusedReLU = relu != 0
+		n.Kernel, n.Stride, n.Pad, n.OutPad = int(br.I32()), int(br.I32()), int(br.I32()), int(br.I32())
+		n.InC, n.OutC = int(br.I32()), int(br.I32())
+		n.InFP, n.OutFP, n.WeightFP = quant.FixPos(br.I32()), quant.FixPos(br.I32()), quant.FixPos(br.I32())
+		n.FusedReLU = br.U8() != 0
 		if ver >= 2 {
-			bits, err := br.ReadByte()
-			if err != nil {
-				return nil, err
+			n.Bits = int(br.U8())
+			if !quant.ValidBits(n.Bits) {
+				return nil, fmt.Errorf("xmodel: node %q: unsupported bitwidth %d", n.Name, n.Bits)
 			}
-			if !quant.ValidBits(int(bits)) {
-				return nil, fmt.Errorf("xmodel: node %q: unsupported bitwidth %d", n.Name, bits)
-			}
-			n.Bits = int(bits)
 		}
-		for j := 0; j < 3; j++ {
-			v, err := ri32()
-			if err != nil {
-				return nil, err
-			}
-			n.OutShape[j] = int(v)
-		}
-		wlen, err := ru32()
-		if err != nil {
-			return nil, err
-		}
-		if wlen > 1<<28 {
-			return nil, fmt.Errorf("xmodel: implausible weight length %d", wlen)
-		}
-		// Read large payloads in chunks so a header that declares a huge
-		// tensor over a truncated body fails after consuming the bytes
-		// actually present, without allocating the declared size up front.
-		const chunk = 1 << 16
-		n.Weight = make([]int8, 0, min64(int64(wlen), chunk))
-		wbuf := make([]byte, chunk)
-		for got := uint32(0); got < wlen; {
-			c := wlen - got
-			if c > chunk {
-				c = chunk
-			}
-			if _, err := io.ReadFull(br, wbuf[:c]); err != nil {
-				return nil, fmt.Errorf("xmodel: reading weights: %w", err)
-			}
-			for _, b := range wbuf[:c] {
-				n.Weight = append(n.Weight, int8(b))
-			}
-			got += c
-		}
-		blen, err := ru32()
-		if err != nil {
-			return nil, err
-		}
-		if blen > 1<<24 {
-			return nil, fmt.Errorf("xmodel: implausible bias length %d", blen)
-		}
-		n.Bias = make([]int32, 0, min64(int64(blen), chunk))
-		for j := uint32(0); j < blen; j++ {
-			b, err := ri32()
-			if err != nil {
-				return nil, fmt.Errorf("xmodel: reading bias: %w", err)
-			}
-			n.Bias = append(n.Bias, b)
-		}
+		n.OutShape = [3]int{int(br.I32()), int(br.I32()), int(br.I32())}
+		n.Weight = br.Int8s("weights", 1<<28)
+		n.Bias = br.Int32s("bias", 1<<24)
 		if ver >= 2 {
-			for fi, dst := range []*[]float32{&n.WeightF, &n.BiasF} {
-				flen, err := ru32()
-				if err != nil {
-					return nil, err
-				}
-				if flen > 1<<26 {
-					return nil, fmt.Errorf("xmodel: implausible float payload length %d", flen)
-				}
-				if n.Bits != quant.BitsFP32 && flen != 0 {
-					return nil, fmt.Errorf("xmodel: node %q: float payload on a %d-bit node", n.Name, n.Bits)
-				}
-				if flen == 0 {
-					continue
-				}
-				fs := make([]float32, 0, min64(int64(flen), chunk))
-				for j := uint32(0); j < flen; j++ {
-					v, err := ru32()
-					if err != nil {
-						return nil, fmt.Errorf("xmodel: reading float payload %d: %w", fi, err)
-					}
-					fs = append(fs, math.Float32frombits(v))
-				}
-				*dst = fs
+			n.WeightF = br.Float32s("float weights", 1<<26)
+			n.BiasF = br.Float32s("float bias", 1<<26)
+			if n.Bits != quant.BitsFP32 && len(n.WeightF)+len(n.BiasF) != 0 {
+				return nil, fmt.Errorf("xmodel: node %q: float payload on a %d-bit node", n.Name, n.Bits)
 			}
 		}
 		if n.Kind == graph.KindInput {
 			g.InputName = n.Name
 		}
 		g.Nodes = append(g.Nodes, n)
+	}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("xmodel: %w", err)
 	}
 	g.RebuildIndex()
 	if err := validateLoaded(g); err != nil {
@@ -380,13 +140,6 @@ func Read(r io.Reader) (*Program, error) {
 		return nil, fmt.Errorf("xmodel: recompiling loaded graph: %w", err)
 	}
 	return prog, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // loadedArity is the required input count per operator kind for graphs
