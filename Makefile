@@ -77,8 +77,9 @@ chaos:
 # (through cell planes of widened geometry, under every kernel body the host
 # can run), the INT4 layers (the same drivers, then a 4-bit clamp) and the
 # FP32-fallback kernels against their oracles, the percentile selection
-# against the sort it replaced, the backend pool and fault spec grammars, and
-# the study store's job-record loader, beyond the committed corpora.
+# against the sort it replaced, the backend pool and fault spec grammars, the
+# study store's job-record loader and the largest-component filter against
+# the flood fill it replaced, beyond the committed corpora.
 fuzz:
 	$(GO) test ./internal/nifti/ -run '^$$' -fuzz FuzzRead$$ -fuzztime 30s
 	$(GO) test ./internal/xmodel/ -run '^$$' -fuzz FuzzReadProgram -fuzztime 30s
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeJSONBody -fuzztime 30s
 	$(GO) test ./internal/study/ -run '^$$' -fuzz FuzzOpenStore -fuzztime 30s
+	$(GO) test ./internal/study/ -run '^$$' -fuzz FuzzLargestComponents -fuzztime 30s
 	$(GO) test ./internal/backend/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz FuzzApplySpec -fuzztime 30s
 
