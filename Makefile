@@ -76,7 +76,9 @@ chaos:
 # decoding, its one-pass JSON decode against encoding/json, the INT8 drivers
 # (through cell planes of widened geometry, under every kernel body the host
 # can run), the INT4 layers (the same drivers, then a 4-bit clamp) and the
-# FP32-fallback kernels against their oracles, the percentile selection
+# FP32-fallback kernels against their oracles, the element-wise passes
+# (argmax, max-pool, input quantisation) under every kernel body the host can
+# run against their plain loops, the percentile selection
 # against the sort it replaced, the backend pool and fault spec grammars, the
 # study store's job-record loader and the largest-component filter against
 # the flood fill it replaced, beyond the committed corpora.
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzConvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzDconvVsReference -fuzztime 30s
 	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzIntRefVsOracle -fuzztime 30s
+	$(GO) test ./internal/quant/ -run '^$$' -fuzz FuzzCellPassesVsPortable -fuzztime 30s
 	$(GO) test ./internal/imaging/ -run '^$$' -fuzz FuzzSaturateVsSort -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeSegmentRequest -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeJSONBody -fuzztime 30s

@@ -94,10 +94,11 @@ func main() {
 }
 
 // profile runs the host executor on one core over seeded noise, timing every
-// node of every frame from outside (quant.Executor.Steps — the serving path
-// carries no timer), and prints per node the median time, its multiply-adds
-// and the rate they ran at, the bytes it stored into the arena and its share
-// of the frame (the sum of the medians).
+// node of every frame and the argmax that makes its mask from outside
+// (quant.Executor.Steps — the serving path carries no timer), and prints per
+// pass the median time, its multiply-adds and the rate they ran at, the
+// bytes it stored (into the arena; the argmax's, its mask) and its share of
+// the frame (the sum of the medians).
 func profile(prog *xmodel.Program, frames int) error {
 	g := prog.Graph
 	ex, err := quant.NewExecutor(g)
@@ -115,10 +116,11 @@ func profile(prog *xmodel.Program, frames int) error {
 		macs[in.Node] += in.MACs
 	}
 	var steps []quant.Step
-	samples := make([][]time.Duration, len(g.Nodes))
+	// The nodes, then the argmax.
+	samples := make([][]time.Duration, len(g.Nodes)+1)
 	for f := -1; f < frames; f++ { // frame −1 warms the caches and packs the weights
 		i := 0
-		err := ex.Steps(img, func(s quant.Step, run func()) {
+		_, err := ex.Steps(img, func(s quant.Step, run func()) {
 			start := time.Now()
 			run()
 			if d := time.Since(start); f >= 0 {
@@ -140,22 +142,25 @@ func profile(prog *xmodel.Program, frames int) error {
 		frame += medians[i]
 	}
 	fmt.Printf("\nhost executor, one core, median of %d frames (%s body)\n", frames, quant.KernelISA())
-	fmt.Printf("%-22s %-14s %10s %11s %8s %10s %6s\n", "node", "kind", "ns", "MACs", "GMAC/s", "stored B", "share")
+	fmt.Printf("%-22s %-14s %10s %11s %8s %10s %6s\n", "pass", "kind", "ns", "MACs", "GMAC/s", "stored B", "share")
 	var totalMACs int64
 	var totalStored int
 	for i, s := range steps {
-		name := s.Node.Name
+		name, kind := s.Name, "labels"
 		if len(name) > 22 {
 			name = name[:22]
 		}
+		if s.Node != nil {
+			kind = s.Node.Kind.String()
+		}
 		rate := "-"
-		if m := macs[s.Node.Name]; m > 0 && medians[i] > 0 {
+		if m := macs[s.Name]; m > 0 && medians[i] > 0 {
 			rate = fmt.Sprintf("%.1f", float64(m)/float64(medians[i].Nanoseconds()))
 		}
-		totalMACs += macs[s.Node.Name]
+		totalMACs += macs[s.Name]
 		totalStored += s.StoredBytes
-		fmt.Printf("%-22s %-14s %10d %11d %8s %10d %5.1f%%\n", name, s.Node.Kind, medians[i].Nanoseconds(),
-			macs[s.Node.Name], rate, s.StoredBytes, 100*float64(medians[i])/float64(frame))
+		fmt.Printf("%-22s %-14s %10d %11d %8s %10d %5.1f%%\n", name, kind, medians[i].Nanoseconds(),
+			macs[s.Name], rate, s.StoredBytes, 100*float64(medians[i])/float64(frame))
 	}
 	fmt.Printf("%-22s %-14s %10d %11d %8.1f %10d\n", "frame", "", frame.Nanoseconds(), totalMACs,
 		float64(totalMACs)/float64(frame.Nanoseconds()), totalStored)

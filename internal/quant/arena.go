@@ -278,26 +278,27 @@ func NewExecutor(q *QGraph) (*Executor, error) {
 // plus, for a graph with FP32-fallback layers, their kernels' scratch.
 func (e *Executor) ArenaBytes() int { return e.bytes }
 
-// Step describes one node of a frame to Steps' visitor.
+// Step describes one pass of a frame to Steps' visitor.
 type Step struct {
-	Node *QNode
-	// StoredBytes is what the node writes into the arena per frame.
-	StoredBytes int
+	Name        string // the node's, or "argmax"
+	Node        *QNode // nil for the argmax
+	StoredBytes int    // what the pass writes per frame: into the arena, or the mask
 }
 
-// Steps runs one frame a node at a time: visit is called for every node in
-// execution order with a function that executes it, which it must call
-// exactly once. This is what a tool times a frame's layers with
-// (seneca-inspect -profile); the serving path (run) carries no timer.
-func (e *Executor) Steps(img *tensor.Tensor, visit func(s Step, run func())) error {
-	if err := e.checkInput(img); err != nil {
-		return err
+// Steps runs one frame a pass at a time and returns its mask: visit is
+// called for every node in execution order, then for the argmax, with a
+// function that runs it, which it must call exactly once. seneca-inspect
+// -profile times a frame's passes with it; ExecuteLabels carries no timer.
+func (e *Executor) Steps(img *tensor.Tensor, visit func(s Step, run func())) (mask []uint8, err error) {
+	if err = e.checkInput(img); err != nil {
+		return nil, err
 	}
 	for i := range e.steps {
 		s := &e.steps[i]
-		visit(Step{Node: s.n, StoredBytes: s.storedBytes()}, func() { e.exec(s, img) })
+		visit(Step{Name: s.n.Name, Node: s.n, StoredBytes: s.storedBytes()}, func() { e.exec(s, img) })
 	}
-	return nil
+	visit(Step{Name: "argmax", StoredBytes: e.output.h * e.output.w}, func() { mask = argmaxChannelsInt8(e.output) })
+	return mask, nil
 }
 
 func (s *step) storedBytes() int {
@@ -412,8 +413,8 @@ func (e *Executor) Execute(img *tensor.Tensor) (*tensor.Tensor, error) {
 // ExecuteLabels runs the graph and returns the per-pixel argmax class map
 // directly from the INT8 logits (argmax commutes with softmax), exactly as
 // the deployed DPU model returns INT8 masks. The returned mask is freshly
-// allocated — the only allocation on the steady-state INT8 path — because
-// callers retain masks beyond the next frame.
+// allocated, because callers retain masks beyond the next frame; the
+// frame's other allocations are its loops' par.ForChunkedID closures.
 func (e *Executor) ExecuteLabels(img *tensor.Tensor) ([]uint8, error) {
 	if err := e.run(img); err != nil {
 		return nil, err

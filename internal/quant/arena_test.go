@@ -152,32 +152,94 @@ func TestBordersStayZero(t *testing.T) {
 	}
 }
 
-// TestExecuteLabelsSteadyStateAllocs pins the arena's purpose: after the
-// pool is warm, an INT8 inference allocates only the returned mask plus a
-// handful of closures — not a fresh buffer per layer.
-func TestExecuteLabelsSteadyStateAllocs(t *testing.T) {
+// TestExecuteLabelsAllocs pins the arena's purpose: after the pool is warm,
+// an INT8 inference on one worker allocates at most one closure a pass of
+// the frame — its nodes and the argmax — plus the returned mask, not a
+// fresh buffer per layer. On the PTQ test model and on the 1M U-Net at the
+// paper's 256×256, every element-wise pass there on its assembly body.
+func TestExecuteLabelsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
+	_, g, calib := buildTestModel(t)
+	small, err := PTQ(g, calib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := QuantizeShapeOnly(unet.New(unet.TableII()[0]).Export(256, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1)) // goroutine spawn costs would otherwise dominate
+	for _, c := range []struct {
+		name string
+		q    *QGraph
+		img  *tensor.Tensor
+	}{{"test model", small, calib[0]}, {"1M@256", big, tensor.New(1, 256, 256)}} {
+		ex, err := NewExecutor(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.ExecuteLabels(c.img); err != nil { // pack the weights
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := ex.ExecuteLabels(c.img); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := len(ex.steps) + 1 + 1; allocs > float64(limit) {
+			t.Fatalf("%s: steady-state INT8 inference does %v allocs, want ≤ %d (%d nodes, the argmax and the mask)", c.name, allocs, limit, len(ex.steps))
+		}
+	}
+}
+
+// TestStepsMatchExecuteLabels drives frames through Steps' visitor, which
+// seneca-inspect -profile times: every node in execution order and then the
+// argmax is visited exactly once, and the mask Steps returns is the one
+// ExecuteLabels returns for the same image, on every body this host can
+// run.
+func TestStepsMatchExecuteLabels(t *testing.T) {
 	_, g, calib := buildTestModel(t)
 	q, err := PTQ(g, calib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := par.MaxWorkers()
-	par.SetMaxWorkers(1) // goroutine spawn costs would otherwise dominate
-	defer par.SetMaxWorkers(old)
-	img := calib[0]
-	if _, err := q.ExecuteLabels(img); err != nil { // warm the pool
+	ex, err := NewExecutor(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := q.ExecuteLabels(img); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 31 {
-		t.Fatalf("steady-state INT8 inference does %v allocs, want ≤31", allocs)
+	var want []string
+	for _, n := range q.Nodes {
+		want = append(want, n.Name)
+	}
+	want = append(want, "argmax")
+	for _, b := range hostBodies() {
+		withBody(b, func() {
+			for _, img := range calib[:3] {
+				var visited []string
+				mask, err := ex.Steps(img, func(s Step, run func()) {
+					if (s.Node == nil) != (s.Name == "argmax") || s.Node != nil && s.Node.Name != s.Name {
+						t.Fatalf("step %q carries node %v", s.Name, s.Node)
+					}
+					visited = append(visited, s.Name)
+					run()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Join(visited, " ") != strings.Join(want, " ") {
+					t.Fatalf("%s: Steps visited %v, want %v", KernelISA(), visited, want)
+				}
+				labels, err := q.ExecuteLabels(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(mask) != string(labels) {
+					t.Fatalf("%s: Steps' mask differs from ExecuteLabels'", KernelISA())
+				}
+			}
+		})
 	}
 }
 

@@ -36,3 +36,8 @@ func finalize8AVX2(acc []int32, dst []int32, bias []int32, pairs, dstStride, shi
 //
 //go:noescape
 func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int)
+
+// The element-wise passes' assembly, which both bodies run (cells_amd64.s).
+func argmaxAVX2(dst []uint8, x []int32, c, planeStride int)
+func maxPoolAVX2(dst, top, bot []int32)
+func quantizeAVX2(dst []int32, even, odd []float32, scale float64)

@@ -15,3 +15,12 @@ func finalize8AVX2(acc []int32, dst []int32, bias []int32, pairs, dstStride, shi
 func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int) {
 	panic("quant: the assembly bodies exist on amd64 only")
 }
+func argmaxAVX2(dst []uint8, x []int32, c, planeStride int) {
+	panic("quant: the assembly bodies exist on amd64 only")
+}
+func maxPoolAVX2(dst, top, bot []int32) {
+	panic("quant: the assembly bodies exist on amd64 only")
+}
+func quantizeAVX2(dst []int32, even, odd []float32, scale float64) {
+	panic("quant: the assembly bodies exist on amd64 only")
+}

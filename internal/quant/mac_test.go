@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"seneca/internal/graph"
+	"seneca/internal/imaging"
+	"seneca/internal/par"
+	"seneca/internal/phantom"
 	"seneca/internal/unet"
 )
 
@@ -234,6 +237,184 @@ func TestTileWidthsAgainstReference(t *testing.T) {
 	}
 }
 
+// sameAsPortable holds run under every body this host can run to run under
+// the portable body, element for element: the plain loops are the oracle
+// the element-wise passes' assembly is held to.
+func sameAsPortable[T comparable](t *testing.T, what string, run func() []T) {
+	t.Helper()
+	var want []T
+	withBody(portable, func() { want = run() })
+	for _, b := range hostBodies()[1:] {
+		withBody(b, func() {
+			got := run()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d elements, want %d", KernelISA(), what, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s: element %d = %v, want %v", KernelISA(), what, i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// cellPassInt8s draws n int8 values: random (fill 0), from a few values
+// including both extremes so ties are everywhere (1), or one value
+// throughout, an all-tie plane (2).
+func cellPassInt8s(rng *rand.Rand, n, fill int) []int8 {
+	s := randInt8s(rng, n)
+	few := []int8{-128, -127, 0, 126, 127}
+	one := few[rng.Intn(len(few))]
+	for i := range s {
+		switch fill {
+		case 1:
+			s[i] = few[rng.Intn(len(few))]
+		case 2:
+			s[i] = one
+		}
+	}
+	return s
+}
+
+// quantizeProbes is the input quantisation's test set at fix position fp:
+// every float32 within 2 ULPs of a half-integer in [−129, 128] after
+// scaling, where rounding turns; NaNs of both signs with payloads, quiet and
+// signalling; ±Inf, ±0, subnormals, the normal extremes; and n random bit
+// patterns.
+func quantizeProbes(rng *rand.Rand, fp FixPos, n int) []float32 {
+	var s []float32
+	for k := -129; k < 128; k++ {
+		x := float32((float64(k) + 0.5) / math.Pow(2, float64(fp)))
+		down, up := math.Nextafter32(x, float32(math.Inf(-1))), math.Nextafter32(x, float32(math.Inf(1)))
+		s = append(s, math.Nextafter32(down, float32(math.Inf(-1))), down, x, up, math.Nextafter32(up, float32(math.Inf(1))))
+	}
+	for _, b := range []uint32{
+		0x7fc00000, 0x7fc00001, 0x7fffffff, 0x7f800001, 0x7fa5a5a5, 0xffc00000, 0xffffffff, 0xff800001, // NaNs
+		0x7f800000, 0xff800000, 0, 0x80000000, // ±Inf, ±0
+		1, 0x80000001, 0x007fffff, 0x807fffff, 0x00400000, // subnormals
+		0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff, // the smallest and largest normals
+	} {
+		s = append(s, math.Float32frombits(b))
+	}
+	for i := 0; i < n; i++ {
+		s = append(s, math.Float32frombits(rng.Uint32()))
+	}
+	return s
+}
+
+// TestCellPassesAgainstPortable holds each element-wise pass, under every
+// body this host can run, to its plain loop byte for byte — output borders
+// included, which no pass may write — at row lengths from under one vector
+// of eight to five and a bit, so both an assembly routine and the loop that
+// finishes its row run: argmax at 1 to 9 classes over random planes, planes
+// of ties at the int8 extremes and all-tie planes, 1 to 3 rows of 1 to 40
+// pixels; max-pool at output widths 1 to 40 over 1, 2, 3 and 8 channels,
+// input heights 2, 3 and 5, odd input widths where the output width is odd,
+// and every shift from −2 to 3; the input quantisation at fix positions −3
+// to 12 over quantizeProbes, on one, two and three channels, rows of 37 and
+// of 40 pixels (all whole vectors).
+func TestCellPassesAgainstPortable(t *testing.T) {
+	if body == portable {
+		t.Skip("one body on this host")
+	}
+	t.Logf("comparing the %v bodies", hostBodyNames())
+	rng := rand.New(rand.NewSource(40))
+	for c := 1; c <= 9; c++ {
+		for h := 1; h <= 3; h++ {
+			for w := 1; w <= 40; w++ {
+				for fill := 0; fill < 3; fill++ {
+					a := planeOf(cellPassInt8s(rng, c*h*w, fill), c, h, w)
+					sameAsPortable(t, fmt.Sprintf("argmax c%d %dx%d fill %d", c, h, w, fill), func() []uint8 {
+						return argmaxChannelsInt8(a)
+					})
+				}
+			}
+		}
+	}
+	for ow := 1; ow <= 40; ow++ {
+		iw := 2*ow + ow%2
+		for _, c := range []int{1, 2, 3, 8} {
+			for _, ih := range []int{2, 3, 5} {
+				in := planeOf(cellPassInt8s(rng, c*ih*iw, ow%2), c, ih, iw)
+				for shift := -2; shift <= 3; shift++ {
+					sameAsPortable(t, fmt.Sprintf("max-pool c%d %dx%d shift %d", c, ih, iw, shift), func() []int32 {
+						out := newPlane(c, ih/2, ow, 1, 0)
+						maxPoolInt8(in, shift, out)
+						return out.cells
+					})
+				}
+			}
+		}
+	}
+	for fp := FixPos(-3); fp <= 12; fp++ {
+		src := quantizeProbes(rng, fp, 1<<16)
+		for _, c := range []int{1, 2, 3} {
+			for _, w := range []int{37, 40} {
+				h := (len(src) + c*w - 1) / (c * w)
+				img := make([]float32, c*h*w)
+				copy(img, src)
+				sameAsPortable(t, fmt.Sprintf("quantize fp %d c%d w%d", fp, c, w), func() []int32 {
+					a := newPlane(c, h, w, 1, 0)
+					quantizeCells(img, fp, a)
+					return a.cells
+				})
+			}
+		}
+	}
+}
+
+// FuzzCellPassesVsPortable drives one element-wise pass — pass mod 3:
+// argmax, max-pool, input quantisation — under every body this host can run
+// against the portable one, on a plane of 1 to 9 channels and 1 to 4 rows of
+// 1 to 48 pixels (the pool's output; its input has 2 to 9 rows of up to 97),
+// filled from data repeated: int8 values, or for the quantisation float32
+// bit patterns four bytes each. param sets the pool's shift, −2 to 3, or the
+// quantisation's fix position, −3 to 12.
+func FuzzCellPassesVsPortable(f *testing.F) {
+	f.Add(uint8(0), uint8(5), uint8(1), uint8(18), uint8(0), []byte{0x80, 0x7f, 0x7f, 0x80, 0x7f})
+	f.Fuzz(func(t *testing.T, pass, c, h, w, param uint8, data []byte) {
+		cc, hh, ww := 1+int(c)%9, 1+int(h)%4, 1+int(w)%48
+		at := func(i int) byte {
+			if len(data) == 0 {
+				return 0
+			}
+			return data[i%len(data)]
+		}
+		int8s := func(n int) []int8 {
+			s := make([]int8, n)
+			for i := range s {
+				s[i] = int8(at(i))
+			}
+			return s
+		}
+		switch pass % 3 {
+		case 0:
+			a := planeOf(int8s(cc*hh*ww), cc, hh, ww)
+			sameAsPortable(t, "argmax", func() []uint8 { return argmaxChannelsInt8(a) })
+		case 1:
+			ih, iw := 2*hh+int(h)/4%2, 2*ww+int(w)/48%2
+			in, shift := planeOf(int8s(cc*ih*iw), cc, ih, iw), int(param%6)-2
+			sameAsPortable(t, "max-pool", func() []int32 {
+				out := newPlane(cc, hh, ww, 1, 0)
+				maxPoolInt8(in, shift, out)
+				return out.cells
+			})
+		default:
+			img := make([]float32, cc*hh*ww)
+			for i := range img {
+				img[i] = math.Float32frombits(uint32(at(4*i)) | uint32(at(4*i+1))<<8 | uint32(at(4*i+2))<<16 | uint32(at(4*i+3))<<24)
+			}
+			fp := FixPos(param%16) - 3
+			sameAsPortable(t, "quantize", func() []int32 {
+				a := newPlane(cc, hh, ww, 1, 0)
+				quantizeCells(img, fp, a)
+				return a.cells
+			})
+		}
+	})
+}
+
 // BenchmarkMacTile times one macTile call, per host body and U-Net step
 // shape, in GMAC/s over the pixels the row has (cpairs·2·kh·kw·8 MACs each,
 // a cell holding two channels), not the tile width it computes: 3×3
@@ -280,6 +461,59 @@ func BenchmarkMacTile(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkCellPasses times the element-wise passes per host body on one
+// core at the geometry a 1M U-Net frame gives them: argmax over 6 classes at
+// 64² and 256², the 8-channel max-pool from 256² to 128², and the input
+// quantisation of a 256² slice at fix position 6 — a preprocessed phantom CT
+// slice as volume_study feeds it, most of it one background value, and the
+// slice workloads' N(0, 0.3²) noise, whose signs are a coin flip. DESIGN
+// §4.2 quotes it:
+//
+//	go test ./internal/quant/ -run '^$' -bench CellPasses
+func BenchmarkCellPasses(b *testing.B) {
+	defer par.SetMaxWorkers(par.SetMaxWorkers(1))
+	rng := rand.New(rand.NewSource(1))
+	logits64, logits256 := planeOf(randInt8s(rng, 6*64*64), 6, 64, 64), planeOf(randInt8s(rng, 6*256*256), 6, 256, 256)
+	pool, pooled := planeOf(randInt8s(rng, 8*256*256), 8, 256, 256), newPlane(8, 128, 128, 1, 0)
+	ct := phantom.Generate(1, phantom.Options{Size: 256, Slices: 16, Seed: 1, NoiseSigma: 12}).CT
+	slice := imaging.Preprocess(ct.Data[ct.Nz/2*256*256:][:256*256], 256, 256, 256)
+	noise := make([]float32, 256*256)
+	for i := range noise {
+		noise[i] = float32(rng.NormFloat64() * 0.3)
+	}
+	input := newPlane(1, 256, 256, 1, 0)
+	for _, bd := range hostBodies() {
+		withBody(bd, func() {
+			isa := KernelISA()
+			b.Run(isa+"/argmax-c6-64", func(b *testing.B) {
+				for range b.N {
+					argmaxChannelsInt8(logits64)
+				}
+			})
+			b.Run(isa+"/argmax-c6-256", func(b *testing.B) {
+				for range b.N {
+					argmaxChannelsInt8(logits256)
+				}
+			})
+			b.Run(isa+"/pool-c8-256", func(b *testing.B) {
+				for range b.N {
+					maxPoolInt8(pool, 0, pooled)
+				}
+			})
+			b.Run(isa+"/quantize-phantom-256", func(b *testing.B) {
+				for range b.N {
+					quantizeCells(slice, 6, input)
+				}
+			})
+			b.Run(isa+"/quantize-noise-256", func(b *testing.B) {
+				for range b.N {
+					quantizeCells(noise, 6, input)
+				}
+			})
+		})
 	}
 }
 
