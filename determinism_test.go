@@ -11,10 +11,12 @@ import (
 	"runtime"
 	"testing"
 
+	"seneca/internal/nn"
 	"seneca/internal/par"
 	"seneca/internal/quant"
 	"seneca/internal/tensor"
 	"seneca/internal/unet"
+	"seneca/internal/unet3d"
 	"seneca/internal/xmodel"
 )
 
@@ -79,25 +81,64 @@ func TestINT8MaskBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	})
 }
 
+// trainStep runs one training forward and backward under a fixed output
+// gradient and returns the output, the input gradient and every parameter
+// gradient.
+func trainStep(forward func(*tensor.Tensor, bool) *tensor.Tensor, backward func(*tensor.Tensor) *tensor.Tensor, params []*nn.Param, x *tensor.Tensor) [][]float32 {
+	y := forward(x, true)
+	g := tensor.New(y.Shape...)
+	for i := range g.Data {
+		g.Data[i] = float32(i%7-3) / 64
+	}
+	out := [][]float32{y.Data, backward(g).Data}
+	for _, p := range params {
+		out = append(out, p.Grad.Data)
+	}
+	return out
+}
+
+// TestFP32ForwardBitIdenticalAcrossWorkerCounts sweeps the FP32 path: the
+// 2D U-Net's inference forward and one training step's gradients, and the
+// 3D baseline's forward and backward. The convolutions' shared lowering
+// splits im2col by row chunk and col2im by channel, and only the backward
+// passes and the 3D layers reach every split. Each run builds its model
+// afresh, so dropout masks and batch statistics start from the same state.
 func TestFP32ForwardBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	cfg, err := unet.ConfigByName("1M")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Depth = 2
-	m := unet.New(cfg)
 	x := randomImage(32, 8).Reshape(1, 1, 32, 32)
+	vol := tensor.FromSlice(append(randomImage(32, 9).Data, randomImage(32, 10).Data...), 1, 1, 8, 16, 16)
+	runs := []struct {
+		name string
+		run  func() [][]float32
+	}{
+		{"2D forward", func() [][]float32 { return [][]float32{unet.New(cfg).Forward(x, false).Data} }},
+		{"2D training step", func() [][]float32 {
+			m := unet.New(cfg)
+			return trainStep(m.Forward, m.Backward, m.Params(), x)
+		}},
+		{"3D forward and backward", func() [][]float32 {
+			m := unet3d.New(unet3d.CTORGBaseline())
+			return append(trainStep(m.Forward, m.Backward, m.Params(), vol), m.Forward(vol, false).Data)
+		}},
+	}
 	prev := par.SetMaxWorkers(1)
 	defer par.SetMaxWorkers(prev)
-	want := m.Forward(x, false).Clone()
-	sweepWorkers(t, func(workers int) {
-		got := m.Forward(x, false)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("workers=%d: FP32 forward diverges from serial run at %d: %v vs %v", workers, i, got.Data[i], want.Data[i])
+	for _, r := range runs {
+		want := r.run()
+		sweepWorkers(t, func(workers int) {
+			for p, got := range r.run() {
+				for i := range got {
+					if got[i] != want[p][i] {
+						t.Fatalf("workers=%d: %s diverges from serial run in result %d at %d: %v vs %v", workers, r.name, p, i, got[i], want[p][i])
+					}
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestMatMulVariantsBitIdenticalAcrossWorkerCounts pins the three GEMM

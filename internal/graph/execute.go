@@ -70,28 +70,16 @@ func (g *Graph) Forward(img *tensor.Tensor, tap func(node *Node, out *tensor.Ten
 }
 
 func convForward(n *Node, x *tensor.Tensor) *tensor.Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := tensor.ConvOutSize(h, n.Kernel, n.Stride, n.Pad)
-	ow := tensor.ConvOutSize(w, n.Kernel, n.Stride, n.Pad)
-	ckk := n.InC * n.Kernel * n.Kernel
-	cols := tensor.New(ckk, oh*ow)
-	tensor.Im2Col(x.Data, c, h, w, n.Kernel, n.Kernel, n.Stride, n.Stride, n.Pad, n.Pad, cols.Data, oh, ow)
-	out := tensor.New(n.OutC, oh, ow)
-	tensor.MatMulInto(out.Reshape(n.OutC, oh*ow), n.Weight.Reshape(n.OutC, ckk), cols)
-	addBias(out, n.Bias, oh*ow)
+	g := tensor.NewConv(1, n.InC, n.OutC, x.Shape[1:], n.Kernel, n.Stride, n.Pad)
+	out := tensor.New(n.OutC, g.Y[1], g.Y[2])
+	g.Forward(out.Data, x.Data, n.Weight.Data, n.Bias)
 	return out
 }
 
 func convTransposeForward(n *Node, x *tensor.Tensor) *tensor.Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := tensor.ConvTransposeOutSize(h, n.Kernel, n.Stride, n.Pad, n.OutPad)
-	ow := tensor.ConvTransposeOutSize(w, n.Kernel, n.Stride, n.Pad, n.OutPad)
-	ckk := n.OutC * n.Kernel * n.Kernel
-	cols := tensor.New(ckk, h*w)
-	tensor.MatMulATInto(cols, n.Weight.Reshape(n.InC, ckk), x.Reshape(c, h*w))
-	out := tensor.New(n.OutC, oh, ow)
-	tensor.Col2Im(cols.Data, n.OutC, oh, ow, n.Kernel, n.Kernel, n.Stride, n.Stride, n.Pad, n.Pad, out.Data, h, w)
-	addBias(out, n.Bias, oh*ow)
+	g := tensor.NewConvTranspose(1, n.OutC, n.InC, x.Shape[1:], n.Kernel, n.Stride, n.Pad, n.OutPad)
+	out := tensor.New(n.OutC, g.X[1], g.X[2])
+	g.Adjoint(out.Data, x.Data, n.Weight.Data, n.Bias)
 	return out
 }
 
@@ -108,19 +96,4 @@ func bnForward(n *Node, x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-func addBias(t *tensor.Tensor, bias []float32, hw int) {
-	if bias == nil {
-		return
-	}
-	for ch, b := range bias {
-		if b == 0 {
-			continue
-		}
-		row := t.Data[ch*hw : (ch+1)*hw]
-		for i := range row {
-			row[i] += b
-		}
-	}
 }

@@ -68,12 +68,12 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // MaxPool2D is 2×2/stride-2 max pooling (the only pooling geometry the
-// SENECA encoder uses).
+// SENECA encoder uses) over NCHW tensors, and 2×2×2 pooling over NCDHW ones
+// (the 3D baseline's unet3d.MaxPool3D).
 type MaxPool2D struct {
 	LayerName string
 	lastArg   []int32
-	lastH     int
-	lastW     int
+	lastShape []int
 }
 
 // NewMaxPool2D constructs a 2×2 max-pooling layer.
@@ -89,9 +89,7 @@ func (m *MaxPool2D) Params() []*Param { return nil }
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out, arg := tensor.MaxPool2x2(x)
 	if train {
-		m.lastArg = arg
-		m.lastH = x.Shape[2]
-		m.lastW = x.Shape[3]
+		m.lastArg, m.lastShape = arg, x.Shape
 	}
 	return out
 }
@@ -101,8 +99,8 @@ func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if m.lastArg == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", m.LayerName))
 	}
-	out := tensor.MaxPool2x2Backward(grad, m.lastArg, m.lastH, m.lastW)
-	m.lastArg = nil
+	out := tensor.MaxUnpool(grad, m.lastArg, m.lastShape)
+	m.lastArg, m.lastShape = nil, nil
 	return out
 }
 

@@ -11,14 +11,13 @@ import (
 // [Cout, Cin, KH, KW]. SENECA uses 3×3 kernels with stride 1 and "same"
 // padding everywhere except the compiler-generated fused variants.
 type Conv2D struct {
-	LayerName          string
-	InC, OutC          int
-	Kernel             int
-	Stride             int
-	Pad                int
-	Weight, Bias       *Param
-	lastInput          *tensor.Tensor
-	lastOutH, lastOutW int
+	LayerName    string
+	InC, OutC    int
+	Kernel       int
+	Stride       int
+	Pad          int
+	Weight, Bias *Param
+	lastInput    *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer and initializes its weights with
@@ -49,85 +48,34 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 // OutSize returns the spatial output size for an input of size in.
 func (c *Conv2D) OutSize(in int) int { return tensor.ConvOutSize(in, c.Kernel, c.Stride, c.Pad) }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if ch != c.InC {
+// geometry lowers the convolution of x through tensor.Conv.
+func (c *Conv2D) geometry(x *tensor.Tensor) tensor.Conv {
+	if x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s expects %d input channels, got %v", c.LayerName, c.InC, x.Shape))
 	}
-	oh := c.OutSize(h)
-	ow := c.OutSize(w)
-	out := tensor.New(n, c.OutC, oh, ow)
-	ckk := c.InC * c.Kernel * c.Kernel
-	cols := tensor.New(ckk, oh*ow)
-	wmat := c.Weight.Value.Reshape(c.OutC, ckk)
-	for i := 0; i < n; i++ {
-		tensor.Im2Col(x.Data[i*ch*h*w:(i+1)*ch*h*w], ch, h, w, c.Kernel, c.Kernel, c.Stride, c.Stride, c.Pad, c.Pad, cols.Data, oh, ow)
-		oi := tensor.FromSlice(out.Data[i*c.OutC*oh*ow:(i+1)*c.OutC*oh*ow], c.OutC, oh*ow)
-		tensor.MatMulInto(oi, wmat, cols)
-	}
-	// Bias broadcast over spatial positions.
-	hw := oh * ow
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			b := c.Bias.Value.Data[oc]
-			if b == 0 {
-				continue
-			}
-			row := out.Data[(i*c.OutC+oc)*hw : (i*c.OutC+oc+1)*hw]
-			for j := range row {
-				row[j] += b
-			}
-		}
-	}
+	return tensor.NewConv(x.Shape[0], c.InC, c.OutC, x.Shape[2:], c.Kernel, c.Stride, c.Pad)
+}
+
+// Forward implements Layer.
+func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	g := c.geometry(x)
+	out := tensor.New(g.N, g.YC, g.Y[1], g.Y[2])
+	g.Forward(out.Data, x.Data, c.Weight.Value.Data, c.Bias.Value.Data)
 	if train {
 		c.lastInput = x
-		c.lastOutH, c.lastOutW = oh, ow
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The column matrix is recomputed image by
+// image, which is cheaper in memory than caching N of them in Forward.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", c.LayerName))
 	}
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := c.lastOutH, c.lastOutW
-	ckk := c.InC * c.Kernel * c.Kernel
-	hw := oh * ow
-
-	cols := tensor.New(ckk, hw)
-	colsGrad := tensor.New(ckk, hw)
-	gwTmp := tensor.New(c.OutC, ckk)
-	gradIn := tensor.New(n, ch, h, w)
-	wmat := c.Weight.Value.Reshape(c.OutC, ckk)
-	gw := c.Weight.Grad.Reshape(c.OutC, ckk)
-
-	for i := 0; i < n; i++ {
-		// Recompute the column matrix for this image (cheaper in memory than
-		// caching N column matrices during the forward pass).
-		tensor.Im2Col(x.Data[i*ch*h*w:(i+1)*ch*h*w], ch, h, w, c.Kernel, c.Kernel, c.Stride, c.Stride, c.Pad, c.Pad, cols.Data, oh, ow)
-		gi := tensor.FromSlice(grad.Data[i*c.OutC*hw:(i+1)*c.OutC*hw], c.OutC, hw)
-		// dW += gi · colsᵀ
-		tensor.MatMulBTInto(gwTmp, gi, cols)
-		gw.AddInPlace(gwTmp)
-		// dCols = Wᵀ · gi, then scatter back to the input image.
-		tensor.MatMulATInto(colsGrad, wmat, gi)
-		tensor.Col2Im(colsGrad.Data, ch, h, w, c.Kernel, c.Kernel, c.Stride, c.Stride, c.Pad, c.Pad, gradIn.Data[i*ch*h*w:(i+1)*ch*h*w], oh, ow)
-	}
-	// dBias: sum of grad over batch and spatial dims per output channel.
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			row := grad.Data[(i*c.OutC+oc)*hw : (i*c.OutC+oc+1)*hw]
-			var s float32
-			for _, v := range row {
-				s += v
-			}
-			c.Bias.Grad.Data[oc] += s
-		}
-	}
+	gradIn := tensor.New(x.Shape...)
+	c.geometry(x).Backward(gradIn.Data, c.Weight.Grad.Data, c.Bias.Grad.Data, x.Data, c.Weight.Value.Data, grad.Data)
 	// Release the cached batch: a model kept for inference after training
 	// must not pin its last training input in memory.
 	c.lastInput = nil
@@ -177,40 +125,22 @@ func (c *ConvTranspose2D) OutSize(in int) int {
 	return tensor.ConvTransposeOutSize(in, c.Kernel, c.Stride, c.Pad, c.OutPad)
 }
 
+// geometry lowers the transpose convolution of x through tensor.Conv, as
+// the adjoint of a convolution whose output side is x.
+func (c *ConvTranspose2D) geometry(x *tensor.Tensor) tensor.Conv {
+	if x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("nn: %s expects %d input channels, got %v", c.LayerName, c.InC, x.Shape))
+	}
+	return tensor.NewConvTranspose(x.Shape[0], c.OutC, c.InC, x.Shape[2:], c.Kernel, c.Stride, c.Pad, c.OutPad)
+}
+
 // Forward implements Layer. A transpose convolution is the adjoint of a
 // convolution: cols = Wᵀ·x followed by a col2im scatter into the (larger)
 // output image.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if ch != c.InC {
-		panic(fmt.Sprintf("nn: %s expects %d input channels, got %v", c.LayerName, c.InC, x.Shape))
-	}
-	oh := c.OutSize(h)
-	ow := c.OutSize(w)
-	out := tensor.New(n, c.OutC, oh, ow)
-	ckk := c.OutC * c.Kernel * c.Kernel
-	cols := tensor.New(ckk, h*w)
-	wmat := c.Weight.Value.Reshape(c.InC, ckk)
-	for i := 0; i < n; i++ {
-		xi := tensor.FromSlice(x.Data[i*ch*h*w:(i+1)*ch*h*w], ch, h*w)
-		tensor.MatMulATInto(cols, wmat, xi)
-		// Scatter: the output plays the role of the conv "input image"; the
-		// transpose conv's input positions are the conv's output positions.
-		tensor.Col2Im(cols.Data, c.OutC, oh, ow, c.Kernel, c.Kernel, c.Stride, c.Stride, c.Pad, c.Pad, out.Data[i*c.OutC*oh*ow:(i+1)*c.OutC*oh*ow], h, w)
-	}
-	hw := oh * ow
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			b := c.Bias.Value.Data[oc]
-			if b == 0 {
-				continue
-			}
-			row := out.Data[(i*c.OutC+oc)*hw : (i*c.OutC+oc+1)*hw]
-			for j := range row {
-				row[j] += b
-			}
-		}
-	}
+	g := c.geometry(x)
+	out := tensor.New(g.N, g.XC, g.X[1], g.X[2])
+	g.Adjoint(out.Data, x.Data, c.Weight.Value.Data, c.Bias.Value.Data)
 	if train {
 		c.lastInput = x
 	}
@@ -226,39 +156,8 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", c.LayerName))
 	}
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := grad.Shape[2], grad.Shape[3]
-	ckk := c.OutC * c.Kernel * c.Kernel
-	hw := h * w
-
-	colsB := tensor.New(ckk, hw)
-	gwTmp := tensor.New(c.InC, ckk)
-	gradIn := tensor.New(n, ch, h, w)
-	wmat := c.Weight.Value.Reshape(c.InC, ckk)
-	gw := c.Weight.Grad.Reshape(c.InC, ckk)
-
-	for i := 0; i < n; i++ {
-		// im2col over the *output gradient* at the conv geometry.
-		tensor.Im2Col(grad.Data[i*c.OutC*oh*ow:(i+1)*c.OutC*oh*ow], c.OutC, oh, ow, c.Kernel, c.Kernel, c.Stride, c.Stride, c.Pad, c.Pad, colsB.Data, h, w)
-		gi := tensor.FromSlice(gradIn.Data[i*ch*hw:(i+1)*ch*hw], ch, hw)
-		// dX = W · cols(gradOut)
-		tensor.MatMulInto(gi, wmat, colsB)
-		// dW += x · cols(gradOut)ᵀ
-		xi := tensor.FromSlice(x.Data[i*ch*hw:(i+1)*ch*hw], ch, hw)
-		tensor.MatMulBTInto(gwTmp, xi, colsB)
-		gw.AddInPlace(gwTmp)
-	}
-	ohw := oh * ow
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			row := grad.Data[(i*c.OutC+oc)*ohw : (i*c.OutC+oc+1)*ohw]
-			var s float32
-			for _, v := range row {
-				s += v
-			}
-			c.Bias.Grad.Data[oc] += s
-		}
-	}
+	gradIn := tensor.New(x.Shape...)
+	c.geometry(x).AdjointBackward(gradIn.Data, c.Weight.Grad.Data, c.Bias.Grad.Data, x.Data, c.Weight.Value.Data, grad.Data)
 	c.lastInput = nil
 	return gradIn
 }

@@ -6,77 +6,21 @@ import (
 	"seneca/internal/par"
 )
 
-// MatMul computes C = A·B for row-major matrices A (m×k) and B (k×n),
-// returning a new m×n tensor. The kernel is parallelized over rows of A and
-// uses an ikj loop order so the inner loop streams both B and C rows, which
-// is the cache-friendly form for row-major data.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v × %v", a.Shape, b.Shape))
-	}
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v × %v", a.Shape, b.Shape))
-	}
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulInto computes C = A·B into an existing m×n tensor c, overwriting it.
+// MatMulInto computes C = A·B for row-major matrices A (m×k) and B (k×n)
+// into an existing m×n tensor c, overwriting it.
 func MatMulInto(c, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
+	if b.Shape[0] != k {
+		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %v × %v", a.Shape, b.Shape))
+	}
 	if c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto output shape %v, want [%d %d]", c.Shape, m, n))
 	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	// Four rows of B per pass: one read-modify-write of the C row carries
-	// four multiply-adds, which is what bounds this axpy form. Each C
-	// element's accumulation order is a fixed function of (i, j) alone, so
-	// results are identical at every worker count.
-	par.ForChunked(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for j := range crow {
-				crow[j] = 0
-			}
-			arow := ad[i*k : (i+1)*k]
-			p := 0
-			for ; p+3 < k; p += 4 {
-				a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := bd[p*n : (p+1)*n]
-				b1 := bd[(p+1)*n : (p+2)*n]
-				b2 := bd[(p+2)*n : (p+3)*n]
-				b3 := bd[(p+3)*n : (p+4)*n]
-				b1 = b1[:len(b0)]
-				b2 = b2[:len(b0)]
-				b3 = b3[:len(b0)]
-				cr := crow[:len(b0)]
-				for j, bv := range b0 {
-					cr[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	})
+	gemm(c.Data, a.Data, b.Data, m, k, n, k, 1)
 }
 
 // MatMulATInto computes C = Aᵀ·B where A is k×m and B is k×n, producing m×n.
-// Used by convolution backward passes (gradient w.r.t. weights).
 func MatMulATInto(c, a, b *Tensor) {
 	k, m := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
@@ -86,30 +30,35 @@ func MatMulATInto(c, a, b *Tensor) {
 	if c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulATInto output shape %v, want [%d %d]", c.Shape, m, n))
 	}
-	ad, bd, cd := a.Data, b.Data, c.Data
-	// Parallelize over rows of C (columns of A). Each worker walks the k
-	// dimension once, streaming B, four B rows per C-row pass (see
-	// MatMulInto); per-element accumulation order is fixed, so results do
-	// not depend on the worker count.
+	gemm(c.Data, a.Data, b.Data, m, k, n, 1, m)
+}
+
+// gemm computes the m×n product c = A·b of a k×n b and an m×k A read from
+// a through a row stride rs and a column stride cs: A[i][p] is
+// a[i*rs+p*cs], so (k, 1) reads a row-major A and (1, m) the transpose of
+// a row-major k×m one. It is an axpy kernel parallelized over rows of c,
+// with an ikj loop order so the inner loop streams rows of b and c, which
+// is the cache-friendly form for row-major data. Four rows of b per pass:
+// one read-modify-write of the c row carries four multiply-adds, which is
+// what bounds this form. Each element's accumulation order is a fixed
+// function of (i, j) alone, so results are identical at every worker count
+// and for both strides.
+func gemm(c, a, b []float32, m, k, n, rs, cs int) {
 	par.ForChunked(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			crow := cd[i*n : (i+1)*n]
-			for j := range crow {
-				crow[j] = 0
-			}
+			crow := c[i*n : (i+1)*n]
+			clear(crow)
 			p := 0
 			for ; p+3 < k; p += 4 {
-				a0 := ad[p*m+i]
-				a1 := ad[(p+1)*m+i]
-				a2 := ad[(p+2)*m+i]
-				a3 := ad[(p+3)*m+i]
+				o := i*rs + p*cs
+				a0, a1, a2, a3 := a[o], a[o+cs], a[o+2*cs], a[o+3*cs]
 				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 					continue
 				}
-				b0 := bd[p*n : (p+1)*n]
-				b1 := bd[(p+1)*n : (p+2)*n]
-				b2 := bd[(p+2)*n : (p+3)*n]
-				b3 := bd[(p+3)*n : (p+4)*n]
+				b0 := b[p*n : (p+1)*n]
+				b1 := b[(p+1)*n : (p+2)*n]
+				b2 := b[(p+2)*n : (p+3)*n]
+				b3 := b[(p+3)*n : (p+4)*n]
 				b1 = b1[:len(b0)]
 				b2 = b2[:len(b0)]
 				b3 = b3[:len(b0)]
@@ -119,11 +68,11 @@ func MatMulATInto(c, a, b *Tensor) {
 				}
 			}
 			for ; p < k; p++ {
-				av := ad[p*m+i]
+				av := a[i*rs+p*cs]
 				if av == 0 {
 					continue
 				}
-				brow := bd[p*n : (p+1)*n]
+				brow := b[p*n : (p+1)*n]
 				for j, bv := range brow {
 					crow[j] += av * bv
 				}

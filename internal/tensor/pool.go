@@ -6,57 +6,76 @@ import (
 	"seneca/internal/par"
 )
 
-// MaxPool2x2 applies 2×2 max pooling with stride 2 to an NCHW tensor whose
-// spatial dimensions are even. It returns the pooled tensor and the argmax
-// index (into the input's H*W plane) chosen for every output element, which
-// the backward pass uses to route gradients.
+// MaxPool2x2 applies 2×2 max pooling with stride 2 to an NCHW tensor, or
+// 2×2×2 pooling to an NCDHW one; every pooled dimension must be even. A 2D
+// input is pooled as a 3D one at depth 1 with a depth window of 1. It
+// returns the pooled tensor and, for every output element, the index into
+// its input plane of the maximum, which MaxUnpool routes the gradient back
+// to. A tie goes to the window's first element in raster order, and so
+// does a NaN there.
 func MaxPool2x2(x *Tensor) (*Tensor, []int32) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if h%2 != 0 || w%2 != 0 {
+	sp := x.Shape[2:]
+	if len(sp) != 2 && len(sp) != 3 {
+		panic(fmt.Sprintf("tensor: MaxPool2x2 pools 2 or 3 axes, got %v", x.Shape))
+	}
+	d, kd, h, w := 1, 1, sp[len(sp)-2], sp[len(sp)-1]
+	if len(sp) == 3 {
+		d, kd = sp[0], 2
+	}
+	if d%kd != 0 || h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("tensor: MaxPool2x2 requires even spatial dims, got %v", x.Shape))
 	}
-	oh, ow := h/2, w/2
-	out := New(n, c, oh, ow)
-	arg := make([]int32, n*c*oh*ow)
-	planes := n * c
-	par.For(planes, func(p int) {
-		src := x.Data[p*h*w : (p+1)*h*w]
-		dst := out.Data[p*oh*ow : (p+1)*oh*ow]
-		adst := arg[p*oh*ow : (p+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				iy, ix := oy*2, ox*2
-				best := src[iy*w+ix]
-				bestIdx := int32(iy*w + ix)
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						idx := (iy+dy)*w + ix + dx
-						if src[idx] > best {
-							best = src[idx]
-							bestIdx = int32(idx)
+	od, oh, ow := d/kd, h/2, w/2
+	shape := append([]int(nil), x.Shape...)
+	for i := 2; i < len(shape); i++ {
+		shape[i] /= 2
+	}
+	out := New(shape...)
+	arg := make([]int32, len(out.Data))
+	vol, ovol := d*h*w, od*oh*ow
+	par.For(x.Shape[0]*x.Shape[1], func(p int) {
+		src := x.Data[p*vol : (p+1)*vol]
+		dst := out.Data[p*ovol : (p+1)*ovol]
+		adst := arg[p*ovol : (p+1)*ovol]
+		for oz := 0; oz < od; oz++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					first := (oz*kd*h+oy*2)*w + ox*2
+					best, bestIdx := src[first], first
+					for at := first; at < first+kd*h*w; at += h * w {
+						r0, r1 := src[at:at+2], src[at+w:at+w+2]
+						if r0[0] > best {
+							best, bestIdx = r0[0], at
+						}
+						if r0[1] > best {
+							best, bestIdx = r0[1], at+1
+						}
+						if r1[0] > best {
+							best, bestIdx = r1[0], at+w
+						}
+						if r1[1] > best {
+							best, bestIdx = r1[1], at+w+1
 						}
 					}
+					o := (oz*oh+oy)*ow + ox
+					dst[o], adst[o] = best, int32(bestIdx)
 				}
-				dst[oy*ow+ox] = best
-				adst[oy*ow+ox] = bestIdx
 			}
 		}
 	})
 	return out, arg
 }
 
-// MaxPool2x2Backward scatters the pooled gradient grad (N,C,H/2,W/2) back to
-// the input shape (N,C,H,W) using the argmax indices from MaxPool2x2.
-func MaxPool2x2Backward(grad *Tensor, arg []int32, h, w int) *Tensor {
-	n, c, oh, ow := grad.Shape[0], grad.Shape[1], grad.Shape[2], grad.Shape[3]
-	out := New(n, c, h, w)
-	planes := n * c
-	par.For(planes, func(p int) {
-		gsrc := grad.Data[p*oh*ow : (p+1)*oh*ow]
-		asrc := arg[p*oh*ow : (p+1)*oh*ow]
-		dst := out.Data[p*h*w : (p+1)*h*w]
-		for i, g := range gsrc {
-			dst[asrc[i]] += g
+// MaxUnpool is the backward pass of MaxPool2x2: it routes every element of
+// the pooled gradient grad to the input position arg names for it, in a
+// zero tensor of the input's shape.
+func MaxUnpool(grad *Tensor, arg []int32, shape []int) *Tensor {
+	out := New(shape...)
+	vol, ovol := Numel(shape[2:]), Numel(grad.Shape[2:])
+	par.For(shape[0]*shape[1], func(p int) {
+		dst := out.Data[p*vol : (p+1)*vol]
+		for i, g := range grad.Data[p*ovol : (p+1)*ovol] {
+			dst[arg[p*ovol+i]] += g
 		}
 	})
 	return out

@@ -99,13 +99,12 @@ func (b *convBlock) backward(g *tensor.Tensor) *tensor.Tensor {
 
 func (b *convBlock) layers() []nn.Layer { return []nn.Layer{b.conv, b.bn, b.relu} }
 
-// encoderStack is two conv blocks, a pool and dropout; it exposes the
-// pre-pool activation as the skip connection.
+// encoderStack is two conv blocks, a pool and dropout; its pre-pool
+// activation is the skip connection.
 type encoderStack struct {
 	blockA, blockB *convBlock
 	pool           *nn.MaxPool2D
 	drop           *nn.Dropout
-	skip           *tensor.Tensor
 }
 
 // decoderStack is the transpose-conv upsample, skip concat, two conv blocks
@@ -267,10 +266,13 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("unet: input %v spatial dims must be divisible by %d", x.Shape, 1<<m.Cfg.Depth))
 	}
 	h := x
-	for _, e := range m.encoders {
+	// The skips live only as long as this call: held on the model, they
+	// would pin one activation per level after every forward.
+	skips := make([]*tensor.Tensor, len(m.encoders))
+	for i, e := range m.encoders {
 		h = e.blockA.forward(h, train)
 		h = e.blockB.forward(h, train)
-		e.skip = h
+		skips[i] = h
 		h = e.pool.Forward(h, train)
 		h = e.drop.Forward(h, train)
 	}
@@ -278,8 +280,7 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h = m.bottleneck[1].forward(h, train)
 	for i, d := range m.decoders {
 		h = d.up.Forward(h, train)
-		skip := m.encoders[len(m.encoders)-1-i].skip
-		h = tensor.ConcatChannels(skip, h)
+		h = tensor.ConcatChannels(skips[len(skips)-1-i], h)
 		h = d.blockA.forward(h, train)
 		h = d.blockB.forward(h, train)
 		h = d.drop.Forward(h, train)

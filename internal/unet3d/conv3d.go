@@ -12,100 +12,8 @@ import (
 	"math/rand"
 
 	"seneca/internal/nn"
-	"seneca/internal/par"
 	"seneca/internal/tensor"
 )
-
-// Vol2Col lowers a single C×D×H×W volume into the column matrix
-// [C*KD*KH*KW, OD*OH*OW] for convolution-as-matmul, zero-filling padding —
-// the 3D analog of tensor.Im2Col.
-func Vol2Col(src []float32, c, d, h, w, k, stride, pad int, dst []float32, od, oh, ow int) {
-	rows := c * k * k * k
-	vol := d * h * w
-	ovol := od * oh * ow
-	if len(dst) != rows*ovol {
-		panic("unet3d: Vol2Col destination has wrong length")
-	}
-	par.ForChunked(rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			ci := r / (k * k * k)
-			rem := r % (k * k * k)
-			kz := rem / (k * k)
-			rem %= k * k
-			ky := rem / k
-			kx := rem % k
-			plane := src[ci*vol : (ci+1)*vol]
-			drow := dst[r*ovol : (r+1)*ovol]
-			for oz := 0; oz < od; oz++ {
-				iz := oz*stride - pad + kz
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
-					base := (oz*oh + oy) * ow
-					if iz < 0 || iz >= d || iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							drow[base+ox] = 0
-						}
-						continue
-					}
-					srow := plane[(iz*h+iy)*w : (iz*h+iy+1)*w]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							drow[base+ox] = 0
-						} else {
-							drow[base+ox] = srow[ix]
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// Col2Vol is the adjoint of Vol2Col: it accumulates the column matrix back
-// into a C×D×H×W volume (zeroed first).
-func Col2Vol(cols []float32, c, d, h, w, k, stride, pad int, dst []float32, od, oh, ow int) {
-	vol := d * h * w
-	ovol := od * oh * ow
-	if len(dst) != c*vol {
-		panic("unet3d: Col2Vol destination has wrong length")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	par.For(c, func(ci int) {
-		plane := dst[ci*vol : (ci+1)*vol]
-		for kz := 0; kz < k; kz++ {
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					r := ((ci*k+kz)*k+ky)*k + kx
-					crow := cols[r*ovol : (r+1)*ovol]
-					for oz := 0; oz < od; oz++ {
-						iz := oz*stride - pad + kz
-						if iz < 0 || iz >= d {
-							continue
-						}
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*stride - pad + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							base := (oz*oh + oy) * ow
-							prow := plane[(iz*h+iy)*w : (iz*h+iy+1)*w]
-							for ox := 0; ox < ow; ox++ {
-								ix := ox*stride - pad + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								prow[ix] += crow[base+ox]
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
 
 // Conv3D is a 3D convolution over NCDHW tensors with weights
 // [OutC, InC, K, K, K].
@@ -115,7 +23,6 @@ type Conv3D struct {
 	Kernel, Stride, Pad int
 	Weight, Bias        *nn.Param
 	lastInput           *tensor.Tensor
-	lastOut             [3]int
 }
 
 // NewConv3D constructs a 3D convolution with He-normal initialization.
@@ -137,41 +44,22 @@ func (c *Conv3D) Name() string { return c.LayerName }
 // Params implements nn.Layer.
 func (c *Conv3D) Params() []*nn.Param { return []*nn.Param{c.Weight, c.Bias} }
 
-func (c *Conv3D) outSize(in int) int { return tensor.ConvOutSize(in, c.Kernel, c.Stride, c.Pad) }
+// geometry lowers the convolution of x through tensor.Conv, the one
+// lowering the 2D layers share.
+func (c *Conv3D) geometry(x *tensor.Tensor) tensor.Conv {
+	if x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("unet3d: %s expects %d channels, got %v", c.LayerName, c.InC, x.Shape))
+	}
+	return tensor.NewConv(x.Shape[0], c.InC, c.OutC, x.Shape[2:], c.Kernel, c.Stride, c.Pad)
+}
 
 // Forward implements nn.Layer over NCDHW tensors.
 func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, ch, d, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	if ch != c.InC {
-		panic(fmt.Sprintf("unet3d: %s expects %d channels, got %v", c.LayerName, c.InC, x.Shape))
-	}
-	od, oh, ow := c.outSize(d), c.outSize(h), c.outSize(w)
-	out := tensor.New(n, c.OutC, od, oh, ow)
-	ckkk := c.InC * c.Kernel * c.Kernel * c.Kernel
-	ovol := od * oh * ow
-	cols := tensor.New(ckkk, ovol)
-	wmat := c.Weight.Value.Reshape(c.OutC, ckkk)
-	vol := ch * d * h * w
-	for i := 0; i < n; i++ {
-		Vol2Col(x.Data[i*vol:(i+1)*vol], ch, d, h, w, c.Kernel, c.Stride, c.Pad, cols.Data, od, oh, ow)
-		oi := tensor.FromSlice(out.Data[i*c.OutC*ovol:(i+1)*c.OutC*ovol], c.OutC, ovol)
-		tensor.MatMulInto(oi, wmat, cols)
-	}
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			b := c.Bias.Value.Data[oc]
-			if b == 0 {
-				continue
-			}
-			row := out.Data[(i*c.OutC+oc)*ovol : (i*c.OutC+oc+1)*ovol]
-			for j := range row {
-				row[j] += b
-			}
-		}
-	}
+	g := c.geometry(x)
+	out := tensor.New(g.N, g.YC, g.Y[0], g.Y[1], g.Y[2])
+	g.Forward(out.Data, x.Data, c.Weight.Value.Data, c.Bias.Value.Data)
 	if train {
 		c.lastInput = x
-		c.lastOut = [3]int{od, oh, ow}
 	}
 	return out
 }
@@ -182,36 +70,8 @@ func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if x == nil {
 		panic(fmt.Sprintf("unet3d: %s Backward before Forward(train=true)", c.LayerName))
 	}
-	n, ch, d, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	od, oh, ow := c.lastOut[0], c.lastOut[1], c.lastOut[2]
-	ckkk := c.InC * c.Kernel * c.Kernel * c.Kernel
-	ovol := od * oh * ow
-	vol := ch * d * h * w
-
-	cols := tensor.New(ckkk, ovol)
-	colsGrad := tensor.New(ckkk, ovol)
-	gwTmp := tensor.New(c.OutC, ckkk)
-	gradIn := tensor.New(n, ch, d, h, w)
-	wmat := c.Weight.Value.Reshape(c.OutC, ckkk)
-	gw := c.Weight.Grad.Reshape(c.OutC, ckkk)
-
-	for i := 0; i < n; i++ {
-		Vol2Col(x.Data[i*vol:(i+1)*vol], ch, d, h, w, c.Kernel, c.Stride, c.Pad, cols.Data, od, oh, ow)
-		gi := tensor.FromSlice(grad.Data[i*c.OutC*ovol:(i+1)*c.OutC*ovol], c.OutC, ovol)
-		tensor.MatMulBTInto(gwTmp, gi, cols)
-		gw.AddInPlace(gwTmp)
-		tensor.MatMulATInto(colsGrad, wmat, gi)
-		Col2Vol(colsGrad.Data, ch, d, h, w, c.Kernel, c.Stride, c.Pad, gradIn.Data[i*vol:(i+1)*vol], od, oh, ow)
-	}
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			row := grad.Data[(i*c.OutC+oc)*ovol : (i*c.OutC+oc+1)*ovol]
-			var s float32
-			for _, v := range row {
-				s += v
-			}
-			c.Bias.Grad.Data[oc] += s
-		}
-	}
+	gradIn := tensor.New(x.Shape...)
+	c.geometry(x).Backward(gradIn.Data, c.Weight.Grad.Data, c.Bias.Grad.Data, x.Data, c.Weight.Value.Data, grad.Data)
+	c.lastInput = nil
 	return gradIn
 }

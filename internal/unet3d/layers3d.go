@@ -8,88 +8,12 @@ import (
 	"seneca/internal/tensor"
 )
 
-// MaxPool3D is 2×2×2/stride-2 max pooling over NCDHW tensors.
-type MaxPool3D struct {
-	LayerName string
-	lastArg   []int32
-	lastD     [3]int
-}
+// MaxPool3D is 2×2×2/stride-2 max pooling over NCDHW tensors: nn's pooling
+// layer, which pools every spatial axis of its input.
+type MaxPool3D struct{ nn.MaxPool2D }
 
 // NewMaxPool3D constructs a 2×2×2 pooling layer.
-func NewMaxPool3D(name string) *MaxPool3D { return &MaxPool3D{LayerName: name} }
-
-// Name implements nn.Layer.
-func (m *MaxPool3D) Name() string { return m.LayerName }
-
-// Params implements nn.Layer.
-func (m *MaxPool3D) Params() []*nn.Param { return nil }
-
-// Forward implements nn.Layer.
-func (m *MaxPool3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, d, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	if d%2 != 0 || h%2 != 0 || w%2 != 0 {
-		panic(fmt.Sprintf("unet3d: MaxPool3D needs even dims, got %v", x.Shape))
-	}
-	od, oh, ow := d/2, h/2, w/2
-	out := tensor.New(n, c, od, oh, ow)
-	arg := make([]int32, n*c*od*oh*ow)
-	vol := d * h * w
-	ovol := od * oh * ow
-	par.For(n*c, func(p int) {
-		src := x.Data[p*vol : (p+1)*vol]
-		dst := out.Data[p*ovol : (p+1)*ovol]
-		adst := arg[p*ovol : (p+1)*ovol]
-		for oz := 0; oz < od; oz++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(0)
-					bestIdx := int32(-1)
-					for dz := 0; dz < 2; dz++ {
-						for dy := 0; dy < 2; dy++ {
-							for dx := 0; dx < 2; dx++ {
-								idx := ((oz*2+dz)*h+oy*2+dy)*w + ox*2 + dx
-								if bestIdx < 0 || src[idx] > best {
-									best = src[idx]
-									bestIdx = int32(idx)
-								}
-							}
-						}
-					}
-					o := (oz*oh+oy)*ow + ox
-					dst[o] = best
-					adst[o] = bestIdx
-				}
-			}
-		}
-	})
-	if train {
-		m.lastArg = arg
-		m.lastD = [3]int{d, h, w}
-	}
-	return out
-}
-
-// Backward implements nn.Layer.
-func (m *MaxPool3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if m.lastArg == nil {
-		panic(fmt.Sprintf("unet3d: %s Backward before Forward(train=true)", m.LayerName))
-	}
-	n, c := grad.Shape[0], grad.Shape[1]
-	od, oh, ow := grad.Shape[2], grad.Shape[3], grad.Shape[4]
-	d, h, w := m.lastD[0], m.lastD[1], m.lastD[2]
-	out := tensor.New(n, c, d, h, w)
-	vol := d * h * w
-	ovol := od * oh * ow
-	par.For(n*c, func(p int) {
-		gsrc := grad.Data[p*ovol : (p+1)*ovol]
-		asrc := m.lastArg[p*ovol : (p+1)*ovol]
-		dst := out.Data[p*vol : (p+1)*vol]
-		for i, g := range gsrc {
-			dst[asrc[i]] += g
-		}
-	})
-	return out
-}
+func NewMaxPool3D(name string) *MaxPool3D { return &MaxPool3D{*nn.NewMaxPool2D(name)} }
 
 // Upsample3D doubles every spatial dimension by nearest-neighbor
 // replication — the decoder upsampling of the 3D baseline (a transpose
@@ -154,6 +78,7 @@ func (u *Upsample3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	})
+	u.lastShape = nil
 	return out
 }
 

@@ -64,7 +64,6 @@ func (b *block3d) params() []*nn.Param {
 type encoder3d struct {
 	blockA, blockB *block3d
 	pool           *MaxPool3D
-	skip           *tensor.Tensor
 }
 
 type decoder3d struct {
@@ -152,10 +151,12 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("unet3d: input %v", x.Shape))
 	}
 	h := x
-	for _, e := range m.encoders {
+	// The skips live only as long as this call (see unet.Model.Forward).
+	skips := make([]*tensor.Tensor, len(m.encoders))
+	for i, e := range m.encoders {
 		h = e.blockA.forward(h, train)
 		h = e.blockB.forward(h, train)
-		e.skip = h
+		skips[i] = h
 		h = e.pool.Forward(h, train)
 	}
 	h = m.bottom[0].forward(h, train)
@@ -163,8 +164,7 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i, d := range m.decoders {
 		h = d.up.Forward(h, train)
 		h = d.mix.Forward(h, train)
-		skip := m.encoders[len(m.encoders)-1-i].skip
-		h = concat3d(skip, h)
+		h = concat3d(skips[len(skips)-1-i], h)
 		h = d.blockA.forward(h, train)
 		h = d.blockB.forward(h, train)
 	}

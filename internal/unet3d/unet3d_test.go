@@ -46,53 +46,50 @@ func naiveConv3D(x, w *tensor.Tensor, stride, pad int) *tensor.Tensor {
 	return out
 }
 
-func TestVol2ColMatchesDirectConv(t *testing.T) {
+func randomTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data {
+		t.Data[i] = float32(rng.NormFloat64())
+	}
+	return t
+}
+
+// TestConv3DMatchesDirectConv checks the layer's lowering, image by image
+// and with its bias, against the direct convolution.
+func TestConv3DMatchesDirectConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c, d, h, w, cout, k := 2, 4, 5, 6, 3, 3
-	x := tensor.New(c, d, h, w)
-	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
+	layer := NewConv3D("c", c, cout, k, 1, 1, rng)
+	for i := range layer.Bias.Value.Data {
+		layer.Bias.Value.Data[i] = float32(i) - 1
 	}
-	wt := tensor.New(cout, c, k, k, k)
-	for i := range wt.Data {
-		wt.Data[i] = float32(rng.NormFloat64())
-	}
-	od, oh, ow := d, h, w // stride 1, pad 1
-	cols := tensor.New(c*k*k*k, od*oh*ow)
-	Vol2Col(x.Data, c, d, h, w, k, 1, 1, cols.Data, od, oh, ow)
-	got := tensor.MatMul(wt.Reshape(cout, c*k*k*k), cols)
-	want := naiveConv3D(x, wt, 1, 1)
-	for i := range want.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-			t.Fatalf("voxel %d: %v vs %v", i, got.Data[i], want.Data[i])
+	x := randomTensor(rng, 2, c, d, h, w)
+	got := layer.Forward(x, false)
+	vol := cout * d * h * w // stride 1, pad 1
+	for img := 0; img < 2; img++ {
+		want := naiveConv3D(tensor.FromSlice(x.Data[img*c*d*h*w:(img+1)*c*d*h*w], c, d, h, w), layer.Weight.Value, 1, 1)
+		for i, v := range want.Data {
+			v += layer.Bias.Value.Data[i/(d*h*w)]
+			if g := got.Data[img*vol+i]; math.Abs(float64(g-v)) > 1e-4 {
+				t.Fatalf("image %d voxel %d: %v vs %v", img, i, g, v)
+			}
 		}
 	}
 }
 
-func TestCol2VolAdjoint(t *testing.T) {
+// TestConv3DBackwardIsAdjoint verifies <Forward(x), y> == <x, Backward(y)>
+// at zero bias: the input gradient is the adjoint of the convolution.
+func TestConv3DBackwardIsAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c, d, h, w, k, stride, pad := 2, 4, 4, 4, 3, 2, 1
-	od := tensor.ConvOutSize(d, k, stride, pad)
-	oh := tensor.ConvOutSize(h, k, stride, pad)
-	ow := tensor.ConvOutSize(w, k, stride, pad)
-	rows := c * k * k * k
-	x := tensor.New(c, d, h, w)
-	y := tensor.New(rows, od*oh*ow)
-	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
+	layer := NewConv3D("c", 2, 3, 3, 2, 1, rng)
+	x := randomTensor(rng, 2, 2, 4, 4, 4)
+	fx := layer.Forward(x, true)
+	y := randomTensor(rng, fx.Shape...)
+	back := layer.Backward(y)
+	var lhs, rhs float64
+	for i := range fx.Data {
+		lhs += float64(fx.Data[i]) * float64(y.Data[i])
 	}
-	for i := range y.Data {
-		y.Data[i] = float32(rng.NormFloat64())
-	}
-	colsX := tensor.New(rows, od*oh*ow)
-	Vol2Col(x.Data, c, d, h, w, k, stride, pad, colsX.Data, od, oh, ow)
-	var lhs float64
-	for i := range colsX.Data {
-		lhs += float64(colsX.Data[i]) * float64(y.Data[i])
-	}
-	back := tensor.New(c, d, h, w)
-	Col2Vol(y.Data, c, d, h, w, k, stride, pad, back.Data, od, oh, ow)
-	var rhs float64
 	for i := range back.Data {
 		rhs += float64(back.Data[i]) * float64(x.Data[i])
 	}
@@ -289,4 +286,43 @@ func TestParamCountGrowsWithFilters(t *testing.T) {
 	if got := c.Weight.Numel() + c.Bias.Numel(); got != 27*3*5+5 {
 		t.Fatalf("conv3d params %d", got)
 	}
+}
+
+// TestBackwardReleasesActivationCaches is the 3D layers' twin of nn's: after
+// Backward no layer holds its forward cache, and an inference forward does
+// not fill it, so a second Backward finds nothing to differentiate and
+// panics.
+func TestBackwardReleasesActivationCaches(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	conv := NewConv3D("conv", 2, 2, 3, 1, 1, rng)
+	pool := NewMaxPool3D("pool")
+	up := NewUpsample3D("up")
+	x := randomTensor(rng, 2, 2, 4, 4, 4)
+	y := conv.Forward(x, true)
+	p := pool.Forward(y, true)
+	u := up.Forward(p, true)
+	// Each layer's backward, given a tensor of its output's shape.
+	steps := []struct {
+		layer nn.Layer
+		grad  *tensor.Tensor
+	}{{up, randomTensor(rng, u.Shape...)}, {pool, p}, {conv, y}}
+	for _, s := range steps {
+		s.layer.Backward(s.grad)
+	}
+	refused := func(when string) {
+		t.Helper()
+		for _, s := range steps {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s still holds its forward cache %s", s.layer.Name(), when)
+					}
+				}()
+				s.layer.Backward(s.grad)
+			}()
+		}
+	}
+	refused("after Backward")
+	up.Forward(pool.Forward(conv.Forward(x, false), false), false)
+	refused("after an inference Forward")
 }
