@@ -162,7 +162,7 @@ func TestFP32LoweringPins(t *testing.T) {
 			for _, p := range []int{0, 1} {
 				rng := rand.New(rand.NewSource(int64(100*k + 10*s + p)))
 				x := pinTensor(rng, 2, 3, 7, 6)
-				got[fmt.Sprintf("conv2d/k%d-s%d-p%d", k, s, p)] = layerDigest(rng, nn.NewConv2D("c", 3, 4, k, s, p, rng, nil), x)
+				got[fmt.Sprintf("conv2d/k%d-s%d-p%d", k, s, p)] = layerDigest(rng, nn.NewConv("c", 2, 3, 4, k, s, p, rng, nil), x)
 				for _, op := range []int{0, 1} {
 					l := nn.NewConvTranspose2D("d", 3, 4, k, s, p, op, rng, nil)
 					got[fmt.Sprintf("convT2d/k%d-s%d-p%d-op%d", k, s, p, op)] = layerDigest(rng, l, x)
@@ -173,7 +173,7 @@ func TestFP32LoweringPins(t *testing.T) {
 	for _, g := range [][3]int{{3, 1, 1}, {3, 2, 1}, {1, 1, 0}} {
 		rng := rand.New(rand.NewSource(int64(g[0]*100 + g[1]*10 + g[2])))
 		x := pinTensor(rng, 2, 2, 4, 5, 6)
-		got[fmt.Sprintf("conv3d/k%d-s%d-p%d", g[0], g[1], g[2])] = layerDigest(rng, unet3d.NewConv3D("c", 2, 3, g[0], g[1], g[2], rng), x)
+		got[fmt.Sprintf("conv3d/k%d-s%d-p%d", g[0], g[1], g[2])] = layerDigest(rng, nn.NewConv("c", 3, 2, 3, g[0], g[1], g[2], rng, nil), x)
 	}
 
 	// The 1M U-Net at depth 3 and 64², its exported graph, and one training
@@ -207,7 +207,7 @@ func TestFP32LoweringPins(t *testing.T) {
 	got["unet3d/train-step"] = digest(append([][]float32{y.Data, gx.Data}, paramGrads(m3.Params())...)...)
 
 	got["maxpool2d"] = poolDigest(t, nn.NewMaxPool2D("p"), 2, 3, 4, 6)
-	got["maxpool3d"] = poolDigest(t, unet3d.NewMaxPool3D("p"), 2, 2, 4, 4, 6)
+	got["maxpool3d"] = poolDigest(t, nn.NewMaxPool2D("p"), 2, 2, 4, 4, 6)
 
 	for name, d := range got {
 		if want, ok := fp32Pins[name]; !ok {

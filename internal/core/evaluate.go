@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"seneca/internal/ctorg"
 	"seneca/internal/metrics"
@@ -41,7 +43,7 @@ func EvaluateINT8(p *xmodel.Program, ds *ctorg.Dataset) (*metrics.Confusion, err
 		copy(img.Data, s.Image)
 		pred, err := p.Run(img)
 		if err != nil {
-			return nil, fmt.Errorf("core: INT8 evaluation: %w", err)
+			return nil, fmt.Errorf("core: evaluating %q: %w", p.Name, err)
 		}
 		conf.Add(pred, s.Labels)
 	}
@@ -68,7 +70,7 @@ func PerPatientOrganDice(p *xmodel.Program, ds *ctorg.Dataset) (map[uint8][]floa
 		conf.Add(pred, s.Labels)
 	}
 	out := make(map[uint8][]float64)
-	for _, pid := range sortedPatients(perPatient) {
+	for _, pid := range slices.Sorted(maps.Keys(perPatient)) {
 		conf := perPatient[pid]
 		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
 			// Only count patients in whom the organ actually appears.
@@ -79,17 +81,4 @@ func PerPatientOrganDice(p *xmodel.Program, ds *ctorg.Dataset) (map[uint8][]floa
 		}
 	}
 	return out, nil
-}
-
-func sortedPatients(m map[int]*metrics.Confusion) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }

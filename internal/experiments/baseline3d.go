@@ -93,10 +93,8 @@ func (e *Env) Baseline3D(w io.Writer, cfgName string) (*Baseline3DResult, error)
 	t3Start := time.Now()
 	for epoch := 0; epoch < epochs; epoch++ {
 		for _, v := range train3 {
-			p := model3.Forward(v.x, true)
-			loss.Forward(flatten(p), v.labels)
-			g := loss.Backward()
-			model3.Backward(unflatten(g, depth, size))
+			loss.Forward(model3.Forward(v.x, true), v.labels)
+			model3.Backward(loss.Backward())
 			nn.ClipGradNorm(model3.Params(), 5)
 			opt.Step(model3.Params())
 		}
@@ -161,14 +159,6 @@ func (e *Env) Baseline3D(w io.Writer, cfgName string) (*Baseline3DResult, error)
 		fmt.Fprintf(w, "%-12s %16s %16s\n", ctorg.ClassNames[cls], pct(res.Organ2D[cls]), pct(res.Organ3D[cls]))
 	}
 	return res, nil
-}
-
-func flatten(x *tensor.Tensor) *tensor.Tensor {
-	return x.Reshape(x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3], x.Shape[4])
-}
-
-func unflatten(x *tensor.Tensor, d, s int) *tensor.Tensor {
-	return x.Reshape(x.Shape[0], x.Shape[1], d, s, s)
 }
 
 // downsampleVolume resamples a phantom volume to size×size in-plane and a

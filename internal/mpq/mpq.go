@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"sort"
 
+	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/dpu"
 	"seneca/internal/graph"
 	"seneca/internal/metrics"
 	"seneca/internal/obs"
 	"seneca/internal/quant"
-	"seneca/internal/tensor"
 	"seneca/internal/xmodel"
 )
 
@@ -152,22 +152,6 @@ func (r *Registry) Program(name string) *xmodel.Program {
 // Variant returns the full record of a registered variant, or nil.
 func (r *Registry) Variant(name string) *Variant { return r.variants[name] }
 
-// evalDice runs the compiled program over the validation set and returns
-// the confusion statistics.
-func evalDice(prog *xmodel.Program, val *ctorg.Dataset) (*metrics.Confusion, error) {
-	conf := metrics.NewConfusion(ctorg.NumClasses)
-	img := tensor.New(1, val.Size, val.Size)
-	for _, s := range val.Slices {
-		copy(img.Data, s.Image)
-		pred, err := prog.Run(img)
-		if err != nil {
-			return nil, fmt.Errorf("mpq: evaluating %q: %w", prog.Name, err)
-		}
-		conf.Add(pred, s.Labels)
-	}
-	return conf, nil
-}
-
 func organDicePercent(conf *metrics.Confusion) []float64 {
 	out := make([]float64, ctorg.NumClasses)
 	for c := 0; c < ctorg.NumClasses; c++ {
@@ -178,7 +162,7 @@ func organDicePercent(conf *metrics.Confusion) []float64 {
 
 // measure fills a variant's accuracy and modeled-performance fields.
 func measure(v *Variant, val *ctorg.Dataset, dev *dpu.Device, baselineDice float64, evals *obs.Counter) error {
-	conf, err := evalDice(v.Program, val)
+	conf, err := core.EvaluateINT8(v.Program, val)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package mpq
 import (
 	"fmt"
 
+	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/dpu"
 	"seneca/internal/graph"
@@ -57,7 +58,7 @@ func greedyInt4(c *calibrated, val *ctorg.Dataset, order []string, baseline, fas
 		if err != nil {
 			return nil, nil, err
 		}
-		conf, err := evalDice(prog, val)
+		conf, err := core.EvaluateINT8(prog, val)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/graph"
 	"seneca/internal/obs"
@@ -118,7 +119,7 @@ func analyzeCalibrated(c *calibrated, val *ctorg.Dataset, opt Options, evals *ob
 	if err != nil {
 		return nil, err
 	}
-	conf, err := evalDice(base, val)
+	conf, err := core.EvaluateINT8(base, val)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +135,7 @@ func analyzeCalibrated(c *calibrated, val *ctorg.Dataset, opt Options, evals *ob
 			if err != nil {
 				return nil, fmt.Errorf("mpq: probing %s@%d: %w", layer, bits, err)
 			}
-			pc, err := evalDice(prog, val)
+			pc, err := core.EvaluateINT8(prog, val)
 			if err != nil {
 				return nil, err
 			}

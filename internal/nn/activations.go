@@ -69,7 +69,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // MaxPool2D is 2×2/stride-2 max pooling (the only pooling geometry the
 // SENECA encoder uses) over NCHW tensors, and 2×2×2 pooling over NCDHW ones
-// (the 3D baseline's unet3d.MaxPool3D).
+// (the 3D baseline's encoder).
 type MaxPool2D struct {
 	LayerName string
 	lastArg   []int32
@@ -168,8 +168,8 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Softmax applies a per-pixel softmax across channels, producing the six
-// probability maps of the SENECA output head.
+// Softmax applies a per-position softmax across the channels of an NCHW or
+// NCDHW tensor, producing the six probability maps of the output head.
 type Softmax struct {
 	LayerName string
 	lastOut   *tensor.Tensor
@@ -199,9 +199,8 @@ func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", s.LayerName))
 	}
-	n, c, h, w := p.Shape[0], p.Shape[1], p.Shape[2], p.Shape[3]
-	hw := h * w
-	out := tensor.New(n, c, h, w)
+	n, c, hw := p.Shape[0], p.Shape[1], tensor.Numel(p.Shape[2:])
+	out := tensor.New(p.Shape...)
 	par.For(n*hw, func(j int) {
 		img := j / hw
 		pix := j % hw

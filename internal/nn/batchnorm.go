@@ -7,10 +7,10 @@ import (
 	"seneca/internal/tensor"
 )
 
-// BatchNorm2D normalizes each channel of an NCHW tensor over the batch and
-// spatial dimensions. At inference the running statistics are used; the
-// SENECA compiler folds this layer into the preceding convolution before
-// quantization (paper Section III-D/E).
+// BatchNorm2D normalizes each channel of an NCHW or NCDHW tensor over the
+// batch and spatial dimensions. At inference the running statistics are
+// used; the SENECA compiler folds this layer into the preceding convolution
+// before quantization (paper Section III-D/E).
 type BatchNorm2D struct {
 	LayerName string
 	C         int
@@ -55,12 +55,11 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, c, hw := x.Shape[0], x.Shape[1], tensor.Numel(x.Shape[2:])
 	if c != b.C {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %v", b.LayerName, b.C, x.Shape))
 	}
-	hw := h * w
-	out := tensor.New(n, c, h, w)
+	out := tensor.New(x.Shape...)
 	if !train {
 		par.For(c, func(ch int) {
 			invStd := 1 / tensor.Sqrtf(b.RunningVar[ch]+b.Eps)
@@ -77,7 +76,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 
-	xhat := tensor.New(n, c, h, w)
+	xhat := tensor.New(x.Shape...)
 	invStds := make([]float32, c)
 	cnt := float32(n * hw)
 	par.For(c, func(ch int) {
@@ -128,10 +127,9 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if b.lastXHat == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", b.LayerName))
 	}
-	n, c, h, w := b.lastShape[0], b.lastShape[1], b.lastShape[2], b.lastShape[3]
-	hw := h * w
+	n, c, hw := b.lastShape[0], b.lastShape[1], tensor.Numel(b.lastShape[2:])
 	m := float32(n * hw)
-	gradIn := tensor.New(n, c, h, w)
+	gradIn := tensor.New(b.lastShape...)
 	par.For(c, func(ch int) {
 		var sumDy, sumDyXhat float64
 		for i := 0; i < n; i++ {

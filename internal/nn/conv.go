@@ -7,59 +7,62 @@ import (
 	"seneca/internal/tensor"
 )
 
-// Conv2D is a 2D convolution over NCHW tensors with weights shaped
-// [Cout, Cin, KH, KW]. SENECA uses 3×3 kernels with stride 1 and "same"
-// padding everywhere except the compiler-generated fused variants.
-type Conv2D struct {
+// Conv is a convolution over 2 or 3 spatial axes: NCHW tensors with weights
+// [Cout, Cin, K, K] at 2 axes (the SENECA U-Net) and NCDHW tensors with
+// weights [Cout, Cin, K, K, K] at 3 (the CT-ORG 3D baseline). SENECA uses
+// 3×3 kernels with stride 1 and "same" padding everywhere except the
+// compiler-generated fused variants.
+type Conv struct {
 	LayerName    string
 	InC, OutC    int
 	Kernel       int
 	Stride       int
 	Pad          int
 	Weight, Bias *Param
+	axes         int
 	lastInput    *tensor.Tensor
 }
 
-// NewConv2D constructs a convolution layer and initializes its weights with
-// init (He-normal when nil).
-func NewConv2D(name string, inC, outC, kernel, stride, pad int, rng *rand.Rand, init Initializer) *Conv2D {
-	c := &Conv2D{
+// NewConv constructs a convolution over axes spatial axes (2 or 3) and
+// initializes its weights with init (He-normal when nil).
+func NewConv(name string, axes, inC, outC, kernel, stride, pad int, rng *rand.Rand, init Initializer) *Conv {
+	shape, k := []int{outC, inC}, 1
+	for range axes {
+		shape, k = append(shape, kernel), k*kernel
+	}
+	c := &Conv{
 		LayerName: name,
 		InC:       inC, OutC: outC,
 		Kernel: kernel, Stride: stride, Pad: pad,
-		Weight: NewParam(name+".weight", outC, inC, kernel, kernel),
+		Weight: NewParam(name+".weight", shape...),
 		Bias:   NewParam(name+".bias", outC),
+		axes:   axes,
 	}
 	if init == nil {
 		init = HeNormal{}
 	}
-	fanIn := inC * kernel * kernel
-	fanOut := outC * kernel * kernel
-	init.Init(rng, c.Weight, fanIn, fanOut)
+	init.Init(rng, c.Weight, inC*k, outC*k)
 	return c
 }
 
 // Name implements Layer.
-func (c *Conv2D) Name() string { return c.LayerName }
+func (c *Conv) Name() string { return c.LayerName }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
-
-// OutSize returns the spatial output size for an input of size in.
-func (c *Conv2D) OutSize(in int) int { return tensor.ConvOutSize(in, c.Kernel, c.Stride, c.Pad) }
+func (c *Conv) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
 // geometry lowers the convolution of x through tensor.Conv.
-func (c *Conv2D) geometry(x *tensor.Tensor) tensor.Conv {
-	if x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: %s expects %d input channels, got %v", c.LayerName, c.InC, x.Shape))
+func (c *Conv) geometry(x *tensor.Tensor) tensor.Conv {
+	if x.Rank() != 2+c.axes || x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("nn: %s expects %d input channels and %d spatial axes, got %v", c.LayerName, c.InC, c.axes, x.Shape))
 	}
 	return tensor.NewConv(x.Shape[0], c.InC, c.OutC, x.Shape[2:], c.Kernel, c.Stride, c.Pad)
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geometry(x)
-	out := tensor.New(g.N, g.YC, g.Y[1], g.Y[2])
+	out := tensor.New(append([]int{g.N, g.YC}, g.Y[3-c.axes:]...)...)
 	g.Forward(out.Data, x.Data, c.Weight.Value.Data, c.Bias.Value.Data)
 	if train {
 		c.lastInput = x
@@ -69,7 +72,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer. The column matrix is recomputed image by
 // image, which is cheaper in memory than caching N of them in Forward.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train=true)", c.LayerName))
@@ -120,11 +123,6 @@ func (c *ConvTranspose2D) Name() string { return c.LayerName }
 // Params implements Layer.
 func (c *ConvTranspose2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// OutSize returns the spatial output size for an input of size in.
-func (c *ConvTranspose2D) OutSize(in int) int {
-	return tensor.ConvTransposeOutSize(in, c.Kernel, c.Stride, c.Pad, c.OutPad)
-}
-
 // geometry lowers the transpose convolution of x through tensor.Conv, as
 // the adjoint of a convolution whose output side is x.
 func (c *ConvTranspose2D) geometry(x *tensor.Tensor) tensor.Conv {
@@ -149,7 +147,7 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer. The gradient w.r.t. the input of a transpose
 // convolution is an ordinary convolution of the output gradient with the
-// same weights; the weight gradient mirrors Conv2D's with the roles of input
+// same weights; the weight gradient mirrors Conv's with the roles of input
 // and output exchanged.
 func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput

@@ -42,7 +42,7 @@ func (s *scalarLoss) grad() *tensor.Tensor { return s.c.Clone() }
 //
 //	ReLU, MaxPool, Dropout   1e-2  elementwise / routing only
 //	Softmax                  2e-2  one reduction across channels
-//	Conv2D, ConvTranspose2D  2e-2  InC·K² products per output
+//	Conv, ConvTranspose2D    2e-2  InC·K² (InC·K³ in 3D) products per output
 //	BatchNorm2D              3e-2  batch-wide mean/variance reductions
 //
 // Kinked or tied values (ReLU at 0, equal pool candidates) are kept away
@@ -93,7 +93,7 @@ func checkGrad(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 
 func TestConv2DGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	layer := NewConv2D("c", 2, 3, 3, 1, 1, rng, nil)
+	layer := NewConv("c", 2, 2, 3, 3, 1, 1, rng, nil)
 	x := tensor.New(2, 2, 5, 5)
 	for i := range x.Data {
 		x.Data[i] = float32(rng.NormFloat64())
@@ -103,7 +103,7 @@ func TestConv2DGradient(t *testing.T) {
 
 func TestConv2DStridedGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	layer := NewConv2D("c", 1, 2, 3, 2, 1, rng, nil)
+	layer := NewConv("c", 2, 1, 2, 3, 2, 1, rng, nil)
 	x := tensor.New(1, 1, 6, 6)
 	for i := range x.Data {
 		x.Data[i] = float32(rng.NormFloat64())
@@ -348,7 +348,7 @@ func TestHeNormalStatistics(t *testing.T) {
 
 func TestParamCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	conv := NewConv2D("c", 4, 8, 3, 1, 1, rng, nil)
+	conv := NewConv("c", 2, 4, 8, 3, 1, 1, rng, nil)
 	bn := NewBatchNorm2D("b", 8)
 	got := ParamCount([]Layer{conv, bn})
 	want := 8*4*3*3 + 8 + 8 + 8

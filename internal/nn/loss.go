@@ -11,7 +11,8 @@ import (
 // Loss maps per-pixel class probabilities and ground-truth label maps to a
 // scalar training loss and its gradient w.r.t. the probabilities.
 //
-// probs is NCHW (softmax output); labels is a flat [N*H*W] class-index map.
+// probs is the softmax output, NCHW or NCDHW; labels is the flat class-index
+// map, one label per image and spatial position.
 type Loss interface {
 	// Forward evaluates the loss and caches what Backward needs.
 	Forward(probs *tensor.Tensor, labels []uint8) float64
@@ -54,8 +55,7 @@ func (f *FocalTversky) Name() string { return "focal-tversky" }
 
 // Forward implements Loss.
 func (f *FocalTversky) Forward(probs *tensor.Tensor, labels []uint8) float64 {
-	n, c, h, w := probs.Shape[0], probs.Shape[1], probs.Shape[2], probs.Shape[3]
-	hw := h * w
+	n, c, hw := probs.Shape[0], probs.Shape[1], tensor.Numel(probs.Shape[2:])
 	if len(labels) != n*hw {
 		panic(fmt.Sprintf("nn: focal-tversky labels length %d, want %d", len(labels), n*hw))
 	}
@@ -110,9 +110,8 @@ func (f *FocalTversky) Backward() *tensor.Tensor {
 	if probs == nil {
 		panic("nn: focal-tversky Backward before Forward")
 	}
-	n, c, h, w := probs.Shape[0], probs.Shape[1], probs.Shape[2], probs.Shape[3]
-	hw := h * w
-	grad := tensor.New(n, c, h, w)
+	n, c, hw := probs.Shape[0], probs.Shape[1], tensor.Numel(probs.Shape[2:])
+	grad := tensor.New(probs.Shape...)
 	var wsum float64
 	for _, wc := range f.Weights {
 		wsum += float64(wc)
@@ -163,8 +162,7 @@ func (ce *CrossEntropy) Name() string { return "cross-entropy" }
 
 // Forward implements Loss.
 func (ce *CrossEntropy) Forward(probs *tensor.Tensor, labels []uint8) float64 {
-	n, c, h, w := probs.Shape[0], probs.Shape[1], probs.Shape[2], probs.Shape[3]
-	hw := h * w
+	n, c, hw := probs.Shape[0], probs.Shape[1], tensor.Numel(probs.Shape[2:])
 	total := par.ReduceSum(n*hw, func(j int) float64 {
 		img := j / hw
 		pix := j % hw
@@ -181,7 +179,6 @@ func (ce *CrossEntropy) Forward(probs *tensor.Tensor, labels []uint8) float64 {
 	})
 	ce.lastProbs = probs
 	ce.lastLabels = labels
-	_ = w
 	return total / float64(n*hw)
 }
 
@@ -191,9 +188,8 @@ func (ce *CrossEntropy) Backward() *tensor.Tensor {
 	if probs == nil {
 		panic("nn: cross-entropy Backward before Forward")
 	}
-	n, c, h, w := probs.Shape[0], probs.Shape[1], probs.Shape[2], probs.Shape[3]
-	hw := h * w
-	grad := tensor.New(n, c, h, w)
+	n, c, hw := probs.Shape[0], probs.Shape[1], tensor.Numel(probs.Shape[2:])
+	grad := tensor.New(probs.Shape...)
 	inv := 1 / float64(n*hw)
 	par.For(n*hw, func(j int) {
 		img := j / hw
@@ -210,7 +206,6 @@ func (ce *CrossEntropy) Backward() *tensor.Tensor {
 		}
 		grad.Data[idx] = float32(-wc * inv / p)
 	})
-	_ = w
 	return grad
 }
 

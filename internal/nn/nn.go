@@ -2,7 +2,10 @@
 // SENECA 2D U-Net (paper Section III-B): convolutions, transpose
 // convolutions, batch normalization, ReLU, max pooling, dropout and softmax,
 // all with hand-derived backward passes, plus optimizers, initializers and
-// the training loss functions of Section III-C.
+// the training loss functions of Section III-C. The CT-ORG 3D baseline
+// (internal/unet3d) is built from the same layers: every layer but the
+// transpose convolution, and every loss, takes NCDHW volumes as well as
+// NCHW images.
 //
 // Layers follow a simple stateful protocol: Forward caches whatever the
 // corresponding Backward needs; Backward consumes the gradient w.r.t. the

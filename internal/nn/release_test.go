@@ -21,7 +21,7 @@ func TestBackwardReleasesActivationCaches(t *testing.T) {
 		x.Data[i] = float32(rng.NormFloat64())
 	}
 
-	conv := NewConv2D("conv", c, c, 3, 1, 1, rng, nil)
+	conv := NewConv("conv", 2, c, c, 3, 1, 1, rng, nil)
 	dconv := NewConvTranspose2D("dconv", c, c, 3, 2, 1, 1, rng, nil)
 	bn := NewBatchNorm2D("bn", c)
 	relu := NewReLU("relu")
@@ -55,7 +55,7 @@ func TestBackwardReleasesActivationCaches(t *testing.T) {
 			t.Errorf("%s still holds its forward-pass cache after Backward", name)
 		}
 	}
-	assertReleased("Conv2D", conv.lastInput == nil)
+	assertReleased("Conv", conv.lastInput == nil)
 	assertReleased("ConvTranspose2D", dconv.lastInput == nil)
 	assertReleased("BatchNorm2D", bn.lastXHat == nil && bn.lastInvStd == nil)
 	assertReleased("ReLU", relu.lastMask == nil)
@@ -72,7 +72,7 @@ func TestBackwardReleasesActivationCaches(t *testing.T) {
 	out = dconv.Forward(out, false)
 	soft.Forward(out, false)
 
-	assertReleased("Conv2D (inference)", conv.lastInput == nil)
+	assertReleased("Conv (inference)", conv.lastInput == nil)
 	assertReleased("ConvTranspose2D (inference)", dconv.lastInput == nil)
 	assertReleased("BatchNorm2D (inference)", bn.lastXHat == nil)
 	assertReleased("ReLU (inference)", relu.lastMask == nil)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 
 	"seneca/internal/par"
 )
@@ -81,47 +82,50 @@ func MaxUnpool(grad *Tensor, arg []int32, shape []int) *Tensor {
 	return out
 }
 
-// ConcatChannels concatenates two NCHW tensors along the channel dimension.
-// Batch and spatial dimensions must match.
+// ConcatChannels concatenates two tensors along the channel dimension. Both
+// are N×C followed by any number of spatial extents (NCHW, NCDHW), and
+// everything but the channel count must match.
 func ConcatChannels(a, b *Tensor) *Tensor {
-	if a.Shape[0] != b.Shape[0] || a.Shape[2] != b.Shape[2] || a.Shape[3] != b.Shape[3] {
+	if a.Shape[0] != b.Shape[0] || !slices.Equal(a.Shape[2:], b.Shape[2:]) {
 		panic(fmt.Sprintf("tensor: ConcatChannels shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
-	n, ca, cb := a.Shape[0], a.Shape[1], b.Shape[1]
-	h, w := a.Shape[2], a.Shape[3]
-	out := New(n, ca+cb, h, w)
-	hw := h * w
+	n, ca, cb, vol := a.Shape[0], a.Shape[1], b.Shape[1], Numel(a.Shape[2:])
+	shape := append([]int(nil), a.Shape...)
+	shape[1] = ca + cb
+	out := New(shape...)
 	par.For(n, func(i int) {
-		copy(out.Data[i*(ca+cb)*hw:], a.Data[i*ca*hw:(i+1)*ca*hw])
-		copy(out.Data[i*(ca+cb)*hw+ca*hw:], b.Data[i*cb*hw:(i+1)*cb*hw])
+		copy(out.Data[i*(ca+cb)*vol:], a.Data[i*ca*vol:(i+1)*ca*vol])
+		copy(out.Data[i*(ca+cb)*vol+ca*vol:], b.Data[i*cb*vol:(i+1)*cb*vol])
 	})
 	return out
 }
 
-// SplitChannels is the inverse of ConcatChannels: it splits an NCHW tensor
-// into the first ca channels and the remaining channels.
+// SplitChannels is the inverse of ConcatChannels: it splits a tensor into
+// its first ca channels and the remaining channels.
 func SplitChannels(x *Tensor, ca int) (*Tensor, *Tensor) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, c, vol := x.Shape[0], x.Shape[1], Numel(x.Shape[2:])
 	if ca <= 0 || ca >= c {
 		panic(fmt.Sprintf("tensor: SplitChannels split %d out of range for %d channels", ca, c))
 	}
 	cb := c - ca
-	a := New(n, ca, h, w)
-	b := New(n, cb, h, w)
-	hw := h * w
+	shape := append([]int(nil), x.Shape...)
+	shape[1] = ca
+	a := New(shape...)
+	shape[1] = cb
+	b := New(shape...)
 	par.For(n, func(i int) {
-		copy(a.Data[i*ca*hw:(i+1)*ca*hw], x.Data[i*c*hw:i*c*hw+ca*hw])
-		copy(b.Data[i*cb*hw:(i+1)*cb*hw], x.Data[i*c*hw+ca*hw:(i+1)*c*hw])
+		copy(a.Data[i*ca*vol:(i+1)*ca*vol], x.Data[i*c*vol:i*c*vol+ca*vol])
+		copy(b.Data[i*cb*vol:(i+1)*cb*vol], x.Data[i*c*vol+ca*vol:(i+1)*c*vol])
 	})
 	return a, b
 }
 
 // SoftmaxChannels applies a numerically-stable softmax across the channel
-// dimension of an NCHW tensor, producing per-pixel class probabilities.
+// dimension of an N×C×spatial tensor, producing per-position class
+// probabilities in a tensor of x's shape.
 func SoftmaxChannels(x *Tensor) *Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := New(n, c, h, w)
-	hw := h * w
+	n, c, hw := x.Shape[0], x.Shape[1], Numel(x.Shape[2:])
+	out := New(x.Shape...)
 	par.For(n*hw, func(j int) {
 		img := j / hw
 		pix := j % hw
@@ -148,11 +152,11 @@ func SoftmaxChannels(x *Tensor) *Tensor {
 	return out
 }
 
-// ArgmaxChannels returns, for every pixel of an NCHW tensor, the index of
-// the maximum channel — the predicted class map, shaped [N, H*W].
+// ArgmaxChannels returns, for every spatial position of an N×C×spatial
+// tensor, the index of the maximum channel — the predicted class map,
+// flattened to [N·spatial].
 func ArgmaxChannels(x *Tensor) []uint8 {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
+	n, c, hw := x.Shape[0], x.Shape[1], Numel(x.Shape[2:])
 	out := make([]uint8, n*hw)
 	par.For(n*hw, func(j int) {
 		img := j / hw

@@ -1,7 +1,7 @@
-// Package tensor implements dense float32 tensors in NCHW layout together
-// with the linear-algebra and convolution-lowering kernels (matmul, im2col,
-// col2im, pooling) that the neural-network layers in internal/nn are built
-// on. All heavy kernels are parallelized with internal/par.
+// Package tensor implements dense float32 tensors in NCHW or NCDHW layout
+// together with the linear-algebra and convolution-lowering kernels (matmul,
+// im2col, col2im, pooling) that the neural-network layers in internal/nn are
+// built on. All heavy kernels are parallelized with internal/par.
 package tensor
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // Tensor is a dense float32 array with an explicit shape. Data is stored in
 // row-major order with the last dimension contiguous; for feature maps the
-// convention throughout the module is NCHW.
+// convention throughout the module is NCHW, and NCDHW for volumes.
 type Tensor struct {
 	Shape []int
 	Data  []float32

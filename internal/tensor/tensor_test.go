@@ -440,4 +440,8 @@ func TestShapePanics(t *testing.T) {
 	// rows; one with fewer ran off its end.
 	mustPanic("MatMulInto long B", func() { MatMulInto(New(2, 2), New(2, 3), New(4, 2)) }, "[2 3]", "[4 2]")
 	mustPanic("MatMulInto short B", func() { MatMulInto(New(2, 2), New(2, 3), New(2, 2)) }, "[2 3]", "[2 2]")
+	// Pairs that agree on dimensions 2 and 3 but not on their rank or on a
+	// later extent must be refused too.
+	mustPanic("ConcatChannels 5D W", func() { ConcatChannels(New(1, 2, 3, 4, 5), New(1, 1, 3, 4, 6)) }, "[1 2 3 4 5]", "[1 1 3 4 6]")
+	mustPanic("ConcatChannels 4D/5D", func() { ConcatChannels(New(1, 2, 3, 4), New(1, 1, 3, 4, 5)) }, "[1 2 3 4]", "[1 1 3 4 5]")
 }

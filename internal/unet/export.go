@@ -2,7 +2,7 @@ package unet
 
 import (
 	"seneca/internal/graph"
-	"seneca/internal/tensor"
+	"seneca/internal/nn"
 )
 
 // Export lowers the trained model into the inference-graph IR for the given
@@ -13,26 +13,18 @@ func (m *Model) Export(inH, inW int) *graph.Graph {
 	g := graph.New(m.Cfg.InChannels, inH, inW)
 	prev := g.InputName
 
-	convNode := func(l *convLayerRef, input string) string {
-		n := &graph.Node{
-			Name:   l.name,
-			Kind:   graph.KindConv,
-			Inputs: []string{input},
-			Kernel: l.kernel, Stride: l.stride, Pad: l.pad,
-			InC: l.inC, OutC: l.outC,
-			Weight: l.weight.Clone(),
-			Bias:   append([]float32(nil), l.bias...),
-		}
-		g.Add(n)
-		return n.Name
+	convNode := func(l *nn.Conv, input string) string {
+		return g.Add(&graph.Node{
+			Name: l.Name(), Kind: graph.KindConv, Inputs: []string{input},
+			Kernel: l.Kernel, Stride: l.Stride, Pad: l.Pad,
+			InC: l.InC, OutC: l.OutC,
+			Weight: l.Weight.Value.Clone(),
+			Bias:   append([]float32(nil), l.Bias.Value.Data...),
+		}).Name
 	}
 
 	block := func(b *convBlock, input string) string {
-		cur := convNode(&convLayerRef{
-			name: b.conv.Name(), kernel: b.conv.Kernel, stride: b.conv.Stride, pad: b.conv.Pad,
-			inC: b.conv.InC, outC: b.conv.OutC,
-			weight: b.conv.Weight.Value, bias: b.conv.Bias.Value.Data,
-		}, input)
+		cur := convNode(b.conv, input)
 		scale, shift := b.bn.FoldInto()
 		bn := g.Add(&graph.Node{
 			Name: b.bn.Name(), Kind: graph.KindBatchNorm, Inputs: []string{cur},
@@ -72,14 +64,8 @@ func (m *Model) Export(inH, inW int) *graph.Graph {
 		drop := g.Add(&graph.Node{Name: d.drop.Name(), Kind: graph.KindDropout, Inputs: []string{prev}})
 		prev = drop.Name
 	}
-	head := g.Add(&graph.Node{
-		Name: m.head.Name(), Kind: graph.KindConv, Inputs: []string{prev},
-		Kernel: m.head.Kernel, Stride: m.head.Stride, Pad: m.head.Pad,
-		InC: m.head.InC, OutC: m.head.OutC,
-		Weight: m.head.Weight.Value.Clone(),
-		Bias:   append([]float32(nil), m.head.Bias.Value.Data...),
-	})
-	g.Add(&graph.Node{Name: m.softmax.Name(), Kind: graph.KindSoftmax, Inputs: []string{head.Name}})
+	head := convNode(m.head, prev)
+	g.Add(&graph.Node{Name: m.softmax.Name(), Kind: graph.KindSoftmax, Inputs: []string{head}})
 	if err := g.Validate(); err != nil {
 		panic("unet: exported graph invalid: " + err.Error())
 	}
@@ -87,13 +73,4 @@ func (m *Model) Export(inH, inW int) *graph.Graph {
 		panic("unet: exported graph shapes: " + err.Error())
 	}
 	return g
-}
-
-// convLayerRef bundles what Export needs from a convolution layer.
-type convLayerRef struct {
-	name                string
-	kernel, stride, pad int
-	inC, outC           int
-	weight              *tensor.Tensor
-	bias                []float32
 }

@@ -76,14 +76,14 @@ func ConfigByName(name string) (Config, error) {
 
 // convBlock is conv→BN→ReLU, the repeated unit of every stack.
 type convBlock struct {
-	conv *nn.Conv2D
+	conv *nn.Conv
 	bn   *nn.BatchNorm2D
 	relu *nn.ReLU
 }
 
 func newConvBlock(name string, inC, outC int, rng *rand.Rand) *convBlock {
 	return &convBlock{
-		conv: nn.NewConv2D(name+".conv", inC, outC, 3, 1, 1, rng, nil),
+		conv: nn.NewConv(name+".conv", 2, inC, outC, 3, 1, 1, rng, nil),
 		bn:   nn.NewBatchNorm2D(name+".bn", outC),
 		relu: nn.NewReLU(name + ".relu"),
 	}
@@ -122,7 +122,7 @@ type Model struct {
 	encoders   []*encoderStack
 	bottleneck [2]*convBlock
 	decoders   []*decoderStack
-	head       *nn.Conv2D
+	head       *nn.Conv
 	softmax    *nn.Softmax
 	params     []*nn.Param
 	layers     []nn.Layer
@@ -204,7 +204,7 @@ func New(cfg Config) *Model {
 		m.decoders = append(m.decoders, d)
 		upC = f
 	}
-	m.head = nn.NewConv2D("head.conv", upC, cfg.NumClasses, 3, 1, 1, rng, nil)
+	m.head = nn.NewConv("head.conv", 2, upC, cfg.NumClasses, 3, 1, 1, rng, nil)
 	m.softmax = nn.NewSoftmax("head.softmax")
 
 	for _, e := range m.encoders {

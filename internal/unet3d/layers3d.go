@@ -1,3 +1,12 @@
+// Package unet3d implements the 3D U-Net baseline the paper compares
+// against: the CT-ORG reference network [17] segments whole CT volumes with
+// volumetric convolutions. SENECA argues a 2D network is "faster to train
+// and requires less memory without losing accuracy" (Section III-B); this
+// package makes that comparison measurable by providing a trainable 3D
+// counterpart that runs on the same phantom volumes and metrics. It is
+// built from internal/nn's layers at three spatial axes (convolution, batch
+// norm, pooling, softmax); only the nearest-neighbour upsampling of its
+// decoder has no 2D twin and lives here.
 package unet3d
 
 import (
@@ -7,13 +16,6 @@ import (
 	"seneca/internal/par"
 	"seneca/internal/tensor"
 )
-
-// MaxPool3D is 2×2×2/stride-2 max pooling over NCDHW tensors: nn's pooling
-// layer, which pools every spatial axis of its input.
-type MaxPool3D struct{ nn.MaxPool2D }
-
-// NewMaxPool3D constructs a 2×2×2 pooling layer.
-func NewMaxPool3D(name string) *MaxPool3D { return &MaxPool3D{*nn.NewMaxPool2D(name)} }
 
 // Upsample3D doubles every spatial dimension by nearest-neighbor
 // replication — the decoder upsampling of the 3D baseline (a transpose
@@ -80,16 +82,4 @@ func (u *Upsample3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	})
 	u.lastShape = nil
 	return out
-}
-
-// flatten5D views an NCDHW tensor as NC(D·H)(W) so the 2D building blocks
-// (batch norm, ReLU, softmax, losses) apply unchanged: they only assume
-// "channels × spatial positions".
-func flatten5D(x *tensor.Tensor) *tensor.Tensor {
-	return x.Reshape(x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3], x.Shape[4])
-}
-
-// unflatten5D restores the NCDHW view.
-func unflatten5D(x *tensor.Tensor, d, h, w int) *tensor.Tensor {
-	return x.Reshape(x.Shape[0], x.Shape[1], d, h, w)
 }

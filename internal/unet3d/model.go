@@ -25,35 +25,27 @@ func CTORGBaseline() Config {
 	return Config{Name: "3d-unet", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 1}
 }
 
-// block3d is conv3d→BN→ReLU (batch norm reuses the 2D implementation via a
-// flattened spatial view).
+// block3d is conv→BN→ReLU over NCDHW volumes.
 type block3d struct {
-	conv *Conv3D
+	conv *nn.Conv
 	bn   *nn.BatchNorm2D
 	relu *nn.ReLU
 }
 
 func newBlock3d(name string, inC, outC int, rng *rand.Rand) *block3d {
 	return &block3d{
-		conv: NewConv3D(name+".conv", inC, outC, 3, 1, 1, rng),
+		conv: nn.NewConv(name+".conv", 3, inC, outC, 3, 1, 1, rng, nil),
 		bn:   nn.NewBatchNorm2D(name+".bn", outC),
 		relu: nn.NewReLU(name + ".relu"),
 	}
 }
 
 func (b *block3d) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := b.conv.Forward(x, train)
-	d, h, w := y.Shape[2], y.Shape[3], y.Shape[4]
-	y = b.bn.Forward(flatten5D(y), train)
-	y = b.relu.Forward(y, train)
-	return unflatten5D(y, d, h, w)
+	return b.relu.Forward(b.bn.Forward(b.conv.Forward(x, train), train), train)
 }
 
 func (b *block3d) backward(g *tensor.Tensor) *tensor.Tensor {
-	d, h, w := g.Shape[2], g.Shape[3], g.Shape[4]
-	gg := b.relu.Backward(flatten5D(g))
-	gg = b.bn.Backward(gg)
-	return b.conv.Backward(unflatten5D(gg, d, h, w))
+	return b.conv.Backward(b.bn.Backward(b.relu.Backward(g)))
 }
 
 func (b *block3d) params() []*nn.Param {
@@ -63,12 +55,12 @@ func (b *block3d) params() []*nn.Param {
 
 type encoder3d struct {
 	blockA, blockB *block3d
-	pool           *MaxPool3D
+	pool           *nn.MaxPool2D // pools every spatial axis: 2×2×2 here
 }
 
 type decoder3d struct {
 	up             *Upsample3D
-	mix            *Conv3D // channel-halving 1×1×1 after upsample ("up-conv")
+	mix            *nn.Conv // channel-halving 1×1×1 after upsample ("up-conv")
 	blockA, blockB *block3d
 	skipC          int
 }
@@ -79,7 +71,7 @@ type Model struct {
 	encoders []*encoder3d
 	bottom   [2]*block3d
 	decoders []*decoder3d
-	head     *Conv3D
+	head     *nn.Conv
 	softmax  *nn.Softmax
 	params   []*nn.Param
 }
@@ -95,7 +87,7 @@ func New(cfg Config) *Model {
 		e := &encoder3d{
 			blockA: newBlock3d(fmt.Sprintf("e%d.a", i), inC, f(i), rng),
 			blockB: newBlock3d(fmt.Sprintf("e%d.b", i), f(i), f(i), rng),
-			pool:   NewMaxPool3D(fmt.Sprintf("e%d.pool", i)),
+			pool:   nn.NewMaxPool2D(fmt.Sprintf("e%d.pool", i)),
 		}
 		m.encoders = append(m.encoders, e)
 		inC = f(i)
@@ -107,7 +99,7 @@ func New(cfg Config) *Model {
 	for i := cfg.Depth - 1; i >= 0; i-- {
 		d := &decoder3d{
 			up:     NewUpsample3D(fmt.Sprintf("d%d.up", i)),
-			mix:    NewConv3D(fmt.Sprintf("d%d.mix", i), upC, f(i), 1, 1, 0, rng),
+			mix:    nn.NewConv(fmt.Sprintf("d%d.mix", i), 3, upC, f(i), 1, 1, 0, rng, nil),
 			blockA: newBlock3d(fmt.Sprintf("d%d.a", i), 2*f(i), f(i), rng),
 			blockB: newBlock3d(fmt.Sprintf("d%d.b", i), f(i), f(i), rng),
 			skipC:  f(i),
@@ -115,7 +107,7 @@ func New(cfg Config) *Model {
 		m.decoders = append(m.decoders, d)
 		upC = f(i)
 	}
-	m.head = NewConv3D("head", upC, cfg.NumClasses, 1, 1, 0, rng)
+	m.head = nn.NewConv("head", 3, upC, cfg.NumClasses, 1, 1, 0, rng, nil)
 	m.softmax = nn.NewSoftmax("softmax")
 
 	for _, e := range m.encoders {
@@ -164,26 +156,22 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i, d := range m.decoders {
 		h = d.up.Forward(h, train)
 		h = d.mix.Forward(h, train)
-		h = concat3d(skips[len(skips)-1-i], h)
+		h = tensor.ConcatChannels(skips[len(skips)-1-i], h)
 		h = d.blockA.forward(h, train)
 		h = d.blockB.forward(h, train)
 	}
-	h = m.head.Forward(h, train)
-	dd, hh, ww := h.Shape[2], h.Shape[3], h.Shape[4]
-	return unflatten5D(m.softmax.Forward(flatten5D(h), train), dd, hh, ww)
+	return m.softmax.Forward(m.head.Forward(h, train), train)
 }
 
 // Backward propagates dLoss/dProbs and accumulates gradients.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	d0, h0, w0 := grad.Shape[2], grad.Shape[3], grad.Shape[4]
-	g := unflatten5D(m.softmax.Backward(flatten5D(grad)), d0, h0, w0)
-	g = m.head.Backward(g)
+	g := m.head.Backward(m.softmax.Backward(grad))
 	skipGrads := make([]*tensor.Tensor, len(m.encoders))
 	for i := len(m.decoders) - 1; i >= 0; i-- {
 		d := m.decoders[i]
 		g = d.blockB.backward(g)
 		g = d.blockA.backward(g)
-		skipG, upG := split3d(g, d.skipC)
+		skipG, upG := tensor.SplitChannels(g, d.skipC)
 		skipGrads[len(m.encoders)-1-i] = skipG
 		g = d.mix.Backward(upG)
 		g = d.up.Backward(g)
@@ -202,20 +190,5 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Predict returns per-voxel argmax classes, flattened to [N*D*H*W].
 func (m *Model) Predict(x *tensor.Tensor) []uint8 {
-	p := m.Forward(x, false)
-	return tensor.ArgmaxChannels(flatten5D(p))
-}
-
-// concat3d concatenates along channels; both NCDHW.
-func concat3d(a, b *tensor.Tensor) *tensor.Tensor {
-	d, h, w := a.Shape[2], a.Shape[3], a.Shape[4]
-	cat := tensor.ConcatChannels(flatten5D(a), flatten5D(b))
-	return unflatten5D(cat, d, h, w)
-}
-
-// split3d splits a channel concat back into its two parts.
-func split3d(x *tensor.Tensor, ca int) (*tensor.Tensor, *tensor.Tensor) {
-	d, h, w := x.Shape[2], x.Shape[3], x.Shape[4]
-	a, b := tensor.SplitChannels(flatten5D(x), ca)
-	return unflatten5D(a, d, h, w), unflatten5D(b, d, h, w)
+	return tensor.ArgmaxChannels(m.Forward(x, false))
 }
