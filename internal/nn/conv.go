@@ -159,3 +159,34 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.lastInput = nil
 	return gradIn
 }
+
+// ConvBlock is conv→BN→ReLU, the repeated unit of every stack of both
+// U-Nets: a 3×3 convolution at stride 1 and "same" padding over axes spatial
+// axes, batch-norm and a ReLU, named name+".conv", ".bn" and ".relu".
+type ConvBlock struct {
+	Conv *Conv
+	BN   *BatchNorm2D
+	ReLU *ReLU
+}
+
+// NewConvBlock draws the convolution's weights from rng.
+func NewConvBlock(name string, axes, inC, outC int, rng *rand.Rand) *ConvBlock {
+	return &ConvBlock{
+		Conv: NewConv(name+".conv", axes, inC, outC, 3, 1, 1, rng, nil),
+		BN:   NewBatchNorm2D(name+".bn", outC),
+		ReLU: NewReLU(name + ".relu"),
+	}
+}
+
+func (b *ConvBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return b.ReLU.Forward(b.BN.Forward(b.Conv.Forward(x, train), train), train)
+}
+
+func (b *ConvBlock) Backward(g *tensor.Tensor) *tensor.Tensor {
+	return b.Conv.Backward(b.BN.Backward(b.ReLU.Backward(g)))
+}
+
+// Layers is the block's three layers in order; Params their parameters.
+func (b *ConvBlock) Layers() []Layer { return []Layer{b.Conv, b.BN, b.ReLU} }
+
+func (b *ConvBlock) Params() []*Param { return append(b.Conv.Params(), b.BN.Params()...) }

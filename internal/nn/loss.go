@@ -163,6 +163,9 @@ func (ce *CrossEntropy) Name() string { return "cross-entropy" }
 // Forward implements Loss.
 func (ce *CrossEntropy) Forward(probs *tensor.Tensor, labels []uint8) float64 {
 	n, c, hw := probs.Shape[0], probs.Shape[1], tensor.Numel(probs.Shape[2:])
+	if len(labels) != n*hw {
+		panic(fmt.Sprintf("nn: cross-entropy labels length %d, want %d", len(labels), n*hw))
+	}
 	total := par.ReduceSum(n*hw, func(j int) float64 {
 		img := j / hw
 		pix := j % hw

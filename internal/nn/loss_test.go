@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +150,27 @@ func TestCrossEntropyGradientNumeric(t *testing.T) {
 		scale := math.Max(1e-3, math.Max(math.Abs(numeric), math.Abs(got)))
 		if math.Abs(numeric-got)/scale > 3e-2 {
 			t.Fatalf("grad[%d]: analytic %v vs numeric %v", idx, got, numeric)
+		}
+	}
+}
+
+// TestLossesRefuseWrongLabelLength hands each loss a label map one pixel
+// short and one pixel long: both must panic naming the two lengths, rather
+// than read past the map or leave its tail unread.
+func TestLossesRefuseWrongLabelLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	probs, labels := randomProbs(rng, 2, 3, 3, 3)
+	for _, loss := range []Loss{&CrossEntropy{}, NewFocalTversky(uniformWeights(3))} {
+		for _, n := range []int{len(labels) - 1, len(labels) + 1} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("labels length %d, want %d", n, len(labels))
+					if r, _ := recover().(string); !strings.Contains(r, want) {
+						t.Errorf("%s with %d labels: panic %q, want one containing %q", loss.Name(), n, r, want)
+					}
+				}()
+				loss.Forward(probs, make([]uint8, n))
+			}()
 		}
 	}
 }

@@ -113,20 +113,21 @@ func exact32(accBound int64, bias []int32, shift, shift2 int) bool {
 	return accBound+b+int64(1)<<uint(shift-1) <= math.MaxInt32
 }
 
-// finalizeTile is the fused write-back of one register tile, tileWidths[body]
-// pixels wide: the first n pixels of its first lanes lanes go through bias →
-// ReLU → round-shift(s) and are stored as cells, lane pair p at
-// dst[p·planeStride + q·step] for pixel q. step is 1 for a convolution and
-// the stride for a phase of a transpose convolution, whose outputs
-// interleave with the other phases'. With simd (an assembly body runs and
-// exact32 holds) whole pairs take the body's assembly — the VNNI body's under
-// store masks at steps 1 and 2, the AVX2 body's straight into a whole
-// contiguous row or through cells of stack — and everything else runs
-// finalizeInt8, which is also what the assembly is held to. Nothing outside
-// the n cells of each pair is written, so borders and ghost columns keep
-// their zeros.
-func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shift, shift2 int, simd bool, dst []int32, planeStride, step, n int) {
-	width := tileWidths[body]
+// finalizeTile is the fused write-back of one register tile: of each of
+// its first rows rows of width pixels (tileShape), the first n pixels of its
+// first lanes lanes go through bias → ReLU → round-shift(s) and are stored
+// as cells, lane pair p at dst[p·planeStride + r·rowStride + q·step] for
+// row r and pixel q. step is 1 for a convolution and the stride for a phase
+// of a transpose convolution, whose outputs interleave with the other
+// phases'. With simd (an assembly body runs and exact32 holds) whole pairs
+// take the body's assembly — the VNNI body's under store masks at steps 1
+// and 2, the AVX2 body's straight into a whole contiguous row or through
+// cells of stack — and everything else runs finalizeInt8, which is also
+// what the assembly is held to. Nothing outside the n cells of each pair's
+// rows is written, so borders, ghost columns and the rows of a last row
+// group that runs past the plane keep their zeros.
+func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shift, shift2 int, simd bool, dst []int32, planeStride, rowStride, step, width, rows, n int) {
+	full := tileWidths[body] // a lane's accumulators
 	pairs := lanes / 2
 	done := 0
 	if simd && pairs > 0 {
@@ -136,18 +137,20 @@ func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shif
 		}
 		// The assembly works from base pointers; probe what it will touch.
 		_ = bias[2*pairs-1]
-		_ = dst[(pairs-1)*planeStride+(n-1)*step]
+		_ = dst[(pairs-1)*planeStride+(rows-1)*rowStride+(n-1)*step]
 		done = pairs
 		switch {
-		case body == avx2 && step == 1 && n == width:
+		case body == avx2 && step == 1 && n == full:
 			finalize8AVX2(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor)
 		case body == avx2:
 			var cells [tileLanes / 2 * avx2TileWidth]int32
-			finalize8AVX2(acc[:], cells[:], bias, pairs, width, shift, shift2, floor)
+			finalize8AVX2(acc[:], cells[:], bias, pairs, full, shift, shift2, floor)
 			for p := 0; p < pairs; p++ {
-				d := dst[p*planeStride:]
-				for q, c := range cells[p*width : p*width+n] {
-					d[q*step] = c
+				for r := 0; r < rows; r++ {
+					d := dst[p*planeStride+r*rowStride:]
+					for q, c := range cells[p*full+r*width:][:n] {
+						d[q*step] = c
+					}
 				}
 			}
 		case body == avx512vnni && step <= 2:
@@ -156,17 +159,19 @@ func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shif
 			if step == 2 {
 				every = 0x5555
 			}
-			finalize16VNNI(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor, step, m&every, m>>16&every)
+			finalize16VNNI(acc[:], dst, bias, pairs, planeStride, shift, shift2, floor, step, m&every, m>>16&every, 0xffff<<width&0xffff, rows, rowStride)
 		default:
 			done = 0 // a VNNI phase at stride 3 or more: the scalar write-back
 		}
 	}
-	for p := done; p < pairs; p++ {
-		lo := acc[2*p*width:]
-		finalizeInt8(lo[:n], lo[width:], bias[2*p], bias[2*p+1], relu, shift, shift2, dst[p*planeStride:], step)
-	}
-	if lanes%2 != 0 {
-		finalizeInt8(acc[(lanes-1)*width:][:n], nil, bias[lanes-1], 0, relu, shift, shift2, dst[pairs*planeStride:], step)
+	for r := 0; r < rows; r++ {
+		for p := done; p < pairs; p++ {
+			lo := acc[2*p*full+r*width:]
+			finalizeInt8(lo[:n], lo[full:], bias[2*p], bias[2*p+1], relu, shift, shift2, dst[p*planeStride+r*rowStride:], step)
+		}
+		if lanes%2 != 0 {
+			finalizeInt8(acc[(lanes-1)*full+r*width:][:n], nil, bias[lanes-1], 0, relu, shift, shift2, dst[pairs*planeStride+r*rowStride:], step)
+		}
 	}
 }
 
@@ -174,8 +179,9 @@ func finalizeTile(acc *[tileSize]int32, bias []int32, lanes int, relu bool, shif
 // about a nanosecond of one core: an int8 element read, compared or
 // requantized by an element-wise pass counts one (a vector of stepPixels cells
 // where an assembly body runs the pass: cellUnits), a micro-kernel step (one
-// tap of one channel pair across stepPixels pixels, 128 MACs) counts
-// stepWork, whatever tile width the host's body runs. 2¹⁶ is
+// tap of one channel pair across an eight-pixel tile, 128 MACs: a row's
+// eight pixels, or two rows' four where rows are that narrow) counts
+// stepWork, whatever tile the host's body runs. 2¹⁶ is
 // ≈65 µs, a few times what starting a goroutine on a parked core and waiting
 // for it costs on the 2-vCPU hosts this runs on. Without the floor a 1M
 // U-Net frame at 64×64 — forty-odd loops of 5–100 µs — ran a third slower on
@@ -219,9 +225,12 @@ func (ph *phase) extent(oh, ow, step int) (ny, nx int) {
 
 // reach is what a node made of these phases needs of its h×w input's plane
 // to produce an oh×ow output: the zero border its taps read into, and how far
-// past the border's inner edge a row must run for its tiles, whose last may
-// start up to fifteen pixels short of a whole one — the widest body's tile,
-// whichever body the host runs, so an arena is the same size everywhere.
+// past the border's inner edge a row must run for its tiles. Both are the
+// VNNI body's tile shapes', whichever body the host runs, so an arena is the
+// same size everywhere: its rows are the longest and its row groups the
+// tallest, so the last tile of a row may start up to fifteen pixels short
+// of a whole one, and a last row group that runs past the plane reads up to
+// three rows past it.
 func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 	for i := range phases {
 		ph := &phases[i]
@@ -229,8 +238,9 @@ func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 		if ph.kh == 0 || ph.kw == 0 || ny == 0 {
 			continue
 		}
-		border = max(border, -ph.baseY, -ph.baseX, ny+ph.baseY+ph.kh-1-h, nx+ph.baseX+ph.kw-1-w)
-		span = max(span, ph.baseX+(nx+maxTileWidth-1)/maxTileWidth*maxTileWidth+ph.kw-1)
+		width, rows := tileShape(avx512vnni, nx)
+		border = max(border, -ph.baseY, -ph.baseX, (ny+rows-1)/rows*rows+ph.baseY+ph.kh-1-h, nx+ph.baseX+ph.kw-1-w)
+		span = max(span, ph.baseX+(nx+width-1)/width*width+ph.kw-1)
 	}
 	return border, span
 }
@@ -244,14 +254,16 @@ func reach(phases []phase, step, h, w, oh, ow int) (border, span int) {
 // magnitude (QNode.tilePhases). in must carry the border and row length
 // reach asks for.
 //
-// Every (phase, lane block, phase row) unit runs independently through
-// par.ForChunkedID — lane-block-major, so a worker's weights stay in L1 while
-// it sweeps rows, and in no more chunks than chunksFor allows — one macTile
-// per tile width of pixels read straight from the input's cells, then the
-// fused bias → ReLU → round-shift write-back of the tile's valid lanes and
-// pixels straight into the output's. The result equals the per-weight signed
-// loop with int32 wraparound bit for bit, at every worker count: each
-// output's sum is a wrapping sum of the same products whatever the order.
+// Every (phase, lane block, row group) unit — a row group is the rows one
+// tile of the phase's tileShape covers, a single row where rows are wide —
+// runs independently through par.ForChunkedID — lane-block-major, so a
+// worker's weights stay in L1 while it sweeps rows, and in no more chunks
+// than chunksFor allows — one macTile per tile of pixels read straight from
+// the input's cells, then the fused bias → ReLU → round-shift write-back of
+// the tile's valid lanes, rows and pixels straight into the output's. The
+// result equals the per-weight signed loop with int32 wraparound bit for
+// bit, at every worker count: each output's sum is a wrapping sum of the
+// same products whatever the order.
 func convPhases(in *activation, phases []phase, step int, accBound int64, bias []int32, outC int, shift, shift2 int, relu bool, out *activation) {
 	simd := body != portable && exact32(accBound, bias[:outC], shift, shift2)
 	cpairs := in.cpairs()
@@ -261,35 +273,38 @@ func convPhases(in *activation, phases []phase, step int, accBound int64, bias [
 	units, work := 0, 0
 	for i := range phases {
 		ny, nx := phases[i].extent(out.h, out.w, step)
-		units += blocks * ny
-		work += blocks * ny * ((nx + stepPixels - 1) / stepPixels) * cpairs * max(1, phases[i].kh*phases[i].kw) * stepWork
+		_, rows := tileShape(body, nx)
+		w8, r8 := tileShape(avx2, nx) // work in eight-pixel tiles
+		units += blocks * ((ny + rows - 1) / rows)
+		work += blocks * ((ny + r8 - 1) / r8) * ((nx + w8 - 1) / w8) * cpairs * max(1, phases[i].kh*phases[i].kw) * stepWork
 	}
 	par.ForChunkedID(units, chunksFor(work), func(_, lo, hi int) {
 		var acc [tileSize]int32
-		width := tileWidths[body]
 		for i := range phases {
 			ph := &phases[i]
 			ny, nx := ph.extent(out.h, out.w, step)
-			if n := blocks * ny; lo >= n {
+			width, rows := tileShape(body, nx)
+			groups := (ny + rows - 1) / rows
+			if n := blocks * groups; lo >= n {
 				lo, hi = lo-n, hi-n
 				continue
 			}
 			blockLen := cpairs * ph.kh * ph.kw * tileLanes
 			x := in.cells[in.origin()+ph.baseY*rowStride+ph.baseX:]
 			o := out.cells[out.origin()+ph.ay*out.cols+ph.ax:]
-			for u := lo; u < min(hi, blocks*ny); u++ {
-				ob, j := u/ny, u%ny
+			for u := lo; u < min(hi, blocks*groups); u++ {
+				ob, j := u/groups, u%groups*rows
 				lanes := min(tileLanes, outC-ob*tileLanes)
 				for px := 0; px < nx; px += width {
 					if blockLen == 0 {
 						acc = [tileSize]int32{} // a phase without taps: the bias alone
 					} else {
-						macTile(&acc, x[j*rowStride+px:], ph.w[ob*blockLen:(ob+1)*blockLen], cpairs, ph.kh, ph.kw, rowStride, planeStride)
+						macTile(&acc, x[j*rowStride+px:], ph.w[ob*blockLen:(ob+1)*blockLen], cpairs, ph.kh, ph.kw, rowStride, planeStride, width, rows)
 					}
-					finalizeTile(&acc, bias[ob*tileLanes:], lanes, relu, shift, shift2, simd, o[ob*tileLanes/2*oStride+step*(j*out.cols+px):], oStride, step, min(width, nx-px))
+					finalizeTile(&acc, bias[ob*tileLanes:], lanes, relu, shift, shift2, simd, o[ob*tileLanes/2*oStride+step*(j*out.cols+px):], oStride, step*out.cols, step, width, min(rows, ny-j), min(width, nx-px))
 				}
 			}
-			if hi -= blocks * ny; hi <= 0 {
+			if hi -= blocks * groups; hi <= 0 {
 				return
 			}
 			lo = 0

@@ -5,8 +5,10 @@ import "seneca/internal/obs"
 // The one multiply-add micro-kernel under every INT8 convolution and
 // transpose convolution: a register tile of int32 accumulators, 8 lanes ×
 // the body's tile width in pixels, reduced over channel pairs × kh×kw taps.
-// Lanes are output channels; pixels are neighbours of one output row
-// (convolution) or of one row of one output phase (transpose convolution).
+// Lanes are output channels; pixels are neighbours in one output row
+// (convolution) or one row of one output phase (transpose convolution) —
+// or, where that row is narrower than half a tile, in two or four rows of
+// it stacked into one tile (tileShape).
 //
 // Operand layouts, shared by all three bodies:
 //
@@ -15,7 +17,8 @@ import "seneca/internal/obs"
 //	                          cells are literal zeros
 //	w  [⌈C/2⌉][kh][kw][8]    packTileWeights, one lane block: the same channel
 //	                          pair for each of eight lanes
-//	acc [8][width]            lane l's accumulator for pixel q at l·width+q
+//	acc [8][W]                lane l's accumulator for pixel q at l·W+q, W
+//	                          the body's tile width
 //
 // A cell is two sign-extended int16 halves in an int32 (pairCell): channel 2c
 // low, channel 2c+1 high — in memory, on a little-endian host, [2]int16.
@@ -30,15 +33,31 @@ import "seneca/internal/obs"
 
 // tileLanes is the register tile's lane count and tileWidths its pixel count
 // per body: 8 in the AVX2 body's 256-bit registers (and the plain loop), 16
-// in the VNNI body's 512-bit ones. The widest sizes acc and every row span.
+// in the VNNI body's 512-bit ones. The widest sizes acc. minTileRow is the
+// narrowest row a tile packs: four cells, an xmm.
 const (
 	tileLanes     = 8
 	avx2TileWidth = 8
 	maxTileWidth  = 16
 	tileSize      = tileLanes * maxTileWidth
+	minTileRow    = 4
 )
 
 var tileWidths = [...]int{portable: avx2TileWidth, avx2: avx2TileWidth, avx512vnni: maxTileWidth}
+
+// tileShape is the register tile body b runs over output rows nx pixels
+// wide: rows rows of width pixels, width·rows = tileWidths[b]. A row wider
+// than half the tile takes whole-row tiles, as many as it needs; a narrower
+// one is halved until it fills the tile with rows of its own, down to
+// minTileRow: 2×8 and 4×4 on the VNNI body, 2×4 on the others. Packed, a
+// tile performs the multiply-adds of the pixels it keeps and few others.
+func tileShape(b, nx int) (width, rows int) {
+	width = tileWidths[b]
+	for width > minTileRow && nx <= width/2 {
+		width /= 2
+	}
+	return width, tileWidths[b] / width
+}
 
 // pairCell packs two int8 operands into one cell.
 func pairCell(lo, hi int8) int32 { return int32(uint16(int16(lo))) | int32(hi)<<16 }
@@ -64,43 +83,48 @@ func ExportKernelISA(reg *obs.Registry) {
 		obs.L("isa", KernelISA())).Set(1)
 }
 
-// macTile computes one register tile of width tileWidths[body]:
+// macTile computes one register tile of rows rows of width pixels
+// (tileShape), width·rows = W:
 //
-//	acc[l·width+q] = Σ_cp Σ_ky Σ_kx  lo(w[cp][ky][kx][l])·lo(x[cp][ky][q+kx])
-//	                            + hi(w[cp][ky][kx][l])·hi(x[cp][ky][q+kx])
+//	acc[l·W+q] = Σ_cp Σ_ky Σ_kx  lo(w[cp][ky][kx][l])·lo(x[cp][ky][p(q)+kx])
+//	                         + hi(w[cp][ky][kx][l])·hi(x[cp][ky][p(q)+kx])
 //
 // over kh tap rows of kw taps, where x starts at the tile's top-left cell
 // (plane 0, its first tap row, its first pixel), rowStride and planeStride
 // are the distances in cells between plane rows and between channel-pair
-// planes, and w starts at the lane block. acc is overwritten.
-func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
+// planes, w starts at the lane block, and pixel q is the cell
+// p(q) = (q / width)·rowStride + q % width from x. acc is overwritten.
+func macTile(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride, width, rows int) {
 	// The assembly body works from base pointers; these two probes are the
 	// bounds checks it cannot do.
-	_ = x[(cpairs-1)*planeStride+(kh-1)*rowStride+kw-1+tileWidths[body]-1]
+	_ = x[(cpairs-1)*planeStride+(kh+rows-2)*rowStride+kw-1+width-1]
 	_ = w[cpairs*kh*kw*tileLanes-1]
 	switch body {
 	case avx512vnni:
-		macTileVNNI(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
+		macTileVNNI(acc, x, w, cpairs, kh, kw, rowStride, planeStride, rows)
 	case avx2:
-		macTileAVX2(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
+		macTileAVX2(acc, x, w, cpairs, kh, kw, rowStride, planeStride, rows)
 	default:
-		macTilePortable(acc, x, w, cpairs, kh, kw, rowStride, planeStride)
+		macTilePortable(acc, x, w, cpairs, kh, kw, rowStride, planeStride, rows)
 	}
 }
 
 // macTilePortable is macTile as a plain loop over the same layouts, eight
 // pixels wide: the body every non-AVX2 host runs, and the in-package oracle
 // for the assembly.
-func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int) {
+func macTilePortable(acc *[tileSize]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride, rows int) {
 	const tilePixels = 8
+	width := tilePixels / rows
 	*acc = [tileSize]int32{}
 	for cp := 0; cp < cpairs; cp++ {
 		for ky := 0; ky < kh; ky++ {
 			row := x[cp*planeStride+ky*rowStride:]
 			for kx := 0; kx < kw; kx++ {
 				var x0, x1 [tilePixels]int32
-				for q, xc := range row[kx : kx+tilePixels] {
-					x0[q], x1[q] = int32(int16(xc)), xc>>16
+				for q := 0; q < tilePixels; q += width {
+					for i, xc := range row[q/width*rowStride+kx:][:width] {
+						x0[q+i], x1[q+i] = int32(int16(xc)), xc>>16
+					}
 				}
 				for l, wc := range w[:tileLanes] {
 					w0, w1 := int32(int16(wc)), wc>>16

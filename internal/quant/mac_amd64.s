@@ -42,11 +42,52 @@ no:
 	VPMADDWD     Y8, tmp, tmp \
 	VPADDD       tmp, acc, acc
 
-// func macTileAVX2(acc *[64]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
+// A whole-row tile's eight cells of a tap, and a packed 2×4 tile's: four
+// cells of the tap's row and four of the row below (R9 bytes on).
+#define LOAD8(b) \
+	VMOVDQU (b), Y8
+
+#define LOAD2X4(b) \
+	VMOVDQU     (b), X8 \
+	VINSERTI128 $1, (b)(R9*1), Y8, Y8
+
+// The tap loops over every plane, tap row and tap with one tile shape's
+// load; each instance ends at the store.
+#define AVX2TAPS(LOAD, plane, row, tap) \
+plane: \
+	MOVQ SI, R11 \
+	MOVQ R8, R12 \
+row: \
+	MOVQ R11, R13 \
+	MOVQ BX, R14 \
+tap: \
+	LOAD(R13) \
+	LANE(0, Y9, Y0) \
+	LANE(4, Y10, Y1) \
+	LANE(8, Y11, Y2) \
+	LANE(12, Y12, Y3) \
+	LANE(16, Y13, Y4) \
+	LANE(20, Y14, Y5) \
+	LANE(24, Y15, Y6) \
+	LANE(28, Y9, Y7) \
+	ADDQ $32, DX \
+	ADDQ $4, R13 \
+	DECQ R14 \
+	JNZ  tap \
+	ADDQ R9, R11 \
+	DECQ R12 \
+	JNZ  row \
+	ADDQ R10, SI \
+	DECQ CX \
+	JNZ  plane \
+	JMP  store
+
+// func macTileAVX2(acc *[128]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride, rows int)
 //
-// Y0–Y7 hold lanes 0–7, eight pixels each; see macTile for the layouts. The
-// caller has bounds-checked x and w.
-TEXT ·macTileAVX2(SB), NOSPLIT, $0-96
+// Y0–Y7 hold lanes 0–7, eight pixels each: one row's at rows 1, two rows'
+// four at rows 2. See macTile for the layouts. The caller has
+// bounds-checked x and w.
+TEXT ·macTileAVX2(SB), NOSPLIT, $0-104
 	MOVQ acc+0(FP), DI
 	MOVQ x_base+8(FP), SI
 	MOVQ w_base+32(FP), DX
@@ -65,36 +106,14 @@ TEXT ·macTileAVX2(SB), NOSPLIT, $0-96
 	VPXOR Y5, Y5, Y5
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
+	CMPQ rows+96(FP), $1
+	JNE  packed
+	AVX2TAPS(LOAD8, plane, row, tap)
 
-plane:
-	MOVQ SI, R11                 // R11: tap row
-	MOVQ R8, R12                 // R12: rows left
+packed:
+	AVX2TAPS(LOAD2X4, plane2, row2, tap2)
 
-row:
-	MOVQ R11, R13                // R13: tap cell
-	MOVQ BX, R14                 // R14: taps left in the row
-
-tap:
-	VMOVDQU (R13), Y8
-	LANE(0, Y9, Y0)
-	LANE(4, Y10, Y1)
-	LANE(8, Y11, Y2)
-	LANE(12, Y12, Y3)
-	LANE(16, Y13, Y4)
-	LANE(20, Y14, Y5)
-	LANE(24, Y15, Y6)
-	LANE(28, Y9, Y7)
-	ADDQ $32, DX
-	ADDQ $4, R13
-	DECQ R14
-	JNZ  tap
-	ADDQ R9, R11
-	DECQ R12
-	JNZ  row
-	ADDQ R10, SI
-	DECQ CX
-	JNZ  plane
-
+store:
 	VMOVDQU Y0, 0(DI)
 	VMOVDQU Y1, 32(DI)
 	VMOVDQU Y2, 64(DI)
@@ -133,20 +152,85 @@ TEXT ·hasVNNI(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func macTileVNNI(acc *[128]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride int)
+// A tap's sixteen cells in one tile shape: a whole row's, two rows' eight
+// (the second R9 bytes on) or four rows' four (R15 is 3·R9).
+#define LOAD16(b, z, y, x) \
+	VMOVDQU32 (b), z
+
+#define LOAD2X8(b, z, y, x) \
+	VMOVDQU      (b), y \
+	VINSERTI64X4 $1, (b)(R9*1), z, z
+
+#define LOAD4X4(b, z, y, x) \
+	VMOVDQU      (b), x \
+	VINSERTI32X4 $1, (b)(R9*1), z, z \
+	VINSERTI32X4 $2, (b)(R9*2), z, z \
+	VINSERTI32X4 $3, (b)(R15*1), z, z
+
+// The odd plane's tap, R10 bytes on: straight from memory in a whole-row
+// tile, through R8 in a packed one, whose loads take a base register.
+#define ODD16 VMOVDQU32 (R13)(R10*1), Z9
+#define ODD2X8 LEAQ (R13)(R10*1), R8; LOAD2X8(R8, Z9, Y9, X9)
+#define ODD4X4 LEAQ (R13)(R10*1), R8; LOAD4X4(R8, Z9, Y9, X9)
+
+// The tap loops over every pair of planes, tap row and tap with one tile
+// shape's loads; each instance ends at the sum of the accumulator sets.
+#define VNNITAPS(LOAD, ODD, plane, row, tap, next) \
+plane: \
+	MOVQ SI, R11 \
+	MOVQ DI, R12 \
+row: \
+	MOVQ R11, R13 \
+	MOVQ BX, R14 \
+tap: \
+	LOAD(R13, Z8, Y8, X8) \
+	VPDPWSSD.BCST 0(DX), Z8, Z0 \
+	VPDPWSSD.BCST 4(DX), Z8, Z1 \
+	VPDPWSSD.BCST 8(DX), Z8, Z2 \
+	VPDPWSSD.BCST 12(DX), Z8, Z3 \
+	VPDPWSSD.BCST 16(DX), Z8, Z4 \
+	VPDPWSSD.BCST 20(DX), Z8, Z5 \
+	VPDPWSSD.BCST 24(DX), Z8, Z6 \
+	VPDPWSSD.BCST 28(DX), Z8, Z7 \
+	CMPQ CX, $1 \
+	JEQ  next \
+	ODD \
+	VPDPWSSD.BCST 0(DX)(AX*1), Z9, Z16 \
+	VPDPWSSD.BCST 4(DX)(AX*1), Z9, Z17 \
+	VPDPWSSD.BCST 8(DX)(AX*1), Z9, Z18 \
+	VPDPWSSD.BCST 12(DX)(AX*1), Z9, Z19 \
+	VPDPWSSD.BCST 16(DX)(AX*1), Z9, Z20 \
+	VPDPWSSD.BCST 20(DX)(AX*1), Z9, Z21 \
+	VPDPWSSD.BCST 24(DX)(AX*1), Z9, Z22 \
+	VPDPWSSD.BCST 28(DX)(AX*1), Z9, Z23 \
+next: \
+	ADDQ $32, DX \
+	ADDQ $4, R13 \
+	DECQ R14 \
+	JNZ  tap \
+	ADDQ R9, R11 \
+	DECQ R12 \
+	JNZ  row \
+	ADDQ AX, DX \
+	LEAQ (SI)(R10*2), SI \
+	SUBQ $2, CX \
+	JGT  plane \
+	JMP  vsum
+
+// func macTileVNNI(acc *[128]int32, x, w []int32, cpairs, kh, kw, rowStride, planeStride, rows int)
 //
 // macTileAVX2's contract and layouts at sixteen pixels: one 64-byte load
-// takes a tap's sixteen cells of a plane into Z8, and per lane one VPDPWSSD
-// — the exact pair sum added with wraparound, VPMADDWD then VPADDD in one
-// instruction — multiplies them by the lane's weight cell, broadcast from
-// memory inside it. Of each pair of planes the even one accumulates in
-// Z0–Z7 and the odd one in Z16–Z23, so the VPDPWSSDs into one accumulator
-// are a plane apart rather than back to back. An odd last plane goes into
-// Z0–Z7 alone; the sets are summed before the store. AX is the distance in
-// bytes from a plane's weights to its partner's, kh·kw·32; CX counts planes
-// left.
-TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
-	MOVQ acc+0(FP), DI
+// takes a tap's sixteen cells of a plane into Z8 — a whole row's, or at
+// rows 2 and 4 a ymm or xmm of each row's, inserted — and per lane one
+// VPDPWSSD — the exact pair sum added with wraparound, VPMADDWD then VPADDD
+// in one instruction — multiplies them by the lane's weight cell, broadcast
+// from memory inside it. Of each pair of planes the even one accumulates in
+// Z0–Z7 and the odd one, read through R8, in Z16–Z23, so the VPDPWSSDs into
+// one accumulator are a plane apart rather than back to back. An odd last
+// plane goes into Z0–Z7 alone; the sets are summed before the store. AX is
+// the distance in bytes from a plane's weights to its partner's, kh·kw·32;
+// CX counts planes left and DI holds kh.
+TEXT ·macTileVNNI(SB), NOSPLIT, $0-104
 	MOVQ x_base+8(FP), SI
 	MOVQ w_base+32(FP), DX
 	MOVQ cpairs+56(FP), CX
@@ -156,6 +240,7 @@ TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
 	MOVQ planeStride+88(FP), R10
 	SHLQ $2, R9                  // cell strides to bytes
 	SHLQ $2, R10
+	MOVQ R8, DI                  // DI: kh, until the store
 	MOVQ R8, AX
 	IMULQ BX, AX
 	SHLQ $5, AX
@@ -175,50 +260,21 @@ TEXT ·macTileVNNI(SB), NOSPLIT, $0-96
 	VPXORD Z21, Z21, Z21
 	VPXORD Z22, Z22, Z22
 	VPXORD Z23, Z23, Z23
+	MOVQ rows+96(FP), R8
+	CMPQ R8, $2
+	JEQ  rows2
+	JGT  rows4
+	VNNITAPS(LOAD16, ODD16, vplane, vrow, vtap, vnext)
 
-vplane:
-	MOVQ SI, R11                 // R11: tap row
-	MOVQ R8, R12                 // R12: rows left
+rows2:
+	VNNITAPS(LOAD2X8, ODD2X8, vplane2, vrow2, vtap2, vnext2)
 
-vrow:
-	MOVQ R11, R13                // R13: tap cell
-	MOVQ BX, R14                 // R14: taps left in the row
+rows4:
+	LEAQ (R9)(R9*2), R15
+	VNNITAPS(LOAD4X4, ODD4X4, vplane4, vrow4, vtap4, vnext4)
 
-vtap:
-	VMOVDQU32 (R13), Z8
-	VPDPWSSD.BCST 0(DX), Z8, Z0
-	VPDPWSSD.BCST 4(DX), Z8, Z1
-	VPDPWSSD.BCST 8(DX), Z8, Z2
-	VPDPWSSD.BCST 12(DX), Z8, Z3
-	VPDPWSSD.BCST 16(DX), Z8, Z4
-	VPDPWSSD.BCST 20(DX), Z8, Z5
-	VPDPWSSD.BCST 24(DX), Z8, Z6
-	VPDPWSSD.BCST 28(DX), Z8, Z7
-	CMPQ CX, $1
-	JEQ  vnext                   // a lone last plane
-	VMOVDQU32 (R13)(R10*1), Z9
-	VPDPWSSD.BCST 0(DX)(AX*1), Z9, Z16
-	VPDPWSSD.BCST 4(DX)(AX*1), Z9, Z17
-	VPDPWSSD.BCST 8(DX)(AX*1), Z9, Z18
-	VPDPWSSD.BCST 12(DX)(AX*1), Z9, Z19
-	VPDPWSSD.BCST 16(DX)(AX*1), Z9, Z20
-	VPDPWSSD.BCST 20(DX)(AX*1), Z9, Z21
-	VPDPWSSD.BCST 24(DX)(AX*1), Z9, Z22
-	VPDPWSSD.BCST 28(DX)(AX*1), Z9, Z23
-
-vnext:
-	ADDQ $32, DX
-	ADDQ $4, R13
-	DECQ R14
-	JNZ  vtap
-	ADDQ R9, R11
-	DECQ R12
-	JNZ  vrow
-	ADDQ AX, DX                  // past the odd plane's weights
-	LEAQ (SI)(R10*2), SI
-	SUBQ $2, CX
-	JGT  vplane
-
+vsum:
+	MOVQ acc+0(FP), DI
 	VPADDD Z16, Z0, Z0
 	VPADDD Z17, Z1, Z1
 	VPADDD Z18, Z2, Z2
@@ -343,15 +399,18 @@ pair:
 	VPSRLD X15, r, r \
 	VPSUBD r, Z12, k, r
 
-// func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi int)
+// func finalize16VNNI(acc []int32, dst []int32, bias []int32, pairs, dstStride, shift, shift2, floor, step, lo, hi, after, rows, rowStride int)
 //
 // finalize8AVX2's contract for the VNNI body's sixteen-pixel tile: lane pair
-// p is acc[32p:32p+32], its cells leave at dst[p·dstStride] under store
-// masks. At step 1 lo selects the pixels of a contiguous row; at step 2,
-// where pixel q goes to dst[2q], VPEXPANDD spreads the first eight under lo
-// and the last eight, 64 bytes on, under hi. Nothing the masks leave out is
-// written; the caller has bounds-checked what they select.
-TEXT ·finalize16VNNI(SB), NOSPLIT, $0-136
+// p is acc[32p:32p+32], and its cells leave as rows rows, row r at
+// dst[p·dstStride + r·rowStride], under store masks. At step 1 lo selects a
+// row's pixels; at step 2, where pixel q goes to dst[2q], VPEXPANDD spreads
+// the first eight under lo and the last eight, 64 bytes on, under hi. A
+// whole-row tile stores its one row and goes on to the next pair; a packed
+// tile's rows are after apart in the tile (the mask of the cells past its
+// first row's). Nothing the masks leave out is written; the caller has
+// bounds-checked what they select.
+TEXT ·finalize16VNNI(SB), NOSPLIT, $0-160
 	MOVQ acc_base+0(FP), DI
 	MOVQ dst_base+24(FP), SI
 	MOVQ bias_base+48(FP), DX
@@ -381,6 +440,8 @@ TEXT ·finalize16VNNI(SB), NOSPLIT, $0-136
 	KMOVW AX, K2
 	MOVQ hi+128(FP), AX
 	KMOVW AX, K3
+	MOVQ rows+144(FP), R12
+	DECQ R12                     // R12: the rows after the first
 	MOVQ pairs+72(FP), CX
 
 pair16:
@@ -397,14 +458,18 @@ blend:
 	CMPQ BX, $1
 	JNE  spread
 	VMOVDQU32 Z1, K2, (SI)
-	JMP  next16
+	JMP  rows
 
 spread:
 	VPEXPANDD Z1, K2, Z2
 	VMOVDQU32 Z2, K2, (SI)
-	VEXTRACTI64X4 $1, Z1, Y1
-	VPEXPANDD Z1, K3, Z2
+	VEXTRACTI64X4 $1, Z1, Y3
+	VPEXPANDD Z3, K3, Z2
 	VMOVDQU32 Z2, K3, 64(SI)
+
+rows:
+	TESTQ R12, R12
+	JNZ  packed
 
 next16:
 	ADDQ $128, DI
@@ -414,3 +479,31 @@ next16:
 	JNZ  pair16
 	VZEROUPPER
 	RET
+
+// A packed tile's rows after the first: VPCOMPRESSD under K5 moves each
+// row's cells to the front. A packed row holds at most eight pixels, so
+// at step 2 lo's mask covers it and hi's is empty.
+packed:
+	MOVQ after+136(FP), AX
+	KMOVW AX, K5
+	MOVQ rowStride+152(FP), R10
+	SHLQ $2, R10
+	MOVQ SI, R11
+	MOVQ R12, R13
+
+prow:
+	VPCOMPRESSD Z1, K5, Z1
+	ADDQ R10, R11
+	CMPQ BX, $1
+	JNE  pspread
+	VMOVDQU32 Z1, K2, (R11)
+	JMP  pnext
+
+pspread:
+	VPEXPANDD Z1, K2, Z2
+	VMOVDQU32 Z2, K2, (R11)
+
+pnext:
+	DECQ R13
+	JNZ  prow
+	JMP  next16

@@ -123,27 +123,32 @@ func TestBodiesAgreeOnUNetShapes(t *testing.T) {
 	}
 }
 
-// TestTileWidthsAgainstReference is the width table for partial tiles:
-// convolutions (k 1 and 3) and stride-2 transpose convolutions (k 2 to 4) at
-// every output width from 1 to 40 — one tile short, whole, and one and two
-// tiles and a bit, at both bodies' widths — over lane blocks of 1, 6, 8 and 9
-// output channels, with and without ReLU and a fused second shift, through
-// every body this host can run, each held to the reference kernel; runInt8
-// checks that nothing outside the node's planes and interior is written.
-// Then each body's write-back alone, for every valid-pixel count its tile
-// has, at steps 1 to 3: exactly the n cells of each lane pair at the step
-// are written, with finalizeInt8's values, and every other cell keeps a
-// sentinel — which is what keeps one phase's tile off its neighbours' cells.
+// TestTileWidthsAgainstReference is the width table for partial and packed
+// tiles: convolutions (k 1 and 3) and stride-2 transpose convolutions (k 2
+// to 4) at every output width from 1 to 40 — one tile short, whole, and one
+// and two tiles and a bit, at both bodies' widths — over three input rows,
+// then every output height and width from 1 to 9 for convolutions at k 1
+// and 3 and the U-Net's 3×3 stride-2 transpose convolution, so every packed
+// shape's last row group also ends part-way through the plane; each over
+// lane blocks of 1, 6, 8 and 9 output channels, with and without ReLU and a
+// fused second shift, through every body this host can run, each held to
+// the reference kernel; runInt8 checks that nothing outside the node's
+// planes and interior is written. Then each body's write-back alone, for
+// every tile shape it has, every row count and every valid-pixel count of a
+// row, at steps 1 to 3: exactly the n cells of each row of each lane pair
+// at the step are written, with finalizeInt8's values, and every other cell
+// keeps a sentinel — which is what keeps one phase's tile off its
+// neighbours' cells and a row group's tile off the rows past the plane.
 func TestTileWidthsAgainstReference(t *testing.T) {
 	t.Logf("bodies %v", hostBodyNames())
 	rng := rand.New(rand.NewSource(33))
 	type layer struct {
-		kind              graph.Kind
-		k, pad, w, outPad int
+		kind                 graph.Kind
+		k, pad, h, w, oh, ow int
 	}
 	var layers []layer
 	for ow := 1; ow <= 40; ow++ {
-		layers = append(layers, layer{graph.KindConv, 1, 0, ow, 0}, layer{graph.KindConv, 3, 1, ow, 0})
+		layers = append(layers, layer{graph.KindConv, 1, 0, 3, ow, 3, ow}, layer{graph.KindConv, 3, 1, 3, ow, 3, ow})
 		// Output width (w−1)·2 − 2·pad + k + outPad: the first pad and
 		// output padding that give ow from a whole input row.
 	dconv:
@@ -151,37 +156,54 @@ func TestTileWidthsAgainstReference(t *testing.T) {
 			for pad := 0; pad < k; pad++ {
 				for op := 0; op < 2; op++ {
 					if d := ow - k - op + 2*pad; d >= 0 && d%2 == 0 {
-						layers = append(layers, layer{graph.KindConvTranspose, k, pad, d/2 + 1, op})
+						layers = append(layers, layer{graph.KindConvTranspose, k, pad, 3, d/2 + 1, 4 - 2*pad + k + op, ow})
 						continue dconv
 					}
 				}
 			}
 		}
 	}
-	const c, h, shift = 3, 3, 6
+	for oh := 1; oh <= 9; oh++ {
+		for ow := 1; ow <= 9; ow++ {
+			// At k 3, pad 1 and stride 2, (n+1)/2 inputs give n outputs
+			// under an output padding of 1 − n%2 on the axis.
+			layers = append(layers, layer{graph.KindConv, 1, 0, oh, ow, oh, ow}, layer{graph.KindConv, 3, 1, oh, ow, oh, ow},
+				layer{graph.KindConvTranspose, 3, 1, (oh + 1) / 2, (ow + 1) / 2, oh, ow})
+		}
+	}
+	const c, shift = 3, 6
+	ran := map[[3]int]bool{} // body, rows and width of each tile shape run, for the log
 	for _, l := range layers {
-		oh, ow, stride := h+2*l.pad-l.k+1, l.w+2*l.pad-l.k+1, 1
+		stride := 1
 		if l.kind == graph.KindConvTranspose {
-			oh, ow, stride = (h-1)*2-2*l.pad+l.k+l.outPad, (l.w-1)*2-2*l.pad+l.k+l.outPad, 2
+			stride = 2
+		}
+		for _, b := range hostBodies() {
+			for a := 0; a < stride; a++ {
+				if nx := phaseLen(l.ow, stride, a); nx > 0 {
+					width, rows := tileShape(b, nx)
+					ran[[3]int{b, rows, width}] = true
+				}
+			}
 		}
 		for _, outC := range []int{1, 6, 8, 9} {
-			src, weight := randInt8s(rng, c*h*l.w), randInt8s(rng, outC*c*l.k*l.k)
+			src, weight := randInt8s(rng, c*l.h*l.w), randInt8s(rng, outC*c*l.k*l.k)
 			bias := make([]int32, outC)
 			for i := range bias {
 				bias[i] = int32(rng.Intn(6001) - 3000)
 			}
 			for _, relu := range []bool{false, true} {
 				for _, shift2 := range []int{0, 2} {
-					name := fmt.Sprintf("%v k%d pad%d w%d→%d outC%d relu=%v shift2=%d", l.kind, l.k, l.pad, l.w, ow, outC, relu, shift2)
+					name := fmt.Sprintf("%v k%d pad%d %dx%d→%dx%d outC%d relu=%v shift2=%d", l.kind, l.k, l.pad, l.h, l.w, l.oh, l.ow, outC, relu, shift2)
 					var want []int8
 					if l.kind == graph.KindConv {
-						want = refConvInt8(src, c, h, l.w, weight, bias, outC, l.k, 1, l.pad, shift, shift2, relu, oh, ow, Bits8)
+						want = refConvInt8(src, c, l.h, l.w, weight, bias, outC, l.k, 1, l.pad, shift, shift2, relu, l.oh, l.ow, Bits8)
 					} else {
-						want = refConvTransposeInt8(src, c, h, l.w, weight, bias, outC, l.k, 2, l.pad, shift, shift2, relu, oh, ow, Bits8)
+						want = refConvTransposeInt8(src, c, l.h, l.w, weight, bias, outC, l.k, 2, l.pad, shift, shift2, relu, l.oh, l.ow, Bits8)
 					}
 					for _, b := range hostBodies() {
 						withBody(b, func() {
-							got := runInt8(t, l.kind, src, c, h, l.w, weight, bias, outC, l.k, stride, l.pad, shift, shift2, relu, oh, ow, testGeom{outBorder: 1, planeOff: 1})
+							got := runInt8(t, l.kind, src, c, l.h, l.w, weight, bias, outC, l.k, stride, l.pad, shift, shift2, relu, l.oh, l.ow, testGeom{outBorder: 1, planeOff: 1})
 							sameInt8s(t, KernelISA()+" "+name, got, want)
 						})
 					}
@@ -189,44 +211,67 @@ func TestTileWidthsAgainstReference(t *testing.T) {
 			}
 		}
 	}
+	// Every body's shapes, whole-row and packed, and which of them ran: a
+	// host without a body's instructions runs none of its shapes.
+	for b := range tileWidths {
+		var shapes, missed []string
+		for width := tileWidths[b]; width >= minTileRow; width /= 2 {
+			shape := fmt.Sprintf("%d×%d", tileWidths[b]/width, width)
+			if ran[[3]int{b, tileWidths[b] / width, width}] {
+				shapes = append(shapes, shape)
+			} else {
+				missed = append(missed, shape)
+			}
+		}
+		var isa string
+		withBody(b, func() { isa = KernelISA() })
+		t.Logf("%s body: ran tiles %v, unexercised %v", isa, shapes, missed)
+	}
 	const sentinel = 0x5a5a5a5a
+	const rowStride = 3*maxTileWidth + 5
+	const planeStride = 4*rowStride + 7
 	for _, b := range hostBodies() {
-		width := tileWidths[b]
-		for _, step := range []int{1, 2, 3} {
-			for n := 1; n <= width; n++ {
-				for _, lanes := range []int{1, 2, 6, 7, 8} {
-					for _, relu := range []bool{false, true} {
-						for _, shift2 := range []int{0, 3} {
-							var acc [tileSize]int32
-							for i := range acc {
-								acc[i] = int32(rng.Intn(1<<21) - 1<<20)
-							}
-							bias := make([]int32, lanes)
-							for i := range bias {
-								bias[i] = int32(rng.Intn(1<<17) - 1<<16)
-							}
-							const planeStride = 3*maxTileWidth + 5
-							dst := make([]int32, 5*planeStride)
-							for i := range dst {
-								dst[i] = sentinel
-							}
-							want := slices.Clone(dst)
-							for p := 0; p < (lanes+1)/2; p++ {
-								for q := 0; q < n; q++ {
-									var hi int8
-									if 2*p+1 < lanes {
-										hi = refFinalize(acc[(2*p+1)*width+q], bias[2*p+1], relu, 9, shift2, Bits8)
+		full := tileWidths[b]
+		for width := full; width >= minTileRow; width /= 2 {
+			for rows := 1; rows <= full/width; rows++ {
+				for _, step := range []int{1, 2, 3} {
+					for n := 1; n <= width; n++ {
+						for _, lanes := range []int{1, 2, 6, 7, 8} {
+							for _, relu := range []bool{false, true} {
+								for _, shift2 := range []int{0, 3} {
+									var acc [tileSize]int32
+									for i := range acc {
+										acc[i] = int32(rng.Intn(1<<21) - 1<<20)
 									}
-									want[p*planeStride+q*step] = pairCell(refFinalize(acc[2*p*width+q], bias[2*p], relu, 9, shift2, Bits8), hi)
-								}
-							}
-							withBody(b, func() {
-								finalizeTile(&acc, bias, lanes, relu, 9, shift2, b != portable, dst, planeStride, step, n)
-							})
-							for i := range want {
-								if dst[i] != want[i] {
-									t.Fatalf("%s write-back step %d n %d lanes %d relu=%v shift2=%d: cell %d = %#x, want %#x",
-										hostBodyNames()[b], step, n, lanes, relu, shift2, i, dst[i], want[i])
+									bias := make([]int32, lanes)
+									for i := range bias {
+										bias[i] = int32(rng.Intn(1<<17) - 1<<16)
+									}
+									dst := make([]int32, 5*planeStride)
+									for i := range dst {
+										dst[i] = sentinel
+									}
+									want := slices.Clone(dst)
+									for p := 0; p < (lanes+1)/2; p++ {
+										for r := 0; r < rows; r++ {
+											for q := r * width; q < r*width+n; q++ {
+												var hi int8
+												if 2*p+1 < lanes {
+													hi = refFinalize(acc[(2*p+1)*full+q], bias[2*p+1], relu, 9, shift2, Bits8)
+												}
+												want[p*planeStride+r*rowStride+(q-r*width)*step] = pairCell(refFinalize(acc[2*p*full+q], bias[2*p], relu, 9, shift2, Bits8), hi)
+											}
+										}
+									}
+									withBody(b, func() {
+										finalizeTile(&acc, bias, lanes, relu, 9, shift2, b != portable, dst, planeStride, rowStride, step, width, rows, n)
+									})
+									for i := range want {
+										if dst[i] != want[i] {
+											t.Fatalf("%s write-back %d×%d step %d rows %d n %d lanes %d relu=%v shift2=%d: cell %d = %#x, want %#x",
+												hostBodyNames()[b], full/width, width, step, rows, n, lanes, relu, shift2, i, dst[i], want[i])
+										}
+									}
 								}
 							}
 						}
@@ -416,14 +461,15 @@ func FuzzCellPassesVsPortable(f *testing.F) {
 }
 
 // BenchmarkMacTile times one macTile call, per host body and U-Net step
-// shape, in GMAC/s over the pixels the row has (cpairs·2·kh·kw·8 MACs each,
-// a cell holding two channels), not the tile width it computes: 3×3
+// shape, in GMAC/s over the pixels the tile keeps (cpairs·2·kh·kw·8 MACs
+// each, a cell holding two channels), not the pixels it computes: 3×3
 // convolutions over 1 to 64 channel pairs and the 1×1, 1×2 and 2×2 tap
 // sets of the transpose convolutions' phases, each over one tile of the
 // body's width, and 3×3 convolutions over rows 8 and 4 pixels wide, which
-// the innermost planes of a 64×64 frame have and which leave part of a wide
-// tile idle. Operands sit in L1, so this is the body's own ceiling, not a
-// frame's. DESIGN §4.2 quotes it:
+// the innermost planes of a 64×64 frame have, in the tile tileShape packs
+// them into (2×8 and 4×4 on the VNNI body; one row and 2×4 on the others).
+// Operands sit in L1, so this is the body's own ceiling, not a frame's.
+// DESIGN §4.2 quotes it:
 //
 //	go test ./internal/quant/ -run '^$' -bench 'MacTile/(avx2|avx512vnni)/'
 func BenchmarkMacTile(b *testing.B) {
@@ -439,24 +485,24 @@ func BenchmarkMacTile(b *testing.B) {
 		return s
 	}
 	for _, bd := range hostBodies() {
-		width := tileWidths[bd]
 		for _, sh := range shapes {
 			name, row := fmt.Sprintf("cp%d-%dx%d", sh.cpairs, sh.kh, sh.kw), sh.row
 			if row == 0 {
-				row = width
+				row = tileWidths[bd]
 			} else {
 				name += fmt.Sprintf("-row%d", row)
 			}
+			width, rows := tileShape(bd, row)
 			rowStride := width + sh.kw - 1
-			planeStride := rowStride * sh.kh
+			planeStride := rowStride * (sh.kh + rows - 1)
 			x, w := cells(sh.cpairs*planeStride), cells(sh.cpairs*sh.kh*sh.kw*tileLanes)
 			var acc [tileSize]int32
 			withBody(bd, func() {
 				b.Run(KernelISA()+"/"+name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						macTile(&acc, x, w, sh.cpairs, sh.kh, sh.kw, rowStride, planeStride)
+						macTile(&acc, x, w, sh.cpairs, sh.kh, sh.kw, rowStride, planeStride, width, rows)
 					}
-					macs := float64(sh.cpairs*2*sh.kh*sh.kw*tileLanes*row) * float64(b.N)
+					macs := float64(sh.cpairs*2*sh.kh*sh.kw*tileLanes*min(row, width)*rows) * float64(b.N)
 					b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
 				})
 			})

@@ -23,14 +23,14 @@ func (m *Model) Export(inH, inW int) *graph.Graph {
 		}).Name
 	}
 
-	block := func(b *convBlock, input string) string {
-		cur := convNode(b.conv, input)
-		scale, shift := b.bn.FoldInto()
+	block := func(b *nn.ConvBlock, input string) string {
+		cur := convNode(b.Conv, input)
+		scale, shift := b.BN.FoldInto()
 		bn := g.Add(&graph.Node{
-			Name: b.bn.Name(), Kind: graph.KindBatchNorm, Inputs: []string{cur},
+			Name: b.BN.Name(), Kind: graph.KindBatchNorm, Inputs: []string{cur},
 			Scale: scale, Shift: shift,
 		})
-		relu := g.Add(&graph.Node{Name: b.relu.Name(), Kind: graph.KindReLU, Inputs: []string{bn.Name}})
+		relu := g.Add(&graph.Node{Name: b.ReLU.Name(), Kind: graph.KindReLU, Inputs: []string{bn.Name}})
 		return relu.Name
 	}
 

@@ -74,35 +74,10 @@ func ConfigByName(name string) (Config, error) {
 	return Config{}, fmt.Errorf("unet: unknown configuration %q (want 1M, 2M, 4M, 8M or 16M)", name)
 }
 
-// convBlock is conv→BN→ReLU, the repeated unit of every stack.
-type convBlock struct {
-	conv *nn.Conv
-	bn   *nn.BatchNorm2D
-	relu *nn.ReLU
-}
-
-func newConvBlock(name string, inC, outC int, rng *rand.Rand) *convBlock {
-	return &convBlock{
-		conv: nn.NewConv(name+".conv", 2, inC, outC, 3, 1, 1, rng, nil),
-		bn:   nn.NewBatchNorm2D(name+".bn", outC),
-		relu: nn.NewReLU(name + ".relu"),
-	}
-}
-
-func (b *convBlock) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return b.relu.Forward(b.bn.Forward(b.conv.Forward(x, train), train), train)
-}
-
-func (b *convBlock) backward(g *tensor.Tensor) *tensor.Tensor {
-	return b.conv.Backward(b.bn.Backward(b.relu.Backward(g)))
-}
-
-func (b *convBlock) layers() []nn.Layer { return []nn.Layer{b.conv, b.bn, b.relu} }
-
 // encoderStack is two conv blocks, a pool and dropout; its pre-pool
 // activation is the skip connection.
 type encoderStack struct {
-	blockA, blockB *convBlock
+	blockA, blockB *nn.ConvBlock
 	pool           *nn.MaxPool2D
 	drop           *nn.Dropout
 }
@@ -111,7 +86,7 @@ type encoderStack struct {
 // and dropout.
 type decoderStack struct {
 	up             *nn.ConvTranspose2D
-	blockA, blockB *convBlock
+	blockA, blockB *nn.ConvBlock
 	drop           *nn.Dropout
 	skipChannels   int
 }
@@ -120,7 +95,7 @@ type decoderStack struct {
 type Model struct {
 	Cfg        Config
 	encoders   []*encoderStack
-	bottleneck [2]*convBlock
+	bottleneck [2]*nn.ConvBlock
 	decoders   []*decoderStack
 	head       *nn.Conv
 	softmax    *nn.Softmax
@@ -179,8 +154,8 @@ func New(cfg Config) *Model {
 	for i := 0; i < cfg.Depth; i++ {
 		f := filters(i)
 		e := &encoderStack{
-			blockA: newConvBlock(fmt.Sprintf("enc%d.a", i), inC, f, rng),
-			blockB: newConvBlock(fmt.Sprintf("enc%d.b", i), f, f, rng),
+			blockA: nn.NewConvBlock(fmt.Sprintf("enc%d.a", i), 2, inC, f, rng),
+			blockB: nn.NewConvBlock(fmt.Sprintf("enc%d.b", i), 2, f, f, rng),
 			pool:   nn.NewMaxPool2D(fmt.Sprintf("enc%d.pool", i)),
 			drop:   nn.NewDropout(fmt.Sprintf("enc%d.drop", i), cfg.DropoutRate, cfg.Seed+int64(i)*7919),
 		}
@@ -188,16 +163,16 @@ func New(cfg Config) *Model {
 		inC = f
 	}
 	fb := filters(cfg.Depth)
-	m.bottleneck[0] = newConvBlock("bottleneck.a", inC, fb, rng)
-	m.bottleneck[1] = newConvBlock("bottleneck.b", fb, fb, rng)
+	m.bottleneck[0] = nn.NewConvBlock("bottleneck.a", 2, inC, fb, rng)
+	m.bottleneck[1] = nn.NewConvBlock("bottleneck.b", 2, fb, fb, rng)
 
 	upC := fb
 	for i := cfg.Depth - 1; i >= 0; i-- {
 		f := filters(i)
 		d := &decoderStack{
 			up:           nn.NewConvTranspose2D(fmt.Sprintf("dec%d.up", i), upC, f, 3, 2, 1, 1, rng, nil),
-			blockA:       newConvBlock(fmt.Sprintf("dec%d.a", i), 2*f, f, rng),
-			blockB:       newConvBlock(fmt.Sprintf("dec%d.b", i), f, f, rng),
+			blockA:       nn.NewConvBlock(fmt.Sprintf("dec%d.a", i), 2, 2*f, f, rng),
+			blockB:       nn.NewConvBlock(fmt.Sprintf("dec%d.b", i), 2, f, f, rng),
 			drop:         nn.NewDropout(fmt.Sprintf("dec%d.drop", i), cfg.DropoutRate, cfg.Seed+int64(i)*104729),
 			skipChannels: f,
 		}
@@ -208,16 +183,16 @@ func New(cfg Config) *Model {
 	m.softmax = nn.NewSoftmax("head.softmax")
 
 	for _, e := range m.encoders {
-		m.layers = append(m.layers, e.blockA.layers()...)
-		m.layers = append(m.layers, e.blockB.layers()...)
+		m.layers = append(m.layers, e.blockA.Layers()...)
+		m.layers = append(m.layers, e.blockB.Layers()...)
 		m.layers = append(m.layers, e.pool, e.drop)
 	}
-	m.layers = append(m.layers, m.bottleneck[0].layers()...)
-	m.layers = append(m.layers, m.bottleneck[1].layers()...)
+	m.layers = append(m.layers, m.bottleneck[0].Layers()...)
+	m.layers = append(m.layers, m.bottleneck[1].Layers()...)
 	for _, d := range m.decoders {
 		m.layers = append(m.layers, d.up)
-		m.layers = append(m.layers, d.blockA.layers()...)
-		m.layers = append(m.layers, d.blockB.layers()...)
+		m.layers = append(m.layers, d.blockA.Layers()...)
+		m.layers = append(m.layers, d.blockB.Layers()...)
 		m.layers = append(m.layers, d.drop)
 	}
 	m.layers = append(m.layers, m.head, m.softmax)
@@ -270,19 +245,19 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// would pin one activation per level after every forward.
 	skips := make([]*tensor.Tensor, len(m.encoders))
 	for i, e := range m.encoders {
-		h = e.blockA.forward(h, train)
-		h = e.blockB.forward(h, train)
+		h = e.blockA.Forward(h, train)
+		h = e.blockB.Forward(h, train)
 		skips[i] = h
 		h = e.pool.Forward(h, train)
 		h = e.drop.Forward(h, train)
 	}
-	h = m.bottleneck[0].forward(h, train)
-	h = m.bottleneck[1].forward(h, train)
+	h = m.bottleneck[0].Forward(h, train)
+	h = m.bottleneck[1].Forward(h, train)
 	for i, d := range m.decoders {
 		h = d.up.Forward(h, train)
 		h = tensor.ConcatChannels(skips[len(skips)-1-i], h)
-		h = d.blockA.forward(h, train)
-		h = d.blockB.forward(h, train)
+		h = d.blockA.Forward(h, train)
+		h = d.blockB.Forward(h, train)
 		h = d.drop.Forward(h, train)
 	}
 	h = m.head.Forward(h, train)
@@ -298,21 +273,21 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.decoders) - 1; i >= 0; i-- {
 		d := m.decoders[i]
 		g = d.drop.Backward(g)
-		g = d.blockB.backward(g)
-		g = d.blockA.backward(g)
+		g = d.blockB.Backward(g)
+		g = d.blockA.Backward(g)
 		skipG, upG := tensor.SplitChannels(g, d.skipChannels)
 		skipGrads[len(m.encoders)-1-i] = skipG
 		g = d.up.Backward(upG)
 	}
-	g = m.bottleneck[1].backward(g)
-	g = m.bottleneck[0].backward(g)
+	g = m.bottleneck[1].Backward(g)
+	g = m.bottleneck[0].Backward(g)
 	for i := len(m.encoders) - 1; i >= 0; i-- {
 		e := m.encoders[i]
 		g = e.drop.Backward(g)
 		g = e.pool.Backward(g)
 		g.AddInPlace(skipGrads[i])
-		g = e.blockB.backward(g)
-		g = e.blockA.backward(g)
+		g = e.blockB.Backward(g)
+		g = e.blockA.Backward(g)
 	}
 	return g
 }

@@ -25,43 +25,15 @@ func CTORGBaseline() Config {
 	return Config{Name: "3d-unet", Depth: 2, BaseFilters: 8, InChannels: 1, NumClasses: 6, Seed: 1}
 }
 
-// block3d is conv→BN→ReLU over NCDHW volumes.
-type block3d struct {
-	conv *nn.Conv
-	bn   *nn.BatchNorm2D
-	relu *nn.ReLU
-}
-
-func newBlock3d(name string, inC, outC int, rng *rand.Rand) *block3d {
-	return &block3d{
-		conv: nn.NewConv(name+".conv", 3, inC, outC, 3, 1, 1, rng, nil),
-		bn:   nn.NewBatchNorm2D(name+".bn", outC),
-		relu: nn.NewReLU(name + ".relu"),
-	}
-}
-
-func (b *block3d) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return b.relu.Forward(b.bn.Forward(b.conv.Forward(x, train), train), train)
-}
-
-func (b *block3d) backward(g *tensor.Tensor) *tensor.Tensor {
-	return b.conv.Backward(b.bn.Backward(b.relu.Backward(g)))
-}
-
-func (b *block3d) params() []*nn.Param {
-	out := append([]*nn.Param(nil), b.conv.Params()...)
-	return append(out, b.bn.Params()...)
-}
-
 type encoder3d struct {
-	blockA, blockB *block3d
+	blockA, blockB *nn.ConvBlock
 	pool           *nn.MaxPool2D // pools every spatial axis: 2×2×2 here
 }
 
 type decoder3d struct {
 	up             *Upsample3D
 	mix            *nn.Conv // channel-halving 1×1×1 after upsample ("up-conv")
-	blockA, blockB *block3d
+	blockA, blockB *nn.ConvBlock
 	skipC          int
 }
 
@@ -69,7 +41,7 @@ type decoder3d struct {
 type Model struct {
 	Cfg      Config
 	encoders []*encoder3d
-	bottom   [2]*block3d
+	bottom   [2]*nn.ConvBlock
 	decoders []*decoder3d
 	head     *nn.Conv
 	softmax  *nn.Softmax
@@ -85,23 +57,23 @@ func New(cfg Config) *Model {
 	inC := cfg.InChannels
 	for i := 0; i < cfg.Depth; i++ {
 		e := &encoder3d{
-			blockA: newBlock3d(fmt.Sprintf("e%d.a", i), inC, f(i), rng),
-			blockB: newBlock3d(fmt.Sprintf("e%d.b", i), f(i), f(i), rng),
+			blockA: nn.NewConvBlock(fmt.Sprintf("e%d.a", i), 3, inC, f(i), rng),
+			blockB: nn.NewConvBlock(fmt.Sprintf("e%d.b", i), 3, f(i), f(i), rng),
 			pool:   nn.NewMaxPool2D(fmt.Sprintf("e%d.pool", i)),
 		}
 		m.encoders = append(m.encoders, e)
 		inC = f(i)
 	}
 	fb := f(cfg.Depth)
-	m.bottom[0] = newBlock3d("bottom.a", inC, fb, rng)
-	m.bottom[1] = newBlock3d("bottom.b", fb, fb, rng)
+	m.bottom[0] = nn.NewConvBlock("bottom.a", 3, inC, fb, rng)
+	m.bottom[1] = nn.NewConvBlock("bottom.b", 3, fb, fb, rng)
 	upC := fb
 	for i := cfg.Depth - 1; i >= 0; i-- {
 		d := &decoder3d{
 			up:     NewUpsample3D(fmt.Sprintf("d%d.up", i)),
 			mix:    nn.NewConv(fmt.Sprintf("d%d.mix", i), 3, upC, f(i), 1, 1, 0, rng, nil),
-			blockA: newBlock3d(fmt.Sprintf("d%d.a", i), 2*f(i), f(i), rng),
-			blockB: newBlock3d(fmt.Sprintf("d%d.b", i), f(i), f(i), rng),
+			blockA: nn.NewConvBlock(fmt.Sprintf("d%d.a", i), 3, 2*f(i), f(i), rng),
+			blockB: nn.NewConvBlock(fmt.Sprintf("d%d.b", i), 3, f(i), f(i), rng),
 			skipC:  f(i),
 		}
 		m.decoders = append(m.decoders, d)
@@ -111,15 +83,15 @@ func New(cfg Config) *Model {
 	m.softmax = nn.NewSoftmax("softmax")
 
 	for _, e := range m.encoders {
-		m.params = append(m.params, e.blockA.params()...)
-		m.params = append(m.params, e.blockB.params()...)
+		m.params = append(m.params, e.blockA.Params()...)
+		m.params = append(m.params, e.blockB.Params()...)
 	}
-	m.params = append(m.params, m.bottom[0].params()...)
-	m.params = append(m.params, m.bottom[1].params()...)
+	m.params = append(m.params, m.bottom[0].Params()...)
+	m.params = append(m.params, m.bottom[1].Params()...)
 	for _, d := range m.decoders {
 		m.params = append(m.params, d.mix.Params()...)
-		m.params = append(m.params, d.blockA.params()...)
-		m.params = append(m.params, d.blockB.params()...)
+		m.params = append(m.params, d.blockA.Params()...)
+		m.params = append(m.params, d.blockB.Params()...)
 	}
 	m.params = append(m.params, m.head.Params()...)
 	return m
@@ -146,19 +118,19 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// The skips live only as long as this call (see unet.Model.Forward).
 	skips := make([]*tensor.Tensor, len(m.encoders))
 	for i, e := range m.encoders {
-		h = e.blockA.forward(h, train)
-		h = e.blockB.forward(h, train)
+		h = e.blockA.Forward(h, train)
+		h = e.blockB.Forward(h, train)
 		skips[i] = h
 		h = e.pool.Forward(h, train)
 	}
-	h = m.bottom[0].forward(h, train)
-	h = m.bottom[1].forward(h, train)
+	h = m.bottom[0].Forward(h, train)
+	h = m.bottom[1].Forward(h, train)
 	for i, d := range m.decoders {
 		h = d.up.Forward(h, train)
 		h = d.mix.Forward(h, train)
 		h = tensor.ConcatChannels(skips[len(skips)-1-i], h)
-		h = d.blockA.forward(h, train)
-		h = d.blockB.forward(h, train)
+		h = d.blockA.Forward(h, train)
+		h = d.blockB.Forward(h, train)
 	}
 	return m.softmax.Forward(m.head.Forward(h, train), train)
 }
@@ -169,21 +141,21 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	skipGrads := make([]*tensor.Tensor, len(m.encoders))
 	for i := len(m.decoders) - 1; i >= 0; i-- {
 		d := m.decoders[i]
-		g = d.blockB.backward(g)
-		g = d.blockA.backward(g)
+		g = d.blockB.Backward(g)
+		g = d.blockA.Backward(g)
 		skipG, upG := tensor.SplitChannels(g, d.skipC)
 		skipGrads[len(m.encoders)-1-i] = skipG
 		g = d.mix.Backward(upG)
 		g = d.up.Backward(g)
 	}
-	g = m.bottom[1].backward(g)
-	g = m.bottom[0].backward(g)
+	g = m.bottom[1].Backward(g)
+	g = m.bottom[0].Backward(g)
 	for i := len(m.encoders) - 1; i >= 0; i-- {
 		e := m.encoders[i]
 		g = e.pool.Backward(g)
 		g.AddInPlace(skipGrads[i])
-		g = e.blockB.backward(g)
-		g = e.blockA.backward(g)
+		g = e.blockB.Backward(g)
+		g = e.blockA.Backward(g)
 	}
 	return g
 }
