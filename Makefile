@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet portable test race stress fmt-check bench-e2e bench-e2e-test fuzz chaos mpq-smoke loc
+.PHONY: ci build vet portable test race stress fmt-check bench-e2e bench-e2e-test fuzz chaos mpq-smoke repro-tiny loc
 
 # ci is the gate GitHub Actions runs: formatting, build, vet, race tests and
 # the repeated concurrency tests.
@@ -63,6 +63,17 @@ bench-e2e-test:
 # both anchors). CI runs this as a blocking step.
 mpq-smoke:
 	$(GO) run ./cmd/seneca-mpq -smoke
+
+# repro-tiny regenerates every table, figure and ablation at tiny scale
+# (≈2 min on two cores) and diffs stdout byte for byte against
+# results/tiny_run.txt, less the wall-clock `train time` row. A change that
+# moves a reported number either is a bug or rewrites the golden in the same
+# commit, with the recipe below, and says why in CHANGES.md. It builds into
+# the gitignored .repro/. CI runs this as a blocking step.
+repro-tiny:
+	$(GO) build -o .repro/seneca-bench ./cmd/seneca-bench
+	./.repro/seneca-bench -scale tiny > .repro/tiny_run.txt
+	grep -v '^train time' .repro/tiny_run.txt | diff -u results/tiny_run.txt -
 
 # chaos runs the fault-injection resilience tests under the race detector:
 # runners killed and stalled mid-load — and, at the fleet tier, whole nodes
