@@ -4,7 +4,9 @@
 // disjoint output regions; the FP32 path fixes each output element's
 // accumulation order regardless of how the index space is chunked. These
 // tests sweep par.SetMaxWorkers across 1..2·NumCPU and compare everything
-// against the serial run.
+// against the serial run. The FP32 inference output of a slice also does not
+// depend on how many slices share its batch, which lets every evaluation run
+// one slice per forward.
 package seneca_test
 
 import (
@@ -138,6 +140,42 @@ func TestFP32ForwardBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFP32MaskIndependentOfBatchSize runs N slices through the 2D U-Net in
+// one batch and in batches of 1, 2 and 4: each slice's softmax output, and so
+// its Predict mask, must be the same bits whichever batch it rode in.
+func TestFP32MaskIndependentOfBatchSize(t *testing.T) {
+	cfg, err := unet.ConfigByName("1M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Depth = 2
+	m := unet.New(cfg)
+	const n, size = 6, 32
+	hw, out := size*size, cfg.NumClasses*size*size
+	x := tensor.New(n, 1, size, size)
+	for i := 0; i < n; i++ {
+		copy(x.Data[i*hw:], randomImage(size, int64(20+i)).Data)
+	}
+	wantOut := m.Forward(x, false).Data
+	wantMask := m.Predict(x)
+	for _, b := range []int{1, 2, 4} {
+		for lo := 0; lo < n; lo += b {
+			hi := min(lo+b, n)
+			part := tensor.FromSlice(x.Data[lo*hw:hi*hw], hi-lo, 1, size, size)
+			for i, v := range m.Forward(part, false).Data {
+				if v != wantOut[lo*out+i] {
+					t.Fatalf("batch %d: slice %d output %d is %v, %v in one batch of %d", b, lo+i/out, i%out, v, wantOut[lo*out+i], n)
+				}
+			}
+			for i, c := range m.Predict(part) {
+				if c != wantMask[lo*hw+i] {
+					t.Fatalf("batch %d: slice %d mask pixel %d is %d, %d in one batch of %d", b, lo+i/hw, i%hw, c, wantMask[lo*hw+i], n)
+				}
+			}
+		}
 	}
 }
 
