@@ -167,51 +167,25 @@ func ForChunkedID(n, maxChunks int, body func(id, lo, hi int)) {
 
 // ReduceSum computes the sum of f(i) for i in [0, n) with a parallel
 // tree-style reduction. Partial sums are accumulated in float64 and each
-// chunk's partial is stored at its chunk index, then summed in chunk order —
-// float64 addition is not associative, so summing in goroutine-completion
-// order would make the result depend on the scheduler even at a fixed worker
-// count.
+// chunk's partial is stored at its chunk id, then the chunks that ran are
+// summed in id order — float64 addition is not associative, so summing in
+// goroutine-completion order would make the result depend on the scheduler
+// even at a fixed worker count.
 func ReduceSum(n int, f func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 {
-		workers = 1 + reserve(workers-1)
-	}
-	if workers <= 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += f(i)
-		}
-		return s
-	}
-	partials := make([]float64, workers)
-	var wg sync.WaitGroup
-	sum := func(id, lo, hi int) {
+	partials := make([]float64, MaxWorkers())
+	chunks := 0
+	ForChunkedID(n, len(partials), func(id, lo, hi int) {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += f(i)
 		}
 		partials[id] = s
-	}
-	for id := 1; id < workers; id++ {
-		lo, hi := chunkBounds(n, workers, id)
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			sum(id, lo, hi)
-		}(id, lo, hi)
-	}
-	_, hi0 := chunkBounds(n, workers, 0)
-	sum(0, 0, hi0)
-	wg.Wait()
-	release(workers - 1)
+		if hi == n {
+			chunks = id + 1 // the last chunk; ForChunkedID's wait publishes it
+		}
+	})
 	var total float64
-	for _, p := range partials {
+	for _, p := range partials[:chunks] {
 		total += p
 	}
 	return total
