@@ -26,7 +26,7 @@ func main() {
 	modelName := flag.String("model", "1M", "Table II configuration: 1M, 2M, 4M, 8M or 16M")
 	size := flag.Int("size", 64, "network input size (paper: 256)")
 	epochs := flag.Int("epochs", 10, "training epochs")
-	batch := flag.Int("batch", 6, "batch size")
+	batch := flag.Int("batch", 6, "training batch size")
 	lr := flag.Float64("lr", 2e-3, "Adam learning rate")
 	lossName := flag.String("loss", "focal-tversky", "loss: focal-tversky, focal-tversky-unweighted, dice, cross-entropy")
 	patients := flag.Int("patients", 10, "patients to generate when -data is empty")
@@ -78,7 +78,7 @@ func main() {
 		lg.Error("training", "err", err)
 		os.Exit(1)
 	}
-	conf := core.EvaluateFP32(model, test, *batch)
+	conf := core.EvaluateFP32(model, test)
 	fmt.Printf("test global DSC %.4f (TPR %.4f, TNR %.4f)\n",
 		conf.GlobalDice(), conf.GlobalRecall(), conf.GlobalSpecificity())
 	for c := 1; c < ctorg.NumClasses; c++ {

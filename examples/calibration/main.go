@@ -75,7 +75,7 @@ func main() {
 		}
 		return conf
 	}
-	fp32 := seneca.EvaluateFP32(model, test, 6)
+	fp32 := seneca.EvaluateFP32(model, test)
 	randC := evaluate(core.CalibRandom)
 	manC := evaluate(core.CalibManual)
 

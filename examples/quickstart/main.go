@@ -53,7 +53,7 @@ func main() {
 	}
 
 	// Accuracy: FP32 vs bit-accurate INT8.
-	fp32 := seneca.EvaluateFP32(art.Model, test, 6)
+	fp32 := seneca.EvaluateFP32(art.Model, test)
 	int8c, err := seneca.EvaluateINT8(art.Program, test)
 	if err != nil {
 		log.Fatal(err)

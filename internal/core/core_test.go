@@ -3,10 +3,14 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"seneca/internal/ctorg"
+	"seneca/internal/metrics"
 	"seneca/internal/phantom"
+	"seneca/internal/tensor"
 	"seneca/internal/unet"
 )
 
@@ -93,7 +97,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Errorf("training did not reduce loss: %v → %v", first, last)
 	}
 
-	fp32 := EvaluateFP32(art.Model, test, 6)
+	fp32 := EvaluateFP32(art.Model, test)
 	int8c, err := EvaluateINT8(art.Program, test)
 	if err != nil {
 		t.Fatal(err)
@@ -123,21 +127,65 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
+// TestPerPatientOrganDice checks the per-patient grouping of the one
+// evaluation pass on the two test patients: each patient's confusion is a
+// separate pass over that patient's slices, the total is one pass over the
+// whole set, and the organ distribution holds each patient's organ Dice,
+// only for patients whose ground truth shows the organ.
 func TestPerPatientOrganDice(t *testing.T) {
 	_, test := fastDataset(t)
 	art := fastArtifacts(t)
-	dist, err := PerPatientOrganDice(art.Program, test)
+	ev, err := Evaluate(test, art.Program.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patients := len(test.Patients())
-	for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
-		if len(dist[cls]) == 0 {
-			t.Errorf("no per-patient Dice values for %s", ctorg.ClassNames[cls])
-			continue
+	patients := test.Patients()
+	if len(patients) != 2 || len(ev) != 2 {
+		t.Fatalf("%d confusions for test patients %v, want 2", len(ev), patients)
+	}
+	present := make([][ctorg.NumClasses]bool, len(patients))
+	for i, pid := range patients {
+		var idx []int
+		for j, s := range test.Slices {
+			if s.Patient == pid {
+				idx = append(idx, j)
+				for cls, n := range s.ClassPixels {
+					present[i][cls] = present[i][cls] || n > 0
+				}
+			}
 		}
-		if len(dist[cls]) > patients {
-			t.Errorf("%s: %d values for %d patients", ctorg.ClassNames[cls], len(dist[cls]), patients)
+		alone, err := Evaluate(test.Subset(idx), art.Program.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ev[i], alone[0]) {
+			t.Errorf("patient %d: confusion %+v, a pass over its own slices gives %+v", pid, ev[i], alone[0])
+		}
+	}
+	whole := metrics.NewConfusion(ctorg.NumClasses)
+	img := tensor.New(1, test.Size, test.Size)
+	for _, s := range test.Slices {
+		copy(img.Data, s.Image)
+		pred, err := art.Program.Run(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole.Add(pred, s.Labels)
+	}
+	if !reflect.DeepEqual(ev.Total(), whole) {
+		t.Errorf("total %+v, one pass over the whole set gives %+v", ev.Total(), whole)
+	}
+
+	dist := ev.OrganDice()
+	for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
+		var want []float64
+		for i, c := range ev {
+			if present[i][cls] {
+				want = append(want, c.Dice(int(cls)))
+			}
+		}
+		if len(want) == 0 || !slices.Equal(dist[cls], want) {
+			t.Errorf("%s: Dice values %v, want %v", ctorg.ClassNames[cls], dist[cls], want)
 		}
 		for _, d := range dist[cls] {
 			if d < 0 || d > 1 {

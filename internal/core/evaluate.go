@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"seneca/internal/ctorg"
 	"seneca/internal/metrics"
@@ -12,73 +10,97 @@ import (
 	"seneca/internal/xmodel"
 )
 
-// EvaluateFP32 runs the FP32 model over a dataset and accumulates the pixel
-// confusion statistics.
-func EvaluateFP32(m *unet.Model, ds *ctorg.Dataset, batchSize int) *metrics.Confusion {
-	conf := metrics.NewConfusion(ctorg.NumClasses)
-	if batchSize < 1 {
-		batchSize = 4
+// Predictor segments one preprocessed 1×S×S slice into an S×S class map.
+// The input is reused across calls. xmodel.Program.Run is the INT8
+// predictor; PredictFP32 wraps an FP32 model.
+type Predictor func(img *tensor.Tensor) ([]uint8, error)
+
+// PredictFP32 returns the FP32 model's predictor: one slice per forward.
+func PredictFP32(m *unet.Model) Predictor {
+	return func(img *tensor.Tensor) ([]uint8, error) {
+		return m.Predict(img.Reshape(1, 1, img.Shape[1], img.Shape[2])), nil
 	}
-	for at := 0; at < ds.Len(); at += batchSize {
-		hi := at + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		idx := make([]int, 0, hi-at)
-		for i := at; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		x, labels := ds.Batch(idx)
-		pred := m.Predict(x)
-		conf.Add(pred, labels)
-	}
-	return conf
 }
 
-// EvaluateINT8 runs the compiled program (bit-accurate INT8) over a dataset.
-func EvaluateINT8(p *xmodel.Program, ds *ctorg.Dataset) (*metrics.Confusion, error) {
-	conf := metrics.NewConfusion(ctorg.NumClasses)
+// Evaluation is one segmentation pass over a dataset: the pixel confusion
+// of every patient, in ascending patient order (Dataset.Patients). Every
+// accuracy figure of Section IV-A2 — totals, per-patient µ±σ, per-organ
+// boxplots — reads it.
+type Evaluation []*metrics.Confusion
+
+// Evaluate segments every slice of ds once and accumulates the confusions
+// per patient.
+func Evaluate(ds *ctorg.Dataset, predict Predictor) (Evaluation, error) {
+	patients := ds.Patients()
+	ev := make(Evaluation, len(patients))
+	byPatient := make(map[int]*metrics.Confusion, len(patients))
+	for i, pid := range patients {
+		ev[i] = metrics.NewConfusion(ctorg.NumClasses)
+		byPatient[pid] = ev[i]
+	}
 	img := tensor.New(1, ds.Size, ds.Size)
 	for _, s := range ds.Slices {
 		copy(img.Data, s.Image)
-		pred, err := p.Run(img)
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating %q: %w", p.Name, err)
-		}
-		conf.Add(pred, s.Labels)
-	}
-	return conf, nil
-}
-
-// PerPatientOrganDice computes, for every organ class, the distribution of
-// per-patient Dice scores under the compiled INT8 program — the data behind
-// the Figure 6 boxplots.
-func PerPatientOrganDice(p *xmodel.Program, ds *ctorg.Dataset) (map[uint8][]float64, error) {
-	perPatient := make(map[int]*metrics.Confusion)
-	img := tensor.New(1, ds.Size, ds.Size)
-	for _, s := range ds.Slices {
-		copy(img.Data, s.Image)
-		pred, err := p.Run(img)
+		pred, err := predict(img)
 		if err != nil {
 			return nil, err
 		}
-		conf := perPatient[s.Patient]
-		if conf == nil {
-			conf = metrics.NewConfusion(ctorg.NumClasses)
-			perPatient[s.Patient] = conf
-		}
-		conf.Add(pred, s.Labels)
+		byPatient[s.Patient].Add(pred, s.Labels)
 	}
+	return ev, nil
+}
+
+// Total is the dataset-wide confusion.
+func (ev Evaluation) Total() *metrics.Confusion {
+	total := metrics.NewConfusion(ctorg.NumClasses)
+	for _, c := range ev {
+		for k := range total.TP {
+			total.TP[k] += c.TP[k]
+			total.FP[k] += c.FP[k]
+			total.FN[k] += c.FN[k]
+			total.TN[k] += c.TN[k]
+		}
+	}
+	return total
+}
+
+// GlobalDice is every patient's global Dice, the distribution whose µ±σ
+// Tables IV and V report.
+func (ev Evaluation) GlobalDice() []float64 {
+	out := make([]float64, len(ev))
+	for i, c := range ev {
+		out[i] = c.GlobalDice()
+	}
+	return out
+}
+
+// OrganDice is, per organ class, the Dice of every patient in whom that
+// organ appears — the data behind Table V's organ rows and the Figure 6
+// boxplots.
+func (ev Evaluation) OrganDice() map[uint8][]float64 {
 	out := make(map[uint8][]float64)
-	for _, pid := range slices.Sorted(maps.Keys(perPatient)) {
-		conf := perPatient[pid]
+	for _, c := range ev {
 		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
-			// Only count patients in whom the organ actually appears.
-			if conf.TP[cls]+conf.FN[cls] == 0 {
-				continue
+			if c.TP[cls]+c.FN[cls] > 0 {
+				out[cls] = append(out[cls], c.Dice(int(cls)))
 			}
-			out[cls] = append(out[cls], conf.Dice(int(cls)))
 		}
 	}
-	return out, nil
+	return out
+}
+
+// EvaluateFP32 measures the FP32 model over a dataset.
+func EvaluateFP32(m *unet.Model, ds *ctorg.Dataset) *metrics.Confusion {
+	ev, _ := Evaluate(ds, PredictFP32(m))
+	return ev.Total()
+}
+
+// EvaluateINT8 measures the compiled program (bit-accurate INT8) over a
+// dataset.
+func EvaluateINT8(p *xmodel.Program, ds *ctorg.Dataset) (*metrics.Confusion, error) {
+	ev, err := Evaluate(ds, p.Run)
+	if err != nil {
+		return nil, fmt.Errorf("core: evaluating %q: %w", p.Name, err)
+	}
+	return ev.Total(), nil
 }

@@ -214,7 +214,7 @@ func (e *Env) AblationLosses(w io.Writer, cfgName string) ([]LossResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		conf := core.EvaluateFP32(model, e.Test, e.Scale.BatchSize)
+		conf := core.EvaluateFP32(model, e.Test)
 		r := LossResult{
 			Loss:          lossName,
 			GlobalDSC:     conf.GlobalDice(),

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/imaging"
 	"seneca/internal/metrics"
@@ -32,9 +33,8 @@ type Baseline3DResult struct {
 
 // volume3D is one downsampled patient volume ready for the 3D network.
 type volume3D struct {
-	patient int
-	x       *tensor.Tensor // [1, 1, D, S, S]
-	labels  []uint8        // D*S*S
+	x      *tensor.Tensor // [1, 1, D, S, S]
+	labels []uint8        // D*S*S
 }
 
 // Baseline3D trains the 3D baseline on downsampled whole volumes and the
@@ -45,8 +45,9 @@ func (e *Env) Baseline3D(w io.Writer, cfgName string) (*Baseline3DResult, error)
 	if err != nil {
 		return nil, err
 	}
-	// 2D side: reuse the trained pipeline; measure its training time fresh
-	// only if not cached (time reported as 0 when cached — noted in output).
+	// 2D side: reuse the trained pipeline; measure its training (and
+	// evaluation) time fresh only if not cached (time reported as 0 when
+	// cached — noted in output).
 	t2Start := time.Now()
 	art, err := e.Trained(accuracyConfig(base, e.Scale))
 	if err != nil {
@@ -102,48 +103,21 @@ func (e *Env) Baseline3D(w io.Writer, cfgName string) (*Baseline3DResult, error)
 	}
 	t3 := time.Since(t3Start)
 
-	// Evaluate both per patient.
+	// Evaluate both per patient: the 2D side is the trained model's INT8
+	// pass, the 3D side one whole-volume prediction per test patient.
+	var ev3 core.Evaluation
+	for _, v3 := range test3 {
+		conf := metrics.NewConfusion(ctorg.NumClasses)
+		conf.Add(model3.Predict(v3.x), v3.labels)
+		ev3 = append(ev3, conf)
+	}
 	res := &Baseline3DResult{
+		Global2D: metrics.Summarize(art.INT8.GlobalDice()), Global3D: metrics.Summarize(ev3.GlobalDice()),
 		Organ2D: map[uint8]metrics.Summary{}, Organ3D: map[uint8]metrics.Summary{},
 		TrainTime2D: t2, TrainTime3D: t3,
 		Params2D: art.Model.ParamCount(), Params3D: model3.ParamCount(),
 	}
-	organ2 := make(map[uint8][]float64)
-	organ3 := make(map[uint8][]float64)
-	var global2, global3 []float64
-	for _, v3 := range test3 {
-		// 3D prediction on the whole volume.
-		conf3 := metrics.NewConfusion(ctorg.NumClasses)
-		conf3.Add(model3.Predict(v3.x), v3.labels)
-		global3 = append(global3, conf3.GlobalDice())
-		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
-			if conf3.TP[cls]+conf3.FN[cls] > 0 {
-				organ3[cls] = append(organ3[cls], conf3.Dice(int(cls)))
-			}
-		}
-		// 2D per-slice prediction on the same patient from the slice set.
-		conf2 := metrics.NewConfusion(ctorg.NumClasses)
-		img := tensor.New(1, e.Test.Size, e.Test.Size)
-		for _, s := range e.Test.Slices {
-			if s.Patient != v3.patient {
-				continue
-			}
-			copy(img.Data, s.Image)
-			mask, err := art.Program.Run(img)
-			if err != nil {
-				return nil, err
-			}
-			conf2.Add(mask, s.Labels)
-		}
-		global2 = append(global2, conf2.GlobalDice())
-		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
-			if conf2.TP[cls]+conf2.FN[cls] > 0 {
-				organ2[cls] = append(organ2[cls], conf2.Dice(int(cls)))
-			}
-		}
-	}
-	res.Global2D = metrics.Summarize(global2)
-	res.Global3D = metrics.Summarize(global3)
+	organ2, organ3 := art.INT8.OrganDice(), ev3.OrganDice()
 	for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
 		res.Organ2D[cls] = metrics.Summarize(organ2[cls])
 		res.Organ3D[cls] = metrics.Summarize(organ3[cls])
@@ -187,5 +161,5 @@ func downsampleVolume(v *phantom.Volume, size, depth int) *volume3D {
 	}
 	imaging.SaturatePercentiles(x.Data, 0.01, 0.99)
 	imaging.RescaleToUnit(x.Data)
-	return &volume3D{patient: v.Patient, x: x, labels: labels}
+	return &volume3D{x: x, labels: labels}
 }

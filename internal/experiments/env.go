@@ -32,7 +32,14 @@ type Env struct {
 	mu             sync.Mutex
 	timingPrograms map[string]*xmodel.Program
 	timingGraphs   map[string]*graph.Graph
-	trained        map[string]*core.Artifacts
+	trained        map[string]*Trained
+}
+
+// Trained is one configuration's pipeline artifacts and its test-set
+// evaluation at both precisions, each made by one pass over the test set.
+type Trained struct {
+	*core.Artifacts
+	FP32, INT8 core.Evaluation
 }
 
 // NewEnv generates the phantom cohort, builds the preprocessed datasets and
@@ -55,7 +62,7 @@ func NewEnv(s Scale, log io.Writer) *Env {
 		GPU:            gpusim.New(gpusim.RTX2060Mobile()),
 		timingPrograms: make(map[string]*xmodel.Program),
 		timingGraphs:   make(map[string]*graph.Graph),
-		trained:        make(map[string]*core.Artifacts),
+		trained:        make(map[string]*Trained),
 	}
 }
 
@@ -102,13 +109,13 @@ func (e *Env) TimingGraph(cfg unet.Config) *graph.Graph {
 	return g
 }
 
-// Trained returns (training and caching on first use) the full pipeline
-// artifacts for a configuration at accuracy scale.
-func (e *Env) Trained(cfg unet.Config) (*core.Artifacts, error) {
+// Trained returns (training, evaluating and caching on first use) the
+// full pipeline artifacts for a configuration at accuracy scale.
+func (e *Env) Trained(cfg unet.Config) (*Trained, error) {
 	e.mu.Lock()
-	if a, ok := e.trained[cfg.Name]; ok {
+	if t, ok := e.trained[cfg.Name]; ok {
 		e.mu.Unlock()
-		return a, nil
+		return t, nil
 	}
 	e.mu.Unlock()
 
@@ -122,8 +129,13 @@ func (e *Env) Trained(cfg unet.Config) (*core.Artifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pipeline for %s: %w", cfg.Name, err)
 	}
+	t := &Trained{Artifacts: art}
+	t.FP32, _ = core.Evaluate(e.Test, core.PredictFP32(art.Model))
+	if t.INT8, err = core.Evaluate(e.Test, art.Program.Run); err != nil {
+		return nil, fmt.Errorf("experiments: evaluating %s: %w", cfg.Name, err)
+	}
 	e.mu.Lock()
-	e.trained[cfg.Name] = art
+	e.trained[cfg.Name] = t
 	e.mu.Unlock()
-	return art, nil
+	return t, nil
 }

@@ -47,6 +47,7 @@ func (e *Env) Figure5(w io.Writer, bestName, dir string, panels int) ([]Figure5P
 		return nil, err
 	}
 	var out []Figure5Panel
+	fp32 := core.PredictFP32(art.Model)
 	img := tensor.New(1, e.Test.Size, e.Test.Size)
 	for i, s := range e.Test.Slices {
 		if len(out) >= panels {
@@ -66,7 +67,7 @@ func (e *Env) Figure5(w io.Writer, bestName, dir string, panels int) ([]Figure5P
 		if err != nil {
 			return nil, err
 		}
-		fp32Mask := fp32MaskOf(art, e.Test, i)
+		fp32Mask, _ := fp32(img)
 		p := Figure5Panel{
 			SliceIndex: i,
 			Input:      append([]float32(nil), s.Image...),
@@ -90,11 +91,6 @@ func (e *Env) Figure5(w io.Writer, bestName, dir string, panels int) ([]Figure5P
 		fmt.Fprintf(w, "PPM panels written to %s\n", dir)
 	}
 	return out, nil
-}
-
-func fp32MaskOf(art *core.Artifacts, ds *ctorg.Dataset, idx int) []uint8 {
-	x, _ := ds.Batch([]int{idx})
-	return art.Model.Predict(x)
 }
 
 // writeASCIIPanel draws a downsampled 4-pane row using one letter per organ.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/metrics"
 	"seneca/internal/unet"
@@ -88,15 +87,11 @@ func (e *Env) Figure4(w io.Writer) ([]Figure4Point, error) {
 		}
 		ee := fr.EnergyEfficiency()
 
-		art, err := e.Trained(accuracyConfig(cfg, e.Scale))
+		t, err := e.Trained(accuracyConfig(cfg, e.Scale))
 		if err != nil {
 			return nil, err
 		}
-		conf, err := core.EvaluateINT8(art.Program, e.Test)
-		if err != nil {
-			return nil, err
-		}
-		dsc := conf.GlobalDice()
+		dsc := t.INT8.Total().GlobalDice()
 		pts = append(pts, Figure4Point{Config: cfg.Name, DSC: dsc, EE: ee, Score: dsc * ee})
 	}
 	fmt.Fprintln(w, "Figure 4 — Dice·EnergyEfficiency (Eq. 7), ZCU104 4 threads")
@@ -114,14 +109,11 @@ func (e *Env) Figure6(w io.Writer, bestName string) (map[uint8]metrics.BoxStats,
 	if err != nil {
 		return nil, err
 	}
-	art, err := e.Trained(accuracyConfig(cfg, e.Scale))
+	t, err := e.Trained(accuracyConfig(cfg, e.Scale))
 	if err != nil {
 		return nil, err
 	}
-	dist, err := core.PerPatientOrganDice(art.Program, e.Test)
-	if err != nil {
-		return nil, err
-	}
+	dist := t.INT8.OrganDice()
 	out := make(map[uint8]metrics.BoxStats, len(dist))
 	fmt.Fprintln(w, "Figure 6 — per-organ Dice boxplots (per-patient, INT8 on ZCU104)")
 	fmt.Fprintf(w, "%-10s %7s %7s %7s %7s %7s  %s\n", "organ", "min", "Q1", "median", "Q3", "max", "")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/metrics"
 	"seneca/internal/tensor"
@@ -48,15 +49,16 @@ func (e *Env) SurfaceQuality(w io.Writer, cfgName string) ([]SurfaceQualityRow, 
 	int8Acc := make([]acc, ctorg.NumClasses)
 	fp32Acc := make([]acc, ctorg.NumClasses)
 
+	fp32 := core.PredictFP32(art.Model)
 	img := tensor.New(1, e.Test.Size, e.Test.Size)
 	size := e.Test.Size
-	for i, s := range e.Test.Slices {
+	for _, s := range e.Test.Slices {
 		copy(img.Data, s.Image)
 		int8Mask, err := art.Program.Run(img)
 		if err != nil {
 			return nil, err
 		}
-		fp32Mask := fp32MaskOf(art, e.Test, i)
+		fp32Mask, _ := fp32(img)
 		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
 			if s.ClassPixels[cls] == 0 {
 				continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"seneca/internal/core"
 	"seneca/internal/ctorg"
 	"seneca/internal/metrics"
 	"seneca/internal/unet"
@@ -160,16 +159,12 @@ func (e *Env) Table4(w io.Writer, withAccuracy bool) ([]Table4Row, error) {
 
 		if withAccuracy {
 			acfg := accuracyConfig(cfg, e.Scale)
-			art, err := e.Trained(acfg)
+			t, err := e.Trained(acfg)
 			if err != nil {
 				return nil, err
 			}
-			fp32, int8d, err := e.perPatientGlobalDice(art)
-			if err != nil {
-				return nil, err
-			}
-			row.DSCFP32 = metrics.Summarize(fp32)
-			row.DSCINT8 = metrics.Summarize(int8d)
+			row.DSCFP32 = metrics.Summarize(t.FP32.GlobalDice())
+			row.DSCINT8 = metrics.Summarize(t.INT8.GlobalDice())
 		}
 		rows = append(rows, row)
 	}
@@ -184,28 +179,6 @@ func accuracyConfig(cfg unet.Config, s Scale) unet.Config {
 		cfg.Depth--
 	}
 	return cfg
-}
-
-// perPatientGlobalDice evaluates both precisions per patient, returning the
-// distributions whose µ±σ the tables report.
-func (e *Env) perPatientGlobalDice(art *core.Artifacts) (fp32, int8d []float64, err error) {
-	for _, pid := range e.Test.Patients() {
-		var idx []int
-		for i, s := range e.Test.Slices {
-			if s.Patient == pid {
-				idx = append(idx, i)
-			}
-		}
-		sub := e.Test.Subset(idx)
-		fp32Conf := core.EvaluateFP32(art.Model, sub, 6)
-		int8Conf, err := core.EvaluateINT8(art.Program, sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		fp32 = append(fp32, fp32Conf.GlobalDice())
-		int8d = append(int8d, int8Conf.GlobalDice())
-	}
-	return fp32, int8d, nil
 }
 
 func printTable4(w io.Writer, rows []Table4Row, withAccuracy bool) {
@@ -305,60 +278,24 @@ func (e *Env) Table5(w io.Writer, bestName string) (*Table5Result, error) {
 	res.GPUEE = metrics.Summarize(gEE)
 
 	// Accuracy (trained at accuracy scale).
-	art, err := e.Trained(accuracyConfig(cfg, e.Scale))
+	t, err := e.Trained(accuracyConfig(cfg, e.Scale))
 	if err != nil {
 		return nil, err
 	}
-	fp32, int8d, err := e.perPatientGlobalDice(art)
-	if err != nil {
-		return nil, err
-	}
-	res.GlobalGPU = metrics.Summarize(fp32)
-	res.GlobalFPGA = metrics.Summarize(int8d)
-
-	organInt8, err := core.PerPatientOrganDice(art.Program, e.Test)
-	if err != nil {
-		return nil, err
-	}
-	for cls, vals := range organInt8 {
+	res.GlobalGPU = metrics.Summarize(t.FP32.GlobalDice())
+	res.GlobalFPGA = metrics.Summarize(t.INT8.GlobalDice())
+	for cls, vals := range t.INT8.OrganDice() {
 		res.OrganFPGA[cls] = metrics.Summarize(vals)
 	}
-	organFP32 := perPatientOrganDiceFP32(art, e.Test)
-	for cls, vals := range organFP32 {
+	for cls, vals := range t.FP32.OrganDice() {
 		res.OrganGPU[cls] = metrics.Summarize(vals)
 	}
-
-	conf, err := core.EvaluateINT8(art.Program, e.Test)
-	if err != nil {
-		return nil, err
-	}
+	conf := t.INT8.Total()
 	res.GlobalTPR = conf.GlobalRecall()
 	res.GlobalTNR = conf.GlobalSpecificity()
 
 	printTable5(w, res)
 	return res, nil
-}
-
-func perPatientOrganDiceFP32(art *core.Artifacts, ds *ctorg.Dataset) map[uint8][]float64 {
-	out := make(map[uint8][]float64)
-	patients := ds.Patients()
-	for _, pid := range patients {
-		var idx []int
-		for i, s := range ds.Slices {
-			if s.Patient == pid {
-				idx = append(idx, i)
-			}
-		}
-		sub := ds.Subset(idx)
-		conf := core.EvaluateFP32(art.Model, sub, 6)
-		for cls := uint8(1); cls < ctorg.NumClasses; cls++ {
-			if conf.TP[cls]+conf.FN[cls] == 0 {
-				continue
-			}
-			out[cls] = append(out[cls], conf.Dice(int(cls)))
-		}
-	}
-	return out
 }
 
 func printTable5(w io.Writer, r *Table5Result) {

@@ -64,7 +64,7 @@ func TestFacadeWorkflow(t *testing.T) {
 	if d := conf.GlobalDice(); d < 0 || d > 1 {
 		t.Fatalf("global dice %v", d)
 	}
-	fp := seneca.EvaluateFP32(art.Model, test, 4)
+	fp := seneca.EvaluateFP32(art.Model, test)
 	if d := fp.GlobalDice(); d < 0 || d > 1 {
 		t.Fatalf("fp32 dice %v", d)
 	}
