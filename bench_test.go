@@ -115,14 +115,14 @@ func benchLoss(weights []float32) nn.Loss { return nn.NewFocalTversky(weights) }
 
 // benchCT is the volume_study input of the repository's benchmark, built the
 // same way: a 12-slice 256×256 phantom CT cut from the middle of a longer one.
-func benchCT(b *testing.B) *nifti.Volume {
-	b.Helper()
+func benchCT(tb testing.TB) *nifti.Volume {
+	tb.Helper()
 	const size, nz = 256, 12
 	opt := phantom.DefaultOptions()
 	opt.Size, opt.Slices = size, (nz*4+2)/3
 	full := phantom.Generate(0, opt).CT
 	if full.Nz < nz {
-		b.Fatalf("phantom gave %d slices, need %d", full.Nz, nz)
+		tb.Fatalf("phantom gave %d slices, need %d", full.Nz, nz)
 	}
 	ct := nifti.NewVolume(size, size, nz, full.Datatype)
 	ct.PixDim = full.PixDim
