@@ -19,6 +19,7 @@ package imaging
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ResizeBilinear resamples a row-major h×w single-channel image to oh×ow
@@ -111,38 +112,75 @@ func SaturatePercentiles(img []float32, pLow, pHigh float64) (lo, hi float32) {
 	if pLow < 0 || pHigh > 1 || pLow >= pHigh {
 		panic(fmt.Sprintf("imaging: invalid percentiles %v, %v", pLow, pHigh))
 	}
-	lo, hi, _ = percentileBounds(img, pLow, pHigh)
+	b := percentileBounds(img, pLow, pHigh)
 	for i, v := range img {
-		if v > hi {
-			img[i] = hi
-		} else if !(v >= lo) { // below the bound, or NaN
-			img[i] = lo
-		}
+		img[i] = clamp(v, b.lo, b.hi)
 	}
-	return lo, hi
+	return b.lo, b.hi
+}
+
+// clamp clips v to [lo, hi]: +Inf to hi, −Inf and NaN to lo.
+func clamp(v, lo, hi float32) float32 {
+	if v > hi {
+		return hi
+	}
+	if !(v >= lo) { // below the bound, or NaN
+		return lo
+	}
+	return v
 }
 
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float32) bool { return v-v == 0 }
 
+// bounds is what percentileBounds finds in an image.
+type bounds struct {
+	lo, hi   float32 // the clip bounds
+	min, max float32 // the smallest and the largest finite pixel
+	finite   int     // finite pixels
+	visits   int     // the work, in keys examined
+}
+
 // percentileBounds returns the pLow and pHigh quantiles of img's finite
-// pixels (0, 0 when there are none) without sorting: the four order
-// statistics they interpolate between are found by selectKeys, whose cost
-// visits reports in elements examined.
-func percentileBounds(img []float32, pLow, pHigh float64) (lo, hi float32, visits int) {
-	// One allocation, two halves of the image's size: the keys of the finite
-	// pixels, and the space selectKeys partitions them into.
-	buf := make([]uint32, 2*len(img))
-	keys := buf[:0:len(img)]
-	for _, v := range img {
-		if isFinite(v) {
-			keys = append(keys, floatKey(v))
-		}
+// pixels (0, 0 when there are none) without sorting, from the four order
+// statistics they interpolate between. Its key pass counts every pixel's key
+// by its top digit and keeps the smallest and the largest finite key; a
+// second pass copies out the buckets the wanted ranks fall in, for
+// selectKeys to finish, and only counts the keys equal to either extreme:
+// a rank inside one of those two tie runs — the air that fills most of a CT
+// slice, a flat background — is answered without copying the run.
+func percentileBounds(img []float32, pLow, pHigh float64) bounds {
+	const top = 32 - radixBits
+	l := level{shift: top}
+	// Offset by finiteOff, the non-finite keys wrap around past the finite
+	// ones: low and high end at the smallest and the largest finite key.
+	low, high := ^uint32(0), uint32(0)
+	i := 0
+	for ; i+4 <= len(img); i += 4 {
+		w := img[i : i+4 : i+4]
+		k0, k1, k2, k3 := floatKey(w[0]), floatKey(w[1]), floatKey(w[2]), floatKey(w[3])
+		l.counts[0][k0>>top]++
+		l.counts[1][k1>>top]++
+		l.counts[2][k2>>top]++
+		l.counts[3][k3>>top]++
+		low = min(low, min(k0-finiteOff, k1-finiteOff), min(k2-finiteOff, k3-finiteOff))
+		high = max(high, max(k0+finiteOff, k1+finiteOff), max(k2+finiteOff, k3+finiteOff))
 	}
-	if len(keys) == 0 {
-		return 0, 0, len(img)
+	for ; i < len(img); i++ {
+		k := floatKey(img[i])
+		l.counts[0][k>>top]++
+		low, high = min(low, k-finiteOff), max(high, k+finiteOff)
 	}
-	last := len(keys) - 1
+	b := bounds{finite: len(img), visits: len(img)}
+	// The non-finite keys fill the four lowest and the four highest top
+	// digits, and no finite key has one of those.
+	for d := 0; d < 4; d++ {
+		b.finite -= l.size(d) + l.size(radixMask-d)
+	}
+	if b.finite == 0 {
+		return b
+	}
+	last := b.finite - 1
 	iLo, fLo := quantileRank(last, pLow)
 	iHi, fHi := quantileRank(last, pHigh)
 	ranks := [4]int{iLo, min(iLo+1, last), iHi, min(iHi+1, last)}
@@ -153,15 +191,47 @@ func percentileBounds(img []float32, pLow, pHigh float64) (lo, hi float32, visit
 		ranks[1], ranks[2] = ranks[2], ranks[1]
 	}
 	var stat [4]uint32
-	visits = len(img) + selectKeys(keys, buf[len(img):], 32-radixBits, ranks[:], stat[:])
+	lowest, highest := low+finiteOff, high-finiteOff
+	if lowest == highest {
+		stat = [4]uint32{lowest, lowest, lowest, lowest}
+	} else {
+		l.split(4, ranks[:], lowest, highest)
+		// The kept buckets by a pixel's own top bits, so that a pixel whose
+		// bucket is not kept costs no key: a positive float's key digit is
+		// its own with the sign flipped, a negative one's with every bit.
+		var raw [1 << radixBits]uint8
+		for d, gi := range l.bucket {
+			if d < 1<<(radixBits-1) {
+				raw[d^radixMask] = gi
+			} else {
+				raw[d^1<<(radixBits-1)] = gi
+			}
+		}
+		lowBits, highBits := math.Float32bits(keyFloat(lowest)), math.Float32bits(keyFloat(highest))
+		nLow, nHigh := 0, 0
+		for _, v := range img {
+			switch x := math.Float32bits(v); x {
+			case lowBits:
+				nLow++
+			case highBits:
+				nHigh++
+			default:
+				if gi := raw[x>>top]; gi != 0 {
+					l.store(gi, floatKey(v))
+				}
+			}
+		}
+		b.visits += len(img) + l.descend(ranks[:], stat[:], lowest, highest, nLow, nHigh)
+	}
 	if swapped {
 		stat[1], stat[2] = stat[2], stat[1]
 	}
-	a, b := keyFloat(stat[0]), keyFloat(stat[1])
-	lo = a*(1-fLo) + b*fLo
-	a, b = keyFloat(stat[2]), keyFloat(stat[3])
-	hi = a*(1-fHi) + b*fHi
-	return lo, hi, visits
+	x, y := keyFloat(stat[0]), keyFloat(stat[1])
+	b.lo = x*(1-fLo) + y*fLo
+	x, y = keyFloat(stat[2]), keyFloat(stat[3])
+	b.hi = x*(1-fHi) + y*fHi
+	b.min, b.max = keyFloat(lowest), keyFloat(highest)
+	return b
 }
 
 // quantileRank places quantile q among order statistics 0…last: it lies
@@ -176,13 +246,11 @@ func quantileRank(last int, q float64) (i int, frac float32) {
 }
 
 // floatKey maps a float32 to a uint32 whose unsigned order is the float
-// order (−Inf < … < −0 < +0 < … < +Inf); keyFloat is its inverse.
+// order (−Inf < … < −0 < +0 < … < +Inf): a negative float's bits inverted, a
+// positive one's sign bit set. keyFloat is its inverse.
 func floatKey(f float32) uint32 {
 	b := math.Float32bits(f)
-	if b&(1<<31) != 0 {
-		return ^b
-	}
-	return b | 1<<31
+	return b ^ (uint32(int32(b)>>31) | 1<<31)
 }
 
 func keyFloat(k uint32) float32 {
@@ -192,92 +260,156 @@ func keyFloat(k uint32) float32 {
 	return math.Float32frombits(^k)
 }
 
-// A key is selected most significant digit first, radixBits at a time.
 const (
+	// A key is selected most significant digit first, up to radixBits at a
+	// time.
 	radixBits = 11
 	radixMask = 1<<radixBits - 1
+	// finiteOff is the key distance from −Inf to −MaxFloat32 and from
+	// MaxFloat32 to +Inf.
+	finiteOff = 1 << 23
 )
 
-// selectKeys finds order statistics by radix selection: out[j] becomes the
-// key of rank ranks[j] (0-based; at most four, ascending) among src. It
-// counts src's digit at shift, keeps only the buckets a wanted rank falls in
-// — copied to the same offsets of buf, which must be as long as src — and
-// recurses into each with the next digit down, swapping the two buffers (the
-// last digit, at shift 0, overlaps the one before by a bit its keys already
-// share). Every level touches each surviving key twice and there are
-// ⌈32/11⌉ = 3 levels whatever the values are, so the cost is linear in
-// len(src) on every input: slices are untrusted uploads, and a quickselect's
-// bad pivots would be a quadratic-time request. src is left in unspecified
-// order. The return value is the number of keys examined.
-func selectKeys(src, buf []uint32, shift int, ranks []int, out []uint32) (visits int) {
-	var count [1 << radixBits]int32
-	for _, k := range src {
-		count[(k>>shift)&radixMask]++
-	}
-	visits = len(src)
+// level is one radix level of a selection: the digit it counts, the counts,
+// and the buckets it keeps for the level below.
+type level struct {
+	shift int
+	// Four interleaved tables, so that a run of equal keys is four
+	// independent chains of increments, not one.
+	counts [4][1 << radixBits]int32
+	bucket [1 << radixBits]uint8 // 1 + the index of the group that keeps a bucket, 0 for none
+	groups [4]group
+	n      int // groups in use
+}
 
-	// bucket[b] is 1 + the index of the group that keeps bucket b, 0 for a
-	// bucket no wanted rank falls in. At most len(ranks) buckets are kept.
-	type group struct {
-		digit, below, size int // the bucket, the keys ranked below it, its keys
-		first, end         int // ranks[first:end] fall in it
-	}
-	var (
-		bucket [1 << radixBits]uint8
-		groups = make([]group, 0, 4)
-		below  int
-		next   int // first rank not yet placed
-	)
-	for d := 0; d <= radixMask && next < len(ranks); d++ {
-		size := int(count[d])
-		if size > 0 && ranks[next] < below+size {
-			g := group{digit: d, below: below, size: size, first: next}
-			for next < len(ranks) && ranks[next] < below+size {
-				next++
-			}
-			g.end = next
-			groups = append(groups, g)
-			bucket[d] = uint8(len(groups))
+// group is a kept bucket.
+type group struct {
+	digit, below, size int      // the bucket, the keys ranked below it, its keys
+	first, end         int      // ranks[first:end] fall in it
+	keys               []uint32 // its keys but the level's lowest and highest
+	lowest, highest    uint32   // the smallest and the largest of keys
+}
+
+func (l *level) size(d int) int {
+	return int(l.counts[0][d] + l.counts[1][d] + l.counts[2][d] + l.counts[3][d])
+}
+
+func (l *level) digit(k uint32) int { return int(k>>l.shift) & radixMask }
+
+// split keeps every bucket from digit from up that one of the ascending ranks
+// falls in, counting ranks from that digit's first key.
+func (l *level) split(from int, ranks []int, lowest, highest uint32) {
+	below, next := 0, 0
+	for d := from; d <= radixMask && next < len(ranks); d++ {
+		size := l.size(d)
+		if ranks[next] >= below+size {
+			below += size
+			continue
 		}
+		g := group{digit: d, below: below, size: size, first: next, lowest: ^uint32(0)}
+		for next < len(ranks) && ranks[next] < below+size {
+			next++
+		}
+		g.end = next
+		// A bucket holding a tie run stores fewer keys than it has, and how
+		// many fewer is only known once they are stored.
+		capacity := size
+		if d == l.digit(lowest) || d == l.digit(highest) {
+			capacity = min(size, 1<<12)
+		}
+		g.keys = make([]uint32, 0, capacity)
+		l.groups[l.n] = g
+		l.n++
+		l.bucket[d] = uint8(l.n)
 		below += size
 	}
+}
 
-	if shift == 0 {
-		// The last digit: every key of a bucket is the same key.
-		high := src[0] &^ radixMask
-		for _, g := range groups {
-			for j := g.first; j < g.end; j++ {
-				out[j] = high | uint32(g.digit)
-			}
-		}
-		return visits
-	}
+// store adds k to kept group gi.
+func (l *level) store(gi uint8, k uint32) {
+	g := &l.groups[gi-1]
+	g.keys = append(g.keys, k)
+	g.lowest, g.highest = min(g.lowest, k), max(g.highest, k)
+}
 
-	// Kept buckets go to buf back to back, in bucket order.
-	var cursor [4]int
-	off := 0
-	for i, g := range groups {
-		cursor[i] = off
-		off += g.size
-	}
-	for _, k := range src {
-		if gi := bucket[(k>>shift)&radixMask]; gi != 0 {
-			buf[cursor[gi-1]] = k
-			cursor[gi-1]++
-		}
-	}
-	visits += len(src)
-	off = 0
+// descend finishes every group: out[j] becomes the key of rank ranks[j], the
+// ranks split was given. Ranks inside the level's nLow copies of its lowest
+// key or nHigh copies of its highest are those keys; the others are
+// selected among the group's stored keys one level down.
+func (l *level) descend(ranks []int, out []uint32, lowest, highest uint32, nLow, nHigh int) (visits int) {
 	var local [4]int
-	for _, g := range groups {
-		sub := local[:g.end-g.first]
-		for j := range sub {
-			sub[j] = ranks[g.first+j] - g.below
+	for _, g := range l.groups[:l.n] {
+		nl, nh := 0, 0
+		if g.digit == l.digit(lowest) {
+			nl = nLow
 		}
-		visits += selectKeys(buf[off:off+g.size], src[off:off+g.size], max(shift-radixBits, 0), sub, out[g.first:g.end])
-		off += g.size
+		if g.digit == l.digit(highest) {
+			nh = nHigh
+		}
+		first, end := g.first, g.end
+		for ; first < end && ranks[first]-g.below < nl; first++ {
+			out[first] = lowest
+		}
+		for ; end > first && ranks[end-1]-g.below >= g.size-nh; end-- {
+			out[end-1] = highest
+		}
+		sub := local[:end-first]
+		for j := range sub {
+			sub[j] = ranks[first+j] - g.below - nl
+		}
+		if len(sub) > 0 {
+			visits += selectKeys(g.keys, g.lowest, g.highest, sub, out[first:end])
+		}
 	}
 	return visits
+}
+
+// selectKeys finds order statistics by radix selection: out[j] becomes the
+// key of rank ranks[j] (0-based; at most four, ascending) among keys, whose
+// smallest and largest are lowest and highest. Its digit starts at the
+// highest bit on which they differ. It counts that digit, keeps the buckets
+// a wanted rank falls in and selects within each one level down; when the
+// digit reaches bit 0, every key of a bucket is the same key. The keys of a
+// bucket of percentileBounds' top digit differ in bit 20 at most, so there
+// are at most two levels below it: every key is examined at most five times
+// whatever the values are, and the cost is linear in len(keys) on every
+// input. Slices are untrusted uploads, and a quickselect's bad pivots would
+// be a quadratic-time request. The return value is the number of keys
+// examined.
+func selectKeys(keys []uint32, lowest, highest uint32, ranks []int, out []uint32) (visits int) {
+	if lowest == highest {
+		for j := range out {
+			out[j] = lowest
+		}
+		return 0
+	}
+	l := level{shift: max(bits.Len32(lowest^highest)-radixBits, 0)}
+	for i, k := range keys {
+		l.counts[i&3][l.digit(k)]++
+	}
+	l.split(0, ranks, lowest, highest)
+	if l.shift == 0 {
+		for _, g := range l.groups[:l.n] {
+			for j := g.first; j < g.end; j++ {
+				out[j] = lowest&^radixMask | uint32(g.digit)
+			}
+		}
+		return len(keys)
+	}
+	nLow, nHigh := 0, 0
+	for _, k := range keys {
+		switch k {
+		case lowest:
+			nLow++
+		case highest:
+			nHigh++
+		default:
+			if gi := l.bucket[l.digit(k)]; gi != 0 {
+				l.store(gi, k)
+			}
+		}
+	}
+	return 2*len(keys) + l.descend(ranks, out, lowest, highest, nLow, nHigh)
 }
 
 // RescaleToUnit linearly maps the [min, max] range of the image's finite
@@ -297,16 +429,12 @@ func RescaleToUnit(img []float32) {
 		}
 	}
 	if !(mx > mn) { // constant, or no finite pixel at all
-		for i := range img {
-			img[i] = 0
-		}
+		clear(img)
 		return
 	}
-	// Compute in float64: extreme float32 ranges (|mx−mn| > MaxFloat32)
-	// overflow to Inf and poison the whole image otherwise.
-	lo, scale := float64(mn), 2/(float64(mx)-float64(mn))
+	scale := unitScale(mn, mx)
 	for i, v := range img {
-		u := float32((float64(v)-lo)*scale - 1)
+		u := scale(v)
 		// A finite pixel is already inside [-1, 1]; +Inf lands on 1, −Inf
 		// and NaN on −1.
 		if u > 1 {
@@ -318,12 +446,54 @@ func RescaleToUnit(img []float32) {
 	}
 }
 
+// unitScale returns the map of [mn, mx] onto [-1, 1]. It computes in
+// float64: extreme float32 ranges (|mx−mn| > MaxFloat32) overflow to Inf and
+// poison the whole image otherwise.
+func unitScale(mn, mx float32) func(float32) float32 {
+	base, scale := float64(mn), 2/(float64(mx)-float64(mn))
+	return func(v float32) float32 { return float32((float64(v)-base)*scale - 1) }
+}
+
 // Preprocess applies the full SENECA input pipeline to one CT slice:
 // bilinear downsample from h×w to size×size, 1%/99% contrast saturation,
 // and [-1, 1] rescaling. The returned image is a fresh allocation.
 func Preprocess(src []float32, h, w, size int) []float32 {
-	img := ResizeBilinear(src, h, w, size, size)
-	SaturatePercentiles(img, 0.01, 0.99)
-	RescaleToUnit(img)
+	return PreprocessTo(src, h, w, size, size)
+}
+
+// PreprocessTo is Preprocess to an oh×ow model geometry; src is only read.
+// When every pixel is finite and the clip bounds are finite and in order,
+// the clip is monotone: the clipped image's range is the image's range
+// clipped, known before a pixel is clipped, and clipping and rescaling are
+// one pass. A pixel at or past a bound takes that bound's output, which a
+// run of air does, and a pixel between the bounds lands inside [-1, 1]
+// unclamped. Anything else takes SaturatePercentiles' clip and RescaleToUnit.
+func PreprocessTo(src []float32, h, w, oh, ow int) []float32 {
+	img := ResizeBilinear(src, h, w, oh, ow)
+	b := percentileBounds(img, 0.01, 0.99)
+	if b.finite < len(img) || !(b.lo <= b.hi) || !isFinite(b.lo) || !isFinite(b.hi) {
+		for i, v := range img {
+			img[i] = clamp(v, b.lo, b.hi)
+		}
+		RescaleToUnit(img)
+		return img
+	}
+	mn, mx := clamp(b.min, b.lo, b.hi), clamp(b.max, b.lo, b.hi)
+	if !(mx > mn) {
+		clear(img)
+		return img
+	}
+	scale := unitScale(mn, mx)
+	atLo, atHi := scale(b.lo), scale(b.hi)
+	for i, v := range img {
+		switch {
+		case v <= b.lo:
+			img[i] = atLo
+		case v >= b.hi:
+			img[i] = atHi
+		default:
+			img[i] = scale(v)
+		}
+	}
 	return img
 }

@@ -75,6 +75,15 @@ const (
 	shapeHeavyTies
 	shapeOneBucket // distinct values that differ only in their low mantissa bits
 	shapeSignedZeros
+	// Tie runs at the extremes, next to distinct keys in their top-digit
+	// bucket: the smallest value covering the 1% rank, the largest covering
+	// the 99% rank, both, and a smallest-value run that ends one key before
+	// the 1% rank with a largest-value run that starts one key after the
+	// 99% rank's neighbour.
+	shapeMinRun
+	shapeMaxRun
+	shapeBothRuns
+	shapeRunsBesideRanks
 	shapeCount
 )
 
@@ -131,6 +140,33 @@ func shapedImage(seed int64, n int, shape uint8) []float32 {
 		for i := range img {
 			img[i] = math.Float32frombits(base | uint32(rng.Intn(1<<10)))
 		}
+	case shapeMinRun, shapeMaxRun, shapeBothRuns, shapeRunsBesideRanks:
+		base := hu()
+		for i := range img {
+			img[i] = base + float32(rng.Float64()*40)
+		}
+		// The run lengths the 1%/99% ranks of n pixels call for.
+		last := n - 1
+		iLo, iHi := int(0.01*float64(last)), int(0.99*float64(last))
+		lowRun, highRun := 0, 0
+		switch shape % shapeCount {
+		case shapeMinRun:
+			lowRun = iLo + 2 + rng.Intn(n)
+		case shapeMaxRun:
+			highRun = n - iHi + rng.Intn(n)
+		case shapeBothRuns:
+			lowRun, highRun = iLo+2+rng.Intn(n/2+1), n-iHi+rng.Intn(n/2+1)
+		case shapeRunsBesideRanks:
+			lowRun, highRun = iLo, max(last-iHi-1, 0)
+		}
+		lowRun, highRun = min(lowRun, n), min(highRun, n-min(lowRun, n))
+		for _, i := range rng.Perm(n)[:lowRun+highRun] {
+			if lowRun > 0 {
+				img[i], lowRun = base-1, lowRun-1
+			} else {
+				img[i] = base + 41
+			}
+		}
 	case shapeSignedZeros:
 		negZero := float32(math.Copysign(0, -1))
 		for i := range img {
@@ -172,6 +208,22 @@ func checkAgainstSort(t *testing.T, img []float32, pLow, pHigh float64) {
 	}
 }
 
+// checkFused requires PreprocessTo's one clip-and-rescale pass to give the
+// bits SaturatePercentiles then RescaleToUnit give, on img as one row.
+func checkFused(t *testing.T, img []float32) {
+	t.Helper()
+	want := append([]float32(nil), img...)
+	SaturatePercentiles(want, 0.01, 0.99)
+	RescaleToUnit(want)
+	got := PreprocessTo(img, 1, len(img), 1, len(img))
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("n=%d: preprocessed pixel %d = %v (%#x), saturate and rescale give %v (%#x)",
+				len(img), i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
 // FuzzSaturateVsSort pins the selection against the sort it replaced, and
 // the rescale after it against its predecessor — together everything
 // Preprocess does after the resample — on finite inputs of every shape and
@@ -202,6 +254,7 @@ func FuzzSaturateVsSort(f *testing.F) {
 		for _, p := range percentilePairs {
 			checkAgainstSort(t, append([]float32(nil), img...), p[0], p[1])
 		}
+		checkFused(t, img)
 	})
 }
 
@@ -210,11 +263,17 @@ func FuzzSaturateVsSort(f *testing.F) {
 // included.
 func TestSaturateVsSortRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
 	for shape := uint8(0); shape < shapeCount; shape++ {
 		for _, n := range []int{1, 2, 3, 64, 1 + rng.Intn(5000), 65536} {
+			img := shapedImage(int64(n)+int64(shape), n, shape)
 			for _, p := range percentilePairs {
-				checkAgainstSort(t, shapedImage(int64(n)+int64(shape), n, shape), p[0], p[1])
+				checkAgainstSort(t, append([]float32(nil), img...), p[0], p[1])
 			}
+			checkFused(t, img)
+			// Non-finite pixels take the two-pass path, which must agree too.
+			img[rng.Intn(n)] = special[rng.Intn(len(special))]
+			checkFused(t, img)
 		}
 	}
 }
@@ -226,9 +285,9 @@ func TestSaturateVsSortRandomized(t *testing.T) {
 // input within a small constant factor of the random case.
 func TestSelectionCostIsLinearOnAdversarialInputs(t *testing.T) {
 	const n = 256 * 256
-	_, _, random := percentileBounds(shapedImage(1, n, shapeRandom), 0.01, 0.99)
+	random := percentileBounds(shapedImage(1, n, shapeRandom), 0.01, 0.99).visits
 	for shape := uint8(0); shape < shapeCount; shape++ {
-		_, _, visits := percentileBounds(shapedImage(2, n, shape), 0.01, 0.99)
+		visits := percentileBounds(shapedImage(2, n, shape), 0.01, 0.99).visits
 		t.Logf("shape %d: %d keys examined (%.2f per pixel, %.2f× the random case)",
 			shape, visits, float64(visits)/n, float64(visits)/float64(random))
 		if visits > 6*n {

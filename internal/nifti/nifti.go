@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strings"
 
 	"seneca/internal/fault"
@@ -249,6 +248,7 @@ func Read(r io.Reader) (*Volume, error) {
 	if err := fault.Check("nifti.read"); err != nil {
 		return nil, err
 	}
+	left := remaining(r)
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
@@ -256,12 +256,35 @@ func Read(r io.Reader) (*Volume, error) {
 			return nil, fmt.Errorf("nifti: opening gzip stream: %w", err)
 		}
 		defer gz.Close()
-		return readRaw(gz)
+		return readRaw(gz, -1)
 	}
-	return readRaw(br)
+	return readRaw(br, left)
 }
 
-func readRaw(r io.Reader) (*Volume, error) {
+// remaining returns how many bytes r can still supply when r can say — an
+// *os.File from its size and offset, a bytes or strings reader from Len —
+// and -1 otherwise.
+func remaining(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
+}
+
+// readRaw decodes an uncompressed NIfTI-1 stream of left bytes (-1 when
+// unknown).
+func readRaw(r io.Reader, left int64) (*Volume, error) {
 	var h header
 	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
 		return nil, fmt.Errorf("nifti: reading header: %w", err)
@@ -300,7 +323,10 @@ func readRaw(r io.Reader) (*Volume, error) {
 	if slope == 0 {
 		slope = 1
 	}
-	data, err := readVoxels(r, h.Datatype, total, slope, inter)
+	if left >= 0 {
+		left = max(left-int64(off), 0)
+	}
+	data, err := readVoxels(r, h.Datatype, total, left, slope, inter)
 	if err != nil {
 		return nil, err
 	}
@@ -312,22 +338,32 @@ func readRaw(r io.Reader) (*Volume, error) {
 	}, nil
 }
 
-// readVoxels streams total voxels of the given datatype in readChunk-sized
-// steps, so truncated input fails with an error after consuming only the
-// bytes present: the result grows a chunk at a time (amortized doubling), and
-// each chunk is decoded into its place by index.
-func readVoxels(r io.Reader, datatype int16, total int64, slope, inter float32) ([]float32, error) {
+// readVoxels streams total voxels of the given datatype in steps of at most
+// readChunk, so truncated input fails with an error after consuming only
+// the bytes present, and decodes each step into its place by index. When
+// left, the bytes r still holds, is known (-1 when not), the result is
+// allocated once, for the voxels those bytes hold: a header that declares
+// more than its body carries cannot raise it. Otherwise it starts at one
+// chunk and doubles.
+func readVoxels(r io.Reader, datatype int16, total, left int64, slope, inter float32) ([]float32, error) {
 	elem := elemSize(datatype)
-	first := int(min(total, readChunk))
-	data := make([]float32, 0, first)
-	buf := make([]byte, first*elem) // no chunk is larger than the first
+	size, chunk := min(total, readChunk), min(total, readChunk)
+	if left >= 0 {
+		size = min(total, left/int64(elem))
+		chunk = max(min(chunk, size), 1)
+	}
+	data := make([]float32, 0, size)
+	buf := make([]byte, chunk*int64(elem))
 	for int64(len(data)) < total {
-		n := int(min(total-int64(len(data)), readChunk))
+		n := int(min(total-int64(len(data)), chunk))
 		b := buf[:n*elem]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, fmt.Errorf("nifti: reading voxels: %w", err)
 		}
-		data = slices.Grow(data, n)[:len(data)+n]
+		if len(data)+n > cap(data) {
+			data = append(make([]float32, 0, min(total, int64(max(2*cap(data), len(data)+n)))), data...)
+		}
+		data = data[:len(data)+n]
 		dst := data[len(data)-n:]
 		switch datatype {
 		case DTUint8:

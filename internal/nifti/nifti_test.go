@@ -2,6 +2,7 @@ package nifti
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
@@ -268,6 +269,92 @@ func TestReadScratchScalesWithVolume(t *testing.T) {
 	}
 }
 
+// readCost returns the allocations and bytes one call of read makes.
+func readCost(read func()) (allocs float64, bytes uint64) {
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, read)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call on top of the measured runs.
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+}
+
+// TestReadAllocatesVoxelsOnce bounds what decoding a volume allocates: the
+// benchmark's 256×256×12 int16 CT, from a reader that knows its length (a
+// bytes reader, a file) and from one that does not, and a header that
+// declares far more voxels than its body carries. A reader that knows its
+// length gets its voxels in one allocation of their final size; one that
+// does not, in doubling steps; a lying header gets no more than the voxels
+// its body holds.
+func TestReadAllocatesVoxelsOnce(t *testing.T) {
+	const nx, ny, nz = 256, 256, 12
+	v := NewVolume(nx, ny, nz, DTInt16)
+	for i := range v.Data {
+		v.Data[i] = float32(i%2000 - 1000)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "ct.nii")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	voxels := uint64(4 * nx * ny * nz)
+	// The chunk buffer, bufio's 4 KiB, the header and the Volume.
+	overhead := uint64(2*readChunk + 16<<10)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, tc := range []struct {
+		name      string
+		r         func() io.Reader
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(raw) }, 12, voxels + overhead},
+		{"file", func() io.Reader {
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}, 12, voxels + overhead},
+		// 1, 2, then 3 MiB for 3 MiB of voxels.
+		{"length unknown", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(raw)} }, 16, 2*voxels + overhead},
+	} {
+		allocs, n := readCost(func() {
+			got, err := Read(tc.r())
+			if err != nil || len(got.Data) != nx*ny*nz {
+				t.Fatalf("%s: read %v", tc.name, err)
+			}
+		})
+		t.Logf("%s: %.0f allocations, %d bytes for %d bytes of voxels", tc.name, allocs, n, voxels)
+		if allocs > tc.maxAllocs || n > tc.maxBytes {
+			t.Errorf("%s: %.0f allocations and %d bytes, want at most %.0f and %d", tc.name, allocs, n, tc.maxAllocs, tc.maxBytes)
+		}
+	}
+
+	// 256×256×256 float32 declared, 1000 bytes of it present.
+	lying := append([]byte(nil), raw[:voxOffset+1000]...)
+	for i, d := range []uint16{3, 256, 256, 256} {
+		binary.LittleEndian.PutUint16(lying[40+2*i:], d) // dim[0..3]
+	}
+	binary.LittleEndian.PutUint16(lying[70:], uint16(DTFloat32))
+	binary.LittleEndian.PutUint16(lying[72:], 32) // bitpix
+	_, n := readCost(func() {
+		if _, err := Read(bytes.NewReader(lying)); err == nil {
+			t.Fatal("a truncated body was accepted")
+		}
+	})
+	if n > 16<<10 {
+		t.Errorf("a header declaring 64 MiB over a 1000-byte body allocates %d bytes, want under 16 KiB", n)
+	}
+}
+
 // TestWriteLabelsMatchesWrite pins the label writer to the bytes Write emits
 // for the same labels held as a float32 DTUint8 volume — the study tier
 // serves and resumes from those files, and its clients compare them byte
@@ -298,7 +385,7 @@ func TestWriteLabelsMatchesWrite(t *testing.T) {
 
 // TestRoundTripSpansChunks round-trips volumes longer than two streaming
 // chunks with a ragged tail, so both the chunked encode and the
-// grow-then-index decode cross chunk boundaries for every datatype.
+// chunk-by-chunk decode cross chunk boundaries for every datatype.
 func TestRoundTripSpansChunks(t *testing.T) {
 	nx, ny, nz := 1031, 127, 5 // 654 685 voxels = 2 chunks + 130 397
 	if nx*ny*nz <= 2*readChunk || nx*ny*nz%readChunk == 0 {
@@ -313,16 +400,20 @@ func TestRoundTripSpansChunks(t *testing.T) {
 		if err := Write(&buf, v); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("datatype %d: %v", dt, err)
-		}
-		if len(got.Data) != len(v.Data) {
-			t.Fatalf("datatype %d: %d voxels back, wrote %d", dt, len(got.Data), len(v.Data))
-		}
-		for i := range v.Data {
-			if got.Data[i] != v.Data[i] {
-				t.Fatalf("datatype %d: voxel %d = %v, wrote %v", dt, i, got.Data[i], v.Data[i])
+		// A reader that knows its length, and one that does not: one
+		// allocation of the final size, or chunk-sized growth.
+		for _, r := range []io.Reader{bytes.NewReader(buf.Bytes()), struct{ io.Reader }{bytes.NewReader(buf.Bytes())}} {
+			got, err := Read(r)
+			if err != nil {
+				t.Fatalf("datatype %d: %v", dt, err)
+			}
+			if len(got.Data) != len(v.Data) {
+				t.Fatalf("datatype %d: %d voxels back, wrote %d", dt, len(got.Data), len(v.Data))
+			}
+			for i := range v.Data {
+				if got.Data[i] != v.Data[i] {
+					t.Fatalf("datatype %d: voxel %d = %v, wrote %v", dt, i, got.Data[i], v.Data[i])
+				}
 			}
 		}
 	}

@@ -129,27 +129,16 @@ func (s *Service) writeMask(j Job, labels []uint8) error {
 	})
 }
 
-// preprocessSlice applies the SENECA input pipeline (Section III-A) to one
-// native-resolution slice: bilinear resample to the model geometry,
-// 1%/99% contrast saturation, [-1, 1] rescale. Identical to
-// imaging.Preprocess for square models, generalized to h×w. raw is only read.
-func preprocessSlice(raw []float32, ny, nx, h, w int) []float32 {
-	img := imaging.ResizeBilinear(raw, ny, nx, h, w)
-	imaging.SaturatePercentiles(img, 0.01, 0.99)
-	imaging.RescaleToUnit(img)
-	return img
-}
-
-// preprocessVolume runs preprocessSlice over every axial slice, slices in
-// parallel. It is the one producer of the infer stage's input: the
-// preprocess stage calls it, and so does an infer stage that finds no stack
-// in memory.
+// preprocessVolume runs the SENECA input pipeline (Section III-A,
+// imaging.PreprocessTo) over every axial slice, slices in parallel. It is
+// the one producer of the infer stage's input: the preprocess stage calls
+// it, and so does an infer stage that finds no stack in memory.
 func (s *Service) preprocessVolume(ctx context.Context, vol *nifti.Volume) ([][]float32, error) {
 	plane := vol.Nx * vol.Ny
 	pre := make([][]float32, vol.Nz)
 	par.For(vol.Nz, func(z int) {
 		if ctx.Err() == nil {
-			pre[z] = preprocessSlice(vol.Data[plane*z:plane*(z+1)], vol.Ny, vol.Nx, s.inH, s.inW)
+			pre[z] = imaging.PreprocessTo(vol.Data[plane*z:plane*(z+1)], vol.Ny, vol.Nx, s.inH, s.inW)
 		}
 	})
 	return pre, ctx.Err()

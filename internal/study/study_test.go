@@ -83,7 +83,7 @@ func syncMasks(t testing.TB, srv *serve.Server, ct *nifti.Volume) []uint8 {
 	out := make([]uint8, ct.Nx*ct.Ny*ct.Nz)
 	plane := ct.Nx * ct.Ny
 	for z := 0; z < ct.Nz; z++ {
-		img := preprocessSlice(ct.Slice(z), ct.Ny, ct.Nx, h, w)
+		img := imaging.PreprocessTo(ct.Slice(z), ct.Ny, ct.Nx, h, w)
 		mask, err := srv.Submit(context.Background(), tensor.FromSlice(img, 1, h, w))
 		if err != nil {
 			t.Fatalf("sync submit slice %d: %v", z, err)
