@@ -123,8 +123,7 @@ func SaturatePercentiles(img []float32, pLow, pHigh float64) (lo, hi float32) {
 func clamp(v, lo, hi float32) float32 {
 	if v > hi {
 		return hi
-	}
-	if !(v >= lo) { // below the bound, or NaN
+	} else if !(v >= lo) { // below the bound, or NaN
 		return lo
 	}
 	return v
@@ -133,47 +132,36 @@ func clamp(v, lo, hi float32) float32 {
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float32) bool { return v-v == 0 }
 
-// bounds is what percentileBounds finds in an image.
+// bounds is what percentileBounds finds: the clip bounds, the smallest and
+// largest finite pixel, how many pixels are finite, and its work in keys
+// examined.
 type bounds struct {
-	lo, hi   float32 // the clip bounds
-	min, max float32 // the smallest and the largest finite pixel
-	finite   int     // finite pixels
-	visits   int     // the work, in keys examined
+	lo, hi, min, max float32
+	finite, visits   int
 }
 
 // percentileBounds returns the pLow and pHigh quantiles of img's finite
 // pixels (0, 0 when there are none) without sorting, from the four order
 // statistics they interpolate between. Its key pass counts every pixel's key
-// by its top digit and keeps the smallest and the largest finite key; a
-// second pass copies out the buckets the wanted ranks fall in, for
-// selectKeys to finish, and only counts the keys equal to either extreme:
-// a rank inside one of those two tie runs — the air that fills most of a CT
-// slice, a flat background — is answered without copying the run.
-func percentileBounds(img []float32, pLow, pHigh float64) bounds {
+// by its top digit and keeps the smallest and the largest finite key; the
+// next pass copies out the buckets the wanted ranks fall in for selectKeys,
+// all but those two keys' copies. A rank inside one of those two tie runs —
+// the air that fills most of a CT slice, a flat background — is answered
+// without copying the run.
+func percentileBounds(img []float32, pLow, pHigh float64) (b bounds) {
 	const top = 32 - radixBits
 	l := level{shift: top}
 	// Offset by finiteOff, the non-finite keys wrap around past the finite
 	// ones: low and high end at the smallest and the largest finite key.
 	low, high := ^uint32(0), uint32(0)
-	i := 0
-	for ; i+4 <= len(img); i += 4 {
-		w := img[i : i+4 : i+4]
-		k0, k1, k2, k3 := floatKey(w[0]), floatKey(w[1]), floatKey(w[2]), floatKey(w[3])
-		l.counts[0][k0>>top]++
-		l.counts[1][k1>>top]++
-		l.counts[2][k2>>top]++
-		l.counts[3][k3>>top]++
-		low = min(low, min(k0-finiteOff, k1-finiteOff), min(k2-finiteOff, k3-finiteOff))
-		high = max(high, max(k0+finiteOff, k1+finiteOff), max(k2+finiteOff, k3+finiteOff))
-	}
-	for ; i < len(img); i++ {
-		k := floatKey(img[i])
-		l.counts[0][k>>top]++
+	for i, v := range img {
+		k := floatKey(v)
+		l.counts[i&3][k>>top]++
 		low, high = min(low, k-finiteOff), max(high, k+finiteOff)
 	}
-	b := bounds{finite: len(img), visits: len(img)}
 	// The non-finite keys fill the four lowest and the four highest top
 	// digits, and no finite key has one of those.
+	b.finite, b.visits = len(img), len(img)
 	for d := 0; d < 4; d++ {
 		b.finite -= l.size(d) + l.size(radixMask-d)
 	}
@@ -191,38 +179,22 @@ func percentileBounds(img []float32, pLow, pHigh float64) bounds {
 		ranks[1], ranks[2] = ranks[2], ranks[1]
 	}
 	var stat [4]uint32
-	lowest, highest := low+finiteOff, high-finiteOff
-	if lowest == highest {
-		stat = [4]uint32{lowest, lowest, lowest, lowest}
-	} else {
-		l.split(4, ranks[:], lowest, highest)
-		// The kept buckets by a pixel's own top bits, so that a pixel whose
-		// bucket is not kept costs no key: a positive float's key digit is
-		// its own with the sign flipped, a negative one's with every bit.
+	l.lowest, l.highest = low+finiteOff, high-finiteOff
+	b.visits += l.finish(4, ranks[:], stat[:], func() int {
+		// The kept buckets by a pixel's own top bits, so that a pixel
+		// outside them costs no key: a positive float's key digit is its
+		// own with the sign flipped, a negative one's with every bit.
 		var raw [1 << radixBits]uint8
 		for d, gi := range l.bucket {
-			if d < 1<<(radixBits-1) {
-				raw[d^radixMask] = gi
-			} else {
-				raw[d^1<<(radixBits-1)] = gi
-			}
+			raw[d^(1<<(radixBits-1))^(d>>(radixBits-1)-1)&(radixMask>>1)] = gi
 		}
-		lowBits, highBits := math.Float32bits(keyFloat(lowest)), math.Float32bits(keyFloat(highest))
-		nLow, nHigh := 0, 0
 		for _, v := range img {
-			switch x := math.Float32bits(v); x {
-			case lowBits:
-				nLow++
-			case highBits:
-				nHigh++
-			default:
-				if gi := raw[x>>top]; gi != 0 {
-					l.store(gi, floatKey(v))
-				}
+			if gi := raw[math.Float32bits(v)>>top]; gi != 0 {
+				l.keep(gi, floatKey(v))
 			}
 		}
-		b.visits += len(img) + l.descend(ranks[:], stat[:], lowest, highest, nLow, nHigh)
-	}
+		return len(img)
+	})
 	if swapped {
 		stat[1], stat[2] = stat[2], stat[1]
 	}
@@ -230,7 +202,7 @@ func percentileBounds(img []float32, pLow, pHigh float64) bounds {
 	b.lo = x*(1-fLo) + y*fLo
 	x, y = keyFloat(stat[2]), keyFloat(stat[3])
 	b.hi = x*(1-fHi) + y*fHi
-	b.min, b.max = keyFloat(lowest), keyFloat(highest)
+	b.min, b.max = keyFloat(l.lowest), keyFloat(l.highest)
 	return b
 }
 
@@ -261,8 +233,7 @@ func keyFloat(k uint32) float32 {
 }
 
 const (
-	// A key is selected most significant digit first, up to radixBits at a
-	// time.
+	// A key is selected most significant digit first, radixBits at a time.
 	radixBits = 11
 	radixMask = 1<<radixBits - 1
 	// finiteOff is the key distance from −Inf to −MaxFloat32 and from
@@ -270,146 +241,116 @@ const (
 	finiteOff = 1 << 23
 )
 
-// level is one radix level of a selection: the digit it counts, the counts,
-// and the buckets it keeps for the level below.
+// level is one radix level of a selection over keys from lowest to highest.
 type level struct {
-	shift int
-	// Four interleaved tables, so that a run of equal keys is four
+	shift           int    // the digit counted is the key's bits shift…shift+radixBits-1
+	lowest, highest uint32 // the keys' extremes
+	// Four interleaved count tables, so that a run of equal keys is four
 	// independent chains of increments, not one.
 	counts [4][1 << radixBits]int32
-	bucket [1 << radixBits]uint8 // 1 + the index of the group that keeps a bucket, 0 for none
+	bucket [1 << radixBits]uint8 // 1 + the index of the group keeping a bucket, 0 for none
 	groups [4]group
 	n      int // groups in use
 }
 
-// group is a kept bucket.
+// group is a kept bucket: its digit, the keys ranked below it and its size,
+// the ranks[first:end] that fall in it, and the keys copied out of it with
+// their extremes.
 type group struct {
-	digit, below, size int      // the bucket, the keys ranked below it, its keys
-	first, end         int      // ranks[first:end] fall in it
-	keys               []uint32 // its keys but the level's lowest and highest
-	lowest, highest    uint32   // the smallest and the largest of keys
+	digit, below, size, first, end int
+	keys                           []uint32
+	lowest, highest                uint32
 }
+
+func (l *level) digit(k uint32) int { return int(k>>l.shift) & radixMask }
 
 func (l *level) size(d int) int {
 	return int(l.counts[0][d] + l.counts[1][d] + l.counts[2][d] + l.counts[3][d])
 }
 
-func (l *level) digit(k uint32) int { return int(k>>l.shift) & radixMask }
-
-// split keeps every bucket from digit from up that one of the ascending ranks
-// falls in, counting ranks from that digit's first key.
-func (l *level) split(from int, ranks []int, lowest, highest uint32) {
+// finish sets out[j] to the key of rank ranks[j] (ascending, counted from
+// digit from's first key) once the level's keys are counted. It keeps the
+// buckets a wanted rank falls in, has scatter copy their keys out through
+// keep (scatter returns the keys it examined) and selects within each one
+// level down. When the digit reaches bit 0, or the keys are all one key, a
+// bucket is one key and nothing is copied. It returns the keys examined.
+func (l *level) finish(from int, ranks []int, out []uint32, scatter func() int) (visits int) {
 	below, next := 0, 0
 	for d := from; d <= radixMask && next < len(ranks); d++ {
 		size := l.size(d)
-		if ranks[next] >= below+size {
-			below += size
-			continue
+		if ranks[next] < below+size {
+			g := group{digit: d, below: below, size: size, first: next, lowest: ^uint32(0)}
+			for next < len(ranks) && ranks[next] < below+size {
+				out[next] = l.lowest&^(radixMask<<l.shift) | uint32(d)<<l.shift
+				next++
+			}
+			// A bucket holding a tie run copies out fewer keys than it has.
+			g.end, g.keys = next, make([]uint32, 0, min(size, 1<<12))
+			l.groups[l.n], l.n, l.bucket[d] = g, l.n+1, uint8(l.n+1)
 		}
-		g := group{digit: d, below: below, size: size, first: next, lowest: ^uint32(0)}
-		for next < len(ranks) && ranks[next] < below+size {
-			next++
-		}
-		g.end = next
-		// A bucket holding a tie run stores fewer keys than it has, and how
-		// many fewer is only known once they are stored.
-		capacity := size
-		if d == l.digit(lowest) || d == l.digit(highest) {
-			capacity = min(size, 1<<12)
-		}
-		g.keys = make([]uint32, 0, capacity)
-		l.groups[l.n] = g
-		l.n++
-		l.bucket[d] = uint8(l.n)
 		below += size
 	}
-}
-
-// store adds k to kept group gi.
-func (l *level) store(gi uint8, k uint32) {
-	g := &l.groups[gi-1]
-	g.keys = append(g.keys, k)
-	g.lowest, g.highest = min(g.lowest, k), max(g.highest, k)
-}
-
-// descend finishes every group: out[j] becomes the key of rank ranks[j], the
-// ranks split was given. Ranks inside the level's nLow copies of its lowest
-// key or nHigh copies of its highest are those keys; the others are
-// selected among the group's stored keys one level down.
-func (l *level) descend(ranks []int, out []uint32, lowest, highest uint32, nLow, nHigh int) (visits int) {
+	if l.shift == 0 || l.lowest == l.highest {
+		return 0
+	}
+	visits = scatter()
 	var local [4]int
 	for _, g := range l.groups[:l.n] {
-		nl, nh := 0, 0
-		if g.digit == l.digit(lowest) {
-			nl = nLow
+		// The copies of the level's lowest key lead its bucket, those of the
+		// highest end theirs; neither was copied out.
+		ties, first, end := g.size-len(g.keys), g.first, g.end
+		if g.digit != l.digit(l.lowest) {
+			for ; end > first && ranks[end-1]-g.below >= len(g.keys); end-- {
+				out[end-1] = l.highest
+			}
+			ties = 0
 		}
-		if g.digit == l.digit(highest) {
-			nh = nHigh
+		for ; first < end && ranks[first]-g.below < ties; first++ {
+			out[first] = l.lowest
 		}
-		first, end := g.first, g.end
-		for ; first < end && ranks[first]-g.below < nl; first++ {
-			out[first] = lowest
+		for j := first; j < end; j++ {
+			local[j] = ranks[j] - g.below - ties
 		}
-		for ; end > first && ranks[end-1]-g.below >= g.size-nh; end-- {
-			out[end-1] = highest
-		}
-		sub := local[:end-first]
-		for j := range sub {
-			sub[j] = ranks[first+j] - g.below - nl
-		}
-		if len(sub) > 0 {
-			visits += selectKeys(g.keys, g.lowest, g.highest, sub, out[first:end])
+		if first < end {
+			visits += selectKeys(g.keys, g.lowest, g.highest, local[first:end], out[first:end])
 		}
 	}
 	return visits
 }
 
+// keep copies k out to kept bucket gi, unless it is a copy of the level's
+// lowest key, or of its highest in a bucket without the lowest.
+func (l *level) keep(gi uint8, k uint32) {
+	if k == l.lowest || k == l.highest && l.digit(k) != l.digit(l.lowest) {
+		return
+	}
+	g := &l.groups[gi-1]
+	g.keys = append(g.keys, k)
+	g.lowest, g.highest = min(g.lowest, k), max(g.highest, k)
+}
+
 // selectKeys finds order statistics by radix selection: out[j] becomes the
 // key of rank ranks[j] (0-based; at most four, ascending) among keys, whose
-// smallest and largest are lowest and highest. Its digit starts at the
-// highest bit on which they differ. It counts that digit, keeps the buckets
-// a wanted rank falls in and selects within each one level down; when the
-// digit reaches bit 0, every key of a bucket is the same key. The keys of a
-// bucket of percentileBounds' top digit differ in bit 20 at most, so there
-// are at most two levels below it: every key is examined at most five times
-// whatever the values are, and the cost is linear in len(keys) on every
-// input. Slices are untrusted uploads, and a quickselect's bad pivots would
-// be a quadratic-time request. The return value is the number of keys
-// examined.
-func selectKeys(keys []uint32, lowest, highest uint32, ranks []int, out []uint32) (visits int) {
-	if lowest == highest {
-		for j := range out {
-			out[j] = lowest
-		}
-		return 0
-	}
-	l := level{shift: max(bits.Len32(lowest^highest)-radixBits, 0)}
+// extremes are lowest and highest. Its digit starts at the highest bit on
+// which they differ. The keys of a bucket of percentileBounds' top digit
+// differ in bit 20 at most, so there are at most two levels below it, and
+// every key is examined at most five times whatever the values are: the
+// cost is linear in len(keys) on every input. Slices are untrusted uploads,
+// and a quickselect's bad pivots would be a quadratic-time request. The
+// return value is the number of keys examined.
+func selectKeys(keys []uint32, lowest, highest uint32, ranks []int, out []uint32) int {
+	l := level{shift: max(bits.Len32(lowest^highest)-radixBits, 0), lowest: lowest, highest: highest}
 	for i, k := range keys {
 		l.counts[i&3][l.digit(k)]++
 	}
-	l.split(0, ranks, lowest, highest)
-	if l.shift == 0 {
-		for _, g := range l.groups[:l.n] {
-			for j := g.first; j < g.end; j++ {
-				out[j] = lowest&^radixMask | uint32(g.digit)
+	return len(keys) + l.finish(0, ranks, out, func() int {
+		for _, k := range keys {
+			if gi := l.bucket[l.digit(k)]; gi != 0 {
+				l.keep(gi, k)
 			}
 		}
 		return len(keys)
-	}
-	nLow, nHigh := 0, 0
-	for _, k := range keys {
-		switch k {
-		case lowest:
-			nLow++
-		case highest:
-			nHigh++
-		default:
-			if gi := l.bucket[l.digit(k)]; gi != 0 {
-				l.store(gi, k)
-			}
-		}
-	}
-	return 2*len(keys) + l.descend(ranks, out, lowest, highest, nLow, nHigh)
+	})
 }
 
 // RescaleToUnit linearly maps the [min, max] range of the image's finite
@@ -428,30 +369,36 @@ func RescaleToUnit(img []float32) {
 			mx = v
 		}
 	}
+	inf := float32(math.Inf(1))
+	clipToUnit(img, -inf, inf, mn, mx)
+}
+
+// clipToUnit clips img to [lo, hi] and maps [mn, mx] onto [-1, 1], in place;
+// a pixel at or past a bound takes that bound's output, computed once.
+func clipToUnit(img []float32, lo, hi, mn, mx float32) {
 	if !(mx > mn) { // constant, or no finite pixel at all
 		clear(img)
 		return
 	}
-	scale := unitScale(mn, mx)
-	for i, v := range img {
-		u := scale(v)
+	// Compute in float64: extreme float32 ranges (|mx−mn| > MaxFloat32)
+	// overflow to Inf and poison the whole image otherwise.
+	base, scale := float64(mn), 2/(float64(mx)-float64(mn))
+	unit := func(v float32) float32 {
 		// A finite pixel is already inside [-1, 1]; +Inf lands on 1, −Inf
 		// and NaN on −1.
-		if u > 1 {
-			u = 1
-		} else if !(u >= -1) {
-			u = -1
-		}
-		img[i] = u
+		return clamp(float32((float64(v)-base)*scale-1), -1, 1)
 	}
-}
-
-// unitScale returns the map of [mn, mx] onto [-1, 1]. It computes in
-// float64: extreme float32 ranges (|mx−mn| > MaxFloat32) overflow to Inf and
-// poison the whole image otherwise.
-func unitScale(mn, mx float32) func(float32) float32 {
-	base, scale := float64(mn), 2/(float64(mx)-float64(mn))
-	return func(v float32) float32 { return float32((float64(v)-base)*scale - 1) }
+	atLo, atHi := unit(lo), unit(hi)
+	for i, v := range img {
+		switch {
+		case v <= lo:
+			img[i] = atLo
+		case v >= hi:
+			img[i] = atHi
+		default:
+			img[i] = unit(v)
+		}
+	}
 }
 
 // Preprocess applies the full SENECA input pipeline to one CT slice:
@@ -463,37 +410,17 @@ func Preprocess(src []float32, h, w, size int) []float32 {
 
 // PreprocessTo is Preprocess to an oh×ow model geometry; src is only read.
 // When every pixel is finite and the clip bounds are finite and in order,
-// the clip is monotone: the clipped image's range is the image's range
-// clipped, known before a pixel is clipped, and clipping and rescaling are
-// one pass. A pixel at or past a bound takes that bound's output, which a
-// run of air does, and a pixel between the bounds lands inside [-1, 1]
-// unclamped. Anything else takes SaturatePercentiles' clip and RescaleToUnit.
+// the clip is monotone, so the clipped image's range is the image's range
+// clipped: clip and rescale are one pass. Anything else takes
+// SaturatePercentiles and RescaleToUnit.
 func PreprocessTo(src []float32, h, w, oh, ow int) []float32 {
 	img := ResizeBilinear(src, h, w, oh, ow)
 	b := percentileBounds(img, 0.01, 0.99)
 	if b.finite < len(img) || !(b.lo <= b.hi) || !isFinite(b.lo) || !isFinite(b.hi) {
-		for i, v := range img {
-			img[i] = clamp(v, b.lo, b.hi)
-		}
+		SaturatePercentiles(img, 0.01, 0.99)
 		RescaleToUnit(img)
-		return img
-	}
-	mn, mx := clamp(b.min, b.lo, b.hi), clamp(b.max, b.lo, b.hi)
-	if !(mx > mn) {
-		clear(img)
-		return img
-	}
-	scale := unitScale(mn, mx)
-	atLo, atHi := scale(b.lo), scale(b.hi)
-	for i, v := range img {
-		switch {
-		case v <= b.lo:
-			img[i] = atLo
-		case v >= b.hi:
-			img[i] = atHi
-		default:
-			img[i] = scale(v)
-		}
+	} else {
+		clipToUnit(img, b.lo, b.hi, clamp(b.min, b.lo, b.hi), clamp(b.max, b.lo, b.hi))
 	}
 	return img
 }
