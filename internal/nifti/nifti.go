@@ -120,19 +120,6 @@ type header struct {
 	Magic        [4]byte
 }
 
-func bitpix(datatype int16) (int16, error) {
-	switch datatype {
-	case DTUint8:
-		return 8, nil
-	case DTInt16:
-		return 16, nil
-	case DTFloat32:
-		return 32, nil
-	default:
-		return 0, fmt.Errorf("nifti: unsupported datatype %d", datatype)
-	}
-}
-
 // Write serializes the volume as a single-file NIfTI-1 image.
 func Write(w io.Writer, v *Volume) error {
 	if err := writeHeader(w, v.Nx, v.Ny, v.Nz, v.Datatype, v.PixDim); err != nil {
@@ -159,7 +146,7 @@ func WriteLabels(w io.Writer, nx, ny, nz int, pixDim [3]float32, labels []uint8)
 // writeHeader emits the 348-byte header and the empty extension flag, which
 // leaves w at vox_offset.
 func writeHeader(w io.Writer, nx, ny, nz int, datatype int16, pixDim [3]float32) error {
-	bp, err := bitpix(datatype)
+	size, err := elemSize(datatype)
 	if err != nil {
 		return err
 	}
@@ -168,7 +155,7 @@ func writeHeader(w io.Writer, nx, ny, nz int, datatype int16, pixDim [3]float32)
 	h.Regular = 'r'
 	h.Dim = [8]int16{3, int16(nx), int16(ny), int16(nz), 1, 1, 1, 1}
 	h.Datatype = datatype
-	h.Bitpix = bp
+	h.Bitpix = int16(8 * size)
 	h.Pixdim = [8]float32{1, pixDim[0], pixDim[1], pixDim[2], 1, 1, 1, 1}
 	h.VoxOffset = voxOffset
 	h.SclSlope = 1
@@ -188,7 +175,7 @@ func writeHeader(w io.Writer, nx, ny, nz int, datatype int16, pixDim [3]float32)
 // writeVoxels encodes the voxels through one readChunk-sized buffer, so
 // writing a volume costs a fixed scratch rather than a second copy of it.
 func writeVoxels(w io.Writer, v *Volume) error {
-	elem := elemSize(v.Datatype)
+	elem, _ := elemSize(v.Datatype) // writeHeader has checked it
 	buf := make([]byte, min(len(v.Data), readChunk)*elem)
 	for data := v.Data; len(data) > 0; {
 		chunk := data[:min(len(data), readChunk)]
@@ -215,15 +202,18 @@ func writeVoxels(w io.Writer, v *Volume) error {
 	return nil
 }
 
-// elemSize is the on-disk size of one voxel of a supported datatype.
-func elemSize(datatype int16) int {
+// elemSize is the on-disk size in bytes of one voxel of datatype, or an
+// error for a datatype this package does not support.
+func elemSize(datatype int16) (int, error) {
 	switch datatype {
+	case DTUint8:
+		return 1, nil
 	case DTInt16:
-		return 2
+		return 2, nil
 	case DTFloat32:
-		return 4
+		return 4, nil
 	}
-	return 1
+	return 0, fmt.Errorf("nifti: unsupported datatype %d", datatype)
 }
 
 func clamp(f, lo, hi float32) float32 {
@@ -270,14 +260,10 @@ func remaining(r io.Reader) int64 {
 		return int64(r.Len())
 	case *os.File:
 		fi, err := r.Stat()
-		if err != nil || !fi.Mode().IsRegular() {
-			return -1
+		off, serr := r.Seek(0, io.SeekCurrent)
+		if err == nil && serr == nil && fi.Mode().IsRegular() {
+			return fi.Size() - off
 		}
-		off, err := r.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return -1
-		}
-		return fi.Size() - off
 	}
 	return -1
 }
@@ -306,7 +292,7 @@ func readRaw(r io.Reader, left int64) (*Volume, error) {
 	if total > MaxVoxels {
 		return nil, fmt.Errorf("nifti: volume %d×%d×%d exceeds %d voxels", nx, ny, nz, int64(MaxVoxels))
 	}
-	if _, err := bitpix(h.Datatype); err != nil {
+	if _, err := elemSize(h.Datatype); err != nil {
 		return nil, err
 	}
 	// Skip to voxel data. vox_offset is stored as float32; reject
@@ -346,7 +332,7 @@ func readRaw(r io.Reader, left int64) (*Volume, error) {
 // more than its body carries cannot raise it. Otherwise it starts at one
 // chunk and doubles.
 func readVoxels(r io.Reader, datatype int16, total, left int64, slope, inter float32) ([]float32, error) {
-	elem := elemSize(datatype)
+	elem, _ := elemSize(datatype) // readRaw has checked it
 	size, chunk := min(total, readChunk), min(total, readChunk)
 	if left >= 0 {
 		size = min(total, left/int64(elem))
@@ -372,7 +358,7 @@ func readVoxels(r io.Reader, datatype int16, total, left int64, slope, inter flo
 			}
 		case DTInt16:
 			for i := range dst {
-				dst[i] = float32(int16(binary.LittleEndian.Uint16(b[2*i:])))*slope + inter
+				dst[i] = float32(int16(uint16(b[2*i])|uint16(b[2*i+1])<<8))*slope + inter
 			}
 		case DTFloat32:
 			for i := range dst {
