@@ -153,12 +153,26 @@ func percentileBounds(img []float32, pLow, pHigh float64) (b bounds) {
 	l := level{shift: top}
 	// Offset by finiteOff, the non-finite keys wrap around past the finite
 	// ones: low and high end at the smallest and the largest finite key.
-	low, high := ^uint32(0), uint32(0)
-	for i, v := range img {
+	// Four pixels a step, so that neither a run of equal keys nor the
+	// running extremes make one long chain of dependent instructions.
+	low, high, low1, high1 := ^uint32(0), uint32(0), ^uint32(0), uint32(0)
+	n := len(img) &^ 3
+	for i := 0; i < n; i += 4 {
+		w := img[i : i+4 : i+4]
+		k0, k1, k2, k3 := floatKey(w[0]), floatKey(w[1]), floatKey(w[2]), floatKey(w[3])
+		l.counts[0][k0>>top]++
+		l.counts[1][k1>>top]++
+		l.counts[2][k2>>top]++
+		l.counts[3][k3>>top]++
+		low, high = min(low, k0-finiteOff, k2-finiteOff), max(high, k0+finiteOff, k2+finiteOff)
+		low1, high1 = min(low1, k1-finiteOff, k3-finiteOff), max(high1, k1+finiteOff, k3+finiteOff)
+	}
+	for _, v := range img[n:] {
 		k := floatKey(v)
-		l.counts[i&3][k>>top]++
+		l.counts[0][k>>top]++
 		low, high = min(low, k-finiteOff), max(high, k+finiteOff)
 	}
+	low, high = min(low, low1), max(high, high1)
 	// The non-finite keys fill the four lowest and the four highest top
 	// digits, and no finite key has one of those.
 	b.finite, b.visits = len(img), len(img)
@@ -181,16 +195,13 @@ func percentileBounds(img []float32, pLow, pHigh float64) (b bounds) {
 	var stat [4]uint32
 	l.lowest, l.highest = low+finiteOff, high-finiteOff
 	b.visits += l.finish(4, ranks[:], stat[:], func() int {
-		// The kept buckets by a pixel's own top bits, so that a pixel
-		// outside them costs no key: a positive float's key digit is its
-		// own with the sign flipped, a negative one's with every bit.
-		var raw [1 << radixBits]uint8
-		for d, gi := range l.bucket {
-			raw[d^(1<<(radixBits-1))^(d>>(radixBits-1)-1)&(radixMask>>1)] = gi
-		}
+		// The level's lowest key is never copied out (see keep): the tie
+		// run a CT slice's air makes costs it one compare.
 		for _, v := range img {
-			if gi := raw[math.Float32bits(v)>>top]; gi != 0 {
-				l.keep(gi, floatKey(v))
+			if k := floatKey(v); k != l.lowest {
+				if gi := l.bucket[k>>top]; gi != 0 {
+					l.keep(gi, k)
+				}
 			}
 		}
 		return len(img)
@@ -359,22 +370,19 @@ func selectKeys(keys []uint32, lowest, highest uint32, ranks []int, out []uint32
 func RescaleToUnit(img []float32) {
 	mn, mx := float32(math.MaxFloat32), float32(-math.MaxFloat32)
 	for _, v := range img {
-		if !isFinite(v) {
-			continue
-		}
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
+		if isFinite(v) {
+			mn, mx = min(mn, v), max(mx, v)
 		}
 	}
 	inf := float32(math.Inf(1))
 	clipToUnit(img, -inf, inf, mn, mx)
 }
 
-// clipToUnit clips img to [lo, hi] and maps [mn, mx] onto [-1, 1], in place;
-// a pixel at or past a bound takes that bound's output, computed once.
+// clipToUnit clips img to [lo, hi] and maps [mn, mx], the clipped image's
+// finite range, onto [-1, 1], in place. A pixel at or past a bound (NaN
+// below lo) takes that bound's output, computed once; one strictly between
+// them lies in [mn, mx], where the map cannot leave [-1, 1] by more than
+// float32 rounds away, so it needs no clamp.
 func clipToUnit(img []float32, lo, hi, mn, mx float32) {
 	if !(mx > mn) { // constant, or no finite pixel at all
 		clear(img)
@@ -383,20 +391,17 @@ func clipToUnit(img []float32, lo, hi, mn, mx float32) {
 	// Compute in float64: extreme float32 ranges (|mx−mn| > MaxFloat32)
 	// overflow to Inf and poison the whole image otherwise.
 	base, scale := float64(mn), 2/(float64(mx)-float64(mn))
-	unit := func(v float32) float32 {
-		// A finite pixel is already inside [-1, 1]; +Inf lands on 1, −Inf
-		// and NaN on −1.
-		return clamp(float32((float64(v)-base)*scale-1), -1, 1)
-	}
-	atLo, atHi := unit(lo), unit(hi)
+	// +Inf lands on 1, −Inf and NaN on −1.
+	atLo := clamp(float32((float64(lo)-base)*scale-1), -1, 1)
+	atHi := clamp(float32((float64(hi)-base)*scale-1), -1, 1)
 	for i, v := range img {
 		switch {
-		case v <= lo:
+		case !(v > lo):
 			img[i] = atLo
 		case v >= hi:
 			img[i] = atHi
 		default:
-			img[i] = unit(v)
+			img[i] = float32((float64(v)-base)*scale - 1)
 		}
 	}
 }
@@ -411,16 +416,18 @@ func Preprocess(src []float32, h, w, size int) []float32 {
 // PreprocessTo is Preprocess to an oh×ow model geometry; src is only read.
 // When every pixel is finite and the clip bounds are finite and in order,
 // the clip is monotone, so the clipped image's range is the image's range
-// clipped: clip and rescale are one pass. Anything else takes
-// SaturatePercentiles and RescaleToUnit.
+// clipped: clip and rescale are one pass. Anything else clips as
+// SaturatePercentiles does and rescales as RescaleToUnit.
 func PreprocessTo(src []float32, h, w, oh, ow int) []float32 {
 	img := ResizeBilinear(src, h, w, oh, ow)
 	b := percentileBounds(img, 0.01, 0.99)
-	if b.finite < len(img) || !(b.lo <= b.hi) || !isFinite(b.lo) || !isFinite(b.hi) {
-		SaturatePercentiles(img, 0.01, 0.99)
-		RescaleToUnit(img)
-	} else {
+	if b.finite == len(img) && b.lo <= b.hi && isFinite(b.lo) && isFinite(b.hi) {
 		clipToUnit(img, b.lo, b.hi, clamp(b.min, b.lo, b.hi), clamp(b.max, b.lo, b.hi))
+		return img
 	}
+	for i, v := range img {
+		img[i] = clamp(v, b.lo, b.hi)
+	}
+	RescaleToUnit(img)
 	return img
 }
