@@ -280,9 +280,10 @@ func TestSaturateVsSortRandomized(t *testing.T) {
 
 // TestSelectionCostIsLinearOnAdversarialInputs is the guard against the
 // quadratic-time request: the selection's work, counted in keys examined
-// (not wall time), is at most 6 per pixel on every shape — one pass to build
-// the keys, two per radix level but the last — which keeps every adversarial
-// input within a small constant factor of the random case.
+// (not wall time), is at most 6 per pixel on every shape — a count and a copy
+// pass per radix level but the last, one count pass for the last — which
+// keeps every adversarial input within a small constant factor of the random
+// case.
 func TestSelectionCostIsLinearOnAdversarialInputs(t *testing.T) {
 	const n = 256 * 256
 	random := percentileBounds(shapedImage(1, n, shapeRandom), 0.01, 0.99).visits
