@@ -238,10 +238,13 @@ func TestAutoscalerSpawnsAndRetires(t *testing.T) {
 			ScaleCooldown: 50 * time.Millisecond,
 			EvalInterval:  10 * time.Millisecond,
 		},
-		serve.Config{QueueDepth: 8, MaxBatch: 1, MaxDelay: time.Millisecond})
+		serve.Config{QueueDepth: 8, MaxBatch: 1, MaxDelay: time.Millisecond, SimPace: 1})
 
 	// Enough closed-loop clients that even a 3-node fleet sits clearly
-	// above the high water mark while they run.
+	// above the high water mark while they run. SimPace holds each frame's
+	// lane for its simulated board time, so the queues fill however fast
+	// the host kernels would drain them: reaching the high water mark must
+	// not depend on scheduler timing.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
